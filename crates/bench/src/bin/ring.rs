@@ -1,25 +1,35 @@
-//! Bounded-ring fast-path sweep: capacity × batch size × pair count under
-//! the **contended** preset (threads ≫ cores). Runs the unbounded linked
-//! `TransferQueue` as the baseline, then the bounded ring at a ladder of
-//! capacities and batch sizes, plus one mixed buffered+synchronous series
-//! that overflows a tiny ring so the ring-full → rendezvous-fallback path
-//! executes under load.
+//! Ring fast-path sweep: capacity × batch size × pair count under the
+//! **contended** preset (threads ≫ cores). Runs the unbounded
+//! `TransferQueue` first (ring-first since PR 12: its buffered puts ride
+//! an internal ring and go to the linked list only as overflow, so this
+//! series is no longer a "linked" baseline — free-running producers do
+//! outrun the consumers here, and how much of the traffic overflowed is
+//! in its `ring.overflow_puts` counter), then the bounded ring at a ladder
+//! of capacities and batch sizes, plus two mixed buffered+synchronous
+//! series: a tiny bounded ring, so the ring-full → waiter fallback
+//! executes under load, and the unbounded queue, where every put issued
+//! while a synchronous transfer is linked must overflow behind it.
 //!
 //! The schema rev 2 per-series `counters` section carries the `ring.*`
 //! probe deltas plus explicitly recorded `epoch.pins` / `node_cache.*`
-//! values. For the pure buffered series those are **zero** — the proof
-//! that buffered `put`/`poll` never pins an epoch or touches the linked
-//! node cache — and `nonzero()` would drop them, so this binary writes the
-//! zeros back in before recording the series.
+//! values. For the pure *bounded* buffered series those are **zero** —
+//! the proof that buffered `put`/`poll` never pins an epoch or touches the
+//! linked node cache — and `nonzero()` would drop them, so this binary
+//! writes the zeros back in before recording the series. (The unbounded
+//! series pins whenever a put overflows or a consumer finds the queue
+//! empty and publishes a reservation, so it carries no such proof.)
 //!
 //! Emits `target/figures/ring.json` and the repo-root `BENCH_ring.json`
 //! (overridable with `SYNQ_RING_PATH`).
 //!
 //! With `SYNQ_RING_ASSERT=1` (requires a `--features stats` build) the
-//! binary exits nonzero unless every pure buffered series recorded zero
+//! binary exits nonzero unless every pure bounded series recorded zero
 //! `epoch.pins` and zero `node_cache.*` traffic, every batch ≥ 8 series
-//! amortized its tail/head updates to at most one per two items, and the
-//! mixed series exercised both the ring and the linked rendezvous path.
+//! amortized its tail/head updates to at most one per two items, the
+//! unbounded series buffered through the ring, the bounded mixed series
+//! exercised both the ring and the linked rendezvous path, and the
+//! unbounded mixed series exercised the ring, the rendezvous path and
+//! the overflow path.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -40,18 +50,21 @@ const PROOF_COUNTERS: &[&str] = &["epoch.pins", "node_cache.hits", "node_cache.m
 /// One sweep series: how each level's transfers move through the queue.
 #[derive(Clone, Copy)]
 enum Mode {
-    /// Unbounded linked queue, single-item `put`/`take`.
+    /// Unbounded (ring-first) queue, single-item `put`/`take`.
     UnboundedSingle,
     /// Bounded ring, single-item `put`/`take`.
     RingSingle { capacity: usize },
     /// Bounded ring, `send_batch`/`recv_batch` in chunks of `batch`.
     RingBatch { capacity: usize, batch: usize },
-    /// Bounded ring, every third item rendezvouses via `transfer`.
+    /// Bounded ring, every `sync_every`-th item rendezvouses via `transfer`.
     RingMixed { capacity: usize, sync_every: usize },
+    /// Unbounded queue, every `sync_every`-th item rendezvouses via
+    /// `transfer`; puts issued while one is linked overflow behind it.
+    UnboundedMixed { sync_every: usize },
 }
 
 impl Mode {
-    /// Pure buffered series never touch the linked path, so their
+    /// Pure bounded series never touch the linked path, so their
     /// `epoch.pins` / `node_cache.*` deltas must be exactly zero.
     fn pure_buffered(self) -> bool {
         matches!(self, Mode::RingSingle { .. } | Mode::RingBatch { .. })
@@ -84,8 +97,7 @@ fn run_series(
             Mode::UnboundedSingle => {
                 // `BufferedChannel`, not the raw `TransferQueue` channel
                 // impl (whose `put` is a synchronous rendezvous): the
-                // baseline is the *buffered* linked path — async nodes,
-                // epoch pins, node-cache traffic — that the ring replaces.
+                // series is the *buffered* unbounded path.
                 let channel: Arc<dyn SyncChannel<u64>> = Arc::new(BufferedChannel::unbounded());
                 handoff_ns_per_transfer(channel, shape, transfers)
             }
@@ -104,6 +116,10 @@ fn run_series(
                 sync_every,
             } => {
                 let queue = Arc::new(TransferQueue::bounded(capacity));
+                mixed_handoff_ns_per_transfer(queue, shape, transfers, sync_every)
+            }
+            Mode::UnboundedMixed { sync_every } => {
+                let queue = Arc::new(TransferQueue::new());
                 mixed_handoff_ns_per_transfer(queue, shape, transfers, sync_every)
             }
         };
@@ -137,14 +153,28 @@ fn counter(counters: &[(String, u64)], name: &str) -> u64 {
 fn check_series(label: &str, mode: Mode, counters: &[(String, u64)], errors: &mut Vec<String>) {
     let pushed = counter(counters, "ring.push_items");
     match mode {
-        Mode::UnboundedSingle => return, // baseline: no ring involvement
-        Mode::RingMixed { .. } => {
+        Mode::UnboundedSingle => {
+            if pushed == 0 {
+                errors.push(format!(
+                    "{label}: unbounded buffered puts never rode the internal ring"
+                ));
+            }
+            return;
+        }
+        Mode::RingMixed { .. } | Mode::UnboundedMixed { .. } => {
             if pushed == 0 {
                 errors.push(format!("{label}: mixed series never used the ring"));
             }
             if counter(counters, "epoch.pins") == 0 {
                 errors.push(format!(
                     "{label}: mixed series never exercised the linked rendezvous path"
+                ));
+            }
+            if matches!(mode, Mode::UnboundedMixed { .. })
+                && counter(counters, "ring.overflow_puts") == 0
+            {
+                errors.push(format!(
+                    "{label}: no put overflowed to the list behind a linked transfer"
                 ));
             }
             return;
@@ -191,14 +221,14 @@ fn main() -> ExitCode {
     let levels = contended_pairs(quick);
     let mut report = FigureReport::new(
         "ring",
-        "Bounded ring fast path: capacity x batch under the contended preset",
+        "Ring fast path: capacity x batch under the contended preset",
         "pairs",
         "ns/transfer",
         levels.clone(),
     );
 
     let series: &[(&str, Mode)] = &[
-        ("unbounded-linked", Mode::UnboundedSingle),
+        ("unbounded-ring-first", Mode::UnboundedSingle),
         ("ring-cap256-batch1", Mode::RingSingle { capacity: 256 }),
         (
             "ring-cap256-batch8",
@@ -235,6 +265,7 @@ fn main() -> ExitCode {
                 sync_every: 3,
             },
         ),
+        ("unbounded-mixed", Mode::UnboundedMixed { sync_every: 3 }),
     ];
 
     let mut errors = Vec::new();
@@ -271,8 +302,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!(
-            "ring self-checks passed: buffered series epoch-free/cache-free, \
-             batch >= 8 amortized index updates, mixed series hit both paths"
+            "ring self-checks passed: bounded series epoch-free/cache-free, \
+             batch >= 8 amortized index updates, unbounded series rode the ring, \
+             mixed series hit every path (ring, rendezvous, overflow)"
         );
     }
     ExitCode::SUCCESS

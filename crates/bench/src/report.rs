@@ -546,9 +546,9 @@ pub fn write_bench_striped(sweep: &FigureReport) -> std::io::Result<PathBuf> {
 
 /// Writes the repo-root `BENCH_ring.json` file: ns/transfer for the
 /// bounded ring fast path across capacity × batch-size × pair-count,
-/// against the unbounded linked baseline. The per-series `counters`
+/// beside the unbounded (ring-first) queue. The per-series `counters`
 /// section carries the `ring.*` probe deltas plus the explicitly recorded
-/// `epoch.pins` / `node_cache.*` values — zero for the pure buffered
+/// `epoch.pins` / `node_cache.*` values — zero for the pure bounded
 /// series, which is the allocation-free/epoch-free acceptance proof.
 /// Returns the path written (overridable with `SYNQ_RING_PATH`).
 pub fn write_bench_ring(sweep: &FigureReport) -> std::io::Result<PathBuf> {

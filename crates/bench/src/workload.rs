@@ -213,12 +213,13 @@ pub fn batched_handoff_ns_per_transfer(
     elapsed.as_nanos() as f64 / transfers as f64
 }
 
-/// Mixed buffered + synchronous workload on a bounded [`TransferQueue`]:
-/// every `sync_every`-th ticket rendezvouses through `transfer` (linked
-/// path) while the rest ride the ring via `put`, overflowing small rings
-/// so the ring-full → waiter fallback executes alongside rendezvous
-/// traffic. Consumers drain everything with `take`. Returns nanoseconds
-/// per transfer.
+/// Mixed buffered + synchronous workload on a [`TransferQueue`]: every
+/// `sync_every`-th ticket rendezvouses through `transfer` (linked path)
+/// while the rest ride the ring via `put`. A small bounded ring fills, so
+/// the ring-full → waiter fallback executes alongside rendezvous traffic;
+/// an unbounded queue overflows to the list whatever is put while a
+/// transfer is linked. Consumers drain everything with `take`. Returns
+/// nanoseconds per transfer.
 pub fn mixed_handoff_ns_per_transfer(
     queue: Arc<TransferQueue<u64>>,
     shape: HandoffShape,

@@ -184,11 +184,11 @@ probes! {
     /// sibling lane during the post-publish rescan.
     StripedRetracts => "striped.retracts",
 
-    // Bounded ring-buffer fast path (DESIGN §4.11): SCQ-style
-    // cycle-versioned slots in front of the TransferQueue rendezvous.
-    /// Items published into the bounded ring (buffered fast-path puts).
+    // Ring-buffer fast path (DESIGN §4.11): SCQ-style cycle-versioned
+    // slots in front of the TransferQueue rendezvous, bounded or unbounded.
+    /// Items published into the ring (buffered fast-path puts).
     RingPushItems => "ring.push_items",
-    /// Items consumed from the bounded ring (buffered fast-path polls).
+    /// Items consumed from the ring (buffered fast-path polls).
     RingPopItems => "ring.pop_items",
     /// Successful tail-advancing CASes — one per push *or per push batch*,
     /// so `push_items / tail_updates` is the producer-side amortization.
@@ -203,6 +203,14 @@ probes! {
     /// Consumers that found the ring empty (and no linked transfers) and
     /// registered as item-waiters.
     RingEmptyWaits => "ring.empty_waits",
+    /// Buffered puts on an *unbounded* queue that went to the linked list
+    /// instead of the ring (ring full, or linked data already queued ahead
+    /// of them); `overflow_puts / (overflow_puts + push_items)` is the
+    /// overflow share.
+    RingOverflowPuts => "ring.overflow_puts",
+    /// Linked consumer reservations claimed by a producer after its ring
+    /// push (the consumer is handed the ring's oldest item, or retries).
+    RingReservationWakes => "ring.reservation_wakes",
     /// Nodes handed to a reclaimer backend (`Shield::defer_retire`), across
     /// every backend — the inflow side of the garbage ledger.
     ReclaimRetired => "reclaim.retired",

@@ -6,34 +6,51 @@
 //! > mirrors our fair synchronous queue. The asynchronous additions differ
 //! > only by releasing producers before items are taken."
 //!
-//! [`TransferQueue`] is therefore the synchronous dual queue of
-//! `synq::dual_queue` with one extra degree of freedom per data node:
-//! *async* data nodes have no waiter — [`TransferQueue::put`] links the
-//! item and returns immediately (the queue buffers it), while
-//! [`TransferQueue::transfer`] blocks until a consumer takes the item,
-//! exactly like the synchronous queue's `put`. Consumers are identical in
-//! both cases. The list still never holds data and reservations at once.
+//! [`TransferQueue`] is the synchronous dual queue of `synq::dual_queue`
+//! with a buffer in front of it. A *synchronous* [`TransferQueue::transfer`]
+//! needs a wait-node (the producer blocks on it until a consumer takes the
+//! item), and so does a consumer that finds nothing to take (its
+//! reservation). A *buffered* [`TransferQueue::put`] has no waiter, so it
+//! needs no node: it is one push into a [`RingBuffer`] — a cycle-versioned
+//! circular array (DESIGN §4.11) with no allocation, no epoch pin and no
+//! retirement per item.
+//!
+//! # Unbounded mode: ring first, the list for rendezvous and overflow
+//!
+//! [`TransferQueue::new`] keeps a small internal ring (about 32 KiB of
+//! slots, not configurable) in front of the linked dual queue. `put`
+//! pushes into the ring while the linked list holds no data and the ring
+//! has room; otherwise it appends an async data node to the list exactly
+//! as the paper describes (*overflow*), so the queue stays unbounded.
+//! `take`/`poll` pop the ring first and look at the list only once the
+//! ring is empty. Because nothing enters the ring while linked data is
+//! queued, ring items are always older than linked data and the queue is
+//! **one FIFO** across `put`, `transfer` and the batch calls: a `transfer`
+//! issued after a `put` is received after it. A consumer that finds both
+//! empty publishes a linked reservation, so
+//! [`TransferQueue::try_transfer`], the channel-trait `offer`,
+//! [`TransferQueue::has_waiting_consumer`] and use as an executor channel
+//! work as they do on the plain dual queue.
 //!
 //! # Bounded mode
 //!
-//! [`TransferQueue::bounded`] puts a [`RingBuffer`] — a cycle-versioned
-//! circular array (DESIGN §4.11) — in front of the linked rendezvous
-//! machinery. Buffered `put`/`poll` then ride the ring: no node
-//! allocation, no epoch pin, one CAS on a cache-padded index per
-//! operation (or per *batch* via [`TransferQueue::put_batch`] /
-//! [`TransferQueue::take_batch`]). Producers block only when the ring is
-//! full, consumers only when it is empty, both via lightweight
-//! space/item wait lists. [`TransferQueue::transfer`] still rendezvouses
-//! through the linked protocol for exactly-once handoff semantics.
-//!
-//! The ordering contract in bounded mode: `take`/`poll` drain buffered
-//! ring items *before* claiming waiting synchronous transfers, and each
-//! category is FIFO within itself. Because bounded consumers wait on the
-//! item list rather than publishing linked reservations,
-//! [`TransferQueue::try_transfer`] (and the channel-trait `offer`, which
-//! has the same only-if-a-consumer-waits semantics) always fails in
-//! bounded mode — use [`BufferedChannel`] for trait-level buffered
+//! [`TransferQueue::bounded`] sizes the ring explicitly and never
+//! overflows: producers block when the ring is full, consumers when it is
+//! empty, both via lightweight space/item wait lists, and batches move
+//! with one index CAS ([`TransferQueue::put_batch`] /
+//! [`TransferQueue::take_batch`]). [`TransferQueue::transfer`] still
+//! rendezvouses through the linked protocol for exactly-once handoff
 //! semantics.
+//!
+//! The ordering contract in bounded mode is weaker than in unbounded
+//! mode: `take`/`poll` drain buffered ring items *before* claiming waiting
+//! synchronous transfers, and each category is FIFO within itself (a
+//! `put` issued after a `transfer` may be received first). Because
+//! bounded consumers wait on the item list rather than publishing linked
+//! reservations, [`TransferQueue::try_transfer`] (and the channel-trait
+//! `offer`, which has the same only-if-a-consumer-waits semantics) always
+//! fails in bounded mode — use [`BufferedChannel`] for trait-level
+//! buffered semantics.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -51,8 +68,8 @@ use synq::{
     impl_channels_via_transferer, CancelToken, Deadline, PendingTransfer, PollTransferer,
     SpinPolicy, StartTransfer, SyncChannel, TimedSyncChannel, TransferOutcome, Transferer,
 };
-use synq_obs::probe;
-use synq_primitives::{CachePadded, WaitOutcome, WaitSlot};
+use synq_obs::{probe, Probe};
+use synq_primitives::{Backoff, CachePadded, WaitOutcome, WaitSlot};
 use synq_reclaim::{Atomic, Epoch, Owned, Reclaimer, Shared, Shield};
 use waiters::WaiterQueue;
 
@@ -62,22 +79,16 @@ struct TNode<T, R: Reclaimer> {
     slot: WaitSlot<T>,
     next: Atomic<TNode<T, R>, R>,
     is_data: bool,
-    /// Bounded mode tallies linked sync transfers in
-    /// `TransferQueue::sync_transfers` so consumers can skip the
-    /// reclaimer-guarded linked path entirely when none exist; a counted
-    /// node must decrement on claim or cancellation.
-    counted: bool,
     refs: AtomicUsize,
     unlinked: AtomicBool,
 }
 
 impl<T, R: Reclaimer> TNode<T, R> {
-    fn new(is_data: bool, counted: bool, refs: usize) -> Owned<TNode<T, R>> {
+    fn new(is_data: bool, refs: usize) -> Owned<TNode<T, R>> {
         Owned::new(TNode {
             slot: WaitSlot::new(),
             next: Atomic::null(),
             is_data,
-            counted,
             refs: AtomicUsize::new(refs),
             unlinked: AtomicBool::new(false),
         })
@@ -96,17 +107,62 @@ impl<T, R: Reclaimer> TNode<T, R> {
     }
 }
 
-/// How a producer-side operation relates to its item.
+/// How a linked producer relates to its item.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum PutMode {
-    /// Link and return (the queue buffers the item).
+    /// Link and return (an unbounded queue's overflow: the ring was full,
+    /// or linked data was already queued ahead).
     Async,
     /// Wait until a consumer takes the item.
     Sync,
 }
 
-/// A queue supporting both synchronous and asynchronous enqueue, with an
-/// optional bounded array-backed fast path for the asynchronous side.
+/// What the linked list holds, counted beside it so the ring paths decide
+/// without pinning: producers push into the ring only while `data` is 0
+/// and look for a reservation after a push only while `reservations` is
+/// not.
+///
+/// Neither count may ever read *lower* than what the list holds, not even
+/// for an instant: a producer that read a 0 which hid a linked data node
+/// would push a younger item into the ring, ahead of it, and one that
+/// read a 0 which hid a parked consumer would not wake it. (A count that
+/// reads too high only sends someone down a slower path for nothing.) So
+/// neither is ever decremented ahead of its own increment, which rules
+/// out "count after the link, uncount on the claim": a claim can land
+/// before the publisher has counted.
+#[derive(Default)]
+struct LinkedCounts {
+    /// Data nodes (synchronous transfers and overflow puts): counted by
+    /// the producer *before* its publishing CAS (and uncounted if that CAS
+    /// fails), uncounted by whoever wins the node, the claiming consumer
+    /// or the cancelling owner, both of which can only follow the link.
+    data: AtomicUsize,
+    /// Consumers with a published reservation (unbounded mode only):
+    /// counted by the consumer right *after* its publishing CAS (so that a
+    /// producer that reads the count also sees the node) and uncounted by
+    /// the same consumer when it stops waiting, however that came about.
+    /// A fulfilled consumer that has not yet woken up is still counted.
+    reservations: AtomicUsize,
+}
+
+/// Byte budget for the slots of the ring inside an *unbounded* queue. The
+/// slot count is this divided by the slot size, clamped to
+/// [`UNBOUNDED_RING_MIN_SLOTS`, `UNBOUNDED_RING_MAX_SLOTS`] and rounded
+/// down to a power of two: sized in bytes so that a queue of large
+/// payloads does not balloon.
+const UNBOUNDED_RING_BYTES: usize = 32 * 1024;
+const UNBOUNDED_RING_MIN_SLOTS: usize = 64;
+const UNBOUNDED_RING_MAX_SLOTS: usize = 1024;
+
+fn unbounded_ring_slots<T>() -> usize {
+    let fit = (UNBOUNDED_RING_BYTES / RingBuffer::<T>::SLOT_BYTES)
+        .clamp(UNBOUNDED_RING_MIN_SLOTS, UNBOUNDED_RING_MAX_SLOTS);
+    1 << fit.ilog2()
+}
+
+/// A queue supporting both synchronous and asynchronous enqueue, buffered
+/// through an array-backed ring (internal and overflowing to the linked
+/// list by default, explicit and blocking with [`Self::bounded`]).
 ///
 /// # Examples
 ///
@@ -121,7 +177,7 @@ enum PutMode {
 /// assert_eq!(q.take(), 2);
 /// ```
 ///
-/// Bounded mode buffers through the ring instead of the linked list:
+/// Bounded mode blocks instead of overflowing:
 ///
 /// ```
 /// use synq_transfer::TransferQueue;
@@ -148,18 +204,20 @@ enum PutMode {
 pub struct TransferQueue<T, R: Reclaimer = Epoch> {
     head: Atomic<TNode<T, R>, R>,
     tail: Atomic<TNode<T, R>, R>,
+    /// Set once a node has been retired, for `Drop`.
+    retired: AtomicBool,
     spin: SpinPolicy,
-    /// Bounded mode: the array fast path in front of the linked protocol.
-    ring: Option<RingBuffer<T>>,
-    /// Bounded mode: linked *sync* data nodes currently published (put
-    /// after the publish CAS, taken back on claim or cancellation).
-    /// Consumers touch the reclaimer-guarded linked path only when this is
-    /// non-zero, which is what makes the pure buffered path guard-free.
-    sync_transfers: CachePadded<AtomicUsize>,
+    /// The array fast path in front of the linked protocol.
+    ring: RingBuffer<T>,
+    /// Bounded mode: a full ring blocks producers instead of overflowing
+    /// to the list, and consumers wait on `item_waiters` instead of
+    /// publishing reservations.
+    bounded: bool,
+    counts: CachePadded<LinkedCounts>,
     /// Bounded mode: producers waiting for ring space.
     space_waiters: WaiterQueue,
-    /// Bounded mode: consumers (and unbounded async receivers) waiting
-    /// for an item.
+    /// Bounded consumers, and async receivers in either mode, waiting for
+    /// an item.
     item_waiters: WaiterQueue,
 }
 
@@ -208,7 +266,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
 
     /// [`Self::new_in`] with an explicit spin policy.
     pub fn with_spin_in(spin: SpinPolicy) -> Self {
-        Self::build(spin, None)
+        Self::build(spin, RingBuffer::new(unbounded_ring_slots::<T>()), false)
     }
 
     /// [`Self::bounded`] under the reclamation backend `R`.
@@ -218,11 +276,11 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
 
     /// [`Self::bounded_in`] with an explicit spin policy.
     pub fn bounded_with_spin_in(capacity: usize, spin: SpinPolicy) -> Self {
-        Self::build(spin, Some(RingBuffer::new(capacity)))
+        Self::build(spin, RingBuffer::new(capacity), true)
     }
 
-    fn build(spin: SpinPolicy, ring: Option<RingBuffer<T>>) -> Self {
-        let dummy = TNode::new(false, false, 1);
+    fn build(spin: SpinPolicy, ring: RingBuffer<T>, bounded: bool) -> Self {
+        let dummy = TNode::new(false, 1);
         // SAFETY: single-threaded construction.
         let guard = unsafe { R::unprotected() };
         let dummy = dummy.into_shared(&guard);
@@ -233,24 +291,27 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         TransferQueue {
             head,
             tail,
+            retired: AtomicBool::new(false),
             spin,
             ring,
-            sync_transfers: CachePadded::new(AtomicUsize::new(0)),
-            space_waiters: WaiterQueue::new(),
-            item_waiters: WaiterQueue::new(),
+            bounded,
+            counts: CachePadded::new(LinkedCounts::default()),
+            space_waiters: WaiterQueue::new(Probe::RingFullWaits),
+            item_waiters: WaiterQueue::new(Probe::RingEmptyWaits),
         }
     }
 
     /// Ring capacity in bounded mode, `None` when unbounded.
     pub fn capacity(&self) -> Option<usize> {
-        self.ring.as_ref().map(RingBuffer::capacity)
+        self.bounded.then(|| self.ring.capacity())
     }
 
     // ------------------------------------------------------ producer API
 
-    /// Asynchronous (buffered) enqueue. Unbounded: links the item and
-    /// returns immediately. Bounded: publishes into the ring, waiting for
-    /// space if it is full.
+    /// Asynchronous (buffered) enqueue. Unbounded: publishes into the
+    /// internal ring, or links an overflow node when the ring is full or
+    /// linked data is already queued; either way it returns immediately.
+    /// Bounded: publishes into the ring, waiting for space if it is full.
     ///
     /// **Name-resolution note:** this inherent method shadows
     /// `SyncChannel::put` (which maps to the *synchronous* [`TransferQueue::transfer`])
@@ -293,9 +354,11 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
-        match &self.ring {
-            Some(ring) => self.bounded_put(ring, value, deadline, token, true),
-            None => self.producer(Some(value), PutMode::Async, deadline, token),
+        if self.bounded {
+            self.bounded_put(value, deadline, token, true)
+        } else {
+            self.unbounded_put(value);
+            TransferOutcome::Transferred(None)
         }
     }
 
@@ -305,11 +368,11 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     /// their own entry, and their barge is the wakeup-retry the no-barge
     /// rule protects.
     fn try_put_as_waiter(&self, value: T) -> Result<(), T> {
-        let out = match &self.ring {
-            Some(ring) => self.bounded_put(ring, value, Deadline::Now, None, false),
-            None => self.producer(Some(value), PutMode::Async, Deadline::Now, None),
-        };
-        match out {
+        if !self.bounded {
+            self.unbounded_put(value);
+            return Ok(());
+        }
+        match self.bounded_put(value, Deadline::Now, None, false) {
             TransferOutcome::Transferred(_) => Ok(()),
             other => Err(other.into_inner().expect("item returned")),
         }
@@ -355,9 +418,10 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
 
     // ------------------------------------------------------ consumer API
 
-    /// Receives a value, waiting if necessary. Bounded mode prefers
-    /// buffered ring items over waiting synchronous transfers (FIFO
-    /// within each category).
+    /// Receives a value, waiting if necessary. Ring items are received
+    /// before linked data: in unbounded mode that is the queue's one FIFO
+    /// order, in bounded mode buffered items overtake waiting synchronous
+    /// transfers (FIFO within each category).
     pub fn take(&self) -> T {
         match self.take_with(Deadline::Never, None) {
             TransferOutcome::Transferred(Some(v)) => v,
@@ -365,10 +429,10 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         }
     }
 
-    /// Receives a buffered or offered value without waiting. Like
-    /// [`Self::try_put`], defers to consumers already registered on the
-    /// item wait list (no-barge rule): may return `None` while the ring
-    /// is momentarily non-empty if its items are spoken for.
+    /// Receives a buffered or offered value without waiting. On a bounded
+    /// queue, like [`Self::try_put`], defers to consumers already
+    /// registered on the item wait list (no-barge rule): may return `None`
+    /// while the ring is momentarily non-empty if its items are spoken for.
     pub fn poll(&self) -> Option<T> {
         self.take_with(Deadline::Now, None).into_inner()
     }
@@ -380,18 +444,20 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
 
     /// Fully general receive.
     pub fn take_with(&self, deadline: Deadline, token: Option<&CancelToken>) -> TransferOutcome<T> {
-        match &self.ring {
-            Some(ring) => self.bounded_take(ring, deadline, token, true),
-            None => self.consumer(deadline, token),
+        if self.bounded {
+            self.bounded_take(deadline, token, true)
+        } else {
+            self.unbounded_take(deadline, token)
         }
     }
 
     /// Immediate receive that does **not** defer to registered item
     /// waiters; see [`Self::try_put_as_waiter`].
     fn poll_as_waiter(&self) -> Option<T> {
-        match &self.ring {
-            Some(ring) => self.bounded_take(ring, Deadline::Now, None, false),
-            None => self.consumer(Deadline::Now, None),
+        if self.bounded {
+            self.bounded_take(Deadline::Now, None, false)
+        } else {
+            self.unbounded_take(Deadline::Now, None)
         }
         .into_inner()
     }
@@ -400,83 +466,60 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
 
     /// Transfers every item in `items` (buffered), in order, blocking for
     /// ring space as needed in bounded mode; on return the vector is
-    /// empty. Bounded queues publish each run of items with a single tail
-    /// update (see [`RingBuffer::try_push_batch`]).
+    /// empty. Each run of items that fits the ring is published with a
+    /// single tail update (see [`RingBuffer::try_push_batch`]); an
+    /// unbounded queue links whatever does not fit.
     pub fn put_batch(&self, items: &mut Vec<T>) {
-        let Some(ring) = &self.ring else {
-            for value in items.drain(..) {
-                self.put(value);
-            }
+        if !self.bounded {
+            self.unbounded_put_batch(items);
             return;
-        };
-        let mut entry: Option<Arc<WaitSlot<()>>> = None;
-        let mut consumed_match = false;
-        while !items.is_empty() {
-            // No-barge: a fresh batch defers to producers already queued
-            // for space (same rule as `bounded_put`).
-            if !(entry.is_none() && self.space_waiters.hint() > 0) {
-                let pushed = ring.try_push_batch(items);
-                if pushed > 0 {
-                    fence(Ordering::SeqCst);
-                    self.item_waiters.notify(pushed);
-                    continue;
-                }
-            }
-            if entry.as_ref().is_none_or(|e| !e.is_waiting()) {
-                let fresh = self.space_waiters.register();
-                fence(Ordering::SeqCst);
-                if let Some(old) = entry.replace(fresh) {
-                    self.space_waiters.remove(&old);
-                }
-                consumed_match = false;
-                if !ring.is_full() {
-                    continue;
-                }
-            }
-            probe!(RingFullWaits);
-            match entry.as_ref().expect("registered above").await_outcome(
-                Deadline::Never,
-                None,
-                &self.spin,
-            ) {
-                WaitOutcome::Matched(_) => consumed_match = true,
-                _ => unreachable!("untimed, uncancellable wait cannot expire"),
-            }
         }
-        if let Some(e) = entry {
-            self.release_waiter(&self.space_waiters, e, consumed_match);
-        }
+        // No-barge: a fresh batch defers to producers already queued for
+        // space (same rule as `bounded_put`).
+        let sent = self.ring_wait(
+            &self.space_waiters,
+            Deadline::Never,
+            None,
+            true,
+            || loop {
+                let pushed = self.ring.try_push_batch(items);
+                self.item_waiters.notify(pushed);
+                if items.is_empty() {
+                    return Some(());
+                }
+                if pushed == 0 {
+                    return None;
+                }
+            },
+            || self.ring.is_full(),
+        );
+        debug_assert!(sent.is_ok(), "untimed, uncancellable wait cannot expire");
     }
 
     /// Transfers as many items from the front of `items` as fit without
     /// waiting, leaving the rest. Returns how many were sent. Unbounded
     /// queues accept everything.
     pub fn try_put_batch(&self, items: &mut Vec<T>) -> usize {
-        let Some(ring) = &self.ring else {
+        if !self.bounded {
             let n = items.len();
-            for value in items.drain(..) {
-                self.put(value);
-            }
+            self.unbounded_put_batch(items);
             return n;
-        };
+        }
         let mut sent = 0;
         loop {
-            let pushed = ring.try_push_batch(items);
+            let pushed = self.ring.try_push_batch(items);
             if pushed == 0 {
                 break;
             }
             sent += pushed;
         }
-        if sent > 0 {
-            fence(Ordering::SeqCst);
-            self.item_waiters.notify(sent);
-        }
+        self.item_waiters.notify(sent);
         sent
     }
 
     /// Receives up to `max` items into `out`, blocking until at least one
-    /// is available (when `max > 0`). Returns how many arrived. Bounded
-    /// queues claim each available run with a single head update.
+    /// is available (when `max > 0`). Returns how many arrived. Each
+    /// available run of ring items is claimed with a single head update.
     pub fn take_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
         if max == 0 {
             return 0;
@@ -493,35 +536,21 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     }
 
     /// Receives up to `max` immediately-available items into `out` without
-    /// blocking. Returns how many arrived. In bounded mode, ring items
-    /// are drained first, then any waiting synchronous transfers.
+    /// blocking. Returns how many arrived. Ring items are drained first,
+    /// then linked data (waiting synchronous transfers and overflow).
     pub fn try_take_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
-        let Some(ring) = &self.ring else {
-            let mut got = 0;
-            while got < max {
-                match self.consumer(Deadline::Now, None) {
-                    TransferOutcome::Transferred(Some(v)) => {
-                        out.push(v);
-                        got += 1;
-                    }
-                    _ => break,
-                }
-            }
-            return got;
-        };
         let mut got = 0;
         loop {
-            let popped = ring.try_pop_batch(out, max - got);
+            let popped = self.ring.try_pop_batch(out, max - got);
             if popped == 0 {
                 break;
             }
-            fence(Ordering::SeqCst);
             self.space_waiters.notify(popped);
             got += popped;
         }
-        while got < max && self.sync_transfers.load(Ordering::SeqCst) > 0 {
+        while got < max && self.linked_data() > 0 {
             match self.consumer(Deadline::Now, None) {
-                TransferOutcome::Transferred(Some(v)) => {
+                Some(TransferOutcome::Transferred(Some(v))) => {
                     out.push(v);
                     got += 1;
                 }
@@ -534,38 +563,11 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     // ------------------------------------------------------- inspection
 
     /// Number of buffered (unmatched, uncancelled) data items: ring
-    /// occupancy plus published-but-unclaimed synchronous transfers.
-    ///
-    /// Bounded mode is O(1) and guard-free (two atomic loads); unbounded
-    /// mode walks the linked chain under a reclaimer guard, O(n).
+    /// occupancy plus linked data (published-but-unclaimed synchronous
+    /// transfers and overflow puts). O(1) and guard-free in both modes
+    /// (three atomic loads); approximate under concurrency.
     pub fn len(&self) -> usize {
-        if let Some(ring) = &self.ring {
-            return ring.len() + self.sync_transfers.load(Ordering::SeqCst);
-        }
-        let guard = R::pin();
-        'restart: loop {
-            let h = self.head.load(Ordering::Acquire, &guard);
-            // SAFETY: head never null; structure-field protection.
-            let mut prev = unsafe { h.deref() };
-            let mut n = 0;
-            loop {
-                let next = prev.next.load(Ordering::Acquire, &guard);
-                // Head re-anchor (see synq::dual_queue): nodes retire only
-                // as the head advances past them, so an unchanged head
-                // proves everything reached from it is still alive.
-                if !self.head.load(Ordering::Acquire, &guard).ptr_eq(&h) {
-                    continue 'restart;
-                }
-                // SAFETY: protected, and validated live just above.
-                let Some(next_ref) = (unsafe { next.as_ref() }) else {
-                    return n;
-                };
-                if next_ref.is_data && next_ref.slot.is_waiting() {
-                    n += 1;
-                }
-                prev = next_ref;
-            }
-        }
+        self.ring.len() + self.linked_data()
     }
 
     /// True if no data is buffered (ring *and* linked chain — see
@@ -581,202 +583,349 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         self.waiting_consumer_count() > 0
     }
 
-    /// Number of consumers blocked waiting for an element (mirrors
-    /// `LinkedTransferQueue.getWaitingConsumerCount`). Approximate under
-    /// concurrency. Bounded mode reads the item wait-list length (O(1));
-    /// unbounded mode walks the chain, O(n).
+    /// Number of consumers waiting for an element (mirrors
+    /// `LinkedTransferQueue.getWaitingConsumerCount`): linked reservations
+    /// plus the item wait list (bounded consumers and async receivers).
+    /// O(1); approximate under concurrency.
     pub fn waiting_consumer_count(&self) -> usize {
-        if self.ring.is_some() {
-            return self.item_waiters.hint();
+        self.reservations() + self.item_waiters.hint()
+    }
+
+    /// Linked data nodes not yet claimed or cancelled (see [`LinkedCounts`]).
+    fn linked_data(&self) -> usize {
+        self.counts.data.load(Ordering::SeqCst)
+    }
+
+    /// What a waiter on the item list re-checks before it parks or
+    /// suspends (the `blocked` of [`Self::ring_wait`]): SeqCst loads of
+    /// everything a producer moves before it calls `item_waiters.notify`.
+    fn nothing_to_take(&self) -> bool {
+        self.ring.is_empty() && self.linked_data() == 0
+    }
+
+    /// Consumers waiting on a linked reservation (see [`LinkedCounts`]).
+    fn reservations(&self) -> usize {
+        self.counts.reservations.load(Ordering::SeqCst)
+    }
+
+    // --------------------------------------------- unbounded fast paths
+
+    /// Unbounded buffered put: the ring while it has room and no linked
+    /// data is queued (ring items must stay older than linked data), the
+    /// list otherwise.
+    fn unbounded_put(&self, mut value: T) {
+        if self.linked_data() == 0 {
+            match self.ring.try_push(value) {
+                Ok(()) => {
+                    self.after_ring_push(1);
+                    return;
+                }
+                Err(back) => value = back,
+            }
         }
-        let guard = R::pin();
-        'restart: loop {
+        probe!(RingOverflowPuts);
+        match self.producer(Some(value), PutMode::Async, Deadline::Never, None) {
+            TransferOutcome::Transferred(_) => {}
+            _ => unreachable!("an async producer never waits"),
+        }
+    }
+
+    fn unbounded_put_batch(&self, items: &mut Vec<T>) {
+        if self.linked_data() == 0 {
+            let pushed = self.ring.try_push_batch(items);
+            self.after_ring_push(pushed);
+        }
+        for value in items.drain(..) {
+            self.unbounded_put(value);
+        }
+    }
+
+    /// Wakes whoever waits for the `pushed` items just published into an
+    /// unbounded queue's ring: linked reservations first (oldest first),
+    /// then async receivers on the item list.
+    ///
+    /// Lost-wakeup discipline, the same Dekker shape as `waiters`: the
+    /// push is a SeqCst CAS on the ring's tail followed here by a SeqCst
+    /// load of the reservation count; a consumer links its reservation,
+    /// bumps that count (SeqCst) and then re-reads the ring's indices
+    /// (SeqCst). One of the two sees the other, so no consumer parks
+    /// beside a non-empty ring; and a producer that reads the bump also
+    /// sees the node linked before it.
+    fn after_ring_push(&self, pushed: usize) {
+        let mut unannounced = pushed;
+        while unannounced > 0 && self.reservations() > 0 && self.serve_reservation() {
+            unannounced -= 1;
+        }
+        self.item_waiters.notify(unannounced);
+    }
+
+    /// Claims the oldest linked reservation and hands it the ring's oldest
+    /// item. Returns false when no reservation could be claimed.
+    fn serve_reservation(&self) -> bool {
+        loop {
+            let guard = R::pin();
+            self.absorb_cancelled(&guard);
             let h = self.head.load(Ordering::Acquire, &guard);
             // SAFETY: head never null; structure-field protection.
-            let mut prev = unsafe { h.deref() };
-            let mut n = 0;
-            loop {
-                let next = prev.next.load(Ordering::Acquire, &guard);
-                // Head re-anchor (see `len`).
-                if !self.head.load(Ordering::Acquire, &guard).ptr_eq(&h) {
-                    continue 'restart;
+            let m = unsafe { h.deref() }.next.load(Ordering::Acquire, &guard);
+            // Head re-anchor (see `absorb_cancelled`).
+            if !self.head.load(Ordering::Acquire, &guard).ptr_eq(&h) {
+                continue;
+            }
+            // SAFETY: validated just above.
+            let Some(m_ref) = (unsafe { m.as_ref() }) else {
+                return false;
+            };
+            if m_ref.is_data {
+                return false;
+            }
+            let claimed = self.fulfill_reservation(m_ref, &mut None);
+            let _ = self.advance_head(h, m, &guard);
+            if claimed {
+                probe!(RingReservationWakes);
+                return true;
+            }
+        }
+    }
+
+    /// Claims the reservation `m` and completes it with the oldest item
+    /// there is: the ring's head if the ring holds anything, else the
+    /// caller's `own` item (a linked producer's; taken only when
+    /// delivered). Returns false if the claim was lost.
+    ///
+    /// This is what keeps data from overtaking data: a consumer receives
+    /// an item only from the ring's head, or from a linked producer when
+    /// the ring's indices say it is empty. A reservation completed with no
+    /// item (the ring was drained by someone else, or its head slot is
+    /// claimed but not yet published) makes its consumer retry.
+    fn fulfill_reservation(&self, m: &TNode<T, R>, own: &mut Option<T>) -> bool {
+        debug_assert!(
+            !self.bounded,
+            "bounded consumers never publish reservations"
+        );
+        if !m.slot.try_claim() {
+            return false;
+        }
+        let item = match self.ring.try_pop() {
+            None if self.ring.is_empty() => own.take(),
+            popped => popped,
+        };
+        if let Some(v) = item {
+            // SAFETY: the claim grants slot write access.
+            unsafe { m.slot.put_item(v) };
+        }
+        m.slot.complete();
+        true
+    }
+
+    /// Unbounded receive: the ring first; the list (its data, else a
+    /// reservation of our own) only once the ring's indices say it is
+    /// empty.
+    fn unbounded_take(
+        &self,
+        deadline: Deadline,
+        token: Option<&CancelToken>,
+    ) -> TransferOutcome<T> {
+        let backoff = Backoff::new();
+        loop {
+            if let Some(v) = self.ring.try_pop() {
+                return TransferOutcome::Transferred(Some(v));
+            }
+            if !self.ring.is_empty() {
+                // The head slot is claimed by a producer that has not
+                // published it yet. Linked data is younger than that item,
+                // so wait for it instead of looking at the list.
+                if deadline.is_now() {
+                    return TransferOutcome::Timeout(None);
                 }
-                // SAFETY: protected, and validated live just above.
-                let Some(next_ref) = (unsafe { next.as_ref() }) else {
-                    return n;
-                };
-                if !next_ref.is_data && next_ref.slot.is_waiting() {
-                    n += 1;
-                }
-                prev = next_ref;
+                backoff.snooze();
+                continue;
+            }
+            if deadline.is_now() && self.linked_data() == 0 {
+                return TransferOutcome::Timeout(None);
+            }
+            if let Some(outcome) = self.consumer(deadline, token) {
+                return outcome;
             }
         }
     }
 
     // ----------------------------------------------- bounded fast paths
 
-    /// Bounded buffered put: ride the ring, waiting for space when full.
+    /// The blocking skeleton of the bounded fast paths: `attempt` the ring
+    /// operation, else register on `waiters` and park until notified.
     ///
-    /// Lost-wakeup discipline (see `waiters`): push (SeqCst CAS) →
-    /// fence → notify on the producer side; register (SeqCst store) →
-    /// fence → re-check `is_full` on this side. One of the two always
-    /// observes the other.
+    /// Lost-wakeup discipline (see `waiters`; the four-access argument is
+    /// in DESIGN §4.11). Notifier: the ring operation (a SeqCst CAS on an
+    /// index) and then `notify` (a SeqCst load of the hint), no fence
+    /// between them. Waiter: `register` (a SeqCst store of the hint), a
+    /// fence, and then `blocked` (SeqCst loads of the indices), evaluated
+    /// after the registration and **before every park**: either the
+    /// notifier's hint load sees the registration, or `blocked` sees the
+    /// index move and the waiter retries instead of parking — spinning
+    /// through the moment in which an index has moved but the slot's
+    /// sequence word is not yet visible.
+    ///
     /// `defer_to_waiters` is the **no-barge** rule (PR 10): a fresh arrival
-    /// that finds earlier producers already registered does not race them
-    /// for whatever space a consumer just freed — it queues up behind them.
+    /// that finds earlier waiters already registered does not race them
+    /// for whatever a counterpart just freed — it queues up behind them.
     /// Only callers with no registration of their own defer; a woken waiter
     /// re-attempting must barge, or woken waiters would defer to each other
-    /// and the ring could sit non-full with every producer parked.
-    fn bounded_put(
+    /// and the ring could sit usable with everyone parked.
+    #[inline]
+    fn ring_wait<O>(
         &self,
-        ring: &RingBuffer<T>,
-        mut value: T,
+        waiters: &WaiterQueue,
         deadline: Deadline,
         token: Option<&CancelToken>,
         defer_to_waiters: bool,
-    ) -> TransferOutcome<T> {
+        mut attempt: impl FnMut() -> Option<O>,
+        blocked: impl Fn() -> bool,
+    ) -> Result<O, WaitOutcome> {
         let mut entry: Option<Arc<WaitSlot<()>>> = None;
         // True while `entry` holds a notification we were woken by and have
-        // not yet converted into a successful push.
+        // not yet converted into a successful ring operation.
         let mut consumed_match = false;
-        let outcome = loop {
-            if !(defer_to_waiters && entry.is_none() && self.space_waiters.hint() > 0) {
-                match ring.try_push(value) {
-                    Ok(()) => {
-                        fence(Ordering::SeqCst);
-                        self.item_waiters.notify(1);
-                        break TransferOutcome::Transferred(None);
-                    }
-                    Err(back) => value = back,
+        // Whether the current registration has already retried once on
+        // the strength of `blocked()` alone.
+        let mut retried = false;
+        let backoff = Backoff::new();
+        let result = loop {
+            if !(defer_to_waiters && entry.is_none() && waiters.hint() > 0) {
+                if let Some(out) = attempt() {
+                    break Ok(out);
                 }
             }
             if deadline.is_now() || deadline.expired() {
-                break TransferOutcome::Timeout(Some(value));
+                break Err(WaitOutcome::TimedOut);
             }
             if token.is_some_and(|tk| tk.is_cancelled()) {
-                break TransferOutcome::Cancelled(Some(value));
+                break Err(WaitOutcome::Cancelled);
             }
             if entry.as_ref().is_none_or(|e| !e.is_waiting()) {
                 // (Re-)register. A spent (matched) entry is replaced
                 // *before* it is removed, so the registered count never
                 // dips to zero mid-handoff — a dip would open the barge
                 // window the in-place notify protocol closes.
-                let fresh = self.space_waiters.register();
+                let fresh = waiters.register();
                 fence(Ordering::SeqCst);
                 if let Some(old) = entry.replace(fresh) {
-                    self.space_waiters.remove(&old);
+                    waiters.remove(&old);
                 }
                 consumed_match = false;
-                if !ring.is_full() {
-                    continue;
-                }
             }
-            probe!(RingFullWaits);
+            if !blocked() {
+                // The indices say the operation can go. The first time
+                // that is the common race (the counterpart got there
+                // between our attempt and our registration): retry at
+                // once. If the retry fails too, a peer is mid-operation
+                // on the very slot we need, possibly off the CPU: make
+                // room for it.
+                if std::mem::replace(&mut retried, true) {
+                    backoff.snooze();
+                }
+                continue;
+            }
+            waiters.note_wait();
             match entry
                 .as_ref()
                 .expect("registered above")
                 .await_outcome(deadline, token, &self.spin)
             {
-                WaitOutcome::Matched(_) => consumed_match = true,
-                WaitOutcome::TimedOut => break TransferOutcome::Timeout(Some(value)),
-                WaitOutcome::Cancelled => break TransferOutcome::Cancelled(Some(value)),
+                WaitOutcome::Matched(_) => {
+                    consumed_match = true;
+                    retried = false;
+                }
+                verdict => break Err(verdict),
             }
         };
         if let Some(e) = entry {
-            self.release_waiter(
-                &self.space_waiters,
-                e,
-                consumed_match && matches!(outcome, TransferOutcome::Transferred(_)),
-            );
+            if e.is_cancelled() || (consumed_match && result.is_ok()) {
+                // CANCELLED: `await_outcome` arbitration already settled
+                // the slot. Matched and used: the wakeup was converted
+                // into a completed ring operation. Either way a retract
+                // would wrongly pass a notification on.
+                waiters.remove(&e);
+            } else {
+                // Still WAITING (or matched by a racing notify whose freed
+                // capacity we did not use): cancel-or-pass-on.
+                waiters.retract(&e);
+            }
         }
-        outcome
+        result
     }
 
-    /// Unlinks a wait-list entry on exit from a bounded fast path.
-    /// `notification_used`: the entry's match was converted into a
-    /// completed ring operation, so the wakeup is consumed rather than
-    /// passed on.
-    fn release_waiter(&self, waiters: &WaiterQueue, e: Arc<WaitSlot<()>>, notification_used: bool) {
-        if e.is_cancelled() || notification_used {
-            // CANCELLED: `await_outcome` arbitration already settled the
-            // slot; a retract here would wrongly pass a notification on.
-            waiters.remove(&e);
-        } else {
-            // Still WAITING (or matched by a racing notify whose freed
-            // capacity we did not use): cancel-or-pass-on.
-            waiters.retract(&e);
-        }
-    }
-
-    /// Bounded receive: ring items first, then waiting synchronous
-    /// transfers, else wait on the item list. The `sync_transfers` gate is
-    /// what keeps the pure buffered path off the epoch-pinned linked
-    /// protocol entirely. `defer_to_waiters` mirrors [`Self::bounded_put`]:
-    /// fresh arrivals queue up behind already-registered consumers instead
-    /// of stealing a just-pushed item out from under them.
-    fn bounded_take(
+    /// Bounded buffered put: ride the ring, waiting for space when full.
+    fn bounded_put(
         &self,
-        ring: &RingBuffer<T>,
+        value: T,
         deadline: Deadline,
         token: Option<&CancelToken>,
         defer_to_waiters: bool,
     ) -> TransferOutcome<T> {
-        let mut entry: Option<Arc<WaitSlot<()>>> = None;
-        let mut consumed_match = false;
-        let outcome = loop {
-            if !(defer_to_waiters && entry.is_none() && self.item_waiters.hint() > 0) {
-                if let Some(v) = ring.try_pop() {
-                    fence(Ordering::SeqCst);
-                    self.space_waiters.notify(1);
-                    break TransferOutcome::Transferred(Some(v));
+        let mut value = Some(value);
+        let sent = self.ring_wait(
+            &self.space_waiters,
+            deadline,
+            token,
+            defer_to_waiters,
+            || match self.ring.try_push(value.take().expect("unsent item")) {
+                Ok(()) => {
+                    self.item_waiters.notify(1);
+                    Some(())
                 }
-                if self.sync_transfers.load(Ordering::SeqCst) > 0 {
-                    if let TransferOutcome::Transferred(v) = self.consumer(Deadline::Now, None) {
-                        break TransferOutcome::Transferred(v);
-                    }
-                    // The counted node was claimed or cancelled by someone
-                    // else and the counter is momentarily stale; re-examine.
-                    std::thread::yield_now();
-                    continue;
+                Err(back) => {
+                    value = Some(back);
+                    None
                 }
-            }
-            if deadline.is_now() || deadline.expired() {
-                break TransferOutcome::Timeout(None);
-            }
-            if token.is_some_and(|tk| tk.is_cancelled()) {
-                break TransferOutcome::Cancelled(None);
-            }
-            if entry.as_ref().is_none_or(|e| !e.is_waiting()) {
-                // Register-fresh-then-remove-old, as in `bounded_put`.
-                let fresh = self.item_waiters.register();
-                fence(Ordering::SeqCst);
-                if let Some(old) = entry.replace(fresh) {
-                    self.item_waiters.remove(&old);
-                }
-                consumed_match = false;
-                if !ring.is_empty() || self.sync_transfers.load(Ordering::SeqCst) > 0 {
-                    continue;
-                }
-            }
-            probe!(RingEmptyWaits);
-            match entry
-                .as_ref()
-                .expect("registered above")
-                .await_outcome(deadline, token, &self.spin)
-            {
-                WaitOutcome::Matched(_) => consumed_match = true,
-                WaitOutcome::TimedOut => break TransferOutcome::Timeout(None),
-                WaitOutcome::Cancelled => break TransferOutcome::Cancelled(None),
-            }
-        };
-        if let Some(e) = entry {
-            self.release_waiter(
-                &self.item_waiters,
-                e,
-                consumed_match && matches!(outcome, TransferOutcome::Transferred(_)),
-            );
+            },
+            || self.ring.is_full(),
+        );
+        match sent {
+            Ok(()) => TransferOutcome::Transferred(None),
+            Err(WaitOutcome::Cancelled) => TransferOutcome::Cancelled(value),
+            Err(_) => TransferOutcome::Timeout(value),
         }
-        outcome
+    }
+
+    /// Bounded receive: ring items first, then waiting synchronous
+    /// transfers, else wait on the item list. The `linked_data` gate is
+    /// what keeps the pure buffered path off the epoch-pinned linked
+    /// protocol entirely.
+    fn bounded_take(
+        &self,
+        deadline: Deadline,
+        token: Option<&CancelToken>,
+        defer_to_waiters: bool,
+    ) -> TransferOutcome<T> {
+        let got = self.ring_wait(
+            &self.item_waiters,
+            deadline,
+            token,
+            defer_to_waiters,
+            || {
+                if let Some(v) = self.ring.try_pop() {
+                    self.space_waiters.notify(1);
+                    return Some(v);
+                }
+                if self.linked_data() > 0 {
+                    // Nothing here: the ring has refilled, or someone
+                    // else took the counted node.
+                    if let Some(TransferOutcome::Transferred(v)) =
+                        self.consumer(Deadline::Now, None)
+                    {
+                        return v;
+                    }
+                }
+                None
+            },
+            || self.nothing_to_take(),
+        );
+        match got {
+            Ok(v) => TransferOutcome::Transferred(Some(v)),
+            Err(WaitOutcome::Cancelled) => TransferOutcome::Cancelled(None),
+            Err(_) => TransferOutcome::Timeout(None),
+        }
     }
 
     // ---------------------------------------------------------- internals
@@ -812,6 +961,9 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
             // SAFETY: deferred past the backend's grace period.
             unsafe {
                 guard.defer_retire(raw, move || TNode::release(raw as *const TNode<T, R>));
+            }
+            if !self.retired.load(Ordering::Relaxed) {
+                self.retired.store(true, Ordering::Relaxed);
             }
             true
         } else {
@@ -849,8 +1001,6 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
-        // Bounded mode tallies linked sync transfers (see `sync_transfers`).
-        let counted = mode == PutMode::Sync && self.ring.is_some();
         let mut node: Option<Owned<TNode<T, R>>> = None;
         loop {
             let guard = R::pin();
@@ -889,10 +1039,12 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
                 let refs = if mode == PutMode::Async { 1 } else { 2 };
                 let owned = match node.take() {
                     Some(n) => n,
-                    None => TNode::new(true, counted, refs),
+                    None => TNode::new(true, refs),
                 };
                 // SAFETY: unpublished node, exclusively ours.
                 unsafe { owned.slot.put_item(item.take().expect("producer has item")) };
+                // Counted before it is linked (see `LinkedCounts`).
+                self.counts.data.fetch_add(1, Ordering::SeqCst);
                 match t_ref.next.compare_exchange(
                     Shared::null(),
                     owned,
@@ -908,21 +1060,22 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
                             Ordering::Relaxed,
                             &guard,
                         );
-                        if counted {
-                            self.sync_transfers.fetch_add(1, Ordering::SeqCst);
-                        }
                         // Wake an item-list waiter (bounded consumers and
-                        // async receivers wait there, not as reservations).
-                        fence(Ordering::SeqCst);
+                        // async receivers wait there, not as
+                        // reservations). The SeqCst increment above and
+                        // the hint load inside `notify` are the notifier
+                        // half of the handshake in `ring_wait`, whose
+                        // `blocked` reads that count.
                         self.item_waiters.notify(1);
                         if mode == PutMode::Async {
                             return TransferOutcome::Transferred(None);
                         }
                         let raw = published.as_raw();
                         drop(guard);
-                        return self.await_fulfill(raw, true, deadline, token);
+                        return self.await_fulfill(raw, deadline, token);
                     }
                     Err(e) => {
+                        self.counts.data.fetch_sub(1, Ordering::SeqCst);
                         synq::contention::note_cas_fail();
                         let owned = e.new;
                         // SAFETY: unpublished; reclaim the item.
@@ -942,25 +1095,27 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
             {
                 continue;
             }
-            // SAFETY: m reachable under our pin.
-            let m_ref = unsafe { m.deref() };
-            let matched = if m_ref.slot.try_claim() {
-                // SAFETY: claim grants slot write access.
-                unsafe { m_ref.slot.put_item(item.take().expect("producer has item")) };
-                m_ref.slot.complete();
-                true
-            } else {
-                false
-            };
+            // SAFETY: m reachable under our pin. The reservation gets the
+            // ring's oldest item if there is one (then we go round again
+            // with ours), else ours.
+            let claimed = self.fulfill_reservation(unsafe { m.deref() }, &mut item);
             let _ = self.advance_head(h, m, &guard);
-            if matched {
+            if claimed && item.is_none() {
                 return TransferOutcome::Transferred(None);
             }
         }
     }
 
-    fn consumer(&self, deadline: Deadline, token: Option<&CancelToken>) -> TransferOutcome<T> {
+    /// The linked consumer. `None`: the ring is no longer empty (its
+    /// items are older than anything linked), or our reservation was
+    /// completed without an item; the caller goes back to the ring.
+    fn consumer(
+        &self,
+        deadline: Deadline,
+        token: Option<&CancelToken>,
+    ) -> Option<TransferOutcome<T>> {
         let mut node: Option<Owned<TNode<T, R>>> = None;
+        let backoff = Backoff::new();
         loop {
             let guard = R::pin();
             self.absorb_cancelled(&guard);
@@ -987,14 +1142,22 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
                     continue;
                 }
                 if deadline.is_now() {
-                    return TransferOutcome::Timeout(None);
+                    if self.linked_data() > 0 {
+                        // A counted data node is an instant from being
+                        // linked (or from being uncounted): `len()`
+                        // already reports it, so do not report nothing.
+                        drop(guard);
+                        backoff.snooze();
+                        continue;
+                    }
+                    return Some(TransferOutcome::Timeout(None));
                 }
                 if token.is_some_and(|tk| tk.is_cancelled()) {
-                    return TransferOutcome::Cancelled(None);
+                    return Some(TransferOutcome::Cancelled(None));
                 }
                 let owned = match node.take() {
                     Some(n) => n,
-                    None => TNode::new(false, false, 2),
+                    None => TNode::new(false, 2),
                 };
                 match t_ref.next.compare_exchange(
                     Shared::null(),
@@ -1013,7 +1176,26 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
                         );
                         let raw = published.as_raw();
                         drop(guard);
-                        return self.await_fulfill(raw, false, deadline, token);
+                        // The waiter half of the handshake in
+                        // `after_ring_push`: count ourselves (SeqCst),
+                        // then re-read the ring's indices (SeqCst). A push
+                        // that missed the count is seen here, and we
+                        // retract; losing the cancel CAS means a producer
+                        // is already completing us.
+                        self.counts.reservations.fetch_add(1, Ordering::SeqCst);
+                        // SAFETY: we hold the waiter reference.
+                        let slot = unsafe { &(*raw).slot };
+                        let outcome = if !self.ring.is_empty() && slot.try_cancel() {
+                            self.withdraw(raw);
+                            None
+                        } else {
+                            match self.await_fulfill(raw, deadline, token) {
+                                TransferOutcome::Transferred(None) => None,
+                                outcome => Some(outcome),
+                            }
+                        };
+                        self.counts.reservations.fetch_sub(1, Ordering::SeqCst);
+                        return outcome;
                     }
                     Err(e) => {
                         synq::contention::note_cas_fail();
@@ -1032,67 +1214,72 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
             {
                 continue;
             }
+            // Everything `m`'s producer pushed into the ring before it
+            // linked `m` is visible now that `m` is, so a ring that reads
+            // empty *here* holds nothing older than `m` from that
+            // producer. (The caller's own emptiness check came before `m`
+            // was read and proves nothing about it.)
+            if !self.ring.is_empty() {
+                return None;
+            }
             // SAFETY: m reachable under our pin.
             let m_ref = unsafe { m.deref() };
             let mut taken = None;
             if m_ref.slot.try_claim() {
                 // SAFETY: claim grants slot read access.
                 taken = Some(unsafe { m_ref.slot.take_item() });
+                self.counts.data.fetch_sub(1, Ordering::SeqCst);
                 m_ref.slot.complete();
-                if m_ref.counted {
-                    self.sync_transfers.fetch_sub(1, Ordering::SeqCst);
-                }
             }
             let _ = self.advance_head(h, m, &guard);
             if taken.is_some() {
-                return TransferOutcome::Transferred(taken);
+                return Some(TransferOutcome::Transferred(taken));
             }
         }
     }
 
+    /// Waits on our published node. A reservation completed without an
+    /// item (see [`Self::fulfill_reservation`]) reports
+    /// `Transferred(None)`, which no consumer otherwise sees.
     fn await_fulfill(
         &self,
         node_raw: *const TNode<T, R>,
-        is_data: bool,
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
         // SAFETY: we hold the waiter reference.
         let node = unsafe { &*node_raw };
-        let outcome = match node.slot.await_outcome(deadline, token, &self.spin) {
+        match node.slot.await_outcome(deadline, token, &self.spin) {
             WaitOutcome::Matched(_) => {
-                let item = if is_data {
-                    None
-                } else {
-                    // SAFETY: producer wrote before MATCHED.
-                    Some(unsafe { node.slot.take_item() })
-                };
+                let item = (!node.is_data && node.slot.has_item())
+                    // SAFETY: the producer wrote before MATCHED.
+                    .then(|| unsafe { node.slot.take_item() });
+                // SAFETY: the waiter reference.
+                unsafe { TNode::release(node_raw) };
                 TransferOutcome::Transferred(item)
             }
-            verdict => {
-                // We won the cancel CAS.
-                if node.counted {
-                    self.sync_transfers.fetch_sub(1, Ordering::SeqCst);
-                }
-                let guard = R::pin();
-                self.absorb_cancelled(&guard);
-                drop(guard);
-                let item = if is_data {
-                    // SAFETY: cancellation wins the item back.
-                    Some(unsafe { node.slot.take_item() })
-                } else {
-                    None
-                };
-                if verdict == WaitOutcome::Cancelled {
-                    TransferOutcome::Cancelled(item)
-                } else {
-                    TransferOutcome::Timeout(item)
-                }
-            }
-        };
+            WaitOutcome::Cancelled => TransferOutcome::Cancelled(self.withdraw(node_raw)),
+            WaitOutcome::TimedOut => TransferOutcome::Timeout(self.withdraw(node_raw)),
+        }
+    }
+
+    /// We won the cancel CAS on our own published node: help unlink it,
+    /// uncount a data node and take its item back, drop the waiter
+    /// reference.
+    fn withdraw(&self, node_raw: *const TNode<T, R>) -> Option<T> {
+        // SAFETY: we hold the waiter reference.
+        let node = unsafe { &*node_raw };
+        if node.is_data {
+            self.counts.data.fetch_sub(1, Ordering::SeqCst);
+        }
+        let guard = R::pin();
+        self.absorb_cancelled(&guard);
+        drop(guard);
+        // SAFETY: cancellation wins the item back.
+        let item = node.is_data.then(|| unsafe { node.slot.take_item() });
         // SAFETY: the waiter reference.
         unsafe { TNode::release(node_raw) };
-        outcome
+        item
     }
 }
 
@@ -1121,6 +1308,7 @@ impl_channels_via_transferer!(TransferQueue<R: synq_reclaim::Reclaimer>);
 
 impl<T, R: Reclaimer> Drop for TransferQueue<T, R> {
     fn drop(&mut self) {
+        // The ring drops its own buffered items; the list is ours.
         // SAFETY: exclusive access in Drop.
         let guard = unsafe { R::unprotected() };
         let mut p = self.head.load(Ordering::Relaxed, &guard);
@@ -1131,23 +1319,38 @@ impl<T, R: Reclaimer> Drop for TransferQueue<T, R> {
             unsafe { TNode::release(p.as_raw()) };
             p = next;
         }
+        // The nodes this queue retired, and the part-filled bags its
+        // threads sealed as they exited, wait for a collection, which the
+        // epoch backend runs on every 128th pin of a thread: a long way
+        // off now that buffered traffic does not pin. Queues built and
+        // torn down in a row piled up some fifty sealed bags that way; one
+        // best-effort pass per torn-down queue keeps it to a handful. A
+        // queue that never retired a node stays pin-free to the end.
+        if *self.retired.get_mut() {
+            R::collect();
+        }
     }
 }
 
 impl<T, R: Reclaimer> std::fmt::Debug for TransferQueue<T, R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.ring {
-            Some(ring) => write!(f, "TransferQueue {{ capacity: {} }}", ring.capacity()),
-            None => f.pad("TransferQueue { unbounded }"),
-        }
+        f.debug_struct("TransferQueue")
+            .field("capacity", &self.bounded.then(|| self.ring.capacity()))
+            .field("ring_items", &self.ring.len())
+            .field("linked_data", &self.counts.data.load(Ordering::SeqCst))
+            .field(
+                "reservations",
+                &self.counts.reservations.load(Ordering::SeqCst),
+            )
+            .finish_non_exhaustive()
     }
 }
 
 // ===================================================== buffered channel
 
 /// Channel-trait adapter exposing a [`TransferQueue`]'s *buffered*
-/// semantics: `put`/`offer` enqueue asynchronously (ride the ring in
-/// bounded mode) instead of rendezvousing.
+/// semantics: `put`/`offer` enqueue asynchronously (ride the ring)
+/// instead of rendezvousing.
 ///
 /// The raw `TransferQueue` channel impls keep the paper-faithful
 /// synchronous mapping (`put` = `transfer`); this wrapper is what you hand
@@ -1260,11 +1463,11 @@ impl<T: Send> TimedSyncChannel<T> for BufferedChannel<T> {
 
 /// A published-but-unresolved buffered transfer: the poll-mode stand-in
 /// for a thread blocked in [`TransferQueue::put`] (ring full) or
-/// [`TransferQueue::take`] (ring empty).
+/// [`TransferQueue::take`] (nothing buffered).
 ///
 /// Unlike the dual structures' permits, which stand for a *linked node*,
 /// a buffered permit stands for an entry on the queue's space/item wait
-/// list; each poll re-attempts the ring operation and (re-)registers as
+/// list; each poll re-attempts the operation and (re-)registers as
 /// needed. Dropping an unresolved permit retracts the entry; a producer's
 /// item is dropped with it.
 #[derive(Debug)]
@@ -1291,6 +1494,17 @@ impl<T: Send> BufferedPermit<T> {
         }
     }
 
+    /// Whether the awaited condition still fails, by the SeqCst loads the
+    /// wait handshake needs (the `blocked` of `TransferQueue::ring_wait`).
+    fn blocked(&self) -> bool {
+        let queue = &self.channel.queue;
+        if self.producer {
+            queue.ring.is_full()
+        } else {
+            queue.nothing_to_take()
+        }
+    }
+
     /// Withdraws a still-live wait-list entry (cancel-or-pass-on). Used on
     /// drop: the permit never consumed the awaited condition, so a
     /// notification that landed in its slot is handed to the next waiter.
@@ -1300,9 +1514,9 @@ impl<T: Send> BufferedPermit<T> {
         }
     }
 
-    /// Unlinks the entry after the ring operation succeeded. A matched
-    /// entry's notification was just converted into that operation, so it
-    /// is consumed (plain remove); a still-waiting entry is retracted,
+    /// Unlinks the entry after the operation succeeded. A matched entry's
+    /// notification was just converted into that operation, so it is
+    /// consumed (plain remove); a still-waiting entry is retracted,
     /// passing on any notification that races in.
     fn finish_entry(&mut self) {
         if let Some(entry) = self.entry.take() {
@@ -1346,16 +1560,24 @@ impl<T: Send> PendingTransfer<T> for BufferedPermit<T> {
                 return Poll::Ready(TransferOutcome::Transferred(Some(v)));
             }
             if self.entry.as_ref().is_none_or(|e| !e.is_waiting()) {
-                // (Re-)register, then loop to re-check the condition —
-                // the Dekker pattern (see `waiters`), with the re-check
-                // being the try_put/poll above. A spent (notified) entry
-                // is replaced *before* it is removed so the wait-list
-                // count never dips to zero mid-handoff (no barge window).
+                // (Re-)register, then loop to re-attempt. A spent
+                // (notified) entry is replaced *before* it is removed so
+                // the wait-list count never dips to zero mid-handoff (no
+                // barge window).
                 let fresh = self.waiters().register();
                 fence(Ordering::SeqCst);
                 if let Some(old) = self.entry.replace(fresh) {
                     self.waiters().remove(&old);
                 }
+                continue;
+            }
+            // Registered, and the attempt still failed. Suspend only on a
+            // condition the SeqCst loads confirm *after* the registration
+            // (the waiter half of the handshake in `ring_wait`); an index
+            // or count that has moved while the operation still fails is
+            // a moment to spin through, not to sleep in.
+            if !self.blocked() {
+                std::hint::spin_loop();
                 continue;
             }
             let entry = self.entry.as_ref().expect("registered above");
@@ -1395,7 +1617,7 @@ impl<T: Send> Drop for BufferedPermit<T> {
 /// Poll-mode transfers over the buffered semantics: `Some(v)` buffers the
 /// item (pending only when a bounded ring is full), `None` receives
 /// (pending when nothing is buffered). This is what `synq-async` builds
-/// its bounded channel futures from.
+/// its buffered channel futures from.
 impl<T: Send> PollTransferer<T> for BufferedChannel<T> {
     type Permit = BufferedPermit<T>;
 
@@ -1657,6 +1879,50 @@ mod tests {
             drop(q.take());
         }
         assert_eq!(DROPS.load(std::sync::atomic::Ordering::SeqCst), 7);
+    }
+
+    // --------------------------------------------- unbounded ring-first
+
+    #[test]
+    fn unbounded_ring_is_budgeted_in_bytes() {
+        // Slot = payload + one sequence word; 32 KiB of them, rounded
+        // down to a power of two, between 64 and 1,024 slots.
+        assert_eq!(unbounded_ring_slots::<()>(), 1024);
+        assert_eq!(unbounded_ring_slots::<u64>(), 1024);
+        assert_eq!(unbounded_ring_slots::<[u64; 7]>(), 512);
+        assert_eq!(unbounded_ring_slots::<[u64; 14]>(), 256);
+        assert_eq!(unbounded_ring_slots::<[u8; 4096]>(), 64);
+        let q: TransferQueue<[u64; 7]> = TransferQueue::new();
+        assert_eq!(q.ring.capacity(), 512);
+        assert_eq!(q.capacity(), None, "the internal ring is not a bound");
+    }
+
+    #[test]
+    fn overflow_goes_linked_and_drains_back_to_the_ring() {
+        let overflow_puts = || synq_obs::StatsSnapshot::take().get(Probe::RingOverflowPuts);
+        let before = overflow_puts();
+        let q: TransferQueue<[u64; 62]> = TransferQueue::new();
+        let slots = q.ring.capacity();
+        assert_eq!(slots, 64);
+        for i in 0..slots {
+            q.put([i as u64; 62]);
+        }
+        assert_eq!((q.ring.len(), q.linked_data()), (slots, 0));
+        q.put([slots as u64; 62]); // ring full: linked
+        assert_eq!((q.ring.len(), q.linked_data()), (slots, 1));
+        assert_eq!(q.take()[0], 0);
+        q.put([slots as u64 + 1; 62]); // room again, but linked data is queued: linked
+        assert_eq!((q.ring.len(), q.linked_data()), (slots - 1, 2));
+        for i in 1..slots + 2 {
+            assert_eq!(q.take()[0], i as u64);
+        }
+        assert!(q.is_empty());
+        q.put([7; 62]); // drained: the ring again
+        assert_eq!((q.ring.len(), q.linked_data()), (1, 0));
+        if synq_obs::ENABLED {
+            // (Process-wide counter: tests running beside this one may add.)
+            assert!(overflow_puts() - before >= 2);
+        }
     }
 
     // ------------------------------------------------------ bounded mode

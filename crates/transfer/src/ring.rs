@@ -72,6 +72,13 @@ unsafe impl<T: Send> Send for RingBuffer<T> {}
 unsafe impl<T: Send> Sync for RingBuffer<T> {}
 
 impl<T> RingBuffer<T> {
+    /// Bytes one buffered item occupies: the payload plus the one-word
+    /// cycle/occupancy sequence (padded to `T`'s alignment). The slot
+    /// array is the ring's only allocation, so this is also its whole
+    /// per-item memory cost (DESIGN §4.11 sets it against the lower bound
+    /// of "Memory Bounds for Concurrent Bounded Queues").
+    pub(crate) const SLOT_BYTES: usize = std::mem::size_of::<Slot<T>>();
+
     /// Creates a ring with at least `capacity` slots, rounded up to a
     /// power of two (minimum 2 — the seq scheme needs one bit of cycle
     /// distance between "pushed this cycle" and "free next cycle").

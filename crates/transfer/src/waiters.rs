@@ -10,20 +10,28 @@
 //!
 //! The lost-wakeup-free protocol (Dekker-style, DESIGN §4.11):
 //!
-//! * **Waiter**: [`WaiterQueue::register`] (a SeqCst RMW on the length
-//!   hint) → `fence(SeqCst)` → re-check the condition → if now satisfied,
-//!   [`WaiterQueue::retract`] and retry; else park.
-//! * **Notifier**: perform the state change (a SeqCst CAS on the ring) →
-//!   `fence(SeqCst)` → [`WaiterQueue::notify`] (a SeqCst load of the
-//!   hint, queue lock taken only when it is non-zero).
+//! * **Waiter**: [`WaiterQueue::register`] (a SeqCst store of the length
+//!   hint) → `fence(SeqCst)` → re-check the condition with SeqCst loads
+//!   (the ring's indices, the linked-data count), **before every park** →
+//!   if it may now hold, retry the operation; else park.
+//! * **Notifier**: perform the state change (a SeqCst CAS on a ring
+//!   index, or a SeqCst increment of the linked-data count) →
+//!   [`WaiterQueue::notify`] (a SeqCst load of the hint, queue lock taken
+//!   only when it is non-zero). No fence in between: the two accesses are
+//!   already SeqCst.
 //!
-//! In the SC total order either the notifier's hint load sees the
-//! registration (and wakes the waiter) or the waiter's re-check sees the
-//! state change (and retracts) — there is no interleaving where both miss.
+//! All four accesses are SeqCst, so in their single total order either
+//! the notifier's hint load follows the registration (and wakes the
+//! waiter) or the waiter's re-check follows the state change (and the
+//! waiter retries) — there is no interleaving where both miss. What the
+//! re-check proves is that an *index* moved; the slot behind it may not be
+//! readable for a few more instructions, which is why a waiter whose
+//! retry fails re-checks again instead of parking on the first failure.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use synq_obs::Probe;
 use synq_primitives::{WaitSlot, MIN_TOKEN};
 
 /// Token stored into a waiter's slot by [`WaiterQueue::notify`]. The
@@ -39,19 +47,27 @@ pub(crate) const NOTIFIED: usize = MIN_TOKEN;
 pub(crate) struct WaiterQueue {
     hint: AtomicUsize,
     entries: Mutex<VecDeque<Arc<WaitSlot<()>>>>,
+    /// Counted once per blocking wait on this list.
+    wait_probe: Probe,
 }
 
 impl WaiterQueue {
-    pub(crate) fn new() -> Self {
+    pub(crate) fn new(wait_probe: Probe) -> Self {
         WaiterQueue {
             hint: AtomicUsize::new(0),
             entries: Mutex::new(VecDeque::new()),
+            wait_probe,
         }
     }
 
+    /// Records that a registered waiter is about to block.
+    pub(crate) fn note_wait(&self) {
+        synq_obs::record(self.wait_probe, 1);
+    }
+
     /// Appends a fresh waiter and returns its slot. The caller MUST then
-    /// fence and re-check the awaited condition before parking (see the
-    /// module docs), retracting on success.
+    /// fence and re-check the awaited condition before every park (see
+    /// the module docs).
     pub(crate) fn register(&self) -> Arc<WaitSlot<()>> {
         let slot = Arc::new(WaitSlot::new());
         let mut q = self.entries.lock().unwrap();
@@ -141,7 +157,7 @@ mod tests {
 
     #[test]
     fn notify_wakes_registered_waiter() {
-        let wq = Arc::new(WaiterQueue::new());
+        let wq = Arc::new(WaiterQueue::new(Probe::RingEmptyWaits));
         let w = wq.register();
         assert_eq!(wq.hint(), 1);
         let wq2 = Arc::clone(&wq);
@@ -161,7 +177,7 @@ mod tests {
 
     #[test]
     fn retract_passes_stolen_notification_on() {
-        let wq = WaiterQueue::new();
+        let wq = WaiterQueue::new(Probe::RingEmptyWaits);
         let first = wq.register();
         let second = wq.register();
         // Notify lands in `first` before it can retract.
@@ -176,7 +192,7 @@ mod tests {
 
     #[test]
     fn notify_skips_cancelled_entries() {
-        let wq = WaiterQueue::new();
+        let wq = WaiterQueue::new(Probe::RingEmptyWaits);
         let dead = wq.register();
         let live = wq.register();
         assert!(dead.try_cancel());
