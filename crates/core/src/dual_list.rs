@@ -1,0 +1,880 @@
+//! The dual-list kernel: the one wait node, its lifetime, and the
+//! Michael & Scott linking that the fair synchronous queue (paper
+//! Listing 5 / Figure 1) and the linked half of the TransferQueue (§5)
+//! share. [`crate::SyncDualQueue`] and `synq_transfer::TransferQueue` keep
+//! only their *policy* (who waits, what a match moves) and call the steps
+//! below in a straight line; [`crate::SyncDualStack`] keeps its
+//! fulfilling-node protocol and takes the node and its lifetime from here.
+//!
+//! # Layer 1: the wait node and its lifetime
+//!
+//! A [`WaitNode`] is a mode word, a [`WaitSlot`] (state machine, item cell,
+//! waiter mailbox), a `next` link and a reference count, initially 2: one
+//! reference held by the *structure*, one by the *waiter* that published
+//! the node (a queue's first dummy starts at 1). The lifetime rule, stated
+//! once:
+//!
+//! * The **structure's** reference is released by the thread whose CAS
+//!   unlinks the node (`NodePool::release_structure_ref`), and only
+//!   through [`Shield::defer_retire`]: the decrement runs once no guard
+//!   protects the node.
+//! * The **waiter's** reference is released directly when its operation
+//!   returns ([`NodePool::release_waiter_ref`]). A waiter therefore holds
+//!   no guard while it spins or parks (a sleeping thread never stalls
+//!   reclamation) and touches only its own node; matchers touch a node
+//!   only while guarded.
+//! * Whoever drops the **last** reference drops an unconsumed item at
+//!   once and hands the dead skeleton to the pool's free list, from which
+//!   [`NodePool::alloc`] re-arms it. Skeletons reach the list only from
+//!   inside a retire closure (or with exclusive access) and are popped
+//!   only under a guard; the ABA argument is in the `node_cache` module.
+//!
+//! # Layer 2: the queue
+//!
+//! A singly linked list with `head` and `tail` and a permanent dummy at
+//! the head. Behind the dummy the list holds *either* data nodes (waiting
+//! producers) *or* requests (waiting consumers), never both. One arrival:
+//!
+//! 1. [`DualList::arrive`] absorbs leading cancelled nodes and snapshots
+//!    both ends.
+//! 2. Empty, or the tail is of the arrival's own mode: once
+//!    [`Arrival::tail_settled`] (which helps a lagging tail), the caller
+//!    decides whether it would wait and [`Arrival::try_append`]s its node.
+//!    The request linearizes at that `next` CAS.
+//! 3. Otherwise [`Arrival::front`] is a waiting counterpart: the caller
+//!    claims its slot, moves the item, and [`Arrival::advance_past`] makes
+//!    it the new dummy, claimed or not.
+//! 4. A waiter whose own node reached a terminal state calls
+//!    [`DualList::leave`].
+//!
+//! A waiter gives up by CASing its slot `WAITING -> CANCELLED`; the same
+//! CAS arbitrates against a concurrent match. Cancelled nodes are
+//! *absorbed at the head*: every arrival, and the canceller itself,
+//! advances the head past any leading cancelled nodes. Interior cancelled
+//! nodes are not unspliced (Java's `cleanMe`): that is memory-safe only
+//! under a tracing collector, because an unspliced node can stay reachable
+//! through a chain of earlier unspliced predecessors.
+//!
+//! # Validation under bounded-slot reclaimers
+//!
+//! Under [`synq_reclaim::Hazard`] a node reached through another node's
+//! `next` may be dereferenced only after proving it was not yet retired
+//! when its protection became visible (the [`Shield::protect`] contract).
+//! The list retires nodes strictly front to back, as the head advances
+//! past them, and `tail` never references a retired node (see
+//! `advance_head`), so two checks cover every access:
+//!
+//! * **Snapshot re-check** ([`Arrival::front`], `absorb_cancelled`):
+//!   re-load `head` and compare it with the protected snapshot. A
+//!   protected structure-field value cannot be recycled while its slot is
+//!   live, so pointer equality proves it is still the head, and a live
+//!   head means none of its successors is retired.
+//! * **Head re-anchor** (`count_linked`, the chain walk): after protecting
+//!   `p.next`, re-read the anchor and restart if it moved. An unchanged
+//!   anchor is conclusive (popped nodes are never re-linked, and the slot
+//!   protecting it prevents address reuse), so every node reached from it
+//!   is still linked. A per-node `unlinked` flag would not do: the popping
+//!   thread sets it *after* its CAS, so a stalled popper can leave a
+//!   successor retired while its predecessor still reads as live.
+
+use crate::node_cache::{NodeCache, Recyclable, NODE_CACHE_CAP};
+use crate::transferer::TransferOutcome;
+use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use synq_primitives::{CachePadded, WaitOutcome, WaitSlot};
+use synq_reclaim::{Atomic, Owned, Pointer, Reclaimer, Shared, Shield};
+
+/// Mode word of a waiting consumer's node (a reservation).
+pub const REQUEST: usize = 0;
+/// Mode bit of a waiting producer's node. The dual stack ORs its
+/// `FULFILLING` bit into the same word.
+pub const DATA: usize = 1;
+
+/// The wait node shared by the dual queue, the dual stack and the
+/// TransferQueue's linked half. See the [module docs](self).
+pub struct WaitNode<T, R: Reclaimer> {
+    /// Immutable once published.
+    pub(crate) mode: usize,
+    /// A data node's item is written by its owner before publication; a
+    /// request's, by the matcher while `CLAIMED`.
+    pub slot: WaitSlot<T>,
+    pub(crate) next: Atomic<WaitNode<T, R>, R>,
+    refs: AtomicUsize,
+    /// Set by the one release of the structure reference.
+    unlinked: AtomicBool,
+}
+
+impl<T, R: Reclaimer> WaitNode<T, R> {
+    /// Producer (`true`) or consumer (`false`) node.
+    pub fn is_data(&self) -> bool {
+        self.mode & DATA != 0
+    }
+
+    /// Takes one more counted reference, to be dropped with
+    /// [`NodePool::release_waiter_ref`]. The caller must already be
+    /// entitled to the node (guarded, or holding a reference).
+    pub(crate) fn add_ref(&self) {
+        self.refs.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Drops one reference. When it was the last, drops any unconsumed item
+    /// eagerly and hands the dead skeleton to `dispose` (cache or free).
+    ///
+    /// # Safety
+    ///
+    /// The caller owns one of the node's references and gives it up.
+    unsafe fn release(ptr: *const Self, dispose: impl FnOnce(*mut Self)) {
+        // SAFETY: the caller's reference keeps the node alive.
+        let node = unsafe { &*ptr };
+        if node.refs.fetch_sub(1, Ordering::Release) == 1 {
+            fence(Ordering::Acquire);
+            // SAFETY: last reference; nobody can reach the node (the
+            // structure's release is deferred past the grace period, so any
+            // guarded reader has since lost its protection). The slot's
+            // filled/consumed flags decide whether an item is still pending.
+            let node = unsafe { &mut *(ptr as *mut Self) };
+            node.slot.drop_pending_item();
+            dispose(ptr as *mut Self);
+        }
+    }
+}
+
+impl<T, R: Reclaimer> Recyclable for WaitNode<T, R> {
+    unsafe fn free_next(ptr: *mut Self) -> *mut Self {
+        // The free list reuses the node's own `next` field as its link.
+        // SAFETY: the trait contract grants the exclusivity (or protection)
+        // the unprotected guard requires for this read.
+        let guard = unsafe { R::unprotected() };
+        // SAFETY: `ptr` is alive per the trait contract.
+        unsafe { (*ptr).next.load(Ordering::Acquire, &guard).as_raw() as *mut Self }
+    }
+
+    unsafe fn set_free_next(ptr: *mut Self, next: *mut Self) {
+        // SAFETY: exclusive ownership per the trait contract; the Shared is
+        // only a typed wrapper around the raw link value.
+        unsafe {
+            (*ptr)
+                .next
+                .store(Shared::from_raw(next as *const Self), Ordering::Release)
+        };
+    }
+
+    unsafe fn dealloc(ptr: *mut Self) {
+        // SAFETY: exclusive ownership; the item slot is empty, and the node
+        // owns no other heap state beyond the WaiterCell's Drop.
+        drop(unsafe { Box::from_raw(ptr) });
+    }
+}
+
+/// Allocation, recycling and the two reference releases of one structure's
+/// [`WaitNode`]s.
+pub struct NodePool<T, R: Reclaimer> {
+    /// Free list of dead skeletons, shared with the retire closures that
+    /// refill it.
+    cache: Arc<NodeCache<WaitNode<T, R>>>,
+}
+
+impl<T, R: Reclaimer> NodePool<T, R> {
+    pub(crate) fn with_capacity(cache_capacity: usize) -> Self {
+        NodePool {
+            cache: Arc::new(NodeCache::with_capacity(cache_capacity)),
+        }
+    }
+
+    fn fresh(&self, mode: usize, refs: usize) -> Owned<WaitNode<T, R>> {
+        self.cache.note_alloc();
+        Owned::new(WaitNode {
+            mode,
+            slot: WaitSlot::new(),
+            next: Atomic::null(),
+            refs: AtomicUsize::new(refs),
+            unlinked: AtomicBool::new(false),
+        })
+    }
+
+    /// A node armed for publication (empty slot, two references): a
+    /// recycled skeleton when one is available, a fresh allocation
+    /// otherwise. `guard` witnesses the protection the free-list pop needs.
+    pub fn alloc(&self, mode: usize, guard: &R::Guard) -> Owned<WaitNode<T, R>> {
+        // SAFETY: guarded, per `guard`.
+        let Some(p) = (unsafe { self.cache.pop(guard) }) else {
+            synq_obs::probe!(NodeCacheMisses);
+            return self.fresh(mode, 2);
+        };
+        // SAFETY: the pop transferred exclusive ownership of a dead
+        // skeleton (item slot empty); re-arm every field in place.
+        unsafe {
+            let node = &mut *p;
+            node.mode = mode;
+            node.slot.reset();
+            node.next = Atomic::null();
+            *node.refs.get_mut() = 2;
+            *node.unlinked.get_mut() = false;
+            Owned::from_usize(p as usize)
+        }
+    }
+
+    /// Nodes heap-allocated over the structure's lifetime.
+    pub fn allocated(&self) -> usize {
+        self.cache.allocs()
+    }
+
+    /// Allocations avoided by recycling dead nodes.
+    pub fn recycled(&self) -> usize {
+        self.cache.reuses()
+    }
+
+    /// Releases the structure's reference on a node the caller's CAS just
+    /// unlinked. Returns false if a racing remover got there first (the
+    /// stack's skip and absorb can both reach one node; a queue's head CAS
+    /// has one winner).
+    ///
+    /// # Safety
+    ///
+    /// `node` is protected by `guard` (or refcount-live) and has been
+    /// unlinked from the structure this pool serves.
+    pub(crate) unsafe fn release_structure_ref<'g>(
+        &self,
+        node: Shared<'g, WaitNode<T, R>>,
+        guard: &'g R::Guard,
+    ) -> bool {
+        // SAFETY: per the contract.
+        if unsafe { node.deref() }
+            .unlinked
+            .swap(true, Ordering::AcqRel)
+        {
+            return false;
+        }
+        let raw = node.as_raw() as usize;
+        let cache = Arc::clone(&self.cache);
+        // SAFETY: the closure runs once no guard protects the node; the
+        // waiter's own reference keeps the node alive beyond that if it is
+        // still waking up. Running *inside* the retirement satisfies the
+        // free-list push contract, so the skeleton goes to the cache
+        // directly.
+        unsafe {
+            guard.defer_retire(raw, move || {
+                WaitNode::release(raw as *const WaitNode<T, R>, |p| cache.push(p));
+            });
+        }
+        true
+    }
+
+    /// Releases a reference held outside the structure: the waiter's own,
+    /// or one taken with `add_ref`. If it is the last, the item is dropped
+    /// now but the skeleton's return to the free list is itself deferred:
+    /// re-pushing before the node is unprotected would reintroduce
+    /// free-list ABA.
+    ///
+    /// # Safety
+    ///
+    /// The caller owns one reference on `ptr`, a node of the structure this
+    /// pool serves, and does not touch the node afterwards.
+    pub unsafe fn release_waiter_ref(&self, ptr: *const WaitNode<T, R>) {
+        // SAFETY: the reference is the caller's to drop; the dispose
+        // closure owns the skeleton exclusively and defers the push, which
+        // satisfies the push contract.
+        unsafe {
+            WaitNode::release(ptr, |p| {
+                let cache = Arc::clone(&self.cache);
+                let addr = p as usize;
+                let guard = R::pin();
+                guard.defer_retire(addr, move || cache.push(addr as *mut WaitNode<T, R>));
+            });
+        }
+    }
+
+    /// Frees the chain behind `first` outright (a structure's `Drop`).
+    ///
+    /// # Safety
+    ///
+    /// Exclusive access to the structure: every waiter has returned, so
+    /// each chain node holds exactly the structure's reference.
+    pub(crate) unsafe fn drain_chain(first: &Atomic<WaitNode<T, R>, R>) {
+        // SAFETY: exclusive access per the contract.
+        let guard = unsafe { R::unprotected() };
+        let mut p = first.load(Ordering::Relaxed, &guard);
+        // SAFETY: as above; the link is read before the node is freed. The
+        // cache drains itself when its last `Arc` drops.
+        while let Some(node) = unsafe { p.as_ref() } {
+            let next = node.next.load(Ordering::Relaxed, &guard);
+            unsafe { WaitNode::release(p.as_raw(), |n| WaitNode::dealloc(n)) };
+            p = next;
+        }
+    }
+}
+
+/// Counts, up to `limit`, the nodes satisfying `pred` on the chain behind
+/// `anchor` (a queue's `head`, whose first node is the dummy and is
+/// skipped with `skip_anchor`; a stack's `head`). Racy by nature: O(n),
+/// for diagnostics and the striped router's rescan.
+pub(crate) fn count_linked<T, R: Reclaimer>(
+    anchor: &Atomic<WaitNode<T, R>, R>,
+    skip_anchor: bool,
+    limit: usize,
+    pred: impl Fn(&WaitNode<T, R>) -> bool,
+) -> usize {
+    let guard = R::pin();
+    'restart: loop {
+        let root = anchor.load(Ordering::Acquire, &guard);
+        let mut skip = skip_anchor;
+        let mut count = 0;
+        let mut p = root;
+        // SAFETY: head re-anchor (module docs). `root` came from the
+        // structure field; every later `p` was protected and then
+        // validated by the anchor re-read below before this deref. Each
+        // restart means the anchor moved, so the loop is lock-free.
+        while let Some(n) = unsafe { p.as_ref() } {
+            if !std::mem::take(&mut skip) && pred(n) {
+                count += 1;
+                if count == limit {
+                    break;
+                }
+            }
+            let next = n.next.load(Ordering::Acquire, &guard);
+            if !anchor.load(Ordering::Acquire, &guard).ptr_eq(&root) {
+                continue 'restart;
+            }
+            p = next;
+        }
+        return count;
+    }
+}
+
+/// The M&S-skeleton dual list. See the [module docs](self).
+pub struct DualList<T, R: Reclaimer> {
+    /// Matchers hammer `head`, appenders hammer `tail`; each owns its cache
+    /// line(s) so the two ends never false-share.
+    head: CachePadded<Atomic<WaitNode<T, R>, R>>,
+    tail: CachePadded<Atomic<WaitNode<T, R>, R>>,
+    pool: NodePool<T, R>,
+}
+
+// Layout: padding must actually separate the two ends.
+const _: () = assert!(std::mem::align_of::<DualList<u8, synq_reclaim::Epoch>>() >= 128);
+const _: () = assert!(std::mem::size_of::<DualList<u8, synq_reclaim::Epoch>>() >= 2 * 128);
+
+// SAFETY: nodes hand `T` values across threads; all shared mutation goes
+// through atomics and the slot's claim/consume protocol, and the pool's
+// free list is `Sync` by its own protocol.
+unsafe impl<T: Send, R: Reclaimer> Send for DualList<T, R> {}
+unsafe impl<T: Send, R: Reclaimer> Sync for DualList<T, R> {}
+
+impl<T, R: Reclaimer> Default for DualList<T, R> {
+    fn default() -> Self {
+        Self::with_cache_capacity(NODE_CACHE_CAP)
+    }
+}
+
+impl<T, R: Reclaimer> DualList<T, R> {
+    pub(crate) fn with_cache_capacity(cache_capacity: usize) -> Self {
+        let pool = NodePool::with_capacity(cache_capacity);
+        // The first dummy holds only the structure reference.
+        let dummy = pool.fresh(REQUEST, 1);
+        // SAFETY: single-threaded construction.
+        let guard = unsafe { R::unprotected() };
+        let dummy = dummy.into_shared(&guard);
+        let head = Atomic::null();
+        let tail = Atomic::null();
+        head.store(dummy, Ordering::Relaxed);
+        tail.store(dummy, Ordering::Relaxed);
+        DualList {
+            head: CachePadded::new(head),
+            tail: CachePadded::new(tail),
+            pool,
+        }
+    }
+
+    /// The list's node pool (allocation counts, `alloc`, the waiter-side
+    /// release).
+    pub fn pool(&self) -> &NodePool<T, R> {
+        &self.pool
+    }
+
+    /// Starts one arrival: absorbs leading cancelled nodes, then snapshots
+    /// `head` and `tail`.
+    pub fn arrive<'g>(&'g self, guard: &'g R::Guard) -> Arrival<'g, T, R> {
+        self.absorb_cancelled(guard);
+        Arrival {
+            list: self,
+            guard,
+            head: self.head.load(Ordering::Acquire, guard),
+            tail: self.tail.load(Ordering::Acquire, guard),
+        }
+    }
+
+    /// Advances `head` from `h` to its successor `nh`, releasing the old
+    /// dummy's structure reference. Returns true if this thread's CAS won.
+    fn advance_head<'g>(
+        &self,
+        h: Shared<'g, WaitNode<T, R>>,
+        nh: Shared<'g, WaitNode<T, R>>,
+        guard: &'g R::Guard,
+    ) -> bool {
+        if self
+            .head
+            .compare_exchange(h, nh, Ordering::AcqRel, Ordering::Acquire, guard)
+            .is_err()
+        {
+            return false;
+        }
+        synq_obs::probe!(QueueHeadAdvances);
+        // Help a lagging tail off `h` before retiring it, so `tail` never
+        // references a retired node (Michael's rule). Without this a
+        // bounded-slot backend could free `h` while `tail` still points at
+        // it, and a later tail-load's source re-validation would wrongly
+        // pass. Tail moves only forward along the chain, so once past `h`
+        // it can never return.
+        let t = self.tail.load(Ordering::Acquire, guard);
+        if t.ptr_eq(&h) {
+            let _ = self
+                .tail
+                .compare_exchange(t, nh, Ordering::Release, Ordering::Relaxed, guard);
+        }
+        // SAFETY: `h` was unlinked by our CAS, which also proves it was
+        // the live head the caller had protected.
+        let first = unsafe { self.pool.release_structure_ref(h, guard) };
+        debug_assert!(first, "structure reference released twice");
+        true
+    }
+
+    /// Absorbs leading cancelled nodes: the cleaning strategy (module
+    /// docs), run by every arrival and by cancelling waiters.
+    fn absorb_cancelled(&self, guard: &R::Guard) {
+        let mut h = self.head.load(Ordering::Acquire, guard);
+        loop {
+            // SAFETY: head is never null (dummy invariant) and protected.
+            let hn = unsafe { h.deref() }.next.load(Ordering::Acquire, guard);
+            // Snapshot re-check (module docs): `hn` came through a node
+            // field, so prove `h` was still the head after `hn`'s
+            // protection published.
+            let reread = self.head.load(Ordering::Acquire, guard);
+            if !h.ptr_eq(&reread) {
+                h = reread;
+                continue;
+            }
+            // SAFETY: validated just above.
+            match unsafe { hn.as_ref() } {
+                Some(n) if n.slot.is_cancelled() => {}
+                _ => return,
+            }
+            // On success continue from `hn`, the head our CAS installed: a
+            // competing absorber may already have moved `head` further,
+            // and a stale re-read would just fail its next CAS anyway.
+            h = if self.advance_head(h, hn, guard) {
+                hn
+            } else {
+                self.head.load(Ordering::Acquire, guard)
+            };
+        }
+    }
+
+    /// Ends a wait on the caller's own published node, whose slot reached
+    /// the terminal state `verdict` reports: helps unlink the node, drops
+    /// the waiter's reference, and resolves the transfer, carrying the item
+    /// that is now the caller's (what a matcher delivered to a request; a
+    /// withdrawn producer's own item back).
+    ///
+    /// # Safety
+    ///
+    /// `node` came from [`Arrival::try_append`] on this list and its
+    /// waiter reference is the caller's; `verdict` is what the slot's wait
+    /// returned (or `TimedOut`/`Cancelled` after the caller won the cancel
+    /// CAS itself). The node is not touched afterwards.
+    pub unsafe fn leave(
+        &self,
+        node: *const WaitNode<T, R>,
+        verdict: WaitOutcome,
+    ) -> TransferOutcome<T> {
+        // SAFETY: the waiter reference keeps the node alive.
+        let own = unsafe { &*node };
+        let matched = matches!(verdict, WaitOutcome::Matched(_));
+        {
+            let guard = R::pin();
+            if matched {
+                // Help dequeue our own node if it is next in line (paper
+                // Listing 5 lines 17-19). `hn` is only compared against our
+                // own pointer, never dereferenced.
+                let h = self.head.load(Ordering::Acquire, &guard);
+                // SAFETY: head is never null, and protected.
+                let hn = unsafe { h.deref() }.next.load(Ordering::Acquire, &guard);
+                if hn.as_raw() == node {
+                    let _ = self.advance_head(h, hn, &guard);
+                }
+            } else {
+                // The cancelled prefix now includes our node.
+                self.absorb_cancelled(&guard);
+            }
+        }
+        let item = (own.is_data() != matched && own.slot.has_item())
+            // SAFETY: a matcher wrote a request's slot before MATCHED;
+            // winning the cancel CAS wins a data node's item back.
+            .then(|| unsafe { own.slot.take_item() });
+        // SAFETY: balanced with the creation count of 2.
+        unsafe { self.pool.release_waiter_ref(node) };
+        match verdict {
+            WaitOutcome::Matched(_) => TransferOutcome::Transferred(item),
+            WaitOutcome::Cancelled => TransferOutcome::Cancelled(item),
+            WaitOutcome::TimedOut => TransferOutcome::Timeout(item),
+        }
+    }
+
+    /// Racy peek: is any linked node a still-`WAITING` producer
+    /// (`is_data`) / consumer? Walks the whole chain, so that a cancelled
+    /// front node cannot hide a live waiter behind it.
+    pub fn has_waiting(&self, is_data: bool) -> bool {
+        let waiting = |n: &WaitNode<T, R>| n.is_data() == is_data && n.slot.is_waiting();
+        count_linked(&self.head, true, 1, waiting) > 0
+    }
+
+    /// Diagnostic: number of linked nodes, the dummy excluded.
+    pub fn linked_nodes(&self) -> usize {
+        count_linked(&self.head, true, usize::MAX, |_| true)
+    }
+}
+
+impl<T, R: Reclaimer> Drop for DualList<T, R> {
+    fn drop(&mut self) {
+        // SAFETY: `&mut self`; waiters borrow the owning structure, so all
+        // have returned.
+        unsafe { NodePool::drain_chain(&self.head) };
+    }
+}
+
+/// One arrival's snapshot of the list's two ends, bound to the list and
+/// the guard that produced it.
+pub struct Arrival<'g, T, R: Reclaimer> {
+    list: &'g DualList<T, R>,
+    guard: &'g R::Guard,
+    head: Shared<'g, WaitNode<T, R>>,
+    tail: Shared<'g, WaitNode<T, R>>,
+}
+
+impl<'g, T, R: Reclaimer> Arrival<'g, T, R> {
+    fn tail_node(&self) -> &'g WaitNode<T, R> {
+        // SAFETY: `tail` is never null and was loaded from the structure
+        // field under `guard`; it never references a retired node.
+        unsafe { self.tail.deref() }
+    }
+
+    /// No node was linked behind the dummy (or the tail lags: see
+    /// [`Self::tail_settled`]).
+    pub fn is_empty(&self) -> bool {
+        self.head.ptr_eq(&self.tail)
+    }
+
+    /// Mode of the tail node, hence of every waiting node when the list
+    /// is not empty.
+    pub fn tail_is_data(&self) -> bool {
+        self.tail_node().is_data()
+    }
+
+    /// True if the snapshot's tail is the list's last node, so an append
+    /// may go ahead. Otherwise helps a lagging tail forward and returns
+    /// false: the caller starts over.
+    pub fn tail_settled(&self) -> bool {
+        let list = self.list;
+        let n = self.tail_node().next.load(Ordering::Acquire, self.guard);
+        if !self
+            .tail
+            .ptr_eq(&list.tail.load(Ordering::Acquire, self.guard))
+        {
+            return false;
+        }
+        if n.is_null() {
+            return true;
+        }
+        // `n` is compared and CASed, never dereferenced.
+        let _ = list.tail.compare_exchange(
+            self.tail,
+            n,
+            Ordering::Release,
+            Ordering::Relaxed,
+            self.guard,
+        );
+        false
+    }
+
+    /// Links `node` behind the snapshot's tail and swings `tail` to it.
+    /// On success the node is published and the returned pointer is the
+    /// caller's waiter reference; on a lost race the node comes back
+    /// unpublished.
+    pub fn try_append(
+        &self,
+        node: Owned<WaitNode<T, R>>,
+    ) -> Result<*const WaitNode<T, R>, Owned<WaitNode<T, R>>> {
+        match self.tail_node().next.compare_exchange(
+            Shared::null(),
+            node,
+            Ordering::Release,
+            Ordering::Acquire,
+            self.guard,
+        ) {
+            Ok(published) => {
+                synq_obs::probe!(QueueAppendCas);
+                let _ = self.list.tail.compare_exchange(
+                    self.tail,
+                    published,
+                    Ordering::Release,
+                    Ordering::Relaxed,
+                    self.guard,
+                );
+                Ok(published.as_raw())
+            }
+            Err(e) => {
+                synq_obs::probe!(QueueAppendCasFail);
+                crate::contention::note_cas_fail();
+                Err(e.new)
+            }
+        }
+    }
+
+    /// The node at `head.next`, validated; `None` if the snapshot went
+    /// stale (the caller starts over).
+    pub fn front(&self) -> Option<Front<'g, T, R>> {
+        let list = self.list;
+        // SAFETY: head is never null; structure-field protection.
+        let node = unsafe { self.head.deref() }
+            .next
+            .load(Ordering::Acquire, self.guard);
+        // Snapshot re-check (module docs): `node` came through a node
+        // field; `head` unchanged proves it was unretired when its
+        // protection published, and `tail` unchanged that the mode read
+        // off it still describes the front.
+        let stale = !self
+            .tail
+            .ptr_eq(&list.tail.load(Ordering::Acquire, self.guard))
+            || !self
+                .head
+                .ptr_eq(&list.head.load(Ordering::Acquire, self.guard));
+        (!stale && !node.is_null()).then_some(Front { node })
+    }
+
+    /// Advances the head past `front` (paper Figure 1 step D), whether
+    /// the caller's claim on it won or lost: a node that is matched,
+    /// claimed by someone else or cancelled is the next dummy either way.
+    pub fn advance_past(&self, front: Front<'g, T, R>) {
+        let _ = self.list.advance_head(self.head, front.node, self.guard);
+    }
+}
+
+/// A validated reference to the node at the front of the list.
+pub struct Front<'g, T, R: Reclaimer> {
+    node: Shared<'g, WaitNode<T, R>>,
+}
+
+impl<T, R: Reclaimer> std::ops::Deref for Front<'_, T, R> {
+    type Target = WaitNode<T, R>;
+
+    fn deref(&self) -> &WaitNode<T, R> {
+        // SAFETY: non-null and validated by `Arrival::front`, protected by
+        // its guard.
+        unsafe { self.node.deref() }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use synq_reclaim::Epoch;
+
+    type List<T> = DualList<T, Epoch>;
+    type Node<T> = *const WaitNode<T, Epoch>;
+
+    const PREFIX: usize = if cfg!(miri) { 8 } else { 64 };
+
+    /// Every test here is single-threaded over its own list, which is what
+    /// the unprotected guard asks for. Under it a structure-reference
+    /// release runs its retire closure on the spot, so reference counts
+    /// can be asserted step by step.
+    fn unprotected() -> synq_reclaim::Guard {
+        unsafe { Epoch::unprotected() }
+    }
+
+    /// Payload that counts its drops.
+    struct Counted<'a>(&'a AtomicUsize);
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn append<T>(list: &List<T>, item: Option<T>) -> Node<T> {
+        let guard = unprotected();
+        let at = list.arrive(&guard);
+        assert!(at.tail_settled());
+        let mode = if item.is_some() { DATA } else { REQUEST };
+        let node = list.pool().alloc(mode, &guard);
+        if let Some(v) = item {
+            unsafe { node.slot.put_item(v) };
+        }
+        at.try_append(node).ok().expect("nobody to race with")
+    }
+
+    /// Claims the request at the front, hands it `item`, advances past it.
+    fn fulfill_front<T>(list: &List<T>, item: T) {
+        let guard = unprotected();
+        let at = list.arrive(&guard);
+        let m = at.front().expect("a node is linked");
+        assert!(m.slot.try_claim());
+        unsafe { m.slot.put_item(item) };
+        m.slot.complete();
+        at.advance_past(m);
+    }
+
+    fn refs<T>(node: Node<T>) -> usize {
+        unsafe { &*node }.refs.load(Ordering::SeqCst)
+    }
+
+    #[test]
+    fn a_lagging_tail_is_helped_not_appended_to() {
+        let list: List<u32> = DualList::default();
+        let guard = unprotected();
+        // Link a node by hand and leave `tail` on the dummy.
+        let first = {
+            let at = list.arrive(&guard);
+            assert!(at.is_empty() && at.tail_settled());
+            let node = list.pool().alloc(REQUEST, &guard);
+            at.tail_node()
+                .next
+                .compare_exchange(
+                    Shared::null(),
+                    node,
+                    Ordering::Release,
+                    Ordering::Acquire,
+                    &guard,
+                )
+                .expect("nobody to race with")
+        };
+        assert_eq!(list.linked_nodes(), 1);
+
+        // The next arrival still reads head == tail, must not append behind
+        // the stale tail, and moves `tail` on instead.
+        let at = list.arrive(&guard);
+        assert!(at.is_empty());
+        let spare = list.pool().alloc(REQUEST, &guard);
+        let spare = at.try_append(spare).expect_err("the tail has a successor");
+        assert!(!at.tail_settled(), "a lagging tail is not settled");
+        assert!(list.tail.load(Ordering::Acquire, &guard).ptr_eq(&first));
+
+        // Settled now: the spare goes behind the first, in FIFO order.
+        let at = list.arrive(&guard);
+        assert!(!at.is_empty() && !at.tail_is_data() && at.tail_settled());
+        let second = at.try_append(spare).ok().expect("settled tail");
+        assert_eq!(list.linked_nodes(), 2);
+        assert!(list.tail.load(Ordering::Acquire, &guard).as_raw() == second);
+        let at = list.arrive(&guard);
+        assert!(std::ptr::eq(&*at.front().unwrap(), first.as_raw()));
+
+        for node in [first.as_raw(), second] {
+            unsafe { list.pool().release_waiter_ref(node) };
+        }
+    }
+
+    #[test]
+    fn one_arrival_absorbs_a_whole_cancelled_prefix() {
+        let list: List<u32> = DualList::default();
+        let nodes: Vec<_> = (0..PREFIX).map(|_| append(&list, None)).collect();
+        for &node in &nodes {
+            assert!(unsafe { &*node }.slot.try_cancel());
+        }
+        assert_eq!(list.linked_nodes(), PREFIX);
+        assert!(!list.has_waiting(false), "cancelled nodes are not waiting");
+
+        let guard = unprotected();
+        assert!(list.arrive(&guard).is_empty());
+        assert_eq!(list.linked_nodes(), 0);
+        // All but the last (the dummy now) have lost the structure's
+        // reference; none has lost the waiter's.
+        let (last, passed) = nodes.split_last().unwrap();
+        assert!(passed.iter().all(|&n| refs(n) == 1));
+        assert_eq!(refs(*last), 2);
+        for node in nodes {
+            unsafe { list.pool().release_waiter_ref(node) };
+        }
+    }
+
+    #[test]
+    fn the_last_reference_drops_the_item_whichever_it_is() {
+        let drops = AtomicUsize::new(0);
+        for structure_first in [true, false] {
+            drops.store(0, Ordering::SeqCst);
+            let list: List<Counted<'_>> = DualList::default();
+            // Two requests; each is handed an item its waiter never reads
+            // (a dropped permit). The second only serves to move the head
+            // past the first, which releases the first's structure
+            // reference.
+            let first = append(&list, None);
+            let second = append(&list, None);
+            fulfill_front(&list, Counted(&drops));
+            assert_eq!(refs(first), 2, "the dummy keeps its structure reference");
+            if structure_first {
+                fulfill_front(&list, Counted(&drops));
+                assert_eq!((refs(first), drops.load(Ordering::SeqCst)), (1, 0));
+                unsafe { list.pool().release_waiter_ref(first) };
+            } else {
+                unsafe { list.pool().release_waiter_ref(first) };
+                assert_eq!((refs(first), drops.load(Ordering::SeqCst)), (1, 0));
+                fulfill_front(&list, Counted(&drops));
+            }
+            assert_eq!(drops.load(Ordering::SeqCst), 1, "first's item, once");
+            unsafe { list.pool().release_waiter_ref(second) };
+            drop(list);
+            assert_eq!(drops.load(Ordering::SeqCst), 2, "second's item, at Drop");
+        }
+    }
+
+    #[test]
+    fn a_recycled_skeleton_is_rearmed() {
+        let list: List<String> = DualList::default();
+        let first = append(&list, None);
+        let second = append(&list, None);
+        fulfill_front(&list, "delivered".to_string());
+        // Waiter first, so that the structure's release, immediate under
+        // the unprotected guard, is the last and pushes the skeleton.
+        let got = unsafe { list.leave(first, WaitOutcome::Matched(0)) };
+        assert_eq!(got.into_inner().as_deref(), Some("delivered"));
+        fulfill_front(&list, "unread".to_string());
+        assert_eq!(list.pool().recycled(), 0);
+
+        let guard = unprotected();
+        let mut node = list.pool().alloc(DATA, &guard);
+        assert_eq!(list.pool().recycled(), 1);
+        assert!(std::ptr::eq(&*node, first), "the dead skeleton came back");
+        assert!(node.is_data());
+        assert!(node.slot.is_waiting() && !node.slot.has_item());
+        assert!(node.next.load(Ordering::Relaxed, &guard).is_null());
+        assert_eq!(*node.refs.get_mut(), 2);
+        assert!(!*node.unlinked.get_mut());
+        // Three nodes were ever allocated: the dummy and the two requests.
+        assert_eq!(list.pool().allocated(), 3);
+        unsafe { list.pool().release_waiter_ref(second) };
+    }
+
+    #[test]
+    fn leave_hands_a_cancelled_producer_its_item_back() {
+        let list: List<String> = DualList::default();
+        let node = append(&list, Some("mine".to_string()));
+        assert!(list.has_waiting(true) && !list.has_waiting(false));
+        assert!(unsafe { &*node }.slot.try_cancel());
+        let back = unsafe { list.leave(node, WaitOutcome::TimedOut) };
+        assert!(matches!(back, TransferOutcome::Timeout(Some(v)) if v == "mine"));
+        assert_eq!(list.linked_nodes(), 0, "leave absorbed the cancelled node");
+    }
+
+    #[test]
+    fn drop_frees_unmatched_data_nodes() {
+        let drops = AtomicUsize::new(0);
+        let list: List<Counted<'_>> = DualList::default();
+        for _ in 0..3 {
+            let node = append(&list, Some(Counted(&drops)));
+            // As an asynchronous producer does: nobody waits on the node.
+            unsafe { list.pool().release_waiter_ref(node) };
+        }
+        assert_eq!(list.linked_nodes(), 3);
+        assert_eq!(drops.load(Ordering::SeqCst), 0);
+        drop(list);
+        assert_eq!(drops.load(Ordering::SeqCst), 3);
+    }
+}

@@ -2,166 +2,32 @@
 //! (Listing 5 / Figure 1), with the time-out and cancellation support of
 //! the Java 6 production version.
 //!
-//! # Algorithm
-//!
-//! The queue is a singly linked list with `head` and `tail` pointers and a
-//! permanent dummy at the head (the M&S-queue skeleton). At any instant the
-//! list holds *either* data nodes (waiting producers) *or* request nodes
-//! (waiting consumers) — never both:
-//!
-//! * An arriving thread whose mode matches the queue's current contents
-//!   (or finds it empty) **appends** its node at the tail and waits for a
-//!   counterpart to mark it `MATCHED` (spin-then-park, on its own node —
-//!   no remote accesses while waiting).
-//! * An arriving thread of the opposite mode **matches** the node at
-//!   `head.next`: a CAS on that node's state word claims it, the item moves
-//!   across, the waiter is unparked, and the head advances (the matched
-//!   node becomes the new dummy).
-//!
-//! The request linearizes at the `next`-CAS that appends the node, or at
-//! the state-CAS that claims a waiting counterpart (paper §3.3).
-//!
-//! # Time-out, cancellation and cleaning
-//!
-//! A waiter gives up by CASing its node `WAITING → CANCELLED`; the same CAS
-//! arbitrates against a concurrent match, exactly like the Java version's
-//! CAS on the `item` field. Cancelled nodes are *absorbed at the head*:
-//! every arriving operation (and the canceller itself) advances the head
-//! past any leading cancelled nodes before doing its own work. This differs
-//! from the Java 6 code, which additionally unsplices cancelled *interior*
-//! nodes (the `cleanMe` scheme): interior unsplicing is only memory-safe
-//! under a tracing GC, because an unspliced node can remain reachable
-//! through a chain of previously unspliced predecessors. Head absorption
-//! has the same bound the paper cares about — a burst of timed-out
-//! operations is reclaimed by the next arrival — and experiment A4
-//! measures the residual buildup.
-//!
-//! # Memory lifetime
-//!
-//! Each node carries a reference count, initially 2: one held by the
-//! *structure*, one by the *waiter* that created it (the dummy starts at 1).
-//! The structure's reference is released — via [`Shield::defer_retire`] —
-//! by whichever thread's CAS advances the head past the node; the waiter's
-//! is released directly when its operation returns. Waiters therefore hold
-//! no reclaimer guard while parked (a sleeping thread never stalls epoch
-//! reclamation), and matchers only touch nodes while guarded.
-//!
-//! The reclamation backend is the type parameter `R` (default [`Epoch`]).
-//! Under bounded-slot backends ([`synq_reclaim::Hazard`]) every deref of a
-//! node reached through another node's `next` field must be preceded by a
-//! validation proving the node was not yet retired when its protection
-//! became visible (the [`Shield::protect`] contract). Two idioms appear
-//! below:
-//!
-//! * **Snapshot re-check** (the M&S consistency checks the loops already
-//!   perform): re-load `head`/`tail` and compare to the protected snapshot.
-//!   A protected structure-field value cannot be recycled while its slot
-//!   is live, so pointer equality proves it is still the field's value —
-//!   and a live head means none of its successors are retired (nodes
-//!   retire strictly front-to-back, when the head advances past them).
-//! * **Head re-anchor** (the chain walks): after protecting `p.next`,
-//!   re-read `head` and restart the walk if it moved. The queue retires
-//!   nodes only as the head advances past them, so an *unchanged* head —
-//!   conclusive, because popped nodes are never re-linked and the slot
-//!   protecting it prevents address reuse — proves no node reachable from
-//!   it has been retired. (A per-node `unlinked` flag would not do: the
-//!   popping thread sets it *after* its head CAS, so a stalled popper can
-//!   leave a successor retired while its predecessor still reads as live.)
-//!
-//! Dead nodes are not returned to the allocator: their skeletons go to a
-//! bounded per-queue free list (`node_cache`) and are recycled by
-//! later transfers. Skeletons reach the list only through retire closures
-//! (or with exclusive access), and are popped only under a guard —
-//! the ABA argument lives in the node-cache module docs.
+//! The list itself — the wait node and its lifetime, the M&S linking,
+//! head absorption of cancelled nodes, the validation the reclamation
+//! backends need — is [`crate::dual_list`]; see its module docs. What is
+//! here is the synchronous queue's policy over it: *both* sides wait. An
+//! arriving thread whose mode matches the list's contents (or finds it
+//! empty) appends its node and waits for a counterpart to mark it
+//! `MATCHED` (spin-then-park on its own node, no remote accesses while
+//! waiting); an arriving thread of the opposite mode claims the node at
+//! the front with a CAS on its state word, moves the item across and
+//! unparks the waiter. The request linearizes at the `next` CAS that
+//! appends the node, or at the state CAS that claims a waiting counterpart
+//! (paper §3.3).
 
-use crate::node_cache::{NodeCache, Recyclable};
+use crate::dual_list::{DualList, WaitNode, DATA, REQUEST};
 use crate::pollable::{PendingTransfer, PollTransferer, StartTransfer};
 use crate::transferer::{Deadline, TransferOutcome, Transferer};
 use core::task::{Poll, Waker};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use synq_primitives::{CachePadded, CancelToken, SpinPolicy, WaitOutcome, WaitSlot};
-use synq_reclaim::{Atomic, Epoch, Owned, Pointer, Reclaimer, Shared, Shield};
+use synq_primitives::{CancelToken, SpinPolicy, WaitOutcome};
+use synq_reclaim::{Epoch, Reclaimer};
 
 /// Result of the lock-free phase: resolved outright, or a node published
 /// that some counterpart must now fulfill.
 enum RawStart<T, R: Reclaimer> {
     Done(TransferOutcome<T>),
-    Published(*const QNode<T, R>),
-}
-
-struct QNode<T, R: Reclaimer> {
-    /// The wait-node protocol: state machine, item cell, waiter mailbox.
-    /// For a data node the item is written by the owner before publication;
-    /// for a request node, by the matcher while `CLAIMED`.
-    slot: WaitSlot<T>,
-    next: Atomic<QNode<T, R>, R>,
-    /// Producer (`true`) or consumer (`false`) node. Immutable.
-    is_data: bool,
-    /// 2 = structure + waiter (dummy: 1 = structure only).
-    refs: AtomicUsize,
-    /// Set (before the retire) by the release of the structure reference;
-    /// a debug guard that the release happens exactly once.
-    unlinked: AtomicBool,
-}
-
-impl<T, R: Reclaimer> QNode<T, R> {
-    /// `is_data` must be passed explicitly: waiter nodes are allocated
-    /// empty and have their item written just before publication, so it
-    /// cannot be inferred from the slot.
-    fn new(is_data: bool, refs: usize) -> Owned<QNode<T, R>> {
-        Owned::new(QNode {
-            slot: WaitSlot::new(),
-            next: Atomic::null(),
-            is_data,
-            refs: AtomicUsize::new(refs),
-            unlinked: AtomicBool::new(false),
-        })
-    }
-
-    /// Drops one reference. When it was the last, drops any unconsumed item
-    /// eagerly and hands the dead skeleton to `dispose` (cache or free).
-    unsafe fn release(ptr: *const QNode<T, R>, dispose: impl FnOnce(*mut QNode<T, R>)) {
-        // SAFETY: caller owns one reference.
-        let node = unsafe { &*ptr };
-        if node.refs.fetch_sub(1, Ordering::Release) == 1 {
-            std::sync::atomic::fence(Ordering::Acquire);
-            // SAFETY: last reference; nobody can reach the node (the
-            // structure's release is deferred past the grace period, so any
-            // guarded reader has since lost its protection). The slot's
-            // filled/consumed flags decide whether an item is still pending.
-            let node = unsafe { &mut *(ptr as *mut QNode<T, R>) };
-            node.slot.drop_pending_item();
-            dispose(ptr as *mut QNode<T, R>);
-        }
-    }
-}
-
-impl<T, R: Reclaimer> Recyclable for QNode<T, R> {
-    unsafe fn free_next(ptr: *mut Self) -> *mut Self {
-        // The free list reuses the node's own `next` field as its link.
-        // SAFETY: the trait contract grants the exclusivity (or protection)
-        // the unprotected guard requires for this read.
-        let guard = unsafe { R::unprotected() };
-        // SAFETY: `ptr` is alive per the trait contract.
-        unsafe { (*ptr).next.load(Ordering::Acquire, &guard).as_raw() as *mut Self }
-    }
-
-    unsafe fn set_free_next(ptr: *mut Self, next: *mut Self) {
-        // SAFETY: exclusive ownership per the trait contract; the Shared is
-        // only a typed wrapper around the raw link value.
-        unsafe {
-            (*ptr)
-                .next
-                .store(Shared::from_raw(next as *const Self), Ordering::Release)
-        };
-    }
-
-    unsafe fn dealloc(ptr: *mut Self) {
-        // SAFETY: exclusive ownership; the item slot is empty, and QNode
-        // itself owns no other heap state beyond the WaiterCell's Drop.
-        drop(unsafe { Box::from_raw(ptr) });
-    }
+    Published(*const WaitNode<T, R>),
 }
 
 /// The fair (FIFO) synchronous queue.
@@ -199,24 +65,13 @@ impl<T, R: Reclaimer> Recyclable for QNode<T, R> {
 /// assert_eq!(q.poll(), None);
 /// ```
 pub struct SyncDualQueue<T, R: Reclaimer = Epoch> {
-    /// Consumers (matchers) hammer `head`, producers hammer `tail`; each
-    /// owns its cache line(s) so the two ends never false-share.
-    head: CachePadded<Atomic<QNode<T, R>, R>>,
-    tail: CachePadded<Atomic<QNode<T, R>, R>>,
-    /// Free list of dead node skeletons, shared with the retire closures
-    /// that refill it.
-    cache: Arc<NodeCache<QNode<T, R>>>,
+    list: DualList<T, R>,
     spin: SpinPolicy,
 }
 
-// Layout: padding must actually separate the two ends.
+// Layout: the list's padded ends must survive embedding.
 const _: () = assert!(std::mem::align_of::<SyncDualQueue<u8>>() >= 128);
 const _: () = assert!(std::mem::size_of::<SyncDualQueue<u8>>() >= 2 * 128);
-
-// SAFETY: nodes hand `T` values across threads; all shared mutation goes
-// through atomics and the claim/consume protocol.
-unsafe impl<T: Send, R: Reclaimer> Send for SyncDualQueue<T, R> {}
-unsafe impl<T: Send, R: Reclaimer> Sync for SyncDualQueue<T, R> {}
 
 impl<T: Send, R: Reclaimer> Default for SyncDualQueue<T, R> {
     fn default() -> Self {
@@ -269,168 +124,20 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
     /// Creates an empty queue under the reclamation backend `R` with an
     /// explicit spin policy and node-cache retention bound.
     pub fn with_config_in(spin: SpinPolicy, cache_capacity: usize) -> Self {
-        let cache = Arc::new(NodeCache::with_capacity(cache_capacity));
-        // The initial dummy holds only the structure reference.
-        cache.note_alloc();
-        let dummy = QNode::new(false, 1);
-        // SAFETY: single-threaded construction.
-        let guard = unsafe { R::unprotected() };
-        let dummy = dummy.into_shared(&guard);
-        let head = Atomic::null();
-        let tail = Atomic::null();
-        head.store(dummy, Ordering::Relaxed);
-        tail.store(dummy, Ordering::Relaxed);
         SyncDualQueue {
-            head: CachePadded::new(head),
-            tail: CachePadded::new(tail),
-            cache,
+            list: DualList::with_cache_capacity(cache_capacity),
             spin,
-        }
-    }
-
-    /// Gets a node for this transfer: a recycled skeleton when one is
-    /// available, a fresh allocation otherwise. `guard` witnesses the
-    /// protection the free-list pop requires.
-    fn alloc_node(&self, is_data: bool, guard: &R::Guard) -> Owned<QNode<T, R>> {
-        // SAFETY: guarded, per `guard`.
-        if let Some(p) = unsafe { self.cache.pop(guard) } {
-            // SAFETY: the pop transferred exclusive ownership of a dead
-            // skeleton (item slot empty); re-arm every field in place.
-            unsafe {
-                let node = &mut *p;
-                node.slot.reset();
-                node.next = Atomic::null();
-                node.is_data = is_data;
-                *node.refs.get_mut() = 2;
-                *node.unlinked.get_mut() = false;
-                Owned::from_usize(p as usize)
-            }
-        } else {
-            self.cache.note_alloc();
-            QNode::new(is_data, 2)
         }
     }
 
     /// Diagnostic: nodes heap-allocated over the queue's lifetime.
     pub fn nodes_allocated(&self) -> usize {
-        self.cache.allocs()
+        self.list.pool().allocated()
     }
 
     /// Diagnostic: allocations avoided by recycling dead nodes.
     pub fn nodes_recycled(&self) -> usize {
-        self.cache.reuses()
-    }
-
-    /// Advances `head` from `h` to `nh`, releasing the old dummy's
-    /// structure reference. Returns true if this thread's CAS won.
-    fn advance_head<'g>(
-        &self,
-        h: Shared<'g, QNode<T, R>>,
-        nh: Shared<'g, QNode<T, R>>,
-        guard: &'g R::Guard,
-    ) -> bool {
-        if self
-            .head
-            .compare_exchange(h, nh, Ordering::AcqRel, Ordering::Acquire, guard)
-            .is_ok()
-        {
-            synq_obs::probe!(QueueHeadAdvances);
-            // Help a lagging tail off `h` before retiring it, so `tail`
-            // never references a retired node (Michael's rule). Without
-            // this a bounded-slot backend could free `h` while `tail`
-            // still points at it, and a later tail-load's source
-            // re-validation would wrongly pass. Tail moves only forward
-            // along the chain, so once past `h` it can never return.
-            let t = self.tail.load(Ordering::Acquire, guard);
-            if t.ptr_eq(&h) {
-                let _ =
-                    self.tail
-                        .compare_exchange(t, nh, Ordering::Release, Ordering::Relaxed, guard);
-            }
-            self.release_structure_ref(h, guard);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn release_structure_ref<'g>(&self, node: Shared<'g, QNode<T, R>>, guard: &'g R::Guard) {
-        // SAFETY: node was just unlinked by our CAS (which proves it was
-        // live, and the caller protected it before); it stays alive for the
-        // backend's grace period.
-        let node_ref = unsafe { node.deref() };
-        let was = node_ref.unlinked.swap(true, Ordering::AcqRel);
-        debug_assert!(!was, "structure reference released twice");
-        let raw = node.as_raw() as usize;
-        let cache = Arc::clone(&self.cache);
-        // SAFETY: runs once no guard protects the node; the waiter's own
-        // reference keeps the node alive beyond that if it is still waking
-        // up. Running *inside* the retire closure satisfies the free-list
-        // push contract, so the skeleton can go to the cache directly.
-        unsafe {
-            guard.defer_retire(raw, move || {
-                // SAFETY (push): runs inside this retirement with exclusive
-                // skeleton ownership, satisfying the free-list contract.
-                QNode::release(raw as *const QNode<T, R>, |p| cache.push(p));
-            });
-        }
-    }
-
-    /// Releases a reference from outside any retire closure (the waiter's
-    /// own reference). If it is the last, the item is dropped now but the
-    /// skeleton's return to the free list is itself deferred — re-pushing
-    /// before the node is unprotected would reintroduce free-list ABA.
-    fn release_direct(&self, ptr: *const QNode<T, R>) {
-        // SAFETY: caller owns the reference being dropped. The dispose
-        // closure defers the free-list push until the node is unprotected,
-        // so it satisfies the push contract; the skeleton is exclusively
-        // ours.
-        unsafe {
-            QNode::release(ptr, |p| {
-                let cache = Arc::clone(&self.cache);
-                let addr = p as usize;
-                let guard = R::pin();
-                guard.defer_retire(addr, move || cache.push(addr as *mut QNode<T, R>));
-            });
-        }
-    }
-
-    /// Absorbs leading cancelled nodes. Called by every arriving operation
-    /// and by cancelling waiters; this is the cleaning strategy (see module
-    /// docs). Returns true if it advanced the head at all.
-    fn absorb_cancelled(&self, guard: &R::Guard) -> bool {
-        let mut advanced = false;
-        let mut h = self.head.load(Ordering::Acquire, guard);
-        loop {
-            // SAFETY: head is never null (dummy invariant) and protected.
-            let h_ref = unsafe { h.deref() };
-            let hn = h_ref.next.load(Ordering::Acquire, guard);
-            // Snapshot re-check (module docs): `hn` came through a node
-            // field, so prove `h` was still the head — hence unretired,
-            // hence `hn` unretired — after `hn`'s protection published.
-            let reread = self.head.load(Ordering::Acquire, guard);
-            if !h.ptr_eq(&reread) {
-                h = reread;
-                continue;
-            }
-            // SAFETY: validated just above.
-            let Some(hn_ref) = (unsafe { hn.as_ref() }) else {
-                return advanced;
-            };
-            if !hn_ref.slot.is_cancelled() {
-                return advanced;
-            }
-            if self.advance_head(h, hn, guard) {
-                // Our CAS installed `hn` as the head: continue from it
-                // directly instead of re-reading `head` (which a competing
-                // absorber may already have moved further — the stale
-                // re-read would just fail its next CAS anyway).
-                advanced = true;
-                h = hn;
-            } else {
-                h = self.head.load(Ordering::Acquire, guard);
-            }
-        }
+        self.list.pool().recycled()
     }
 
     fn transfer_impl(
@@ -439,11 +146,10 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
-        let is_data = item.is_some();
         match self.start_impl(item, deadline, token) {
             RawStart::Done(outcome) => outcome,
             // Wait without holding a reclaimer guard.
-            RawStart::Published(node_raw) => self.await_fulfill(node_raw, is_data, deadline, token),
+            RawStart::Published(node) => self.await_fulfill(node, deadline, token),
         }
     }
 
@@ -461,33 +167,15 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
         let is_data = item.is_some();
         // The node is allocated at most once per call and reused across
         // retries (the paper's pragmatics: avoid per-retry allocation).
-        let mut node: Option<Owned<QNode<T, R>>> = None;
+        let mut node = None;
 
         loop {
             let guard = R::pin();
-            self.absorb_cancelled(&guard);
+            let at = self.list.arrive(&guard);
 
-            let h = self.head.load(Ordering::Acquire, &guard);
-            let t = self.tail.load(Ordering::Acquire, &guard);
-            // SAFETY: head/tail never null; protected by the guard.
-            let t_ref = unsafe { t.deref() };
-
-            if h.ptr_eq(&t) || t_ref.is_data == is_data {
+            if at.is_empty() || at.tail_is_data() == is_data {
                 // Empty queue, or queue holds our own mode: append & wait.
-                let n = t_ref.next.load(Ordering::Acquire, &guard);
-                if !t.ptr_eq(&self.tail.load(Ordering::Acquire, &guard)) {
-                    continue; // inconsistent snapshot
-                }
-                if !n.is_null() {
-                    // Lagging tail: help. (`n` is compared and CASed, never
-                    // dereferenced, so no extra validation is needed.)
-                    let _ = self.tail.compare_exchange(
-                        t,
-                        n,
-                        Ordering::Release,
-                        Ordering::Relaxed,
-                        &guard,
-                    );
+                if !at.tail_settled() {
                     continue;
                 }
                 // We would have to wait. Fail fast for `offer`/`poll` and
@@ -498,43 +186,19 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
                 if token.is_some_and(|tk| tk.is_cancelled()) {
                     return RawStart::Done(TransferOutcome::Cancelled(item));
                 }
-                let owned = match node.take() {
-                    Some(n) => n,
-                    None => self.alloc_node(is_data, &guard),
-                };
-                // (Re-)arm the node for this attempt.
-                if is_data {
-                    // SAFETY: we own the node; slot is empty (fresh node or
-                    // item reclaimed after a failed CAS below).
-                    unsafe {
-                        owned
-                            .slot
-                            .put_item(item.take().expect("data transfer has item"))
-                    };
+                let mode = if is_data { DATA } else { REQUEST };
+                let owned = node
+                    .take()
+                    .unwrap_or_else(|| self.list.pool().alloc(mode, &guard));
+                if let Some(v) = item.take() {
+                    // SAFETY: we own the unpublished node; its slot is empty
+                    // (fresh node, or item reclaimed after a lost race).
+                    unsafe { owned.slot.put_item(v) };
                 }
-                let node_raw = match t_ref.next.compare_exchange(
-                    Shared::null(),
-                    owned,
-                    Ordering::Release,
-                    Ordering::Acquire,
-                    &guard,
-                ) {
-                    Ok(published) => {
-                        synq_obs::probe!(QueueAppendCas);
-                        let _ = self.tail.compare_exchange(
-                            t,
-                            published,
-                            Ordering::Release,
-                            Ordering::Relaxed,
-                            &guard,
-                        );
-                        published.as_raw()
-                    }
-                    Err(e) => {
+                match at.try_append(owned) {
+                    Ok(published) => return RawStart::Published(published),
+                    Err(owned) => {
                         // Reclaim the item and retry with the same node.
-                        synq_obs::probe!(QueueAppendCasFail);
-                        crate::contention::note_cas_fail();
-                        let owned = e.new;
                         if is_data {
                             // SAFETY: node unpublished; we wrote the slot
                             // above and nobody else can see it.
@@ -543,52 +207,32 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
                         node = Some(owned);
                         continue;
                     }
-                };
-                drop(guard);
-                return RawStart::Published(node_raw);
+                }
             }
 
             // Complementary mode at the front: match `head.next`.
-            let m = h_ref_next(h, &guard);
-            // Snapshot re-check (module docs): `m` came through a node
-            // field; `h` still being the head proves both snapshots are
-            // consistent and `m` was unretired when its protection
-            // published.
-            if !t.ptr_eq(&self.tail.load(Ordering::Acquire, &guard))
-                || !h.ptr_eq(&self.head.load(Ordering::Acquire, &guard))
-            {
-                continue;
-            }
-            let Some(m_shared) = m else { continue };
-            // SAFETY: m reachable from head, validated above.
-            let m_ref = unsafe { m_shared.deref() };
-            debug_assert_ne!(m_ref.is_data, is_data, "dual invariant violated");
+            let Some(m) = at.front() else { continue };
+            debug_assert_ne!(m.is_data(), is_data, "dual invariant violated");
 
-            let matched = if m_ref.slot.try_claim() {
+            let matched = if m.slot.try_claim() {
                 synq_obs::probe!(QueueClaimCas);
-                if is_data {
+                if let Some(v) = item.take() {
                     // Give our item to the waiting consumer.
                     // SAFETY: winning the claim grants slot write access.
-                    unsafe {
-                        m_ref
-                            .slot
-                            .put_item(item.take().expect("data transfer has item"))
-                    };
+                    unsafe { m.slot.put_item(v) };
                 } else {
                     // Take the waiting producer's item.
                     // SAFETY: winning the claim grants slot read access.
-                    item = Some(unsafe { m_ref.slot.take_item() });
+                    item = Some(unsafe { m.slot.take_item() });
                 }
-                m_ref.slot.complete();
+                m.slot.complete();
                 true
             } else {
                 synq_obs::probe!(QueueClaimCasFail);
                 crate::contention::note_cas_fail();
                 false
             };
-            // Advance past m whether we matched it or lost the race
-            // (cancelled / claimed by someone else) — paper Figure 1 step D.
-            let _ = self.advance_head(h, m_shared, &guard);
+            at.advance_past(m);
             if matched {
                 return RawStart::Done(TransferOutcome::Transferred(item));
             }
@@ -599,153 +243,35 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
     /// hold a reference on it), so no reclaimer guard is held while
     /// waiting — parked threads never stall reclamation. The
     /// spin-then-park loop and the cancel arbitration are the shared
-    /// [`WaitSlot`] engine's.
+    /// [`synq_primitives::WaitSlot`] engine's.
     fn await_fulfill(
         &self,
-        node_raw: *const QNode<T, R>,
-        is_data: bool,
+        node: *const WaitNode<T, R>,
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
-        // SAFETY: we hold one of the node's references until `release`.
-        let node = unsafe { &*node_raw };
-        let verdict = node.slot.await_outcome(deadline, token, &self.spin);
-        self.finish_wait(node_raw, is_data, verdict)
-    }
-
-    /// Epilogue shared by the blocking and poll-mode wait loops: resolves a
-    /// terminal [`WaitOutcome`] on our own node into a transfer outcome,
-    /// helps dequeue the node, and drops the waiter's reference.
-    fn finish_wait(
-        &self,
-        node_raw: *const QNode<T, R>,
-        is_data: bool,
-        verdict: WaitOutcome,
-    ) -> TransferOutcome<T> {
-        // SAFETY: we hold one of the node's references until `release`.
-        let node = unsafe { &*node_raw };
-        let outcome = match verdict {
-            WaitOutcome::Matched(_) => {
-                let item = if is_data {
-                    None
-                } else {
-                    // SAFETY: matcher wrote the slot before MATCHED.
-                    Some(unsafe { node.slot.take_item() })
-                };
-                TransferOutcome::Transferred(item)
-            }
-            verdict => {
-                // We won the cancel CAS. Give the cancelled prefix (which
-                // now includes our node) a chance to be reclaimed.
-                let guard = R::pin();
-                self.absorb_cancelled(&guard);
-                drop(guard);
-                let item = if is_data {
-                    // SAFETY: cancellation wins back item ownership.
-                    Some(unsafe { node.slot.take_item() })
-                } else {
-                    None
-                };
-                if verdict == WaitOutcome::Cancelled {
-                    TransferOutcome::Cancelled(item)
-                } else {
-                    TransferOutcome::Timeout(item)
-                }
-            }
-        };
-
-        // Help dequeue our own node if it is next in line (paper Listing 5
-        // lines 17–19), then drop the waiter's reference. `hn` is only
-        // compared against our own pointer, never dereferenced.
-        if matches!(outcome, TransferOutcome::Transferred(_)) {
-            let guard = R::pin();
-            let h = self.head.load(Ordering::Acquire, &guard);
-            // SAFETY: head never null.
-            let hn = unsafe { h.deref() }.next.load(Ordering::Acquire, &guard);
-            if hn.as_raw() == node_raw {
-                let _ = self.advance_head(h, hn, &guard);
-            }
+        // SAFETY: we hold the node's waiter reference until `leave`, and
+        // `verdict` is its slot's terminal state.
+        unsafe {
+            let verdict = (*node).slot.await_outcome(deadline, token, &self.spin);
+            self.list.leave(node, verdict)
         }
-        // Balanced with the creation refcount of 2.
-        self.release_direct(node_raw);
-        outcome
     }
 
     /// Racy peek for the striped router's rescan: is any linked node a
-    /// still-`WAITING` producer (`is_data`) / consumer (`!is_data`)? Walks
-    /// the whole chain — a cancelled front node must not hide a live waiter
-    /// behind it, or two waiters on sibling lanes could miss each other
-    /// forever. Staleness in both directions is possible by the time the
-    /// caller acts; the striped retract protocol tolerates both.
+    /// still-`WAITING` producer (`is_data`) / consumer (`!is_data`)? Two
+    /// waiters on sibling lanes must not miss each other forever, hence
+    /// the full-chain walk; staleness in both directions is possible by the
+    /// time the caller acts, and the striped retract protocol tolerates
+    /// both.
     pub(crate) fn has_waiting(&self, is_data: bool) -> bool {
-        let guard = R::pin();
-        'restart: loop {
-            let h = self.head.load(Ordering::Acquire, &guard);
-            // SAFETY: head never null; structure-field protection.
-            let mut prev = unsafe { h.deref() };
-            loop {
-                let next = prev.next.load(Ordering::Acquire, &guard);
-                // Head re-anchor (module docs): the queue retires nodes
-                // only as the head advances past them, so while the head
-                // is *unchanged* — conclusive, because popped nodes are
-                // never re-linked and the slot protecting `h` prevents
-                // address reuse — every node reached from it is unpopped,
-                // structure-referenced, and alive. Each restart means the
-                // head advanced, so the loop is lock-free.
-                if !self.head.load(Ordering::Acquire, &guard).ptr_eq(&h) {
-                    continue 'restart;
-                }
-                // SAFETY: protected, and validated live just above.
-                let Some(n) = (unsafe { next.as_ref() }) else {
-                    return false;
-                };
-                if n.is_data == is_data && n.slot.is_waiting() {
-                    return true;
-                }
-                prev = n;
-            }
-        }
+        self.list.has_waiting(is_data)
     }
 
     /// Diagnostic: number of linked nodes (excluding the dummy). O(n); used
     /// by tests and the cleaning ablation, not by the algorithm.
     pub fn linked_nodes(&self) -> usize {
-        let guard = R::pin();
-        'restart: loop {
-            let h = self.head.load(Ordering::Acquire, &guard);
-            // SAFETY: head never null; structure-field protection.
-            let mut prev = unsafe { h.deref() };
-            let mut count = 0;
-            loop {
-                let next = prev.next.load(Ordering::Acquire, &guard);
-                // Head re-anchor (see `has_waiting`).
-                if !self.head.load(Ordering::Acquire, &guard).ptr_eq(&h) {
-                    continue 'restart;
-                }
-                // SAFETY: protected, and validated live just above.
-                let Some(n) = (unsafe { next.as_ref() }) else {
-                    return count;
-                };
-                count += 1;
-                prev = n;
-            }
-        }
-    }
-}
-
-/// Loads `h.next`, returning `None` (retry) if it is null. The result is
-/// protected but not yet validated — callers must re-check `head` before
-/// dereferencing (see the module docs).
-fn h_ref_next<'g, T, R: Reclaimer>(
-    h: Shared<'g, QNode<T, R>>,
-    guard: &'g R::Guard,
-) -> Option<Shared<'g, QNode<T, R>>> {
-    // SAFETY: h is the protected head.
-    let next = unsafe { h.deref() }.next.load(Ordering::Acquire, guard);
-    if next.is_null() {
-        None
-    } else {
-        Some(next)
+        self.list.linked_nodes()
     }
 }
 
@@ -763,7 +289,7 @@ impl<T: Send, R: Reclaimer> Transferer<T> for SyncDualQueue<T, R> {
 /// A published-but-unresolved queue transfer (see
 /// [`PollTransferer::start_transfer`]).
 ///
-/// Polling drives the node's [`WaitSlot`] poll-mode wait loop; dropping an
+/// Polling drives the node's wait slot in poll mode; dropping an
 /// unresolved permit cancels exactly like a timed-out blocking waiter
 /// (`WAITING → CANCELLED` CAS, head absorption, reference release), so the
 /// futures built on top are safe to drop at any point. A producer's
@@ -772,7 +298,7 @@ impl<T: Send, R: Reclaimer> Transferer<T> for SyncDualQueue<T, R> {
 /// reference release.
 pub struct QueuePermit<T: Send, R: Reclaimer = Epoch> {
     queue: Arc<SyncDualQueue<T, R>>,
-    node: *const QNode<T, R>,
+    node: *const WaitNode<T, R>,
     is_data: bool,
     /// Set when `poll_transfer` returned `Ready`: the waiter reference has
     /// been released and `node` must not be touched again.
@@ -794,11 +320,9 @@ impl<T: Send, R: Reclaimer> QueuePermit<T, R> {
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
+        // `done` was false, so the waiter reference is still held.
         self.done = true;
-        // SAFETY: `done` was false, so the waiter reference is still held.
-        let node = unsafe { &*self.node };
-        let verdict = node.slot.await_outcome(deadline, token, &self.queue.spin);
-        self.queue.finish_wait(self.node, self.is_data, verdict)
+        self.queue.await_fulfill(self.node, deadline, token)
     }
 }
 
@@ -816,7 +340,9 @@ impl<T: Send, R: Reclaimer> PendingTransfer<T> for QueuePermit<T, R> {
             Poll::Pending => Poll::Pending,
             Poll::Ready(verdict) => {
                 self.done = true;
-                Poll::Ready(self.queue.finish_wait(self.node, self.is_data, verdict))
+                // SAFETY: our own node, reference still held; `verdict` is
+                // its slot's terminal state.
+                Poll::Ready(unsafe { self.queue.list.leave(self.node, verdict) })
             }
         }
     }
@@ -830,23 +356,20 @@ impl<T: Send, R: Reclaimer> Drop for QueuePermit<T, R> {
         // SAFETY: the waiter reference is still held.
         let node = unsafe { &*self.node };
         if node.slot.try_cancel() {
-            // Cancel won: retract like a timed-out waiter, settling the
-            // unsent item now (the blocking path hands it back to the
-            // caller; a dropped future has no caller, so drop it here).
-            if self.is_data {
-                // SAFETY: cancellation wins back item ownership.
-                drop(unsafe { node.slot.take_item() });
-            }
-            let guard = R::pin();
-            self.queue.absorb_cancelled(&guard);
-            drop(guard);
+            // Cancel won: retract like a timed-out waiter. The blocking
+            // path hands an unsent item back to the caller; a dropped
+            // future has no caller, so it is dropped here.
+            // SAFETY: our own node, and we won its cancel CAS.
+            drop(unsafe { self.queue.list.leave(self.node, WaitOutcome::Cancelled) });
+        } else {
+            // Cancel lost: a fulfiller claimed (or already matched) the
+            // node. Nothing to retract — an item it deposited for us is
+            // dropped by the final release, which the retirement orders
+            // after the fulfiller's protection, so a mid-`put_item`
+            // fulfiller is safe.
+            // SAFETY: the waiter reference, dropped exactly once.
+            unsafe { self.queue.list.pool().release_waiter_ref(self.node) };
         }
-        // Cancel lost: a fulfiller claimed (or already matched) the node.
-        // Nothing to retract — an item it deposited for us is likewise
-        // dropped by the final release, which the retirement orders after
-        // the fulfiller's protection, so a mid-`put_item` fulfiller is
-        // safe.
-        self.queue.release_direct(self.node);
     }
 }
 
@@ -878,25 +401,6 @@ impl<T: Send, R: Reclaimer> PollTransferer<T> for SyncDualQueue<T, R> {
     }
 }
 
-impl<T, R: Reclaimer> Drop for SyncDualQueue<T, R> {
-    fn drop(&mut self) {
-        // Exclusive access: every waiter has returned (they hold &self via
-        // Arc or borrow), so all remaining references are the structure's.
-        // SAFETY: exclusive access per above.
-        let guard = unsafe { R::unprotected() };
-        let mut p = self.head.load(Ordering::Relaxed, &guard);
-        while !p.is_null() {
-            // SAFETY: exclusive access; chain nodes each hold exactly the
-            // structure reference now, so free them outright (the cache
-            // drains itself when its last Arc drops).
-            let node = unsafe { p.deref() };
-            let next = node.next.load(Ordering::Relaxed, &guard);
-            unsafe { QNode::release(p.as_raw(), |n| QNode::dealloc(n)) };
-            p = next;
-        }
-    }
-}
-
 impl<T, R: Reclaimer> std::fmt::Debug for SyncDualQueue<T, R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.pad("SyncDualQueue { .. }")
@@ -907,6 +411,7 @@ impl<T, R: Reclaimer> std::fmt::Debug for SyncDualQueue<T, R> {
 mod tests {
     use super::*;
     use crate::channel::{SyncChannel, TimedSyncChannel};
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::thread;
     use std::time::{Duration, Instant};

@@ -28,9 +28,9 @@
 //! — the same word a fulfiller CASes its own address into, so
 //! match-vs-cancel is arbitrated by a single CAS exactly as in the Java
 //! code (which CASes the `match` pointer to self; here the shared
-//! [`WaitSlot`] engine reserves the low state values and uses the
-//! fulfiller's address as the match *token*). Cancelled nodes are reclaimed when
-//! they surface at the top of the stack: every arriving operation (and the
+//! [`synq_primitives::WaitSlot`] engine reserves the low state values and
+//! uses the fulfiller's address as the match *token*). Cancelled nodes are
+//! reclaimed when they surface at the top of the stack: every arriving operation (and the
 //! canceller itself) first pops cancelled top nodes, and fulfillers skip
 //! over cancelled nodes beneath them (`cas_next`), releasing them. As in
 //! the [queue](crate::dual_queue), we do not unsplice cancelled nodes from
@@ -40,14 +40,14 @@
 //!
 //! # Memory lifetime
 //!
-//! As in the queue: refcount 2 per node (structure + owner), structure side
-//! released by a deferred retirement through the selected [`Reclaimer`]
-//! backend (`R`, defaulting to [`Epoch`]). One extra wrinkle (absent from
-//! the GC'd Java version): the waiter must read the *fulfiller's* item
-//! after waking, possibly long after the fulfiller popped both nodes — so
-//! the thread whose CAS installs a match first takes an extra reference on
-//! the fulfilling node *on the waiter's behalf*; the waiter releases it
-//! after reading.
+//! The node and its lifetime rule (two references, the structure's
+//! released by a deferred retirement, the owner's directly) are
+//! [`crate::dual_list`]'s. One extra wrinkle (absent from the GC'd Java
+//! version): the waiter must read the *fulfiller's* item after waking,
+//! possibly long after the fulfiller popped both nodes — so the thread
+//! whose CAS installs a match first takes an extra reference on the
+//! fulfilling node *on the waiter's behalf*; the waiter releases it after
+//! reading.
 //!
 //! Unlike the queue, the stack removes nodes from *mid-chain* (a fulfiller
 //! or helper skips cancelled nodes beneath the fulfilling top), so the
@@ -55,7 +55,7 @@
 //! snapshot re-check:
 //!
 //! * **Skips rewrite the link before retiring its target**, so
-//!   [`Shield::protect`]'s own source re-check (publish, re-read, loop)
+//!   [`synq_reclaim::Shield::protect`]'s own source re-check (publish, re-read, loop)
 //!   already rules out dereferencing a skip victim.
 //! * **A matched reservation can be retired without its predecessor's
 //!   `next` changing** (the dead fulfilling node still points at it).
@@ -67,114 +67,37 @@
 //!   head before dereferencing below it (a popped node is never re-pushed,
 //!   and the protecting slot prevents its address from being recycled, so
 //!   `head == h` is unambiguous).
-//! * **Chain walks** (`has_waiting`, `linked_nodes`)
-//!   re-read `head` after every hop and restart when it moved: with the
-//!   head stable, every link-validated node reached from it is unpopped
-//!   (the stack pops only at the top), and nodes retired before the walk
-//!   began are unreachable from the current head.
+//! * **Chain walks** (`has_waiting`, `linked_nodes`) are the kernel's
+//!   head re-anchor: with the head stable, every link-validated node
+//!   reached from it is unpopped (the stack pops only at the top) and
+//!   unskipped, and nodes retired before the walk began are unreachable
+//!   from the current head.
 
-use crate::node_cache::{NodeCache, Recyclable};
+use crate::dual_list::{count_linked, NodePool, WaitNode, DATA, REQUEST};
 use crate::pollable::{PendingTransfer, PollTransferer, StartTransfer};
 use crate::transferer::{Deadline, TransferOutcome, Transferer};
 use core::task::{Poll, Waker};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use synq_primitives::{CachePadded, CancelToken, SpinPolicy, WaitOutcome, WaitSlot};
-use synq_reclaim::{Atomic, Epoch, Owned, Pointer, Reclaimer, Shared, Shield};
+use synq_primitives::{CachePadded, CancelToken, SpinPolicy, WaitOutcome};
+use synq_reclaim::{Atomic, Epoch, Owned, Reclaimer, Shared};
 
 /// Result of the lock-free phase: resolved outright, or a node pushed that
 /// some counterpart must now fulfill.
 enum RawStart<T, R: Reclaimer> {
     Done(TransferOutcome<T>),
-    Published(*const SNode<T, R>),
+    Published(*const WaitNode<T, R>),
 }
 
-/// Node is a waiting consumer.
-const REQUEST: usize = 0;
-/// Node is a waiting producer (carries an item).
-const DATA: usize = 1;
-/// Node is actively fulfilling the node beneath it (ORed with the mode).
+/// Mode bit: the node is actively fulfilling the node beneath it (ORed
+/// with the kernel's `REQUEST`/`DATA`). The stack's fulfillers match a
+/// reservation by storing their own node's address in its slot as the
+/// match *token* (the Java `TransferStack` CASes a `match` pointer; the
+/// slot's reserved control states play the null/self roles).
 const FULFILLING: usize = 2;
 
-struct SNode<T, R: Reclaimer> {
-    /// `REQUEST`, `DATA`, possibly `| FULFILLING`. Set before publication.
-    mode: usize,
-    /// The wait-node protocol. The stack's fulfillers match a reservation
-    /// by storing their own node's address as the match *token* (the
-    /// Java `TransferStack` CASes a `match` pointer; the reserved control
-    /// states play the null/self roles).
-    slot: WaitSlot<T>,
-    next: Atomic<SNode<T, R>, R>,
-    refs: AtomicUsize,
-    /// Set exactly once, by the thread that releases the structure
-    /// reference — the guard against a double release when racing
-    /// removers (a skip and an absorb, or the fulfiller's explicit
-    /// release and a cancelled-path absorb) both reach the same node.
-    unlinked: AtomicBool,
-}
-
-impl<T, R: Reclaimer> SNode<T, R> {
-    fn new(mode: usize) -> Owned<SNode<T, R>> {
-        Owned::new(SNode {
-            mode,
-            slot: WaitSlot::new(),
-            next: Atomic::null(),
-            refs: AtomicUsize::new(2),
-            unlinked: AtomicBool::new(false),
-        })
-    }
-
-    fn is_fulfilling(&self) -> bool {
-        self.mode & FULFILLING != 0
-    }
-
-    /// Drops one reference. When it was the last, drops any unconsumed item
-    /// eagerly and hands the dead skeleton to `dispose` (cache or free).
-    unsafe fn release(ptr: *const SNode<T, R>, dispose: impl FnOnce(*mut SNode<T, R>)) {
-        // SAFETY: caller owns one reference.
-        let node = unsafe { &*ptr };
-        if node.refs.fetch_sub(1, Ordering::Release) == 1 {
-            std::sync::atomic::fence(Ordering::Acquire);
-            // SAFETY: last reference (see QNode::release for the argument).
-            let node = unsafe { &mut *(ptr as *mut SNode<T, R>) };
-            node.slot.drop_pending_item();
-            dispose(ptr as *mut SNode<T, R>);
-        }
-    }
-
-    /// Frees the allocation of a dead skeleton (item slot empty).
-    ///
-    /// # Safety
-    ///
-    /// Caller must own `ptr` exclusively.
-    unsafe fn dealloc(ptr: *mut SNode<T, R>) {
-        drop(unsafe { Box::from_raw(ptr) });
-    }
-}
-
-impl<T, R: Reclaimer> Recyclable for SNode<T, R> {
-    unsafe fn free_next(ptr: *mut Self) -> *mut Self {
-        // The free list reuses the node's own `next` field as its link.
-        // SAFETY: the free list hands out exclusively owned nodes; no
-        // protection is needed to read our own link.
-        let guard = unsafe { R::unprotected() };
-        // SAFETY: `ptr` is alive per the trait contract.
-        unsafe { (*ptr).next.load(Ordering::Acquire, &guard).as_raw() as *mut Self }
-    }
-
-    unsafe fn set_free_next(ptr: *mut Self, next: *mut Self) {
-        // SAFETY: exclusive ownership per the trait contract.
-        unsafe {
-            (*ptr)
-                .next
-                .store(Shared::from_raw(next as *const Self), Ordering::Release)
-        };
-    }
-
-    unsafe fn dealloc(ptr: *mut Self) {
-        // SAFETY: per the trait contract.
-        unsafe { SNode::dealloc(ptr) };
-    }
+fn is_fulfilling<T, R: Reclaimer>(node: &WaitNode<T, R>) -> bool {
+    node.mode & FULFILLING != 0
 }
 
 /// The unfair (LIFO) synchronous queue — "based on a LIFO stack".
@@ -207,10 +130,8 @@ impl<T, R: Reclaimer> Recyclable for SNode<T, R> {
 pub struct SyncDualStack<T, R: Reclaimer = Epoch> {
     /// The single contended word of the structure: padded so the free-list
     /// head and spin policy beside it never ride its cache line.
-    head: CachePadded<Atomic<SNode<T, R>, R>>,
-    /// Free list of dead node skeletons, shared with the deferred
-    /// reclamation closures that refill it.
-    cache: Arc<NodeCache<SNode<T, R>>>,
+    head: CachePadded<Atomic<WaitNode<T, R>, R>>,
+    pool: NodePool<T, R>,
     spin: SpinPolicy,
 }
 
@@ -274,70 +195,35 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
     pub fn with_config_in(spin: SpinPolicy, cache_capacity: usize) -> Self {
         SyncDualStack {
             head: CachePadded::new(Atomic::null()),
-            cache: Arc::new(NodeCache::with_capacity(cache_capacity)),
+            pool: NodePool::with_capacity(cache_capacity),
             spin,
-        }
-    }
-
-    /// Gets a node for this transfer: a recycled skeleton when one is
-    /// available, a fresh allocation otherwise. `guard` witnesses the
-    /// protection the free-list pop requires.
-    fn alloc_node(&self, mode: usize, guard: &R::Guard) -> Owned<SNode<T, R>> {
-        // SAFETY: protected, per `guard`.
-        if let Some(p) = unsafe { self.cache.pop(guard) } {
-            // SAFETY: the pop transferred exclusive ownership of a dead
-            // skeleton (item slot empty); re-arm every field in place.
-            unsafe {
-                let node = &mut *p;
-                node.mode = mode;
-                node.slot.reset();
-                node.next = Atomic::null();
-                *node.refs.get_mut() = 2;
-                *node.unlinked.get_mut() = false;
-                Owned::from_usize(p as usize)
-            }
-        } else {
-            self.cache.note_alloc();
-            SNode::new(mode)
         }
     }
 
     /// Diagnostic: nodes heap-allocated over the stack's lifetime.
     pub fn nodes_allocated(&self) -> usize {
-        self.cache.allocs()
+        self.pool.allocated()
     }
 
     /// Diagnostic: allocations avoided by recycling dead nodes.
     pub fn nodes_recycled(&self) -> usize {
-        self.cache.reuses()
+        self.pool.recycled()
     }
 
-    /// Releases a reference from outside any deferral (an owner or
-    /// waiter-held reference). If it is the last, the item is dropped now
-    /// but the skeleton's return to the free list is itself deferred —
-    /// re-pushing before the backend's grace window would reintroduce
-    /// free-list ABA.
-    fn release_direct(&self, ptr: *const SNode<T, R>) {
-        // SAFETY: caller owns the reference being dropped. The dispose
-        // closure defers the free-list push until the node is unprotected,
-        // so it satisfies the push contract; the skeleton is exclusively
-        // ours.
-        unsafe {
-            SNode::release(ptr, |p| {
-                let cache = Arc::clone(&self.cache);
-                let addr = p as usize;
-                let guard = R::pin();
-                guard.defer_retire(addr, move || cache.push(addr as *mut SNode<T, R>));
-            });
-        }
+    /// Drops a reference held outside the structure: an owner's, or the
+    /// one `try_match` took on a waiter's behalf.
+    fn release_direct(&self, ptr: *const WaitNode<T, R>) {
+        // SAFETY: every caller owns the reference it drops here and does
+        // not touch the node afterwards.
+        unsafe { self.pool.release_waiter_ref(ptr) }
     }
 
     /// Pops `h`, releasing its structure reference, if it is still the
     /// head.
     fn pop_head<'g>(
         &self,
-        h: Shared<'g, SNode<T, R>>,
-        new_head: Shared<'g, SNode<T, R>>,
+        h: Shared<'g, WaitNode<T, R>>,
+        new_head: Shared<'g, WaitNode<T, R>>,
         guard: &'g R::Guard,
     ) -> bool {
         if self
@@ -352,25 +238,14 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
         }
     }
 
-    fn release_structure_ref<'g>(&self, node: Shared<'g, SNode<T, R>>, guard: &'g R::Guard) {
+    /// Releases the structure reference of a node this thread's CAS took
+    /// off the chain. Racing removers (a skip and an absorb, or the
+    /// fulfiller's explicit release and a cancelled-path absorb) can both
+    /// get here for one node; the pool lets the first through.
+    fn release_structure_ref<'g>(&self, node: Shared<'g, WaitNode<T, R>>, guard: &'g R::Guard) {
         // SAFETY: node protected by the guard (or refcount-live, see the
-        // fulfiller's explicit release).
-        let node_ref = unsafe { node.deref() };
-        if node_ref.unlinked.swap(true, Ordering::AcqRel) {
-            return; // already released by a racing remover
-        }
-        synq_obs::probe!(ReclaimRetired);
-        let raw = node.as_raw() as usize;
-        let cache = Arc::clone(&self.cache);
-        // SAFETY: see QNode: the reference-count decrement itself is
-        // deferred until no thread can hold a protected reference, and
-        // running inside the deferral satisfies the free-list push
-        // contract, so the skeleton can go to the cache directly.
-        unsafe {
-            guard.defer_retire(raw, move || {
-                SNode::release(raw as *const SNode<T, R>, |p| cache.push(p));
-            });
-        }
+        // fulfiller's explicit release) and unlinked by the caller.
+        let _ = unsafe { self.pool.release_structure_ref(node, guard) };
     }
 
     /// Installs `f` as `m`'s match, waking `m`'s waiter. Returns true if
@@ -379,15 +254,15 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
     /// our CAS wins.
     fn try_match<'g>(
         &self,
-        m: Shared<'g, SNode<T, R>>,
-        f: Shared<'g, SNode<T, R>>,
+        m: Shared<'g, WaitNode<T, R>>,
+        f: Shared<'g, WaitNode<T, R>>,
         _guard: &'g R::Guard,
     ) -> bool {
         // SAFETY: both protected by the guard (callers validate `m`).
         let m_ref = unsafe { m.deref() };
         let f_ref = unsafe { f.deref() };
         // Speculative reference for m's waiter; revoked if the CAS fails.
-        f_ref.refs.fetch_add(1, Ordering::AcqRel);
+        f_ref.add_ref();
         match m_ref.slot.try_fulfill_token(f.as_raw() as usize) {
             Ok(()) => {
                 synq_obs::probe!(StackMatchCas);
@@ -404,7 +279,7 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
     }
 
     /// Pops cancelled nodes off the top. The stack-side cleaning strategy.
-    fn absorb_cancelled(&self, guard: &R::Guard) {
+    fn pop_cancelled(&self, guard: &R::Guard) {
         loop {
             let h = self.head.load(Ordering::Acquire, guard);
             let Some(h_ref) = (unsafe { h.as_ref() }) else {
@@ -449,11 +324,11 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
     ) -> RawStart<T, R> {
         let is_data = item.is_some();
         let mode = if is_data { DATA } else { REQUEST };
-        let mut node: Option<Owned<SNode<T, R>>> = None;
+        let mut node: Option<Owned<WaitNode<T, R>>> = None;
 
         loop {
             let guard = R::pin();
-            self.absorb_cancelled(&guard);
+            self.pop_cancelled(&guard);
 
             let h = self.head.load(Ordering::Acquire, &guard);
             let h_ref = unsafe { h.as_ref() };
@@ -471,7 +346,7 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
                         n.mode = mode;
                         n
                     }
-                    None => self.alloc_node(mode, &guard),
+                    None => self.pool.alloc(mode, &guard),
                 };
                 if is_data {
                     // SAFETY: we own the unpublished node.
@@ -506,7 +381,7 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
             }
 
             let h_ref = h_ref.expect("non-empty in cases 2/3");
-            if !h_ref.is_fulfilling() {
+            if !is_fulfilling(h_ref) {
                 // Case 2: complementary waiter on top — push a fulfilling
                 // node above it and annihilate the pair.
                 let owned = match node.take() {
@@ -514,7 +389,7 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
                         n.mode = mode | FULFILLING;
                         n
                     }
-                    None => self.alloc_node(mode | FULFILLING, &guard),
+                    None => self.pool.alloc(mode | FULFILLING, &guard),
                 };
                 if is_data {
                     // SAFETY: we own the unpublished node.
@@ -642,11 +517,11 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
 
     /// Waits on our freshly pushed node; touches only refcount-held nodes,
     /// so no reclaimer guard is held while waiting. The spin-then-park loop
-    /// and the cancel arbitration are the shared [`WaitSlot`] engine's; the
+    /// and the cancel arbitration are the shared `WaitSlot` engine's; the
     /// match token it reports back is the fulfilling node's address.
     fn await_fulfill(
         &self,
-        node_raw: *const SNode<T, R>,
+        node_raw: *const WaitNode<T, R>,
         is_data: bool,
         deadline: Deadline,
         token: Option<&CancelToken>,
@@ -662,7 +537,7 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
     /// helps pop the fulfilling pair, and drops the references we hold.
     fn finish_wait(
         &self,
-        node_raw: *const SNode<T, R>,
+        node_raw: *const WaitNode<T, R>,
         is_data: bool,
         verdict: WaitOutcome,
     ) -> TransferOutcome<T> {
@@ -670,7 +545,7 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
         let node = unsafe { &*node_raw };
         match verdict {
             WaitOutcome::Matched(m_token) => {
-                let m = m_token as *const SNode<T, R>;
+                let m = m_token as *const WaitNode<T, R>;
                 // Matched. Help pop the fulfilling pair if still on top.
                 // Our own structure reference is NOT ours to release here:
                 // the fulfiller keeps it alive until it has read our item
@@ -703,7 +578,7 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
             verdict => {
                 // We won the cancel CAS.
                 let guard = R::pin();
-                self.absorb_cancelled(&guard);
+                self.pop_cancelled(&guard);
                 drop(guard);
                 let item = if is_data {
                     // SAFETY: cancellation wins the item back.
@@ -732,48 +607,13 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
     /// nodes automatically.)
     pub(crate) fn has_waiting(&self, is_data: bool) -> bool {
         let mode = if is_data { DATA } else { REQUEST };
-        let guard = R::pin();
-        'restart: loop {
-            let root = self.head.load(Ordering::Acquire, &guard);
-            let mut p = root;
-            // SAFETY: every hop below re-anchors on `head`: while the head
-            // is unchanged (popped nodes are never re-pushed; the slot
-            // protecting `root` prevents address reuse), all link-validated
-            // nodes reached from it are unpopped and unskipped, hence
-            // structure-referenced and alive.
-            while let Some(n) = unsafe { p.as_ref() } {
-                if n.mode == mode && n.slot.is_waiting() {
-                    return true;
-                }
-                let next = n.next.load(Ordering::Acquire, &guard);
-                if !self.head.load(Ordering::Acquire, &guard).ptr_eq(&root) {
-                    continue 'restart;
-                }
-                p = next;
-            }
-            return false;
-        }
+        let waiting = |n: &WaitNode<T, R>| n.mode == mode && n.slot.is_waiting();
+        count_linked(&self.head, false, 1, waiting) > 0
     }
 
     /// Diagnostic: number of linked nodes. O(n), test/ablation use only.
     pub fn linked_nodes(&self) -> usize {
-        let guard = R::pin();
-        'restart: loop {
-            let root = self.head.load(Ordering::Acquire, &guard);
-            let mut n = 0;
-            let mut p = root;
-            while !p.is_null() {
-                n += 1;
-                // SAFETY: as in `has_waiting` — the head re-read below
-                // keeps the chain anchored.
-                let next = unsafe { p.deref() }.next.load(Ordering::Acquire, &guard);
-                if !self.head.load(Ordering::Acquire, &guard).ptr_eq(&root) {
-                    continue 'restart;
-                }
-                p = next;
-            }
-            return n;
-        }
+        count_linked(&self.head, false, usize::MAX, |_| true)
     }
 }
 
@@ -782,7 +622,7 @@ trait HeadCase {
     fn is_none_or_mode(&self, mode: usize) -> bool;
 }
 
-impl<T, R: Reclaimer> HeadCase for Option<&SNode<T, R>> {
+impl<T, R: Reclaimer> HeadCase for Option<&WaitNode<T, R>> {
     fn is_none_or_mode(&self, mode: usize) -> bool {
         match self {
             None => true,
@@ -805,15 +645,16 @@ impl<T: Send, R: Reclaimer> Transferer<T> for SyncDualStack<T, R> {
 /// A pushed-but-unresolved stack transfer (see
 /// [`PollTransferer::start_transfer`]).
 ///
-/// Polling drives the node's [`WaitSlot`] poll-mode wait loop; dropping an
-/// unresolved permit cancels exactly like a timed-out blocking waiter. If
+/// Polling drives the node's [`synq_primitives::WaitSlot`] poll-mode wait
+/// loop; dropping an unresolved permit cancels exactly like a timed-out
+/// blocking waiter. If
 /// the cancel CAS loses — a fulfiller already installed its match token —
 /// the drop also releases the reference the fulfiller took on its own node
 /// on our behalf, and any item it deposited there for us is dropped exactly
 /// once by that node's final reference release.
 pub struct StackPermit<T: Send, R: Reclaimer = Epoch> {
     stack: Arc<SyncDualStack<T, R>>,
-    node: *const SNode<T, R>,
+    node: *const WaitNode<T, R>,
     is_data: bool,
     /// Set when `poll_transfer` returned `Ready`: the references have been
     /// released and `node` must not be touched again.
@@ -879,14 +720,14 @@ impl<T: Send, R: Reclaimer> Drop for StackPermit<T, R> {
                 drop(unsafe { node.slot.take_item() });
             }
             let guard = R::pin();
-            self.stack.absorb_cancelled(&guard);
+            self.stack.pop_cancelled(&guard);
             drop(guard);
         } else if let Some(m_token) = node.slot.matched_token() {
             // Cancel lost: a fulfiller matched us and took a reference on
             // its own node (the token) on our behalf. Release it without
             // reading the item — if it deposited one for us, that node's
             // final release drops it exactly once.
-            self.stack.release_direct(m_token as *const SNode<T, R>);
+            self.stack.release_direct(m_token as *const WaitNode<T, R>);
         }
         // Our owner reference, in every case.
         self.stack.release_direct(self.node);
@@ -923,17 +764,9 @@ impl<T: Send, R: Reclaimer> PollTransferer<T> for SyncDualStack<T, R> {
 
 impl<T, R: Reclaimer> Drop for SyncDualStack<T, R> {
     fn drop(&mut self) {
-        // SAFETY: exclusive access — no protection needed.
-        let guard = unsafe { R::unprotected() };
-        let mut p = self.head.load(Ordering::Relaxed, &guard);
-        while !p.is_null() {
-            // SAFETY: exclusive access; remaining references are the
-            // structure's.
-            let node = unsafe { p.deref() };
-            let next = node.next.load(Ordering::Relaxed, &guard);
-            unsafe { SNode::release(p.as_raw(), |n| SNode::dealloc(n)) };
-            p = next;
-        }
+        // SAFETY: `&mut self`; waiters borrow the stack, so all have
+        // returned and the remaining references are the structure's.
+        unsafe { NodePool::drain_chain(&self.head) };
     }
 }
 

@@ -50,6 +50,7 @@
 pub mod channel;
 pub mod combiner;
 pub mod contention;
+pub mod dual_list;
 pub mod dual_queue;
 pub mod dual_stack;
 mod node_cache;

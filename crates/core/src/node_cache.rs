@@ -18,7 +18,7 @@
 //!
 //! * **Pops happen only under a reclaimer guard** ([`NodeCache::pop`] takes
 //!   the guard and routes the head read through [`Shield::protect`];
-//!   `transfer_impl` holds its guard across the pop).
+//!   `dual_list::NodePool::alloc` takes its caller's guard for the pop).
 //! * **Pushes happen only from retire closures** (`Shield::defer_retire`
 //!   keyed on the node's address, or with exclusive access during
 //!   teardown). A node's return to the free list therefore waits until no
@@ -190,7 +190,6 @@ impl<N: Recyclable> NodeCache<N> {
     /// Records a fresh heap allocation by the owning structure.
     pub(crate) fn note_alloc(&self) {
         self.allocs.fetch_add(1, Ordering::Relaxed);
-        synq_obs::probe!(NodeCacheMisses);
     }
 
     /// Total fresh allocations over the structure's lifetime.

@@ -8,6 +8,11 @@ use crate::transferer::{Deadline, TransferOutcome, Transferer};
 use std::time::Duration;
 use synq_primitives::{CancelToken, SpinPolicy};
 
+// The variants differ by whole cache-line-padded blocks (the queue pads two
+// ends, the stack one). One `Inner` exists per queue and is never moved
+// after construction, and boxing a variant would put an indirection on
+// every handoff.
+#[allow(clippy::large_enum_variant)]
 enum Inner<T: Send> {
     Fair(SyncDualQueue<T>),
     Unfair(SyncDualStack<T>),

@@ -6,14 +6,18 @@
 //! > mirrors our fair synchronous queue. The asynchronous additions differ
 //! > only by releasing producers before items are taken."
 //!
-//! [`TransferQueue`] is the synchronous dual queue of `synq::dual_queue`
-//! with a buffer in front of it. A *synchronous* [`TransferQueue::transfer`]
-//! needs a wait-node (the producer blocks on it until a consumer takes the
-//! item), and so does a consumer that finds nothing to take (its
-//! reservation). A *buffered* [`TransferQueue::put`] has no waiter, so it
-//! needs no node: it is one push into a [`RingBuffer`] — a cycle-versioned
-//! circular array (DESIGN §4.11) with no allocation, no epoch pin and no
-//! retirement per item.
+//! [`TransferQueue`] is a [`synq::dual_list`], the linked list under the
+//! fair synchronous queue, with a buffer in front of it. The list's steps
+//! (snapshot, append, front, advance, leave) and its node lifetime are the
+//! kernel's; what is here is the policy over them: whether a producer
+//! waits ([`TransferQueue::transfer`]) or leaves once linked (an overflow
+//! `put`), the counts kept beside the list, and the ring re-checks that
+//! keep one FIFO. A *synchronous* `transfer` needs a wait-node (the
+//! producer blocks on it until a consumer takes the item), and so does a
+//! consumer that finds nothing to take (its reservation). A *buffered*
+//! [`TransferQueue::put`] has no waiter, so it needs no node: it is one
+//! push into a [`RingBuffer`] — a cycle-versioned circular array (DESIGN
+//! §4.11) with no allocation, no epoch pin and no retirement per item.
 //!
 //! # Unbounded mode: ring first, the list for rendezvous and overflow
 //!
@@ -60,52 +64,19 @@ mod waiters;
 
 pub use ring::RingBuffer;
 
-use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Poll, Waker};
 use std::time::Duration;
+use synq::dual_list::{DualList, WaitNode, DATA, REQUEST};
 use synq::{
     impl_channels_via_transferer, CancelToken, Deadline, PendingTransfer, PollTransferer,
     SpinPolicy, StartTransfer, SyncChannel, TimedSyncChannel, TransferOutcome, Transferer,
 };
 use synq_obs::{probe, Probe};
 use synq_primitives::{Backoff, CachePadded, WaitOutcome, WaitSlot};
-use synq_reclaim::{Atomic, Epoch, Owned, Reclaimer, Shared, Shield};
+use synq_reclaim::{Epoch, Reclaimer};
 use waiters::WaiterQueue;
-
-struct TNode<T, R: Reclaimer> {
-    /// The wait-node protocol. Async data nodes never wait on it: the
-    /// producer has already returned and only the state machine is used.
-    slot: WaitSlot<T>,
-    next: Atomic<TNode<T, R>, R>,
-    is_data: bool,
-    refs: AtomicUsize,
-    unlinked: AtomicBool,
-}
-
-impl<T, R: Reclaimer> TNode<T, R> {
-    fn new(is_data: bool, refs: usize) -> Owned<TNode<T, R>> {
-        Owned::new(TNode {
-            slot: WaitSlot::new(),
-            next: Atomic::null(),
-            is_data,
-            refs: AtomicUsize::new(refs),
-            unlinked: AtomicBool::new(false),
-        })
-    }
-
-    unsafe fn release(ptr: *const TNode<T, R>) {
-        // SAFETY: caller owns one reference.
-        let node = unsafe { &*ptr };
-        if node.refs.fetch_sub(1, Ordering::Release) == 1 {
-            std::sync::atomic::fence(Ordering::Acquire);
-            // SAFETY: last reference (see synq::dual_queue for the
-            // reclamation argument). The slot's Drop releases any item
-            // still pending in the cell.
-            drop(unsafe { Box::from_raw(ptr as *mut TNode<T, R>) });
-        }
-    }
-}
 
 /// How a linked producer relates to its item.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -202,10 +173,9 @@ fn unbounded_ring_slots<T>() -> usize {
 /// assert_eq!(q.take(), 7);
 /// ```
 pub struct TransferQueue<T, R: Reclaimer = Epoch> {
-    head: Atomic<TNode<T, R>, R>,
-    tail: Atomic<TNode<T, R>, R>,
-    /// Set once a node has been retired, for `Drop`.
-    retired: AtomicBool,
+    /// Rendezvous (synchronous transfers, consumers' reservations) and
+    /// overflow.
+    list: DualList<T, R>,
     spin: SpinPolicy,
     /// The array fast path in front of the linked protocol.
     ring: RingBuffer<T>,
@@ -221,9 +191,10 @@ pub struct TransferQueue<T, R: Reclaimer = Epoch> {
     item_waiters: WaiterQueue,
 }
 
-// SAFETY: as for synq::SyncDualQueue; the ring imposes only T: Send.
-unsafe impl<T: Send, R: Reclaimer> Send for TransferQueue<T, R> {}
-unsafe impl<T: Send, R: Reclaimer> Sync for TransferQueue<T, R> {}
+// Layout: the list's padded ends must survive embedding, so that linked
+// producers and consumers never false-share.
+const _: () = assert!(std::mem::align_of::<TransferQueue<u8>>() >= 128);
+const _: () = assert!(std::mem::size_of::<TransferQueue<u8>>() >= 2 * 128);
 
 impl<T: Send, R: Reclaimer> Default for TransferQueue<T, R> {
     fn default() -> Self {
@@ -280,18 +251,8 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     }
 
     fn build(spin: SpinPolicy, ring: RingBuffer<T>, bounded: bool) -> Self {
-        let dummy = TNode::new(false, 1);
-        // SAFETY: single-threaded construction.
-        let guard = unsafe { R::unprotected() };
-        let dummy = dummy.into_shared(&guard);
-        let head = Atomic::null();
-        let tail = Atomic::null();
-        head.store(dummy, Ordering::Relaxed);
-        tail.store(dummy, Ordering::Relaxed);
         TransferQueue {
-            head,
-            tail,
-            retired: AtomicBool::new(false),
+            list: DualList::default(),
             spin,
             ring,
             bounded,
@@ -327,7 +288,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
 
     /// Buffered enqueue only if it can complete immediately. Unbounded
     /// queues always accept; bounded queues refuse (returning the value)
-    /// when the ring is full — or, as of PR 10, when producers are already
+    /// when the ring is full — or when producers are already
     /// **registered waiting for space**: a just-freed slot belongs to the
     /// woken waiter, so `try_put` may fail while `len() < capacity` for
     /// the short handoff window (no-barge rule, DESIGN §4.15).
@@ -664,23 +625,13 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     fn serve_reservation(&self) -> bool {
         loop {
             let guard = R::pin();
-            self.absorb_cancelled(&guard);
-            let h = self.head.load(Ordering::Acquire, &guard);
-            // SAFETY: head never null; structure-field protection.
-            let m = unsafe { h.deref() }.next.load(Ordering::Acquire, &guard);
-            // Head re-anchor (see `absorb_cancelled`).
-            if !self.head.load(Ordering::Acquire, &guard).ptr_eq(&h) {
-                continue;
-            }
-            // SAFETY: validated just above.
-            let Some(m_ref) = (unsafe { m.as_ref() }) else {
-                return false;
-            };
-            if m_ref.is_data {
+            let at = self.list.arrive(&guard);
+            if at.is_empty() || at.tail_is_data() {
                 return false;
             }
-            let claimed = self.fulfill_reservation(m_ref, &mut None);
-            let _ = self.advance_head(h, m, &guard);
+            let Some(m) = at.front() else { continue };
+            let claimed = self.fulfill_reservation(&m, &mut None);
+            at.advance_past(m);
             if claimed {
                 probe!(RingReservationWakes);
                 return true;
@@ -698,7 +649,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     /// the ring's indices say it is empty. A reservation completed with no
     /// item (the ring was drained by someone else, or its head slot is
     /// claimed but not yet published) makes its consumer retry.
-    fn fulfill_reservation(&self, m: &TNode<T, R>, own: &mut Option<T>) -> bool {
+    fn fulfill_reservation(&self, m: &WaitNode<T, R>, own: &mut Option<T>) -> bool {
         debug_assert!(
             !self.bounded,
             "bounded consumers never publish reservations"
@@ -766,7 +717,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     /// through the moment in which an index has moved but the slot's
     /// sequence word is not yet visible.
     ///
-    /// `defer_to_waiters` is the **no-barge** rule (PR 10): a fresh arrival
+    /// `defer_to_waiters` is the **no-barge** rule: a fresh arrival
     /// that finds earlier waiters already registered does not race them
     /// for whatever a counterpart just freed — it queues up behind them.
     /// Only callers with no registration of their own defer; a woken waiter
@@ -930,70 +881,6 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
 
     // ---------------------------------------------------------- internals
 
-    fn advance_head<'g>(
-        &self,
-        h: Shared<'g, TNode<T, R>>,
-        nh: Shared<'g, TNode<T, R>>,
-        guard: &'g R::Guard,
-    ) -> bool {
-        if self
-            .head
-            .compare_exchange(h, nh, Ordering::AcqRel, Ordering::Acquire, guard)
-            .is_ok()
-        {
-            // Help a lagging tail off `h` before retiring it, so `tail`
-            // never references a retired node (Michael's rule). Without
-            // this a bounded-slot backend could free `h` while `tail`
-            // still points at it, and a later tail-load's source
-            // re-validation would wrongly pass. Tail moves only forward
-            // along the chain, so once past `h` it can never return.
-            let t = self.tail.load(Ordering::Acquire, guard);
-            if t.ptr_eq(&h) {
-                let _ =
-                    self.tail
-                        .compare_exchange(t, nh, Ordering::Release, Ordering::Relaxed, guard);
-            }
-            // SAFETY: unlinked by our CAS; release the structure reference.
-            let node_ref = unsafe { h.deref() };
-            let was = node_ref.unlinked.swap(true, Ordering::AcqRel);
-            debug_assert!(!was);
-            let raw = h.as_raw() as usize;
-            // SAFETY: deferred past the backend's grace period.
-            unsafe {
-                guard.defer_retire(raw, move || TNode::release(raw as *const TNode<T, R>));
-            }
-            if !self.retired.load(Ordering::Relaxed) {
-                self.retired.store(true, Ordering::Relaxed);
-            }
-            true
-        } else {
-            false
-        }
-    }
-
-    fn absorb_cancelled(&self, guard: &R::Guard) {
-        loop {
-            let h = self.head.load(Ordering::Acquire, guard);
-            // SAFETY: head never null.
-            let hn = unsafe { h.deref() }.next.load(Ordering::Acquire, guard);
-            // Snapshot re-check (see synq::dual_queue): `hn` came through a
-            // node field, so prove `h` was still the head — hence
-            // unretired, hence `hn` unretired — after `hn`'s protection
-            // published.
-            if !self.head.load(Ordering::Acquire, guard).ptr_eq(&h) {
-                continue;
-            }
-            // SAFETY: validated just above.
-            let Some(hn_ref) = (unsafe { hn.as_ref() }) else {
-                return;
-            };
-            if !hn_ref.slot.is_cancelled() {
-                return;
-            }
-            let _ = self.advance_head(h, hn, guard);
-        }
-    }
-
     fn producer(
         &self,
         mut item: Option<T>,
@@ -1001,30 +888,14 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
-        let mut node: Option<Owned<TNode<T, R>>> = None;
+        let mut node = None;
         loop {
             let guard = R::pin();
-            self.absorb_cancelled(&guard);
+            let at = self.list.arrive(&guard);
 
-            let h = self.head.load(Ordering::Acquire, &guard);
-            let t = self.tail.load(Ordering::Acquire, &guard);
-            // SAFETY: never null, protected.
-            let t_ref = unsafe { t.deref() };
-
-            if h.ptr_eq(&t) || t_ref.is_data {
+            if at.is_empty() || at.tail_is_data() {
                 // Append our data node.
-                let n = t_ref.next.load(Ordering::Acquire, &guard);
-                if !t.ptr_eq(&self.tail.load(Ordering::Acquire, &guard)) {
-                    continue;
-                }
-                if !n.is_null() {
-                    let _ = self.tail.compare_exchange(
-                        t,
-                        n,
-                        Ordering::Release,
-                        Ordering::Relaxed,
-                        &guard,
-                    );
+                if !at.tail_settled() {
                     continue;
                 }
                 if mode == PutMode::Sync {
@@ -1035,31 +906,16 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
                         return TransferOutcome::Cancelled(item);
                     }
                 }
-                // Async nodes carry only the structure's reference.
-                let refs = if mode == PutMode::Async { 1 } else { 2 };
-                let owned = match node.take() {
-                    Some(n) => n,
-                    None => TNode::new(true, refs),
-                };
+                let owned = node
+                    .take()
+                    .unwrap_or_else(|| self.list.pool().alloc(DATA, &guard));
                 // SAFETY: unpublished node, exclusively ours.
                 unsafe { owned.slot.put_item(item.take().expect("producer has item")) };
                 // Counted before it is linked (see `LinkedCounts`).
                 self.counts.data.fetch_add(1, Ordering::SeqCst);
-                match t_ref.next.compare_exchange(
-                    Shared::null(),
-                    owned,
-                    Ordering::Release,
-                    Ordering::Acquire,
-                    &guard,
-                ) {
+                match at.try_append(owned) {
                     Ok(published) => {
-                        let _ = self.tail.compare_exchange(
-                            t,
-                            published,
-                            Ordering::Release,
-                            Ordering::Relaxed,
-                            &guard,
-                        );
+                        drop(guard);
                         // Wake an item-list waiter (bounded consumers and
                         // async receivers wait there, not as
                         // reservations). The SeqCst increment above and
@@ -1067,17 +923,17 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
                         // half of the handshake in `ring_wait`, whose
                         // `blocked` reads that count.
                         self.item_waiters.notify(1);
-                        if mode == PutMode::Async {
-                            return TransferOutcome::Transferred(None);
+                        if mode == PutMode::Sync {
+                            return self.await_fulfill(published, deadline, token);
                         }
-                        let raw = published.as_raw();
-                        drop(guard);
-                        return self.await_fulfill(raw, deadline, token);
+                        // Nobody waits on an async node: it keeps only the
+                        // structure's reference.
+                        // SAFETY: the waiter reference `try_append` gave us.
+                        unsafe { self.list.pool().release_waiter_ref(published) };
+                        return TransferOutcome::Transferred(None);
                     }
-                    Err(e) => {
+                    Err(owned) => {
                         self.counts.data.fetch_sub(1, Ordering::SeqCst);
-                        synq::contention::note_cas_fail();
-                        let owned = e.new;
                         // SAFETY: unpublished; reclaim the item.
                         item = Some(unsafe { owned.slot.reclaim_item() });
                         node = Some(owned);
@@ -1086,20 +942,12 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
                 }
             }
 
-            // Reservations at the front: fulfill the oldest.
-            // SAFETY: head never null.
-            let m = unsafe { h.deref() }.next.load(Ordering::Acquire, &guard);
-            if !t.ptr_eq(&self.tail.load(Ordering::Acquire, &guard))
-                || !h.ptr_eq(&self.head.load(Ordering::Acquire, &guard))
-                || m.is_null()
-            {
-                continue;
-            }
-            // SAFETY: m reachable under our pin. The reservation gets the
+            // Reservations at the front: fulfill the oldest. It gets the
             // ring's oldest item if there is one (then we go round again
             // with ours), else ours.
-            let claimed = self.fulfill_reservation(unsafe { m.deref() }, &mut item);
-            let _ = self.advance_head(h, m, &guard);
+            let Some(m) = at.front() else { continue };
+            let claimed = self.fulfill_reservation(&m, &mut item);
+            at.advance_past(m);
             if claimed && item.is_none() {
                 return TransferOutcome::Transferred(None);
             }
@@ -1114,31 +962,15 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> Option<TransferOutcome<T>> {
-        let mut node: Option<Owned<TNode<T, R>>> = None;
+        let mut node = None;
         let backoff = Backoff::new();
         loop {
             let guard = R::pin();
-            self.absorb_cancelled(&guard);
+            let at = self.list.arrive(&guard);
 
-            let h = self.head.load(Ordering::Acquire, &guard);
-            let t = self.tail.load(Ordering::Acquire, &guard);
-            // SAFETY: never null, protected.
-            let t_ref = unsafe { t.deref() };
-
-            if h.ptr_eq(&t) || !t_ref.is_data {
+            if at.is_empty() || !at.tail_is_data() {
                 // Queue empty or holds reservations: append ours.
-                let n = t_ref.next.load(Ordering::Acquire, &guard);
-                if !t.ptr_eq(&self.tail.load(Ordering::Acquire, &guard)) {
-                    continue;
-                }
-                if !n.is_null() {
-                    let _ = self.tail.compare_exchange(
-                        t,
-                        n,
-                        Ordering::Release,
-                        Ordering::Relaxed,
-                        &guard,
-                    );
+                if !at.tail_settled() {
                     continue;
                 }
                 if deadline.is_now() {
@@ -1155,65 +987,41 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
                 if token.is_some_and(|tk| tk.is_cancelled()) {
                     return Some(TransferOutcome::Cancelled(None));
                 }
-                let owned = match node.take() {
-                    Some(n) => n,
-                    None => TNode::new(false, 2),
-                };
-                match t_ref.next.compare_exchange(
-                    Shared::null(),
-                    owned,
-                    Ordering::Release,
-                    Ordering::Acquire,
-                    &guard,
-                ) {
-                    Ok(published) => {
-                        let _ = self.tail.compare_exchange(
-                            t,
-                            published,
-                            Ordering::Release,
-                            Ordering::Relaxed,
-                            &guard,
-                        );
-                        let raw = published.as_raw();
-                        drop(guard);
-                        // The waiter half of the handshake in
-                        // `after_ring_push`: count ourselves (SeqCst),
-                        // then re-read the ring's indices (SeqCst). A push
-                        // that missed the count is seen here, and we
-                        // retract; losing the cancel CAS means a producer
-                        // is already completing us.
-                        self.counts.reservations.fetch_add(1, Ordering::SeqCst);
-                        // SAFETY: we hold the waiter reference.
-                        let slot = unsafe { &(*raw).slot };
-                        let outcome = if !self.ring.is_empty() && slot.try_cancel() {
-                            self.withdraw(raw);
-                            None
-                        } else {
-                            match self.await_fulfill(raw, deadline, token) {
-                                TransferOutcome::Transferred(None) => None,
-                                outcome => Some(outcome),
-                            }
-                        };
-                        self.counts.reservations.fetch_sub(1, Ordering::SeqCst);
-                        return outcome;
-                    }
-                    Err(e) => {
-                        synq::contention::note_cas_fail();
-                        node = Some(e.new);
+                let owned = node
+                    .take()
+                    .unwrap_or_else(|| self.list.pool().alloc(REQUEST, &guard));
+                let published = match at.try_append(owned) {
+                    Ok(published) => published,
+                    Err(owned) => {
+                        node = Some(owned);
                         continue;
                     }
-                }
+                };
+                drop(guard);
+                // The waiter half of the handshake in `after_ring_push`:
+                // count ourselves (SeqCst), then re-read the ring's
+                // indices (SeqCst). A push that missed the count is seen
+                // here, and we retract; losing the cancel CAS means a
+                // producer is already completing us.
+                self.counts.reservations.fetch_add(1, Ordering::SeqCst);
+                // SAFETY: we hold the waiter reference.
+                let slot = unsafe { &(*published).slot };
+                let outcome = if !self.ring.is_empty() && slot.try_cancel() {
+                    // SAFETY: our own node, and we won its cancel CAS.
+                    unsafe { self.list.leave(published, WaitOutcome::Cancelled) };
+                    None
+                } else {
+                    match self.await_fulfill(published, deadline, token) {
+                        TransferOutcome::Transferred(None) => None,
+                        outcome => Some(outcome),
+                    }
+                };
+                self.counts.reservations.fetch_sub(1, Ordering::SeqCst);
+                return outcome;
             }
 
             // Data at the front: take the oldest.
-            // SAFETY: head never null.
-            let m = unsafe { h.deref() }.next.load(Ordering::Acquire, &guard);
-            if !t.ptr_eq(&self.tail.load(Ordering::Acquire, &guard))
-                || !h.ptr_eq(&self.head.load(Ordering::Acquire, &guard))
-                || m.is_null()
-            {
-                continue;
-            }
+            let Some(m) = at.front() else { continue };
             // Everything `m`'s producer pushed into the ring before it
             // linked `m` is visible now that `m` is, so a ring that reads
             // empty *here* holds nothing older than `m` from that
@@ -1222,64 +1030,38 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
             if !self.ring.is_empty() {
                 return None;
             }
-            // SAFETY: m reachable under our pin.
-            let m_ref = unsafe { m.deref() };
             let mut taken = None;
-            if m_ref.slot.try_claim() {
+            if m.slot.try_claim() {
                 // SAFETY: claim grants slot read access.
-                taken = Some(unsafe { m_ref.slot.take_item() });
+                taken = Some(unsafe { m.slot.take_item() });
                 self.counts.data.fetch_sub(1, Ordering::SeqCst);
-                m_ref.slot.complete();
+                m.slot.complete();
             }
-            let _ = self.advance_head(h, m, &guard);
+            at.advance_past(m);
             if taken.is_some() {
                 return Some(TransferOutcome::Transferred(taken));
             }
         }
     }
 
-    /// Waits on our published node. A reservation completed without an
-    /// item (see [`Self::fulfill_reservation`]) reports
-    /// `Transferred(None)`, which no consumer otherwise sees.
+    /// Waits on our published node, then leaves the list. A reservation
+    /// completed without an item (see [`Self::fulfill_reservation`])
+    /// reports `Transferred(None)`, which no consumer otherwise sees; a
+    /// data node we withdraw is uncounted (see [`LinkedCounts`]).
     fn await_fulfill(
         &self,
-        node_raw: *const TNode<T, R>,
+        node: *const WaitNode<T, R>,
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
-        // SAFETY: we hold the waiter reference.
-        let node = unsafe { &*node_raw };
-        match node.slot.await_outcome(deadline, token, &self.spin) {
-            WaitOutcome::Matched(_) => {
-                let item = (!node.is_data && node.slot.has_item())
-                    // SAFETY: the producer wrote before MATCHED.
-                    .then(|| unsafe { node.slot.take_item() });
-                // SAFETY: the waiter reference.
-                unsafe { TNode::release(node_raw) };
-                TransferOutcome::Transferred(item)
-            }
-            WaitOutcome::Cancelled => TransferOutcome::Cancelled(self.withdraw(node_raw)),
-            WaitOutcome::TimedOut => TransferOutcome::Timeout(self.withdraw(node_raw)),
-        }
-    }
-
-    /// We won the cancel CAS on our own published node: help unlink it,
-    /// uncount a data node and take its item back, drop the waiter
-    /// reference.
-    fn withdraw(&self, node_raw: *const TNode<T, R>) -> Option<T> {
-        // SAFETY: we hold the waiter reference.
-        let node = unsafe { &*node_raw };
-        if node.is_data {
+        // SAFETY: we hold the waiter reference until `leave`.
+        let own = unsafe { &*node };
+        let verdict = own.slot.await_outcome(deadline, token, &self.spin);
+        if !matches!(verdict, WaitOutcome::Matched(_)) && own.is_data() {
             self.counts.data.fetch_sub(1, Ordering::SeqCst);
         }
-        let guard = R::pin();
-        self.absorb_cancelled(&guard);
-        drop(guard);
-        // SAFETY: cancellation wins the item back.
-        let item = node.is_data.then(|| unsafe { node.slot.take_item() });
-        // SAFETY: the waiter reference.
-        unsafe { TNode::release(node_raw) };
-        item
+        // SAFETY: our own published node; `verdict` is its terminal state.
+        unsafe { self.list.leave(node, verdict) }
     }
 }
 
@@ -1308,25 +1090,16 @@ impl_channels_via_transferer!(TransferQueue<R: synq_reclaim::Reclaimer>);
 
 impl<T, R: Reclaimer> Drop for TransferQueue<T, R> {
     fn drop(&mut self) {
-        // The ring drops its own buffered items; the list is ours.
-        // SAFETY: exclusive access in Drop.
-        let guard = unsafe { R::unprotected() };
-        let mut p = self.head.load(Ordering::Relaxed, &guard);
-        while !p.is_null() {
-            // SAFETY: exclusive access in Drop.
-            let node = unsafe { p.deref() };
-            let next = node.next.load(Ordering::Relaxed, &guard);
-            unsafe { TNode::release(p.as_raw()) };
-            p = next;
-        }
-        // The nodes this queue retired, and the part-filled bags its
-        // threads sealed as they exited, wait for a collection, which the
-        // epoch backend runs on every 128th pin of a thread: a long way
-        // off now that buffered traffic does not pin. Queues built and
-        // torn down in a row piled up some fifty sealed bags that way; one
-        // best-effort pass per torn-down queue keeps it to a handful. A
-        // queue that never retired a node stays pin-free to the end.
-        if *self.retired.get_mut() {
+        // The ring and the list free what they still hold. The nodes this
+        // queue retired, and the part-filled bags its threads sealed as
+        // they exited, wait for a collection, which the epoch backend runs
+        // on every 128th pin of a thread: a long way off now that buffered
+        // traffic does not pin. Queues built and torn down in a row piled
+        // up some fifty sealed bags that way; one best-effort pass per
+        // torn-down queue keeps it to a handful. A queue that never linked
+        // a node (the dummy is its one allocation) stays pin-free to the
+        // end.
+        if self.list.pool().allocated() > 1 {
             R::collect();
         }
     }

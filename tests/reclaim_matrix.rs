@@ -1,9 +1,12 @@
 //! Reclaimer feature-matrix conformance: the exactly-one-pairing and
 //! drop-conservation contracts of the dual structures must hold under
 //! every reclamation backend, not just the default epoch scheme. Runs the
-//! same timed producer/consumer proptest battery against
-//! `SyncDualQueue`/`SyncDualStack` instantiated with both `Epoch` and
-//! `Hazard`.
+//! same timed producer/consumer proptest battery against the three
+//! clients of the `synq::dual_list` kernel, `SyncDualQueue`,
+//! `SyncDualStack` and `TransferQueue`, each instantiated with both
+//! `Epoch` and `Hazard`. A `TransferQueue` is driven through its
+//! `TimedSyncChannel` impl, timed *synchronous* transfers against timed
+//! takes: its linked path, which the ring never touches.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
@@ -12,6 +15,7 @@ use std::thread;
 use std::time::Duration;
 use synq::{SyncDualQueue, SyncDualStack, TimedSyncChannel};
 use synq_reclaim::{Epoch, Hazard};
+use synq_transfer::TransferQueue;
 
 /// A payload that tracks its own liveness: exactly one decrement per
 /// construction, however many times it is moved between threads.
@@ -149,5 +153,27 @@ proptest! {
     ) {
         let s: Arc<SyncDualStack<Payload, Hazard>> = Arc::new(SyncDualStack::new_in());
         check_conservation(s, producers, consumers, per)?;
+    }
+
+    /// Transfer queue (linked half) under the default epoch backend.
+    #[test]
+    fn transfer_epoch_pairs_exactly_once(
+        producers in 1usize..=3,
+        consumers in 1usize..=3,
+        per in 1usize..=25,
+    ) {
+        let q: Arc<TransferQueue<Payload, Epoch>> = Arc::new(TransferQueue::new_in());
+        check_conservation(q, producers, consumers, per)?;
+    }
+
+    /// Transfer queue (linked half) under the hazard-pointer backend.
+    #[test]
+    fn transfer_hazard_pairs_exactly_once(
+        producers in 1usize..=3,
+        consumers in 1usize..=3,
+        per in 1usize..=25,
+    ) {
+        let q: Arc<TransferQueue<Payload, Hazard>> = Arc::new(TransferQueue::new_in());
+        check_conservation(q, producers, consumers, per)?;
     }
 }
