@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
 use synq::TimedSyncChannel;
-use synq_async::{AsyncSyncQueue, AsyncSyncStack};
+use synq_async::{AsyncSyncQueue, AsyncSyncStack, AsyncTransferQueue};
 
 /// Payload whose drops are counted; cloning the counter is not counted.
 struct Payload(Arc<AtomicUsize>);
@@ -173,6 +173,58 @@ fn stack_drop_matched_recv_consumes_deposited_item_once() {
     drop(s);
     flush_epochs();
     assert_eq!(drops.load(Ordering::SeqCst), 1);
+}
+
+/// Why buffered receivers are *woken to retry* from a wait list instead of
+/// being handed their item in a linked reservation, as blocked threads
+/// are: a `RecvFuture` can be dropped after it was fulfilled. The dual
+/// queue above settles that by dropping the deposited item with the node;
+/// a buffered queue may not, because the item is still queued data that
+/// the next receiver is owed, in order. So the item stays in the queue
+/// until some receiver polls, and a woken future that is dropped instead
+/// hands its wakeup to the next pending one.
+#[test]
+fn buffered_drop_woken_recv_loses_nothing_and_passes_the_wakeup_on() {
+    struct CountingWaker(AtomicUsize);
+    impl Wake for CountingWaker {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    let wakes = [0, 1].map(|_| Arc::new(CountingWaker(AtomicUsize::new(0))));
+    let count = |i: usize| wakes[i].0.load(Ordering::SeqCst);
+    let wakers = [0, 1].map(|i| Waker::from(Arc::clone(&wakes[i])));
+
+    let q: AsyncTransferQueue<Payload> = AsyncTransferQueue::bounded(4);
+    let mut first = q.recv();
+    let mut second = q.recv();
+    assert!(Pin::new(&mut first)
+        .poll(&mut Context::from_waker(&wakers[0]))
+        .is_pending());
+    assert!(Pin::new(&mut second)
+        .poll(&mut Context::from_waker(&wakers[1]))
+        .is_pending());
+
+    let (p, drops) = payload();
+    q.try_send(p).expect("the ring has room");
+    assert_eq!(
+        (count(0), count(1)),
+        (1, 0),
+        "one item wakes the oldest receiver"
+    );
+    drop(first); // woken, never re-polled
+    assert_eq!(
+        drops.load(Ordering::SeqCst),
+        0,
+        "the item is in the queue, not in the dropped future"
+    );
+    assert_eq!(count(1), 1, "the unused wakeup goes to the next receiver");
+    match Pin::new(&mut second).poll(&mut Context::from_waker(&wakers[1])) {
+        Poll::Ready(item) => drop(item),
+        Poll::Pending => panic!("the buffered item must still be there"),
+    }
+    assert_eq!(drops.load(Ordering::SeqCst), 1);
+    assert!(!q.inner().queue().has_waiting_consumer());
 }
 
 // ---------------------------------------------------------------- completed

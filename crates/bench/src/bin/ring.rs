@@ -12,19 +12,26 @@
 //!
 //! The schema rev 2 per-series `counters` section carries the `ring.*`
 //! probe deltas plus explicitly recorded `epoch.pins` / `node_cache.*`
-//! values. For the pure *bounded* buffered series those are **zero** —
-//! the proof that buffered `put`/`poll` never pins an epoch or touches the
-//! linked node cache — and `nonzero()` would drop them, so this binary
-//! writes the zeros back in before recording the series. (The unbounded
-//! series pins whenever a put overflows or a consumer finds the queue
-//! empty and publishes a reservation, so it carries no such proof.)
+//! values. A consumer that finds the ring empty waits as a linked
+//! reservation in both modes, which pins and takes a node, so what the
+//! pure *bounded* buffered series prove is this: a series in which no
+//! consumer waited (`ring.empty_waits` = 0) recorded **zero** pins and
+//! zero node-cache traffic, i.e. buffered `put`/`poll` themselves never
+//! pin an epoch or touch the linked node cache. `nonzero()` would drop
+//! those zeros, so this binary writes them back in before recording the
+//! series. The `polling` series (producers spin on `offer`, consumers on
+//! `poll`, nobody ever waits in the library) is there so that one series
+//! always qualifies; for the blocking ones the binary prints pins per
+//! empty wait. (The unbounded series also pins whenever a put overflows,
+//! so it carries no such proof.)
 //!
 //! Emits `target/figures/ring.json` and the repo-root `BENCH_ring.json`
 //! (overridable with `SYNQ_RING_PATH`).
 //!
 //! With `SYNQ_RING_ASSERT=1` (requires a `--features stats` build) the
-//! binary exits nonzero unless every pure bounded series recorded zero
-//! `epoch.pins` and zero `node_cache.*` traffic, every batch ≥ 8 series
+//! binary exits nonzero unless every pure bounded series without an empty
+//! wait recorded zero `epoch.pins` and zero `node_cache.*` traffic, the
+//! polling series is one of them, every batch ≥ 8 series
 //! amortized its tail/head updates to at most one per two items, the
 //! unbounded series buffered through the ring, the bounded mixed series
 //! exercised both the ring and the linked rendezvous path, and the
@@ -33,7 +40,7 @@
 
 use std::process::ExitCode;
 use std::sync::Arc;
-use synq::SyncChannel;
+use synq::{SyncChannel, TimedSyncChannel};
 use synq_bench::report::{counter_deltas_since, write_bench_ring, FigureReport};
 use synq_bench::workload::{
     batched_handoff_ns_per_transfer, handoff_ns_per_transfer, mixed_handoff_ns_per_transfer,
@@ -42,9 +49,10 @@ use synq_bench::workload::{
 use synq_bench::{contended_pairs, quick_mode, transfers_for};
 use synq_transfer::{BufferedChannel, TransferQueue};
 
-/// Counters whose *zero* value is the acceptance evidence for the pure
-/// buffered series. `StatsSnapshot::nonzero()` filters zeros out, so they
-/// are appended explicitly (stats builds only).
+/// Counters whose *zero* value is the acceptance evidence for a pure
+/// buffered series in which no consumer waited.
+/// `StatsSnapshot::nonzero()` filters zeros out, so they are appended
+/// explicitly (stats builds only).
 const PROOF_COUNTERS: &[&str] = &["epoch.pins", "node_cache.hits", "node_cache.misses"];
 
 /// One sweep series: how each level's transfers move through the queue.
@@ -54,6 +62,9 @@ enum Mode {
     UnboundedSingle,
     /// Bounded ring, single-item `put`/`take`.
     RingSingle { capacity: usize },
+    /// Bounded ring, producers spinning on `offer` and consumers on
+    /// `poll`: the buffered path with no wait in the library at all.
+    RingPolling { capacity: usize },
     /// Bounded ring, `send_batch`/`recv_batch` in chunks of `batch`.
     RingBatch { capacity: usize, batch: usize },
     /// Bounded ring, every `sync_every`-th item rendezvouses via `transfer`.
@@ -64,16 +75,42 @@ enum Mode {
 }
 
 impl Mode {
-    /// Pure bounded series never touch the linked path, so their
-    /// `epoch.pins` / `node_cache.*` deltas must be exactly zero.
+    /// Pure bounded series touch the linked path only to wait on an
+    /// empty ring: with no such wait, their `epoch.pins` / `node_cache.*`
+    /// deltas must be exactly zero.
     fn pure_buffered(self) -> bool {
-        matches!(self, Mode::RingSingle { .. } | Mode::RingBatch { .. })
+        matches!(
+            self,
+            Mode::RingSingle { .. } | Mode::RingPolling { .. } | Mode::RingBatch { .. }
+        )
     }
 
     fn batch(self) -> usize {
         match self {
             Mode::RingBatch { batch, .. } => batch,
             _ => 1,
+        }
+    }
+}
+
+/// A buffered channel whose blocking calls never wait in the library:
+/// `put` spins on `offer`, `take` on `poll`.
+struct Polling(BufferedChannel<u64>);
+
+impl SyncChannel<u64> for Polling {
+    fn put(&self, mut value: u64) {
+        while let Err(back) = self.0.offer(value) {
+            value = back;
+            std::thread::yield_now();
+        }
+    }
+
+    fn take(&self) -> u64 {
+        loop {
+            match self.0.poll() {
+                Some(value) => return value,
+                None => std::thread::yield_now(),
+            }
         }
     }
 }
@@ -104,6 +141,11 @@ fn run_series(
             Mode::RingSingle { capacity } => {
                 let channel: Arc<dyn SyncChannel<u64>> =
                     Arc::new(BufferedChannel::bounded(capacity));
+                handoff_ns_per_transfer(channel, shape, transfers)
+            }
+            Mode::RingPolling { capacity } => {
+                let channel: Arc<dyn SyncChannel<u64>> =
+                    Arc::new(Polling(BufferedChannel::bounded(capacity)));
                 handoff_ns_per_transfer(channel, shape, transfers)
             }
             Mode::RingBatch { capacity, batch } => {
@@ -179,17 +221,35 @@ fn check_series(label: &str, mode: Mode, counters: &[(String, u64)], errors: &mu
             }
             return;
         }
-        Mode::RingSingle { .. } | Mode::RingBatch { .. } => {}
+        Mode::RingSingle { .. } | Mode::RingPolling { .. } | Mode::RingBatch { .. } => {}
     }
     if pushed == 0 {
         errors.push(format!("{label}: buffered series never pushed to the ring"));
     }
-    for &name in PROOF_COUNTERS {
-        let v = counter(counters, name);
-        if v != 0 {
+    let empty_waits = counter(counters, "ring.empty_waits");
+    if empty_waits == 0 {
+        for &name in PROOF_COUNTERS {
+            let v = counter(counters, name);
+            if v != 0 {
+                errors.push(format!(
+                    "{label}: pure buffered series with no empty wait recorded {name}={v} \
+                     (expected 0 — the buffered path must be epoch-free and allocation-free)"
+                ));
+            }
+        }
+    } else {
+        let pins = counter(counters, "epoch.pins");
+        eprintln!(
+            "  ring {label:>20} {pins} epoch pins over {empty_waits} empty waits \
+             ({:.2} per wait)",
+            pins as f64 / empty_waits as f64
+        );
+    }
+    if matches!(mode, Mode::RingPolling { .. }) {
+        let waits = empty_waits + counter(counters, "ring.full_waits");
+        if waits != 0 {
             errors.push(format!(
-                "{label}: pure buffered series recorded {name}={v} (expected 0 — \
-                 the buffered path must be epoch-free and allocation-free)"
+                "{label}: {waits} waits in the series that is there to have none"
             ));
         }
     }
@@ -230,6 +290,7 @@ fn main() -> ExitCode {
     let series: &[(&str, Mode)] = &[
         ("unbounded-ring-first", Mode::UnboundedSingle),
         ("ring-cap256-batch1", Mode::RingSingle { capacity: 256 }),
+        ("ring-cap256-polling", Mode::RingPolling { capacity: 256 }),
         (
             "ring-cap256-batch8",
             Mode::RingBatch {
@@ -302,7 +363,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!(
-            "ring self-checks passed: bounded series epoch-free/cache-free, \
+            "ring self-checks passed: bounded series epoch-free/cache-free where nobody waited, \
              batch >= 8 amortized index updates, unbounded series rode the ring, \
              mixed series hit every path (ring, rendezvous, overflow)"
         );

@@ -19,42 +19,45 @@
 //! push into a [`RingBuffer`] — a cycle-versioned circular array (DESIGN
 //! §4.11) with no allocation, no epoch pin and no retirement per item.
 //!
-//! # Unbounded mode: ring first, the list for rendezvous and overflow
+//! # One way to receive
+//!
+//! `take`/`poll` pop the ring first and look at the list only once the
+//! ring is empty. A consumer that finds both empty publishes a linked
+//! reservation and waits on it; whoever next pushes into the ring claims
+//! the oldest reservation and hands it the ring's head, so a waiting
+//! consumer is handed its item, not woken to race for it. That holds in
+//! both modes, so [`TransferQueue::try_transfer`], the channel-trait
+//! `offer`, [`TransferQueue::has_waiting_consumer`] and use as an executor
+//! channel work on every `TransferQueue` as they do on the plain dual
+//! queue. The modes differ on the put side only, in what a full ring
+//! means.
+//!
+//! # Unbounded mode: a full ring overflows to the list
 //!
 //! [`TransferQueue::new`] keeps a small internal ring (about 32 KiB of
 //! slots, not configurable) in front of the linked dual queue. `put`
 //! pushes into the ring while the linked list holds no data and the ring
 //! has room; otherwise it appends an async data node to the list exactly
 //! as the paper describes (*overflow*), so the queue stays unbounded.
-//! `take`/`poll` pop the ring first and look at the list only once the
-//! ring is empty. Because nothing enters the ring while linked data is
-//! queued, ring items are always older than linked data and the queue is
-//! **one FIFO** across `put`, `transfer` and the batch calls: a `transfer`
-//! issued after a `put` is received after it. A consumer that finds both
-//! empty publishes a linked reservation, so
-//! [`TransferQueue::try_transfer`], the channel-trait `offer`,
-//! [`TransferQueue::has_waiting_consumer`] and use as an executor channel
-//! work as they do on the plain dual queue.
+//! Because nothing enters the ring while linked data is queued, ring items
+//! are always older than linked data and the queue is **one FIFO** across
+//! `put`, `transfer` and the batch calls: a `transfer` issued after a
+//! `put` is received after it.
 //!
-//! # Bounded mode
+//! # Bounded mode: a full ring makes the producer wait
 //!
 //! [`TransferQueue::bounded`] sizes the ring explicitly and never
-//! overflows: producers block when the ring is full, consumers when it is
-//! empty, both via lightweight space/item wait lists, and batches move
-//! with one index CAS ([`TransferQueue::put_batch`] /
-//! [`TransferQueue::take_batch`]). [`TransferQueue::transfer`] still
-//! rendezvouses through the linked protocol for exactly-once handoff
-//! semantics.
+//! overflows: a `put` that finds the ring full waits on a lightweight
+//! space wait list, and batches move with one index CAS
+//! ([`TransferQueue::put_batch`] / [`TransferQueue::take_batch`]).
+//! [`TransferQueue::transfer`] still rendezvouses through the linked
+//! protocol for exactly-once handoff semantics.
 //!
-//! The ordering contract in bounded mode is weaker than in unbounded
-//! mode: `take`/`poll` drain buffered ring items *before* claiming waiting
-//! synchronous transfers, and each category is FIFO within itself (a
-//! `put` issued after a `transfer` may be received first). Because
-//! bounded consumers wait on the item list rather than publishing linked
-//! reservations, [`TransferQueue::try_transfer`] (and the channel-trait
-//! `offer`, which has the same only-if-a-consumer-waits semantics) always
-//! fails in bounded mode — use [`BufferedChannel`] for trait-level
-//! buffered semantics.
+//! A bounded `put` cannot overflow behind a waiting `transfer`, so it goes
+//! into the ring past it, and consumers drain the ring first: buffered
+//! items overtake waiting synchronous transfers, and each category is
+//! FIFO within itself (a `put` issued after a `transfer` may be received
+//! first). Use [`BufferedChannel`] for trait-level buffered semantics.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -64,7 +67,7 @@ mod waiters;
 
 pub use ring::RingBuffer;
 
-use std::sync::atomic::{fence, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Poll, Waker};
 use std::time::Duration;
@@ -73,10 +76,10 @@ use synq::{
     impl_channels_via_transferer, CancelToken, Deadline, PendingTransfer, PollTransferer,
     SpinPolicy, StartTransfer, SyncChannel, TimedSyncChannel, TransferOutcome, Transferer,
 };
-use synq_obs::{probe, Probe};
-use synq_primitives::{Backoff, CachePadded, WaitOutcome, WaitSlot};
+use synq_obs::probe;
+use synq_primitives::{Backoff, CachePadded, WaitOutcome};
 use synq_reclaim::{Epoch, Reclaimer};
-use waiters::WaiterQueue;
+use waiters::{Entry, WaiterQueue};
 
 /// How a linked producer relates to its item.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -108,11 +111,11 @@ struct LinkedCounts {
     /// fails), uncounted by whoever wins the node, the claiming consumer
     /// or the cancelling owner, both of which can only follow the link.
     data: AtomicUsize,
-    /// Consumers with a published reservation (unbounded mode only):
-    /// counted by the consumer right *after* its publishing CAS (so that a
-    /// producer that reads the count also sees the node) and uncounted by
-    /// the same consumer when it stops waiting, however that came about.
-    /// A fulfilled consumer that has not yet woken up is still counted.
+    /// Consumers with a published reservation: counted by the consumer
+    /// right *after* its publishing CAS (so that a producer that reads the
+    /// count also sees the node) and uncounted by the same consumer when
+    /// it stops waiting, however that came about. A fulfilled consumer
+    /// that has not yet woken up is still counted.
     reservations: AtomicUsize,
 }
 
@@ -179,15 +182,18 @@ pub struct TransferQueue<T, R: Reclaimer = Epoch> {
     spin: SpinPolicy,
     /// The array fast path in front of the linked protocol.
     ring: RingBuffer<T>,
-    /// Bounded mode: a full ring blocks producers instead of overflowing
-    /// to the list, and consumers wait on `item_waiters` instead of
-    /// publishing reservations.
+    /// What a full ring means to a buffered put: wait for space (bounded)
+    /// or overflow to the list (unbounded). Nothing on the receive side
+    /// depends on it.
     bounded: bool,
     counts: CachePadded<LinkedCounts>,
-    /// Bounded mode: producers waiting for ring space.
+    /// Bounded mode: producers waiting for ring space. They stay on a
+    /// wait list because a reservation waits for an item; the kernel has
+    /// no node for a thread waiting for a slot.
     space_waiters: WaiterQueue,
-    /// Bounded consumers, and async receivers in either mode, waiting for
-    /// an item.
+    /// Async receivers, in either mode, waiting for an item. They stay on
+    /// a wait list because a dropped future cannot be trusted with one
+    /// (see `waiters`); a thread that waits for an item is a reservation.
     item_waiters: WaiterQueue,
 }
 
@@ -216,7 +222,7 @@ impl<T: Send> TransferQueue<T> {
 
     /// Creates a bounded queue: buffered `put`/`poll` ride a
     /// [`RingBuffer`] of `capacity` slots (rounded up to a power of two,
-    /// minimum 2) and block when it is full/empty. `transfer` still
+    /// minimum 2), and `put` waits when it is full. `transfer` still
     /// rendezvouses through the linked protocol.
     pub fn bounded(capacity: usize) -> Self {
         Self::bounded_with_spin(capacity, SpinPolicy::adaptive())
@@ -257,8 +263,8 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
             ring,
             bounded,
             counts: CachePadded::new(LinkedCounts::default()),
-            space_waiters: WaiterQueue::new(Probe::RingFullWaits),
-            item_waiters: WaiterQueue::new(Probe::RingEmptyWaits),
+            space_waiters: WaiterQueue::default(),
+            item_waiters: WaiterQueue::default(),
         }
     }
 
@@ -315,12 +321,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
-        if self.bounded {
-            self.bounded_put(value, deadline, token, true)
-        } else {
-            self.unbounded_put(value);
-            TransferOutcome::Transferred(None)
-        }
+        self.buffered_put(value, deadline, token, true)
     }
 
     /// Immediate buffered enqueue that does **not** defer to registered
@@ -329,11 +330,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     /// their own entry, and their barge is the wakeup-retry the no-barge
     /// rule protects.
     fn try_put_as_waiter(&self, value: T) -> Result<(), T> {
-        if !self.bounded {
-            self.unbounded_put(value);
-            return Ok(());
-        }
-        match self.bounded_put(value, Deadline::Now, None, false) {
+        match self.buffered_put(value, Deadline::Now, None, false) {
             TransferOutcome::Transferred(_) => Ok(()),
             other => Err(other.into_inner().expect("item returned")),
         }
@@ -347,11 +344,10 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         }
     }
 
-    /// Synchronous enqueue only if a consumer is already waiting.
-    ///
-    /// Bounded-mode caveat: consumers wait on the item list rather than
-    /// publishing linked reservations, so there is never a reservation to
-    /// fulfill and this **always fails** on a bounded queue.
+    /// Synchronous enqueue only if a consumer is already waiting: a thread
+    /// blocked in [`Self::take`] (or a timed `poll`) on an empty queue, in
+    /// either mode. Async receivers are woken by buffered sends and by
+    /// linked data, never handed an item, so they do not count here.
     pub fn try_transfer(&self, value: T) -> Result<(), T> {
         match self.producer(Some(value), PutMode::Sync, Deadline::Now, None) {
             TransferOutcome::Transferred(_) => Ok(()),
@@ -379,10 +375,11 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
 
     // ------------------------------------------------------ consumer API
 
-    /// Receives a value, waiting if necessary. Ring items are received
-    /// before linked data: in unbounded mode that is the queue's one FIFO
-    /// order, in bounded mode buffered items overtake waiting synchronous
-    /// transfers (FIFO within each category).
+    /// Receives a value, waiting if necessary: as a linked reservation,
+    /// which the next producer completes with the oldest item there is.
+    /// Ring items are received before linked data: in unbounded mode that
+    /// is the queue's one FIFO order, in bounded mode buffered items
+    /// overtake waiting synchronous transfers (FIFO within each category).
     pub fn take(&self) -> T {
         match self.take_with(Deadline::Never, None) {
             TransferOutcome::Transferred(Some(v)) => v,
@@ -390,10 +387,9 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         }
     }
 
-    /// Receives a buffered or offered value without waiting. On a bounded
-    /// queue, like [`Self::try_put`], defers to consumers already
-    /// registered on the item wait list (no-barge rule): may return `None`
-    /// while the ring is momentarily non-empty if its items are spoken for.
+    /// Receives a buffered or offered value without waiting. `None` means
+    /// nothing was there to take (or that the ring's oldest item is still
+    /// being written by its producer).
     pub fn poll(&self) -> Option<T> {
         self.take_with(Deadline::Now, None).into_inner()
     }
@@ -403,24 +399,33 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         self.take_with(Deadline::after(patience), None).into_inner()
     }
 
-    /// Fully general receive.
+    /// Fully general receive, the same in both modes: the ring first; the
+    /// list (its data, else a reservation of our own) only once the ring's
+    /// indices say it is empty.
     pub fn take_with(&self, deadline: Deadline, token: Option<&CancelToken>) -> TransferOutcome<T> {
-        if self.bounded {
-            self.bounded_take(deadline, token, true)
-        } else {
-            self.unbounded_take(deadline, token)
+        let backoff = Backoff::new();
+        loop {
+            if let Some(v) = self.ring_pop() {
+                return TransferOutcome::Transferred(Some(v));
+            }
+            if !self.ring.is_empty() {
+                // The head slot is claimed by a producer that has not
+                // published it yet. Linked data is younger than that item
+                // (or, in bounded mode, yields to it), so wait for it
+                // instead of looking at the list.
+                if deadline.is_now() {
+                    return TransferOutcome::Timeout(None);
+                }
+                backoff.snooze();
+                continue;
+            }
+            if deadline.is_now() && self.linked_data() == 0 {
+                return TransferOutcome::Timeout(None);
+            }
+            if let Some(outcome) = self.consumer(deadline, token) {
+                return outcome;
+            }
         }
-    }
-
-    /// Immediate receive that does **not** defer to registered item
-    /// waiters; see [`Self::try_put_as_waiter`].
-    fn poll_as_waiter(&self) -> Option<T> {
-        if self.bounded {
-            self.bounded_take(Deadline::Now, None, false)
-        } else {
-            self.unbounded_take(Deadline::Now, None)
-        }
-        .into_inner()
     }
 
     // --------------------------------------------------------- batch API
@@ -436,24 +441,11 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
             return;
         }
         // No-barge: a fresh batch defers to producers already queued for
-        // space (same rule as `bounded_put`).
-        let sent = self.ring_wait(
-            &self.space_waiters,
-            Deadline::Never,
-            None,
-            true,
-            || loop {
-                let pushed = self.ring.try_push_batch(items);
-                self.item_waiters.notify(pushed);
-                if items.is_empty() {
-                    return Some(());
-                }
-                if pushed == 0 {
-                    return None;
-                }
-            },
-            || self.ring.is_full(),
-        );
+        // space (same rule as `buffered_put`).
+        let sent = self.wait_for_space(Deadline::Never, None, true, || {
+            self.ring_push_all(items);
+            items.is_empty()
+        });
         debug_assert!(sent.is_ok(), "untimed, uncancellable wait cannot expire");
     }
 
@@ -461,21 +453,12 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     /// waiting, leaving the rest. Returns how many were sent. Unbounded
     /// queues accept everything.
     pub fn try_put_batch(&self, items: &mut Vec<T>) -> usize {
-        if !self.bounded {
-            let n = items.len();
-            self.unbounded_put_batch(items);
-            return n;
+        if self.bounded {
+            return self.ring_push_all(items);
         }
-        let mut sent = 0;
-        loop {
-            let pushed = self.ring.try_push_batch(items);
-            if pushed == 0 {
-                break;
-            }
-            sent += pushed;
-        }
-        self.item_waiters.notify(sent);
-        sent
+        let n = items.len();
+        self.unbounded_put_batch(items);
+        n
     }
 
     /// Receives up to `max` items into `out`, blocking until at least one
@@ -502,11 +485,10 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     pub fn try_take_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
         let mut got = 0;
         loop {
-            let popped = self.ring.try_pop_batch(out, max - got);
+            let popped = self.ring_pop_batch(out, max - got);
             if popped == 0 {
                 break;
             }
-            self.space_waiters.notify(popped);
             got += popped;
         }
         while got < max && self.linked_data() > 0 {
@@ -546,8 +528,8 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
 
     /// Number of consumers waiting for an element (mirrors
     /// `LinkedTransferQueue.getWaitingConsumerCount`): linked reservations
-    /// plus the item wait list (bounded consumers and async receivers).
-    /// O(1); approximate under concurrency.
+    /// (blocked threads) plus the item wait list (pending async
+    /// receivers). O(1); approximate under concurrency.
     pub fn waiting_consumer_count(&self) -> usize {
         self.reservations() + self.item_waiters.hint()
     }
@@ -557,53 +539,54 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         self.counts.data.load(Ordering::SeqCst)
     }
 
-    /// What a waiter on the item list re-checks before it parks or
-    /// suspends (the `blocked` of [`Self::ring_wait`]): SeqCst loads of
-    /// everything a producer moves before it calls `item_waiters.notify`.
-    fn nothing_to_take(&self) -> bool {
-        self.ring.is_empty() && self.linked_data() == 0
-    }
-
     /// Consumers waiting on a linked reservation (see [`LinkedCounts`]).
     fn reservations(&self) -> usize {
         self.counts.reservations.load(Ordering::SeqCst)
     }
 
-    // --------------------------------------------- unbounded fast paths
+    // ---------------------------------------------------- the ring's door
+    //
+    // Every item enters and leaves the ring through these, which pair the
+    // index move with its announcement: a push with `after_ring_push`, a
+    // pop with a notify on the space list (one load of a hint that is
+    // always 0 on an unbounded queue, whose producers never wait).
 
-    /// Unbounded buffered put: the ring while it has room and no linked
-    /// data is queued (ring items must stay older than linked data), the
-    /// list otherwise.
-    fn unbounded_put(&self, mut value: T) {
-        if self.linked_data() == 0 {
-            match self.ring.try_push(value) {
-                Ok(()) => {
-                    self.after_ring_push(1);
-                    return;
-                }
-                Err(back) => value = back,
-            }
-        }
-        probe!(RingOverflowPuts);
-        match self.producer(Some(value), PutMode::Async, Deadline::Never, None) {
-            TransferOutcome::Transferred(_) => {}
-            _ => unreachable!("an async producer never waits"),
-        }
+    fn ring_push(&self, value: T) -> Result<(), T> {
+        self.ring.try_push(value)?;
+        self.after_ring_push(1);
+        Ok(())
     }
 
-    fn unbounded_put_batch(&self, items: &mut Vec<T>) {
-        if self.linked_data() == 0 {
+    /// Pushes run after run from the front of `items` until they are all
+    /// in or the ring is full. Returns how many went in.
+    fn ring_push_all(&self, items: &mut Vec<T>) -> usize {
+        let mut sent = 0;
+        loop {
             let pushed = self.ring.try_push_batch(items);
             self.after_ring_push(pushed);
-        }
-        for value in items.drain(..) {
-            self.unbounded_put(value);
+            sent += pushed;
+            if pushed == 0 || items.is_empty() {
+                return sent;
+            }
         }
     }
 
-    /// Wakes whoever waits for the `pushed` items just published into an
-    /// unbounded queue's ring: linked reservations first (oldest first),
-    /// then async receivers on the item list.
+    fn ring_pop(&self) -> Option<T> {
+        let value = self.ring.try_pop()?;
+        self.space_waiters.notify(1);
+        Some(value)
+    }
+
+    fn ring_pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
+        let popped = self.ring.try_pop_batch(out, max);
+        self.space_waiters.notify(popped);
+        popped
+    }
+
+    /// Hands the `pushed` items just published into the ring to whoever
+    /// waits for them: linked reservations first (oldest first, each
+    /// handed the ring's head), then a wakeup for async receivers on the
+    /// item list.
     ///
     /// Lost-wakeup discipline, the same Dekker shape as `waiters`: the
     /// push is a SeqCst CAS on the ring's tail followed here by a SeqCst
@@ -649,15 +632,15 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     /// the ring's indices say it is empty. A reservation completed with no
     /// item (the ring was drained by someone else, or its head slot is
     /// claimed but not yet published) makes its consumer retry.
+    ///
+    /// The pop is made on the consumer's behalf, so it goes through
+    /// `ring_pop` like the consumer's own would: on a bounded queue it
+    /// frees a slot a parked producer may be waiting for.
     fn fulfill_reservation(&self, m: &WaitNode<T, R>, own: &mut Option<T>) -> bool {
-        debug_assert!(
-            !self.bounded,
-            "bounded consumers never publish reservations"
-        );
         if !m.slot.try_claim() {
             return false;
         }
-        let item = match self.ring.try_pop() {
+        let item = match self.ring_pop() {
             None if self.ring.is_empty() => own.take(),
             popped => popped,
         };
@@ -669,169 +652,53 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         true
     }
 
-    /// Unbounded receive: the ring first; the list (its data, else a
-    /// reservation of our own) only once the ring's indices say it is
-    /// empty.
-    fn unbounded_take(
-        &self,
-        deadline: Deadline,
-        token: Option<&CancelToken>,
-    ) -> TransferOutcome<T> {
-        let backoff = Backoff::new();
-        loop {
-            if let Some(v) = self.ring.try_pop() {
-                return TransferOutcome::Transferred(Some(v));
+    // ------------------------------------------------------ buffered puts
+
+    /// Unbounded buffered put: the ring while it has room and no linked
+    /// data is queued (ring items must stay older than linked data), the
+    /// list otherwise.
+    fn unbounded_put(&self, mut value: T) {
+        if self.linked_data() == 0 {
+            match self.ring_push(value) {
+                Ok(()) => return,
+                Err(back) => value = back,
             }
-            if !self.ring.is_empty() {
-                // The head slot is claimed by a producer that has not
-                // published it yet. Linked data is younger than that item,
-                // so wait for it instead of looking at the list.
-                if deadline.is_now() {
-                    return TransferOutcome::Timeout(None);
-                }
-                backoff.snooze();
-                continue;
-            }
-            if deadline.is_now() && self.linked_data() == 0 {
-                return TransferOutcome::Timeout(None);
-            }
-            if let Some(outcome) = self.consumer(deadline, token) {
-                return outcome;
-            }
+        }
+        probe!(RingOverflowPuts);
+        match self.producer(Some(value), PutMode::Async, Deadline::Never, None) {
+            TransferOutcome::Transferred(_) => {}
+            _ => unreachable!("an async producer never waits"),
         }
     }
 
-    // ----------------------------------------------- bounded fast paths
-
-    /// The blocking skeleton of the bounded fast paths: `attempt` the ring
-    /// operation, else register on `waiters` and park until notified.
-    ///
-    /// Lost-wakeup discipline (see `waiters`; the four-access argument is
-    /// in DESIGN §4.11). Notifier: the ring operation (a SeqCst CAS on an
-    /// index) and then `notify` (a SeqCst load of the hint), no fence
-    /// between them. Waiter: `register` (a SeqCst store of the hint), a
-    /// fence, and then `blocked` (SeqCst loads of the indices), evaluated
-    /// after the registration and **before every park**: either the
-    /// notifier's hint load sees the registration, or `blocked` sees the
-    /// index move and the waiter retries instead of parking — spinning
-    /// through the moment in which an index has moved but the slot's
-    /// sequence word is not yet visible.
-    ///
-    /// `defer_to_waiters` is the **no-barge** rule: a fresh arrival
-    /// that finds earlier waiters already registered does not race them
-    /// for whatever a counterpart just freed — it queues up behind them.
-    /// Only callers with no registration of their own defer; a woken waiter
-    /// re-attempting must barge, or woken waiters would defer to each other
-    /// and the ring could sit usable with everyone parked.
-    #[inline]
-    fn ring_wait<O>(
-        &self,
-        waiters: &WaiterQueue,
-        deadline: Deadline,
-        token: Option<&CancelToken>,
-        defer_to_waiters: bool,
-        mut attempt: impl FnMut() -> Option<O>,
-        blocked: impl Fn() -> bool,
-    ) -> Result<O, WaitOutcome> {
-        let mut entry: Option<Arc<WaitSlot<()>>> = None;
-        // True while `entry` holds a notification we were woken by and have
-        // not yet converted into a successful ring operation.
-        let mut consumed_match = false;
-        // Whether the current registration has already retried once on
-        // the strength of `blocked()` alone.
-        let mut retried = false;
-        let backoff = Backoff::new();
-        let result = loop {
-            if !(defer_to_waiters && entry.is_none() && waiters.hint() > 0) {
-                if let Some(out) = attempt() {
-                    break Ok(out);
-                }
-            }
-            if deadline.is_now() || deadline.expired() {
-                break Err(WaitOutcome::TimedOut);
-            }
-            if token.is_some_and(|tk| tk.is_cancelled()) {
-                break Err(WaitOutcome::Cancelled);
-            }
-            if entry.as_ref().is_none_or(|e| !e.is_waiting()) {
-                // (Re-)register. A spent (matched) entry is replaced
-                // *before* it is removed, so the registered count never
-                // dips to zero mid-handoff — a dip would open the barge
-                // window the in-place notify protocol closes.
-                let fresh = waiters.register();
-                fence(Ordering::SeqCst);
-                if let Some(old) = entry.replace(fresh) {
-                    waiters.remove(&old);
-                }
-                consumed_match = false;
-            }
-            if !blocked() {
-                // The indices say the operation can go. The first time
-                // that is the common race (the counterpart got there
-                // between our attempt and our registration): retry at
-                // once. If the retry fails too, a peer is mid-operation
-                // on the very slot we need, possibly off the CPU: make
-                // room for it.
-                if std::mem::replace(&mut retried, true) {
-                    backoff.snooze();
-                }
-                continue;
-            }
-            waiters.note_wait();
-            match entry
-                .as_ref()
-                .expect("registered above")
-                .await_outcome(deadline, token, &self.spin)
-            {
-                WaitOutcome::Matched(_) => {
-                    consumed_match = true;
-                    retried = false;
-                }
-                verdict => break Err(verdict),
-            }
-        };
-        if let Some(e) = entry {
-            if e.is_cancelled() || (consumed_match && result.is_ok()) {
-                // CANCELLED: `await_outcome` arbitration already settled
-                // the slot. Matched and used: the wakeup was converted
-                // into a completed ring operation. Either way a retract
-                // would wrongly pass a notification on.
-                waiters.remove(&e);
-            } else {
-                // Still WAITING (or matched by a racing notify whose freed
-                // capacity we did not use): cancel-or-pass-on.
-                waiters.retract(&e);
-            }
+    fn unbounded_put_batch(&self, items: &mut Vec<T>) {
+        if self.linked_data() == 0 {
+            self.ring_push_all(items);
         }
-        result
+        for value in items.drain(..) {
+            self.unbounded_put(value);
+        }
     }
 
-    /// Bounded buffered put: ride the ring, waiting for space when full.
-    fn bounded_put(
+    /// Buffered put: ride the ring; when it is full, overflow to the list
+    /// (unbounded) or wait for space (bounded).
+    fn buffered_put(
         &self,
         value: T,
         deadline: Deadline,
         token: Option<&CancelToken>,
         defer_to_waiters: bool,
     ) -> TransferOutcome<T> {
+        if !self.bounded {
+            self.unbounded_put(value);
+            return TransferOutcome::Transferred(None);
+        }
         let mut value = Some(value);
-        let sent = self.ring_wait(
-            &self.space_waiters,
-            deadline,
-            token,
-            defer_to_waiters,
-            || match self.ring.try_push(value.take().expect("unsent item")) {
-                Ok(()) => {
-                    self.item_waiters.notify(1);
-                    Some(())
-                }
-                Err(back) => {
-                    value = Some(back);
-                    None
-                }
-            },
-            || self.ring.is_full(),
-        );
+        let sent = self.wait_for_space(deadline, token, defer_to_waiters, || {
+            self.ring_push(value.take().expect("unsent item"))
+                .map_err(|back| value = Some(back))
+                .is_ok()
+        });
         match sent {
             Ok(()) => TransferOutcome::Transferred(None),
             Err(WaitOutcome::Cancelled) => TransferOutcome::Cancelled(value),
@@ -839,44 +706,75 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         }
     }
 
-    /// Bounded receive: ring items first, then waiting synchronous
-    /// transfers, else wait on the item list. The `linked_data` gate is
-    /// what keeps the pure buffered path off the epoch-pinned linked
-    /// protocol entirely.
-    fn bounded_take(
+    /// The blocking skeleton of the bounded puts: `attempt` the push, else
+    /// register on the space list and park until a pop announces a slot.
+    ///
+    /// Lost-wakeup discipline (see `waiters`; the four-access argument is
+    /// in DESIGN §4.11). Notifier: the pop (a SeqCst CAS on the head
+    /// index) and then `notify` (a SeqCst load of the hint), no fence
+    /// between them. Waiter: `arm` (a SeqCst store of the hint, a fence)
+    /// and then SeqCst loads of the indices (`is_full`), evaluated after
+    /// the registration and **before every park**: either the notifier's
+    /// hint load sees the registration, or the waiter sees the index move
+    /// and retries instead of parking — spinning through the moment in
+    /// which an index has moved but the slot's sequence word is not yet
+    /// visible.
+    ///
+    /// `defer_to_waiters` is the **no-barge** rule: a fresh arrival
+    /// that finds earlier waiters already registered does not race them
+    /// for the slot a consumer just freed — it queues up behind them.
+    /// Only callers with no registration of their own defer; a woken waiter
+    /// re-attempting must barge, or woken waiters would defer to each other
+    /// and the ring could sit usable with everyone parked.
+    #[inline]
+    fn wait_for_space(
         &self,
         deadline: Deadline,
         token: Option<&CancelToken>,
         defer_to_waiters: bool,
-    ) -> TransferOutcome<T> {
-        let got = self.ring_wait(
-            &self.item_waiters,
-            deadline,
-            token,
-            defer_to_waiters,
-            || {
-                if let Some(v) = self.ring.try_pop() {
-                    self.space_waiters.notify(1);
-                    return Some(v);
+        mut attempt: impl FnMut() -> bool,
+    ) -> Result<(), WaitOutcome> {
+        let waiters = &self.space_waiters;
+        let mut entry: Entry = None;
+        let mut notified;
+        // Whether the current registration has already retried once on
+        // the strength of the indices alone.
+        let mut retried = false;
+        let backoff = Backoff::new();
+        let result = loop {
+            notified = WaiterQueue::notified(&entry);
+            if !(defer_to_waiters && entry.is_none() && waiters.hint() > 0) && attempt() {
+                break Ok(());
+            }
+            if deadline.is_now() || deadline.expired() {
+                break Err(WaitOutcome::TimedOut);
+            }
+            if token.is_some_and(|tk| tk.is_cancelled()) {
+                break Err(WaitOutcome::Cancelled);
+            }
+            if waiters.arm(&mut entry) {
+                retried = false;
+            }
+            if !self.ring.is_full() {
+                // The indices say a push can go. The first time that is
+                // the common race (a consumer got there between our
+                // attempt and our registration): retry at once. If the
+                // retry fails too, a peer is mid-operation on the very
+                // slot we need, possibly off the CPU: make room for it.
+                if std::mem::replace(&mut retried, true) {
+                    backoff.snooze();
                 }
-                if self.linked_data() > 0 {
-                    // Nothing here: the ring has refilled, or someone
-                    // else took the counted node.
-                    if let Some(TransferOutcome::Transferred(v)) =
-                        self.consumer(Deadline::Now, None)
-                    {
-                        return v;
-                    }
-                }
-                None
-            },
-            || self.nothing_to_take(),
-        );
-        match got {
-            Ok(v) => TransferOutcome::Transferred(Some(v)),
-            Err(WaitOutcome::Cancelled) => TransferOutcome::Cancelled(None),
-            Err(_) => TransferOutcome::Timeout(None),
-        }
+                continue;
+            }
+            probe!(RingFullWaits);
+            let slot = entry.as_ref().expect("armed above");
+            match slot.await_outcome(deadline, token, &self.spin) {
+                WaitOutcome::Matched(_) => {}
+                verdict => break Err(verdict),
+            }
+        };
+        waiters.release(&mut entry, notified && result.is_ok());
+        result
     }
 
     // ---------------------------------------------------------- internals
@@ -916,12 +814,12 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
                 match at.try_append(owned) {
                     Ok(published) => {
                         drop(guard);
-                        // Wake an item-list waiter (bounded consumers and
-                        // async receivers wait there, not as
-                        // reservations). The SeqCst increment above and
-                        // the hint load inside `notify` are the notifier
-                        // half of the handshake in `ring_wait`, whose
-                        // `blocked` reads that count.
+                        // Wake an async receiver (they wait on the item
+                        // list, not as reservations). The SeqCst
+                        // increment above and the hint load inside
+                        // `notify` are the notifier half of the handshake
+                        // in `waiters`; `BufferedPermit::blocked` reads
+                        // that count.
                         self.item_waiters.notify(1);
                         if mode == PutMode::Sync {
                             return self.await_fulfill(published, deadline, token);
@@ -1011,6 +909,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
                     unsafe { self.list.leave(published, WaitOutcome::Cancelled) };
                     None
                 } else {
+                    probe!(RingEmptyWaits);
                     match self.await_fulfill(published, deadline, token) {
                         TransferOutcome::Transferred(None) => None,
                         outcome => Some(outcome),
@@ -1175,6 +1074,15 @@ impl<T: Send> BufferedChannel<T> {
     pub fn queue(&self) -> &TransferQueue<T> {
         &self.queue
     }
+
+    /// The list a pending sender (`producer`) or receiver waits on.
+    fn waiters(&self, producer: bool) -> &WaiterQueue {
+        if producer {
+            &self.queue.space_waiters
+        } else {
+            &self.queue.item_waiters
+        }
+    }
 }
 
 impl<T: Send> SyncChannel<T> for BufferedChannel<T> {
@@ -1241,12 +1149,15 @@ impl<T: Send> TimedSyncChannel<T> for BufferedChannel<T> {
 /// Unlike the dual structures' permits, which stand for a *linked node*,
 /// a buffered permit stands for an entry on the queue's space/item wait
 /// list; each poll re-attempts the operation and (re-)registers as
-/// needed. Dropping an unresolved permit retracts the entry; a producer's
-/// item is dropped with it.
+/// needed. A receiving permit is woken to retry and never handed an item,
+/// so dropping one at any point loses nothing: an unresolved permit's
+/// entry is retracted, a wakeup it had received but not acted on goes to
+/// the next pending receiver, and a producer's unsent item is dropped with
+/// its permit.
 #[derive(Debug)]
 pub struct BufferedPermit<T: Send> {
     channel: Arc<BufferedChannel<T>>,
-    entry: Option<Arc<WaitSlot<()>>>,
+    entry: Entry,
     /// `Some` while a producer-side permit still owns its unsent item.
     item: Option<T>,
     producer: bool,
@@ -1259,44 +1170,30 @@ pub struct BufferedPermit<T: Send> {
 impl<T: Send> Unpin for BufferedPermit<T> {}
 
 impl<T: Send> BufferedPermit<T> {
-    fn waiters(&self) -> &WaiterQueue {
-        if self.producer {
-            &self.channel.queue.space_waiters
-        } else {
-            &self.channel.queue.item_waiters
-        }
-    }
-
-    /// Whether the awaited condition still fails, by the SeqCst loads the
-    /// wait handshake needs (the `blocked` of `TransferQueue::ring_wait`).
+    /// Whether the awaited condition still fails, by SeqCst loads of
+    /// everything the other side moves before it calls `notify` (the
+    /// waiter half of the handshake in `waiters`).
     fn blocked(&self) -> bool {
         let queue = &self.channel.queue;
         if self.producer {
             queue.ring.is_full()
         } else {
-            queue.nothing_to_take()
+            queue.ring.is_empty() && queue.linked_data() == 0
         }
     }
 
-    /// Withdraws a still-live wait-list entry (cancel-or-pass-on). Used on
-    /// drop: the permit never consumed the awaited condition, so a
-    /// notification that landed in its slot is handed to the next waiter.
-    fn release_entry(&mut self) {
-        if let Some(entry) = self.entry.take() {
-            self.waiters().retract(&entry);
+    /// One immediate try at the operation.
+    fn attempt(&mut self) -> Option<TransferOutcome<T>> {
+        let queue = &self.channel.queue;
+        if !self.producer {
+            return queue.poll().map(|v| TransferOutcome::Transferred(Some(v)));
         }
-    }
-
-    /// Unlinks the entry after the operation succeeded. A matched entry's
-    /// notification was just converted into that operation, so it is
-    /// consumed (plain remove); a still-waiting entry is retracted,
-    /// passing on any notification that races in.
-    fn finish_entry(&mut self) {
-        if let Some(entry) = self.entry.take() {
-            if entry.is_waiting() {
-                self.waiters().retract(&entry);
-            } else {
-                self.waiters().remove(&entry);
+        let value = self.item.take().expect("producer permit owns its item");
+        match queue.try_put_as_waiter(value) {
+            Ok(()) => Some(TransferOutcome::Transferred(None)),
+            Err(back) => {
+                self.item = Some(back);
+                None
             }
         }
     }
@@ -1310,62 +1207,38 @@ impl<T: Send> PendingTransfer<T> for BufferedPermit<T> {
         token: Option<&CancelToken>,
     ) -> Poll<TransferOutcome<T>> {
         assert!(!self.done, "permit polled after resolving");
-        let queue = &self.channel.queue;
         loop {
             // Re-attempt the operation first: a wakeup (or a spurious
-            // poll) means the condition may now hold. The `_as_waiter`
-            // variants skip the public paths' defer-to-waiters check —
-            // this permit is (or is about to become) the registered
-            // waiter those paths defer to.
-            if self.producer {
-                let value = self.item.take().expect("producer permit owns its item");
-                match queue.try_put_as_waiter(value) {
-                    Ok(()) => {
-                        self.finish_entry();
-                        self.done = true;
-                        return Poll::Ready(TransferOutcome::Transferred(None));
-                    }
-                    Err(back) => self.item = Some(back),
-                }
-            } else if let Some(v) = queue.poll_as_waiter() {
-                self.finish_entry();
+            // poll) means the condition may now hold.
+            let notified = WaiterQueue::notified(&self.entry);
+            let attempted = self.attempt();
+            let waiters = self.channel.waiters(self.producer);
+            if let Some(outcome) = attempted {
                 self.done = true;
-                return Poll::Ready(TransferOutcome::Transferred(Some(v)));
+                waiters.release(&mut self.entry, notified);
+                return Poll::Ready(outcome);
             }
-            if self.entry.as_ref().is_none_or(|e| !e.is_waiting()) {
-                // (Re-)register, then loop to re-attempt. A spent
-                // (notified) entry is replaced *before* it is removed so
-                // the wait-list count never dips to zero mid-handoff (no
-                // barge window).
-                let fresh = self.waiters().register();
-                fence(Ordering::SeqCst);
-                if let Some(old) = self.entry.replace(fresh) {
-                    self.waiters().remove(&old);
-                }
+            // (Re-)register, then loop to re-attempt.
+            if waiters.arm(&mut self.entry) {
                 continue;
             }
             // Registered, and the attempt still failed. Suspend only on a
-            // condition the SeqCst loads confirm *after* the registration
-            // (the waiter half of the handshake in `ring_wait`); an index
-            // or count that has moved while the operation still fails is
-            // a moment to spin through, not to sleep in.
+            // condition the SeqCst loads confirm *after* the registration;
+            // an index or count that has moved while the operation still
+            // fails is a moment to spin through, not to sleep in.
             if !self.blocked() {
                 std::hint::spin_loop();
                 continue;
             }
-            let entry = self.entry.as_ref().expect("registered above");
+            let entry = self.entry.as_ref().expect("armed above");
             match entry.poll_outcome(waker, deadline, token) {
-                Poll::Ready(WaitOutcome::Matched(_)) => {
-                    // Leave the entry registered while we retry: fresh
-                    // arrivals keep deferring until our retry lands (or
-                    // the re-arm above replaces the spent entry).
-                }
+                // Leave the entry registered while we retry: fresh
+                // arrivals keep deferring until our retry lands (or the
+                // re-arm above replaces the spent entry).
+                Poll::Ready(WaitOutcome::Matched(_)) => {}
                 Poll::Ready(verdict) => {
-                    // Our entry is terminally CANCELLED: physical
-                    // removal only (retract would pass a wakeup on).
-                    let entry = self.entry.take().expect("entry present");
-                    self.waiters().remove(&entry);
                     self.done = true;
+                    waiters.release(&mut self.entry, false);
                     let item = self.item.take();
                     return Poll::Ready(match verdict {
                         WaitOutcome::TimedOut => TransferOutcome::Timeout(item),
@@ -1381,9 +1254,10 @@ impl<T: Send> PendingTransfer<T> for BufferedPermit<T> {
 
 impl<T: Send> Drop for BufferedPermit<T> {
     fn drop(&mut self) {
-        if !self.done {
-            self.release_entry();
-        }
+        // Whatever wakeup this permit holds was not converted into an
+        // operation (a resolved permit has already released its entry).
+        let waiters = self.channel.waiters(self.producer);
+        waiters.release(&mut self.entry, false);
     }
 }
 
@@ -1426,6 +1300,15 @@ mod tests {
     use std::sync::Arc;
     use std::thread;
     use std::time::Instant;
+
+    /// One queue of each mode, for what must hold in both: everything on
+    /// the receive side.
+    fn both_modes() -> [Arc<TransferQueue<u32>>; 2] {
+        [
+            Arc::new(TransferQueue::new()),
+            Arc::new(TransferQueue::bounded(4)),
+        ]
+    }
 
     #[test]
     fn async_put_buffers_fifo() {
@@ -1475,23 +1358,23 @@ mod tests {
         assert_eq!(q.len(), 100);
     }
 
+    /// In bounded mode this replaces `bounded_try_transfer_always_fails`:
+    /// a bounded consumer publishes a reservation like any other.
     #[test]
     fn try_transfer_needs_waiting_consumer() {
-        let q = Arc::new(TransferQueue::new());
-        assert_eq!(q.try_transfer(1), Err(1));
-        let q2 = Arc::clone(&q);
-        let t = thread::spawn(move || q2.take());
-        let mut v = 5u32;
-        loop {
-            match q.try_transfer(v) {
-                Ok(()) => break,
-                Err(back) => {
-                    v = back;
-                    thread::yield_now();
-                }
+        for q in both_modes() {
+            assert_eq!(q.try_transfer(1), Err(1));
+            q.put(2); // buffered items are not consumers
+            assert_eq!(q.try_transfer(3), Err(3));
+            assert_eq!(q.poll(), Some(2));
+            let q2 = Arc::clone(&q);
+            let t = thread::spawn(move || q2.take());
+            while !q.has_waiting_consumer() {
+                thread::yield_now();
             }
+            assert_eq!(q.try_transfer(5), Ok(()));
+            assert_eq!(t.join().unwrap(), 5);
         }
-        assert_eq!(t.join().unwrap(), 5);
     }
 
     #[test]
@@ -1589,50 +1472,62 @@ mod tests {
 
     #[test]
     fn waiting_consumer_introspection() {
-        let q: Arc<TransferQueue<u32>> = Arc::new(TransferQueue::new());
-        assert!(!q.has_waiting_consumer());
-        assert_eq!(q.waiting_consumer_count(), 0);
-        let q2 = Arc::clone(&q);
-        let t = thread::spawn(move || q2.take());
-        while !q.has_waiting_consumer() {
-            thread::yield_now();
+        for q in both_modes() {
+            assert!(!q.has_waiting_consumer());
+            assert_eq!(q.waiting_consumer_count(), 0);
+            let q2 = Arc::clone(&q);
+            let t = thread::spawn(move || q2.take());
+            while !q.has_waiting_consumer() {
+                thread::yield_now();
+            }
+            assert_eq!(q.waiting_consumer_count(), 1);
+            q.put(5);
+            assert_eq!(t.join().unwrap(), 5);
+            assert!(!q.has_waiting_consumer());
         }
-        assert_eq!(q.waiting_consumer_count(), 1);
-        q.put(5);
-        assert_eq!(t.join().unwrap(), 5);
-        assert!(!q.has_waiting_consumer());
     }
 
     #[test]
     fn transferer_impl_mirrors_fair_synchronous_queue() {
         use synq::{SyncChannel, TimedSyncChannel};
-        let q: Arc<TransferQueue<u32>> = Arc::new(TransferQueue::new());
-        // Channel-trait view: offer fails with nobody waiting (synchronous
-        // semantics), even though `put` (async) would succeed.
-        assert_eq!(q.offer(1), Err(1));
-        assert_eq!(TimedSyncChannel::poll(&*q), None);
-        let q2 = Arc::clone(&q);
-        let t = thread::spawn(move || SyncChannel::take(&*q2));
-        SyncChannel::put(&*q, 9); // trait put == synchronous transfer
-        assert_eq!(t.join().unwrap(), 9);
+        for q in both_modes() {
+            // Channel-trait view: offer fails with nobody waiting
+            // (synchronous semantics), even though `put` (async) would
+            // succeed, and succeeds once somebody is.
+            assert_eq!(q.offer(1), Err(1));
+            assert_eq!(TimedSyncChannel::poll(&*q), None);
+            let q2 = Arc::clone(&q);
+            let t = thread::spawn(move || SyncChannel::take(&*q2));
+            while !q.has_waiting_consumer() {
+                thread::yield_now();
+            }
+            assert_eq!(q.offer(8), Ok(()));
+            assert_eq!(t.join().unwrap(), 8);
+            let q2 = Arc::clone(&q);
+            let t = thread::spawn(move || SyncChannel::take(&*q2));
+            SyncChannel::put(&*q, 9); // trait put == synchronous transfer
+            assert_eq!(t.join().unwrap(), 9);
+        }
     }
 
     #[test]
     fn works_as_executor_channel() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         use synq_executor::ThreadPool;
-        let pool = ThreadPool::cached(Arc::new(TransferQueue::new()));
-        let done = Arc::new(AtomicUsize::new(0));
-        for _ in 0..20 {
-            let d = Arc::clone(&done);
-            pool.execute(move || {
-                d.fetch_add(1, Ordering::SeqCst);
-            })
-            .unwrap();
+        for queue in [TransferQueue::new(), TransferQueue::bounded(4)] {
+            let pool = ThreadPool::cached(Arc::new(queue));
+            let done = Arc::new(AtomicUsize::new(0));
+            for _ in 0..20 {
+                let d = Arc::clone(&done);
+                pool.execute(move || {
+                    d.fetch_add(1, Ordering::SeqCst);
+                })
+                .unwrap();
+            }
+            pool.shutdown();
+            pool.join();
+            assert_eq!(done.load(Ordering::SeqCst), 20);
         }
-        pool.shutdown();
-        pool.join();
-        assert_eq!(done.load(Ordering::SeqCst), 20);
     }
 
     #[test]
@@ -1672,7 +1567,8 @@ mod tests {
 
     #[test]
     fn overflow_goes_linked_and_drains_back_to_the_ring() {
-        let overflow_puts = || synq_obs::StatsSnapshot::take().get(Probe::RingOverflowPuts);
+        let overflow_puts =
+            || synq_obs::StatsSnapshot::take().get(synq_obs::Probe::RingOverflowPuts);
         let before = overflow_puts();
         let q: TransferQueue<[u64; 62]> = TransferQueue::new();
         let slots = q.ring.capacity();
@@ -1767,24 +1663,46 @@ mod tests {
         // try_put must fail even though the ring has room.
         let q: TransferQueue<u32> = TransferQueue::bounded(4);
         q.put(1);
-        let w = q.space_waiters.register();
+        let mut w = Some(q.space_waiters.register());
         assert_eq!(q.try_put(2), Err(2), "fresh arrival must defer");
-        q.space_waiters.retract(&w);
+        q.space_waiters.release(&mut w, false);
         assert_eq!(q.try_put(2), Ok(()));
         assert_eq!(q.poll(), Some(1));
         assert_eq!(q.poll(), Some(2));
     }
 
+    /// The trap in handing a bounded consumer its item: the pop made on
+    /// its behalf frees a slot, and must say so. Two producers have pushed
+    /// (ring full) but not yet announced; a third is parked on the space
+    /// list; the first announcement serves the reservation, and the third
+    /// producer must complete with no `take` by anyone.
     #[test]
-    fn poll_defers_to_registered_item_waiter() {
-        // Symmetric consumer-side check: a buffered item already spoken
-        // for by a registered consumer is not stolen by a fresh poll.
-        let q: TransferQueue<u32> = TransferQueue::bounded(4);
-        q.put(7);
-        let w = q.item_waiters.register();
-        assert_eq!(q.poll(), None, "item is spoken for");
-        q.item_waiters.retract(&w);
-        assert_eq!(q.poll(), Some(7));
+    fn handoff_pop_announces_space_to_a_parked_producer() {
+        let q: Arc<TransferQueue<u32>> = Arc::new(TransferQueue::bounded(2));
+        let q2 = Arc::clone(&q);
+        let consumer = thread::spawn(move || q2.take());
+        while !q.has_waiting_consumer() {
+            thread::yield_now();
+        }
+        assert_eq!(q.ring.try_push(1), Ok(()));
+        assert_eq!(q.ring.try_push(2), Ok(()));
+        let q3 = Arc::clone(&q);
+        let (done, third) = std::sync::mpsc::channel();
+        let producer = thread::spawn(move || {
+            q3.put(3);
+            done.send(()).unwrap();
+        });
+        while q.space_waiters.hint() == 0 {
+            thread::yield_now();
+        }
+        thread::sleep(Duration::from_millis(10)); // let it park
+        q.after_ring_push(2);
+        assert_eq!(consumer.join().unwrap(), 1);
+        third
+            .recv_timeout(Duration::from_secs(20))
+            .expect("producer parked beside the slot the handoff freed");
+        producer.join().unwrap();
+        assert_eq!((q.poll(), q.poll(), q.poll()), (Some(2), Some(3), None));
     }
 
     #[test]
@@ -1856,22 +1774,6 @@ mod tests {
         assert_eq!(q.take(), 20);
         t.join().unwrap();
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn bounded_try_transfer_always_fails() {
-        let q = Arc::new(TransferQueue::bounded(4));
-        assert_eq!(q.try_transfer(1u32), Err(1));
-        // Even with a waiting consumer: bounded consumers wait on the item
-        // list, never as linked reservations.
-        let q2 = Arc::clone(&q);
-        let t = thread::spawn(move || q2.take());
-        while q.waiting_consumer_count() == 0 {
-            thread::yield_now();
-        }
-        assert_eq!(q.try_transfer(2u32), Err(2));
-        q.put(3);
-        assert_eq!(t.join().unwrap(), 3);
     }
 
     #[test]

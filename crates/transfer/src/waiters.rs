@@ -1,19 +1,29 @@
-//! A notification registry for threads/tasks waiting on ring transitions.
+//! The wait list for the two kinds of waiter the [`synq::dual_list`]
+//! kernel has no node for.
 //!
-//! The bounded mode of [`TransferQueue`](crate::TransferQueue) needs two
-//! wait lists — producers waiting for ring *space* and consumers waiting
-//! for ring *items* — with the same lost-wakeup discipline the rendezvous
-//! path gets from its linked reservations. Rather than invent a second
-//! parking mechanism, each waiter is an `Arc<WaitSlot<()>>`: the same
-//! primitive that backs rendezvous nodes, so blocking waits reuse the
-//! spin-then-park policy and async waits reuse `poll_match`.
+//! A *thread* that finds nothing to take waits as a linked reservation and
+//! is handed its item (see `TransferQueue::consumer`). What still waits
+//! here, and why:
+//!
+//! * **Producers waiting for ring space** (bounded mode, threads and async
+//!   senders). A reservation waits for an *item*; a slot freeing up has no
+//!   kernel counterpart yet.
+//! * **Async receivers** (`BufferedPermit`, either mode). A `RecvFuture`
+//!   can be dropped after it was fulfilled, and an item deposited into it
+//!   would then be lost or have to be re-queued out of order. So a future
+//!   is only ever *woken* to retry, never handed an item, and a wakeup it
+//!   does not use is passed on ([`WaiterQueue::release`]).
+//!
+//! Each waiter is an `Arc<WaitSlot<()>>`: the same primitive that backs
+//! rendezvous nodes, so blocking waits reuse the spin-then-park policy and
+//! async waits reuse `poll_outcome`.
 //!
 //! The lost-wakeup-free protocol (Dekker-style, DESIGN §4.11):
 //!
-//! * **Waiter**: [`WaiterQueue::register`] (a SeqCst store of the length
-//!   hint) → `fence(SeqCst)` → re-check the condition with SeqCst loads
-//!   (the ring's indices, the linked-data count), **before every park** →
-//!   if it may now hold, retry the operation; else park.
+//! * **Waiter**: [`WaiterQueue::arm`] (a SeqCst store of the length hint,
+//!   then a SeqCst fence) → re-check the condition with SeqCst loads (the
+//!   ring's indices, the linked-data count), **before every park** → if
+//!   it may now hold, retry the operation; else park.
 //! * **Notifier**: perform the state change (a SeqCst CAS on a ring
 //!   index, or a SeqCst increment of the linked-data count) →
 //!   [`WaiterQueue::notify`] (a SeqCst load of the hint, queue lock taken
@@ -29,9 +39,8 @@
 //! retry fails re-checks again instead of parking on the first failure.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use synq_obs::Probe;
 use synq_primitives::{WaitSlot, MIN_TOKEN};
 
 /// Token stored into a waiter's slot by [`WaiterQueue::notify`]. The
@@ -39,41 +48,53 @@ use synq_primitives::{WaitSlot, MIN_TOKEN};
 /// operation — so one token suffices.
 pub(crate) const NOTIFIED: usize = MIN_TOKEN;
 
+/// One waiter's place on a [`WaiterQueue`], across re-arms: `None` until
+/// it first registers and again once released.
+pub(crate) type Entry = Option<Arc<WaitSlot<()>>>;
+
 /// FIFO list of parked waiters with a lock-free emptiness hint.
 ///
 /// The hint holds the exact queue length (maintained under the lock, read
 /// with SeqCst outside it) so the notify fast path on an uncontended ring
 /// is a single atomic load.
+#[derive(Default)]
 pub(crate) struct WaiterQueue {
     hint: AtomicUsize,
     entries: Mutex<VecDeque<Arc<WaitSlot<()>>>>,
-    /// Counted once per blocking wait on this list.
-    wait_probe: Probe,
 }
 
 impl WaiterQueue {
-    pub(crate) fn new(wait_probe: Probe) -> Self {
-        WaiterQueue {
-            hint: AtomicUsize::new(0),
-            entries: Mutex::new(VecDeque::new()),
-            wait_probe,
-        }
-    }
-
-    /// Records that a registered waiter is about to block.
-    pub(crate) fn note_wait(&self) {
-        synq_obs::record(self.wait_probe, 1);
-    }
-
     /// Appends a fresh waiter and returns its slot. The caller MUST then
     /// fence and re-check the awaited condition before every park (see
-    /// the module docs).
+    /// the module docs); [`Self::arm`] is the form that does the first.
     pub(crate) fn register(&self) -> Arc<WaitSlot<()>> {
         let slot = Arc::new(WaitSlot::new());
         let mut q = self.entries.lock().unwrap();
         q.push_back(Arc::clone(&slot));
         self.hint.store(q.len(), Ordering::SeqCst);
         slot
+    }
+
+    /// Registers `entry` unless it is still waiting, and says whether it
+    /// did. A spent (notified) entry is replaced *before* it is removed,
+    /// so the registered count never dips to zero mid-handoff: a dip would
+    /// open the barge window the in-place notify protocol closes.
+    pub(crate) fn arm(&self, entry: &mut Entry) -> bool {
+        if entry.as_ref().is_some_and(|e| e.is_waiting()) {
+            return false;
+        }
+        let fresh = self.register();
+        fence(Ordering::SeqCst);
+        if let Some(old) = entry.replace(fresh) {
+            self.remove(&old);
+        }
+        true
+    }
+
+    /// Whether a notification had reached `entry`. Sampled *before* an
+    /// attempt, it is what [`Self::release`] wants to know after it.
+    pub(crate) fn notified(entry: &Entry) -> bool {
+        entry.as_ref().is_some_and(|e| !e.is_waiting())
     }
 
     /// Number of registered (possibly already-notified) waiters.
@@ -114,26 +135,40 @@ impl WaiterQueue {
         self.hint.store(q.len(), Ordering::SeqCst);
     }
 
-    /// Withdraws a waiter whose condition turned out to be satisfied
-    /// before it parked. If a notifier got to the slot first, the
-    /// notification is passed on to the next waiter so it is not lost.
-    pub(crate) fn retract(&self, waiter: &Arc<WaitSlot<()>>) {
-        if waiter.try_cancel() {
-            self.remove(waiter);
-        } else {
-            // Lost the race: a notify already landed in this slot. We are
-            // about to retry the operation ourselves, so hand the wakeup
-            // to the next parked waiter.
-            self.remove(waiter);
+    /// Unlinks `entry` when its owner stops waiting, for whatever reason;
+    /// the one place the remove-or-pass-on rule is written. `consumed`:
+    /// the owner's operation succeeded on an attempt made after a
+    /// notification had reached the entry ([`Self::notified`]), so that
+    /// notification was converted into the operation it announced. Such an
+    /// entry, and one whose wait already settled it as cancelled (timed
+    /// out), is plainly removed. Any other is cancelled, and if a notify
+    /// beat the cancel (it raced a success that did not need it, arrived
+    /// for an owner that gave up, or came from the owner's own attempt:
+    /// a push that served a reservation popped an item and announced the
+    /// slot) the wakeup goes to the next waiter instead of being lost.
+    pub(crate) fn release(&self, entry: &mut Entry, consumed: bool) {
+        if let Some(e) = entry.take() {
+            if consumed || e.is_cancelled() {
+                self.remove(&e);
+            } else {
+                self.retract(&e);
+            }
+        }
+    }
+
+    /// Cancels a waiter that did not use, or no longer wants, a wakeup; if
+    /// a notifier got to the slot first, the notification is passed on to
+    /// the next waiter.
+    fn retract(&self, waiter: &Arc<WaitSlot<()>>) {
+        let cancelled = waiter.try_cancel();
+        self.remove(waiter);
+        if !cancelled {
             self.notify(1);
         }
     }
 
-    /// Physically unlinks a waiter without touching its slot state. Use
-    /// after `await_outcome` returned a TimedOut/Cancelled verdict (the
-    /// slot is already CANCELLED) — calling [`Self::retract`] there would
-    /// wrongly pass a notification on.
-    pub(crate) fn remove(&self, waiter: &Arc<WaitSlot<()>>) {
+    /// Physically unlinks a waiter without touching its slot state.
+    fn remove(&self, waiter: &Arc<WaitSlot<()>>) {
         let mut q = self.entries.lock().unwrap();
         if let Some(idx) = q.iter().position(|s| Arc::ptr_eq(s, waiter)) {
             q.remove(idx);
@@ -157,7 +192,7 @@ mod tests {
 
     #[test]
     fn notify_wakes_registered_waiter() {
-        let wq = Arc::new(WaiterQueue::new(Probe::RingEmptyWaits));
+        let wq = Arc::new(WaiterQueue::default());
         let w = wq.register();
         assert_eq!(wq.hint(), 1);
         let wq2 = Arc::clone(&wq);
@@ -177,7 +212,7 @@ mod tests {
 
     #[test]
     fn retract_passes_stolen_notification_on() {
-        let wq = WaiterQueue::new(Probe::RingEmptyWaits);
+        let wq = WaiterQueue::default();
         let first = wq.register();
         let second = wq.register();
         // Notify lands in `first` before it can retract.
@@ -192,7 +227,7 @@ mod tests {
 
     #[test]
     fn notify_skips_cancelled_entries() {
-        let wq = WaiterQueue::new(Probe::RingEmptyWaits);
+        let wq = WaiterQueue::default();
         let dead = wq.register();
         let live = wq.register();
         assert!(dead.try_cancel());

@@ -70,9 +70,11 @@ fn check_batch_conservation(
                 if sent == 0 {
                     stalls += 1;
                     if stalls > 500 {
-                        // Give up: the leftovers stay ours.
+                        // Give up: the leftovers stay ours, and so do
+                        // the ids we never got round to constructing.
                         let mut ab = abandoned.lock().unwrap();
                         ab.extend(pending.drain(..).map(|pl| pl.id));
+                        ab.extend((next..per).map(|i| p * per + i));
                         break;
                     }
                     thread::yield_now();

@@ -22,9 +22,11 @@
 //! * [`primitives`] — parker, semaphore, ticket lock, backoff, spin policy.
 //! * [`classic`] — Treiber stack, M&S queue, nonsynchronous dual structures.
 //! * [`exchanger`] — elimination arena and elimination-backoff queue.
-//! * [`transfer`] — TransferQueue (sync + async enqueue), plus the bounded
-//!   ring-buffer mode (`TransferQueue::bounded`, `BufferedChannel`) with
-//!   cycle-versioned slots and batch send/recv.
+//! * [`transfer`] — TransferQueue (sync + async enqueue): a ring of
+//!   cycle-versioned slots in front of the dual list, consumers that wait
+//!   as linked reservations in both modes, a `put` that overflows
+//!   (`TransferQueue::new`) or waits (`TransferQueue::bounded`) when the
+//!   ring is full, `BufferedChannel` and batch send/recv.
 //! * [`executor`] — ThreadPoolExecutor built on a synchronous handoff.
 
 pub use synq as core;

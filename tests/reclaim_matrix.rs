@@ -4,17 +4,23 @@
 //! same timed producer/consumer proptest battery against the three
 //! clients of the `synq::dual_list` kernel, `SyncDualQueue`,
 //! `SyncDualStack` and `TransferQueue`, each instantiated with both
-//! `Epoch` and `Hazard`. A `TransferQueue` is driven through its
+//! `Epoch` and `Hazard`. A `TransferQueue` is driven twice: through its
 //! `TimedSyncChannel` impl, timed *synchronous* transfers against timed
-//! takes: its linked path, which the ring never touches.
+//! takes (its linked path, which the ring never touches), and, bounded at
+//! two slots, through *buffered* timed puts against timed takes, where
+//! every consumer that finds the ring empty publishes a reservation that
+//! a push must find, claim and complete under the backend's validation.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
-use synq::{SyncDualQueue, SyncDualStack, TimedSyncChannel};
-use synq_reclaim::{Epoch, Hazard};
+use synq::{
+    CancelToken, Deadline, SyncDualQueue, SyncDualStack, TimedSyncChannel, TransferOutcome,
+    Transferer,
+};
+use synq_reclaim::{Epoch, Hazard, Reclaimer};
 use synq_transfer::TransferQueue;
 
 /// A payload that tracks its own liveness: exactly one decrement per
@@ -39,6 +45,26 @@ impl Drop for Payload {
         self.live.fetch_sub(1, Ordering::Relaxed);
     }
 }
+
+/// A `TransferQueue` under any backend seen through its *buffered* put
+/// (`BufferedChannel` is fixed to the default backend).
+struct Buffered<T, R: Reclaimer>(TransferQueue<T, R>);
+
+impl<T: Send, R: Reclaimer> Transferer<T> for Buffered<T, R> {
+    fn transfer(
+        &self,
+        item: Option<T>,
+        deadline: Deadline,
+        token: Option<&CancelToken>,
+    ) -> TransferOutcome<T> {
+        match item {
+            Some(v) => self.0.put_with(v, deadline, token),
+            None => self.0.take_with(deadline, token),
+        }
+    }
+}
+
+synq::impl_channels_via_transferer!(Buffered<R: Reclaimer>);
 
 /// Runs `producers`×`per` timed sends against `consumers` timed receivers
 /// on `channel`, then checks the exactly-one-pairing contract: every id is
@@ -174,6 +200,28 @@ proptest! {
         per in 1usize..=25,
     ) {
         let q: Arc<TransferQueue<Payload, Hazard>> = Arc::new(TransferQueue::new_in());
+        check_conservation(q, producers, consumers, per)?;
+    }
+
+    /// Bounded transfer queue, buffered put/take, default epoch backend.
+    #[test]
+    fn transfer_bounded_epoch_buffers_exactly_once(
+        producers in 1usize..=3,
+        consumers in 1usize..=3,
+        per in 1usize..=25,
+    ) {
+        let q = Arc::new(Buffered(TransferQueue::<Payload, Epoch>::bounded_in(2)));
+        check_conservation(q, producers, consumers, per)?;
+    }
+
+    /// Bounded transfer queue, buffered put/take, hazard-pointer backend.
+    #[test]
+    fn transfer_bounded_hazard_buffers_exactly_once(
+        producers in 1usize..=3,
+        consumers in 1usize..=3,
+        per in 1usize..=25,
+    ) {
+        let q = Arc::new(Buffered(TransferQueue::<Payload, Hazard>::bounded_in(2)));
         check_conservation(q, producers, consumers, per)?;
     }
 }
