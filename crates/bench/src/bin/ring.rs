@@ -16,21 +16,22 @@
 //! reservation in both modes, which pins and takes a node, so what the
 //! pure *bounded* buffered series prove is this: a series in which no
 //! consumer waited (`ring.empty_waits` = 0) recorded **zero** pins and
-//! zero node-cache traffic, i.e. buffered `put`/`poll` themselves never
-//! pin an epoch or touch the linked node cache. `nonzero()` would drop
-//! those zeros, so this binary writes them back in before recording the
-//! series. The `polling` series (producers spin on `offer`, consumers on
-//! `poll`, nobody ever waits in the library) is there so that one series
-//! always qualifies; for the blocking ones the binary prints pins per
-//! empty wait. (The unbounded series also pins whenever a put overflows,
-//! so it carries no such proof.)
+//! zero node allocations (`node_cache.misses` counts them;
+//! `node_cache.hits` is never fired), i.e. buffered `put`/`poll`
+//! themselves never pin an epoch or allocate a linked node. `nonzero()`
+//! would drop those zeros, so this binary writes them back in before
+//! recording the series. The `polling` series (producers spin on
+//! `offer`, consumers on `poll`, nobody ever waits in the library) is
+//! there so that one series always qualifies; for the blocking ones the
+//! binary prints pins per empty wait. (The unbounded series also pins
+//! whenever a put overflows, so it carries no such proof.)
 //!
 //! Emits `target/figures/ring.json` and the repo-root `BENCH_ring.json`
 //! (overridable with `SYNQ_RING_PATH`).
 //!
 //! With `SYNQ_RING_ASSERT=1` (requires a `--features stats` build) the
 //! binary exits nonzero unless every pure bounded series without an empty
-//! wait recorded zero `epoch.pins` and zero `node_cache.*` traffic, the
+//! wait recorded zero `epoch.pins` and zero `node_cache.*` counts, the
 //! polling series is one of them, every batch ≥ 8 series
 //! amortized its tail/head updates to at most one per two items, the
 //! unbounded series buffered through the ring, the bounded mixed series

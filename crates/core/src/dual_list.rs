@@ -15,19 +15,18 @@
 //! once:
 //!
 //! * The **structure's** reference is released by the thread whose CAS
-//!   unlinks the node (`NodePool::release_structure_ref`), and only
+//!   unlinks the node ([`WaitNode::release_structure_ref`]), and only
 //!   through [`Shield::defer_retire`]: the decrement runs once no guard
 //!   protects the node.
 //! * The **waiter's** reference is released directly when its operation
-//!   returns ([`NodePool::release_waiter_ref`]). A waiter therefore holds
+//!   returns ([`WaitNode::release`]). A waiter therefore holds
 //!   no guard while it spins or parks (a sleeping thread never stalls
 //!   reclamation) and touches only its own node; matchers touch a node
 //!   only while guarded.
-//! * Whoever drops the **last** reference drops an unconsumed item at
-//!   once and hands the dead skeleton to the pool's free list, from which
-//!   [`NodePool::alloc`] re-arms it. Skeletons reach the list only from
-//!   inside a retire closure (or with exclusive access) and are popped
-//!   only under a guard; the ABA argument is in the `node_cache` module.
+//! * Whoever drops the **last** reference frees the node on the spot, an
+//!   unconsumed item with it. That is safe for the waiter too: its release
+//!   can be the last only after the structure's deferred release has run,
+//!   that is, after every guard that could reach the node is gone.
 //!
 //! # Layer 2: the queue
 //!
@@ -77,12 +76,10 @@
 //!   thread sets it *after* its CAS, so a stalled popper can leave a
 //!   successor retired while its predecessor still reads as live.
 
-use crate::node_cache::{NodeCache, Recyclable, NODE_CACHE_CAP};
 use crate::transferer::TransferOutcome;
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
 use synq_primitives::{CachePadded, WaitOutcome, WaitSlot};
-use synq_reclaim::{Atomic, Owned, Pointer, Reclaimer, Shared, Shield};
+use synq_reclaim::{Atomic, Owned, Reclaimer, Shared, Shield};
 
 /// Mode word of a waiting consumer's node (a reservation).
 pub const REQUEST: usize = 0;
@@ -105,84 +102,7 @@ pub struct WaitNode<T, R: Reclaimer> {
 }
 
 impl<T, R: Reclaimer> WaitNode<T, R> {
-    /// Producer (`true`) or consumer (`false`) node.
-    pub fn is_data(&self) -> bool {
-        self.mode & DATA != 0
-    }
-
-    /// Takes one more counted reference, to be dropped with
-    /// [`NodePool::release_waiter_ref`]. The caller must already be
-    /// entitled to the node (guarded, or holding a reference).
-    pub(crate) fn add_ref(&self) {
-        self.refs.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Drops one reference. When it was the last, drops any unconsumed item
-    /// eagerly and hands the dead skeleton to `dispose` (cache or free).
-    ///
-    /// # Safety
-    ///
-    /// The caller owns one of the node's references and gives it up.
-    unsafe fn release(ptr: *const Self, dispose: impl FnOnce(*mut Self)) {
-        // SAFETY: the caller's reference keeps the node alive.
-        let node = unsafe { &*ptr };
-        if node.refs.fetch_sub(1, Ordering::Release) == 1 {
-            fence(Ordering::Acquire);
-            // SAFETY: last reference; nobody can reach the node (the
-            // structure's release is deferred past the grace period, so any
-            // guarded reader has since lost its protection). The slot's
-            // filled/consumed flags decide whether an item is still pending.
-            let node = unsafe { &mut *(ptr as *mut Self) };
-            node.slot.drop_pending_item();
-            dispose(ptr as *mut Self);
-        }
-    }
-}
-
-impl<T, R: Reclaimer> Recyclable for WaitNode<T, R> {
-    unsafe fn free_next(ptr: *mut Self) -> *mut Self {
-        // The free list reuses the node's own `next` field as its link.
-        // SAFETY: the trait contract grants the exclusivity (or protection)
-        // the unprotected guard requires for this read.
-        let guard = unsafe { R::unprotected() };
-        // SAFETY: `ptr` is alive per the trait contract.
-        unsafe { (*ptr).next.load(Ordering::Acquire, &guard).as_raw() as *mut Self }
-    }
-
-    unsafe fn set_free_next(ptr: *mut Self, next: *mut Self) {
-        // SAFETY: exclusive ownership per the trait contract; the Shared is
-        // only a typed wrapper around the raw link value.
-        unsafe {
-            (*ptr)
-                .next
-                .store(Shared::from_raw(next as *const Self), Ordering::Release)
-        };
-    }
-
-    unsafe fn dealloc(ptr: *mut Self) {
-        // SAFETY: exclusive ownership; the item slot is empty, and the node
-        // owns no other heap state beyond the WaiterCell's Drop.
-        drop(unsafe { Box::from_raw(ptr) });
-    }
-}
-
-/// Allocation, recycling and the two reference releases of one structure's
-/// [`WaitNode`]s.
-pub struct NodePool<T, R: Reclaimer> {
-    /// Free list of dead skeletons, shared with the retire closures that
-    /// refill it.
-    cache: Arc<NodeCache<WaitNode<T, R>>>,
-}
-
-impl<T, R: Reclaimer> NodePool<T, R> {
-    pub(crate) fn with_capacity(cache_capacity: usize) -> Self {
-        NodePool {
-            cache: Arc::new(NodeCache::with_capacity(cache_capacity)),
-        }
-    }
-
-    fn fresh(&self, mode: usize, refs: usize) -> Owned<WaitNode<T, R>> {
-        self.cache.note_alloc();
+    fn with_refs(mode: usize, refs: usize) -> Owned<Self> {
         Owned::new(WaitNode {
             mode,
             slot: WaitSlot::new(),
@@ -192,36 +112,44 @@ impl<T, R: Reclaimer> NodePool<T, R> {
         })
     }
 
-    /// A node armed for publication (empty slot, two references): a
-    /// recycled skeleton when one is available, a fresh allocation
-    /// otherwise. `guard` witnesses the protection the free-list pop needs.
-    pub fn alloc(&self, mode: usize, guard: &R::Guard) -> Owned<WaitNode<T, R>> {
-        // SAFETY: guarded, per `guard`.
-        let Some(p) = (unsafe { self.cache.pop(guard) }) else {
-            synq_obs::probe!(NodeCacheMisses);
-            return self.fresh(mode, 2);
-        };
-        // SAFETY: the pop transferred exclusive ownership of a dead
-        // skeleton (item slot empty); re-arm every field in place.
-        unsafe {
-            let node = &mut *p;
-            node.mode = mode;
-            node.slot.reset();
-            node.next = Atomic::null();
-            *node.refs.get_mut() = 2;
-            *node.unlinked.get_mut() = false;
-            Owned::from_usize(p as usize)
+    /// A node armed for publication: empty slot, two references.
+    pub fn alloc(mode: usize) -> Owned<Self> {
+        // One per node allocated; there is no cache to hit.
+        synq_obs::probe!(NodeCacheMisses);
+        Self::with_refs(mode, 2)
+    }
+
+    /// Producer (`true`) or consumer (`false`) node.
+    pub fn is_data(&self) -> bool {
+        self.mode & DATA != 0
+    }
+
+    /// Takes one more counted reference, to be dropped with
+    /// [`Self::release`]. The caller must already be entitled to the node
+    /// (guarded, or holding a reference).
+    pub(crate) fn add_ref(&self) {
+        self.refs.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Drops one counted reference: the waiter's own, one taken with
+    /// `add_ref`, or (from inside its deferred retirement) the
+    /// structure's. The last one frees the node, and with it any item
+    /// nobody consumed.
+    ///
+    /// # Safety
+    ///
+    /// The caller owns one reference on `ptr`, gives it up, and does not
+    /// touch the node afterwards.
+    pub unsafe fn release(ptr: *const Self) {
+        // SAFETY: the caller's reference keeps the node alive.
+        if unsafe { &*ptr }.refs.fetch_sub(1, Ordering::Release) == 1 {
+            fence(Ordering::Acquire);
+            // SAFETY: last reference, so the structure's release has run,
+            // and that one is deferred past every guard that could reach
+            // the node (module docs). The slot's `Drop` drops an item
+            // that is still pending.
+            drop(unsafe { Box::from_raw(ptr as *mut Self) });
         }
-    }
-
-    /// Nodes heap-allocated over the structure's lifetime.
-    pub fn allocated(&self) -> usize {
-        self.cache.allocs()
-    }
-
-    /// Allocations avoided by recycling dead nodes.
-    pub fn recycled(&self) -> usize {
-        self.cache.reuses()
     }
 
     /// Releases the structure's reference on a node the caller's CAS just
@@ -232,10 +160,9 @@ impl<T, R: Reclaimer> NodePool<T, R> {
     /// # Safety
     ///
     /// `node` is protected by `guard` (or refcount-live) and has been
-    /// unlinked from the structure this pool serves.
+    /// unlinked from its structure.
     pub(crate) unsafe fn release_structure_ref<'g>(
-        &self,
-        node: Shared<'g, WaitNode<T, R>>,
+        node: Shared<'g, Self>,
         guard: &'g R::Guard,
     ) -> bool {
         // SAFETY: per the contract.
@@ -246,42 +173,11 @@ impl<T, R: Reclaimer> NodePool<T, R> {
             return false;
         }
         let raw = node.as_raw() as usize;
-        let cache = Arc::clone(&self.cache);
         // SAFETY: the closure runs once no guard protects the node; the
         // waiter's own reference keeps the node alive beyond that if it is
-        // still waking up. Running *inside* the retirement satisfies the
-        // free-list push contract, so the skeleton goes to the cache
-        // directly.
-        unsafe {
-            guard.defer_retire(raw, move || {
-                WaitNode::release(raw as *const WaitNode<T, R>, |p| cache.push(p));
-            });
-        }
+        // still waking up.
+        unsafe { guard.defer_retire(raw, move || Self::release(raw as *const Self)) };
         true
-    }
-
-    /// Releases a reference held outside the structure: the waiter's own,
-    /// or one taken with `add_ref`. If it is the last, the item is dropped
-    /// now but the skeleton's return to the free list is itself deferred:
-    /// re-pushing before the node is unprotected would reintroduce
-    /// free-list ABA.
-    ///
-    /// # Safety
-    ///
-    /// The caller owns one reference on `ptr`, a node of the structure this
-    /// pool serves, and does not touch the node afterwards.
-    pub unsafe fn release_waiter_ref(&self, ptr: *const WaitNode<T, R>) {
-        // SAFETY: the reference is the caller's to drop; the dispose
-        // closure owns the skeleton exclusively and defers the push, which
-        // satisfies the push contract.
-        unsafe {
-            WaitNode::release(ptr, |p| {
-                let cache = Arc::clone(&self.cache);
-                let addr = p as usize;
-                let guard = R::pin();
-                guard.defer_retire(addr, move || cache.push(addr as *mut WaitNode<T, R>));
-            });
-        }
     }
 
     /// Frees the chain behind `first` outright (a structure's `Drop`).
@@ -290,15 +186,14 @@ impl<T, R: Reclaimer> NodePool<T, R> {
     ///
     /// Exclusive access to the structure: every waiter has returned, so
     /// each chain node holds exactly the structure's reference.
-    pub(crate) unsafe fn drain_chain(first: &Atomic<WaitNode<T, R>, R>) {
+    pub(crate) unsafe fn drain_chain(first: &Atomic<Self, R>) {
         // SAFETY: exclusive access per the contract.
         let guard = unsafe { R::unprotected() };
         let mut p = first.load(Ordering::Relaxed, &guard);
-        // SAFETY: as above; the link is read before the node is freed. The
-        // cache drains itself when its last `Arc` drops.
+        // SAFETY: as above; the link is read before the node is freed.
         while let Some(node) = unsafe { p.as_ref() } {
             let next = node.next.load(Ordering::Relaxed, &guard);
-            unsafe { WaitNode::release(p.as_raw(), |n| WaitNode::dealloc(n)) };
+            unsafe { Self::release(p.as_raw()) };
             p = next;
         }
     }
@@ -347,7 +242,6 @@ pub struct DualList<T, R: Reclaimer> {
     /// line(s) so the two ends never false-share.
     head: CachePadded<Atomic<WaitNode<T, R>, R>>,
     tail: CachePadded<Atomic<WaitNode<T, R>, R>>,
-    pool: NodePool<T, R>,
 }
 
 // Layout: padding must actually separate the two ends.
@@ -355,22 +249,14 @@ const _: () = assert!(std::mem::align_of::<DualList<u8, synq_reclaim::Epoch>>() 
 const _: () = assert!(std::mem::size_of::<DualList<u8, synq_reclaim::Epoch>>() >= 2 * 128);
 
 // SAFETY: nodes hand `T` values across threads; all shared mutation goes
-// through atomics and the slot's claim/consume protocol, and the pool's
-// free list is `Sync` by its own protocol.
+// through atomics and the slot's claim/consume protocol.
 unsafe impl<T: Send, R: Reclaimer> Send for DualList<T, R> {}
 unsafe impl<T: Send, R: Reclaimer> Sync for DualList<T, R> {}
 
 impl<T, R: Reclaimer> Default for DualList<T, R> {
     fn default() -> Self {
-        Self::with_cache_capacity(NODE_CACHE_CAP)
-    }
-}
-
-impl<T, R: Reclaimer> DualList<T, R> {
-    pub(crate) fn with_cache_capacity(cache_capacity: usize) -> Self {
-        let pool = NodePool::with_capacity(cache_capacity);
         // The first dummy holds only the structure reference.
-        let dummy = pool.fresh(REQUEST, 1);
+        let dummy = WaitNode::with_refs(REQUEST, 1);
         // SAFETY: single-threaded construction.
         let guard = unsafe { R::unprotected() };
         let dummy = dummy.into_shared(&guard);
@@ -381,16 +267,11 @@ impl<T, R: Reclaimer> DualList<T, R> {
         DualList {
             head: CachePadded::new(head),
             tail: CachePadded::new(tail),
-            pool,
         }
     }
+}
 
-    /// The list's node pool (allocation counts, `alloc`, the waiter-side
-    /// release).
-    pub fn pool(&self) -> &NodePool<T, R> {
-        &self.pool
-    }
-
+impl<T, R: Reclaimer> DualList<T, R> {
     /// Starts one arrival: absorbs leading cancelled nodes, then snapshots
     /// `head` and `tail`.
     pub fn arrive<'g>(&'g self, guard: &'g R::Guard) -> Arrival<'g, T, R> {
@@ -433,7 +314,7 @@ impl<T, R: Reclaimer> DualList<T, R> {
         }
         // SAFETY: `h` was unlinked by our CAS, which also proves it was
         // the live head the caller had protected.
-        let first = unsafe { self.pool.release_structure_ref(h, guard) };
+        let first = unsafe { WaitNode::release_structure_ref(h, guard) };
         debug_assert!(first, "structure reference released twice");
         true
     }
@@ -511,7 +392,7 @@ impl<T, R: Reclaimer> DualList<T, R> {
             // winning the cancel CAS wins a data node's item back.
             .then(|| unsafe { own.slot.take_item() });
         // SAFETY: balanced with the creation count of 2.
-        unsafe { self.pool.release_waiter_ref(node) };
+        unsafe { WaitNode::release(node) };
         match verdict {
             WaitOutcome::Matched(_) => TransferOutcome::Transferred(item),
             WaitOutcome::Cancelled => TransferOutcome::Cancelled(item),
@@ -531,13 +412,23 @@ impl<T, R: Reclaimer> DualList<T, R> {
     pub fn linked_nodes(&self) -> usize {
         count_linked(&self.head, true, usize::MAX, |_| true)
     }
+
+    /// Has this list ever retired a node, that is, has `head` ever moved?
+    /// The first dummy is the one head nobody settled: the head moves only
+    /// onto a node that was claimed, matched or cancelled first.
+    pub fn has_retired(&mut self) -> bool {
+        // SAFETY: `&mut self`; head is never null.
+        let guard = unsafe { R::unprotected() };
+        let dummy = unsafe { self.head.load(Ordering::Relaxed, &guard).deref() };
+        !dummy.slot.is_waiting()
+    }
 }
 
 impl<T, R: Reclaimer> Drop for DualList<T, R> {
     fn drop(&mut self) {
         // SAFETY: `&mut self`; waiters borrow the owning structure, so all
         // have returned.
-        unsafe { NodePool::drain_chain(&self.head) };
+        unsafe { WaitNode::drain_chain(&self.head) };
     }
 }
 
@@ -705,7 +596,7 @@ mod tests {
         let at = list.arrive(&guard);
         assert!(at.tail_settled());
         let mode = if item.is_some() { DATA } else { REQUEST };
-        let node = list.pool().alloc(mode, &guard);
+        let node = WaitNode::alloc(mode);
         if let Some(v) = item {
             unsafe { node.slot.put_item(v) };
         }
@@ -735,7 +626,7 @@ mod tests {
         let first = {
             let at = list.arrive(&guard);
             assert!(at.is_empty() && at.tail_settled());
-            let node = list.pool().alloc(REQUEST, &guard);
+            let node = WaitNode::alloc(REQUEST);
             at.tail_node()
                 .next
                 .compare_exchange(
@@ -753,7 +644,7 @@ mod tests {
         // the stale tail, and moves `tail` on instead.
         let at = list.arrive(&guard);
         assert!(at.is_empty());
-        let spare = list.pool().alloc(REQUEST, &guard);
+        let spare = WaitNode::alloc(REQUEST);
         let spare = at.try_append(spare).expect_err("the tail has a successor");
         assert!(!at.tail_settled(), "a lagging tail is not settled");
         assert!(list.tail.load(Ordering::Acquire, &guard).ptr_eq(&first));
@@ -768,7 +659,7 @@ mod tests {
         assert!(std::ptr::eq(&*at.front().unwrap(), first.as_raw()));
 
         for node in [first.as_raw(), second] {
-            unsafe { list.pool().release_waiter_ref(node) };
+            unsafe { WaitNode::release(node) };
         }
     }
 
@@ -791,65 +682,43 @@ mod tests {
         assert!(passed.iter().all(|&n| refs(n) == 1));
         assert_eq!(refs(*last), 2);
         for node in nodes {
-            unsafe { list.pool().release_waiter_ref(node) };
+            unsafe { WaitNode::release(node) };
         }
     }
 
     #[test]
-    fn the_last_reference_drops_the_item_whichever_it_is() {
+    fn the_last_release_frees_at_once_whichever_reference_it_is() {
         let drops = AtomicUsize::new(0);
         for structure_first in [true, false] {
             drops.store(0, Ordering::SeqCst);
-            let list: List<Counted<'_>> = DualList::default();
+            let mut list: List<Counted<'_>> = DualList::default();
             // Two requests; each is handed an item its waiter never reads
             // (a dropped permit). The second only serves to move the head
             // past the first, which releases the first's structure
-            // reference.
+            // reference: on the spot, under the unprotected guard.
             let first = append(&list, None);
             let second = append(&list, None);
+            assert!(!list.has_retired());
             fulfill_front(&list, Counted(&drops));
+            assert!(list.has_retired(), "the first dummy is gone");
             assert_eq!(refs(first), 2, "the dummy keeps its structure reference");
             if structure_first {
                 fulfill_front(&list, Counted(&drops));
                 assert_eq!((refs(first), drops.load(Ordering::SeqCst)), (1, 0));
-                unsafe { list.pool().release_waiter_ref(first) };
+                unsafe { WaitNode::release(first) };
             } else {
-                unsafe { list.pool().release_waiter_ref(first) };
+                unsafe { WaitNode::release(first) };
                 assert_eq!((refs(first), drops.load(Ordering::SeqCst)), (1, 0));
                 fulfill_front(&list, Counted(&drops));
             }
-            assert_eq!(drops.load(Ordering::SeqCst), 1, "first's item, once");
-            unsafe { list.pool().release_waiter_ref(second) };
+            // Nothing stands between the last release and the free: no
+            // second deferral, no free list, no `Drop` of the list.
+            assert_eq!(drops.load(Ordering::SeqCst), 1, "first and its item");
+            unsafe { WaitNode::release(second) };
+            assert_eq!(drops.load(Ordering::SeqCst), 1, "second is the dummy");
             drop(list);
             assert_eq!(drops.load(Ordering::SeqCst), 2, "second's item, at Drop");
         }
-    }
-
-    #[test]
-    fn a_recycled_skeleton_is_rearmed() {
-        let list: List<String> = DualList::default();
-        let first = append(&list, None);
-        let second = append(&list, None);
-        fulfill_front(&list, "delivered".to_string());
-        // Waiter first, so that the structure's release, immediate under
-        // the unprotected guard, is the last and pushes the skeleton.
-        let got = unsafe { list.leave(first, WaitOutcome::Matched(0)) };
-        assert_eq!(got.into_inner().as_deref(), Some("delivered"));
-        fulfill_front(&list, "unread".to_string());
-        assert_eq!(list.pool().recycled(), 0);
-
-        let guard = unprotected();
-        let mut node = list.pool().alloc(DATA, &guard);
-        assert_eq!(list.pool().recycled(), 1);
-        assert!(std::ptr::eq(&*node, first), "the dead skeleton came back");
-        assert!(node.is_data());
-        assert!(node.slot.is_waiting() && !node.slot.has_item());
-        assert!(node.next.load(Ordering::Relaxed, &guard).is_null());
-        assert_eq!(*node.refs.get_mut(), 2);
-        assert!(!*node.unlinked.get_mut());
-        // Three nodes were ever allocated: the dummy and the two requests.
-        assert_eq!(list.pool().allocated(), 3);
-        unsafe { list.pool().release_waiter_ref(second) };
     }
 
     #[test]
@@ -870,7 +739,7 @@ mod tests {
         for _ in 0..3 {
             let node = append(&list, Some(Counted(&drops)));
             // As an asynchronous producer does: nobody waits on the node.
-            unsafe { list.pool().release_waiter_ref(node) };
+            unsafe { WaitNode::release(node) };
         }
         assert_eq!(list.linked_nodes(), 3);
         assert_eq!(drops.load(Ordering::SeqCst), 0);

@@ -89,14 +89,7 @@ impl<T: Send> SyncDualQueue<T> {
 
     /// Creates an empty queue with an explicit spin policy (ablation A1).
     pub fn with_spin(spin: SpinPolicy) -> Self {
-        Self::with_config(spin, crate::node_cache::NODE_CACHE_CAP)
-    }
-
-    /// Creates an empty queue with an explicit spin policy and node-cache
-    /// retention bound. Striped structures size each lane's cache down so K
-    /// lanes together pin no more skeletons than one unstriped queue.
-    pub fn with_config(spin: SpinPolicy, cache_capacity: usize) -> Self {
-        Self::with_config_in(spin, cache_capacity)
+        Self::with_spin_in(spin)
     }
 }
 
@@ -118,26 +111,16 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
     /// assert_eq!(epoch.offer(1), Err(1)); // nobody waiting
     /// ```
     pub fn new_in() -> Self {
-        Self::with_config_in(SpinPolicy::adaptive(), crate::node_cache::NODE_CACHE_CAP)
+        Self::with_spin_in(SpinPolicy::adaptive())
     }
 
     /// Creates an empty queue under the reclamation backend `R` with an
-    /// explicit spin policy and node-cache retention bound.
-    pub fn with_config_in(spin: SpinPolicy, cache_capacity: usize) -> Self {
+    /// explicit spin policy.
+    pub fn with_spin_in(spin: SpinPolicy) -> Self {
         SyncDualQueue {
-            list: DualList::with_cache_capacity(cache_capacity),
+            list: DualList::default(),
             spin,
         }
-    }
-
-    /// Diagnostic: nodes heap-allocated over the queue's lifetime.
-    pub fn nodes_allocated(&self) -> usize {
-        self.list.pool().allocated()
-    }
-
-    /// Diagnostic: allocations avoided by recycling dead nodes.
-    pub fn nodes_recycled(&self) -> usize {
-        self.list.pool().recycled()
     }
 
     fn transfer_impl(
@@ -187,9 +170,7 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
                     return RawStart::Done(TransferOutcome::Cancelled(item));
                 }
                 let mode = if is_data { DATA } else { REQUEST };
-                let owned = node
-                    .take()
-                    .unwrap_or_else(|| self.list.pool().alloc(mode, &guard));
+                let owned = node.take().unwrap_or_else(|| WaitNode::alloc(mode));
                 if let Some(v) = item.take() {
                     // SAFETY: we own the unpublished node; its slot is empty
                     // (fresh node, or item reclaimed after a lost race).
@@ -368,7 +349,7 @@ impl<T: Send, R: Reclaimer> Drop for QueuePermit<T, R> {
             // after the fulfiller's protection, so a mid-`put_item`
             // fulfiller is safe.
             // SAFETY: the waiter reference, dropped exactly once.
-            unsafe { self.queue.list.pool().release_waiter_ref(self.node) };
+            unsafe { WaitNode::release(self.node) };
         }
     }
 }

@@ -73,7 +73,7 @@
 //!   unskipped, and nodes retired before the walk began are unreachable
 //!   from the current head.
 
-use crate::dual_list::{count_linked, NodePool, WaitNode, DATA, REQUEST};
+use crate::dual_list::{count_linked, WaitNode, DATA, REQUEST};
 use crate::pollable::{PendingTransfer, PollTransferer, StartTransfer};
 use crate::transferer::{Deadline, TransferOutcome, Transferer};
 use core::task::{Poll, Waker};
@@ -128,10 +128,9 @@ fn is_fulfilling<T, R: Reclaimer>(node: &WaitNode<T, R>) -> bool {
 /// assert_eq!(s.poll(), None);
 /// ```
 pub struct SyncDualStack<T, R: Reclaimer = Epoch> {
-    /// The single contended word of the structure: padded so the free-list
-    /// head and spin policy beside it never ride its cache line.
+    /// The single contended word of the structure: padded so the spin
+    /// policy beside it never rides its cache line.
     head: CachePadded<Atomic<WaitNode<T, R>, R>>,
-    pool: NodePool<T, R>,
     spin: SpinPolicy,
 }
 
@@ -160,14 +159,7 @@ impl<T: Send> SyncDualStack<T> {
 
     /// Creates an empty stack with an explicit spin policy (ablation A1).
     pub fn with_spin(spin: SpinPolicy) -> Self {
-        Self::with_config(spin, crate::node_cache::NODE_CACHE_CAP)
-    }
-
-    /// Creates an empty stack with an explicit spin policy and node-cache
-    /// retention bound. Striped structures size each lane's cache down so K
-    /// lanes together pin no more skeletons than one unstriped stack.
-    pub fn with_config(spin: SpinPolicy, cache_capacity: usize) -> Self {
-        Self::with_config_in(spin, cache_capacity)
+        Self::with_spin_in(spin)
     }
 }
 
@@ -187,27 +179,16 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
     /// });
     /// ```
     pub fn new_in() -> Self {
-        Self::with_config_in(SpinPolicy::adaptive(), crate::node_cache::NODE_CACHE_CAP)
+        Self::with_spin_in(SpinPolicy::adaptive())
     }
 
-    /// Creates an empty stack with an explicit spin policy and node-cache
-    /// retention bound under the reclamation backend `R`.
-    pub fn with_config_in(spin: SpinPolicy, cache_capacity: usize) -> Self {
+    /// Creates an empty stack with an explicit spin policy under the
+    /// reclamation backend `R`.
+    pub fn with_spin_in(spin: SpinPolicy) -> Self {
         SyncDualStack {
             head: CachePadded::new(Atomic::null()),
-            pool: NodePool::with_capacity(cache_capacity),
             spin,
         }
-    }
-
-    /// Diagnostic: nodes heap-allocated over the stack's lifetime.
-    pub fn nodes_allocated(&self) -> usize {
-        self.pool.allocated()
-    }
-
-    /// Diagnostic: allocations avoided by recycling dead nodes.
-    pub fn nodes_recycled(&self) -> usize {
-        self.pool.recycled()
     }
 
     /// Drops a reference held outside the structure: an owner's, or the
@@ -215,7 +196,7 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
     fn release_direct(&self, ptr: *const WaitNode<T, R>) {
         // SAFETY: every caller owns the reference it drops here and does
         // not touch the node afterwards.
-        unsafe { self.pool.release_waiter_ref(ptr) }
+        unsafe { WaitNode::release(ptr) }
     }
 
     /// Pops `h`, releasing its structure reference, if it is still the
@@ -241,11 +222,11 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
     /// Releases the structure reference of a node this thread's CAS took
     /// off the chain. Racing removers (a skip and an absorb, or the
     /// fulfiller's explicit release and a cancelled-path absorb) can both
-    /// get here for one node; the pool lets the first through.
+    /// get here for one node; the node lets the first through.
     fn release_structure_ref<'g>(&self, node: Shared<'g, WaitNode<T, R>>, guard: &'g R::Guard) {
         // SAFETY: node protected by the guard (or refcount-live, see the
         // fulfiller's explicit release) and unlinked by the caller.
-        let _ = unsafe { self.pool.release_structure_ref(node, guard) };
+        let _ = unsafe { WaitNode::release_structure_ref(node, guard) };
     }
 
     /// Installs `f` as `m`'s match, waking `m`'s waiter. Returns true if
@@ -346,7 +327,7 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
                         n.mode = mode;
                         n
                     }
-                    None => self.pool.alloc(mode, &guard),
+                    None => WaitNode::alloc(mode),
                 };
                 if is_data {
                     // SAFETY: we own the unpublished node.
@@ -389,7 +370,7 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
                         n.mode = mode | FULFILLING;
                         n
                     }
-                    None => self.pool.alloc(mode | FULFILLING, &guard),
+                    None => WaitNode::alloc(mode | FULFILLING),
                 };
                 if is_data {
                     // SAFETY: we own the unpublished node.
@@ -766,7 +747,7 @@ impl<T, R: Reclaimer> Drop for SyncDualStack<T, R> {
     fn drop(&mut self) {
         // SAFETY: `&mut self`; waiters borrow the stack, so all have
         // returned and the remaining references are the structure's.
-        unsafe { NodePool::drain_chain(&self.head) };
+        unsafe { WaitNode::drain_chain(&self.head) };
     }
 }
 

@@ -53,7 +53,6 @@ pub mod contention;
 pub mod dual_list;
 pub mod dual_queue;
 pub mod dual_stack;
-mod node_cache;
 pub mod pollable;
 pub mod queue;
 pub mod striped;

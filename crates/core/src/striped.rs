@@ -56,18 +56,15 @@
 //!
 //! Each lane is its own `Arc` allocation and both lane types are ≥128-byte
 //! aligned (their own `CachePadded` layout guarantees, asserted in their
-//! modules), so no two lanes' hot words share a cache line. Per-lane node
-//! caches are sized down by the lane count so K lanes together retain no
-//! more dead skeletons than one unstriped structure.
+//! modules), so no two lanes' hot words share a cache line.
 
 use crate::contention;
-use crate::node_cache::NODE_CACHE_CAP;
 use crate::pollable::{PendingTransfer, PollTransferer, StartTransfer};
 use crate::transferer::{Deadline, TransferOutcome, Transferer};
 use crate::{SyncChannel, SyncDualQueue, SyncDualStack, TimedSyncChannel};
 use core::task::{Poll, Waker};
 use std::marker::PhantomData;
-use std::sync::atomic::{fence, Ordering};
+use std::sync::atomic::{fence, AtomicBool, Ordering};
 use std::sync::Arc;
 use synq_primitives::backoff::{ncpus, Backoff};
 use synq_primitives::lane_hint::lane_hint;
@@ -76,10 +73,6 @@ use synq_primitives::{CancelToken, SpinPolicy};
 /// Most lanes [`Striped::new`] will pick on a large machine; explicit
 /// [`Striped::with_lanes`] can exceed this.
 const MAX_DEFAULT_LANES: usize = 8;
-
-/// Floor for per-lane node-cache retention, so tiny caches still absorb a
-/// burst of timed-out waiters.
-const MIN_LANE_CACHE: usize = 8;
 
 mod sealed {
     pub trait Sealed {}
@@ -95,8 +88,8 @@ mod sealed {
 pub trait StripedLane<T: Send>:
     sealed::Sealed + Transferer<T> + PollTransferer<T> + Send + Sync
 {
-    /// Builds one lane with the given spin policy and node-cache bound.
-    fn make_lane(spin: SpinPolicy, cache_capacity: usize) -> Self;
+    /// Builds one lane with the given spin policy.
+    fn make_lane(spin: SpinPolicy) -> Self;
 
     /// Racy peek: does this lane hold a still-waiting node of the given
     /// mode (`true` = producer)? See the lane types' `has_waiting`.
@@ -109,15 +102,11 @@ pub trait StripedLane<T: Send>:
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T>;
-
-    /// True once any transfer has published a node on this lane (used by
-    /// diagnostics and the scalability bench to count exercised lanes).
-    fn lane_was_used(&self) -> bool;
 }
 
 impl<T: Send> StripedLane<T> for SyncDualQueue<T> {
-    fn make_lane(spin: SpinPolicy, cache_capacity: usize) -> Self {
-        SyncDualQueue::with_config(spin, cache_capacity)
+    fn make_lane(spin: SpinPolicy) -> Self {
+        SyncDualQueue::with_spin(spin)
     }
 
     fn lane_has_waiting(&self, is_data: bool) -> bool {
@@ -130,17 +119,12 @@ impl<T: Send> StripedLane<T> for SyncDualQueue<T> {
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
         permit.wait(deadline, token)
-    }
-
-    fn lane_was_used(&self) -> bool {
-        // The permanent dummy accounts for one allocation on every queue.
-        self.nodes_allocated() > 1 || self.nodes_recycled() > 0
     }
 }
 
 impl<T: Send> StripedLane<T> for SyncDualStack<T> {
-    fn make_lane(spin: SpinPolicy, cache_capacity: usize) -> Self {
-        SyncDualStack::with_config(spin, cache_capacity)
+    fn make_lane(spin: SpinPolicy) -> Self {
+        SyncDualStack::with_spin(spin)
     }
 
     fn lane_has_waiting(&self, is_data: bool) -> bool {
@@ -153,10 +137,6 @@ impl<T: Send> StripedLane<T> for SyncDualStack<T> {
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
         permit.wait(deadline, token)
-    }
-
-    fn lane_was_used(&self) -> bool {
-        self.nodes_allocated() > 0 || self.nodes_recycled() > 0
     }
 }
 
@@ -179,8 +159,16 @@ impl<T: Send> StripedLane<T> for SyncDualStack<T> {
 /// assert_eq!(t.join().unwrap(), 7);
 /// ```
 pub struct Striped<T: Send, S: StripedLane<T>> {
-    lanes: Box<[Arc<S>]>,
+    lanes: Box<[Lane<S>]>,
     _marker: PhantomData<fn(T) -> T>,
+}
+
+/// One lane and its "a node was published here" flag. The flag is read
+/// before it is written, so a lane in steady use costs its publishers one
+/// load of a line that stays shared.
+struct Lane<S> {
+    inner: Arc<S>,
+    used: AtomicBool,
 }
 
 /// The striped **fair** variant: K dual-queue lanes, FIFO per lane.
@@ -214,21 +202,20 @@ impl<T: Send, S: StripedLane<T>> Striped<T, S> {
     }
 
     /// A striped structure with an explicit lane count and spin policy.
-    /// Each lane's node cache is sized to `NODE_CACHE_CAP / lanes`
-    /// (floored at 8) so the striped whole retains about as many dead
-    /// skeletons as one unstriped structure.
     ///
     /// # Panics
     ///
     /// Panics if `lanes` is zero.
     pub fn with_config(lanes: usize, spin: SpinPolicy) -> Self {
         assert!(lanes > 0, "a striped structure needs at least one lane");
-        let cache_cap = (NODE_CACHE_CAP / lanes).clamp(MIN_LANE_CACHE, NODE_CACHE_CAP);
         Striped {
             lanes: (0..lanes)
                 // Lanes clone the policy, so a calibrated policy keeps one
                 // shared per-structure spin estimate across all lanes.
-                .map(|_| Arc::new(S::make_lane(spin.clone(), cache_cap)))
+                .map(|_| Lane {
+                    inner: Arc::new(S::make_lane(spin.clone())),
+                    used: AtomicBool::new(false),
+                })
                 .collect(),
             _marker: PhantomData,
         }
@@ -242,7 +229,10 @@ impl<T: Send, S: StripedLane<T>> Striped<T, S> {
     /// Number of lanes on which at least one node has ever been published
     /// (diagnostic; the scalability bench asserts >1 under contention).
     pub fn lanes_exercised(&self) -> usize {
-        self.lanes.iter().filter(|l| l.lane_was_used()).count()
+        self.lanes
+            .iter()
+            .filter(|l| l.used.load(Ordering::Relaxed))
+            .count()
     }
 
     /// The calling thread's current lane of first resort.
@@ -272,7 +262,10 @@ impl<T: Send, S: StripedLane<T>> Striped<T, S> {
             // Phase 1: fail-fast scan, affine lane first. Any waiter
             // already published anywhere is matched here.
             for k in 0..n {
-                match self.lanes[(base + k) % n].transfer(item, Deadline::Now, None) {
+                match self.lanes[(base + k) % n]
+                    .inner
+                    .transfer(item, Deadline::Now, None)
+                {
                     TransferOutcome::Transferred(payload) => {
                         if k == 0 {
                             synq_obs::probe!(StripedLaneHits);
@@ -292,7 +285,7 @@ impl<T: Send, S: StripedLane<T>> Striped<T, S> {
                 return StripedStart::Done(TransferOutcome::Timeout(item));
             }
             let lane = &self.lanes[base % n];
-            let mut permit = match S::start_transfer(lane, item) {
+            let mut permit = match S::start_transfer(&lane.inner, item) {
                 StartTransfer::Complete(outcome) => {
                     // A counterpart arrived on our lane while we published.
                     if outcome.is_success() {
@@ -302,13 +295,17 @@ impl<T: Send, S: StripedLane<T>> Striped<T, S> {
                 }
                 StartTransfer::Pending(permit) => permit,
             };
+            if !lane.used.load(Ordering::Relaxed) {
+                lane.used.store(true, Ordering::Relaxed);
+            }
             // Phase 3: close the cross-lane race. Our publish-CAS is
             // ordered before these sibling loads by the SeqCst fence; a
             // concurrent publisher on a sibling lane fences symmetrically,
             // so at least one of us observes the other (store-buffering /
             // Dekker). That one retracts and rematches through phase 1.
             fence(Ordering::SeqCst);
-            let counterpart = (1..n).any(|k| self.lanes[(base + k) % n].lane_has_waiting(!is_data));
+            let counterpart =
+                (1..n).any(|k| self.lanes[(base + k) % n].inner.lane_has_waiting(!is_data));
             if !counterpart {
                 return StripedStart::Waiting(permit);
             }
@@ -647,7 +644,7 @@ mod tests {
         for i in 0..5u32 {
             let q2 = Arc::clone(&q);
             producers.push(thread::spawn(move || q2.put(i)));
-            while q.lanes[0].linked_nodes() < (i + 1) as usize {
+            while q.lanes[0].inner.linked_nodes() < (i + 1) as usize {
                 thread::yield_now();
             }
         }

@@ -193,75 +193,3 @@ fn rapid_timeout_matching_race() {
     producer.join().unwrap();
     assert_eq!(received, delivered.load(Ordering::Relaxed));
 }
-
-#[test]
-fn queue_node_cache_measurably_reduces_allocations() {
-    // Sequential ping-pong: every transfer needs one node, and without the
-    // free list every one of them would be a fresh heap allocation. With
-    // it, the steady state must be served substantially from recycled
-    // skeletons (the cache refills on each collection cycle).
-    const N: usize = 8_000;
-    let q = Arc::new(SyncDualQueue::new());
-    let q2 = Arc::clone(&q);
-    let t = thread::spawn(move || {
-        let mut sum = 0u64;
-        for _ in 0..N {
-            sum += q2.take();
-        }
-        sum
-    });
-    for i in 0..N as u64 {
-        q.put(i);
-    }
-    assert_eq!(t.join().unwrap(), (N as u64 * (N as u64 - 1)) / 2);
-
-    let allocated = q.nodes_allocated();
-    let recycled = q.nodes_recycled();
-    // Node demand is one per transfer (+ the dummy); every pop served from
-    // the cache is an allocation that did not happen.
-    assert!(
-        recycled >= N / 10,
-        "cache barely used: {recycled} recycled vs {allocated} allocated over {N} transfers"
-    );
-    assert!(
-        allocated + recycled >= N,
-        "diagnostics undercount demand: {allocated} + {recycled} < {N}"
-    );
-    assert!(
-        allocated <= N - N / 10,
-        "allocations not measurably reduced: {allocated} allocations over {N} transfers \
-         ({recycled} recycled)"
-    );
-}
-
-#[test]
-fn stack_node_cache_measurably_reduces_allocations() {
-    // The stack allocates two nodes per transfer (the waiter's node and
-    // the fulfilling node), so recycling matters twice as much here.
-    const N: usize = 8_000;
-    let s = Arc::new(SyncDualStack::new());
-    let s2 = Arc::clone(&s);
-    let t = thread::spawn(move || {
-        let mut sum = 0u64;
-        for _ in 0..N {
-            sum += s2.take();
-        }
-        sum
-    });
-    for i in 0..N as u64 {
-        s.put(i);
-    }
-    assert_eq!(t.join().unwrap(), (N as u64 * (N as u64 - 1)) / 2);
-
-    let allocated = s.nodes_allocated();
-    let recycled = s.nodes_recycled();
-    assert!(
-        recycled >= N / 10,
-        "cache barely used: {recycled} recycled vs {allocated} allocated over {N} transfers"
-    );
-    assert!(
-        allocated <= 2 * N - N / 10,
-        "allocations not measurably reduced: {allocated} allocations over {N} transfers \
-         ({recycled} recycled)"
-    );
-}

@@ -122,10 +122,12 @@ probes! {
     /// Cancel attempts that lost the race to a concurrent fulfill.
     WaitCancelRaceLost => "wait.cancel_race_lost",
 
-    // Node cache (DESIGN §4.6).
-    /// Node allocations served from the per-structure free list.
+    // Wait-node allocation (DESIGN §4.4). The names date from a
+    // per-structure free list that is gone; the benchmark looks them up.
+    /// Unfired: no free list serves nodes. A nonzero count means one is
+    /// back (CI's `ring` leg asserts zero).
     NodeCacheHits => "node_cache.hits",
-    /// Node allocations that fell through to the global allocator.
+    /// Wait nodes taken from the global allocator: one per node.
     NodeCacheMisses => "node_cache.misses",
 
     // Epoch reclamation (synq-reclaim).
@@ -214,8 +216,9 @@ probes! {
     /// Nodes handed to a reclaimer backend (`Shield::defer_retire`), across
     /// every backend — the inflow side of the garbage ledger.
     ReclaimRetired => "reclaim.retired",
-    /// Retire closures actually executed (node freed or recycled) — the
-    /// outflow side; `retired - freed` is the live garbage population.
+    /// Retire closures actually executed (a reference dropped, the node
+    /// freed if it was the last) — the outflow side; `retired - freed` is
+    /// the live garbage population.
     ReclaimFreed => "reclaim.freed",
     /// Hazard-pointer scans: one per pass over the slot registry when a
     /// retire list reaches its threshold (or an explicit `collect`).

@@ -82,7 +82,7 @@ pub enum WaitOutcome {
 /// mailbox, with the spin-then-park loop that animates them.
 ///
 /// Structures embed a `WaitSlot<T>` per node and keep only their linking
-/// (queue/stack pointers, reference counts, free lists) local.
+/// (queue/stack pointers, reference counts) local.
 #[derive(Debug)]
 pub struct WaitSlot<T> {
     state: AtomicUsize,
@@ -128,18 +128,6 @@ impl<T> WaitSlot<T> {
         slot
     }
 
-    /// Re-arms a recycled slot: state back to `WAITING`, item flags
-    /// cleared, waiter mailbox emptied. Any pending item is dropped first.
-    ///
-    /// Node caches call this when handing a free-listed node back out.
-    pub fn reset(&mut self) {
-        self.drop_pending_item();
-        *self.state.get_mut() = WAITING;
-        *self.filled.get_mut() = false;
-        *self.consumed.get_mut() = false;
-        self.waiter.take();
-    }
-
     /// Drops the pending item, if the cell is filled and not yet consumed.
     /// Idempotent; also run by `Drop`.
     pub fn drop_pending_item(&mut self) {
@@ -151,13 +139,13 @@ impl<T> WaitSlot<T> {
         }
     }
 
-    /// Shared-reference half of [`Self::reset`]: drops any pending item and
+    /// First half of re-arming a used slot: drops any pending item and
     /// clears the item flags and waiter mailbox, but leaves the state word
     /// *terminal*. The flat-combining publication records recycle their
     /// embedded slot through a `&self` (the record stays linked in a shared
-    /// intrusive list), so `&mut`-based `reset` is unavailable; keeping the
-    /// state terminal until [`Self::reopen`] runs is what keeps a straggling
-    /// fulfiller's `try_claim` failing throughout the re-arm window.
+    /// intrusive list); keeping the state terminal until [`Self::reopen`]
+    /// runs is what keeps a straggling fulfiller's `try_claim` failing
+    /// throughout the re-arm window.
     ///
     /// # Safety
     ///
@@ -726,18 +714,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_recycles_state_and_drops_item() {
-        let payload = Arc::new(());
-        let mut slot = WaitSlot::with_item(Arc::clone(&payload));
-        assert!(slot.try_cancel());
-        slot.reset();
-        assert_eq!(Arc::strong_count(&payload), 1);
-        assert!(slot.is_waiting());
-        assert!(!slot.has_item());
-        assert!(slot.try_claim());
-    }
-
-    #[test]
     fn recycle_reopen_rearms_through_shared_ref() {
         let payload = Arc::new(());
         let slot = WaitSlot::with_item(Arc::clone(&payload));
@@ -804,6 +780,25 @@ mod tests {
         assert!(slot.is_waiting());
         // A late fulfiller can still land.
         assert!(slot.try_claim());
+    }
+
+    #[test]
+    fn a_waiter_rides_out_a_claim_it_cannot_cancel() {
+        let slot: Arc<WaitSlot<u32>> = Arc::new(WaitSlot::new());
+        // Claimed before the wait begins: every pass of the waiter's loop
+        // reads `CLAIMED` and yields.
+        assert!(slot.try_claim());
+        let other = Arc::clone(&slot);
+        // `Deadline::Now` would cancel a `WAITING` slot on the first pass.
+        let waiter = std::thread::spawn(move || {
+            other.await_outcome(Deadline::Now, None, &SpinPolicy::adaptive())
+        });
+        // Not needed for the outcome; it only lets the waiter get into
+        // the loop before the match lands.
+        std::thread::sleep(Duration::from_millis(2));
+        unsafe { slot.fulfill(5) };
+        assert_eq!(waiter.join().unwrap(), WaitOutcome::Matched(MATCHED));
+        assert_eq!(unsafe { slot.take_item() }, 5);
     }
 
     #[test]

@@ -89,7 +89,7 @@ proptest! {
         let mut consumed = false;     // ...and moved back out
         let has_item = |filled: bool, consumed: bool| filled && !consumed;
 
-        let mut slot: WaitSlot<Counted> = if starts_armed {
+        let slot: WaitSlot<Counted> = if starts_armed {
             filled = true;
             WaitSlot::with_item(new_payload())
         } else {
@@ -145,13 +145,20 @@ proptest! {
                         consumed = true;
                     }
                 }
-                // Node-cache recycle: anything pending is dropped, the
+                // Recycle (the combiner's publication records): once the
+                // slot is terminal anything pending is dropped and the
                 // protocol re-arms from scratch.
                 _ => {
-                    slot.reset();
-                    state = WAITING;
-                    filled = false;
-                    consumed = false;
+                    if state != WAITING {
+                        // SAFETY: sole owner, terminal state.
+                        unsafe {
+                            slot.recycle();
+                            slot.reopen();
+                        }
+                        state = WAITING;
+                        filled = false;
+                        consumed = false;
+                    }
                 }
             }
             prop_assert_eq!(slot.state(), state);

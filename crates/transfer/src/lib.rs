@@ -804,9 +804,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
                         return TransferOutcome::Cancelled(item);
                     }
                 }
-                let owned = node
-                    .take()
-                    .unwrap_or_else(|| self.list.pool().alloc(DATA, &guard));
+                let owned = node.take().unwrap_or_else(|| WaitNode::alloc(DATA));
                 // SAFETY: unpublished node, exclusively ours.
                 unsafe { owned.slot.put_item(item.take().expect("producer has item")) };
                 // Counted before it is linked (see `LinkedCounts`).
@@ -827,7 +825,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
                         // Nobody waits on an async node: it keeps only the
                         // structure's reference.
                         // SAFETY: the waiter reference `try_append` gave us.
-                        unsafe { self.list.pool().release_waiter_ref(published) };
+                        unsafe { WaitNode::release(published) };
                         return TransferOutcome::Transferred(None);
                     }
                     Err(owned) => {
@@ -885,9 +883,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
                 if token.is_some_and(|tk| tk.is_cancelled()) {
                     return Some(TransferOutcome::Cancelled(None));
                 }
-                let owned = node
-                    .take()
-                    .unwrap_or_else(|| self.list.pool().alloc(REQUEST, &guard));
+                let owned = node.take().unwrap_or_else(|| WaitNode::alloc(REQUEST));
                 let published = match at.try_append(owned) {
                     Ok(published) => published,
                     Err(owned) => {
@@ -995,10 +991,9 @@ impl<T, R: Reclaimer> Drop for TransferQueue<T, R> {
         // on every 128th pin of a thread: a long way off now that buffered
         // traffic does not pin. Queues built and torn down in a row piled
         // up some fifty sealed bags that way; one best-effort pass per
-        // torn-down queue keeps it to a handful. A queue that never linked
-        // a node (the dummy is its one allocation) stays pin-free to the
-        // end.
-        if self.list.pool().allocated() > 1 {
+        // torn-down queue keeps it to a handful. A queue that never retired
+        // a node stays pin-free to the end.
+        if self.list.has_retired() {
             R::collect();
         }
     }

@@ -204,12 +204,12 @@ fn executor_survives_cancellation_mid_burst() {
     assert_eq!(done.load(Ordering::Relaxed), accepted);
 }
 
-/// Node-recycling churn: far more handoffs than the free list can hold, so
-/// every skeleton is reused many times over — with timed failures mixed in
-/// so recycled nodes also pass through the cancelled state carrying an
-/// *unconsumed* item. Each payload must drop exactly once: a recycled node
-/// whose item slot was not moved out (or not cleared before reuse) shows up
-/// here as a leak or a double-free.
+/// Address-reuse churn: every handoff frees its node to the allocator,
+/// which hands the same addresses out again at once, with timed failures
+/// mixed in so that nodes are also freed from the cancelled state carrying
+/// an *unconsumed* item. Each payload must drop exactly once: a node freed
+/// while someone can still reach it, or freed without its item, shows up
+/// here as a double-free or a leak.
 fn recycling_churn(fair: bool) {
     const OPS: usize = 3_000;
     let live = Arc::new(AtomicUsize::new(0));
@@ -229,7 +229,7 @@ fn recycling_churn(fair: bool) {
                 let item = Tracked::new(&live);
                 if i % 8 == 0 {
                     // Mostly-failing timed offer: leaves a cancelled node
-                    // (item still aboard) for the recycler to clean up.
+                    // for the next arrival to absorb.
                     match q.offer_timeout(item, Duration::from_micros(1)) {
                         Ok(()) => {
                             delivered.fetch_add(1, Ordering::Relaxed);
@@ -275,8 +275,8 @@ fn recycling_churn(fair: bool) {
         "every delivered item must come out exactly once despite node reuse"
     );
 
-    // The free list must drain fully on drop: once the queue and all
-    // epoch-deferred releases are gone, every payload has dropped.
+    // Once the queue and all epoch-deferred releases are gone, every
+    // payload has dropped.
     drop(q);
     for _ in 0..64 {
         if live.load(Ordering::SeqCst) == 0 {
@@ -290,7 +290,7 @@ fn recycling_churn(fair: bool) {
     assert_eq!(
         live.load(Ordering::SeqCst),
         0,
-        "payloads leaked through the node cache (double-frees would have underflowed)"
+        "payloads leaked with their nodes (double-frees would have underflowed)"
     );
 }
 

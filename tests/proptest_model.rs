@@ -194,11 +194,10 @@ fn parallel_session_with_shared_ledger() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Node recycling must be invisible to the values: random-length
-    /// ping-pong sessions conserve the value multiset (checked via the
-    /// sum), and the allocation diagnostics must account for every node
-    /// acquisition — each transfer's node came either from the allocator
-    /// or from the free list, never from thin air.
+    /// Node address reuse must be invisible to the values: every transfer
+    /// frees its node to the allocator, which hands the address straight
+    /// back, and random-length ping-pong sessions still conserve the
+    /// value multiset (checked via the sum).
     #[test]
     fn queue_node_recycling_is_value_transparent(n in 64usize..512) {
         use synq_suite::core::{SyncChannel, SyncDualQueue};
@@ -215,10 +214,6 @@ proptest! {
             q.put(i);
         }
         prop_assert_eq!(t.join().unwrap(), (n as u64 * (n as u64 - 1)) / 2);
-        // Demand is one node per transfer plus the dummy; retries may add
-        // a few more. Every acquisition is either a fresh alloc or a
-        // cache pop.
-        prop_assert!(q.nodes_allocated() + q.nodes_recycled() > n);
     }
 
     #[test]
@@ -237,7 +232,5 @@ proptest! {
             s.put(i);
         }
         prop_assert_eq!(t.join().unwrap(), (n as u64 * (n as u64 - 1)) / 2);
-        // Two nodes per transfer here: the waiter's and the fulfilling one.
-        prop_assert!(s.nodes_allocated() + s.nodes_recycled() >= 2 * n);
     }
 }

@@ -10,12 +10,18 @@
 //! two slots, through *buffered* timed puts against timed takes, where
 //! every consumer that finds the ring empty publishes a reservation that
 //! a push must find, claim and complete under the backend's validation.
+//!
+//! The last test counts live wait nodes through this binary's allocator:
+//! a node is freed by whoever drops its last reference, so after the
+//! structure is dropped and the backend has collected, none may be left.
 
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+use synq::dual_list::{WaitNode, REQUEST};
 use synq::{
     CancelToken, Deadline, SyncDualQueue, SyncDualStack, TimedSyncChannel, TransferOutcome,
     Transferer,
@@ -45,6 +51,39 @@ impl Drop for Payload {
         self.live.fetch_sub(1, Ordering::Relaxed);
     }
 }
+
+/// The leak check's payload. Its 64-byte alignment gives the wait node
+/// that carries it a layout nothing else in this binary allocates, so the
+/// allocator below can count those nodes while the other tests run.
+#[repr(align(64))]
+struct Marked(Payload);
+
+const MARKED_NODE: Layout = Layout::new::<WaitNode<Marked, Epoch>>();
+const _: () = assert!(MARKED_NODE.align() == 64);
+
+static LIVE_MARKED_NODES: AtomicIsize = AtomicIsize::new(0);
+
+struct CountMarkedNodes;
+
+// SAFETY: forwards to `System` unchanged.
+unsafe impl GlobalAlloc for CountMarkedNodes {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if layout == MARKED_NODE {
+            LIVE_MARKED_NODES.fetch_add(1, Ordering::Relaxed);
+        }
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if layout == MARKED_NODE {
+            LIVE_MARKED_NODES.fetch_sub(1, Ordering::Relaxed);
+        }
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountMarkedNodes = CountMarkedNodes;
 
 /// A `TransferQueue` under any backend seen through its *buffered* put
 /// (`BufferedChannel` is fixed to the default backend).
@@ -224,4 +263,103 @@ proptest! {
         let q = Arc::new(Buffered(TransferQueue::<Payload, Hazard>::bounded_in(2)));
         check_conservation(q, producers, consumers, per)?;
     }
+}
+
+/// 10 k handoffs, then a storm of timed sends and timed receives that all
+/// lapse, on a structure built by `make` over backend `R`. Once the
+/// structure is dropped and `R` has collected, no wait node and no payload
+/// may be left.
+fn check_nodes_return_to_baseline<R: Reclaimer>(
+    name: &str,
+    make: impl FnOnce() -> Arc<dyn TimedSyncChannel<Marked>>,
+) {
+    const HANDOFFS: usize = 10_000;
+    const LAPSES: usize = 300;
+    assert_eq!(Layout::new::<WaitNode<Marked, R>>(), MARKED_NODE);
+    let baseline = LIVE_MARKED_NODES.load(Ordering::SeqCst);
+    let probe = WaitNode::<Marked, R>::alloc(REQUEST);
+    assert_eq!(
+        LIVE_MARKED_NODES.load(Ordering::SeqCst),
+        baseline + 1,
+        "the allocator does not see this structure's nodes"
+    );
+    drop(probe);
+    let live = Arc::new(AtomicIsize::new(0));
+    let channel = make();
+
+    thread::scope(|s| {
+        s.spawn(|| {
+            for id in 0..HANDOFFS {
+                channel.put(Marked(Payload::new(id, &live)));
+            }
+        });
+        for id in 0..HANDOFFS {
+            assert_eq!(channel.take().0.id, id, "{name}: one producer, in order");
+        }
+    });
+    // Senders with nobody to receive, then receivers with nobody to send:
+    // every node leaves through the cancelled state, a sender's with its
+    // item taken back.
+    thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                for id in 0..LAPSES {
+                    let payload = Marked(Payload::new(id, &live));
+                    assert!(channel
+                        .offer_timeout(payload, Duration::from_micros(20))
+                        .is_err());
+                }
+            });
+        }
+    });
+    thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                for _ in 0..LAPSES {
+                    assert!(channel.poll_timeout(Duration::from_micros(20)).is_none());
+                }
+            });
+        }
+    });
+    drop(channel);
+
+    // A pass frees only what no other thread's guard can still reach, and
+    // the tests running beside this one pin the same backends.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        R::collect();
+        if LIVE_MARKED_NODES.load(Ordering::SeqCst) == baseline {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{name}: {} wait nodes leaked",
+            LIVE_MARKED_NODES.load(Ordering::SeqCst) - baseline
+        );
+        thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(live.load(Ordering::SeqCst), 0, "{name}: payloads leaked");
+}
+
+/// One test for all six rows: they share the allocator's one counter.
+#[test]
+fn live_nodes_return_to_baseline_under_both_backends() {
+    check_nodes_return_to_baseline::<Epoch>("queue/epoch", || {
+        Arc::new(SyncDualQueue::<Marked, Epoch>::new_in())
+    });
+    check_nodes_return_to_baseline::<Hazard>("queue/hazard", || {
+        Arc::new(SyncDualQueue::<Marked, Hazard>::new_in())
+    });
+    check_nodes_return_to_baseline::<Epoch>("stack/epoch", || {
+        Arc::new(SyncDualStack::<Marked, Epoch>::new_in())
+    });
+    check_nodes_return_to_baseline::<Hazard>("stack/hazard", || {
+        Arc::new(SyncDualStack::<Marked, Hazard>::new_in())
+    });
+    check_nodes_return_to_baseline::<Epoch>("transfer/epoch", || {
+        Arc::new(TransferQueue::<Marked, Epoch>::new_in())
+    });
+    check_nodes_return_to_baseline::<Hazard>("transfer/hazard", || {
+        Arc::new(TransferQueue::<Marked, Hazard>::new_in())
+    });
 }
