@@ -15,9 +15,11 @@
 //! once:
 //!
 //! * The **structure's** reference is released by the thread whose CAS
-//!   unlinks the node ([`WaitNode::release_structure_ref`]), and only
-//!   through [`Shield::defer_retire`]: the decrement runs once no guard
-//!   protects the node.
+//!   unlinks the node, once, and only through [`Shield::defer_retire`]:
+//!   the decrement runs once no guard protects the node. The node's
+//!   `unlinked` flag records the release: a swap where racing removers can
+//!   reach one node (the stack's skip and absorb), a store where one CAS
+//!   has the only say (the queue's `head` CAS).
 //! * The **waiter's** reference is released directly when its operation
 //!   returns ([`WaitNode::release`]). A waiter therefore holds
 //!   no guard while it spins or parks (a sleeping thread never stalls
@@ -44,7 +46,9 @@
 //!    claims its slot, moves the item, and [`Arrival::advance_past`] makes
 //!    it the new dummy, claimed or not.
 //! 4. A waiter whose own node reached a terminal state calls
-//!    [`DualList::leave`].
+//!    [`DualList::leave`]. A matched waiter helps advance the head past
+//!    its node only if the matcher has not yet done so: a node that is
+//!    already the dummy or already `unlinked` is left without a pin.
 //!
 //! A waiter gives up by CASing its slot `WAITING -> CANCELLED`; the same
 //! CAS arbitrates against a concurrent match. Cancelled nodes are
@@ -97,7 +101,8 @@ pub struct WaitNode<T, R: Reclaimer> {
     pub slot: WaitSlot<T>,
     pub(crate) next: Atomic<WaitNode<T, R>, R>,
     refs: AtomicUsize,
-    /// Set by the one release of the structure reference.
+    /// Set by the one release of the structure reference. `leave` reads it
+    /// to skip helping a node that is already off the list.
     unlinked: AtomicBool,
 }
 
@@ -153,9 +158,9 @@ impl<T, R: Reclaimer> WaitNode<T, R> {
     }
 
     /// Releases the structure's reference on a node the caller's CAS just
-    /// unlinked. Returns false if a racing remover got there first (the
-    /// stack's skip and absorb can both reach one node; a queue's head CAS
-    /// has one winner).
+    /// unlinked, where racing removers may reach the same node (the
+    /// stack's skip and absorb): the `unlinked` swap lets the first
+    /// through. Returns false if another got there first.
     ///
     /// # Safety
     ///
@@ -172,12 +177,42 @@ impl<T, R: Reclaimer> WaitNode<T, R> {
         {
             return false;
         }
+        // SAFETY: the swap made us the one releaser.
+        unsafe { Self::retire_structure_ref(node, guard) };
+        true
+    }
+
+    /// Releases the structure's reference on a node only the caller's CAS
+    /// can have unlinked (a queue's head CAS has one winner), so `unlinked`
+    /// is set with a store.
+    ///
+    /// # Safety
+    ///
+    /// As [`Self::release_structure_ref`], and the caller is the node's one
+    /// remover.
+    unsafe fn release_unlinked<'g>(node: Shared<'g, Self>, guard: &'g R::Guard) {
+        // SAFETY: per the contract.
+        let n = unsafe { node.deref() };
+        debug_assert!(
+            !n.unlinked.load(Ordering::Relaxed),
+            "structure reference released twice"
+        );
+        n.unlinked.store(true, Ordering::Release);
+        // SAFETY: per the contract.
+        unsafe { Self::retire_structure_ref(node, guard) };
+    }
+
+    /// Hands the structure's reference to the reclaimer.
+    ///
+    /// # Safety
+    ///
+    /// Called once per node, by whoever set its `unlinked` flag.
+    unsafe fn retire_structure_ref<'g>(node: Shared<'g, Self>, guard: &'g R::Guard) {
         let raw = node.as_raw() as usize;
         // SAFETY: the closure runs once no guard protects the node; the
         // waiter's own reference keeps the node alive beyond that if it is
         // still waking up.
         unsafe { guard.defer_retire(raw, move || Self::release(raw as *const Self)) };
-        true
     }
 
     /// Frees the chain behind `first` outright (a structure's `Drop`).
@@ -313,9 +348,9 @@ impl<T, R: Reclaimer> DualList<T, R> {
                 .compare_exchange(t, nh, Ordering::Release, Ordering::Relaxed, guard);
         }
         // SAFETY: `h` was unlinked by our CAS, which also proves it was
-        // the live head the caller had protected.
-        let first = unsafe { WaitNode::release_structure_ref(h, guard) };
-        debug_assert!(first, "structure reference released twice");
+        // the live head the caller had protected, and only one CAS can move
+        // `head` off `h`.
+        unsafe { WaitNode::release_unlinked(h, guard) };
         true
     }
 
@@ -370,21 +405,19 @@ impl<T, R: Reclaimer> DualList<T, R> {
         // SAFETY: the waiter reference keeps the node alive.
         let own = unsafe { &*node };
         let matched = matches!(verdict, WaitOutcome::Matched(_));
-        {
+        if !matched {
+            // The cancelled prefix now includes our node.
+            self.absorb_cancelled(&R::pin());
+        } else if !self.is_dequeued(own) {
+            // Help dequeue our own node if it is next in line (paper
+            // Listing 5 lines 17-19). `hn` is only compared against our
+            // own pointer, never dereferenced.
             let guard = R::pin();
-            if matched {
-                // Help dequeue our own node if it is next in line (paper
-                // Listing 5 lines 17-19). `hn` is only compared against our
-                // own pointer, never dereferenced.
-                let h = self.head.load(Ordering::Acquire, &guard);
-                // SAFETY: head is never null, and protected.
-                let hn = unsafe { h.deref() }.next.load(Ordering::Acquire, &guard);
-                if hn.as_raw() == node {
-                    let _ = self.advance_head(h, hn, &guard);
-                }
-            } else {
-                // The cancelled prefix now includes our node.
-                self.absorb_cancelled(&guard);
+            let h = self.head.load(Ordering::Acquire, &guard);
+            // SAFETY: head is never null, and protected.
+            let hn = unsafe { h.deref() }.next.load(Ordering::Acquire, &guard);
+            if hn.as_raw() == node {
+                let _ = self.advance_head(h, hn, &guard);
             }
         }
         let item = (own.is_data() != matched && own.slot.has_item())
@@ -398,6 +431,20 @@ impl<T, R: Reclaimer> DualList<T, R> {
             WaitOutcome::Cancelled => TransferOutcome::Cancelled(item),
             WaitOutcome::TimedOut => TransferOutcome::Timeout(item),
         }
+    }
+
+    /// Has the head already reached `own`, a node whose wait is over? Then
+    /// it is the dummy (`head == own`) or behind it (`unlinked`), and there
+    /// is nothing for its waiter to help. Needs no pin: `head` is only
+    /// compared with `own`, whose address the waiter reference keeps from
+    /// being reused.
+    fn is_dequeued(&self, own: &WaitNode<T, R>) -> bool {
+        if own.unlinked.load(Ordering::Acquire) {
+            return true;
+        }
+        // SAFETY: nothing loaded through this guard is dereferenced.
+        let bare = unsafe { R::unprotected() };
+        std::ptr::eq(self.head.load(Ordering::Acquire, &bare).as_raw(), own)
     }
 
     /// Racy peek: is any linked node a still-`WAITING` producer
@@ -730,6 +777,52 @@ mod tests {
         let back = unsafe { list.leave(node, WaitOutcome::TimedOut) };
         assert!(matches!(back, TransferOutcome::Timeout(Some(v)) if v == "mine"));
         assert_eq!(list.linked_nodes(), 0, "leave absorbed the cancelled node");
+    }
+
+    fn head_is<T>(list: &List<T>, node: Node<T>) -> bool {
+        list.head.load(Ordering::Acquire, &unprotected()).as_raw() == node
+    }
+
+    const MATCHED: WaitOutcome = WaitOutcome::Matched(synq_primitives::wait_slot::MATCHED);
+
+    #[test]
+    fn leave_helps_a_matcher_that_stalled_before_advancing() {
+        let list: List<u32> = DualList::default();
+        let node = append(&list, None);
+        {
+            let guard = unprotected();
+            let at = list.arrive(&guard);
+            let m = at.front().expect("a node is linked");
+            assert!(m.slot.try_claim());
+            unsafe { m.slot.put_item(7) };
+            m.slot.complete();
+            // The matcher stalls here, before `advance_past`.
+        }
+        assert!(!head_is(&list, node) && list.linked_nodes() == 1);
+        let out = unsafe { list.leave(node, MATCHED) };
+        assert!(matches!(out, TransferOutcome::Transferred(Some(7))));
+        assert!(head_is(&list, node), "the waiter advanced the head");
+        assert_eq!(list.linked_nodes(), 0);
+    }
+
+    #[test]
+    fn leave_does_not_move_the_head_for_a_dequeued_node() {
+        let list: List<u32> = DualList::default();
+        let [a, b, c] = [(); 3].map(|_| append(&list, None));
+        fulfill_front(&list, 1);
+        fulfill_front(&list, 2);
+        // `a` is unlinked, `b` is the dummy, `c` still waits.
+        assert!(unsafe { &*a }.unlinked.load(Ordering::SeqCst));
+        assert!(head_is(&list, b));
+        let out = unsafe { list.leave(a, MATCHED) };
+        assert!(matches!(out, TransferOutcome::Transferred(Some(1))));
+        assert!(head_is(&list, b), "an unlinked node leaves the head alone");
+        let out = unsafe { list.leave(b, MATCHED) };
+        assert!(matches!(out, TransferOutcome::Transferred(Some(2))));
+        assert!(head_is(&list, b), "the dummy leaves the head alone");
+        assert_eq!(list.linked_nodes(), 1);
+        assert!(list.has_waiting(false), "c is untouched");
+        unsafe { WaitNode::release(c) };
     }
 
     #[test]

@@ -96,8 +96,9 @@ pub struct WaitSlot<T> {
 
 // SAFETY: the item cell is transferred between threads only through the
 // state-word CAS protocol (Release writes happen-before the Acquire load
-// that licenses the read), and the consumed/filled guards ensure a single
-// reader. T: Send suffices because only ownership moves across threads.
+// that licenses the read); a won claim, a terminal state or a won cancel
+// makes one thread the reader, and the consumed/filled flags record what it
+// did. T: Send suffices because only ownership moves across threads.
 unsafe impl<T: Send> Send for WaitSlot<T> {}
 unsafe impl<T: Send> Sync for WaitSlot<T> {}
 
@@ -325,8 +326,13 @@ impl<T> WaitSlot<T> {
         self.filled.store(true, Ordering::Relaxed);
     }
 
-    /// Moves the item out of the cell. The `consumed` swap makes this
-    /// one-shot even if racing call sites misbehave (debug-asserted).
+    /// Moves the item out of the cell and marks it `consumed`.
+    ///
+    /// A plain store suffices: each entitlement below makes the caller the
+    /// cell's only reader, and whoever later reads `consumed` (the slot's
+    /// `Drop`, `recycle`, `has_item`) is ordered after it by the state word
+    /// or the owner's reference count, like `put_item`'s `filled`. A second
+    /// take is still debug-asserted.
     ///
     /// # Safety
     ///
@@ -339,10 +345,9 @@ impl<T> WaitSlot<T> {
             self.filled.load(Ordering::Relaxed),
             "taking from empty cell"
         );
-        let already = self.consumed.swap(true, Ordering::AcqRel);
-        debug_assert!(!already, "item taken twice");
-        // SAFETY: the cell is filled per contract and the consumed swap
-        // made us the unique reader.
+        debug_assert!(!self.consumed.load(Ordering::Relaxed), "item taken twice");
+        self.consumed.store(true, Ordering::Relaxed);
+        // SAFETY: the cell is filled and, per contract, ours alone to read.
         unsafe { (*self.item.get()).assume_init_read() }
     }
 

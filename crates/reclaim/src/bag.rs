@@ -6,47 +6,62 @@
 //! executed once the global epoch has advanced at least two steps past its
 //! seal epoch (three-epoch reclamation): recording the *seal*-time epoch is
 //! conservative, since every item in the bag was retired at or before it.
+//!
+//! The storage is inline (a length plus an array), so sealing moves the
+//! bag into a pooled garbage-node skeleton and allocates nothing.
 
 use crate::deferred::Deferred;
+use std::mem::MaybeUninit;
 
 /// Maximum number of deferred items in a bag before it must be sealed.
 pub(crate) const MAX_OBJECTS: usize = 64;
 
 /// A fixed-capacity container of deferred closures.
-#[derive(Debug, Default)]
 pub(crate) struct Bag {
-    deferreds: Vec<Deferred>,
+    /// `deferreds[..len]` are initialized.
+    len: usize,
+    /// How many of them came through `Shield::defer_retire`: the items the
+    /// garbage ledger counts, settled when the bag runs.
+    retired: usize,
+    deferreds: [MaybeUninit<Deferred>; MAX_OBJECTS],
 }
 
 impl Bag {
     pub(crate) fn new() -> Self {
+        const EMPTY: MaybeUninit<Deferred> = MaybeUninit::uninit();
         Bag {
-            deferreds: Vec::new(),
+            len: 0,
+            retired: 0,
+            deferreds: [EMPTY; MAX_OBJECTS],
         }
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.deferreds.is_empty()
+        self.len == 0
     }
 
-    /// Attempts to add `deferred`; returns it back if the bag is full.
-    pub(crate) fn try_push(&mut self, deferred: Deferred) -> Result<(), Deferred> {
-        if self.deferreds.len() < MAX_OBJECTS {
-            if self.deferreds.capacity() == 0 {
-                self.deferreds.reserve(MAX_OBJECTS);
-            }
-            self.deferreds.push(deferred);
-            Ok(())
-        } else {
-            Err(deferred)
-        }
+    pub(crate) fn is_full(&self) -> bool {
+        self.len == MAX_OBJECTS
     }
 
-    /// Runs every deferred closure in the bag, emptying it.
-    pub(crate) fn call_all(&mut self) {
-        for d in self.deferreds.drain(..) {
-            d.call();
+    /// Adds `deferred`, counted as a ledger retirement if `retired`. The
+    /// bag must not be full (the index panics if it is).
+    pub(crate) fn push(&mut self, deferred: Deferred, retired: bool) {
+        self.deferreds[self.len].write(deferred);
+        self.len += 1;
+        self.retired += usize::from(retired);
+    }
+
+    /// Runs every deferred closure in the bag, emptying it. Returns how
+    /// many of them were ledger retirements.
+    pub(crate) fn call_all(&mut self) -> usize {
+        let len = std::mem::take(&mut self.len);
+        for slot in &mut self.deferreds[..len] {
+            // SAFETY: the first `len` slots were initialized by `push`, and
+            // zeroing `len` first makes this the only read of each.
+            unsafe { slot.assume_init_read() }.call();
         }
+        std::mem::take(&mut self.retired)
     }
 }
 
@@ -57,11 +72,9 @@ impl Drop for Bag {
 }
 
 /// A bag stamped with the global epoch at which it was sealed.
-#[derive(Debug)]
 pub(crate) struct SealedBag {
     pub(crate) epoch: usize,
-    /// Dropped (running its deferreds) when the bag expires.
-    #[allow(dead_code)]
+    /// Run (its deferreds executed) when the bag expires.
     pub(crate) bag: Bag,
 }
 
@@ -90,14 +103,13 @@ mod tests {
         let c = Arc::new(AtomicUsize::new(0));
         let mut bag = Bag::new();
         for _ in 0..MAX_OBJECTS {
-            assert!(bag.try_push(counting_deferred(&c)).is_ok());
+            assert!(!bag.is_full());
+            bag.push(counting_deferred(&c), false);
         }
-        let rejected = bag.try_push(counting_deferred(&c));
-        assert!(rejected.is_err());
-        drop(rejected); // runs the rejected closure
-        assert_eq!(c.load(Ordering::SeqCst), 1);
+        assert!(bag.is_full());
+        assert_eq!(c.load(Ordering::SeqCst), 0);
         drop(bag);
-        assert_eq!(c.load(Ordering::SeqCst), MAX_OBJECTS + 1);
+        assert_eq!(c.load(Ordering::SeqCst), MAX_OBJECTS);
     }
 
     #[test]
@@ -105,9 +117,22 @@ mod tests {
         let c = Arc::new(AtomicUsize::new(0));
         let mut bag = Bag::new();
         for _ in 0..10 {
-            bag.try_push(counting_deferred(&c)).unwrap();
+            bag.push(counting_deferred(&c), false);
         }
         drop(bag);
+        assert_eq!(c.load(Ordering::SeqCst), 10);
+    }
+
+    #[test]
+    fn call_all_reports_the_retired_share() {
+        let c = Arc::new(AtomicUsize::new(0));
+        let mut bag = Bag::new();
+        for i in 0..10 {
+            bag.push(counting_deferred(&c), i % 3 == 0);
+        }
+        assert_eq!(bag.call_all(), 4, "items 0, 3, 6 and 9");
+        assert_eq!(c.load(Ordering::SeqCst), 10);
+        assert_eq!(bag.call_all(), 0, "an emptied bag runs nothing");
         assert_eq!(c.load(Ordering::SeqCst), 10);
     }
 
@@ -127,7 +152,7 @@ mod tests {
         let mut bag = Bag::new();
         assert!(bag.is_empty());
         let c = Arc::new(AtomicUsize::new(0));
-        bag.try_push(counting_deferred(&c)).unwrap();
+        bag.push(counting_deferred(&c), false);
         assert!(!bag.is_empty());
         bag.call_all();
         assert!(bag.is_empty());

@@ -54,7 +54,8 @@ pub const SCAN_THRESHOLD: usize = 64;
 const FREE: usize = 0;
 const IN_USE: usize = 1;
 
-pub(crate) static HAZARD_LEDGER: GarbageLedger = GarbageLedger::new();
+/// Settled once per scan; the retired side lives in the records.
+static HAZARD_LEDGER: GarbageLedger = GarbageLedger::new();
 
 /// One thread's slots in the global registry. Cache-line aligned so a
 /// thread's slot publications do not false-share with its neighbours'.
@@ -64,6 +65,9 @@ struct HazardRecord {
     /// `FREE` / `IN_USE` — recycled, never unlinked.
     state: AtomicUsize,
     next: AtomicPtr<HazardRecord>,
+    /// Retirements made through this record, ever: written only by its
+    /// owner, summed by [`pending`].
+    retired: AtomicUsize,
 }
 
 impl HazardRecord {
@@ -72,12 +76,29 @@ impl HazardRecord {
             slots: std::array::from_fn(|_| AtomicUsize::new(0)),
             state: AtomicUsize::new(IN_USE),
             next: AtomicPtr::new(ptr::null_mut()),
+            retired: AtomicUsize::new(0),
         }
     }
 }
 
 /// Registry head. Records are heap-allocated once and reachable forever.
 static REGISTRY: AtomicPtr<HazardRecord> = AtomicPtr::new(ptr::null_mut());
+
+/// Every record ever registered (free ones included).
+fn records() -> impl Iterator<Item = &'static HazardRecord> {
+    let mut rec = REGISTRY.load(Ordering::Acquire);
+    std::iter::from_fn(move || {
+        // SAFETY: registry records are never freed.
+        let r = unsafe { rec.as_ref() }?;
+        rec = r.next.load(Ordering::Acquire);
+        Some(r)
+    })
+}
+
+/// Retired-but-unexecuted closures across the process (ledger docs).
+fn pending() -> usize {
+    HAZARD_LEDGER.pending(records().map(|r| &r.retired))
+}
 
 /// Retire lists abandoned by exited threads, adopted by the next scan.
 static ORPHANS: Mutex<Vec<Retired>> = Mutex::new(Vec::new());
@@ -90,16 +111,14 @@ struct Retired {
 
 /// Claims a free record from the registry or pushes a new one.
 fn register() -> *const HazardRecord {
-    let mut rec = REGISTRY.load(Ordering::Acquire);
-    while let Some(r) = unsafe { rec.as_ref() } {
-        if r.state.load(Ordering::Relaxed) == FREE
+    let free = records().find(|r| {
+        r.state.load(Ordering::Relaxed) == FREE
             && r.state
                 .compare_exchange(FREE, IN_USE, Ordering::Acquire, Ordering::Relaxed)
                 .is_ok()
-        {
-            return r;
-        }
-        rec = r.next.load(Ordering::Acquire);
+    });
+    if let Some(r) = free {
+        return r;
     }
     let rec = Box::into_raw(Box::new(HazardRecord::new()));
     let mut head = REGISTRY.load(Ordering::Relaxed);
@@ -166,7 +185,7 @@ impl HazardLocal {
     }
 
     fn retire(&self, entry: Retired) {
-        HAZARD_LEDGER.retire();
+        GarbageLedger::retire(&self.record().retired);
         let len = {
             let mut retired = self.retired.borrow_mut();
             retired.push(entry);
@@ -192,14 +211,15 @@ impl HazardLocal {
             self.scanning.set(false);
             return;
         }
+        // The retire lists are at their longest now: sample the peak.
+        HAZARD_LEDGER.raise_peak(pending());
         // Orders every earlier slot publication before our slot reads: a
         // protect whose publish was not yet visible here will, by the same
         // fence pair, observe the unlink that preceded this scan's retire
         // and re-validate (see the reclaimer module docs).
         fence(Ordering::SeqCst);
         let mut hazards: Vec<usize> = Vec::with_capacity(2 * SLOTS_PER_RECORD);
-        let mut rec = REGISTRY.load(Ordering::Acquire);
-        while let Some(r) = unsafe { rec.as_ref() } {
+        for r in records() {
             // Slots of free records are zeroed before release, so reading
             // them unconditionally is merely conservative.
             for slot in &r.slots {
@@ -208,7 +228,6 @@ impl HazardLocal {
                     hazards.push(v);
                 }
             }
-            rec = r.next.load(Ordering::Acquire);
         }
         hazards.sort_unstable();
         let before = batch.len();
@@ -226,6 +245,7 @@ impl HazardLocal {
         if kept.len() == before {
             synq_obs::probe!(ReclaimStalls);
         }
+        HAZARD_LEDGER.reclaimed(before - kept.len());
         self.retired.borrow_mut().extend(kept);
         self.scanning.set(false);
     }
@@ -309,15 +329,15 @@ impl Reclaimer for Hazard {
     }
 
     fn pending() -> usize {
-        HAZARD_LEDGER.pending()
+        pending()
     }
 
     fn peak_pending() -> usize {
-        HAZARD_LEDGER.peak()
+        HAZARD_LEDGER.peak(pending())
     }
 
     fn reset_peak() {
-        HAZARD_LEDGER.reset_peak()
+        HAZARD_LEDGER.reset_peak(pending())
     }
 
     fn collect() {
@@ -352,10 +372,6 @@ impl Shield for HazardGuard {
         match self.local() {
             None => f(),
             Some(local) => {
-                let f = move || {
-                    HAZARD_LEDGER.reclaimed();
-                    f();
-                };
                 local.retire(Retired {
                     addr,
                     deferred: Deferred::new(f),
@@ -434,8 +450,17 @@ mod tests {
         assert_eq!(drops.load(Ordering::SeqCst), 1, "freed after unpin");
     }
 
+    /// Serializes the tests that retire in bulk: a scan settles the ledger
+    /// once, at its end, so one test's in-flight retire lists show in
+    /// another's `pending` for the length of a scan.
+    fn bulk_retire_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     #[test]
     fn garbage_stays_bounded_without_active_hazards() {
+        let _serial = bulk_retire_lock();
         let drops = Arc::new(AtomicUsize::new(0));
         const N: usize = 10 * SCAN_THRESHOLD;
         let g = Hazard::pin();
@@ -447,7 +472,8 @@ mod tests {
         Hazard::collect();
         assert_eq!(drops.load(Ordering::SeqCst), N, "all freed eventually");
         // The per-thread list can never exceed the scan trigger while no
-        // slot is held (ledger is global, so other tests may add a bit).
+        // slot is held (the ledger is global, so the single retirements of
+        // other tests may add a few).
         assert!(
             Hazard::pending() < 2 * SCAN_THRESHOLD,
             "pending {} not bounded",
@@ -546,6 +572,7 @@ mod tests {
     #[test]
     fn concurrent_protect_and_retire_stress() {
         use std::sync::atomic::AtomicBool;
+        let _serial = bulk_retire_lock();
         let stop = Arc::new(AtomicBool::new(false));
         let shared = Arc::new(AtomicUsize::new(Box::into_raw(Box::new(0u64)) as usize));
         let mut handles = Vec::new();

@@ -14,9 +14,13 @@
 //! * **Garbage stack** — a Treiber-style stack of [`SealedBag`]s. Collection
 //!   detaches the whole stack with one `swap`, frees expired bags, and
 //!   pushes the rest back; concurrent collectors therefore operate on
-//!   disjoint chains and never contend beyond the two CAS words. The stack's
-//!   node skeletons are pooled ([`NODE_POOL_CAP`]) so a steady defer/collect
-//!   load does not allocate.
+//!   disjoint chains and never contend beyond the two CAS words. Bags are
+//!   inline arrays and the stack's node skeletons are pooled
+//!   ([`NODE_POOL_CAP`], filled when the collector is created), so a steady
+//!   defer/collect load does not allocate (`tests/no_alloc.rs` counts).
+//! * **Garbage ledger** — each record counts its own retirements (an
+//!   owner-only store); whoever runs a sealed bag settles it on the
+//!   collector's [`GarbageLedger`] once per bag. See that type.
 //! * **Pinning** — the outermost pin publishes `(global << 2) | PINNED` in
 //!   the thread's epoch slot, with a `SeqCst` fence that globally orders the
 //!   publication against `try_advance`'s scan (that ordering is what makes
@@ -32,6 +36,7 @@
 use crate::bag::{Bag, SealedBag};
 use crate::deferred::Deferred;
 use crate::guard::Guard;
+use crate::reclaimer::GarbageLedger;
 use std::cell::{Cell, UnsafeCell};
 use std::mem::MaybeUninit;
 use std::ptr;
@@ -53,7 +58,11 @@ const PINNED: usize = 1;
 const LAZY: usize = 2;
 const EPOCH_SHIFT: u32 = 2;
 
-/// Maximum number of dead [`GarbageNode`] skeletons kept for reuse.
+/// Maximum number of dead [`GarbageNode`] skeletons kept for reuse. The
+/// pool starts full: a skeleton holds a whole bag (2 KiB) and lives as long
+/// as the collector, so allocating it the first time sealing outruns the
+/// pool would leave it wherever the heap's top happened to be then, above
+/// memory the application frees later, which malloc then cannot give back.
 const NODE_POOL_CAP: usize = 32;
 
 struct GarbageNode {
@@ -71,11 +80,14 @@ pub(crate) struct Global {
     registry: CachePadded<AtomicPtr<Local>>,
     /// Head of the garbage stack.
     garbage: CachePadded<AtomicPtr<GarbageNode>>,
-    /// Dead `GarbageNode` skeletons (sealed bag moved out) awaiting reuse
+    /// Dead `GarbageNode` skeletons (their bags run) awaiting reuse
     /// by `push_sealed`. A `Mutex` rather than a Treiber stack because
     /// `push_sealed` may run unpinned, where a lock-free pop would be
     /// ABA-unsafe.
     node_pool: CachePadded<Mutex<Vec<*mut GarbageNode>>>,
+    /// Settled once per executed bag; the retired side lives in the
+    /// records.
+    ledger: GarbageLedger,
 }
 
 // Layout: each of the four hot words above owns its cache line(s).
@@ -94,17 +106,44 @@ impl Global {
             epoch: CachePadded::new(AtomicUsize::new(0)),
             registry: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
             garbage: CachePadded::new(AtomicPtr::new(ptr::null_mut())),
-            node_pool: CachePadded::new(Mutex::new(Vec::new())),
+            node_pool: CachePadded::new(Mutex::new(
+                (0..NODE_POOL_CAP)
+                    .map(|_| Box::into_raw(Box::new(MaybeUninit::<GarbageNode>::uninit())).cast())
+                    .collect(),
+            )),
+            ledger: GarbageLedger::new(),
         }
+    }
+
+    /// Every record in the registry, FREE ones included.
+    fn locals(&self) -> impl Iterator<Item = &Local> {
+        let mut p = self.registry.load(Ordering::Acquire);
+        std::iter::from_fn(move || {
+            // SAFETY: registry nodes are never freed while the Global lives.
+            let local = unsafe { p.as_ref() }?;
+            p = local.next.load(Ordering::Acquire);
+            Some(local)
+        })
+    }
+
+    /// Retired-but-unexecuted `defer_retire` closures (ledger docs). FREE
+    /// records count too: a retire count outlives the thread that made it.
+    pub(crate) fn pending(&self) -> usize {
+        self.ledger.pending(self.locals().map(|l| &l.retired))
+    }
+
+    pub(crate) fn peak_pending(&self) -> usize {
+        self.ledger.peak(self.pending())
+    }
+
+    pub(crate) fn reset_peak(&self) {
+        self.ledger.reset_peak(self.pending());
     }
 
     /// Registers the calling thread, recycling a FREE record if available.
     pub(crate) fn register(self: &Arc<Global>) -> *const Local {
         // Try to recycle a retired record first.
-        let mut p = self.registry.load(Ordering::Acquire);
-        while !p.is_null() {
-            // SAFETY: registry nodes are never freed while the Global lives.
-            let local = unsafe { &*p };
+        for local in self.locals() {
             if local.state.load(Ordering::Relaxed) == FREE
                 && local
                     .state
@@ -120,9 +159,8 @@ impl Global {
                 local.guard_count.set(0);
                 local.handle_count.set(1);
                 local.pin_count.set(0);
-                return p;
+                return local;
             }
-            p = local.next.load(Ordering::Acquire);
         }
 
         // No free record: allocate and push a new one.
@@ -130,6 +168,7 @@ impl Global {
             epoch: AtomicUsize::new(0),
             state: AtomicUsize::new(IN_USE),
             next: AtomicPtr::new(ptr::null_mut()),
+            retired: AtomicUsize::new(0),
             bag: UnsafeCell::new(Bag::new()),
             guard_count: Cell::new(0),
             handle_count: Cell::new(1),
@@ -163,10 +202,7 @@ impl Global {
         fence(Ordering::SeqCst);
 
         let current = (global_epoch << EPOCH_SHIFT) | PINNED;
-        let mut p = self.registry.load(Ordering::Acquire);
-        while !p.is_null() {
-            // SAFETY: registry nodes live as long as the Global.
-            let local = unsafe { &*p };
+        for local in self.locals() {
             if local.state.load(Ordering::Acquire) == IN_USE {
                 let le = local.epoch.load(Ordering::Relaxed);
                 // A slot published at the current epoch never blocks us,
@@ -190,7 +226,6 @@ impl Global {
                     }
                 }
             }
-            p = local.next.load(Ordering::Acquire);
         }
         fence(Ordering::Acquire);
 
@@ -256,16 +291,15 @@ impl Global {
     ///
     /// # Safety
     ///
-    /// `node.sealed` must already have been moved out and `node` must be
-    /// exclusively owned.
+    /// `node`'s bag must have been run (it holds nothing to drop) and
+    /// `node` must be exclusively owned.
     unsafe fn retire_node_skeleton(&self, node: *mut GarbageNode) {
         let mut pool = self.node_pool.lock().unwrap();
         if pool.len() < NODE_POOL_CAP {
             pool.push(node);
         } else {
             drop(pool);
-            // The SealedBag was moved out; free the raw allocation without
-            // dropping the logically-uninitialized contents.
+            // Free the raw allocation; the emptied bag needs no drop.
             drop(unsafe { Box::from_raw(node as *mut MaybeUninit<GarbageNode>) });
         }
     }
@@ -281,12 +315,12 @@ impl Global {
             // SAFETY: detached chain is exclusively ours.
             let next = unsafe { (*p).next };
             if unsafe { (*p).sealed.is_expired(global_epoch) } {
-                // Move the bag out and recycle the skeleton *before*
-                // running the deferreds: they may re-enter `push_sealed`,
-                // and we must not hold the pool lock while they run.
-                let sealed = unsafe { ptr::read(&(*p).sealed) };
+                // Run the bag where it lies, then recycle the skeleton. The
+                // deferreds may re-enter `push_sealed` (another skeleton) or
+                // `collect` (a disjoint chain); no lock is held meanwhile.
+                let retired = unsafe { (*p).sealed.bag.call_all() };
                 unsafe { self.retire_node_skeleton(p) };
-                drop(sealed); // runs the bag's deferreds
+                self.ledger.reclaimed(retired);
             } else {
                 // Unexpired: re-push the node as-is, no realloc.
                 self.push_node(p);
@@ -337,6 +371,9 @@ pub(crate) struct Local {
     state: AtomicUsize,
     /// Registry link.
     next: AtomicPtr<Local>,
+    /// `defer_retire` calls made through this record, ever: written only by
+    /// its owner, summed by [`Global::pending`].
+    retired: AtomicUsize,
     /// This thread's open bag of deferred closures.
     bag: UnsafeCell<Bag>,
     /// Number of live `Guard`s (re-entrant pinning).
@@ -444,17 +481,28 @@ impl Local {
     }
 
     /// Adds a deferred closure to this thread's bag, sealing if full.
-    pub(crate) fn defer(&self, mut deferred: Deferred) {
-        synq_obs::probe!(EpochDefers);
-        // SAFETY: bag is owner-thread-only.
-        let bag = unsafe { &mut *self.bag.get() };
-        while let Err(d) = bag.try_push(deferred) {
-            self.seal_bag();
-            deferred = d;
-        }
+    pub(crate) fn defer(&self, deferred: Deferred) {
+        self.push(deferred, false);
     }
 
-    /// Seals the current bag into the global garbage stack.
+    /// As `defer`, counted on this record's ledger counter.
+    pub(crate) fn retire(&self, deferred: Deferred) {
+        GarbageLedger::retire(&self.retired);
+        self.push(deferred, true);
+    }
+
+    fn push(&self, deferred: Deferred, retired: bool) {
+        synq_obs::probe!(EpochDefers);
+        // SAFETY (both blocks): the bag is owner-thread-only, and neither
+        // borrow outlives its statement, so `seal_bag` takes its own.
+        if unsafe { (*self.bag.get()).is_full() } {
+            self.seal_bag();
+        }
+        unsafe { (*self.bag.get()).push(deferred, retired) };
+    }
+
+    /// Seals the current bag into the global garbage stack and samples the
+    /// ledger's peak.
     fn seal_bag(&self) {
         // SAFETY: bag is owner-thread-only.
         let bag = unsafe { &mut *self.bag.get() };
@@ -470,8 +518,9 @@ impl Local {
         let epoch = global.epoch();
         global.push_sealed(SealedBag {
             epoch,
-            bag: std::mem::take(bag),
+            bag: std::mem::replace(bag, Bag::new()),
         });
+        global.ledger.raise_peak(global.pending());
     }
 
     /// Seals the bag and runs a collection cycle.

@@ -48,6 +48,7 @@
 //! must treat them as compare-only (pointer equality, CAS operands) and
 //! re-`load` before dereferencing.
 
+use crate::deferred::Deferred;
 use crate::guard::Guard;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -78,11 +79,16 @@ pub trait Reclaimer: Sized + Send + Sync + 'static {
     unsafe fn unprotected() -> Self::Guard;
 
     /// Retired-but-not-yet-reclaimed closures currently outstanding across
-    /// the process for this backend (the live garbage population).
+    /// the process for this backend (the live garbage population). Exact,
+    /// but it sums one counter per participating thread: a diagnostic, not
+    /// something to call per operation.
     fn pending() -> usize;
 
     /// High-water mark of [`Reclaimer::pending`] since process start or the
-    /// last [`Reclaimer::reset_peak`].
+    /// last [`Reclaimer::reset_peak`]. Sampled when a thread seals a bag
+    /// (epoch) or scans its retire list (hazard) and when it is read, so it
+    /// may trail the true maximum by up to one open bag or retire list per
+    /// thread.
     fn peak_pending() -> usize;
 
     /// Resets the [`Reclaimer::peak_pending`] high-water mark to the
@@ -136,59 +142,80 @@ pub const SLOT_WINDOW: usize = 15;
 
 // ------------------------------------------------------- garbage ledger --
 
-/// One backend's process-wide retired/reclaimed ledger. `pending` is exact
-/// (every retire increments, every executed closure decrements); `peak` is
-/// a CAS-maintained high-water mark.
+/// One backend's retired/reclaimed ledger, kept off the retire path.
+///
+/// A retirement is counted on the retiring thread's own participant record
+/// (epoch `Local` or hazard record): [`GarbageLedger::retire`] is an
+/// owner-only load and store, no read-modify-write on a shared word. The
+/// thread that runs a sealed bag or a hazard scan adds what it executed to
+/// the one shared `reclaimed` word, once per bag or scan. So:
+///
+/// * `pending` = Σ records − `reclaimed`, summed on demand (O(threads),
+///   diagnostics only) and exact: it counts an item still in an open bag.
+/// * `peak` is raised at each seal or scan rather than at each retirement,
+///   so between samples it can trail the true high-water mark by at most
+///   one open bag (or retire list) per thread. Reading it folds in the
+///   current `pending`.
 pub(crate) struct GarbageLedger {
-    pending: AtomicUsize,
+    /// Retire closures executed so far.
+    reclaimed: AtomicUsize,
+    /// Highest `pending` seen at a seal, scan or reset.
     peak: AtomicUsize,
 }
 
 impl GarbageLedger {
     pub(crate) const fn new() -> Self {
         GarbageLedger {
-            pending: AtomicUsize::new(0),
+            reclaimed: AtomicUsize::new(0),
             peak: AtomicUsize::new(0),
         }
     }
 
-    /// Records one retirement and pushes the peak if needed.
-    pub(crate) fn retire(&self) {
+    /// Counts one retirement on `record`, the calling thread's own
+    /// counter. Only its owner writes it, so a load and a store do.
+    #[inline]
+    pub(crate) fn retire(record: &AtomicUsize) {
         synq_obs::probe!(ReclaimRetired);
-        let now = self.pending.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut peak = self.peak.load(Ordering::Relaxed);
-        while now > peak {
-            match self
-                .peak
-                .compare_exchange_weak(peak, now, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(actual) => peak = actual,
-            }
+        record.store(record.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+
+    /// Records `n` executed retire closures: one call per bag or scan.
+    pub(crate) fn reclaimed(&self, n: usize) {
+        if n > 0 {
+            synq_obs::probe!(ReclaimFreed, n);
+            self.reclaimed.fetch_add(n, Ordering::Release);
         }
     }
 
-    /// Records one executed retire closure.
-    pub(crate) fn reclaimed(&self) {
-        synq_obs::probe!(ReclaimFreed);
-        self.pending.fetch_sub(1, Ordering::Relaxed);
+    /// Retired minus reclaimed, the retired side summed over every record
+    /// the backend ever registered.
+    pub(crate) fn pending<'a>(&self, records: impl Iterator<Item = &'a AtomicUsize>) -> usize {
+        // Acquire pairs with `reclaimed`'s Release: every retirement that
+        // the add accounts for was counted on its record before the bag or
+        // list reached the executing thread, so the loads below see it and
+        // the difference cannot go negative.
+        let reclaimed = self.reclaimed.load(Ordering::Acquire);
+        let retired: usize = records.map(|r| r.load(Ordering::Relaxed)).sum();
+        retired.saturating_sub(reclaimed)
     }
 
-    pub(crate) fn pending(&self) -> usize {
-        self.pending.load(Ordering::Relaxed)
+    /// Raises the high-water mark to `pending` (a seal's or scan's sample).
+    pub(crate) fn raise_peak(&self, pending: usize) {
+        if pending > self.peak.load(Ordering::Relaxed) {
+            self.peak.fetch_max(pending, Ordering::Relaxed);
+        }
     }
 
-    pub(crate) fn peak(&self) -> usize {
-        self.peak.load(Ordering::Relaxed)
+    /// The high-water mark, `pending` (the current population) included.
+    pub(crate) fn peak(&self, pending: usize) -> usize {
+        self.peak.load(Ordering::Relaxed).max(pending)
     }
 
-    pub(crate) fn reset_peak(&self) {
-        self.peak
-            .store(self.pending.load(Ordering::Relaxed), Ordering::Relaxed);
+    /// Snaps the high-water mark to `pending`.
+    pub(crate) fn reset_peak(&self, pending: usize) {
+        self.peak.store(pending, Ordering::Relaxed);
     }
 }
-
-pub(crate) static EPOCH_LEDGER: GarbageLedger = GarbageLedger::new();
 
 // ------------------------------------------------------- epoch backend --
 
@@ -213,15 +240,15 @@ impl Reclaimer for Epoch {
     }
 
     fn pending() -> usize {
-        EPOCH_LEDGER.pending()
+        crate::default_collector().global.pending()
     }
 
     fn peak_pending() -> usize {
-        EPOCH_LEDGER.peak()
+        crate::default_collector().global.peak_pending()
     }
 
     fn reset_peak() {
-        EPOCH_LEDGER.reset_peak()
+        crate::default_collector().global.reset_peak()
     }
 
     fn collect() {
@@ -239,13 +266,16 @@ impl Shield for Guard {
 
     #[inline]
     unsafe fn defer_retire<F: FnOnce()>(&self, _addr: usize, f: F) {
-        EPOCH_LEDGER.retire();
-        let f = move || {
-            EPOCH_LEDGER.reclaimed();
-            f();
-        };
-        // SAFETY: forwarded caller contract.
-        unsafe { self.defer_unchecked(f) }
+        // SAFETY: a non-null local outlives its guards.
+        match unsafe { self.local.as_ref() } {
+            Some(local) => local.retire(Deferred::new(f)),
+            None => {
+                // Unprotected: retired and freed on the spot.
+                synq_obs::probe!(ReclaimRetired);
+                synq_obs::probe!(ReclaimFreed);
+                f();
+            }
+        }
     }
 
     #[inline]
@@ -261,18 +291,31 @@ mod tests {
     #[test]
     fn ledger_tracks_pending_and_peak() {
         let ledger = GarbageLedger::new();
-        assert_eq!(ledger.pending(), 0);
-        ledger.retire();
-        ledger.retire();
-        ledger.retire();
-        assert_eq!(ledger.pending(), 3);
-        assert_eq!(ledger.peak(), 3);
-        ledger.reclaimed();
-        ledger.reclaimed();
-        assert_eq!(ledger.pending(), 1);
-        assert_eq!(ledger.peak(), 3, "peak survives reclamation");
-        ledger.reset_peak();
-        assert_eq!(ledger.peak(), 1, "reset snaps peak to current pending");
+        // Two participant records, as two threads would own them.
+        let records = [AtomicUsize::new(0), AtomicUsize::new(0)];
+        let pending = || ledger.pending(records.iter());
+        assert_eq!(pending(), 0);
+        GarbageLedger::retire(&records[0]);
+        GarbageLedger::retire(&records[0]);
+        GarbageLedger::retire(&records[1]);
+        assert_eq!(pending(), 3, "retirements count before any seal");
+        assert_eq!(ledger.peak(0), 0, "nothing sampled yet");
+        assert_eq!(ledger.peak(pending()), 3, "a read folds in pending");
+
+        // A seal samples the peak; a bag of two runs on some thread.
+        ledger.raise_peak(pending());
+        ledger.reclaimed(2);
+        assert_eq!(pending(), 1);
+        assert_eq!(ledger.peak(pending()), 3, "peak survives reclamation");
+        ledger.raise_peak(pending());
+        assert_eq!(ledger.peak(0), 3, "a lower sample does not lower it");
+
+        ledger.reset_peak(pending());
+        assert_eq!(ledger.peak(0), 1, "reset snaps peak to current pending");
+        ledger.reclaimed(1);
+        assert_eq!(pending(), 0);
+        ledger.reclaimed(0);
+        assert_eq!(pending(), 0, "an empty run settles nothing");
     }
 
     #[test]
