@@ -275,10 +275,14 @@ async_wrapper! {
 /// The **buffered** async channel: a
 /// [`TransferQueue`](synq_transfer::TransferQueue) behind its
 /// [`BufferedChannel`] adapter. Unlike the rendezvous wrappers above,
-/// `send` buffers: it resolves as soon as the item is published — in
-/// bounded mode it suspends only while the ring is full, awaiting space
-/// through the queue's waiter machinery (the same wake path a blocking
-/// bounded `put` parks on).
+/// `send` buffers: it resolves as soon as the item is published. In
+/// bounded mode a `send` that cannot enter the ring (it is full, or a
+/// `transfer` or another waiting send is queued ahead) suspends on the
+/// linked node a blocking bounded `put` would wait on, until its item is
+/// moved into the ring; dropping it then withdraws the node. A `recv` is
+/// woken from the queue's item wait list to retry, never handed an item,
+/// so dropping one loses nothing. Items are received in one FIFO order
+/// across sends and synchronous transfers, in both modes.
 ///
 /// # Examples
 ///
@@ -312,9 +316,9 @@ impl<T: Send> std::fmt::Debug for AsyncTransferQueue<T> {
 }
 
 impl<T: Send> AsyncTransferQueue<T> {
-    /// A bounded buffered channel: `send` awaits ring space when the
-    /// cycle-versioned ring (capacity rounded up to a power of two,
-    /// minimum 2) is full.
+    /// A bounded buffered channel: `send` awaits ring space, linked, when
+    /// its item cannot enter the cycle-versioned ring (capacity rounded up
+    /// to a power of two, minimum 2).
     pub fn bounded(capacity: usize) -> Self {
         Self {
             inner: Arc::new(BufferedChannel::bounded(capacity)),
@@ -345,19 +349,22 @@ impl<T: Send> AsyncTransferQueue<T> {
         self.inner.queue().capacity()
     }
 
-    /// Buffers `value`, suspending only while a bounded ring is full.
+    /// Buffers `value`, suspending only while a bounded queue makes it
+    /// wait for a ring slot.
     pub fn send(&self, value: T) -> SendFuture<'_, T, BufferedChannel<T>> {
         future::send(&self.inner, value)
     }
 
-    /// Receives the oldest buffered value (ring items before waiting
-    /// synchronous transfers), suspending while the channel is empty.
+    /// Receives the oldest buffered value (buffered items and waiting
+    /// synchronous transfers in one FIFO), suspending while the channel is
+    /// empty.
     pub fn recv(&self) -> RecvFuture<'_, T, BufferedChannel<T>> {
         future::recv(&self.inner)
     }
 
     /// Buffers `value` only if it can be published immediately;
-    /// `Err(value)` when a bounded ring is full. Never suspends.
+    /// `Err(value)` when a bounded queue would make it wait. Never
+    /// suspends.
     pub fn try_send(&self, value: T) -> Result<(), T> {
         self.inner.offer(value)
     }

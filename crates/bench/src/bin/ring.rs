@@ -6,33 +6,35 @@
 //! outrun the consumers here, and how much of the traffic overflowed is
 //! in its `ring.overflow_puts` counter), then the bounded ring at a ladder
 //! of capacities and batch sizes, plus two mixed buffered+synchronous
-//! series: a tiny bounded ring, so the ring-full → waiter fallback
-//! executes under load, and the unbounded queue, where every put issued
-//! while a synchronous transfer is linked must overflow behind it.
+//! series: a tiny bounded ring, so that producers wait on linked nodes
+//! under load, and the unbounded queue, where every put issued while a
+//! synchronous transfer is linked must overflow behind it.
 //!
 //! The schema rev 2 per-series `counters` section carries the `ring.*`
 //! probe deltas plus explicitly recorded `epoch.pins` / `node_cache.*`
 //! values. A consumer that finds the ring empty waits as a linked
-//! reservation in both modes, which pins and takes a node, so what the
-//! pure *bounded* buffered series prove is this: a series in which no
-//! consumer waited (`ring.empty_waits` = 0) recorded **zero** pins and
-//! zero node allocations (`node_cache.misses` counts them;
+//! reservation, and a producer that finds it full waits on a linked
+//! waiting put; either pins and takes a node. So what the pure *bounded*
+//! buffered series prove is this: a series in which nobody waited
+//! (`ring.empty_waits` = `ring.full_waits` = 0) recorded **zero** pins
+//! and zero node allocations (`node_cache.misses` counts them;
 //! `node_cache.hits` is never fired), i.e. buffered `put`/`poll`
 //! themselves never pin an epoch or allocate a linked node. `nonzero()`
 //! would drop those zeros, so this binary writes them back in before
 //! recording the series. The `polling` series (producers spin on
 //! `offer`, consumers on `poll`, nobody ever waits in the library) is
 //! there so that one series always qualifies; for the blocking ones the
-//! binary prints pins per empty wait. (The unbounded series also pins
-//! whenever a put overflows, so it carries no such proof.)
+//! binary prints pins per wait. (The unbounded series also pins whenever
+//! a put overflows, so it carries no such proof.)
 //!
 //! Emits `target/figures/ring.json` and the repo-root `BENCH_ring.json`
 //! (overridable with `SYNQ_RING_PATH`).
 //!
 //! With `SYNQ_RING_ASSERT=1` (requires a `--features stats` build) the
-//! binary exits nonzero unless every pure bounded series without an empty
-//! wait recorded zero `epoch.pins` and zero `node_cache.*` counts, the
-//! polling series is one of them, every batch ≥ 8 series
+//! binary exits nonzero unless every pure bounded series with neither an
+//! empty nor a full wait recorded zero `epoch.pins` and zero
+//! `node_cache.*` counts, the polling series is one of them, every
+//! batch ≥ 8 series
 //! amortized its tail/head updates to at most one per two items, the
 //! unbounded series buffered through the ring, the bounded mixed series
 //! exercised both the ring and the linked rendezvous path, and the
@@ -51,7 +53,7 @@ use synq_bench::{contended_pairs, quick_mode, transfers_for};
 use synq_transfer::{BufferedChannel, TransferQueue};
 
 /// Counters whose *zero* value is the acceptance evidence for a pure
-/// buffered series in which no consumer waited.
+/// buffered series in which nobody waited.
 /// `StatsSnapshot::nonzero()` filters zeros out, so they are appended
 /// explicitly (stats builds only).
 const PROOF_COUNTERS: &[&str] = &["epoch.pins", "node_cache.hits", "node_cache.misses"];
@@ -77,8 +79,8 @@ enum Mode {
 
 impl Mode {
     /// Pure bounded series touch the linked path only to wait on an
-    /// empty ring: with no such wait, their `epoch.pins` / `node_cache.*`
-    /// deltas must be exactly zero.
+    /// empty or a full ring: with no such wait, their `epoch.pins` /
+    /// `node_cache.*` deltas must be exactly zero.
     fn pure_buffered(self) -> bool {
         matches!(
             self,
@@ -228,12 +230,14 @@ fn check_series(label: &str, mode: Mode, counters: &[(String, u64)], errors: &mu
         errors.push(format!("{label}: buffered series never pushed to the ring"));
     }
     let empty_waits = counter(counters, "ring.empty_waits");
-    if empty_waits == 0 {
+    let full_waits = counter(counters, "ring.full_waits");
+    let waits = empty_waits + full_waits;
+    if waits == 0 {
         for &name in PROOF_COUNTERS {
             let v = counter(counters, name);
             if v != 0 {
                 errors.push(format!(
-                    "{label}: pure buffered series with no empty wait recorded {name}={v} \
+                    "{label}: pure buffered series with no wait recorded {name}={v} \
                      (expected 0 — the buffered path must be epoch-free and allocation-free)"
                 ));
             }
@@ -241,18 +245,15 @@ fn check_series(label: &str, mode: Mode, counters: &[(String, u64)], errors: &mu
     } else {
         let pins = counter(counters, "epoch.pins");
         eprintln!(
-            "  ring {label:>20} {pins} epoch pins over {empty_waits} empty waits \
-             ({:.2} per wait)",
-            pins as f64 / empty_waits as f64
+            "  ring {label:>20} {pins} epoch pins over {empty_waits} empty and \
+             {full_waits} full waits ({:.2} per wait)",
+            pins as f64 / waits as f64
         );
     }
-    if matches!(mode, Mode::RingPolling { .. }) {
-        let waits = empty_waits + counter(counters, "ring.full_waits");
-        if waits != 0 {
-            errors.push(format!(
-                "{label}: {waits} waits in the series that is there to have none"
-            ));
-        }
+    if matches!(mode, Mode::RingPolling { .. }) && waits != 0 {
+        errors.push(format!(
+            "{label}: {waits} waits in the series that is there to have none"
+        ));
     }
     // Batch ≥ 8 must amortize the contended index updates: at least two
     // items moved per tail/head CAS on average.
@@ -364,7 +365,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
         eprintln!(
-            "ring self-checks passed: bounded series epoch-free/cache-free where nobody waited, \
+            "ring self-checks passed: bounded series epoch-free/allocation-free where nobody waited, \
              batch >= 8 amortized index updates, unbounded series rode the ring, \
              mixed series hit every path (ring, rendezvous, overflow)"
         );

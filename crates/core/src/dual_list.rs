@@ -90,6 +90,11 @@ pub const REQUEST: usize = 0;
 /// Mode bit of a waiting producer's node. The dual stack ORs its
 /// `FULFILLING` bit into the same word.
 pub const DATA: usize = 1;
+/// Mode bit of a data node whose producer waits for its item to be given
+/// a place, not for a consumer (a bounded `TransferQueue`'s put on a full
+/// ring): a matcher may move such an item on and complete the node, where
+/// a plain `DATA` node's item may only go to a consumer.
+pub const MOVABLE: usize = 4;
 
 /// The wait node shared by the dual queue, the dual stack and the
 /// TransferQueue's linked half. See the [module docs](self).
@@ -127,6 +132,11 @@ impl<T, R: Reclaimer> WaitNode<T, R> {
     /// Producer (`true`) or consumer (`false`) node.
     pub fn is_data(&self) -> bool {
         self.mode & DATA != 0
+    }
+
+    /// A [`MOVABLE`] producer node.
+    pub fn is_movable(&self) -> bool {
+        self.mode & MOVABLE != 0
     }
 
     /// Takes one more counted reference, to be dropped with

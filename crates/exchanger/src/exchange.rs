@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use synq::Deadline;
-use synq_primitives::{Backoff, SpinPolicy, WaitSlot};
+use synq_primitives::{Backoff, SpinOnly, SpinPolicy, WaitSlot, WaitStrategy};
 
 struct ExNode<T> {
     /// What the installer offers; taken by the claimer.
@@ -92,18 +92,27 @@ impl<T: Send> Exchanger<T> {
 
     /// The general form.
     pub fn exchange_with(&self, mine: T, deadline: Deadline) -> Result<T, T> {
+        self.exchange_from(0, mine, deadline)
+    }
+
+    /// [`Self::exchange_with`], its first probe at slot `first` rather
+    /// than slot 0.
+    fn exchange_from(&self, first: usize, mine: T, deadline: Deadline) -> Result<T, T> {
         let mut rng = rand::thread_rng();
         // Start at slot 0 (the "main" location) and widen on collisions —
         // the tree-like backoff of the paper, flattened to random probing.
         let mut bound = 0usize;
+        let mut first = Some(first);
         let backoff = Backoff::new();
         let mut mine = Some(mine);
         loop {
-            let idx = if bound == 0 {
-                0
-            } else {
-                rng.gen_range(0..=bound.min(self.slots.len() - 1))
-            };
+            let idx = first.take().unwrap_or_else(|| {
+                if bound == 0 {
+                    0
+                } else {
+                    rng.gen_range(0..=bound.min(self.slots.len() - 1))
+                }
+            });
             let slot = &self.slots[idx];
             let cur = slot.load(Ordering::Acquire);
 
@@ -126,10 +135,28 @@ impl<T: Send> Exchanger<T> {
                     backoff.snooze();
                     continue;
                 }
-                match self.await_partner(&node, slot, raw, deadline) {
-                    Ok(theirs) => return Ok(theirs),
-                    Err(returned) => return Err(returned),
+                let outcome = if idx == 0 {
+                    self.await_partner(&node, slot, raw, deadline, &self.spin)
+                } else {
+                    // Outside slot 0 a node waits one spin window at most,
+                    // then retracts and starts over at slot 0, as Java's
+                    // `Exchanger` shrinks its arena: two exchanges installed
+                    // in different slots would otherwise wait for each
+                    // other forever.
+                    let window = SpinOnly(self.spin.spins_for(deadline.is_timed()));
+                    match self.await_partner(&node, slot, raw, deadline, &window) {
+                        Err(back) if !deadline.expired() => {
+                            mine = Some(back);
+                            bound = 0;
+                            continue;
+                        }
+                        outcome => outcome,
+                    }
+                };
+                if outcome.is_err() {
+                    synq_obs::probe!(ExchangerTimeouts);
                 }
+                return outcome;
             }
 
             // Claim the waiting partner.
@@ -161,17 +188,17 @@ impl<T: Send> Exchanger<T> {
     }
 
     /// Waits on an installed node (through the shared [`WaitSlot`] loop,
-    /// honoring this exchanger's [`SpinPolicy`]). On timeout, tries to
-    /// uninstall; if a partner claimed us concurrently we must complete
-    /// the exchange.
+    /// under `strategy`). On timeout, tries to uninstall; if a partner
+    /// claimed us concurrently we must complete the exchange.
     fn await_partner(
         &self,
         node: &Arc<ExNode<T>>,
         slot: &AtomicPtr<ExNode<T>>,
         raw: *mut ExNode<T>,
         deadline: Deadline,
+        strategy: &impl WaitStrategy,
     ) -> Result<T, T> {
-        if node.slot.await_match(deadline, &self.spin).is_some() {
+        if node.slot.await_match(deadline, strategy).is_some() {
             synq_obs::probe!(ExchangerSwaps);
             // SAFETY: a terminal match publishes the partner's deposit.
             return Ok(unsafe { node.slot.take_item() });
@@ -185,7 +212,6 @@ impl<T: Send> Exchanger<T> {
             // Uninstalled before anyone met us.
             // SAFETY: we took back the slot's strong count.
             unsafe { drop(Arc::from_raw(raw)) };
-            synq_obs::probe!(ExchangerTimeouts);
             return Err(node_take_give(node));
         }
         // A partner claimed us at the deadline: the exchange is happening;
@@ -263,6 +289,50 @@ mod tests {
         let t = thread::spawn(move || x2.exchange(1u8));
         assert_eq!(x.exchange(2u8), 1);
         assert_eq!(t.join().unwrap(), 2);
+    }
+
+    /// Two untimed exchanges, one installed in slot 0 and one in slot 1:
+    /// the one outside slot 0 gives its slot up after a spin window and
+    /// meets the other there. (Before it did, both waited forever: the
+    /// hang `exchange_stress::repeated_rounds_reuse_the_arena` hit about
+    /// once in 75 runs.)
+    #[test]
+    fn installers_in_different_slots_still_meet() {
+        use std::sync::mpsc;
+        const WAKE_PATIENCE: Duration = Duration::from_secs(20);
+        for round in 0..20u32 {
+            let x = Arc::new(Exchanger::with_slots(2));
+            let (done, results) = mpsc::channel();
+            let exchange = |first: usize, mine: u32| {
+                let (x, done) = (Arc::clone(&x), done.clone());
+                thread::spawn(move || {
+                    let theirs = x.exchange_from(first, mine, Deadline::Never);
+                    done.send((mine, theirs)).unwrap();
+                })
+            };
+            let inside = exchange(0, 2 * round);
+            while x.slots[0].load(Ordering::Acquire).is_null() {
+                thread::yield_now();
+            }
+            let outside = exchange(1, 2 * round + 1);
+            let mut got: Vec<_> = (0..2)
+                .map(|_| {
+                    results.recv_timeout(WAKE_PATIENCE).unwrap_or_else(|_| {
+                        panic!("round {round}: installers in slots 0 and 1 wait for each other")
+                    })
+                })
+                .collect();
+            got.sort_unstable();
+            assert_eq!(
+                got,
+                [
+                    (2 * round, Ok(2 * round + 1)),
+                    (2 * round + 1, Ok(2 * round))
+                ]
+            );
+            inside.join().unwrap();
+            outside.join().unwrap();
+        }
     }
 
     #[test]

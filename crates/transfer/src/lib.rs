@@ -9,10 +9,10 @@
 //! [`TransferQueue`] is a [`synq::dual_list`], the linked list under the
 //! fair synchronous queue, with a buffer in front of it. The list's steps
 //! (snapshot, append, front, advance, leave) and its node lifetime are the
-//! kernel's; what is here is the policy over them: whether a producer
-//! waits ([`TransferQueue::transfer`]) or leaves once linked (an overflow
-//! `put`), the counts kept beside the list, and the ring re-checks that
-//! keep one FIFO. A *synchronous* `transfer` needs a wait-node (the
+//! kernel's; what is here is the policy over them: what a linked producer
+//! waits for (a consumer, a ring slot, or nothing), the counts kept beside
+//! the list, and the ring re-checks that keep one FIFO. A *synchronous*
+//! `transfer` needs a wait-node (the
 //! producer blocks on it until a consumer takes the item), and so does a
 //! consumer that finds nothing to take (its reservation). A *buffered*
 //! [`TransferQueue::put`] has no waiter, so it needs no node: it is one
@@ -32,32 +32,31 @@
 //! queue. The modes differ on the put side only, in what a full ring
 //! means.
 //!
-//! # Unbounded mode: a full ring overflows to the list
+//! # A full ring means overflow or wait
 //!
-//! [`TransferQueue::new`] keeps a small internal ring (about 32 KiB of
-//! slots, not configurable) in front of the linked dual queue. `put`
-//! pushes into the ring while the linked list holds no data and the ring
-//! has room; otherwise it appends an async data node to the list exactly
-//! as the paper describes (*overflow*), so the queue stays unbounded.
+//! `put` pushes into the ring while the list holds no linked data and the
+//! ring has room. Otherwise it links a data node behind what is queued,
+//! exactly as the paper's asynchronous enqueue does, and the modes differ
+//! only in what the producer does next:
+//!
+//! * [`TransferQueue::new`] keeps a small internal ring (about 32 KiB of
+//!   slots, not configurable) and the producer returns at once
+//!   (*overflow*), so the queue stays unbounded.
+//! * [`TransferQueue::bounded`] sizes the ring explicitly and the producer
+//!   *waits* on its node until its item has a place: whoever frees a slot
+//!   or moves the list's front moves the oldest waiting put's item to the
+//!   ring's tail and completes its node, as a push hands a waiting
+//!   consumer the ring's head.
+//!
 //! Because nothing enters the ring while linked data is queued, ring items
-//! are always older than linked data and the queue is **one FIFO** across
-//! `put`, `transfer` and the batch calls: a `transfer` issued after a
-//! `put` is received after it.
-//!
-//! # Bounded mode: a full ring makes the producer wait
-//!
-//! [`TransferQueue::bounded`] sizes the ring explicitly and never
-//! overflows: a `put` that finds the ring full waits on a lightweight
-//! space wait list, and batches move with one index CAS
-//! ([`TransferQueue::put_batch`] / [`TransferQueue::take_batch`]).
-//! [`TransferQueue::transfer`] still rendezvouses through the linked
-//! protocol for exactly-once handoff semantics.
-//!
-//! A bounded `put` cannot overflow behind a waiting `transfer`, so it goes
-//! into the ring past it, and consumers drain the ring first: buffered
-//! items overtake waiting synchronous transfers, and each category is
-//! FIFO within itself (a `put` issued after a `transfer` may be received
-//! first). Use [`BufferedChannel`] for trait-level buffered semantics.
+//! are always older than linked data, and in both modes the queue is
+//! **one FIFO** across `put`, `transfer` and the batch calls: a call is
+//! received after every call the same producer issued before it. (So a
+//! bounded `put` issued while a `transfer` waits waits too, until that
+//! transfer is taken.) While nothing is linked, batches move with one
+//! index CAS ([`TransferQueue::put_batch`] /
+//! [`TransferQueue::take_batch`]). Use [`BufferedChannel`] for trait-level
+//! buffered semantics.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -67,11 +66,12 @@ mod waiters;
 
 pub use ring::RingBuffer;
 
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::ControlFlow;
+use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::task::{Poll, Waker};
 use std::time::Duration;
-use synq::dual_list::{DualList, WaitNode, DATA, REQUEST};
+use synq::dual_list::{DualList, WaitNode, DATA, MOVABLE, REQUEST};
 use synq::{
     impl_channels_via_transferer, CancelToken, Deadline, PendingTransfer, PollTransferer,
     SpinPolicy, StartTransfer, SyncChannel, TimedSyncChannel, TransferOutcome, Transferer,
@@ -81,19 +81,27 @@ use synq_primitives::{Backoff, CachePadded, WaitOutcome};
 use synq_reclaim::{Epoch, Reclaimer};
 use waiters::{Entry, WaiterQueue};
 
-/// How a linked producer relates to its item.
+/// What a linked producer waits for. A buffered put links only when the
+/// ring is full or linked data is already queued ahead (its *overflow*).
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum PutMode {
-    /// Link and return (an unbounded queue's overflow: the ring was full,
-    /// or linked data was already queued ahead).
+    /// Nothing: link and return (an unbounded queue's overflow).
     Async,
-    /// Wait until a consumer takes the item.
+    /// A ring slot: wait until `refill` moves the item into the ring (a
+    /// bounded queue's overflow, a [`MOVABLE`] node).
+    Wait,
+    /// A consumer: wait until one takes the item (`transfer`).
     Sync,
 }
 
+/// A linked producer's arrival: `Continue(node)` to wait on `node` (its
+/// waiter reference), `Break(outcome)` when there is nothing to wait for.
+type Linked<T, R> = ControlFlow<TransferOutcome<T>, *const WaitNode<T, R>>;
+
 /// What the linked list holds, counted beside it so the ring paths decide
-/// without pinning: producers push into the ring only while `data` is 0
-/// and look for a reservation after a push only while `reservations` is
+/// without pinning: producers push into the ring only while `data` is 0,
+/// look for a reservation after a push only while `reservations` is not,
+/// and look for a waiting put after a pop only while `waiting_puts` is
 /// not.
 ///
 /// Neither count may ever read *lower* than what the list holds, not even
@@ -106,11 +114,17 @@ enum PutMode {
 /// before the publisher has counted.
 #[derive(Default)]
 struct LinkedCounts {
-    /// Data nodes (synchronous transfers and overflow puts): counted by
-    /// the producer *before* its publishing CAS (and uncounted if that CAS
-    /// fails), uncounted by whoever wins the node, the claiming consumer
-    /// or the cancelling owner, both of which can only follow the link.
+    /// Data nodes (synchronous transfers, overflow and waiting puts):
+    /// counted by the producer *before* its publishing CAS (and uncounted
+    /// if that CAS fails), uncounted by whoever wins the node, the claiming
+    /// consumer or `refill` or the cancelling owner, all of which can only
+    /// follow the link.
     data: AtomicUsize,
+    /// The waiting puts among them, counted and uncounted with `data` by
+    /// the same hands. Pops key on this and not on `data`: a linked
+    /// `transfer` keeps `data` at 1 for as long as it waits, and every pop
+    /// in that time would pin for nothing.
+    waiting_puts: AtomicUsize,
     /// Consumers with a published reservation: counted by the consumer
     /// right *after* its publishing CAS (so that a producer that reads the
     /// count also sees the node) and uncounted by the same consumer when
@@ -135,8 +149,9 @@ fn unbounded_ring_slots<T>() -> usize {
 }
 
 /// A queue supporting both synchronous and asynchronous enqueue, buffered
-/// through an array-backed ring (internal and overflowing to the linked
-/// list by default, explicit and blocking with [`Self::bounded`]).
+/// through an array-backed ring (internal, overflowing to the linked list,
+/// by default; explicit, its overflow producers waiting, with
+/// [`Self::bounded`]).
 ///
 /// # Examples
 ///
@@ -151,7 +166,7 @@ fn unbounded_ring_slots<T>() -> usize {
 /// assert_eq!(q.take(), 2);
 /// ```
 ///
-/// Bounded mode blocks instead of overflowing:
+/// Bounded mode makes an overflowing `put` wait instead:
 ///
 /// ```
 /// use synq_transfer::TransferQueue;
@@ -182,15 +197,11 @@ pub struct TransferQueue<T, R: Reclaimer = Epoch> {
     spin: SpinPolicy,
     /// The array fast path in front of the linked protocol.
     ring: RingBuffer<T>,
-    /// What a full ring means to a buffered put: wait for space (bounded)
-    /// or overflow to the list (unbounded). Nothing on the receive side
-    /// depends on it.
+    /// What an overflow producer does once linked: wait for a ring slot
+    /// (bounded) or return (unbounded). Read only to choose its
+    /// [`PutMode`].
     bounded: bool,
     counts: CachePadded<LinkedCounts>,
-    /// Bounded mode: producers waiting for ring space. They stay on a
-    /// wait list because a reservation waits for an item; the kernel has
-    /// no node for a thread waiting for a slot.
-    space_waiters: WaiterQueue,
     /// Async receivers, in either mode, waiting for an item. They stay on
     /// a wait list because a dropped future cannot be trusted with one
     /// (see `waiters`); a thread that waits for an item is a reservation.
@@ -222,8 +233,8 @@ impl<T: Send> TransferQueue<T> {
 
     /// Creates a bounded queue: buffered `put`/`poll` ride a
     /// [`RingBuffer`] of `capacity` slots (rounded up to a power of two,
-    /// minimum 2), and `put` waits when it is full. `transfer` still
-    /// rendezvouses through the linked protocol.
+    /// minimum 2), and a `put` that cannot go into it waits, linked, for a
+    /// slot. `transfer` still rendezvouses through the linked protocol.
     pub fn bounded(capacity: usize) -> Self {
         Self::bounded_with_spin(capacity, SpinPolicy::adaptive())
     }
@@ -263,7 +274,6 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
             ring,
             bounded,
             counts: CachePadded::new(LinkedCounts::default()),
-            space_waiters: WaiterQueue::default(),
             item_waiters: WaiterQueue::default(),
         }
     }
@@ -275,10 +285,10 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
 
     // ------------------------------------------------------ producer API
 
-    /// Asynchronous (buffered) enqueue. Unbounded: publishes into the
-    /// internal ring, or links an overflow node when the ring is full or
-    /// linked data is already queued; either way it returns immediately.
-    /// Bounded: publishes into the ring, waiting for space if it is full.
+    /// Asynchronous (buffered) enqueue: publishes into the ring, or links
+    /// an overflow node when the ring is full or linked data is already
+    /// queued. Unbounded, it returns either way; bounded, it waits on that
+    /// node until the item has a ring slot.
     ///
     /// **Name-resolution note:** this inherent method shadows
     /// `SyncChannel::put` (which maps to the *synchronous* [`TransferQueue::transfer`])
@@ -294,10 +304,8 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
 
     /// Buffered enqueue only if it can complete immediately. Unbounded
     /// queues always accept; bounded queues refuse (returning the value)
-    /// when the ring is full — or when producers are already
-    /// **registered waiting for space**: a just-freed slot belongs to the
-    /// woken waiter, so `try_put` may fail while `len() < capacity` for
-    /// the short handoff window (no-barge rule, DESIGN §4.15).
+    /// when the item cannot enter the ring now: the ring is full, or
+    /// linked data (a waiting `transfer` or put) is queued ahead of it.
     pub fn try_put(&self, value: T) -> Result<(), T> {
         match self.put_with(value, Deadline::Now, None) {
             TransferOutcome::Transferred(_) => Ok(()),
@@ -321,24 +329,26 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
-        self.buffered_put(value, deadline, token, true)
-    }
-
-    /// Immediate buffered enqueue that does **not** defer to registered
-    /// space waiters. For callers that already hold a registration on the
-    /// space list (the async permit) — deferring would deadlock against
-    /// their own entry, and their barge is the wakeup-retry the no-barge
-    /// rule protects.
-    fn try_put_as_waiter(&self, value: T) -> Result<(), T> {
-        match self.buffered_put(value, Deadline::Now, None, false) {
-            TransferOutcome::Transferred(_) => Ok(()),
-            other => Err(other.into_inner().expect("item returned")),
+        // The first step stays out of the loop: a `value` carried round it
+        // is copied to the stack on the ring's path too, which cost
+        // `buffered_linked` a tenth of its throughput.
+        let mut step = self.put_step(value, deadline, token);
+        loop {
+            let node = match step {
+                ControlFlow::Continue(node) => node,
+                ControlFlow::Break(outcome) => return outcome,
+            };
+            step = match self.await_fulfill(node, deadline, token) {
+                // Handed back by a `refill` that lost the slot: again.
+                TransferOutcome::Transferred(Some(back)) => self.put_step(back, deadline, token),
+                outcome => return outcome,
+            };
         }
     }
 
     /// Synchronous enqueue: waits until a consumer receives the item.
     pub fn transfer(&self, value: T) {
-        match self.producer(Some(value), PutMode::Sync, Deadline::Never, None) {
+        match self.transfer_with(value, Deadline::Never, None) {
             TransferOutcome::Transferred(_) => {}
             _ => unreachable!("untimed transfer cannot fail"),
         }
@@ -349,7 +359,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     /// either mode. Async receivers are woken by buffered sends and by
     /// linked data, never handed an item, so they do not count here.
     pub fn try_transfer(&self, value: T) -> Result<(), T> {
-        match self.producer(Some(value), PutMode::Sync, Deadline::Now, None) {
+        match self.transfer_with(value, Deadline::Now, None) {
             TransferOutcome::Transferred(_) => Ok(()),
             other => Err(other.into_inner().expect("item returned")),
         }
@@ -357,7 +367,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
 
     /// Synchronous enqueue with patience.
     pub fn transfer_timeout(&self, value: T, patience: Duration) -> Result<(), T> {
-        match self.producer(Some(value), PutMode::Sync, Deadline::after(patience), None) {
+        match self.transfer_with(value, Deadline::after(patience), None) {
             TransferOutcome::Transferred(_) => Ok(()),
             other => Err(other.into_inner().expect("item returned")),
         }
@@ -370,16 +380,18 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
-        self.producer(Some(value), PutMode::Sync, deadline, token)
+        match self.link_producer(value, PutMode::Sync, deadline, token) {
+            ControlFlow::Continue(node) => self.await_fulfill(node, deadline, token),
+            ControlFlow::Break(outcome) => outcome,
+        }
     }
 
     // ------------------------------------------------------ consumer API
 
     /// Receives a value, waiting if necessary: as a linked reservation,
     /// which the next producer completes with the oldest item there is.
-    /// Ring items are received before linked data: in unbounded mode that
-    /// is the queue's one FIFO order, in bounded mode buffered items
-    /// overtake waiting synchronous transfers (FIFO within each category).
+    /// Ring items are received before linked data, which is the queue's
+    /// one FIFO order in both modes.
     pub fn take(&self) -> T {
         match self.take_with(Deadline::Never, None) {
             TransferOutcome::Transferred(Some(v)) => v,
@@ -410,9 +422,8 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
             }
             if !self.ring.is_empty() {
                 // The head slot is claimed by a producer that has not
-                // published it yet. Linked data is younger than that item
-                // (or, in bounded mode, yields to it), so wait for it
-                // instead of looking at the list.
+                // published it yet. Linked data is younger than that item,
+                // so wait for it instead of looking at the list.
                 if deadline.is_now() {
                     return TransferOutcome::Timeout(None);
                 }
@@ -430,35 +441,38 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
 
     // --------------------------------------------------------- batch API
 
-    /// Transfers every item in `items` (buffered), in order, blocking for
-    /// ring space as needed in bounded mode; on return the vector is
-    /// empty. Each run of items that fits the ring is published with a
-    /// single tail update (see [`RingBuffer::try_push_batch`]); an
-    /// unbounded queue links whatever does not fit.
+    /// Transfers every item in `items` (buffered), in order, waiting as
+    /// [`Self::put`] does; on return the vector is empty. While no linked
+    /// data is queued, each run of items that fits the ring is published
+    /// with a single tail update (see [`RingBuffer::try_push_batch`]).
     pub fn put_batch(&self, items: &mut Vec<T>) {
-        if !self.bounded {
-            self.unbounded_put_batch(items);
-            return;
-        }
-        // No-barge: a fresh batch defers to producers already queued for
-        // space (same rule as `buffered_put`).
-        let sent = self.wait_for_space(Deadline::Never, None, true, || {
-            self.ring_push_all(items);
-            items.is_empty()
-        });
-        debug_assert!(sent.is_ok(), "untimed, uncancellable wait cannot expire");
+        self.put_all(items, Deadline::Never);
     }
 
-    /// Transfers as many items from the front of `items` as fit without
+    /// Transfers as many items from the front of `items` as can go without
     /// waiting, leaving the rest. Returns how many were sent. Unbounded
     /// queues accept everything.
     pub fn try_put_batch(&self, items: &mut Vec<T>) -> usize {
-        if self.bounded {
-            return self.ring_push_all(items);
-        }
+        self.put_all(items, Deadline::Now)
+    }
+
+    /// The batch puts: the ring while no linked data is queued, then a
+    /// buffered put per leftover item, up to the first one refused.
+    fn put_all(&self, items: &mut Vec<T>, deadline: Deadline) -> usize {
         let n = items.len();
-        self.unbounded_put_batch(items);
-        n
+        if self.linked_data() == 0 {
+            self.ring_push_all(items);
+        }
+        // Reversed, the next leftover is the last element.
+        items.reverse();
+        while let Some(value) = items.pop() {
+            if let Some(refused) = self.put_with(value, deadline, None).into_inner() {
+                items.push(refused);
+                break;
+            }
+        }
+        items.reverse();
+        n - items.len()
     }
 
     /// Receives up to `max` items into `out`, blocking until at least one
@@ -507,7 +521,8 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
 
     /// Number of buffered (unmatched, uncancelled) data items: ring
     /// occupancy plus linked data (published-but-unclaimed synchronous
-    /// transfers and overflow puts). O(1) and guard-free in both modes
+    /// transfers, overflow and waiting puts: a consumer may take any of
+    /// them now). O(1) and guard-free in both modes
     /// (three atomic loads); approximate under concurrency.
     pub fn len(&self) -> usize {
         self.ring.len() + self.linked_data()
@@ -548,8 +563,9 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     //
     // Every item enters and leaves the ring through these, which pair the
     // index move with its announcement: a push with `after_ring_push`, a
-    // pop with a notify on the space list (one load of a hint that is
-    // always 0 on an unbounded queue, whose producers never wait).
+    // pop with `refill` (one load of a count that is 0 unless a put
+    // waits, so always 0 on an unbounded queue). `refill` pushes through
+    // the ring itself, and announces as `ring_push` does.
 
     fn ring_push(&self, value: T) -> Result<(), T> {
         self.ring.try_push(value)?;
@@ -573,13 +589,13 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
 
     fn ring_pop(&self) -> Option<T> {
         let value = self.ring.try_pop()?;
-        self.space_waiters.notify(1);
+        self.refill();
         Some(value)
     }
 
     fn ring_pop_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
         let popped = self.ring.try_pop_batch(out, max);
-        self.space_waiters.notify(popped);
+        self.refill();
         popped
     }
 
@@ -595,6 +611,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     /// (SeqCst). One of the two sees the other, so no consumer parks
     /// beside a non-empty ring; and a producer that reads the bump also
     /// sees the node linked before it.
+    #[inline]
     fn after_ring_push(&self, pushed: usize) {
         let mut unannounced = pushed;
         while unannounced > 0 && self.reservations() > 0 && self.serve_reservation() {
@@ -635,7 +652,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     ///
     /// The pop is made on the consumer's behalf, so it goes through
     /// `ring_pop` like the consumer's own would: on a bounded queue it
-    /// frees a slot a parked producer may be waiting for.
+    /// frees a slot a waiting put may be counted for.
     fn fulfill_reservation(&self, m: &WaitNode<T, R>, own: &mut Option<T>) -> bool {
         if !m.slot.try_claim() {
             return false;
@@ -652,140 +669,155 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         true
     }
 
-    // ------------------------------------------------------ buffered puts
+    // ------------------------------------------------------- waiting puts
 
-    /// Unbounded buffered put: the ring while it has room and no linked
-    /// data is queued (ring items must stay older than linked data), the
-    /// list otherwise.
-    fn unbounded_put(&self, mut value: T) {
-        if self.linked_data() == 0 {
-            match self.ring_push(value) {
-                Ok(()) => return,
-                Err(back) => value = back,
-            }
-        }
-        probe!(RingOverflowPuts);
-        match self.producer(Some(value), PutMode::Async, Deadline::Never, None) {
-            TransferOutcome::Transferred(_) => {}
-            _ => unreachable!("an async producer never waits"),
-        }
+    /// Run by a thread that moved the list's front (it took linked data,
+    /// or withdrew a data node): that move is no SeqCst access, so a fence
+    /// orders it before `refill`'s load of the count.
+    fn after_front_change(&self) {
+        fence(Ordering::SeqCst);
+        self.refill();
     }
 
-    fn unbounded_put_batch(&self, items: &mut Vec<T>) {
-        if self.linked_data() == 0 {
-            self.ring_push_all(items);
-        }
-        for value in items.drain(..) {
-            self.unbounded_put(value);
-        }
-    }
-
-    /// Buffered put: ride the ring; when it is full, overflow to the list
-    /// (unbounded) or wait for space (bounded).
-    fn buffered_put(
-        &self,
-        value: T,
-        deadline: Deadline,
-        token: Option<&CancelToken>,
-        defer_to_waiters: bool,
-    ) -> TransferOutcome<T> {
-        if !self.bounded {
-            self.unbounded_put(value);
-            return TransferOutcome::Transferred(None);
-        }
-        let mut value = Some(value);
-        let sent = self.wait_for_space(deadline, token, defer_to_waiters, || {
-            self.ring_push(value.take().expect("unsent item"))
-                .map_err(|back| value = Some(back))
-                .is_ok()
-        });
-        match sent {
-            Ok(()) => TransferOutcome::Transferred(None),
-            Err(WaitOutcome::Cancelled) => TransferOutcome::Cancelled(value),
-            Err(_) => TransferOutcome::Timeout(value),
-        }
-    }
-
-    /// The blocking skeleton of the bounded puts: `attempt` the push, else
-    /// register on the space list and park until a pop announces a slot.
+    /// Moves waiting puts into the ring, oldest first, while the list's
+    /// front is one and the ring has room: claims the front node, moves
+    /// its item to the ring's tail ([`Self::move_to_ring`]) and completes
+    /// it. The mirror image of `after_ring_push` serving reservations. A
+    /// synchronous `transfer` at the front stops it: that item may only go
+    /// to a consumer, and nothing behind it may overtake it. Every thread
+    /// that frees a ring slot runs it, at the cost of one load while no
+    /// put waits.
     ///
-    /// Lost-wakeup discipline (see `waiters`; the four-access argument is
-    /// in DESIGN §4.11). Notifier: the pop (a SeqCst CAS on the head
-    /// index) and then `notify` (a SeqCst load of the hint), no fence
-    /// between them. Waiter: `arm` (a SeqCst store of the hint, a fence)
-    /// and then SeqCst loads of the indices (`is_full`), evaluated after
-    /// the registration and **before every park**: either the notifier's
-    /// hint load sees the registration, or the waiter sees the index move
-    /// and retries instead of parking — spinning through the moment in
-    /// which an index has moved but the slot's sequence word is not yet
-    /// visible.
-    ///
-    /// `defer_to_waiters` is the **no-barge** rule: a fresh arrival
-    /// that finds earlier waiters already registered does not race them
-    /// for the slot a consumer just freed — it queues up behind them.
-    /// Only callers with no registration of their own defer; a woken waiter
-    /// re-attempting must barge, or woken waiters would defer to each other
-    /// and the ring could sit usable with everyone parked.
+    /// Lost-wakeup discipline (DESIGN §4.11 invariant 4). A waiting put is
+    /// counted (SeqCst) before its link and runs this itself right after
+    /// it; a popper pops (SeqCst CAS) and then loads the count here
+    /// (SeqCst). If the popper reads 0, the count came later, so the
+    /// producer's `is_full` in `refill_from_front` sees the pop. If it
+    /// reads the count, both go on, and of the two fences there, the later
+    /// one's thread sees both the pop and the link. A thread that moved
+    /// the front fences before it reads the count (`after_front_change`),
+    /// to the same effect.
     #[inline]
-    fn wait_for_space(
-        &self,
-        deadline: Deadline,
-        token: Option<&CancelToken>,
-        defer_to_waiters: bool,
-        mut attempt: impl FnMut() -> bool,
-    ) -> Result<(), WaitOutcome> {
-        let waiters = &self.space_waiters;
-        let mut entry: Entry = None;
-        let mut notified;
-        // Whether the current registration has already retried once on
-        // the strength of the indices alone.
-        let mut retried = false;
-        let backoff = Backoff::new();
-        let result = loop {
-            notified = WaiterQueue::notified(&entry);
-            if !(defer_to_waiters && entry.is_none() && waiters.hint() > 0) && attempt() {
-                break Ok(());
+    fn refill(&self) {
+        if self.counts.waiting_puts.load(Ordering::SeqCst) > 0 {
+            self.refill_from_front();
+        }
+    }
+
+    /// The body of [`Self::refill`], kept out of line so that a pop pays a
+    /// load and a branch while no put waits.
+    fn refill_from_front(&self) {
+        fence(Ordering::SeqCst);
+        loop {
+            let guard = R::pin();
+            let at = self.list.arrive(&guard);
+            if at.is_empty() || !at.tail_is_data() {
+                return;
             }
-            if deadline.is_now() || deadline.expired() {
-                break Err(WaitOutcome::TimedOut);
+            let Some(m) = at.front() else { continue };
+            if !m.is_movable() || self.ring.is_full() {
+                return;
             }
-            if token.is_some_and(|tk| tk.is_cancelled()) {
-                break Err(WaitOutcome::Cancelled);
+            let claimed = m.slot.try_claim();
+            let moved = claimed && self.move_to_ring(&m);
+            at.advance_past(m);
+            if claimed && !moved {
+                return;
             }
-            if waiters.arm(&mut entry) {
-                retried = false;
+            drop(guard);
+            if moved {
+                self.after_ring_push(1);
             }
-            if !self.ring.is_full() {
-                // The indices say a push can go. The first time that is
-                // the common race (a consumer got there between our
-                // attempt and our registration): retry at once. If the
-                // retry fails too, a peer is mid-operation on the very
-                // slot we need, possibly off the CPU: make room for it.
-                if std::mem::replace(&mut retried, true) {
-                    backoff.snooze();
-                }
-                continue;
-            }
-            probe!(RingFullWaits);
-            let slot = entry.as_ref().expect("armed above");
-            match slot.await_outcome(deadline, token, &self.spin) {
-                WaitOutcome::Matched(_) => {}
-                verdict => break Err(verdict),
-            }
+        }
+    }
+
+    /// Moves the item of `m`, a waiting put this thread has claimed, to
+    /// the ring's tail and completes `m`. Returns false if the ring was
+    /// full after all: the push lost to a producer that read `data` as 0
+    /// just before `m` was counted. `m` is then completed with its item
+    /// still in it, and its owner retries ([`Self::settle`]), as a
+    /// reservation completed without an item does. A claim is never undone:
+    /// the list's helping rule reads a lost claim as "decided, unlink it".
+    fn move_to_ring(&self, m: &WaitNode<T, R>) -> bool {
+        // SAFETY: the claim gives us the cell alone, as an unpublished
+        // node's owner has it; a failed push puts the item back.
+        let item = unsafe { m.slot.reclaim_item() };
+        let pushed = match self.ring.try_push(item) {
+            Ok(()) => true,
+            // SAFETY: as above; `reclaim_item` left the cell empty.
+            Err(back) => unsafe {
+                m.slot.put_item(back);
+                false
+            },
         };
-        waiters.release(&mut entry, notified && result.is_ok());
-        result
+        self.uncount(true);
+        m.slot.complete();
+        pushed
     }
 
     // ---------------------------------------------------------- internals
 
-    fn producer(
+    /// Counts a data node about to be linked (see [`LinkedCounts`]); the
+    /// waiting-put count goes up last, the waiter's first access of the
+    /// handshake in [`Self::refill`].
+    fn count(&self, waiting_put: bool) {
+        self.counts.data.fetch_add(1, Ordering::SeqCst);
+        if waiting_put {
+            self.counts.waiting_puts.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Uncounts a data node: the winner's part (see [`LinkedCounts`]).
+    fn uncount(&self, waiting_put: bool) {
+        if waiting_put {
+            self.counts.waiting_puts.fetch_sub(1, Ordering::SeqCst);
+        }
+        self.counts.data.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// One pass of a buffered put that never waits: into the ring while
+    /// no linked data is queued and the ring has room, else linked (see
+    /// [`Self::link_producer`]); a bounded queue's put is then to be waited
+    /// on and settled.
+    fn put_step(
         &self,
-        mut item: Option<T>,
+        mut value: T,
+        deadline: Deadline,
+        token: Option<&CancelToken>,
+    ) -> Linked<T, R> {
+        if self.linked_data() == 0 {
+            match self.ring_push(value) {
+                Ok(()) => return ControlFlow::Break(TransferOutcome::Transferred(None)),
+                Err(back) => value = back,
+            }
+        }
+        let mode = if self.bounded {
+            PutMode::Wait
+        } else {
+            PutMode::Async
+        };
+        // Refused before `link_producer` pins: a `try_put` on a full ring
+        // stays as pin-free as one that succeeds.
+        if mode == PutMode::Wait && deadline.is_now() {
+            return ControlFlow::Break(TransferOutcome::Timeout(Some(value)));
+        }
+        self.link_producer(value, mode, deadline, token)
+    }
+
+    /// Links a producer's data node behind what is queued, or, finding
+    /// reservations, completes the oldest with the oldest item there is
+    /// (see [`Self::fulfill_reservation`]). Breaks when there is nothing
+    /// to wait for: the item went to a reservation, or onto an async node,
+    /// or the deadline or token refused the wait before the link.
+    fn link_producer(
+        &self,
+        value: T,
         mode: PutMode,
         deadline: Deadline,
         token: Option<&CancelToken>,
-    ) -> TransferOutcome<T> {
+    ) -> Linked<T, R> {
+        let mut item = Some(value);
+        let waiting_put = mode == PutMode::Wait;
         let mut node = None;
         loop {
             let guard = R::pin();
@@ -796,19 +828,21 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
                 if !at.tail_settled() {
                     continue;
                 }
-                if mode == PutMode::Sync {
+                if mode != PutMode::Async {
                     if deadline.is_now() {
-                        return TransferOutcome::Timeout(item);
+                        return ControlFlow::Break(TransferOutcome::Timeout(item));
                     }
                     if token.is_some_and(|tk| tk.is_cancelled()) {
-                        return TransferOutcome::Cancelled(item);
+                        return ControlFlow::Break(TransferOutcome::Cancelled(item));
                     }
                 }
-                let owned = node.take().unwrap_or_else(|| WaitNode::alloc(DATA));
+                let owned = node.take().unwrap_or_else(|| {
+                    WaitNode::alloc(if waiting_put { DATA | MOVABLE } else { DATA })
+                });
                 // SAFETY: unpublished node, exclusively ours.
                 unsafe { owned.slot.put_item(item.take().expect("producer has item")) };
                 // Counted before it is linked (see `LinkedCounts`).
-                self.counts.data.fetch_add(1, Ordering::SeqCst);
+                self.count(waiting_put);
                 match at.try_append(owned) {
                     Ok(published) => {
                         drop(guard);
@@ -816,20 +850,28 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
                         // list, not as reservations). The SeqCst
                         // increment above and the hint load inside
                         // `notify` are the notifier half of the handshake
-                        // in `waiters`; `BufferedPermit::blocked` reads
-                        // that count.
+                        // in `waiters`; a pending receiver reads that
+                        // count.
                         self.item_waiters.notify(1);
-                        if mode == PutMode::Sync {
-                            return self.await_fulfill(published, deadline, token);
+                        if mode == PutMode::Async {
+                            probe!(RingOverflowPuts);
+                            // Nobody waits on an async node: it keeps only
+                            // the structure's reference.
+                            // SAFETY: the waiter reference `try_append`
+                            // gave us.
+                            unsafe { WaitNode::release(published) };
+                            return ControlFlow::Break(TransferOutcome::Transferred(None));
                         }
-                        // Nobody waits on an async node: it keeps only the
-                        // structure's reference.
-                        // SAFETY: the waiter reference `try_append` gave us.
-                        unsafe { WaitNode::release(published) };
-                        return TransferOutcome::Transferred(None);
+                        if waiting_put {
+                            probe!(RingFullWaits);
+                            // Our own step: the waiter half of the
+                            // handshake in `refill`.
+                            self.refill();
+                        }
+                        return ControlFlow::Continue(published);
                     }
                     Err(owned) => {
-                        self.counts.data.fetch_sub(1, Ordering::SeqCst);
+                        self.uncount(waiting_put);
                         // SAFETY: unpublished; reclaim the item.
                         item = Some(unsafe { owned.slot.reclaim_item() });
                         node = Some(owned);
@@ -845,7 +887,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
             let claimed = self.fulfill_reservation(&m, &mut item);
             at.advance_past(m);
             if claimed && item.is_none() {
-                return TransferOutcome::Transferred(None);
+                return ControlFlow::Break(TransferOutcome::Transferred(None));
             }
         }
     }
@@ -929,20 +971,21 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
             if m.slot.try_claim() {
                 // SAFETY: claim grants slot read access.
                 taken = Some(unsafe { m.slot.take_item() });
-                self.counts.data.fetch_sub(1, Ordering::SeqCst);
+                self.uncount(m.is_movable());
                 m.slot.complete();
             }
             at.advance_past(m);
             if taken.is_some() {
+                drop(guard);
+                // A waiting put may be at the front now, with the ring
+                // empty.
+                self.after_front_change();
                 return Some(TransferOutcome::Transferred(taken));
             }
         }
     }
 
-    /// Waits on our published node, then leaves the list. A reservation
-    /// completed without an item (see [`Self::fulfill_reservation`])
-    /// reports `Transferred(None)`, which no consumer otherwise sees; a
-    /// data node we withdraw is uncounted (see [`LinkedCounts`]).
+    /// Waits on our published node, then settles it.
     fn await_fulfill(
         &self,
         node: *const WaitNode<T, R>,
@@ -950,13 +993,48 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
         // SAFETY: we hold the waiter reference until `leave`.
-        let own = unsafe { &*node };
-        let verdict = own.slot.await_outcome(deadline, token, &self.spin);
-        if !matches!(verdict, WaitOutcome::Matched(_)) && own.is_data() {
-            self.counts.data.fetch_sub(1, Ordering::SeqCst);
-        }
+        let verdict = unsafe { &*node }
+            .slot
+            .await_outcome(deadline, token, &self.spin);
         // SAFETY: our own published node; `verdict` is its terminal state.
-        unsafe { self.list.leave(node, verdict) }
+        unsafe { self.settle(node, verdict) }
+    }
+
+    /// Ends the wait on our published node and leaves the list. Besides
+    /// what `leave` reports: a reservation completed without an item (see
+    /// [`Self::fulfill_reservation`]) reports `Transferred(None)`, which
+    /// no consumer otherwise sees; a waiting put handed back with its item
+    /// (see [`Self::move_to_ring`]) reports `Transferred(Some(item))`,
+    /// which no producer otherwise sees; a data node we withdraw is
+    /// uncounted (see [`LinkedCounts`]), and its withdrawal may have moved
+    /// the list's front.
+    ///
+    /// # Safety
+    ///
+    /// `node` was published by this queue's `link_producer` or `consumer`,
+    /// its waiter reference is the caller's, and `verdict` is its slot's
+    /// terminal state. The node is not touched afterwards.
+    unsafe fn settle(
+        &self,
+        node: *const WaitNode<T, R>,
+        verdict: WaitOutcome,
+    ) -> TransferOutcome<T> {
+        // SAFETY: the waiter reference keeps the node alive until `leave`.
+        let own = unsafe { &*node };
+        let matched = matches!(verdict, WaitOutcome::Matched(_));
+        let withdrew = !matched && own.is_data();
+        if withdrew {
+            self.uncount(own.is_movable());
+        }
+        let handed_back = (matched && own.is_movable() && own.slot.has_item())
+            // SAFETY: the node is terminal, so its cell is its waiter's.
+            .then(|| unsafe { own.slot.take_item() });
+        // SAFETY: per the contract.
+        let outcome = unsafe { self.list.leave(node, verdict) };
+        if withdrew {
+            self.after_front_change();
+        }
+        handed_back.map_or(outcome, |item| TransferOutcome::Transferred(Some(item)))
     }
 }
 
@@ -975,7 +1053,7 @@ impl<T: Send, R: Reclaimer> Transferer<T> for TransferQueue<T, R> {
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
         match item {
-            Some(v) => self.producer(Some(v), PutMode::Sync, deadline, token),
+            Some(v) => self.transfer_with(v, deadline, token),
             None => self.take_with(deadline, token),
         }
     }
@@ -1005,6 +1083,10 @@ impl<T, R: Reclaimer> std::fmt::Debug for TransferQueue<T, R> {
             .field("capacity", &self.bounded.then(|| self.ring.capacity()))
             .field("ring_items", &self.ring.len())
             .field("linked_data", &self.counts.data.load(Ordering::SeqCst))
+            .field(
+                "waiting_puts",
+                &self.counts.waiting_puts.load(Ordering::SeqCst),
+            )
             .field(
                 "reservations",
                 &self.counts.reservations.load(Ordering::SeqCst),
@@ -1069,15 +1151,6 @@ impl<T: Send> BufferedChannel<T> {
     pub fn queue(&self) -> &TransferQueue<T> {
         &self.queue
     }
-
-    /// The list a pending sender (`producer`) or receiver waits on.
-    fn waiters(&self, producer: bool) -> &WaiterQueue {
-        if producer {
-            &self.queue.space_waiters
-        } else {
-            &self.queue.item_waiters
-        }
-    }
 }
 
 impl<T: Send> SyncChannel<T> for BufferedChannel<T> {
@@ -1138,61 +1211,38 @@ impl<T: Send> TimedSyncChannel<T> for BufferedChannel<T> {
 }
 
 /// A published-but-unresolved buffered transfer: the poll-mode stand-in
-/// for a thread blocked in [`TransferQueue::put`] (ring full) or
-/// [`TransferQueue::take`] (nothing buffered).
+/// for a thread blocked in [`TransferQueue::put`] (a bounded queue's
+/// overflow) or [`TransferQueue::take`] (nothing buffered).
 ///
-/// Unlike the dual structures' permits, which stand for a *linked node*,
-/// a buffered permit stands for an entry on the queue's space/item wait
-/// list; each poll re-attempts the operation and (re-)registers as
-/// needed. A receiving permit is woken to retry and never handed an item,
-/// so dropping one at any point loses nothing: an unresolved permit's
-/// entry is retracted, a wakeup it had received but not acted on goes to
-/// the next pending receiver, and a producer's unsent item is dropped with
-/// its permit.
+/// A sending permit stands for a linked node, as the dual structures'
+/// permits do: a waiting put, polled through its slot and withdrawn by its
+/// cancel CAS when dropped. Dropping one at any point drops its item
+/// exactly once or leaves it queued: an unmoved item goes with the node, a
+/// moved one stays in the ring, and one handed back (its node completed
+/// with the item still in it) goes with the node too. A receiving permit
+/// stands for an entry on the queue's item wait list; it is woken to
+/// retry and never handed an item, so dropping one loses nothing either:
+/// an unresolved permit's entry is retracted, and a wakeup it had received
+/// but not acted on goes to the next pending receiver.
 #[derive(Debug)]
 pub struct BufferedPermit<T: Send> {
     channel: Arc<BufferedChannel<T>>,
-    entry: Entry,
-    /// `Some` while a producer-side permit still owns its unsent item.
-    item: Option<T>,
-    producer: bool,
-    done: bool,
+    state: PermitState<T>,
 }
 
-// The permit only ever moves its fields by value (no self-referential
-// state, no pin projection into `item`), so it is unconditionally Unpin —
-// the `PendingTransfer` supertrait the futures layer relies on.
-impl<T: Send> Unpin for BufferedPermit<T> {}
-
-impl<T: Send> BufferedPermit<T> {
-    /// Whether the awaited condition still fails, by SeqCst loads of
-    /// everything the other side moves before it calls `notify` (the
-    /// waiter half of the handshake in `waiters`).
-    fn blocked(&self) -> bool {
-        let queue = &self.channel.queue;
-        if self.producer {
-            queue.ring.is_full()
-        } else {
-            queue.ring.is_empty() && queue.linked_data() == 0
-        }
-    }
-
-    /// One immediate try at the operation.
-    fn attempt(&mut self) -> Option<TransferOutcome<T>> {
-        let queue = &self.channel.queue;
-        if !self.producer {
-            return queue.poll().map(|v| TransferOutcome::Transferred(Some(v)));
-        }
-        let value = self.item.take().expect("producer permit owns its item");
-        match queue.try_put_as_waiter(value) {
-            Ok(()) => Some(TransferOutcome::Transferred(None)),
-            Err(back) => {
-                self.item = Some(back);
-                None
-            }
-        }
-    }
+#[derive(Debug)]
+enum PermitState<T> {
+    /// A sender's linked waiting put: we hold its waiter reference.
+    Linked(*const WaitNode<T, Epoch>),
+    /// A receiver and its place on the item wait list.
+    Receiving(Entry),
+    /// Resolved: nothing held.
+    Done,
 }
+
+// SAFETY: a linked permit holds a waiter's handle on its own node, the
+// reference a blocked thread holds, and the queue is `Sync`.
+unsafe impl<T: Send> Send for BufferedPermit<T> {}
 
 impl<T: Send> PendingTransfer<T> for BufferedPermit<T> {
     fn poll_transfer(
@@ -1201,91 +1251,119 @@ impl<T: Send> PendingTransfer<T> for BufferedPermit<T> {
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> Poll<TransferOutcome<T>> {
-        assert!(!self.done, "permit polled after resolving");
-        loop {
-            // Re-attempt the operation first: a wakeup (or a spurious
-            // poll) means the condition may now hold.
-            let notified = WaiterQueue::notified(&self.entry);
-            let attempted = self.attempt();
-            let waiters = self.channel.waiters(self.producer);
-            if let Some(outcome) = attempted {
-                self.done = true;
-                waiters.release(&mut self.entry, notified);
-                return Poll::Ready(outcome);
-            }
-            // (Re-)register, then loop to re-attempt.
-            if waiters.arm(&mut self.entry) {
-                continue;
-            }
-            // Registered, and the attempt still failed. Suspend only on a
-            // condition the SeqCst loads confirm *after* the registration;
-            // an index or count that has moved while the operation still
-            // fails is a moment to spin through, not to sleep in.
-            if !self.blocked() {
-                std::hint::spin_loop();
-                continue;
-            }
-            let entry = self.entry.as_ref().expect("armed above");
-            match entry.poll_outcome(waker, deadline, token) {
-                // Leave the entry registered while we retry: fresh
-                // arrivals keep deferring until our retry lands (or the
-                // re-arm above replaces the spent entry).
-                Poll::Ready(WaitOutcome::Matched(_)) => {}
-                Poll::Ready(verdict) => {
-                    self.done = true;
-                    waiters.release(&mut self.entry, false);
-                    let item = self.item.take();
-                    return Poll::Ready(match verdict {
-                        WaitOutcome::TimedOut => TransferOutcome::Timeout(item),
-                        WaitOutcome::Cancelled => TransferOutcome::Cancelled(item),
-                        WaitOutcome::Matched(_) => unreachable!("handled above"),
-                    });
+        let queue = &self.channel.queue;
+        let waiters = &queue.item_waiters;
+        let polled = match &mut self.state {
+            // A sender: poll the waiting put's node; a put handed back
+            // links anew (or finds the ring open) and goes round again.
+            PermitState::Linked(node) => loop {
+                // SAFETY: a linked permit holds the waiter reference.
+                let Poll::Ready(verdict) =
+                    unsafe { &**node }.slot.poll_outcome(waker, deadline, token)
+                else {
+                    break Poll::Pending;
+                };
+                // SAFETY: our own node; `verdict` is its terminal state.
+                let back = match unsafe { queue.settle(*node, verdict) } {
+                    TransferOutcome::Transferred(Some(back)) => back,
+                    outcome => break Poll::Ready(outcome),
+                };
+                match queue.put_step(back, deadline, token) {
+                    ControlFlow::Continue(fresh) => *node = fresh,
+                    ControlFlow::Break(outcome) => break Poll::Ready(outcome),
                 }
-                Poll::Pending => return Poll::Pending,
-            }
+            },
+            // A receiver: retry the take, (re-)register on the item list,
+            // and suspend only on an emptiness the SeqCst loads confirm
+            // *after* the registration (the waiter half of the handshake
+            // in `waiters`).
+            PermitState::Receiving(entry) => loop {
+                let notified = WaiterQueue::notified(entry);
+                if let Some(v) = queue.poll() {
+                    waiters.release(entry, notified);
+                    break Poll::Ready(TransferOutcome::Transferred(Some(v)));
+                }
+                if waiters.arm(entry) {
+                    continue;
+                }
+                // An index or count that has moved while the take still
+                // fails is a moment to spin through, not to sleep in.
+                if !(queue.ring.is_empty() && queue.linked_data() == 0) {
+                    std::hint::spin_loop();
+                    continue;
+                }
+                let slot = entry.as_ref().expect("armed above");
+                match slot.poll_outcome(waker, deadline, token) {
+                    Poll::Ready(WaitOutcome::Matched(_)) => {}
+                    Poll::Ready(verdict) => {
+                        waiters.release(entry, false);
+                        break Poll::Ready(match verdict {
+                            WaitOutcome::TimedOut => TransferOutcome::Timeout(None),
+                            _ => TransferOutcome::Cancelled(None),
+                        });
+                    }
+                    Poll::Pending => break Poll::Pending,
+                }
+            },
+            PermitState::Done => panic!("permit polled after resolving"),
+        };
+        if polled.is_ready() {
+            self.state = PermitState::Done;
         }
+        polled
     }
 }
 
 impl<T: Send> Drop for BufferedPermit<T> {
     fn drop(&mut self) {
-        // Whatever wakeup this permit holds was not converted into an
-        // operation (a resolved permit has already released its entry).
-        let waiters = self.channel.waiters(self.producer);
-        waiters.release(&mut self.entry, false);
+        let queue = &self.channel.queue;
+        match std::mem::replace(&mut self.state, PermitState::Done) {
+            PermitState::Linked(node) => {
+                // SAFETY: a linked permit holds the waiter reference.
+                if unsafe { &*node }.slot.try_cancel() {
+                    // Withdrawn like a timed-out put; the item has no
+                    // caller to go back to, so it is dropped here.
+                    // SAFETY: our own node, and we won its cancel CAS.
+                    drop(unsafe { queue.settle(node, WaitOutcome::Cancelled) });
+                } else {
+                    // A refill or a consumer claimed it: the item is in the
+                    // ring, taken, or (handed back) still in the node, which
+                    // the last release drops.
+                    // SAFETY: the waiter reference, dropped exactly once.
+                    unsafe { WaitNode::release(node) };
+                }
+            }
+            // A wakeup this receiver holds was not used: it goes on.
+            PermitState::Receiving(mut entry) => queue.item_waiters.release(&mut entry, false),
+            PermitState::Done => {}
+        }
     }
 }
 
 /// Poll-mode transfers over the buffered semantics: `Some(v)` buffers the
-/// item (pending only when a bounded ring is full), `None` receives
+/// item (pending only when a bounded queue makes it wait), `None` receives
 /// (pending when nothing is buffered). This is what `synq-async` builds
 /// its buffered channel futures from.
 impl<T: Send> PollTransferer<T> for BufferedChannel<T> {
     type Permit = BufferedPermit<T>;
 
     fn start_transfer(this: &Arc<Self>, item: Option<T>) -> StartTransfer<T, Self::Permit> {
-        match item {
-            Some(value) => match this.queue.try_put(value) {
-                Ok(()) => StartTransfer::Complete(TransferOutcome::Transferred(None)),
-                Err(back) => StartTransfer::Pending(BufferedPermit {
-                    channel: Arc::clone(this),
-                    entry: None,
-                    item: Some(back),
-                    producer: true,
-                    done: false,
-                }),
+        let state = match item {
+            // The deadline and token arrive with the first poll, which
+            // withdraws the put if they have already run out.
+            Some(value) => match this.queue.put_step(value, Deadline::Never, None) {
+                ControlFlow::Continue(node) => PermitState::Linked(node),
+                ControlFlow::Break(outcome) => return StartTransfer::Complete(outcome),
             },
             None => match this.queue.poll() {
-                Some(v) => StartTransfer::Complete(TransferOutcome::Transferred(Some(v))),
-                None => StartTransfer::Pending(BufferedPermit {
-                    channel: Arc::clone(this),
-                    entry: None,
-                    item: None,
-                    producer: false,
-                    done: false,
-                }),
+                Some(v) => return StartTransfer::Complete(TransferOutcome::Transferred(Some(v))),
+                None => PermitState::Receiving(None),
             },
-        }
+        };
+        StartTransfer::Pending(BufferedPermit {
+            channel: Arc::clone(this),
+            state,
+        })
     }
 }
 
@@ -1297,7 +1375,7 @@ mod tests {
     use std::time::Instant;
 
     /// One queue of each mode, for what must hold in both: everything on
-    /// the receive side.
+    /// the receive side, and the order of what is put.
     fn both_modes() -> [Arc<TransferQueue<u32>>; 2] {
         [
             Arc::new(TransferQueue::new()),
@@ -1396,16 +1474,17 @@ mod tests {
 
     #[test]
     fn mixed_sync_async_ordering() {
-        let q = Arc::new(TransferQueue::new());
-        q.put(1); // buffered
-        let q2 = Arc::clone(&q);
-        let t = thread::spawn(move || q2.transfer(2)); // waits behind it
-        while q.len() < 2 {
-            thread::yield_now();
+        for q in both_modes() {
+            q.put(1); // buffered
+            let q2 = Arc::clone(&q);
+            let t = thread::spawn(move || q2.transfer(2)); // waits behind it
+            while q.len() < 2 {
+                thread::yield_now();
+            }
+            assert_eq!(q.take(), 1);
+            assert_eq!(q.take(), 2);
+            t.join().unwrap();
         }
-        assert_eq!(q.take(), 1);
-        assert_eq!(q.take(), 2);
-        t.join().unwrap();
     }
 
     #[test]
@@ -1622,8 +1701,10 @@ mod tests {
             thread::yield_now();
         }
         thread::sleep(Duration::from_millis(20));
-        assert_eq!(q.len(), 2, "third put must not have landed");
-        assert_eq!(q.take(), 1); // frees a slot; wakes the producer
+        assert!(!t.is_finished(), "third put must wait");
+        assert_eq!(q.ring.len(), 2, "third put must not have landed");
+        assert_eq!(q.len(), 3, "its item is linked data, takeable");
+        assert_eq!(q.take(), 1); // frees a slot; the third put gets it
         t.join().unwrap();
         assert_eq!(q.take(), 2);
         assert_eq!(q.take(), 3);
@@ -1651,26 +1732,13 @@ mod tests {
         assert_eq!(q.len(), 2);
     }
 
-    #[test]
-    fn try_put_defers_to_registered_space_waiter() {
-        // White-box no-barge check: while any producer is registered on
-        // the space list (as a woken waiter is, mid-handoff), a fresh
-        // try_put must fail even though the ring has room.
-        let q: TransferQueue<u32> = TransferQueue::bounded(4);
-        q.put(1);
-        let mut w = Some(q.space_waiters.register());
-        assert_eq!(q.try_put(2), Err(2), "fresh arrival must defer");
-        q.space_waiters.release(&mut w, false);
-        assert_eq!(q.try_put(2), Ok(()));
-        assert_eq!(q.poll(), Some(1));
-        assert_eq!(q.poll(), Some(2));
-    }
-
-    /// The trap in handing a bounded consumer its item: the pop made on
-    /// its behalf frees a slot, and must say so. Two producers have pushed
-    /// (ring full) but not yet announced; a third is parked on the space
-    /// list; the first announcement serves the reservation, and the third
-    /// producer must complete with no `take` by anyone.
+    /// The trap in handing a bounded consumer its item was that the pop
+    /// made on its behalf frees a slot, and must say so. A reservation and
+    /// a waiting put are never linked at once, so the producer that finds
+    /// the ring full meets the reservation in the list and makes that pop
+    /// itself. Two items are pushed behind a reserved consumer, unannounced
+    /// (ring full); a third producer's put must complete with no `take` by
+    /// anyone, its item in the slot its own handoff freed.
     #[test]
     fn handoff_pop_announces_space_to_a_parked_producer() {
         let q: Arc<TransferQueue<u32>> = Arc::new(TransferQueue::bounded(2));
@@ -1687,16 +1755,13 @@ mod tests {
             q3.put(3);
             done.send(()).unwrap();
         });
-        while q.space_waiters.hint() == 0 {
-            thread::yield_now();
-        }
-        thread::sleep(Duration::from_millis(10)); // let it park
-        q.after_ring_push(2);
-        assert_eq!(consumer.join().unwrap(), 1);
         third
             .recv_timeout(Duration::from_secs(20))
-            .expect("producer parked beside the slot the handoff freed");
+            .expect("producer waits beside the slot its handoff freed");
         producer.join().unwrap();
+        assert_eq!(q.counts.waiting_puts.load(Ordering::SeqCst), 0);
+        q.after_ring_push(2); // the late announcement finds nobody to serve
+        assert_eq!(consumer.join().unwrap(), 1);
         assert_eq!((q.poll(), q.poll(), q.poll()), (Some(2), Some(3), None));
     }
 
@@ -1704,15 +1769,16 @@ mod tests {
     fn woken_producer_is_not_barged_and_wakes_promptly() {
         // Regression for the ~1 s buffered-mode wakeup tails (PR 9's
         // histograms): try_put thieves hammering a full ring while a
-        // blocked producer is woken must never steal the freed slot,
-        // and the handoff must complete well under the old tail.
+        // waiting put is handed its slot must never steal it, and the
+        // handoff must complete well under the old tail. A waiting put is
+        // counted linked data, and nothing enters the ring past that.
         use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
         let q = Arc::new(TransferQueue::bounded(2));
         q.put(0u32); // bounded(2) is the true minimum ring size
         q.put(5);
         let q2 = Arc::clone(&q);
-        let waiter = thread::spawn(move || q2.put(1)); // full: registers + parks
-        while q.space_waiters.hint() == 0 {
+        let waiter = thread::spawn(move || q2.put(1)); // full: links and waits
+        while q.counts.waiting_puts.load(Ordering::SeqCst) == 0 {
             thread::yield_now();
         }
         let stop = Arc::new(AtomicBool::new(false));
@@ -1733,7 +1799,7 @@ mod tests {
             .collect();
         thread::sleep(Duration::from_millis(10)); // let the storm build
         let start = Instant::now();
-        assert_eq!(q.take(), 0); // frees a slot; wakes the waiter
+        assert_eq!(q.take(), 0); // frees a slot; the waiting put gets it
         waiter.join().unwrap();
         let wake = start.elapsed();
         stop.store(true, Ordering::SeqCst);
@@ -1743,7 +1809,7 @@ mod tests {
         assert_eq!(
             stolen.load(Ordering::SeqCst),
             0,
-            "try_put barged past a registered waiter"
+            "try_put barged past a waiting put"
         );
         assert!(
             wake < Duration::from_millis(500),
@@ -1751,6 +1817,100 @@ mod tests {
         );
         assert_eq!(q.take(), 5);
         assert_eq!(q.take(), 1);
+    }
+
+    /// A payload that counts its drops.
+    struct Counted(u32, Arc<AtomicUsize>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.1.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Plays `refill` by hand on the front waiting put of a full ring up
+    /// to its claim, then lets one slot go and fills it again behind the
+    /// claim's back, as a producer that read `data` as 0 just before the
+    /// put was counted would: `move_to_ring` must hand the put back.
+    fn hand_back_front(q: &TransferQueue<Counted>, thief: Counted) -> Counted {
+        while q.list.linked_nodes() == 0 {
+            thread::yield_now();
+        }
+        let guard = Epoch::pin();
+        let at = q.list.arrive(&guard);
+        let m = at.front().expect("the waiting put");
+        assert!(m.is_movable() && m.slot.try_claim());
+        let popped = q.ring.try_pop().expect("a full ring");
+        assert!(q.ring.try_push(thief).is_ok());
+        assert!(!q.move_to_ring(&m), "the ring is full: handed back");
+        at.advance_past(m);
+        popped
+    }
+
+    /// The hand-back, forced: the item is delivered exactly once, after
+    /// what filled the ring, because its owner goes round again.
+    #[test]
+    fn a_refill_that_loses_its_slot_hands_the_put_back() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let item = |v| Counted(v, Arc::clone(&drops));
+        let q = Arc::new(TransferQueue::bounded(2));
+        q.put(item(0));
+        q.put(item(1));
+        let q2 = Arc::clone(&q);
+        let put = item(2);
+        let producer = thread::spawn(move || q2.put(put));
+        assert_eq!(hand_back_front(&q, item(9)).0, 0);
+        let got: Vec<u32> = (0..3).map(|_| q.take().0).collect();
+        producer.join().unwrap();
+        assert_eq!(got, [1, 9, 2]);
+        assert!(q.poll().is_none() && q.is_empty());
+        assert_eq!(q.counts.waiting_puts.load(Ordering::SeqCst), 0);
+        assert_eq!(drops.load(Ordering::SeqCst), 4, "each item dropped once");
+    }
+
+    /// A sending permit dropped with its put handed back and not yet
+    /// re-polled: the item is in the node, and goes with it, once.
+    #[test]
+    fn dropping_a_handed_back_send_drops_its_item_once() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let item = |v| Counted(v, Arc::clone(&drops));
+        let ch = Arc::new(BufferedChannel::bounded(2));
+        ch.queue().put(item(0));
+        ch.queue().put(item(1));
+        let StartTransfer::Pending(mut permit) =
+            BufferedChannel::start_transfer(&ch, Some(item(2)))
+        else {
+            panic!("full ring must pend the sender");
+        };
+        let (waker, _) = counting_waker();
+        assert!(permit
+            .poll_transfer(&waker, Deadline::Never, None)
+            .is_pending());
+        drop(hand_back_front(ch.queue(), item(9)));
+        drop(permit);
+        // The node is the list's dummy now, and keeps the item until the
+        // head moves on or, here, the queue goes.
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "only the popped item");
+        assert_eq!(ch.queue().len(), 2, "1 and 9 stay queued");
+        drop(ch);
+        assert_eq!(drops.load(Ordering::SeqCst), 4, "each item dropped once");
+    }
+
+    /// A bounded put issued while a `transfer` waits is received after it,
+    /// and waits until then; a waiting put whose predecessor withdraws
+    /// completes with no `take`, the ring having room.
+    #[test]
+    fn a_waiting_put_keeps_its_place_behind_a_transfer() {
+        let q: Arc<TransferQueue<u32>> = Arc::new(TransferQueue::bounded(4));
+        let q2 = Arc::clone(&q);
+        let transfer = thread::spawn(move || q2.transfer_timeout(1, Duration::from_millis(50)));
+        while q.is_empty() {
+            thread::yield_now();
+        }
+        assert_eq!(q.try_put(2), Err(2), "a transfer is queued ahead");
+        q.put(3); // waits until the transfer is gone, then enters the ring
+        assert_eq!(transfer.join().unwrap(), Err(1));
+        assert_eq!((q.poll(), q.poll()), (Some(3), None));
     }
 
     #[test]

@@ -40,8 +40,8 @@ struct Slot<T> {
 /// Bounded lock-free MPMC FIFO with per-slot cycle versioning.
 ///
 /// Capacity is rounded up to a power of two (minimum 2). All operations
-/// are non-blocking (`try_*`); the blocking bounded mode of
-/// [`TransferQueue`](crate::TransferQueue) layers waiters on top.
+/// are non-blocking (`try_*`); [`TransferQueue`](crate::TransferQueue)
+/// makes whoever cannot use it wait as a linked node.
 ///
 /// # Examples
 ///

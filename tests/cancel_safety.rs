@@ -346,3 +346,114 @@ fn queue_racing_drop_send_vs_take_conserves_items() {
         assert_eq!(drops.load(Ordering::SeqCst), 1);
     }
 }
+
+// ------------------------------------------------ bounded buffered sends
+//
+// A bounded `send` that finds the ring full is a linked waiting put, the
+// same node a blocked `put` waits on: dropping its future withdraws it by
+// the cancel CAS, or, if a refill or a consumer already claimed it,
+// concedes. Either way the item is dropped exactly once: the unsent item
+// with the future, a moved one by whoever takes it from the ring, and one
+// handed back (its node completed with the item still in it) with the
+// node.
+
+/// A bounded(2) async queue holding two counted items: a send now waits.
+fn full_bounded() -> (AsyncTransferQueue<Payload>, Arc<AtomicUsize>) {
+    let q: AsyncTransferQueue<Payload> = AsyncTransferQueue::bounded(2);
+    let drops = Arc::new(AtomicUsize::new(0));
+    for _ in 0..2 {
+        q.try_send(Payload(Arc::clone(&drops)))
+            .expect("the ring has room");
+    }
+    (q, drops)
+}
+
+#[test]
+fn transfer_bounded_drop_waiting_send_drops_item_once() {
+    let (q, drops) = full_bounded();
+    let mut send = q.send(Payload(Arc::clone(&drops)));
+    assert!(poll_once(&mut send).is_pending(), "full ring: must wait");
+    drop(send); // cancel CAS wins: the unsent item is settled on the spot
+    assert_eq!(drops.load(Ordering::SeqCst), 1);
+    assert_eq!(q.inner().queue().len(), 2, "the waiting put is withdrawn");
+    for _ in 0..2 {
+        drop(q.try_recv().expect("ring item"));
+    }
+    assert!(q.try_recv().is_none());
+    assert_eq!(drops.load(Ordering::SeqCst), 3);
+}
+
+#[test]
+fn transfer_bounded_drop_moved_send_leaves_its_item_queued() {
+    let (q, drops) = full_bounded();
+    let mut send = q.send(Payload(Arc::clone(&drops)));
+    assert!(poll_once(&mut send).is_pending(), "full ring: must wait");
+    // A take frees a slot, and the pop's refill moves the waiting put's
+    // item into it and completes the node ...
+    drop(q.try_recv().expect("ring item"));
+    // ... so the future, dropped without a re-poll, concedes.
+    drop(send);
+    assert_eq!(drops.load(Ordering::SeqCst), 1, "only the taken item");
+    assert_eq!(q.inner().queue().len(), 2, "the sent item is in the ring");
+    for _ in 0..2 {
+        drop(q.try_recv().expect("ring item"));
+    }
+    assert_eq!(drops.load(Ordering::SeqCst), 3);
+}
+
+/// The hand-back cannot be forced through the public API: it takes a
+/// producer that read the linked-data count as 0 just before the waiting
+/// put was counted, and whose push lands between a refill's room check
+/// and its own push. (`synq-transfer`'s unit tests force it by hand, send
+/// future included.) This sweep drives that race: producers hammer the
+/// full ring while a consumer frees slots and the pending send is dropped
+/// at once, so the future goes in whichever state it was in, the
+/// handed-back one among them; every item must be dropped exactly once.
+#[test]
+fn transfer_bounded_racing_drop_send_vs_refill_conserves_items() {
+    let rounds = if cfg!(miri) { 4 } else { 300 };
+    for _ in 0..rounds {
+        let (q, drops) = full_bounded();
+        let mut send = q.send(Payload(Arc::clone(&drops)));
+        assert!(poll_once(&mut send).is_pending(), "full ring: must wait");
+        let racers: Vec<_> = (0..2)
+            .map(|_| {
+                let (q, drops) = (q.clone(), Arc::clone(&drops));
+                std::thread::spawn(move || {
+                    let _ = q
+                        .inner()
+                        .offer_timeout(Payload(drops), Duration::from_millis(5));
+                })
+            })
+            .collect();
+        let taker = {
+            let q = q.clone();
+            std::thread::spawn(move || {
+                while q.try_recv().is_none() {
+                    std::hint::spin_loop();
+                }
+            })
+        };
+        drop(send);
+        taker.join().unwrap();
+        for r in racers {
+            r.join().unwrap();
+        }
+        let sent = drops.load(Ordering::SeqCst);
+        let queued = q.inner().queue().len();
+        drop(q);
+        // Two buffered, the send and two racers: five items in all. One
+        // left in a retired node goes when the epoch lets it, which tests
+        // pinning beside this one can hold up for a while.
+        let patience = std::time::Instant::now() + Duration::from_secs(10);
+        while drops.load(Ordering::SeqCst) < 5 && std::time::Instant::now() < patience {
+            flush_epochs();
+            std::thread::yield_now();
+        }
+        assert_eq!(
+            drops.load(Ordering::SeqCst),
+            5,
+            "{sent} dropped, {queued} queued"
+        );
+    }
+}

@@ -1,12 +1,14 @@
-//! The contract of `TransferQueue::bounded` on its receive side. A
-//! consumer that finds a bounded ring empty waits exactly as it does on
-//! an unbounded queue, as a linked reservation that the next push
-//! completes with the ring's head (DESIGN §4.11), so everything built on
+//! The contract of `TransferQueue::bounded`. It is the unbounded queue
+//! with one difference (DESIGN §4.11): a `put` that cannot enter the ring
+//! links a node as an unbounded overflow `put` does, and then waits on it
+//! until whoever frees a slot or moves the list's front moves its item
+//! into the ring. So the queue is one FIFO, as the unbounded one is: a
+//! `put` issued after a waiting `transfer` is received after it. A
+//! consumer that finds the ring empty waits as a linked reservation that
+//! the next push completes with the ring's head, so everything built on
 //! "is a consumer waiting?" works in both modes: `try_transfer`, the
 //! channel-trait `offer`, `has_waiting_consumer`, the executor's work
-//! channel. The one thing bounded mode adds is that the pop made on a
-//! consumer's behalf frees a slot a parked producer may be waiting for.
-//! This file is also a leg of the CI miri job.
+//! channel. This file is also a leg of the CI miri job.
 
 use std::future::Future;
 use std::pin::pin;
@@ -14,7 +16,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::task::{Context, Waker};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use synq_async::AsyncTransferQueue;
 use synq_suite::core::TimedSyncChannel;
 use synq_suite::executor::ThreadPool;
@@ -103,8 +105,8 @@ fn waiting_consumer_count_sees_a_thread_and_a_pending_future_alike() {
 /// A consumer reserved on the empty ring of capacity 2 and three
 /// producers released together. Whichever way they interleave, all three
 /// must complete with no `take` beyond the reserved one: when two have
-/// pushed and the third has parked on the full ring, the handoff to the
-/// consumer pops an item, and that pop has to wake the third.
+/// pushed and the third finds the ring full, the handoff to the consumer
+/// pops an item, and the third's item has to get that slot.
 #[test]
 fn handoff_to_a_reserved_consumer_frees_a_slot_for_a_parked_producer() {
     let rounds = if cfg!(miri) { 10 } else { 2_000 };
@@ -138,7 +140,7 @@ fn handoff_to_a_reserved_consumer_frees_a_slot_for_a_parked_producer() {
     }
 }
 
-/// The consumer-side twin of the producer no-barge regression: thieves
+/// The consumer-side twin of the producer barging regression: thieves
 /// hammer `poll` (putting back whatever they snatch between a push and
 /// its handoff) while one consumer is reserved. The item must reach that
 /// consumer all the same. (This is what took the place of
@@ -191,4 +193,159 @@ fn bounded_queue_is_an_executor_work_channel() {
     pool.shutdown();
     pool.join();
     assert_eq!(ran.load(Ordering::SeqCst), jobs);
+}
+
+// ------------------------------------------------------------- put side
+
+/// One FIFO across `transfer` and `put`: a `put` issued while a
+/// `transfer` waits is received after it, and waits until then (its item
+/// may not enter the ring past the transfer's).
+#[test]
+fn a_put_issued_after_a_waiting_transfer_is_received_after_it() {
+    let q: Arc<TransferQueue<usize>> = Arc::new(TransferQueue::bounded(4));
+    let transfer = {
+        let q = Arc::clone(&q);
+        thread::spawn(move || q.transfer(1))
+    };
+    while q.is_empty() {
+        thread::yield_now();
+    }
+    let (done, put) = mpsc::channel();
+    let producer = {
+        let q = Arc::clone(&q);
+        thread::spawn(move || {
+            q.put(2);
+            done.send(()).unwrap();
+        })
+    };
+    while q.len() < 2 {
+        thread::yield_now();
+    }
+    assert!(put.try_recv().is_err(), "the put waits behind the transfer");
+    assert_eq!(q.take(), 1);
+    put.recv_timeout(WAKE_PATIENCE)
+        .unwrap_or_else(|_| panic!("the put still waits with the ring empty: {q:?}"));
+    assert_eq!(q.take(), 2);
+    transfer.join().unwrap();
+    producer.join().unwrap();
+    assert!(q.is_empty());
+}
+
+/// A waiting put whose predecessor, a timed `transfer`, expires moves
+/// into the ring and completes, with no `take` by anyone: the transfer's
+/// withdrawal moved the list's front, and whoever moves the front moves
+/// the waiting put behind it.
+#[test]
+fn a_waiting_put_completes_when_the_transfer_ahead_of_it_expires() {
+    let patience = Duration::from_millis(if cfg!(miri) { 20 } else { 100 });
+    let q: Arc<TransferQueue<usize>> = Arc::new(TransferQueue::bounded(4));
+    let transfer = {
+        let q = Arc::clone(&q);
+        thread::spawn(move || q.transfer_timeout(1, patience))
+    };
+    while q.is_empty() {
+        thread::yield_now();
+    }
+    let start = Instant::now();
+    q.put(2); // links behind the transfer and waits
+    assert_eq!(transfer.join().unwrap(), Err(1));
+    assert!(start.elapsed() < WAKE_PATIENCE);
+    assert_eq!((q.poll(), q.poll()), (Some(2), None));
+}
+
+/// Counts its drops, so that a stress run also proves no item was
+/// dropped twice or leaked.
+struct Msg {
+    producer: usize,
+    seq: usize,
+    drops: Arc<AtomicUsize>,
+}
+
+impl Drop for Msg {
+    fn drop(&mut self) {
+        self.drops.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// Per-producer FIFO on the smallest ring: 3 producers, each rotating
+/// between `put`, `transfer` and `put_batch`, against 2 consumers, on
+/// `bounded(2)`, so that producers wait on the full ring all the time,
+/// behind transfers and each other. Every consumer must see each
+/// producer's messages in order, together exactly once, and each message
+/// must be dropped once.
+#[test]
+fn per_producer_fifo_with_waiting_puts_on_a_full_ring() {
+    const PRODUCERS: usize = 3;
+    const CONSUMERS: usize = 2;
+    let per = if cfg!(miri) { 12 } else { 2_000 };
+    let q: Arc<TransferQueue<Msg>> = Arc::new(TransferQueue::bounded(2));
+    let drops = Arc::new(AtomicUsize::new(0));
+    let taken = Arc::new(AtomicUsize::new(0));
+    let start = Arc::new(Barrier::new(PRODUCERS + CONSUMERS));
+    let producers: Vec<_> = (0..PRODUCERS)
+        .map(|p| {
+            let (q, drops, start) = (Arc::clone(&q), Arc::clone(&drops), Arc::clone(&start));
+            thread::spawn(move || {
+                start.wait();
+                let msg = |seq| Msg {
+                    producer: p,
+                    seq,
+                    drops: Arc::clone(&drops),
+                };
+                let (mut seq, mut round) = (0, p);
+                while seq < per {
+                    match round % 3 {
+                        0 => q.put(msg(seq)),
+                        1 => q.transfer(msg(seq)),
+                        _ => {
+                            let n = (per - seq).min(1 + round % 4);
+                            let mut batch: Vec<_> = (seq..seq + n).map(msg).collect();
+                            q.put_batch(&mut batch);
+                            assert!(batch.is_empty());
+                            seq += n - 1;
+                        }
+                    }
+                    seq += 1;
+                    round += 1;
+                }
+            })
+        })
+        .collect();
+    let consumers: Vec<_> = (0..CONSUMERS)
+        .map(|_| {
+            let (q, taken, start) = (Arc::clone(&q), Arc::clone(&taken), Arc::clone(&start));
+            thread::spawn(move || {
+                start.wait();
+                let mut last = [None::<usize>; PRODUCERS];
+                let mut seen = Vec::new();
+                while taken.fetch_add(1, Ordering::SeqCst) < per * PRODUCERS {
+                    let m = q.take();
+                    assert!(
+                        last[m.producer].is_none_or(|prev| prev < m.seq),
+                        "producer {}: {} received after {:?}",
+                        m.producer,
+                        m.seq,
+                        last[m.producer]
+                    );
+                    last[m.producer] = Some(m.seq);
+                    seen.push((m.producer, m.seq));
+                }
+                seen
+            })
+        })
+        .collect();
+    for p in producers {
+        p.join().unwrap();
+    }
+    let mut all: Vec<_> = consumers
+        .into_iter()
+        .flat_map(|c| c.join().unwrap())
+        .collect();
+    all.sort_unstable();
+    let expected: Vec<_> = (0..PRODUCERS)
+        .flat_map(|p| (0..per).map(move |s| (p, s)))
+        .collect();
+    assert_eq!(all, expected, "a message was lost or delivered twice");
+    assert!(q.is_empty(), "{q:?}");
+    assert_eq!(drops.load(Ordering::SeqCst), per * PRODUCERS);
 }
