@@ -457,6 +457,19 @@ impl<T, R: Reclaimer> DualList<T, R> {
         std::ptr::eq(self.head.load(Ordering::Acquire, &bare).as_raw(), own)
     }
 
+    /// Is `own`, a node its caller published here and still holds the
+    /// waiter reference on, the node behind the dummy: next in line to be
+    /// matched? Pins; `head.next` is only compared with `own`, as in
+    /// `leave`. Once true it stays true until `own`'s wait is decided,
+    /// because only a decided node lets the head move onto it.
+    pub fn is_front(&self, own: *const WaitNode<T, R>) -> bool {
+        let guard = R::pin();
+        let h = self.head.load(Ordering::Acquire, &guard);
+        // SAFETY: head is never null, and protected.
+        let hn = unsafe { h.deref() }.next.load(Ordering::Acquire, &guard);
+        hn.as_raw() == own
+    }
+
     /// Racy peek: is any linked node a still-`WAITING` producer
     /// (`is_data`) / consumer? Walks the whole chain, so that a cancelled
     /// front node cannot hide a live waiter behind it.
@@ -833,6 +846,26 @@ mod tests {
         assert_eq!(list.linked_nodes(), 1);
         assert!(list.has_waiting(false), "c is untouched");
         unsafe { WaitNode::release(c) };
+    }
+
+    #[test]
+    fn the_front_is_the_node_behind_the_dummy_and_stays_it() {
+        let list: List<u32> = DualList::default();
+        let [a, b] = [(); 2].map(|_| append(&list, None));
+        assert!(list.is_front(a) && !list.is_front(b));
+        fulfill_front(&list, 1);
+        // `a` is the dummy now: decided, so no longer in line.
+        assert!(!list.is_front(a) && list.is_front(b));
+        assert!(matches!(
+            unsafe { list.leave(a, MATCHED) },
+            TransferOutcome::Transferred(Some(1))
+        ));
+        assert!(list.is_front(b), "a leaving predecessor does not move it");
+        assert!(unsafe { &*b }.slot.try_cancel());
+        assert!(matches!(
+            unsafe { list.leave(b, WaitOutcome::Cancelled) },
+            TransferOutcome::Cancelled(None)
+        ));
     }
 
     #[test]

@@ -10,11 +10,17 @@
 //! (timed) / 512 (untimed). Since PR 10 the default policy instead
 //! *calibrates* the budget online: a [`SpinCalibrator`] shared by every
 //! waiter of one structure tracks an EWMA of how many spin iterations recent
-//! direct (flyby) handoffs actually took and budgets ~2x that, decaying
-//! toward pure parking when peers routinely arrive too late to catch
-//! spinning. This is the paper's "optimal spin" knob made self-tuning; the
-//! fixed settings remain available for the ablation harness (experiment A1).
-//! Calibration math is specified in DESIGN.md §4.15.
+//! direct (flyby) handoffs actually took and budgets ~2x that. A handoff
+//! that came only after a park samples 0. That makes 0 an absorbing state:
+//! once every recent handoff parked, the budget is 0, the next waiter parks
+//! at once and samples 0 again, and the calibrator cannot find out that a
+//! short spin would now win. Only a direct handoff moves it off 0, and
+//! with a 0 budget those come only from a waiter that spins anyway: one
+//! whose strategy extends its spin ([`crate::WaitStrategy::extend_spin`]),
+//! as the `TransferQueue`'s producer behind a draining ring does. The
+//! fixed settings remain available for the ablation harness (experiment
+//! A1). Calibration math, and why the fix for the absorbing state waits,
+//! are in DESIGN.md §4.15.
 
 use crate::backoff::ncpus;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -96,7 +102,9 @@ impl SpinCalibrator {
     ///   converges to ~2x the latency of the handoffs that spinning can win.
     /// * A **parked handoff** (`parked > 0`) samples zero: if peers routinely
     ///   arrive later than any reasonable spin, the spins preceding each park
-    ///   are pure waste, so the budget decays toward park-immediately.
+    ///   are pure waste, so the budget decays to park-immediately, and stays
+    ///   there until some waiter spins without being budgeted to (see the
+    ///   module docs).
     ///
     /// Timeouts and cancellations are *not* fed in by callers — an absent
     /// peer says nothing about how fast a present one hands off.

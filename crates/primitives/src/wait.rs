@@ -36,6 +36,19 @@ pub trait WaitStrategy {
         DEADLINE_POLL_INTERVAL
     }
 
+    /// Asked by the wait loop when the spin budget runs out before the
+    /// waiter has parked even once (never after a park): `true` grants one
+    /// more window of [`crate::spin::ADAPTIVE_SPIN_CAP`] spins, polled for
+    /// the deadline and token as any spin is, after which it asks again.
+    /// For a waiter that can *see* its handoff coming, the paper's "next in
+    /// line for fulfillment": the `TransferQueue`'s producer behind a
+    /// draining ring. The default is `false`, which compiles the question
+    /// away.
+    #[inline]
+    fn extend_spin(&self) -> bool {
+        false
+    }
+
     /// Feedback from a finished wait: how many iterations it spun, how many
     /// times it parked, and whether it ended in a match (as opposed to a
     /// timeout or cancellation). The wait loop calls this exactly once per

@@ -42,6 +42,7 @@
 use crate::cancel::CancelToken;
 use crate::deadline::Deadline;
 use crate::parker::Parker;
+use crate::spin::ADAPTIVE_SPIN_CAP;
 use crate::wait::WaitStrategy;
 use crate::waiter::WaiterCell;
 use core::task::{Poll, Waker};
@@ -392,12 +393,13 @@ impl<T> WaitSlot<T> {
         }
     }
 
-    /// The paper's `awaitFulfill`: spin for the strategy's budget, then
-    /// park until matched, the deadline passes, or `token` fires. Timeout
-    /// and cancellation are reported only after *winning* the cancel CAS,
-    /// so every return value is an exclusive verdict: `Matched` means the
-    /// fulfiller owns the handoff, `TimedOut`/`Cancelled` mean the slot is
-    /// terminally `CANCELLED` and no fulfiller touched it.
+    /// The paper's `awaitFulfill`: spin for the strategy's budget (and for
+    /// each window [`WaitStrategy::extend_spin`] grants before the first
+    /// park), then park until matched, the deadline passes, or `token`
+    /// fires. Timeout and cancellation are reported only after *winning*
+    /// the cancel CAS, so every return value is an exclusive verdict:
+    /// `Matched` means the fulfiller owns the handoff, `TimedOut`/`Cancelled`
+    /// mean the slot is terminally `CANCELLED` and no fulfiller touched it.
     ///
     /// The deadline and token are polled once per
     /// [`WaitStrategy::deadline_poll_interval`] spin iterations (and
@@ -565,6 +567,13 @@ impl<T> WaitSlot<T> {
                 until_poll -= 1;
                 spun += 1;
                 std::hint::spin_loop();
+                continue;
+            }
+
+            // Out of budget before the first park: a strategy that can see
+            // its match coming may buy one more window, polled as above.
+            if parked == 0 && strategy.extend_spin() {
+                spins = ADAPTIVE_SPIN_CAP;
                 continue;
             }
 
@@ -847,6 +856,145 @@ mod tests {
         let out = slot.await_outcome(Deadline::Never, Some(&token), &SpinPolicy::adaptive());
         assert_eq!(out, WaitOutcome::Cancelled);
         assert!(slot.is_cancelled());
+        h.join().unwrap();
+    }
+
+    /// A strategy that grants its first `grants` extensions and records
+    /// what the wait loop did: how often it asked, how many asks came once
+    /// `late` had passed, and the `(spun, parked)` it reported.
+    struct Extending {
+        budget: u32,
+        grants: u32,
+        late: Option<std::time::Instant>,
+        asks: std::cell::Cell<u32>,
+        late_asks: std::cell::Cell<u32>,
+        seen: std::cell::Cell<(u64, u64)>,
+    }
+
+    impl Extending {
+        fn new(budget: u32, grants: u32) -> Self {
+            Extending {
+                budget,
+                grants,
+                late: None,
+                asks: Default::default(),
+                late_asks: Default::default(),
+                seen: Default::default(),
+            }
+        }
+    }
+
+    impl WaitStrategy for Extending {
+        fn spin_budget(&self, _timed: bool) -> u32 {
+            self.budget
+        }
+
+        fn extend_spin(&self) -> bool {
+            let asked = self.asks.get();
+            self.asks.set(asked + 1);
+            if self.late.is_some_and(|t| std::time::Instant::now() >= t) {
+                self.late_asks.set(self.late_asks.get() + 1);
+            }
+            asked < self.grants
+        }
+
+        fn observe(&self, _timed: bool, spun: u64, parked: u64, _matched: bool) {
+            self.seen.set((spun, parked));
+        }
+    }
+
+    /// Spins until the waiter of `slot` has registered to park.
+    fn until_registered(slot: &WaitSlot<u32>) {
+        while slot.waiter.is_empty() {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn extend_spin_is_never_asked_after_a_park() {
+        let slot: Arc<WaitSlot<u32>> = Arc::new(WaitSlot::new());
+        let other = Arc::clone(&slot);
+        let waiter = std::thread::spawn(move || {
+            let s = Extending::new(0, 0);
+            let out = other.await_outcome(Deadline::Never, None, &s);
+            (out, s.asks.get(), s.seen.get())
+        });
+        // Three spurious wakes: each sends the waiter round its loop again,
+        // parked once already, and it must park again without asking.
+        for _ in 0..3 {
+            let handle = loop {
+                if let Some(h) = slot.waiter.take() {
+                    break h;
+                }
+                std::thread::yield_now();
+            };
+            handle.wake();
+        }
+        until_registered(&slot);
+        assert!(slot.try_claim());
+        unsafe { slot.fulfill(1) };
+        let (out, asks, (_, parked)) = waiter.join().unwrap();
+        assert_eq!(out, WaitOutcome::Matched(MATCHED));
+        // (The last registration may meet the claim before it parks.)
+        assert!(parked >= 3, "parked {parked} times");
+        assert_eq!(asks, 1, "asked only when the first budget ran out");
+    }
+
+    #[test]
+    fn each_granted_extension_is_one_window() {
+        let slot: Arc<WaitSlot<u32>> = Arc::new(WaitSlot::new());
+        let other = Arc::clone(&slot);
+        let waiter = std::thread::spawn(move || {
+            let s = Extending::new(5, 3);
+            let out = other.await_outcome(Deadline::Never, None, &s);
+            (out, s.asks.get(), s.seen.get())
+        });
+        until_registered(&slot);
+        assert!(slot.try_claim());
+        unsafe { slot.fulfill(2) };
+        let (out, asks, (spun, parked)) = waiter.join().unwrap();
+        assert_eq!(out, WaitOutcome::Matched(MATCHED));
+        assert_eq!(asks, 4, "three granted, the fourth refused");
+        assert_eq!(spun, 5 + 3 * u64::from(ADAPTIVE_SPIN_CAP));
+        assert!(parked <= 1, "parked {parked} times");
+    }
+
+    #[test]
+    fn an_always_extending_timed_wait_times_out_on_time() {
+        let slot: WaitSlot<u32> = WaitSlot::new();
+        let patience = Duration::from_millis(20);
+        let start = std::time::Instant::now();
+        let s = Extending {
+            late: Some(start + patience),
+            ..Extending::new(0, u32::MAX)
+        };
+        let out = slot.await_outcome(Deadline::At(start + patience), None, &s);
+        assert_eq!(out, WaitOutcome::TimedOut);
+        assert!(slot.is_cancelled());
+        assert!(start.elapsed() >= patience);
+        // With no budget, every ask comes on a pass that has just polled
+        // the deadline (a window is a whole number of poll intervals), so
+        // no window is granted once it has passed, save one that asked in
+        // the instant between the poll and the ask.
+        assert!(s.late_asks.get() <= 1, "{} late windows", s.late_asks.get());
+        assert_eq!(s.seen.get().1, 0, "never parked");
+        assert!(s.asks.get() > 1);
+    }
+
+    #[test]
+    fn a_fired_token_cancels_an_always_extending_wait() {
+        let slot: WaitSlot<u32> = WaitSlot::new();
+        let token = CancelToken::new();
+        let canceller = token.canceller();
+        let h = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            canceller.cancel();
+        });
+        let s = Extending::new(0, u32::MAX);
+        let out = slot.await_outcome(Deadline::Never, Some(&token), &s);
+        assert_eq!(out, WaitOutcome::Cancelled);
+        assert!(slot.is_cancelled());
+        assert_eq!(s.seen.get().1, 0, "never parked");
         h.join().unwrap();
     }
 

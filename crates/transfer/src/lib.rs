@@ -57,6 +57,19 @@
 //! index CAS ([`TransferQueue::put_batch`] /
 //! [`TransferQueue::take_batch`]). Use [`BufferedChannel`] for trait-level
 //! buffered semantics.
+//!
+//! # Next in line spins
+//!
+//! A linked producer waits for a consumer to get through everything
+//! ahead of it, and while that is the ring, it can watch the consumer
+//! come: the ring's occupancy falls. So it does not park when its spin
+//! budget runs out while it is the list's front and the occupancy keeps
+//! falling; it spins on, one window at a time, until the ring is empty
+//! and one window more, and parks only if the drain stalls. This is the
+//! paper's "nodes next in line for fulfillment spin briefly", and it holds
+//! whatever budget the queue's calibrated [`SpinPolicy`] has learnt: a
+//! handoff caught this way is taught to the calibrator as the direct
+//! handoff it was. Consumers spin and park by the policy alone.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -66,6 +79,7 @@ mod waiters;
 
 pub use ring::RingBuffer;
 
+use std::cell::Cell;
 use std::ops::ControlFlow;
 use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -77,7 +91,7 @@ use synq::{
     SpinPolicy, StartTransfer, SyncChannel, TimedSyncChannel, TransferOutcome, Transferer,
 };
 use synq_obs::probe;
-use synq_primitives::{Backoff, CachePadded, WaitOutcome};
+use synq_primitives::{Backoff, CachePadded, WaitOutcome, WaitStrategy};
 use synq_reclaim::{Epoch, Reclaimer};
 use waiters::{Entry, WaiterQueue};
 
@@ -985,7 +999,8 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         }
     }
 
-    /// Waits on our published node, then settles it.
+    /// Waits on our published node, then settles it. A producer waits
+    /// with [`DrainSpin`], a consumer with the queue's policy alone.
     fn await_fulfill(
         &self,
         node: *const WaitNode<T, R>,
@@ -993,9 +1008,13 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
         // SAFETY: we hold the waiter reference until `leave`.
-        let verdict = unsafe { &*node }
-            .slot
-            .await_outcome(deadline, token, &self.spin);
+        let own = unsafe { &*node };
+        let verdict = if own.is_data() {
+            own.slot
+                .await_outcome(deadline, token, &DrainSpin::new(self, node))
+        } else {
+            own.slot.await_outcome(deadline, token, &self.spin)
+        };
         // SAFETY: our own published node; `verdict` is its terminal state.
         unsafe { self.settle(node, verdict) }
     }
@@ -1035,6 +1054,78 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
             self.after_front_change();
         }
         handed_back.map_or(outcome, |item| TransferOutcome::Transferred(Some(item)))
+    }
+}
+
+/// How a linked producer (a `transfer`, or a bounded put waiting for a
+/// slot) waits: the queue's [`SpinPolicy`], plus one more spin window each
+/// time the budget runs out while the producer can see its consumer
+/// coming, the paper's "nodes next in line for fulfillment spin briefly"
+/// (DESIGN §4.15). It extends only while all three hold:
+///
+/// * the policy spins at all (not on a uniprocessor, not
+///   `park_immediately`), whatever budget its calibrator holds now;
+/// * the ring's occupancy fell since the previous ask (at the first ask:
+///   the ring holds anything), so the window after it reaches 0, in which
+///   the consumer gets from the ring to the list, is the last;
+/// * the node is next in line, so at most one producer per queue spins.
+///
+/// Budget and feedback are the policy's: a handoff caught in an extension
+/// is recorded as the direct handoff it was.
+struct DrainSpin<'q, T, R: Reclaimer> {
+    queue: &'q TransferQueue<T, R>,
+    node: *const WaitNode<T, R>,
+    /// Ring occupancy at the previous ask; `None` before the first.
+    occupancy: Cell<Option<usize>>,
+    /// The node was seen next in line, which it then stays until its wait
+    /// is decided (see [`DualList::is_front`]).
+    next_in_line: Cell<bool>,
+}
+
+impl<'q, T: Send, R: Reclaimer> DrainSpin<'q, T, R> {
+    fn new(queue: &'q TransferQueue<T, R>, node: *const WaitNode<T, R>) -> Self {
+        DrainSpin {
+            queue,
+            node,
+            occupancy: Cell::new(None),
+            next_in_line: Cell::new(false),
+        }
+    }
+
+    /// The only data node still counted is ours (the count never reads
+    /// low, see [`LinkedCounts`]), so whatever is ahead is decided: no pin.
+    /// Otherwise ask the list, under a guard.
+    fn is_next_in_line(&self) -> bool {
+        if !self.next_in_line.get() {
+            let queue = self.queue;
+            self.next_in_line
+                .set(queue.linked_data() == 1 || queue.list.is_front(self.node));
+        }
+        self.next_in_line.get()
+    }
+}
+
+impl<T: Send, R: Reclaimer> WaitStrategy for DrainSpin<'_, T, R> {
+    #[inline]
+    fn spin_budget(&self, timed: bool) -> u32 {
+        self.queue.spin.spin_budget(timed)
+    }
+
+    fn extend_spin(&self) -> bool {
+        if self.queue.spin.max_untimed_spins == 0 {
+            return false;
+        }
+        let now = self.queue.ring.len();
+        let draining = match self.occupancy.replace(Some(now)) {
+            None => now > 0,
+            Some(before) => now < before,
+        };
+        draining && self.is_next_in_line()
+    }
+
+    #[inline]
+    fn observe(&self, timed: bool, spun: u64, parked: u64, matched: bool) {
+        self.queue.spin.observe(timed, spun, parked, matched);
     }
 }
 
@@ -2126,6 +2217,94 @@ mod tests {
         }
         assert_eq!(sum.load(Ordering::Relaxed), (0..PRODUCERS * PER).sum());
         assert!(q.is_empty());
+    }
+
+    // ------------------------------------------------- next in line spins
+
+    /// Links a `transfer` of `v` and returns its node, as a blocked
+    /// `transfer` holds it.
+    fn linked_transfer(q: &TransferQueue<u32>, v: u32) -> *const WaitNode<u32, Epoch> {
+        match q.link_producer(v, PutMode::Sync, Deadline::Never, None) {
+            ControlFlow::Continue(node) => node,
+            ControlFlow::Break(_) => panic!("nobody waits to take it"),
+        }
+    }
+
+    /// Withdraws a linked `transfer`, as its timeout would.
+    fn withdraw(q: &TransferQueue<u32>, node: *const WaitNode<u32, Epoch>) -> u32 {
+        assert!(unsafe { &*node }.slot.try_cancel());
+        match unsafe { q.settle(node, WaitOutcome::Cancelled) } {
+            TransferOutcome::Cancelled(Some(v)) => v,
+            other => panic!("expected the item back, got {other:?}"),
+        }
+    }
+
+    /// Each row: items popped from the ring before an ask, and the answer.
+    fn asks(q: &TransferQueue<u32>, s: &DrainSpin<'_, u32, Epoch>, rows: &[(usize, bool)]) {
+        for (i, &(pops, extends)) in rows.iter().enumerate() {
+            for _ in 0..pops {
+                q.ring.try_pop().expect("a ring item");
+            }
+            assert_eq!(s.extend_spin(), extends, "row {i}: {rows:?}");
+        }
+    }
+
+    /// The rule a linked producer's wait extends by, over a real ring.
+    #[test]
+    fn a_producer_extends_its_spin_only_while_the_ring_drains_toward_it() {
+        let spinning = || TransferQueue::with_spin(SpinPolicy::fixed(1));
+
+        // Started empty: nothing can drain toward it.
+        let q = spinning();
+        let node = linked_transfer(&q, 9);
+        asks(&q, &DrainSpin::new(&q, node), &[(0, false), (0, false)]);
+        assert_eq!(withdraw(&q, node), 9);
+
+        // Falling, stalled, falling to 0, then the one window after 0.
+        let q = spinning();
+        for i in 0..4 {
+            q.put(i);
+        }
+        let node = linked_transfer(&q, 9);
+        let rows = [
+            (0, true),  // the first ask: the ring holds items
+            (1, true),  // falling
+            (0, false), // stalled
+            (1, true),  // falling again
+            (2, true),  // reached 0: the window in which the consumer
+            (0, false), // gets from the ring to the list, then no more
+        ];
+        asks(&q, &DrainSpin::new(&q, node), &rows);
+        assert_eq!(withdraw(&q, node), 9);
+
+        // Not the front: the second of two linked transfers never extends
+        // (the count says two, the list says who is first); the first does.
+        let q = spinning();
+        for i in 0..4 {
+            q.put(i);
+        }
+        let first = linked_transfer(&q, 8);
+        let second = linked_transfer(&q, 9);
+        let behind = DrainSpin::new(&q, second);
+        let ahead = DrainSpin::new(&q, first);
+        for _ in 0..2 {
+            assert!(!behind.extend_spin() && ahead.extend_spin());
+            q.ring.try_pop().expect("a ring item");
+        }
+        assert_eq!((withdraw(&q, first), withdraw(&q, second)), (8, 9));
+
+        // A policy that does not spin does not spin longer either.
+        let q = TransferQueue::with_spin(SpinPolicy::park_immediately());
+        for i in 0..4 {
+            q.put(i);
+        }
+        let node = linked_transfer(&q, 9);
+        asks(
+            &q,
+            &DrainSpin::new(&q, node),
+            &[(0, false), (1, false), (3, false)],
+        );
+        assert_eq!(withdraw(&q, node), 9);
     }
 
     #[test]

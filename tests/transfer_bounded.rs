@@ -349,3 +349,51 @@ fn per_producer_fifo_with_waiting_puts_on_a_full_ring() {
     assert!(q.is_empty(), "{q:?}");
     assert_eq!(drops.load(Ordering::SeqCst), per * PRODUCERS);
 }
+
+/// A bounded put that finds the ring full waits on a linked node, next in
+/// line once the ring drains toward it (it spins on that drain where it
+/// can, DESIGN §4.15). Round after round the producer fills the ring, lets
+/// the consumer start, and puts one more; the consumer drains the lot. The
+/// extra put is received after the ring's items, every item exactly once.
+#[test]
+fn a_waiting_put_behind_a_full_ring_that_a_consumer_drains() {
+    let (cap, rounds) = if cfg!(miri) { (4, 3) } else { (64, 200) };
+    let q: Arc<TransferQueue<Msg>> = Arc::new(TransferQueue::bounded(cap));
+    let drops = Arc::new(AtomicUsize::new(0));
+    let (go, turns) = mpsc::channel();
+    let consumer = {
+        let q = Arc::clone(&q);
+        thread::spawn(move || {
+            let mut expected = 0;
+            for () in turns {
+                for _ in 0..=cap {
+                    let m = q.take();
+                    assert_eq!((m.producer, m.seq), (0, expected), "out of order");
+                    expected += 1;
+                }
+            }
+        })
+    };
+    let msg = |seq| Msg {
+        producer: 0,
+        seq,
+        drops: Arc::clone(&drops),
+    };
+    let mut seq = 0;
+    for _ in 0..rounds {
+        for _ in 0..cap {
+            assert!(q.try_put(msg(seq)).is_ok(), "the ring has room");
+            seq += 1;
+        }
+        go.send(()).unwrap();
+        q.put(msg(seq)); // the ring is full, unless the drain has begun
+        seq += 1;
+        while !q.is_empty() {
+            thread::yield_now();
+        }
+    }
+    drop(go);
+    consumer.join().unwrap();
+    assert!(q.is_empty(), "{q:?}");
+    assert_eq!(drops.load(Ordering::SeqCst), rounds * (cap + 1));
+}

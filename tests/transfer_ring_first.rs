@@ -15,6 +15,7 @@ use std::task::{Context, Poll, Wake, Waker};
 use std::thread;
 use std::time::Duration;
 use synq_async::AsyncTransferQueue;
+use synq_suite::core::{Deadline, TransferOutcome};
 use synq_suite::reclaim::{Epoch, Hazard, Reclaimer};
 use synq_suite::transfer::TransferQueue;
 
@@ -383,4 +384,169 @@ fn drop_releases_ring_overflow_and_cancelled_transfer_exactly_once() {
         0,
         "queue drop leaked (>0) or double-dropped (<0) payloads"
     );
+}
+
+// ------------------------------------------- a wait behind a draining ring
+//
+// A `transfer` linked behind buffered items is next in line once the ring
+// drains toward it, and spins on that drain instead of parking (DESIGN
+// §4.15). Whether it spins or parks, the contract is the same.
+
+/// Counts its drops, so that every row also proves each item was dropped
+/// exactly once.
+#[derive(Debug)]
+struct Counted {
+    seq: usize,
+    drops: Arc<AtomicUsize>,
+}
+
+impl Drop for Counted {
+    fn drop(&mut self) {
+        self.drops.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+fn counter(drops: &Arc<AtomicUsize>) -> impl Fn(usize) -> Counted + '_ {
+    move |seq| Counted {
+        seq,
+        drops: Arc::clone(drops),
+    }
+}
+
+/// `put`×`burst`, then a `transfer`, round after round, against a consumer
+/// that takes everything: every item arrives exactly once, in order, and
+/// each `transfer` returns only once its item is taken.
+#[test]
+fn a_transfer_behind_a_draining_ring_arrives_after_it_exactly_once() {
+    let (burst, rounds) = if cfg!(miri) { (16, 4) } else { (256, 200) };
+    let total = rounds * (burst + 1);
+    let q: Arc<TransferQueue<Counted>> = Arc::new(TransferQueue::new());
+    let drops = Arc::new(AtomicUsize::new(0));
+    let taken = Arc::new(AtomicUsize::new(0));
+    let consumer = {
+        let (q, taken) = (Arc::clone(&q), Arc::clone(&taken));
+        thread::spawn(move || {
+            for expected in 0..total {
+                assert_eq!(q.take().seq, expected, "out of order");
+                taken.store(expected + 1, Ordering::SeqCst);
+            }
+        })
+    };
+    let item = counter(&drops);
+    let mut seq = 0;
+    for _ in 0..rounds {
+        for _ in 0..burst {
+            q.put(item(seq));
+            seq += 1;
+        }
+        q.transfer(item(seq));
+        // Its item was taken, so everything before it was too (the
+        // consumer records a take once it returns).
+        assert!(
+            taken.load(Ordering::SeqCst) >= seq,
+            "transfer returned early"
+        );
+        seq += 1;
+    }
+    consumer.join().unwrap();
+    assert!(q.is_empty());
+    assert_eq!(drops.load(Ordering::SeqCst), total);
+}
+
+/// A `transfer_timeout` behind a ring that drains more slowly than its
+/// patience: it times out on time with its item back, and the consumer,
+/// which drains the ring to the end, never receives that item. Odd rounds
+/// drain fast enough for the transfer to spin up to its deadline, even
+/// rounds slowly enough for it to park.
+#[test]
+fn a_transfer_that_times_out_mid_drain_takes_its_item_back() {
+    let (burst, rounds) = if cfg!(miri) { (8, 2) } else { (256, 20) };
+    let q: Arc<TransferQueue<Counted>> = Arc::new(TransferQueue::new());
+    let drops = Arc::new(AtomicUsize::new(0));
+    let (go, paces) = mpsc::channel::<Duration>();
+    let (done, drained) = mpsc::channel();
+    let consumer = {
+        let q = Arc::clone(&q);
+        thread::spawn(move || {
+            let mut expected = 0;
+            for pace in paces {
+                for _ in 0..burst {
+                    let started = std::time::Instant::now();
+                    assert_eq!(q.take().seq, expected, "out of order");
+                    expected += 1;
+                    while started.elapsed() < pace {
+                        std::hint::spin_loop();
+                    }
+                }
+                done.send(()).unwrap();
+            }
+        })
+    };
+    let item = counter(&drops);
+    let mut seq = 0;
+    for round in 0..rounds {
+        let patience = Duration::from_micros(if round % 2 == 1 { 50 } else { 2_000 });
+        // The drain takes at least four times the transfer's patience.
+        let pace = patience * 4 / burst as u32;
+        for _ in 0..burst {
+            q.put(item(seq));
+            seq += 1;
+        }
+        go.send(pace).unwrap();
+        let start = std::time::Instant::now();
+        let outcome = q.transfer_with(item(usize::MAX), Deadline::after(patience), None);
+        let waited = start.elapsed();
+        match outcome {
+            TransferOutcome::Timeout(Some(back)) => assert_eq!(back.seq, usize::MAX),
+            other => panic!("round {round}: expected a timeout, got {other:?}"),
+        }
+        assert!(waited >= patience, "round {round}: woke early ({waited:?})");
+        assert!(
+            waited < patience + Duration::from_secs(1),
+            "round {round}: overslept ({waited:?})"
+        );
+        drained
+            .recv_timeout(WAKE_PATIENCE)
+            .expect("the consumer drains");
+        assert!(q.poll().is_none(), "the timed-out item was queued");
+    }
+    drop(go);
+    consumer.join().unwrap();
+    assert!(q.is_empty());
+    assert_eq!(drops.load(Ordering::SeqCst), seq + rounds);
+}
+
+/// Two `transfer`s linked one behind the other behind one ring: the ring
+/// drains first, then the two, in the order they were linked, and both
+/// return.
+#[test]
+fn two_transfers_behind_one_ring_are_delivered_in_order() {
+    let (burst, rounds) = if cfg!(miri) { (8, 2) } else { (256, 50) };
+    let q: Arc<TransferQueue<Counted>> = Arc::new(TransferQueue::new());
+    let drops = Arc::new(AtomicUsize::new(0));
+    for _ in 0..rounds {
+        let item = counter(&drops);
+        for seq in 0..burst {
+            q.put(item(seq));
+        }
+        let transfers: Vec<_> = (burst..burst + 2)
+            .map(|seq| {
+                let (sender, drops) = (Arc::clone(&q), Arc::clone(&drops));
+                let t = thread::spawn(move || sender.transfer(counter(&drops)(seq)));
+                // Linked before the next one starts.
+                while q.len() < seq + 1 {
+                    thread::yield_now();
+                }
+                t
+            })
+            .collect();
+        for expected in 0..burst + 2 {
+            assert_eq!(q.take().seq, expected, "out of order");
+        }
+        for t in transfers {
+            t.join().unwrap();
+        }
+        assert!(q.is_empty());
+    }
+    assert_eq!(drops.load(Ordering::SeqCst), rounds * (burst + 2));
 }
