@@ -55,10 +55,7 @@ pub use future::{RecvFuture, RecvTimedFuture, SendFuture, SendTimedFuture};
 
 use std::sync::Arc;
 use std::time::Duration;
-use synq::{
-    CombinerSyncQueue, Deadline, StripedSyncQueue, StripedSyncStack, SyncDualQueue, SyncDualStack,
-    TimedSyncChannel,
-};
+use synq::{CombinerSyncQueue, Deadline, SyncDualQueue, SyncDualStack, TimedSyncChannel};
 use synq_transfer::BufferedChannel;
 
 macro_rules! async_wrapper {
@@ -204,46 +201,6 @@ async_wrapper! {
     /// assert_eq!(block_on(s.recv_timed(Duration::from_millis(10))), None);
     /// ```
     AsyncSyncStack, SyncDualStack, "synq::SyncDualStack"
-}
-
-async_wrapper! {
-    /// The **striped fair** async handoff point: contention-adaptive
-    /// multi-lane routing on a [`StripedSyncQueue`] (FIFO per lane; see
-    /// `synq::striped` for the global-fairness trade-off). The default
-    /// lane count scales with the host's cores.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use synq_async::{block_on, AsyncStripedQueue};
-    /// use synq::SyncChannel;
-    /// use std::thread;
-    ///
-    /// let q = AsyncStripedQueue::new();
-    /// let q2 = q.clone();
-    /// // A *blocking* producer pairs with an *async* consumer, whichever
-    /// // lanes the two publish on.
-    /// let t = thread::spawn(move || q2.inner().put(5u32));
-    /// assert_eq!(block_on(q.recv()), 5);
-    /// t.join().unwrap();
-    /// ```
-    AsyncStripedQueue, StripedSyncQueue, "synq::StripedSyncQueue"
-}
-
-async_wrapper! {
-    /// The **striped unfair** async handoff point: contention-adaptive
-    /// multi-lane routing on a [`StripedSyncStack`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use synq_async::{block_on, AsyncStripedStack};
-    /// use std::time::Duration;
-    ///
-    /// let s: AsyncStripedStack<u8> = AsyncStripedStack::new();
-    /// assert_eq!(block_on(s.recv_timed(Duration::from_millis(10))), None);
-    /// ```
-    AsyncStripedStack, StripedSyncStack, "synq::StripedSyncStack"
 }
 
 async_wrapper! {
@@ -449,15 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn striped_async_send_pairs_with_blocking_take() {
-        let q = AsyncStripedQueue::new();
-        let q2 = q.clone();
-        let t = std::thread::spawn(move || q2.inner().take());
-        block_on(q.send(9u64));
-        assert_eq!(t.join().unwrap(), 9);
-    }
-
-    #[test]
     fn combiner_async_send_pairs_with_blocking_take() {
         let q = AsyncCombinerQueue::new();
         let q2 = q.clone();
@@ -492,14 +440,6 @@ mod tests {
         assert_eq!(q.try_recv(), None);
         assert_eq!(q.try_send(1), Err(1));
         assert_eq!(block_on(q.recv_timed(Duration::from_millis(10))), None);
-    }
-
-    #[test]
-    fn striped_stack_try_ops_and_timed_recv() {
-        let s: AsyncStripedStack<u32> = AsyncStripedStack::new();
-        assert_eq!(s.try_recv(), None);
-        assert_eq!(s.try_send(1), Err(1));
-        assert_eq!(block_on(s.recv_timed(Duration::from_millis(10))), None);
     }
 
     #[test]

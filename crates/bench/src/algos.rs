@@ -2,8 +2,8 @@
 
 use std::sync::Arc;
 use synq::{
-    CombinerSyncQueue, CombinerSyncStack, SpinPolicy, StripedSyncQueue, StripedSyncStack,
-    SyncChannel, SyncDualQueue, SyncDualStack, TimedSyncChannel,
+    CombinerSyncQueue, CombinerSyncStack, SpinPolicy, SyncChannel, SyncDualQueue, SyncDualStack,
+    TimedSyncChannel,
 };
 use synq_baselines::{HansonFastSQ, HansonSQ, Java5SQ, NaiveSQ};
 use synq_exchanger::EliminationSyncStack;
@@ -55,10 +55,6 @@ pub enum Algo {
     NewUnfairSpin(u32),
     /// Dual stack fronted by an elimination arena of the given size (A3).
     NewElim(usize),
-    /// Striped dual queue with the given lane count (scalability sweep).
-    NewFairStriped(usize),
-    /// Striped dual stack with the given lane count (scalability sweep).
-    NewUnfairStriped(usize),
     /// Flat-combining queue (delegation; FIFO within each sweep).
     NewCombiner,
     /// Flat-combining stack (delegation; LIFO within each sweep).
@@ -80,8 +76,6 @@ impl Algo {
             Algo::NewFairSpin(n) => format!("new-fair-spin{n}"),
             Algo::NewUnfairSpin(n) => format!("new-unfair-spin{n}"),
             Algo::NewElim(n) => format!("new-unfair-elim{n}"),
-            Algo::NewFairStriped(n) => format!("new-fair-striped{n}"),
-            Algo::NewUnfairStriped(n) => format!("new-unfair-striped{n}"),
             Algo::NewCombiner => "new-combiner".into(),
             Algo::NewCombinerStack => "new-combiner-stack".into(),
         }
@@ -102,8 +96,6 @@ pub fn make_blocking(algo: Algo) -> Arc<dyn SyncChannel<u64>> {
         Algo::NewFairSpin(n) => Arc::new(SyncDualQueue::with_spin(SpinPolicy::fixed(n))),
         Algo::NewUnfairSpin(n) => Arc::new(SyncDualStack::with_spin(SpinPolicy::fixed(n))),
         Algo::NewElim(slots) => Arc::new(EliminationSyncStack::new(slots)),
-        Algo::NewFairStriped(lanes) => Arc::new(StripedSyncQueue::with_lanes(lanes)),
-        Algo::NewUnfairStriped(lanes) => Arc::new(StripedSyncStack::with_lanes(lanes)),
         Algo::NewCombiner => Arc::new(CombinerSyncQueue::new()),
         Algo::NewCombinerStack => Arc::new(CombinerSyncStack::new()),
     }
@@ -122,8 +114,6 @@ pub fn make_timed_job(algo: Algo) -> Option<Arc<dyn TimedSyncChannel<Job>>> {
         Algo::NewFairSpin(n) => Arc::new(SyncDualQueue::with_spin(SpinPolicy::fixed(n))),
         Algo::NewUnfairSpin(n) => Arc::new(SyncDualStack::with_spin(SpinPolicy::fixed(n))),
         Algo::NewElim(slots) => Arc::new(EliminationSyncStack::new(slots)),
-        Algo::NewFairStriped(lanes) => Arc::new(StripedSyncQueue::with_lanes(lanes)),
-        Algo::NewUnfairStriped(lanes) => Arc::new(StripedSyncStack::with_lanes(lanes)),
         Algo::NewCombiner => Arc::new(CombinerSyncQueue::new()),
         Algo::NewCombinerStack => Arc::new(CombinerSyncStack::new()),
     })

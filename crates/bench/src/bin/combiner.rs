@@ -1,10 +1,10 @@
 //! Flat-combining rendezvous under **scheduler subversion**: the contended
 //! preset (threads ≫ cores, so most waiters are asleep at any instant) run
-//! over the four rendezvous families — the delegation-based combiner, the
-//! classic dual queue, the striped dual queue, and the java5-fair lock
-//! baseline. This is the scenario combining exists for: one running thread
-//! batch-pairs on behalf of the parked majority instead of every handoff
-//! paying its own wakeup chain and CAS storm.
+//! over the three rendezvous families — the delegation-based combiner, the
+//! classic dual queue, and the java5-fair lock baseline. This is the
+//! scenario combining exists for: one running thread batch-pairs on behalf
+//! of the parked majority instead of every handoff paying its own wakeup
+//! chain and CAS storm.
 //!
 //! The combiner series records the structure's always-on sweep counters —
 //! `combiner.sweeps`, `combiner.requests` (requests claimed across all
@@ -28,10 +28,6 @@ use synq_bench::algos::{make_blocking, Algo};
 use synq_bench::report::{counter_deltas_since, write_bench_combiner, FigureReport};
 use synq_bench::workload::{handoff_ns_per_transfer, HandoffShape};
 use synq_bench::{contended_pairs, oversub_factors, quick_mode, transfers_for};
-
-/// Lane count for the striped comparator: enough lanes to matter on a
-/// multicore host without drowning the sweep in series.
-const STRIPED_LANES: usize = 4;
 
 /// Totals of the combiner's always-on counters across one series.
 struct SweepTotals {
@@ -98,7 +94,7 @@ fn combiner_series(
     totals
 }
 
-/// Runs one comparator series (classic / striped / java5) across `levels`.
+/// Runs one comparator series (classic / java5) across `levels`.
 fn comparator_series(algo: Algo, levels: &[usize], quick: bool, report: &mut FigureReport) {
     let before = synq_obs::StatsSnapshot::take();
     let mut values = Vec::with_capacity(levels.len());
@@ -134,12 +130,6 @@ fn main() -> ExitCode {
     let totals = combiner_series("new-combiner", false, &levels, quick, &mut report);
     combiner_series("new-combiner-stack", true, &levels, quick, &mut report);
     comparator_series(Algo::NewFair, &levels, quick, &mut report);
-    comparator_series(
-        Algo::NewFairStriped(STRIPED_LANES),
-        &levels,
-        quick,
-        &mut report,
-    );
     comparator_series(Algo::Java5Fair, &levels, quick, &mut report);
 
     println!("{}", report.to_table());

@@ -15,17 +15,16 @@
 //!    the gate fires and every in-flight dispatch is dropped, exercising
 //!    the PR 3 cancel-safety retraction at scale; `server.cancels`.
 //!
-//! Variants: the global-FIFO dual queue (`new-fair`), the per-lane striped
-//! queue (`new-fair-striped4`), the flat-combining queue (`new-combiner`),
-//! and the bounded buffered channel (`transfer-bounded64`). The fairness
-//! comparison is the point: striping trades global FIFO for throughput, a
-//! trade *only* visible as a latency distribution — so every series
-//! carries a schema rev 3 `latency` block (client-side dispatch spans:
-//! from issuing the send to a worker taking the job) and **p999 is the
-//! headline number**. Per-phase values are mean ns/request; awaited
-//! dispatches (steady/storm/wave completions) feed the histogram, while
-//! burst `try_send`s are counted but not timed — an offer's latency is
-//! clock noise either way.
+//! Variants: the global-FIFO dual queue (`new-fair`), the flat-combining
+//! queue (`new-combiner`, FIFO only within a sweep), and the bounded
+//! buffered channel (`transfer-bounded64`). The fairness comparison is the
+//! point: a weaker order is a trade *only* visible as a latency
+//! distribution — so every series carries a schema rev 3 `latency` block
+//! (client-side dispatch spans: from issuing the send to a worker taking
+//! the job) and **p999 is the headline number**. Per-phase values are mean
+//! ns/request; awaited dispatches (steady/storm/wave completions) feed the
+//! histogram, while burst `try_send`s are counted but not timed — an
+//! offer's latency is clock noise either way.
 //!
 //! Emits `target/figures/server.json` and the repo-root
 //! `BENCH_server.json` (overridable with `SYNQ_SERVER_PATH`).
@@ -39,9 +38,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use synq::{
-    CombinerSyncQueue, Deadline, PollTransferer, StripedSyncQueue, SyncDualQueue, TimedSyncChannel,
-};
+use synq::{CombinerSyncQueue, Deadline, PollTransferer, SyncDualQueue, TimedSyncChannel};
 use synq_async::{block_on_all, cancel::CancelGate, future};
 use synq_bench::hist::Histogram;
 use synq_bench::report::{counter_deltas_since, write_bench_server, FigureReport};
@@ -50,8 +47,6 @@ use synq_executor::{Job, PoolConfig, ThreadPool};
 use synq_obs::probe;
 use synq_transfer::BufferedChannel;
 
-/// Lane count for the striped variant (matches the combiner bench).
-const STRIPED_LANES: usize = 4;
 /// Ring capacity for the buffered variant: small enough that bursts
 /// overflow it, large enough to absorb more than the rendezvous variants.
 const BUFFER_CAP: usize = 64;
@@ -438,14 +433,6 @@ fn main() -> ExitCode {
     let mut storm_timeouts = 0u64;
     let fair: Arc<SyncDualQueue<Job>> = Arc::new(SyncDualQueue::new());
     storm_timeouts += run_variant("new-fair", fair, &cfg, &mut report).timeouts;
-    let striped: Arc<StripedSyncQueue<Job>> = Arc::new(StripedSyncQueue::with_lanes(STRIPED_LANES));
-    storm_timeouts += run_variant(
-        &format!("new-fair-striped{STRIPED_LANES}"),
-        striped,
-        &cfg,
-        &mut report,
-    )
-    .timeouts;
     let combiner: Arc<CombinerSyncQueue<Job>> = Arc::new(CombinerSyncQueue::new());
     storm_timeouts += run_variant("new-combiner", combiner, &cfg, &mut report).timeouts;
     let buffered: Arc<BufferedChannel<Job>> = Arc::new(BufferedChannel::bounded(BUFFER_CAP));

@@ -15,19 +15,17 @@ use std::process::ExitCode;
 use synq_bench::json::Json;
 use synq_bench::report::{
     async_path, check_bench_schema, combiner_path, headline_path, park_path, read_bench_file,
-    reclaim_path, ring_path, server_path, striped_path, wait_strategy_path, write_bench_async,
+    reclaim_path, ring_path, server_path, wait_strategy_path, write_bench_async,
     write_bench_combiner, write_bench_headline, write_bench_park, write_bench_reclaim,
-    write_bench_ring, write_bench_server, write_bench_striped, write_bench_wait_strategy,
-    FigureReport,
+    write_bench_ring, write_bench_server, write_bench_wait_strategy, FigureReport,
 };
 
 /// The repo-root perf-trajectory files: (resolved path, schema family).
-fn bench_files() -> [(std::path::PathBuf, &'static str); 9] {
+fn bench_files() -> [(std::path::PathBuf, &'static str); 8] {
     [
         (headline_path(), "headline"),
         (wait_strategy_path(), "wait-strategy"),
         (async_path(), "async"),
-        (striped_path(), "striped"),
         (ring_path(), "ring"),
         (reclaim_path(), "reclaim"),
         (combiner_path(), "combiner"),
@@ -208,12 +206,6 @@ fn run() -> Result<(), String> {
         guard_overwrite(&async_path(), "async")?;
         let path = write_bench_async(sweep)
             .map_err(|e| format!("failed to write BENCH_async.json: {e}"))?;
-        eprintln!("wrote {}", path.display());
-    }
-    if let Some(sweep) = reports.iter().find(|r| r.id == "scalability-striped") {
-        guard_overwrite(&striped_path(), "striped")?;
-        let path = write_bench_striped(sweep)
-            .map_err(|e| format!("failed to write BENCH_striped.json: {e}"))?;
         eprintln!("wrote {}", path.display());
     }
     if let Some(sweep) = reports.iter().find(|r| r.id == "ring") {

@@ -330,9 +330,8 @@ fn schema_string(family: &str) -> String {
 }
 
 /// Validates the `schema` field of a `BENCH_*.json` document against a
-/// schema family (`"headline"`, `"wait-strategy"`, `"async"`,
-/// `"striped"`, `"ring"`, `"reclaim"`, `"combiner"`, `"server"`,
-/// `"park"`). Returns the
+/// schema family (`"headline"`, `"wait-strategy"`, `"async"`, `"ring"`,
+/// `"reclaim"`, `"combiner"`, `"server"`, `"park"`). Returns the
 /// revision on success; a descriptive error for a missing field, a
 /// different family, or a revision outside
 /// [`BENCH_SCHEMA_OLDEST`]..=[`BENCH_SCHEMA_REV`].
@@ -396,11 +395,6 @@ pub fn wait_strategy_path() -> PathBuf {
 /// Resolved path of `BENCH_async.json` (`SYNQ_ASYNC_PATH` override).
 pub fn async_path() -> PathBuf {
     bench_path("SYNQ_ASYNC_PATH", "BENCH_async.json")
-}
-
-/// Resolved path of `BENCH_striped.json` (`SYNQ_STRIPED_PATH` override).
-pub fn striped_path() -> PathBuf {
-    bench_path("SYNQ_STRIPED_PATH", "BENCH_striped.json")
 }
 
 /// Resolved path of `BENCH_ring.json` (`SYNQ_RING_PATH` override).
@@ -526,24 +520,6 @@ pub fn write_bench_async(sweep: &FigureReport) -> std::io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Writes the repo-root `BENCH_striped.json` file: ns/transfer for the
-/// striped structures across lane counts under the contended (threads ≫
-/// cores) preset, against the unstriped baseline. The per-series schema
-/// rev 2 `counters` section carries the `striped.*` and CAS-failure probe
-/// deltas the scalability claims rest on. Returns the path written
-/// (overridable with `SYNQ_STRIPED_PATH`).
-pub fn write_bench_striped(sweep: &FigureReport) -> std::io::Result<PathBuf> {
-    let path = striped_path();
-    let fields = vec![
-        ("schema".into(), Json::Str(schema_string("striped"))),
-        ("config".into(), report_config(sweep)),
-        ("sweep".into(), sweep.to_json()),
-    ];
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(Json::Obj(fields).pretty().as_bytes())?;
-    Ok(path)
-}
-
 /// Writes the repo-root `BENCH_ring.json` file: ns/transfer for the
 /// bounded ring fast path across capacity × batch-size × pair-count,
 /// beside the unbounded (ring-first) queue. The per-series `counters`
@@ -584,8 +560,8 @@ pub fn write_bench_reclaim(sweep: &FigureReport) -> std::io::Result<PathBuf> {
 }
 
 /// Writes the repo-root `BENCH_combiner.json` file: ns/transfer for the
-/// flat-combining structures against the classic, striped, and java5-fair
-/// variants under the oversubscribed (threads ≫ cores) preset — the
+/// flat-combining structures against the classic and java5-fair variants
+/// under the oversubscribed (threads ≫ cores) preset — the
 /// scheduler-subversion scenario combining exists for. Each combiner
 /// series' `counters` section carries the always-on `combiner.sweeps` /
 /// `combiner.requests` totals plus a derived `combiner.requests_per_sweep`
@@ -609,7 +585,7 @@ pub fn write_bench_combiner(sweep: &FigureReport) -> std::io::Result<PathBuf> {
 /// burst / timeout-storm / cancellation-wave phases. Every series carries
 /// a schema rev 3 `latency` block — tails, not means, are this file's
 /// entire point: p999 is the headline number for the global-FIFO vs
-/// striped vs combiner fairness comparison. The `counters` section records
+/// combiner fairness comparison. The `counters` section records
 /// the always-on `server.requests` / `server.timeouts` / `server.cancels`
 /// / `server.burst_drops` totals. Returns the path written (overridable
 /// with `SYNQ_SERVER_PATH`).
@@ -729,26 +705,6 @@ mod tests {
             doc.get("schema").and_then(Json::as_str).map(str::to_owned),
             Some(format!("synq-bench-async/v{BENCH_SCHEMA_REV}"))
         );
-        assert!(doc.get("config").is_some(), "config block recorded");
-        let sweep = FigureReport::from_json(doc.get("sweep").unwrap()).unwrap();
-        assert_eq!(sweep.series.len(), 2);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn striped_file_roundtrips() {
-        let dir = std::env::temp_dir().join(format!("synq-striped-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_striped.json");
-        std::env::set_var("SYNQ_STRIPED_PATH", &path);
-        let written = write_bench_striped(&sample()).unwrap();
-        std::env::remove_var("SYNQ_STRIPED_PATH");
-        let doc = Json::parse(&std::fs::read_to_string(&written).unwrap()).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(Json::as_str).map(str::to_owned),
-            Some(format!("synq-bench-striped/v{BENCH_SCHEMA_REV}"))
-        );
-        assert!(read_bench_file(&written, "striped").is_ok());
         assert!(doc.get("config").is_some(), "config block recorded");
         let sweep = FigureReport::from_json(doc.get("sweep").unwrap()).unwrap();
         assert_eq!(sweep.series.len(), 2);

@@ -1,19 +1,18 @@
 //! Flat-combining rendezvous: publish your request, let one thread pair
 //! everybody (DESIGN.md §4.13).
 //!
-//! The dual structures ([`SyncDualQueue`](crate::SyncDualQueue)) and the
-//! striped lanes ([`crate::striped`]) fight contention by *diffracting*
-//! threads across CAS points. Delegation-style combining is the other major
-//! answer: every thread publishes its put/take request into a per-thread
-//! **publication record** on an intrusive list, and whichever thread wins a
-//! single combiner-lock CAS *sweeps* the list, pairing waiting putters with
-//! takers in one pass and completing each handoff directly through the
-//! record's [`WaitSlot`] claim CAS. Everyone else spins-then-parks on their
-//! own cache line. One thread doing all the work sounds like a scalability
-//! sin, but under oversubscription (threads ≫ cores) it is exactly right:
-//! the combiner is the one thread the scheduler is currently running, and a
-//! batch of N handoffs costs one lock acquisition instead of N contended
-//! CAS storms against sleeping waiters.
+//! The dual structures ([`SyncDualQueue`](crate::SyncDualQueue)) let every
+//! thread race for the list's CAS points. Delegation-style combining is the
+//! other major answer to contention: every thread publishes its put/take
+//! request into a per-thread **publication record** on an intrusive list,
+//! and whichever thread wins a single combiner-lock CAS *sweeps* the list,
+//! pairing waiting putters with takers in one pass and completing each
+//! handoff directly through the record's [`WaitSlot`] claim CAS. Everyone
+//! else spins-then-parks on their own cache line. One thread doing all the
+//! work sounds like a scalability sin, but under oversubscription (threads
+//! ≫ cores) it is exactly right: the combiner is the one thread the
+//! scheduler is currently running, and a batch of N handoffs costs one lock
+//! acquisition instead of N contended CAS storms against sleeping waiters.
 //!
 //! # Publication-record state machine
 //!
@@ -918,8 +917,7 @@ combiner_structure! {
     /// thread combines on behalf of the sleeping ones, so a batch of N
     /// handoffs costs one lock acquisition instead of N contended wakeup
     /// chains. Fairness is FIFO *within a sweep batch* — weaker than
-    /// [`SyncDualQueue`](crate::SyncDualQueue)'s global FIFO, comparable to
-    /// the striped variants' per-lane FIFO.
+    /// [`SyncDualQueue`](crate::SyncDualQueue)'s global FIFO.
     CombinerSyncQueue, lifo: false, ctor_doc: "combining queue (FIFO pairing within each sweep)"
 }
 

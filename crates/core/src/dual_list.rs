@@ -244,15 +244,12 @@ impl<T, R: Reclaimer> WaitNode<T, R> {
     }
 }
 
-/// Counts, up to `limit`, the nodes satisfying `pred` on the chain behind
-/// `anchor` (a queue's `head`, whose first node is the dummy and is
-/// skipped with `skip_anchor`; a stack's `head`). Racy by nature: O(n),
-/// for diagnostics and the striped router's rescan.
+/// Counts the nodes on the chain behind `anchor` (a queue's `head`, whose
+/// first node is the dummy and is skipped with `skip_anchor`; a stack's
+/// `head`). Racy by nature: O(n), for diagnostics.
 pub(crate) fn count_linked<T, R: Reclaimer>(
     anchor: &Atomic<WaitNode<T, R>, R>,
     skip_anchor: bool,
-    limit: usize,
-    pred: impl Fn(&WaitNode<T, R>) -> bool,
 ) -> usize {
     let guard = R::pin();
     'restart: loop {
@@ -265,11 +262,8 @@ pub(crate) fn count_linked<T, R: Reclaimer>(
         // validated by the anchor re-read below before this deref. Each
         // restart means the anchor moved, so the loop is lock-free.
         while let Some(n) = unsafe { p.as_ref() } {
-            if !std::mem::take(&mut skip) && pred(n) {
+            if !std::mem::take(&mut skip) {
                 count += 1;
-                if count == limit {
-                    break;
-                }
             }
             let next = n.next.load(Ordering::Acquire, &guard);
             if !anchor.load(Ordering::Acquire, &guard).ptr_eq(&root) {
@@ -470,17 +464,9 @@ impl<T, R: Reclaimer> DualList<T, R> {
         hn.as_raw() == own
     }
 
-    /// Racy peek: is any linked node a still-`WAITING` producer
-    /// (`is_data`) / consumer? Walks the whole chain, so that a cancelled
-    /// front node cannot hide a live waiter behind it.
-    pub fn has_waiting(&self, is_data: bool) -> bool {
-        let waiting = |n: &WaitNode<T, R>| n.is_data() == is_data && n.slot.is_waiting();
-        count_linked(&self.head, true, 1, waiting) > 0
-    }
-
     /// Diagnostic: number of linked nodes, the dummy excluded.
     pub fn linked_nodes(&self) -> usize {
-        count_linked(&self.head, true, usize::MAX, |_| true)
+        count_linked(&self.head, true)
     }
 
     /// Has this list ever retired a node, that is, has `head` ever moved?
@@ -584,7 +570,6 @@ impl<'g, T, R: Reclaimer> Arrival<'g, T, R> {
             }
             Err(e) => {
                 synq_obs::probe!(QueueAppendCasFail);
-                crate::contention::note_cas_fail();
                 Err(e.new)
             }
         }
@@ -741,7 +726,6 @@ mod tests {
             assert!(unsafe { &*node }.slot.try_cancel());
         }
         assert_eq!(list.linked_nodes(), PREFIX);
-        assert!(!list.has_waiting(false), "cancelled nodes are not waiting");
 
         let guard = unprotected();
         assert!(list.arrive(&guard).is_empty());
@@ -795,7 +779,7 @@ mod tests {
     fn leave_hands_a_cancelled_producer_its_item_back() {
         let list: List<String> = DualList::default();
         let node = append(&list, Some("mine".to_string()));
-        assert!(list.has_waiting(true) && !list.has_waiting(false));
+        assert!(unsafe { &*node }.is_data() && list.is_front(node));
         assert!(unsafe { &*node }.slot.try_cancel());
         let back = unsafe { list.leave(node, WaitOutcome::TimedOut) };
         assert!(matches!(back, TransferOutcome::Timeout(Some(v)) if v == "mine"));
@@ -844,7 +828,8 @@ mod tests {
         assert!(matches!(out, TransferOutcome::Transferred(Some(2))));
         assert!(head_is(&list, b), "the dummy leaves the head alone");
         assert_eq!(list.linked_nodes(), 1);
-        assert!(list.has_waiting(false), "c is untouched");
+        assert!(list.is_front(c), "c is untouched");
+        assert!(unsafe { &*c }.slot.is_waiting());
         unsafe { WaitNode::release(c) };
     }
 

@@ -210,7 +210,6 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
                 true
             } else {
                 synq_obs::probe!(QueueClaimCasFail);
-                crate::contention::note_cas_fail();
                 false
             };
             at.advance_past(m);
@@ -237,16 +236,6 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
             let verdict = (*node).slot.await_outcome(deadline, token, &self.spin);
             self.list.leave(node, verdict)
         }
-    }
-
-    /// Racy peek for the striped router's rescan: is any linked node a
-    /// still-`WAITING` producer (`is_data`) / consumer (`!is_data`)? Two
-    /// waiters on sibling lanes must not miss each other forever, hence
-    /// the full-chain walk; staleness in both directions is possible by the
-    /// time the caller acts, and the striped retract protocol tolerates
-    /// both.
-    pub(crate) fn has_waiting(&self, is_data: bool) -> bool {
-        self.list.has_waiting(is_data)
     }
 
     /// Diagnostic: number of linked nodes (excluding the dummy). O(n); used
@@ -290,22 +279,6 @@ pub struct QueuePermit<T: Send, R: Reclaimer = Epoch> {
 // references a blocking waiter thread holds — and the queue is `Sync`; the
 // raw pointer is kept alive by the reference count.
 unsafe impl<T: Send, R: Reclaimer> Send for QueuePermit<T, R> {}
-
-impl<T: Send, R: Reclaimer> QueuePermit<T, R> {
-    /// Resolves the permit by blocking — the same spin-then-park wait a
-    /// blocking `transfer` performs, on the already-published node. The
-    /// striped router uses this to downgrade a poll-mode publication into a
-    /// blocking wait once its post-publish rescan comes up empty.
-    pub(crate) fn wait(
-        mut self,
-        deadline: Deadline,
-        token: Option<&CancelToken>,
-    ) -> TransferOutcome<T> {
-        // `done` was false, so the waiter reference is still held.
-        self.done = true;
-        self.queue.await_fulfill(self.node, deadline, token)
-    }
-}
 
 impl<T: Send, R: Reclaimer> PendingTransfer<T> for QueuePermit<T, R> {
     fn poll_transfer(

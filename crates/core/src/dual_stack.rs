@@ -67,11 +67,10 @@
 //!   head before dereferencing below it (a popped node is never re-pushed,
 //!   and the protecting slot prevents its address from being recycled, so
 //!   `head == h` is unambiguous).
-//! * **Chain walks** (`has_waiting`, `linked_nodes`) are the kernel's
-//!   head re-anchor: with the head stable, every link-validated node
-//!   reached from it is unpopped (the stack pops only at the top) and
-//!   unskipped, and nodes retired before the walk began are unreachable
-//!   from the current head.
+//! * **The chain walk** (`linked_nodes`) is the kernel's head re-anchor:
+//!   with the head stable, every link-validated node reached from it is
+//!   unpopped (the stack pops only at the top) and unskipped, and nodes
+//!   retired before the walk began are unreachable from the current head.
 
 use crate::dual_list::{count_linked, WaitNode, DATA, REQUEST};
 use crate::pollable::{PendingTransfer, PollTransferer, StartTransfer};
@@ -252,7 +251,6 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
             Err(actual) => {
                 // Revoke the reference we just added.
                 synq_obs::probe!(StackMatchCasFail);
-                crate::contention::note_cas_fail();
                 self.release_direct(f.as_raw());
                 actual == f.as_raw() as usize
             }
@@ -349,7 +347,6 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
                     }
                     Err(e) => {
                         synq_obs::probe!(StackPushCasFail);
-                        crate::contention::note_cas_fail();
                         let owned = e.new;
                         if is_data {
                             // SAFETY: unpublished node; reclaim the item.
@@ -390,7 +387,6 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
                     }
                     Err(e) => {
                         synq_obs::probe!(StackPushCasFail);
-                        crate::contention::note_cas_fail();
                         let owned = e.new;
                         if is_data {
                             // SAFETY: unpublished node.
@@ -578,23 +574,9 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
         }
     }
 
-    /// Racy peek for the striped router's rescan: is any linked node a
-    /// still-`WAITING` producer (`is_data`) / consumer (`!is_data`)? Walks
-    /// the whole chain — a fulfilling pair or cancelled nodes on top must
-    /// not hide a live waiter beneath, or two waiters on sibling lanes
-    /// could miss each other forever. Staleness in both directions is
-    /// possible by the time the caller acts; the striped retract protocol
-    /// tolerates both. (The mode equality below excludes `FULFILLING`
-    /// nodes automatically.)
-    pub(crate) fn has_waiting(&self, is_data: bool) -> bool {
-        let mode = if is_data { DATA } else { REQUEST };
-        let waiting = |n: &WaitNode<T, R>| n.mode == mode && n.slot.is_waiting();
-        count_linked(&self.head, false, 1, waiting) > 0
-    }
-
     /// Diagnostic: number of linked nodes. O(n), test/ablation use only.
     pub fn linked_nodes(&self) -> usize {
-        count_linked(&self.head, false, usize::MAX, |_| true)
+        count_linked(&self.head, false)
     }
 }
 
@@ -646,24 +628,6 @@ pub struct StackPermit<T: Send, R: Reclaimer = Epoch> {
 // references a blocking waiter thread holds — and the stack is `Sync`; the
 // raw pointer is kept alive by the reference count.
 unsafe impl<T: Send, R: Reclaimer> Send for StackPermit<T, R> {}
-
-impl<T: Send, R: Reclaimer> StackPermit<T, R> {
-    /// Resolves the permit by blocking — the same spin-then-park wait a
-    /// blocking `transfer` performs, on the already-pushed node. The
-    /// striped router uses this to downgrade a poll-mode publication into a
-    /// blocking wait once its post-publish rescan comes up empty.
-    pub(crate) fn wait(
-        mut self,
-        deadline: Deadline,
-        token: Option<&CancelToken>,
-    ) -> TransferOutcome<T> {
-        self.done = true;
-        // SAFETY: `done` was false, so the owner reference is still held.
-        let node = unsafe { &*self.node };
-        let verdict = node.slot.await_outcome(deadline, token, &self.stack.spin);
-        self.stack.finish_wait(self.node, self.is_data, verdict)
-    }
-}
 
 impl<T: Send, R: Reclaimer> PendingTransfer<T> for StackPermit<T, R> {
     fn poll_transfer(

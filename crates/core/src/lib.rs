@@ -49,13 +49,11 @@
 
 pub mod channel;
 pub mod combiner;
-pub mod contention;
 pub mod dual_list;
 pub mod dual_queue;
 pub mod dual_stack;
 pub mod pollable;
 pub mod queue;
-pub mod striped;
 pub mod transferer;
 
 pub use channel::{SyncChannel, TimedSyncChannel};
@@ -64,6 +62,5 @@ pub use dual_queue::{QueuePermit, SyncDualQueue};
 pub use dual_stack::{StackPermit, SyncDualStack};
 pub use pollable::{PendingTransfer, PollTransferer, StartTransfer};
 pub use queue::SynchronousQueue;
-pub use striped::{Striped, StripedLane, StripedPermit, StripedSyncQueue, StripedSyncStack};
 pub use synq_primitives::{CancelToken, SpinPolicy};
 pub use transferer::{Deadline, TransferOutcome, Transferer};

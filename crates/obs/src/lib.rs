@@ -174,18 +174,6 @@ probes! {
     /// Polls that returned `Pending` (registered a waker and suspended).
     AsyncPendings => "async.pendings",
 
-    // Striped lanes (DESIGN §4.10): where the lane-picker sent each transfer.
-    /// Transfers resolved on the caller's affine lane (fast path).
-    StripedLaneHits => "striped.lane_hits",
-    /// Transfers resolved on a sibling lane found by the fail-fast scan.
-    StripedScans => "striped.scans",
-    /// Lane-picker diffractions: affine offset rotated after sustained
-    /// CAS-failure feedback.
-    StripedDiffractions => "striped.diffractions",
-    /// Published waits retracted because a counterpart appeared on a
-    /// sibling lane during the post-publish rescan.
-    StripedRetracts => "striped.retracts",
-
     // Ring-buffer fast path (DESIGN §4.11): SCQ-style cycle-versioned
     // slots in front of the TransferQueue rendezvous, bounded or unbounded.
     /// Items published into the ring (buffered fast-path puts).

@@ -47,8 +47,6 @@ pub mod cache_padded;
 pub mod cancel;
 pub mod deadline;
 pub mod fast_semaphore;
-pub mod lane_hint;
-pub mod mcs_lock;
 pub mod parker;
 pub mod semaphore;
 pub mod spin;
@@ -64,7 +62,6 @@ pub use cache_padded::CachePadded;
 pub use cancel::{CancelToken, Canceller};
 pub use deadline::Deadline;
 pub use fast_semaphore::FastSemaphore;
-pub use mcs_lock::{McsLock, McsLockGuard};
 pub use parker::{CondvarParker, CondvarUnparker, Parker, Unparker};
 pub use semaphore::Semaphore;
 pub use spin::{SpinCalibrator, SpinPolicy, ADAPTIVE_SPIN_CAP};

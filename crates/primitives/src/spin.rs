@@ -149,8 +149,8 @@ impl SpinCalibrator {
 /// A `SpinPolicy` is cheap to clone — two words plus an optional shared
 /// [`SpinCalibrator`] handle — and the queues embed one per instance so
 /// benchmarks can ablate spinning (experiment A1 in DESIGN.md). Clones share
-/// the calibrator, so handing one policy to several lanes of a striped
-/// structure keeps a single per-structure estimate, which is the intent.
+/// the calibrator: structures handed clones of one policy keep a single
+/// estimate between them.
 #[derive(Debug, Clone)]
 pub struct SpinPolicy {
     /// Spin iterations before parking when the wait has a deadline. For a

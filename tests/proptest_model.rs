@@ -8,14 +8,16 @@
 //!   values whose producers reported success;
 //! * no fabrication — nothing is ever received that was not sent;
 //! * single delivery — no value is received twice;
-//! * bounded emptiness — after all threads quiesce, `poll` finds nothing.
+//! * bounded emptiness — after all threads quiesce, `poll` finds nothing;
+//! * drop conservation — every payload is dropped exactly once.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
-use synq_suite::core::SynchronousQueue;
+use synq_suite::core::{SyncDualQueue, SyncDualStack, SynchronousQueue, TimedSyncChannel};
 use synq_suite::transfer::TransferQueue;
 
 /// Runs `producers`×`per` timed offers against one drainer; checks
@@ -232,5 +234,118 @@ proptest! {
             s.put(i);
         }
         prop_assert_eq!(t.join().unwrap(), (n as u64 * (n as u64 - 1)) / 2);
+    }
+}
+
+/// A payload that tracks its own liveness: exactly one decrement per
+/// construction, however many times it is moved between threads.
+struct Payload {
+    id: usize,
+    live: Arc<AtomicIsize>,
+}
+
+impl Payload {
+    fn new(id: usize, live: &Arc<AtomicIsize>) -> Self {
+        live.fetch_add(1, Ordering::Relaxed);
+        Payload {
+            id,
+            live: Arc::clone(live),
+        }
+    }
+}
+
+impl Drop for Payload {
+    fn drop(&mut self) {
+        self.live.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Runs `producers`×`per` timed sends against `consumers` timed receivers
+/// on `channel`, then checks the exactly-one-pairing contract: every id is
+/// either received once or refused (timed out) back to its producer once,
+/// never both, and every payload is dropped exactly once.
+fn check_conservation(
+    channel: Arc<dyn TimedSyncChannel<Payload>>,
+    producers: usize,
+    consumers: usize,
+    per: usize,
+) -> Result<(), TestCaseError> {
+    let live = Arc::new(AtomicIsize::new(0));
+    let stop = Arc::new(AtomicUsize::new(0));
+    let received = Arc::new(Mutex::new(Vec::new()));
+    let refused = Arc::new(Mutex::new(Vec::new()));
+
+    let mut handles = Vec::new();
+    for p in 0..producers {
+        let channel = Arc::clone(&channel);
+        let live = Arc::clone(&live);
+        let refused = Arc::clone(&refused);
+        handles.push(thread::spawn(move || {
+            for i in 0..per {
+                let payload = Payload::new(p * per + i, &live);
+                if let Err(back) = channel.offer_timeout(payload, Duration::from_micros(200)) {
+                    refused.lock().unwrap().push(back.id);
+                }
+            }
+        }));
+    }
+    let mut takers = Vec::new();
+    for _ in 0..consumers {
+        let channel = Arc::clone(&channel);
+        let stop = Arc::clone(&stop);
+        let received = Arc::clone(&received);
+        takers.push(thread::spawn(move || {
+            while stop.load(Ordering::Relaxed) == 0 {
+                if let Some(p) = channel.poll_timeout(Duration::from_micros(100)) {
+                    received.lock().unwrap().push(p.id);
+                }
+            }
+        }));
+    }
+    for h in handles {
+        h.join().unwrap();
+    }
+    stop.store(1, Ordering::Relaxed);
+    for t in takers {
+        t.join().unwrap();
+    }
+    // A producer may have matched at the buzzer, after every consumer
+    // already left: drain the tail.
+    while let Some(p) = channel.poll_timeout(Duration::from_millis(2)) {
+        received.lock().unwrap().push(p.id);
+    }
+
+    let mut seen: Vec<usize> = received.lock().unwrap().clone();
+    seen.extend(refused.lock().unwrap().iter().copied());
+    seen.sort_unstable();
+    let expected: Vec<usize> = (0..producers * per).collect();
+    prop_assert_eq!(
+        seen,
+        expected,
+        "every send must be received once xor refused once"
+    );
+    prop_assert_eq!(live.load(Ordering::Relaxed), 0, "payload drop conservation");
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(36))]
+
+    /// Exactly-one-pairing and drop conservation on the fair queue, the
+    /// unfair stack and the transfer queue (whose channel `offer_timeout`
+    /// is a timed `transfer`).
+    #[test]
+    fn timed_pairs_conserve_every_payload(
+        structure in 0usize..3,
+        producers in 1usize..=3,
+        consumers in 1usize..=3,
+        per in 1usize..=25,
+    ) {
+        let channel: Arc<dyn TimedSyncChannel<Payload>> = match structure {
+            0 => Arc::new(SyncDualQueue::new()),
+            1 => Arc::new(SyncDualStack::new()),
+            _ => Arc::new(TransferQueue::new()),
+        };
+        check_conservation(channel, producers, consumers, per)?;
     }
 }
