@@ -90,9 +90,9 @@ macro_rules! transfer_future {
     ($(#[$doc:meta])* $name:ident) => {
         $(#[$doc])*
         ///
-        /// Created by the methods on [`AsyncSyncQueue`](crate::AsyncSyncQueue)
-        /// and [`AsyncSyncStack`](crate::AsyncSyncStack). Safe to drop at any
-        /// point (see the [module docs](self)).
+        /// Created by the methods on [`AsyncChannel`](crate::AsyncChannel),
+        /// the type behind every front-end of this crate. Safe to drop at
+        /// any point (see the [module docs](self)).
         #[must_use = "futures do nothing unless polled or awaited"]
         pub struct $name<'a, T: Send, Q: PollTransferer<T>> {
             raw: RawTransfer<'a, T, Q>,

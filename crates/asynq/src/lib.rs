@@ -14,12 +14,14 @@
 //! * [`AsyncSyncStack`] — the **unfair** (LIFO) variant, on
 //!   [`synq::SyncDualStack`].
 //!
-//! Both offer `send(v).await` / `recv().await`, non-suspending
-//! `try_send` / `try_recv`, and deadline-carrying `send_timed` /
-//! `recv_timed`. The futures are **cancel-safe**: dropping one mid-wait
-//! retracts its reservation with the same CAS a timed-out blocking waiter
-//! uses, and the in-flight item (unsent, or deposited-but-unread) is
-//! dropped exactly once — see [`future`].
+//! Both are aliases of the one front-end type, [`AsyncChannel`], which
+//! also carries the combining and the buffered variants. All offer
+//! `send(v).await` / `recv().await`, non-suspending `try_send` /
+//! `try_recv`, and deadline-carrying `send_timed` / `recv_timed`. The
+//! futures are **cancel-safe**: dropping one mid-wait retracts its
+//! reservation with the same CAS a timed-out blocking waiter uses, and the
+//! in-flight item (unsent, or deposited-but-unread) is dropped exactly
+//! once — see [`future`].
 //!
 //! The crate is runtime-agnostic and dependency-free: any executor can
 //! poll these futures, and the bundled [`block_on`] / [`block_on_all`]
@@ -53,193 +55,110 @@ pub use cancel::{CancelGate, Cancelled};
 pub use driver::{block_on, block_on_all};
 pub use future::{RecvFuture, RecvTimedFuture, SendFuture, SendTimedFuture};
 
+use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Duration;
-use synq::{CombinerSyncQueue, Deadline, SyncDualQueue, SyncDualStack, TimedSyncChannel};
+use synq::{
+    CombinerSyncQueue, Deadline, PollTransferer, SyncDualQueue, SyncDualStack, TimedSyncChannel,
+};
 use synq_transfer::BufferedChannel;
 
-macro_rules! async_wrapper {
-    (
-        $(#[$doc:meta])*
-        $name:ident, $inner:ident, $inner_path:literal
-    ) => {
-        $(#[$doc])*
-        pub struct $name<T: Send> {
-            inner: Arc<$inner<T>>,
-        }
-
-        impl<T: Send> Clone for $name<T> {
-            fn clone(&self) -> Self {
-                Self {
-                    inner: Arc::clone(&self.inner),
-                }
-            }
-        }
-
-        impl<T: Send> Default for $name<T> {
-            fn default() -> Self {
-                Self::new()
-            }
-        }
-
-        impl<T: Send> std::fmt::Debug for $name<T> {
-            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.pad(concat!(stringify!($name), " { .. }"))
-            }
-        }
-
-        impl<T: Send> $name<T> {
-            /// Creates an empty handoff point.
-            pub fn new() -> Self {
-                Self {
-                    inner: Arc::new($inner::new()),
-                }
-            }
-
-            /// Wraps an existing structure, so async tasks and blocking
-            /// threads can rendezvous on the same instance.
-            pub fn from_arc(inner: Arc<$inner<T>>) -> Self {
-                Self { inner }
-            }
-
-            #[doc = concat!("The underlying [`", $inner_path, "`], for mixed sync/async use.")]
-            pub fn inner(&self) -> &Arc<$inner<T>> {
-                &self.inner
-            }
-
-            /// Hands `value` to a consumer, suspending until one takes it.
-            pub fn send(&self, value: T) -> SendFuture<'_, T, $inner<T>> {
-                future::send(&self.inner, value)
-            }
-
-            /// Receives a value, suspending until a producer hands one over.
-            pub fn recv(&self) -> RecvFuture<'_, T, $inner<T>> {
-                future::recv(&self.inner)
-            }
-
-            /// Hands `value` over only if a consumer is already waiting;
-            /// `Err(value)` otherwise. Never suspends.
-            pub fn try_send(&self, value: T) -> Result<(), T> {
-                self.inner.offer(value)
-            }
-
-            /// Takes a value only if a producer is already waiting. Never
-            /// suspends.
-            pub fn try_recv(&self) -> Option<T> {
-                self.inner.poll()
-            }
-
-            /// Like [`send`](Self::send), but gives up — resolving to
-            /// `Err(value)` — if no consumer takes the item within
-            /// `patience`.
-            pub fn send_timed(
-                &self,
-                value: T,
-                patience: Duration,
-            ) -> SendTimedFuture<'_, T, $inner<T>> {
-                future::send_timed(&self.inner, value, Deadline::after(patience))
-            }
-
-            /// Like [`recv`](Self::recv), but gives up — resolving to
-            /// `None` — if no producer arrives within `patience`.
-            pub fn recv_timed(&self, patience: Duration) -> RecvTimedFuture<'_, T, $inner<T>> {
-                future::recv_timed(&self.inner, Deadline::after(patience))
-            }
-
-            /// Like [`send`](Self::send), with an explicit [`Deadline`].
-            pub fn send_deadline(
-                &self,
-                value: T,
-                deadline: Deadline,
-            ) -> SendTimedFuture<'_, T, $inner<T>> {
-                future::send_timed(&self.inner, value, deadline)
-            }
-
-            /// Like [`recv`](Self::recv), with an explicit [`Deadline`].
-            pub fn recv_deadline(&self, deadline: Deadline) -> RecvTimedFuture<'_, T, $inner<T>> {
-                future::recv_timed(&self.inner, deadline)
-            }
-        }
-    };
+/// An async handoff point over any pollable structure `Q`: `send` and
+/// `recv` futures on the structure's two-phase transfer, and `try_*` on its
+/// channel methods. The four front-ends are aliases of it, one per
+/// structure:
+///
+/// * [`AsyncSyncQueue`]: fair rendezvous on a [`SyncDualQueue`];
+/// * [`AsyncSyncStack`]: unfair rendezvous on a [`SyncDualStack`];
+/// * [`AsyncCombinerQueue`]: flat-combining rendezvous on a
+///   [`CombinerSyncQueue`];
+/// * [`AsyncTransferQueue`]: a buffered channel on a [`BufferedChannel`].
+///
+/// A rendezvous `send` resolves once a consumer has taken the item; a
+/// buffered one once the item is queued. Cloning is cheap (`Arc`): all
+/// clones address the same structure.
+///
+/// ```
+/// use synq::SyncDualStack;
+/// use synq_async::{AsyncChannel, AsyncSyncStack};
+///
+/// let s: AsyncChannel<u32, SyncDualStack<u32>> = AsyncSyncStack::new();
+/// assert_eq!(s.try_send(1), Err(1)); // nobody waiting
+/// ```
+pub struct AsyncChannel<T, Q> {
+    inner: Arc<Q>,
+    _item: PhantomData<fn() -> T>,
 }
 
-async_wrapper! {
-    /// The **fair** async handoff point: strict FIFO pairing on a
-    /// [`SyncDualQueue`].
-    ///
-    /// Cloning is cheap (`Arc`); all clones address the same queue.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use synq_async::{block_on, AsyncSyncQueue};
-    /// use synq::SyncChannel;
-    /// use std::thread;
-    ///
-    /// let q = AsyncSyncQueue::new();
-    /// let q2 = q.clone();
-    /// // A *blocking* producer pairs with an *async* consumer.
-    /// let t = thread::spawn(move || q2.inner().put(5u32));
-    /// assert_eq!(block_on(q.recv()), 5);
-    /// t.join().unwrap();
-    /// ```
-    AsyncSyncQueue, SyncDualQueue, "synq::SyncDualQueue"
-}
+/// The **fair** async handoff point: strict FIFO pairing on a
+/// [`SyncDualQueue`].
+///
+/// # Examples
+///
+/// ```
+/// use synq_async::{block_on, AsyncSyncQueue};
+/// use synq::SyncChannel;
+/// use std::thread;
+///
+/// let q = AsyncSyncQueue::new();
+/// let q2 = q.clone();
+/// // A *blocking* producer pairs with an *async* consumer.
+/// let t = thread::spawn(move || q2.inner().put(5u32));
+/// assert_eq!(block_on(q.recv()), 5);
+/// t.join().unwrap();
+/// ```
+pub type AsyncSyncQueue<T> = AsyncChannel<T, SyncDualQueue<T>>;
 
-async_wrapper! {
-    /// The **unfair** async handoff point: LIFO pairing on a
-    /// [`SyncDualStack`] (better locality, no fairness guarantee).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use synq_async::{block_on, AsyncSyncStack};
-    /// use std::time::Duration;
-    ///
-    /// let s: AsyncSyncStack<u8> = AsyncSyncStack::new();
-    /// // Nobody is sending: a timed recv gives up cleanly.
-    /// assert_eq!(block_on(s.recv_timed(Duration::from_millis(10))), None);
-    /// ```
-    AsyncSyncStack, SyncDualStack, "synq::SyncDualStack"
-}
+/// The **unfair** async handoff point: LIFO pairing on a
+/// [`SyncDualStack`] (better locality, no fairness guarantee).
+///
+/// # Examples
+///
+/// ```
+/// use synq_async::{block_on, AsyncSyncStack};
+/// use std::time::Duration;
+///
+/// let s: AsyncSyncStack<u8> = AsyncSyncStack::new();
+/// // Nobody is sending: a timed recv gives up cleanly.
+/// assert_eq!(block_on(s.recv_timed(Duration::from_millis(10))), None);
+/// ```
+pub type AsyncSyncStack<T> = AsyncChannel<T, SyncDualStack<T>>;
 
-async_wrapper! {
-    /// The **flat-combining** async handoff point: delegation-based
-    /// pairing on a [`CombinerSyncQueue`] (FIFO within each combiner
-    /// sweep; see `synq::combiner`). Built for oversubscription — a
-    /// polled task that finds the structure quiet briefly combines on
-    /// behalf of every published request, so single-threaded executors
-    /// never stall waiting for a third-party combiner.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use synq_async::{block_on, AsyncCombinerQueue};
-    /// use synq::SyncChannel;
-    /// use std::thread;
-    ///
-    /// let q = AsyncCombinerQueue::new();
-    /// let q2 = q.clone();
-    /// // A *blocking* producer pairs with an *async* consumer through
-    /// // whichever side ends up sweeping.
-    /// let t = thread::spawn(move || q2.inner().put(5u32));
-    /// assert_eq!(block_on(q.recv()), 5);
-    /// t.join().unwrap();
-    /// ```
-    AsyncCombinerQueue, CombinerSyncQueue, "synq::CombinerSyncQueue"
-}
+/// The **flat-combining** async handoff point: delegation-based pairing
+/// on a [`CombinerSyncQueue`] (FIFO within each combiner sweep; see
+/// `synq::combiner`). Built for oversubscription — a polled task that
+/// finds the structure quiet briefly combines on behalf of every
+/// published request, so single-threaded executors never stall waiting
+/// for a third-party combiner.
+///
+/// # Examples
+///
+/// ```
+/// use synq_async::{block_on, AsyncCombinerQueue};
+/// use synq::SyncChannel;
+/// use std::thread;
+///
+/// let q = AsyncCombinerQueue::new();
+/// let q2 = q.clone();
+/// // A *blocking* producer pairs with an *async* consumer through
+/// // whichever side ends up sweeping.
+/// let t = thread::spawn(move || q2.inner().put(5u32));
+/// assert_eq!(block_on(q.recv()), 5);
+/// t.join().unwrap();
+/// ```
+pub type AsyncCombinerQueue<T> = AsyncChannel<T, CombinerSyncQueue<T>>;
 
 /// The **buffered** async channel: a
 /// [`TransferQueue`](synq_transfer::TransferQueue) behind its
-/// [`BufferedChannel`] adapter. Unlike the rendezvous wrappers above,
-/// `send` buffers: it resolves as soon as the item is published. In
-/// bounded mode a `send` that cannot enter the ring (it is full, or a
-/// `transfer` or another waiting send is queued ahead) suspends on the
-/// linked node a blocking bounded `put` would wait on, until its item is
-/// moved into the ring; dropping it then withdraws the node. A `recv` is
-/// woken from the queue's item wait list to retry, never handed an item,
-/// so dropping one loses nothing. Items are received in one FIFO order
-/// across sends and synchronous transfers, in both modes.
+/// [`BufferedChannel`] adapter. Unlike the rendezvous front-ends, `send`
+/// buffers: it resolves as soon as the item is published. In bounded mode
+/// a `send` that cannot enter the ring (it is full, or a `transfer` or
+/// another waiting send is queued ahead) suspends on the linked node a
+/// blocking bounded `put` would wait on, until its item is moved into the
+/// ring; dropping it then withdraws the node. A `recv` is woken from the
+/// queue's item wait list to retry, never handed an item, so dropping one
+/// loses nothing. Items are received in one FIFO order across sends and
+/// synchronous transfers, in both modes.
 ///
 /// # Examples
 ///
@@ -254,112 +173,114 @@ async_wrapper! {
 ///     assert_eq!(q.recv().await, 2);
 /// });
 /// ```
-pub struct AsyncTransferQueue<T: Send> {
-    inner: Arc<BufferedChannel<T>>,
-}
+pub type AsyncTransferQueue<T> = AsyncChannel<T, BufferedChannel<T>>;
 
-impl<T: Send> Clone for AsyncTransferQueue<T> {
+impl<T, Q> Clone for AsyncChannel<T, Q> {
     fn clone(&self) -> Self {
-        Self {
-            inner: Arc::clone(&self.inner),
-        }
+        Self::from_arc(Arc::clone(&self.inner))
     }
 }
 
-impl<T: Send> std::fmt::Debug for AsyncTransferQueue<T> {
+impl<T, Q> std::fmt::Debug for AsyncChannel<T, Q> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.pad("AsyncTransferQueue { .. }")
+        f.pad("AsyncChannel { .. }")
     }
 }
 
-impl<T: Send> AsyncTransferQueue<T> {
-    /// A bounded buffered channel: `send` awaits ring space, linked, when
-    /// its item cannot enter the cycle-versioned ring (capacity rounded up
-    /// to a power of two, minimum 2).
-    pub fn bounded(capacity: usize) -> Self {
-        Self {
-            inner: Arc::new(BufferedChannel::bounded(capacity)),
+impl<T: Send, Q: PollTransferer<T> + Default> Default for AsyncChannel<T, Q> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<T: Send, Q: PollTransferer<T> + Default> AsyncChannel<T, Q> {
+    /// Creates an empty handoff point.
+    pub fn new() -> Self {
+        Self::from_arc(Arc::default())
+    }
+}
+
+impl<T, Q> AsyncChannel<T, Q> {
+    /// Wraps an existing structure, so async tasks and blocking threads
+    /// can rendezvous on the same instance.
+    pub fn from_arc(inner: Arc<Q>) -> Self {
+        AsyncChannel {
+            inner,
+            _item: PhantomData,
         }
     }
 
-    /// An unbounded buffered channel: `send` never suspends.
-    pub fn unbounded() -> Self {
-        Self {
-            inner: Arc::new(BufferedChannel::unbounded()),
-        }
-    }
-
-    /// Wraps an existing channel, so async tasks and blocking threads can
-    /// share the same instance.
-    pub fn from_arc(inner: Arc<BufferedChannel<T>>) -> Self {
-        Self { inner }
-    }
-
-    /// The underlying [`BufferedChannel`], for mixed sync/async use (and
-    /// for `transfer` via [`BufferedChannel::queue`]).
-    pub fn inner(&self) -> &Arc<BufferedChannel<T>> {
+    /// The underlying structure, for mixed sync/async use.
+    pub fn inner(&self) -> &Arc<Q> {
         &self.inner
     }
+}
 
-    /// Ring capacity in bounded mode, `None` when unbounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.inner.queue().capacity()
-    }
-
-    /// Buffers `value`, suspending only while a bounded queue makes it
-    /// wait for a ring slot.
-    pub fn send(&self, value: T) -> SendFuture<'_, T, BufferedChannel<T>> {
+impl<T: Send, Q: PollTransferer<T> + TimedSyncChannel<T>> AsyncChannel<T, Q> {
+    /// Sends `value`, suspending until a consumer takes it (rendezvous) or
+    /// until it is queued (buffered; a bounded queue makes it wait for a
+    /// ring slot).
+    pub fn send(&self, value: T) -> SendFuture<'_, T, Q> {
         future::send(&self.inner, value)
     }
 
-    /// Receives the oldest buffered value (buffered items and waiting
-    /// synchronous transfers in one FIFO), suspending while the channel is
-    /// empty.
-    pub fn recv(&self) -> RecvFuture<'_, T, BufferedChannel<T>> {
+    /// Receives a value, suspending until one is handed over.
+    pub fn recv(&self) -> RecvFuture<'_, T, Q> {
         future::recv(&self.inner)
     }
 
-    /// Buffers `value` only if it can be published immediately;
-    /// `Err(value)` when a bounded queue would make it wait. Never
-    /// suspends.
+    /// Sends `value` only if that needs no wait (a consumer is already
+    /// waiting, or a buffered item can be queued at once); `Err(value)`
+    /// otherwise. Never suspends.
     pub fn try_send(&self, value: T) -> Result<(), T> {
         self.inner.offer(value)
     }
 
-    /// Takes a buffered value if one is immediately available. Never
-    /// suspends.
+    /// Takes a value only if one is already there (a waiting producer, or
+    /// a buffered item). Never suspends.
     pub fn try_recv(&self) -> Option<T> {
         self.inner.poll()
     }
 
     /// Like [`send`](Self::send), but gives up — resolving to
-    /// `Err(value)` — if no ring space appears within `patience`.
-    pub fn send_timed(
-        &self,
-        value: T,
-        patience: Duration,
-    ) -> SendTimedFuture<'_, T, BufferedChannel<T>> {
+    /// `Err(value)` — if the send cannot complete within `patience`.
+    pub fn send_timed(&self, value: T, patience: Duration) -> SendTimedFuture<'_, T, Q> {
         future::send_timed(&self.inner, value, Deadline::after(patience))
     }
 
     /// Like [`recv`](Self::recv), but gives up — resolving to `None` — if
-    /// nothing is buffered within `patience`.
-    pub fn recv_timed(&self, patience: Duration) -> RecvTimedFuture<'_, T, BufferedChannel<T>> {
+    /// nothing arrives within `patience`.
+    pub fn recv_timed(&self, patience: Duration) -> RecvTimedFuture<'_, T, Q> {
         future::recv_timed(&self.inner, Deadline::after(patience))
     }
 
     /// Like [`send`](Self::send), with an explicit [`Deadline`].
-    pub fn send_deadline(
-        &self,
-        value: T,
-        deadline: Deadline,
-    ) -> SendTimedFuture<'_, T, BufferedChannel<T>> {
+    pub fn send_deadline(&self, value: T, deadline: Deadline) -> SendTimedFuture<'_, T, Q> {
         future::send_timed(&self.inner, value, deadline)
     }
 
     /// Like [`recv`](Self::recv), with an explicit [`Deadline`].
-    pub fn recv_deadline(&self, deadline: Deadline) -> RecvTimedFuture<'_, T, BufferedChannel<T>> {
+    pub fn recv_deadline(&self, deadline: Deadline) -> RecvTimedFuture<'_, T, Q> {
         future::recv_timed(&self.inner, deadline)
+    }
+}
+
+impl<T: Send> AsyncChannel<T, BufferedChannel<T>> {
+    /// A bounded buffered channel: `send` awaits ring space, linked, when
+    /// its item cannot enter the cycle-versioned ring (capacity rounded up
+    /// to a power of two, minimum 2).
+    pub fn bounded(capacity: usize) -> Self {
+        Self::from_arc(Arc::new(BufferedChannel::bounded(capacity)))
+    }
+
+    /// An unbounded buffered channel: `send` never suspends.
+    pub fn unbounded() -> Self {
+        Self::from_arc(Arc::new(BufferedChannel::unbounded()))
+    }
+
+    /// Ring capacity in bounded mode, `None` when unbounded.
+    pub fn capacity(&self) -> Option<usize> {
+        self.inner.queue().capacity()
     }
 }
 

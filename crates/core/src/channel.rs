@@ -208,6 +208,6 @@ use crate::dual_stack::SyncDualStack;
 use crate::queue::SynchronousQueue;
 impl_channels_via_transferer!(SyncDualQueue<R: synq_reclaim::Reclaimer>);
 impl_channels_via_transferer!(SyncDualStack<R: synq_reclaim::Reclaimer>);
-impl_channels_via_transferer!(CombinerSyncQueue<R: synq_reclaim::Reclaimer>);
-impl_channels_via_transferer!(CombinerSyncStack<R: synq_reclaim::Reclaimer>);
+impl_channels_via_transferer!(CombinerSyncQueue);
+impl_channels_via_transferer!(CombinerSyncStack);
 impl_channels_via_transferer!(SynchronousQueue);

@@ -22,7 +22,7 @@
 //!            owner CAS                owner store (op resolved)
 //!   EMPTY ──────────────▶ (seq<<2)|dir ──────────────▶ EMPTY
 //!     │  combiner CAS                 │ owner store (one-shot record)
-//!     ▼  (age_limit quiet sweeps)     ▼
+//!     ▼  (64 quiet sweeps)            ▼
 //!   DEAD  (graveyard; owner re-enrolls)   RETIRED  (combiner frees)
 //! ```
 //!
@@ -62,21 +62,18 @@
 //! hold many pending permits) end in `RETIRED`, the owner's promise never
 //! to touch the record again — the next sweep unlinks and frees them
 //! immediately, soundly, because list surgery is serialized by the combiner
-//! lock. The `R: Reclaimer` parameter exists for family-signature parity
-//! with the other structures and is honestly unused: the combiner performs
-//! zero deferred reclamation by construction.
+//! lock. So the combiner, unlike the dual structures, takes no reclamation
+//! backend: it performs zero deferred reclamation by construction.
 
 use crate::transferer::{Deadline, TransferOutcome};
 use crate::{PendingTransfer, PollTransferer, StartTransfer};
 use core::task::{Poll, Waker};
 use std::cell::{RefCell, UnsafeCell};
-use std::marker::PhantomData;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use synq_primitives::wait_slot::{CLAIMED, MATCHED, WAITING};
 use synq_primitives::{CachePadded, CancelToken, SpinPolicy, WaitOutcome, WaitSlot};
-use synq_reclaim::{Epoch, Reclaimer};
 
 /// `req`: no request published; the record may age.
 const EMPTY_REQ: usize = 0;
@@ -182,8 +179,6 @@ struct CombinerCore<T> {
     lifo: bool,
     /// Wait strategy for unpaired publishers.
     spin: SpinPolicy,
-    /// Quiet sweeps before a record ages out.
-    age_limit: u32,
 }
 
 // SAFETY: the UnsafeCells (scratch, graveyard) and all interior list links
@@ -194,7 +189,7 @@ unsafe impl<T: Send> Send for CombinerCore<T> {}
 unsafe impl<T: Send> Sync for CombinerCore<T> {}
 
 impl<T: Send> CombinerCore<T> {
-    fn new(lifo: bool, spin: SpinPolicy, age_limit: u32) -> Self {
+    fn new(lifo: bool, spin: SpinPolicy) -> Self {
         CombinerCore {
             lock: CachePadded::new(AtomicUsize::new(0)),
             pub_seq: CachePadded::new(AtomicU64::new(0)),
@@ -210,7 +205,6 @@ impl<T: Send> CombinerCore<T> {
             id: NEXT_CORE_ID.fetch_add(1, Ordering::Relaxed),
             lifo,
             spin,
-            age_limit: age_limit.max(1),
         }
     }
 
@@ -324,7 +318,7 @@ impl<T: Send> CombinerCore<T> {
                     rec.idle.store(quiet, Ordering::Relaxed);
                     // The CAS arbitrates against a concurrent republish: if
                     // the owner wins, the record is pending and stays.
-                    if quiet >= self.age_limit
+                    if quiet >= DEFAULT_AGE_LIMIT
                         && rec
                             .req
                             .compare_exchange(EMPTY_REQ, DEAD, Ordering::SeqCst, Ordering::SeqCst)
@@ -777,17 +771,12 @@ macro_rules! combiner_structure {
         $name:ident, lifo: $lifo:expr, ctor_doc: $ctor:literal
     ) => {
         $(#[$doc])*
-        pub struct $name<T: Send, R: Reclaimer = Epoch> {
+        pub struct $name<T: Send> {
             core: Arc<CombinerCore<T>>,
-            /// Honestly unused: combining performs no deferred reclamation
-            /// (module docs). Kept so the family signature matches the
-            /// other structures and generic code can instantiate any
-            /// backend.
-            _reclaimer: PhantomData<fn() -> R>,
         }
 
         impl<T: Send> $name<T> {
-            #[doc = concat!("A new ", $ctor, " with the default (epoch) reclaimer marker and adaptive spinning.")]
+            #[doc = concat!("A new ", $ctor, " with adaptive spinning.")]
             ///
             /// ```
             #[doc = concat!("use synq::", stringify!($name), ";")]
@@ -801,55 +790,13 @@ macro_rules! combiner_structure {
             /// use synq::SyncChannel; // put/take come from the channel trait
             /// ```
             pub fn new() -> Self {
-                Self::new_in()
+                Self::with_spin(SpinPolicy::adaptive())
             }
 
             /// As [`Self::new`] with an explicit wait strategy (ablations).
             pub fn with_spin(spin: SpinPolicy) -> Self {
-                Self::with_spin_in(spin)
-            }
-
-            /// As [`Self::with_spin`] with an explicit record age limit:
-            /// the number of consecutive request-free sweeps after which a
-            /// cached publication record is unlinked (its owner re-enrolls
-            /// on its next call). Clamped to at least 1.
-            pub fn with_config(spin: SpinPolicy, age_limit: u32) -> Self {
-                Self::with_config_in(spin, age_limit)
-            }
-        }
-
-        impl<T: Send, R: Reclaimer> $name<T, R> {
-            #[doc = concat!("A new ", $ctor, " under reclaimer marker `R`.")]
-            ///
-            /// The marker is signature-compatibility only — see the type's
-            /// field docs — so every backend behaves identically:
-            ///
-            /// ```
-            #[doc = concat!("use synq::", stringify!($name), ";")]
-            /// use synq_reclaim::Hazard;
-            /// use std::sync::Arc;
-            ///
-            #[doc = concat!("let q: Arc<", stringify!($name), "<u32, Hazard>> = Arc::new(", stringify!($name), "::new_in());")]
-            /// let q2 = Arc::clone(&q);
-            /// let t = std::thread::spawn(move || q2.take());
-            /// q.put(9);
-            /// assert_eq!(t.join().unwrap(), 9);
-            /// use synq::SyncChannel;
-            /// ```
-            pub fn new_in() -> Self {
-                Self::with_spin_in(SpinPolicy::adaptive())
-            }
-
-            /// As [`Self::new_in`] with an explicit wait strategy.
-            pub fn with_spin_in(spin: SpinPolicy) -> Self {
-                Self::with_config_in(spin, DEFAULT_AGE_LIMIT)
-            }
-
-            /// As [`Self::with_config`] under reclaimer marker `R`.
-            pub fn with_config_in(spin: SpinPolicy, age_limit: u32) -> Self {
                 $name {
-                    core: Arc::new(CombinerCore::new($lifo, spin, age_limit)),
-                    _reclaimer: PhantomData,
+                    core: Arc::new(CombinerCore::new($lifo, spin)),
                 }
             }
 
@@ -879,15 +826,13 @@ macro_rules! combiner_structure {
             }
         }
 
-        impl<T: Send, R: Reclaimer> std::fmt::Debug for $name<T, R> {
+        impl<T: Send> std::fmt::Debug for $name<T> {
             fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                f.debug_struct(stringify!($name))
-                    .field("reclaimer", &R::NAME)
-                    .finish_non_exhaustive()
+                f.debug_struct(stringify!($name)).finish_non_exhaustive()
             }
         }
 
-        impl<T: Send, R: Reclaimer> crate::Transferer<T> for $name<T, R> {
+        impl<T: Send> crate::Transferer<T> for $name<T> {
             fn transfer(
                 &self,
                 item: Option<T>,
@@ -898,7 +843,7 @@ macro_rules! combiner_structure {
             }
         }
 
-        impl<T: Send, R: Reclaimer> PollTransferer<T> for $name<T, R> {
+        impl<T: Send> PollTransferer<T> for $name<T> {
             type Permit = CombinerPermit<T>;
 
             fn start_transfer(this: &Arc<Self>, item: Option<T>) -> StartTransfer<T, Self::Permit> {
@@ -934,14 +879,13 @@ mod tests {
     use crate::channel::{SyncChannel, TimedSyncChannel};
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
-    use synq_reclaim::Hazard;
 
     #[test]
-    fn constructs_and_reports_debug_for_both_backends() {
+    fn constructs_and_reports_debug_for_queue_and_stack() {
         let q: CombinerSyncQueue<u8> = CombinerSyncQueue::new();
-        assert!(format!("{q:?}").contains("epoch"));
-        let s: CombinerSyncStack<u8, Hazard> = CombinerSyncStack::new_in();
-        assert!(format!("{s:?}").contains("hazard"));
+        assert!(format!("{q:?}").starts_with("CombinerSyncQueue"));
+        let s: CombinerSyncStack<u8> = CombinerSyncStack::default();
+        assert!(format!("{s:?}").starts_with("CombinerSyncStack"));
     }
 
     #[test]
@@ -1077,8 +1021,7 @@ mod tests {
 
     #[test]
     fn quiet_records_age_out_of_the_list() {
-        let q: Arc<CombinerSyncQueue<u32>> =
-            Arc::new(CombinerSyncQueue::with_config(SpinPolicy::adaptive(), 2));
+        let q: Arc<CombinerSyncQueue<u32>> = Arc::new(CombinerSyncQueue::new());
         // A worker leaves its cached record behind.
         {
             let q2 = Arc::clone(&q);
@@ -1089,7 +1032,7 @@ mod tests {
         assert!(q.linked_records() >= 1);
         // Each poll sweeps; after the age limit of quiet sweeps the
         // worker's record is gone and only this thread's remains.
-        for _ in 0..8 {
+        for _ in 0..DEFAULT_AGE_LIMIT {
             assert_eq!(q.poll(), None);
         }
         assert_eq!(q.linked_records(), 1);

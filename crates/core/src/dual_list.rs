@@ -5,6 +5,7 @@
 //! only their *policy* (who waits, what a match moves) and call the steps
 //! below in a straight line; [`crate::SyncDualStack`] keeps its
 //! fulfilling-node protocol and takes the node and its lifetime from here.
+//! All three end a wait the same way, through [`Leave`].
 //!
 //! # Layer 1: the wait node and its lifetime
 //!
@@ -29,6 +30,23 @@
 //!   unconsumed item with it. That is safe for the waiter too: its release
 //!   can be the last only after the structure's deferred release has run,
 //!   that is, after every guard that could reach the node is gone.
+//!
+//! # Leaving: the one way a wait ends
+//!
+//! Each structure keeps its own arrival protocol, which ends in a
+//! [`Start`]: resolved outright, or a published node its caller now waits
+//! on. How that wait ends is the structure's [`Leave::leave`], and the two
+//! ways of waiting are written once over it: a thread blocks in
+//! [`Leave::wait`], and a task holds a [`NodePermit`]. A permit dropped
+//! before it resolved follows one rule:
+//!
+//! * it wins the cancel CAS: it leaves as `Cancelled`, and a producer's
+//!   unsent item is dropped with the outcome;
+//! * it lost to a completed match: it leaves as that match, and drops
+//!   whatever the match hands it (an item deposited for a consumer);
+//! * it lost to a claim still in progress: it drops only the waiter
+//!   reference, and the node's last release drops an item the claimer
+//!   deposits.
 //!
 //! # Layer 2: the queue
 //!
@@ -80,9 +98,13 @@
 //!   thread sets it *after* its CAS, so a stalled popper can leave a
 //!   successor retired while its predecessor still reads as live.
 
-use crate::transferer::TransferOutcome;
+use crate::pollable::PendingTransfer;
+use crate::transferer::{Deadline, TransferOutcome};
+use core::task::{ready, Poll, Waker};
+use std::ops::ControlFlow;
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
-use synq_primitives::{CachePadded, WaitOutcome, WaitSlot};
+use std::sync::Arc;
+use synq_primitives::{CachePadded, CancelToken, WaitOutcome, WaitSlot, WaitStrategy};
 use synq_reclaim::{Atomic, Owned, Reclaimer, Shared, Shield};
 
 /// Mode word of a waiting consumer's node (a reservation).
@@ -241,6 +263,162 @@ impl<T, R: Reclaimer> WaitNode<T, R> {
             unsafe { Self::release(p.as_raw()) };
             p = next;
         }
+    }
+}
+
+/// The lock-free phase of one arrival: `Break(outcome)` when it resolved
+/// without waiting, `Continue(node)` when it published `node`, whose waiter
+/// reference the caller now holds and ends with [`Leave::leave`].
+pub type Start<T, R> = ControlFlow<TransferOutcome<T>, *const WaitNode<T, R>>;
+
+/// How a structure ends a waiter's wait on a node it published: the step
+/// after the slot's terminal state, written once per structure and shared
+/// by the blocking waiter ([`Self::wait`]) and the poll-mode one
+/// ([`NodePermit`]). See the [module docs](self).
+pub trait Leave<T> {
+    /// The reclamation backend of the structure's nodes.
+    type Backend: Reclaimer;
+
+    /// Ends the wait on the caller's own published node, whose slot reached
+    /// the terminal state `verdict` reports: unlinks or helps unlink the
+    /// node, drops the references the waiter holds, and resolves the
+    /// transfer, carrying the item that is now the caller's.
+    ///
+    /// # Safety
+    ///
+    /// `node` was published by this structure's arrival (its [`Start`] was
+    /// `Continue(node)`) and its waiter reference is the caller's;
+    /// `verdict` is what the slot's wait returned (or `TimedOut`/`Cancelled`
+    /// after the caller won the cancel CAS itself, or `Matched` with the
+    /// slot's [`WaitSlot::matched`] word). The node is not touched
+    /// afterwards.
+    unsafe fn leave(
+        &self,
+        node: *const WaitNode<T, Self::Backend>,
+        verdict: WaitOutcome,
+    ) -> TransferOutcome<T>;
+
+    /// The blocking waiter, the paper's `awaitFulfill`: spins and parks on
+    /// the node with `strategy`, holding no reclaimer guard, then leaves.
+    ///
+    /// # Safety
+    ///
+    /// As [`Self::leave`], without the verdict.
+    unsafe fn wait<S: WaitStrategy + ?Sized>(
+        &self,
+        node: *const WaitNode<T, Self::Backend>,
+        deadline: Deadline,
+        token: Option<&CancelToken>,
+        strategy: &S,
+    ) -> TransferOutcome<T> {
+        // SAFETY: the caller's waiter reference keeps the node alive.
+        let verdict = unsafe { &*node }
+            .slot
+            .await_outcome(deadline, token, strategy);
+        // SAFETY: per the contract; `verdict` is the slot's terminal state.
+        unsafe { self.leave(node, verdict) }
+    }
+}
+
+/// A published, unresolved wait on a kernel node: the poll-mode stand-in
+/// for a thread in [`Leave::wait`]. Polling drives the node's slot in poll
+/// mode and leaves once it is terminal; dropping an unresolved permit
+/// follows the one drop rule of the [module docs](self), so the futures
+/// built on top are safe to drop at any point.
+pub struct NodePermit<T, Q: Leave<T>> {
+    owner: Arc<Q>,
+    node: *const WaitNode<T, Q::Backend>,
+    /// Set when `poll_transfer` returned `Ready`: the waiter reference has
+    /// been given up and `node` must not be touched again.
+    done: bool,
+}
+
+// SAFETY: the permit is a waiter's handle on its own node, the reference a
+// blocked thread holds, and the owner is shared across threads anyway.
+unsafe impl<T: Send, Q: Leave<T> + Send + Sync> Send for NodePermit<T, Q> {}
+
+impl<T, Q: Leave<T>> NodePermit<T, Q> {
+    /// A permit for `node`, just published by `owner`.
+    ///
+    /// # Safety
+    ///
+    /// `node` came from `owner`'s arrival as `Continue(node)`, and the
+    /// permit takes over its waiter reference.
+    pub unsafe fn new(owner: Arc<Q>, node: *const WaitNode<T, Q::Backend>) -> Self {
+        NodePermit {
+            owner,
+            node,
+            done: false,
+        }
+    }
+
+    /// The structure the node belongs to.
+    pub fn owner(&self) -> &Q {
+        &self.owner
+    }
+
+    /// Re-arms a resolved permit on `node`, which the same owner published
+    /// for the same waiter afterwards (a buffered put handed back and
+    /// linked again), without another `Arc` clone.
+    ///
+    /// # Safety
+    ///
+    /// The permit resolved, and `node` is as in [`Self::new`].
+    pub unsafe fn rearm(&mut self, node: *const WaitNode<T, Q::Backend>) {
+        debug_assert!(self.done, "re-armed an unresolved permit");
+        self.node = node;
+        self.done = false;
+    }
+}
+
+impl<T: Send, Q: Leave<T> + Send + Sync> PendingTransfer<T> for NodePermit<T, Q> {
+    fn poll_transfer(
+        &mut self,
+        waker: &Waker,
+        deadline: Deadline,
+        token: Option<&CancelToken>,
+    ) -> Poll<TransferOutcome<T>> {
+        assert!(!self.done, "NodePermit polled after completion");
+        // SAFETY: `done` is false, so the waiter reference is still held.
+        let slot = unsafe { &(*self.node).slot };
+        let verdict = ready!(slot.poll_outcome(waker, deadline, token));
+        self.done = true;
+        // SAFETY: our own node; `verdict` is its slot's terminal state.
+        Poll::Ready(unsafe { self.owner.leave(self.node, verdict) })
+    }
+}
+
+impl<T, Q: Leave<T>> Drop for NodePermit<T, Q> {
+    fn drop(&mut self) {
+        if self.done {
+            return;
+        }
+        // SAFETY: the waiter reference is still held.
+        let slot = unsafe { &(*self.node).slot };
+        let verdict = if slot.try_cancel() {
+            WaitOutcome::Cancelled
+        } else if let Some(word) = slot.matched() {
+            WaitOutcome::Matched(word)
+        } else {
+            // A claim in progress: the claimer may still be writing the
+            // cell, so leave it the node; its last release drops what
+            // the claimer deposits.
+            // SAFETY: the waiter reference, dropped exactly once.
+            unsafe { WaitNode::release(self.node) };
+            return;
+        };
+        // A dropped future has no caller: what the outcome carries (an
+        // unsent item, one a fulfiller deposited) is dropped here.
+        // SAFETY: our own node, and `verdict` is its terminal state.
+        drop(unsafe { self.owner.leave(self.node, verdict) });
+    }
+}
+
+impl<T, Q: Leave<T>> std::fmt::Debug for NodePermit<T, Q> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("NodePermit")
+            .field("done", &self.done)
+            .finish_non_exhaustive()
     }
 }
 

@@ -15,20 +15,13 @@
 //! appends the node, or at the state CAS that claims a waiting counterpart
 //! (paper §3.3).
 
-use crate::dual_list::{DualList, WaitNode, DATA, REQUEST};
-use crate::pollable::{PendingTransfer, PollTransferer, StartTransfer};
+use crate::dual_list::{DualList, Leave, NodePermit, Start, WaitNode, DATA, REQUEST};
+use crate::pollable::{PollTransferer, StartTransfer};
 use crate::transferer::{Deadline, TransferOutcome, Transferer};
-use core::task::{Poll, Waker};
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use synq_primitives::{CancelToken, SpinPolicy, WaitOutcome};
 use synq_reclaim::{Epoch, Reclaimer};
-
-/// Result of the lock-free phase: resolved outright, or a node published
-/// that some counterpart must now fulfill.
-enum RawStart<T, R: Reclaimer> {
-    Done(TransferOutcome<T>),
-    Published(*const WaitNode<T, R>),
-}
 
 /// The fair (FIFO) synchronous queue.
 ///
@@ -123,19 +116,6 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
         }
     }
 
-    fn transfer_impl(
-        &self,
-        item: Option<T>,
-        deadline: Deadline,
-        token: Option<&CancelToken>,
-    ) -> TransferOutcome<T> {
-        match self.start_impl(item, deadline, token) {
-            RawStart::Done(outcome) => outcome,
-            // Wait without holding a reclaimer guard.
-            RawStart::Published(node) => self.await_fulfill(node, deadline, token),
-        }
-    }
-
     /// The lock-free phase of one transfer: match a waiting counterpart or
     /// publish a node at the tail. Never waits; `deadline`/`token` are
     /// consulted only for the fail-fast checks before publication (pass
@@ -146,7 +126,7 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
         mut item: Option<T>,
         deadline: Deadline,
         token: Option<&CancelToken>,
-    ) -> RawStart<T, R> {
+    ) -> Start<T, R> {
         let is_data = item.is_some();
         // The node is allocated at most once per call and reused across
         // retries (the paper's pragmatics: avoid per-retry allocation).
@@ -164,10 +144,10 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
                 // We would have to wait. Fail fast for `offer`/`poll` and
                 // for already-tripped cancellation tokens.
                 if deadline.is_now() {
-                    return RawStart::Done(TransferOutcome::Timeout(item));
+                    return ControlFlow::Break(TransferOutcome::Timeout(item));
                 }
                 if token.is_some_and(|tk| tk.is_cancelled()) {
-                    return RawStart::Done(TransferOutcome::Cancelled(item));
+                    return ControlFlow::Break(TransferOutcome::Cancelled(item));
                 }
                 let mode = if is_data { DATA } else { REQUEST };
                 let owned = node.take().unwrap_or_else(|| WaitNode::alloc(mode));
@@ -177,7 +157,7 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
                     unsafe { owned.slot.put_item(v) };
                 }
                 match at.try_append(owned) {
-                    Ok(published) => return RawStart::Published(published),
+                    Ok(published) => return ControlFlow::Continue(published),
                     Err(owned) => {
                         // Reclaim the item and retry with the same node.
                         if is_data {
@@ -214,27 +194,8 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
             };
             at.advance_past(m);
             if matched {
-                return RawStart::Done(TransferOutcome::Transferred(item));
+                return ControlFlow::Break(TransferOutcome::Transferred(item));
             }
-        }
-    }
-
-    /// Waits on our own freshly appended node. Touches only that node (we
-    /// hold a reference on it), so no reclaimer guard is held while
-    /// waiting — parked threads never stall reclamation. The
-    /// spin-then-park loop and the cancel arbitration are the shared
-    /// [`synq_primitives::WaitSlot`] engine's.
-    fn await_fulfill(
-        &self,
-        node: *const WaitNode<T, R>,
-        deadline: Deadline,
-        token: Option<&CancelToken>,
-    ) -> TransferOutcome<T> {
-        // SAFETY: we hold the node's waiter reference until `leave`, and
-        // `verdict` is its slot's terminal state.
-        unsafe {
-            let verdict = (*node).slot.await_outcome(deadline, token, &self.spin);
-            self.list.leave(node, verdict)
         }
     }
 
@@ -245,6 +206,19 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
     }
 }
 
+impl<T: Send, R: Reclaimer> Leave<T> for SyncDualQueue<T, R> {
+    type Backend = R;
+
+    unsafe fn leave(
+        &self,
+        node: *const WaitNode<T, R>,
+        verdict: WaitOutcome,
+    ) -> TransferOutcome<T> {
+        // SAFETY: per the contract; this queue's nodes are its list's.
+        unsafe { self.list.leave(node, verdict) }
+    }
+}
+
 impl<T: Send, R: Reclaimer> Transferer<T> for SyncDualQueue<T, R> {
     fn transfer(
         &self,
@@ -252,105 +226,27 @@ impl<T: Send, R: Reclaimer> Transferer<T> for SyncDualQueue<T, R> {
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
-        self.transfer_impl(item, deadline, token)
-    }
-}
-
-/// A published-but-unresolved queue transfer (see
-/// [`PollTransferer::start_transfer`]).
-///
-/// Polling drives the node's wait slot in poll mode; dropping an
-/// unresolved permit cancels exactly like a timed-out blocking waiter
-/// (`WAITING → CANCELLED` CAS, head absorption, reference release), so the
-/// futures built on top are safe to drop at any point. A producer's
-/// unsent item — or an item a fulfiller deposited that the dropped
-/// consumer will never read — is dropped exactly once by the node's final
-/// reference release.
-pub struct QueuePermit<T: Send, R: Reclaimer = Epoch> {
-    queue: Arc<SyncDualQueue<T, R>>,
-    node: *const WaitNode<T, R>,
-    is_data: bool,
-    /// Set when `poll_transfer` returned `Ready`: the waiter reference has
-    /// been released and `node` must not be touched again.
-    done: bool,
-}
-
-// SAFETY: the permit is a waiter's handle on its own node — the same
-// references a blocking waiter thread holds — and the queue is `Sync`; the
-// raw pointer is kept alive by the reference count.
-unsafe impl<T: Send, R: Reclaimer> Send for QueuePermit<T, R> {}
-
-impl<T: Send, R: Reclaimer> PendingTransfer<T> for QueuePermit<T, R> {
-    fn poll_transfer(
-        &mut self,
-        waker: &Waker,
-        deadline: Deadline,
-        token: Option<&CancelToken>,
-    ) -> Poll<TransferOutcome<T>> {
-        assert!(!self.done, "QueuePermit polled after completion");
-        // SAFETY: `done` is false, so the waiter reference is still held.
-        let node = unsafe { &*self.node };
-        match node.slot.poll_outcome(waker, deadline, token) {
-            Poll::Pending => Poll::Pending,
-            Poll::Ready(verdict) => {
-                self.done = true;
-                // SAFETY: our own node, reference still held; `verdict` is
-                // its slot's terminal state.
-                Poll::Ready(unsafe { self.queue.list.leave(self.node, verdict) })
-            }
+        match self.start_impl(item, deadline, token) {
+            ControlFlow::Break(outcome) => outcome,
+            // SAFETY: the node we just published, its waiter reference ours.
+            ControlFlow::Continue(node) => unsafe { self.wait(node, deadline, token, &self.spin) },
         }
-    }
-}
-
-impl<T: Send, R: Reclaimer> Drop for QueuePermit<T, R> {
-    fn drop(&mut self) {
-        if self.done {
-            return;
-        }
-        // SAFETY: the waiter reference is still held.
-        let node = unsafe { &*self.node };
-        if node.slot.try_cancel() {
-            // Cancel won: retract like a timed-out waiter. The blocking
-            // path hands an unsent item back to the caller; a dropped
-            // future has no caller, so it is dropped here.
-            // SAFETY: our own node, and we won its cancel CAS.
-            drop(unsafe { self.queue.list.leave(self.node, WaitOutcome::Cancelled) });
-        } else {
-            // Cancel lost: a fulfiller claimed (or already matched) the
-            // node. Nothing to retract — an item it deposited for us is
-            // dropped by the final release, which the retirement orders
-            // after the fulfiller's protection, so a mid-`put_item`
-            // fulfiller is safe.
-            // SAFETY: the waiter reference, dropped exactly once.
-            unsafe { WaitNode::release(self.node) };
-        }
-    }
-}
-
-impl<T: Send, R: Reclaimer> std::fmt::Debug for QueuePermit<T, R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueuePermit")
-            .field("is_data", &self.is_data)
-            .field("done", &self.done)
-            .finish_non_exhaustive()
     }
 }
 
 impl<T: Send, R: Reclaimer> PollTransferer<T> for SyncDualQueue<T, R> {
-    type Permit = QueuePermit<T, R>;
+    type Permit = NodePermit<T, Self>;
 
-    fn start_transfer(this: &Arc<Self>, item: Option<T>) -> StartTransfer<T, QueuePermit<T, R>> {
-        let is_data = item.is_some();
+    fn start_transfer(this: &Arc<Self>, item: Option<T>) -> StartTransfer<T, Self::Permit> {
         // Never/None: poll-mode callers apply deadline and cancellation on
         // each poll; the lock-free phase must always publish.
         match this.start_impl(item, Deadline::Never, None) {
-            RawStart::Done(outcome) => StartTransfer::Complete(outcome),
-            RawStart::Published(node) => StartTransfer::Pending(QueuePermit {
-                queue: Arc::clone(this),
-                node,
-                is_data,
-                done: false,
-            }),
+            ControlFlow::Break(outcome) => StartTransfer::Complete(outcome),
+            // SAFETY: the node we just published; the permit takes its
+            // waiter reference.
+            ControlFlow::Continue(node) => {
+                StartTransfer::Pending(unsafe { NodePermit::new(Arc::clone(this), node) })
+            }
         }
     }
 }
@@ -566,6 +462,42 @@ mod tests {
             }
         }
         assert_eq!(DROPS.load(Ordering::SeqCst), 5);
+    }
+
+    /// The drop rule's third case: a permit dropped while a fulfiller's
+    /// claim is in progress gives up only its waiter reference, and the
+    /// item the claimer then deposits goes with the node.
+    #[test]
+    fn a_permit_dropped_mid_claim_leaves_the_item_to_the_node() {
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        struct D;
+        impl Drop for D {
+            fn drop(&mut self) {
+                DROPS.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let q: Arc<SyncDualQueue<D>> = Arc::new(SyncDualQueue::new());
+        let StartTransfer::Pending(permit) = SyncDualQueue::start_transfer(&q, None) else {
+            panic!("an empty queue publishes the reservation");
+        };
+        {
+            // SAFETY: single-threaded; nothing is retired behind our back.
+            let guard = unsafe { Epoch::unprotected() };
+            let at = q.list.arrive(&guard);
+            let m = at.front().expect("the reservation");
+            assert!(m.slot.try_claim());
+            drop(permit);
+            unsafe { m.slot.put_item(D) };
+            m.slot.complete();
+            at.advance_past(m);
+        }
+        assert_eq!(
+            DROPS.load(Ordering::SeqCst),
+            0,
+            "the node, now the dummy, keeps it"
+        );
+        drop(q);
+        assert_eq!(DROPS.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -46,8 +46,9 @@
 //! version): the waiter must read the *fulfiller's* item after waking,
 //! possibly long after the fulfiller popped both nodes — so the thread
 //! whose CAS installs a match first takes an extra reference on the
-//! fulfilling node *on the waiter's behalf*; the waiter releases it after
-//! reading.
+//! fulfilling node *on the waiter's behalf*; the stack's
+//! [`Leave::leave`] releases it after reading, in blocking and poll mode
+//! alike (a dropped permit that lost to the match leaves the same way).
 //!
 //! Unlike the queue, the stack removes nodes from *mid-chain* (a fulfiller
 //! or helper skips cancelled nodes beneath the fulfilling top), so the
@@ -72,21 +73,14 @@
 //!   unpopped (the stack pops only at the top) and unskipped, and nodes
 //!   retired before the walk began are unreachable from the current head.
 
-use crate::dual_list::{count_linked, WaitNode, DATA, REQUEST};
-use crate::pollable::{PendingTransfer, PollTransferer, StartTransfer};
+use crate::dual_list::{count_linked, Leave, NodePermit, Start, WaitNode, DATA, REQUEST};
+use crate::pollable::{PollTransferer, StartTransfer};
 use crate::transferer::{Deadline, TransferOutcome, Transferer};
-use core::task::{Poll, Waker};
+use std::ops::ControlFlow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use synq_primitives::{CachePadded, CancelToken, SpinPolicy, WaitOutcome};
 use synq_reclaim::{Atomic, Epoch, Owned, Reclaimer, Shared};
-
-/// Result of the lock-free phase: resolved outright, or a node pushed that
-/// some counterpart must now fulfill.
-enum RawStart<T, R: Reclaimer> {
-    Done(TransferOutcome<T>),
-    Published(*const WaitNode<T, R>),
-}
 
 /// Mode bit: the node is actively fulfilling the node beneath it (ORed
 /// with the kernel's `REQUEST`/`DATA`). The stack's fulfillers match a
@@ -190,14 +184,6 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
         }
     }
 
-    /// Drops a reference held outside the structure: an owner's, or the
-    /// one `try_match` took on a waiter's behalf.
-    fn release_direct(&self, ptr: *const WaitNode<T, R>) {
-        // SAFETY: every caller owns the reference it drops here and does
-        // not touch the node afterwards.
-        unsafe { WaitNode::release(ptr) }
-    }
-
     /// Pops `h`, releasing its structure reference, if it is still the
     /// head.
     fn pop_head<'g>(
@@ -211,21 +197,51 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
             .compare_exchange(h, new_head, Ordering::AcqRel, Ordering::Acquire, guard)
             .is_ok()
         {
-            self.release_structure_ref(h, guard);
+            // SAFETY: our CAS unlinked `h`, which the guard protects.
+            unsafe { WaitNode::release_structure_ref(h, guard) };
             true
         } else {
             false
         }
     }
 
-    /// Releases the structure reference of a node this thread's CAS took
-    /// off the chain. Racing removers (a skip and an absorb, or the
-    /// fulfiller's explicit release and a cancelled-path absorb) can both
-    /// get here for one node; the node lets the first through.
-    fn release_structure_ref<'g>(&self, node: Shared<'g, WaitNode<T, R>>, guard: &'g R::Guard) {
-        // SAFETY: node protected by the guard (or refcount-live, see the
-        // fulfiller's explicit release) and unlinked by the caller.
-        let _ = unsafe { WaitNode::release_structure_ref(node, guard) };
+    /// Pushes a node of `mode` on `h`: the node a lost race handed back in
+    /// `node`, or a fresh one, armed with a producer's `item`. On a lost
+    /// race both go back where they came from, for the retry.
+    fn push<'g>(
+        &self,
+        h: Shared<'g, WaitNode<T, R>>,
+        mode: usize,
+        node: &mut Option<Owned<WaitNode<T, R>>>,
+        item: &mut Option<T>,
+        guard: &'g R::Guard,
+    ) -> Option<Shared<'g, WaitNode<T, R>>> {
+        let mut owned = node.take().unwrap_or_else(|| WaitNode::alloc(mode));
+        owned.mode = mode;
+        if let Some(v) = item.take() {
+            // SAFETY: we own the unpublished node, and its cell is empty.
+            unsafe { owned.slot.put_item(v) };
+        }
+        owned.next.store(h, Ordering::Relaxed);
+        match self
+            .head
+            .compare_exchange(h, owned, Ordering::Release, Ordering::Acquire, guard)
+        {
+            Ok(published) => {
+                synq_obs::probe!(StackPushCas);
+                Some(published)
+            }
+            Err(e) => {
+                synq_obs::probe!(StackPushCasFail);
+                let owned = e.new;
+                if owned.is_data() {
+                    // SAFETY: the node stays unpublished; reclaim the item.
+                    *item = Some(unsafe { owned.slot.reclaim_item() });
+                }
+                *node = Some(owned);
+                None
+            }
+        }
     }
 
     /// Installs `f` as `m`'s match, waking `m`'s waiter. Returns true if
@@ -251,7 +267,8 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
             Err(actual) => {
                 // Revoke the reference we just added.
                 synq_obs::probe!(StackMatchCasFail);
-                self.release_direct(f.as_raw());
+                // SAFETY: the reference taken above, dropped once.
+                unsafe { WaitNode::release(f.as_raw()) };
                 actual == f.as_raw() as usize
             }
         }
@@ -276,20 +293,6 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
         }
     }
 
-    fn transfer_impl(
-        &self,
-        item: Option<T>,
-        deadline: Deadline,
-        token: Option<&CancelToken>,
-    ) -> TransferOutcome<T> {
-        let is_data = item.is_some();
-        match self.start_impl(item, deadline, token) {
-            RawStart::Done(outcome) => outcome,
-            // Wait without holding a reclaimer guard.
-            RawStart::Published(node_raw) => self.await_fulfill(node_raw, is_data, deadline, token),
-        }
-    }
-
     /// The lock-free phase of one transfer: annihilate with a complementary
     /// waiter (helping any fulfiller in the way) or push a wait node. Never
     /// waits; `deadline`/`token` feed only the fail-fast checks before
@@ -300,7 +303,7 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
         mut item: Option<T>,
         deadline: Deadline,
         token: Option<&CancelToken>,
-    ) -> RawStart<T, R> {
+    ) -> Start<T, R> {
         let is_data = item.is_some();
         let mode = if is_data { DATA } else { REQUEST };
         let mut node: Option<Owned<WaitNode<T, R>>> = None;
@@ -312,49 +315,17 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
             let h = self.head.load(Ordering::Acquire, &guard);
             let h_ref = unsafe { h.as_ref() };
 
-            if h_ref.is_none_or_mode(mode) {
+            if h_ref.is_none_or(|top| top.mode == mode) {
                 // Case 1: empty or same mode — push and wait.
                 if deadline.is_now() {
-                    return RawStart::Done(TransferOutcome::Timeout(item));
+                    return ControlFlow::Break(TransferOutcome::Timeout(item));
                 }
                 if token.is_some_and(|tk| tk.is_cancelled()) {
-                    return RawStart::Done(TransferOutcome::Cancelled(item));
+                    return ControlFlow::Break(TransferOutcome::Cancelled(item));
                 }
-                let owned = match node.take() {
-                    Some(mut n) => {
-                        n.mode = mode;
-                        n
-                    }
-                    None => WaitNode::alloc(mode),
-                };
-                if is_data {
-                    // SAFETY: we own the unpublished node.
-                    unsafe { owned.slot.put_item(item.take().expect("data item")) };
-                }
-                owned.next.store(h, Ordering::Relaxed);
-                match self.head.compare_exchange(
-                    h,
-                    owned,
-                    Ordering::Release,
-                    Ordering::Acquire,
-                    &guard,
-                ) {
-                    Ok(published) => {
-                        synq_obs::probe!(StackPushCas);
-                        let raw = published.as_raw();
-                        drop(guard);
-                        return RawStart::Published(raw);
-                    }
-                    Err(e) => {
-                        synq_obs::probe!(StackPushCasFail);
-                        let owned = e.new;
-                        if is_data {
-                            // SAFETY: unpublished node; reclaim the item.
-                            item = Some(unsafe { owned.slot.reclaim_item() });
-                        }
-                        node = Some(owned);
-                        continue;
-                    }
+                match self.push(h, mode, &mut node, &mut item, &guard) {
+                    Some(published) => return ControlFlow::Continue(published.as_raw()),
+                    None => continue,
                 }
             }
 
@@ -362,39 +333,8 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
             if !is_fulfilling(h_ref) {
                 // Case 2: complementary waiter on top — push a fulfilling
                 // node above it and annihilate the pair.
-                let owned = match node.take() {
-                    Some(mut n) => {
-                        n.mode = mode | FULFILLING;
-                        n
-                    }
-                    None => WaitNode::alloc(mode | FULFILLING),
-                };
-                if is_data {
-                    // SAFETY: we own the unpublished node.
-                    unsafe { owned.slot.put_item(item.take().expect("data item")) };
-                }
-                owned.next.store(h, Ordering::Relaxed);
-                let f = match self.head.compare_exchange(
-                    h,
-                    owned,
-                    Ordering::Release,
-                    Ordering::Acquire,
-                    &guard,
-                ) {
-                    Ok(published) => {
-                        synq_obs::probe!(StackPushCas);
-                        published
-                    }
-                    Err(e) => {
-                        synq_obs::probe!(StackPushCasFail);
-                        let owned = e.new;
-                        if is_data {
-                            // SAFETY: unpublished node.
-                            item = Some(unsafe { owned.slot.reclaim_item() });
-                        }
-                        node = Some(owned);
-                        continue;
-                    }
+                let Some(f) = self.push(h, mode | FULFILLING, &mut node, &mut item, &guard) else {
+                    continue;
                 };
                 // SAFETY: f protected by the guard; we also hold its owner
                 // reference.
@@ -419,8 +359,8 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
                             // does not double-free the moved-out item.)
                             item = Some(unsafe { f_ref.slot.take_item() });
                         }
-                        // Our owner reference.
-                        self.release_direct(f.as_raw());
+                        // SAFETY: our owner reference, dropped once.
+                        unsafe { WaitNode::release(f.as_raw()) };
                         break;
                     };
                     let mn = m_ref.next.load(Ordering::Acquire, &guard);
@@ -440,10 +380,11 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
                         // waiter's help-pop pop the pair without touching
                         // it). That keeps `m` alive for the item read
                         // above even when a helper popped the pair first.
-                        self.release_structure_ref(m, &guard);
-                        // Our owner reference on f.
-                        self.release_direct(f.as_raw());
-                        return RawStart::Done(out);
+                        // SAFETY: `m` is off the chain and refcount-live.
+                        unsafe { WaitNode::release_structure_ref(m, &guard) };
+                        // SAFETY: our owner reference on f, dropped once.
+                        unsafe { WaitNode::release(f.as_raw()) };
+                        return ControlFlow::Break(out);
                     }
                     // m was cancelled: skip and release it.
                     if f_ref
@@ -451,7 +392,9 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
                         .compare_exchange(m, mn, Ordering::AcqRel, Ordering::Acquire, &guard)
                         .is_ok()
                     {
-                        self.release_structure_ref(m, &guard);
+                        // SAFETY: our CAS unlinked `m`, which the guard
+                        // protects.
+                        unsafe { WaitNode::release_structure_ref(m, &guard) };
                     }
                 }
                 continue;
@@ -485,90 +428,10 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
                         .compare_exchange(m, mn, Ordering::AcqRel, Ordering::Acquire, &guard)
                         .is_ok()
                     {
-                        self.release_structure_ref(m, &guard);
+                        // SAFETY: our CAS unlinked `m`, which the guard
+                        // protects.
+                        unsafe { WaitNode::release_structure_ref(m, &guard) };
                     }
-                }
-            }
-        }
-    }
-
-    /// Waits on our freshly pushed node; touches only refcount-held nodes,
-    /// so no reclaimer guard is held while waiting. The spin-then-park loop
-    /// and the cancel arbitration are the shared `WaitSlot` engine's; the
-    /// match token it reports back is the fulfilling node's address.
-    fn await_fulfill(
-        &self,
-        node_raw: *const WaitNode<T, R>,
-        is_data: bool,
-        deadline: Deadline,
-        token: Option<&CancelToken>,
-    ) -> TransferOutcome<T> {
-        // SAFETY: we hold the owner reference.
-        let node = unsafe { &*node_raw };
-        let verdict = node.slot.await_outcome(deadline, token, &self.spin);
-        self.finish_wait(node_raw, is_data, verdict)
-    }
-
-    /// Epilogue shared by the blocking and poll-mode wait loops: resolves a
-    /// terminal [`WaitOutcome`] on our own node into a transfer outcome,
-    /// helps pop the fulfilling pair, and drops the references we hold.
-    fn finish_wait(
-        &self,
-        node_raw: *const WaitNode<T, R>,
-        is_data: bool,
-        verdict: WaitOutcome,
-    ) -> TransferOutcome<T> {
-        // SAFETY: we hold the owner reference.
-        let node = unsafe { &*node_raw };
-        match verdict {
-            WaitOutcome::Matched(m_token) => {
-                let m = m_token as *const WaitNode<T, R>;
-                // Matched. Help pop the fulfilling pair if still on top.
-                // Our own structure reference is NOT ours to release here:
-                // the fulfiller keeps it alive until it has read our item
-                // (or confirmed it need not), then releases it.
-                {
-                    let guard = R::pin();
-                    let h = self.head.load(Ordering::Acquire, &guard);
-                    if std::ptr::eq(h.as_raw(), m) {
-                        // SAFETY: we hold a reference on our own node.
-                        let our_next = node.next.load(Ordering::Acquire, &guard);
-                        let _ = self.pop_head(h, our_next, &guard);
-                    }
-                }
-                // SAFETY: the matcher took a reference on `m` for us.
-                let m_ref = unsafe { &*m };
-                let out = if is_data {
-                    // Our item is read by m's owner; nothing to collect.
-                    TransferOutcome::Transferred(None)
-                } else {
-                    // SAFETY: match grants us unique read access to the
-                    // fulfiller's item.
-                    TransferOutcome::Transferred(Some(unsafe { m_ref.slot.take_item() }))
-                };
-                // The reference taken on our behalf in try_match.
-                self.release_direct(m);
-                // Our owner reference.
-                self.release_direct(node_raw);
-                out
-            }
-            verdict => {
-                // We won the cancel CAS.
-                let guard = R::pin();
-                self.pop_cancelled(&guard);
-                drop(guard);
-                let item = if is_data {
-                    // SAFETY: cancellation wins the item back.
-                    Some(unsafe { node.slot.take_item() })
-                } else {
-                    None
-                };
-                // Our owner reference.
-                self.release_direct(node_raw);
-                if verdict == WaitOutcome::Cancelled {
-                    TransferOutcome::Cancelled(item)
-                } else {
-                    TransferOutcome::Timeout(item)
                 }
             }
         }
@@ -580,17 +443,61 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
     }
 }
 
-/// Small extension so case-1 detection reads naturally.
-trait HeadCase {
-    fn is_none_or_mode(&self, mode: usize) -> bool;
-}
+/// The stack's end of a wait, in blocking and poll mode alike: a matched
+/// waiter helps pop the fulfilling pair, takes a consumer's item from the
+/// fulfilling node (the match token), and releases the reference the
+/// matcher took on that node on its behalf; a waiter that won the cancel
+/// CAS pops the cancelled top and takes a producer's item back.
+impl<T: Send, R: Reclaimer> Leave<T> for SyncDualStack<T, R> {
+    type Backend = R;
 
-impl<T, R: Reclaimer> HeadCase for Option<&WaitNode<T, R>> {
-    fn is_none_or_mode(&self, mode: usize) -> bool {
-        match self {
-            None => true,
-            Some(n) => n.mode == mode,
-        }
+    unsafe fn leave(
+        &self,
+        node_raw: *const WaitNode<T, R>,
+        verdict: WaitOutcome,
+    ) -> TransferOutcome<T> {
+        // SAFETY: we hold the owner reference.
+        let node = unsafe { &*node_raw };
+        let outcome = match verdict {
+            WaitOutcome::Matched(m_token) => {
+                let m = m_token as *const WaitNode<T, R>;
+                // Help pop the fulfilling pair if still on top. Our own
+                // structure reference is NOT ours to release here: the
+                // fulfiller keeps it alive until it has read our item (or
+                // confirmed it need not), then releases it.
+                {
+                    let guard = R::pin();
+                    let h = self.head.load(Ordering::Acquire, &guard);
+                    if std::ptr::eq(h.as_raw(), m) {
+                        let our_next = node.next.load(Ordering::Acquire, &guard);
+                        let _ = self.pop_head(h, our_next, &guard);
+                    }
+                }
+                // A producer's item is read by m's owner; a consumer reads
+                // the fulfiller's.
+                // SAFETY: the match grants us unique read access to the
+                // fulfiller's item, and the reference the matcher took on
+                // `m` for us keeps it alive.
+                let item = (!node.is_data()).then(|| unsafe { (*m).slot.take_item() });
+                // SAFETY: that reference, dropped once.
+                unsafe { WaitNode::release(m) };
+                TransferOutcome::Transferred(item)
+            }
+            verdict => {
+                // We won the cancel CAS.
+                self.pop_cancelled(&R::pin());
+                // SAFETY: cancellation wins a producer's item back.
+                let item = node.is_data().then(|| unsafe { node.slot.take_item() });
+                if verdict == WaitOutcome::Cancelled {
+                    TransferOutcome::Cancelled(item)
+                } else {
+                    TransferOutcome::Timeout(item)
+                }
+            }
+        };
+        // SAFETY: our owner reference, dropped once.
+        unsafe { WaitNode::release(node_raw) };
+        outcome
     }
 }
 
@@ -601,108 +508,27 @@ impl<T: Send, R: Reclaimer> Transferer<T> for SyncDualStack<T, R> {
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
-        self.transfer_impl(item, deadline, token)
-    }
-}
-
-/// A pushed-but-unresolved stack transfer (see
-/// [`PollTransferer::start_transfer`]).
-///
-/// Polling drives the node's [`synq_primitives::WaitSlot`] poll-mode wait
-/// loop; dropping an unresolved permit cancels exactly like a timed-out
-/// blocking waiter. If
-/// the cancel CAS loses — a fulfiller already installed its match token —
-/// the drop also releases the reference the fulfiller took on its own node
-/// on our behalf, and any item it deposited there for us is dropped exactly
-/// once by that node's final reference release.
-pub struct StackPermit<T: Send, R: Reclaimer = Epoch> {
-    stack: Arc<SyncDualStack<T, R>>,
-    node: *const WaitNode<T, R>,
-    is_data: bool,
-    /// Set when `poll_transfer` returned `Ready`: the references have been
-    /// released and `node` must not be touched again.
-    done: bool,
-}
-
-// SAFETY: the permit is a waiter's handle on its own node — the same
-// references a blocking waiter thread holds — and the stack is `Sync`; the
-// raw pointer is kept alive by the reference count.
-unsafe impl<T: Send, R: Reclaimer> Send for StackPermit<T, R> {}
-
-impl<T: Send, R: Reclaimer> PendingTransfer<T> for StackPermit<T, R> {
-    fn poll_transfer(
-        &mut self,
-        waker: &Waker,
-        deadline: Deadline,
-        token: Option<&CancelToken>,
-    ) -> Poll<TransferOutcome<T>> {
-        assert!(!self.done, "StackPermit polled after completion");
-        // SAFETY: `done` is false, so the owner reference is still held.
-        let node = unsafe { &*self.node };
-        match node.slot.poll_outcome(waker, deadline, token) {
-            Poll::Pending => Poll::Pending,
-            Poll::Ready(verdict) => {
-                self.done = true;
-                Poll::Ready(self.stack.finish_wait(self.node, self.is_data, verdict))
-            }
+        match self.start_impl(item, deadline, token) {
+            ControlFlow::Break(outcome) => outcome,
+            // SAFETY: the node we just pushed, its owner reference ours.
+            ControlFlow::Continue(node) => unsafe { self.wait(node, deadline, token, &self.spin) },
         }
-    }
-}
-
-impl<T: Send, R: Reclaimer> Drop for StackPermit<T, R> {
-    fn drop(&mut self) {
-        if self.done {
-            return;
-        }
-        // SAFETY: the owner reference is still held.
-        let node = unsafe { &*self.node };
-        if node.slot.try_cancel() {
-            // Cancel won: retract like a timed-out waiter, settling the
-            // unsent item now (the blocking path hands it back to the
-            // caller; a dropped future has no caller, so drop it here).
-            if self.is_data {
-                // SAFETY: cancellation wins back item ownership.
-                drop(unsafe { node.slot.take_item() });
-            }
-            let guard = R::pin();
-            self.stack.pop_cancelled(&guard);
-            drop(guard);
-        } else if let Some(m_token) = node.slot.matched_token() {
-            // Cancel lost: a fulfiller matched us and took a reference on
-            // its own node (the token) on our behalf. Release it without
-            // reading the item — if it deposited one for us, that node's
-            // final release drops it exactly once.
-            self.stack.release_direct(m_token as *const WaitNode<T, R>);
-        }
-        // Our owner reference, in every case.
-        self.stack.release_direct(self.node);
-    }
-}
-
-impl<T: Send, R: Reclaimer> std::fmt::Debug for StackPermit<T, R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("StackPermit")
-            .field("is_data", &self.is_data)
-            .field("done", &self.done)
-            .finish_non_exhaustive()
     }
 }
 
 impl<T: Send, R: Reclaimer> PollTransferer<T> for SyncDualStack<T, R> {
-    type Permit = StackPermit<T, R>;
+    type Permit = NodePermit<T, Self>;
 
-    fn start_transfer(this: &Arc<Self>, item: Option<T>) -> StartTransfer<T, StackPermit<T, R>> {
-        let is_data = item.is_some();
+    fn start_transfer(this: &Arc<Self>, item: Option<T>) -> StartTransfer<T, Self::Permit> {
         // Never/None: poll-mode callers apply deadline and cancellation on
         // each poll; the lock-free phase must always publish.
         match this.start_impl(item, Deadline::Never, None) {
-            RawStart::Done(outcome) => StartTransfer::Complete(outcome),
-            RawStart::Published(node) => StartTransfer::Pending(StackPermit {
-                stack: Arc::clone(this),
-                node,
-                is_data,
-                done: false,
-            }),
+            ControlFlow::Break(outcome) => StartTransfer::Complete(outcome),
+            // SAFETY: the node we just pushed; the permit takes its owner
+            // reference.
+            ControlFlow::Continue(node) => {
+                StartTransfer::Pending(unsafe { NodePermit::new(Arc::clone(this), node) })
+            }
         }
     }
 }

@@ -58,8 +58,8 @@ pub mod transferer;
 
 pub use channel::{SyncChannel, TimedSyncChannel};
 pub use combiner::{CombinerPermit, CombinerSyncQueue, CombinerSyncStack};
-pub use dual_queue::{QueuePermit, SyncDualQueue};
-pub use dual_stack::{StackPermit, SyncDualStack};
+pub use dual_queue::SyncDualQueue;
+pub use dual_stack::SyncDualStack;
 pub use pollable::{PendingTransfer, PollTransferer, StartTransfer};
 pub use queue::SynchronousQueue;
 pub use synq_primitives::{CancelToken, SpinPolicy};

@@ -20,12 +20,14 @@
 //! # Cancel safety
 //!
 //! Dropping a permit whose transfer has not resolved runs the *same*
-//! `try_cancel` CAS a timed-out thread waiter runs, and the node's
-//! reference-counted release drops an unconsumed in-slot item exactly once
-//! — whether the cancel won (a producer's unsent item) or lost (a
-//! fulfiller's deposited item that the dropped consumer will never read).
-//! This is what makes `synq-async`'s futures safe to drop at every protocol
-//! state; the permit, not the future, owns the obligation.
+//! `try_cancel` CAS a timed-out thread waiter runs, and settles an
+//! in-flight item exactly once: a producer's unsent item when the cancel
+//! won, a fulfiller's deposited item the dropped consumer will never read
+//! when it lost. For every kernel node that is one permit,
+//! [`crate::dual_list::NodePermit`], and one drop rule (see
+//! [`crate::dual_list`]). This is what makes `synq-async`'s futures safe
+//! to drop at every protocol state; the permit, not the future, owns the
+//! obligation.
 
 use crate::transferer::{Deadline, TransferOutcome};
 use core::task::{Poll, Waker};
@@ -79,9 +81,16 @@ pub trait PendingTransfer<T: Send>: Send + Unpin {
 /// the calling thread — the capability `synq-async` builds futures from.
 ///
 /// Implemented by [`SyncDualQueue`](crate::SyncDualQueue) (fair) and
-/// [`SyncDualStack`](crate::SyncDualStack) (unfair). The receiver is an
-/// `Arc` because the returned permit keeps the structure alive for as long
-/// as its node may be reachable.
+/// [`SyncDualStack`](crate::SyncDualStack) (unfair), both with a
+/// [`NodePermit`](crate::dual_list::NodePermit); by the combining pair
+/// [`CombinerSyncQueue`](crate::CombinerSyncQueue) and
+/// [`CombinerSyncStack`](crate::CombinerSyncStack), with a
+/// [`CombinerPermit`](crate::CombinerPermit); and by
+/// `synq_transfer::BufferedChannel`, whose permit is a `NodePermit` for a
+/// waiting send and a wait-list entry for a receiver. (`TransferQueue`
+/// itself is polled through that adapter.) The receiver is an `Arc`
+/// because the returned permit keeps the structure alive for as long as
+/// its node may be reachable.
 pub trait PollTransferer<T: Send>: Send + Sync + Sized {
     /// The permit type standing for this structure's published nodes.
     type Permit: PendingTransfer<T>;

@@ -29,9 +29,8 @@
 //! * [`WaitSlot`] — the shared wait-node protocol engine: the
 //!   `WAITING/CLAIMED/MATCHED/CANCELLED` state machine, the item cell, and
 //!   the paper's `awaitFulfill` spin-then-park loop, parameterized by a
-//!   [`WaitStrategy`] — plus the poll-mode counterparts
-//!   (`poll_outcome`/`poll_match`) that drive the same state machine from
-//!   async tasks. Every synchronous structure in the suite resolves its
+//!   [`WaitStrategy`] — plus the poll-mode counterpart (`poll_outcome`)
+//!   that drives the same state machine from async tasks. Every synchronous structure in the suite resolves its
 //!   handoffs through this one state machine.
 //! * [`Deadline`] — patience bound consumed by the wait loop (re-exported
 //!   as `synq::Deadline`).

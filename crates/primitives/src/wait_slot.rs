@@ -225,11 +225,13 @@ impl<T> WaitSlot<T> {
         self.state() == CANCELLED
     }
 
-    /// If the slot was fulfilled via [`Self::try_fulfill_token`], the token.
+    /// The terminal word of a completed handoff: [`MATCHED`], or the token
+    /// a [`Self::try_fulfill_token`] fulfiller stored. `None` while the
+    /// slot waits, while a claim is in progress, and once it is cancelled.
     #[inline]
-    pub fn matched_token(&self) -> Option<usize> {
+    pub fn matched(&self) -> Option<usize> {
         let s = self.state();
-        (s >= MIN_TOKEN).then_some(s)
+        (s == MATCHED || s >= MIN_TOKEN).then_some(s)
     }
 
     /// Fulfiller side, phase one: claim exclusive ownership of the item
@@ -480,29 +482,6 @@ impl<T> WaitSlot<T> {
         }
     }
 
-    /// Poll-mode counterpart of [`Self::await_match`]: no cancel CAS. On an
-    /// expired deadline the slot is left `WAITING` and `Ready(None)` is
-    /// returned — for structures that arbitrate cancellation outside the
-    /// slot. `Ready(Some(state))` is a terminal match; `Pending` registers
-    /// `waker` exactly as [`Self::poll_outcome`] does.
-    pub fn poll_match(&self, waker: &Waker, deadline: Deadline) -> Poll<Option<usize>> {
-        let s = self.state();
-        if s != WAITING && s != CLAIMED {
-            debug_assert_ne!(s, CANCELLED, "polling a slot cancelled by someone else");
-            return Poll::Ready(Some(s));
-        }
-        self.waiter.register_waker(waker);
-        match self.state() {
-            // Expiry is only reportable while the slot is still WAITING; a
-            // CLAIMED slot belongs to a fulfiller whose `complete` is
-            // imminent (and will wake the waker we just registered).
-            WAITING if deadline.expired() => Poll::Ready(None),
-            WAITING | CLAIMED => Poll::Pending,
-            CANCELLED => unreachable!("cancel-free poll observed a cancelled slot"),
-            s => Poll::Ready(Some(s)),
-        }
-    }
-
     /// Shared loop. `Ok(outcome)` is a terminal verdict; `Err(outcome)` is
     /// an expiry observed with `arbitrate = false` (slot still `WAITING`).
     fn wait_loop<S: WaitStrategy + ?Sized>(
@@ -665,12 +644,13 @@ mod tests {
     #[test]
     fn claim_fulfill_complete_roundtrip() {
         let slot: WaitSlot<u32> = WaitSlot::new();
-        assert!(slot.is_waiting());
+        assert!(slot.is_waiting() && slot.matched().is_none());
         assert!(slot.try_claim());
         assert!(!slot.try_claim());
         assert!(!slot.try_cancel());
+        assert_eq!(slot.matched(), None, "a claim in progress is no match yet");
         unsafe { slot.fulfill(7) };
-        assert_eq!(slot.state(), MATCHED);
+        assert_eq!(slot.matched(), Some(MATCHED));
         assert_eq!(unsafe { slot.take_item() }, 7);
         assert!(!slot.has_item());
     }
@@ -679,7 +659,7 @@ mod tests {
     fn cancel_wins_then_fulfillers_fail() {
         let slot: WaitSlot<u32> = WaitSlot::new();
         assert!(slot.try_cancel());
-        assert!(slot.is_cancelled());
+        assert!(slot.is_cancelled() && slot.matched().is_none());
         assert!(!slot.try_claim());
         assert_eq!(slot.try_fulfill_token(MIN_TOKEN * 2), Err(CANCELLED));
     }
@@ -689,7 +669,7 @@ mod tests {
         let slot: WaitSlot<u32> = WaitSlot::new();
         let token = 0xdead0usize;
         assert_eq!(slot.try_fulfill_token(token), Ok(()));
-        assert_eq!(slot.matched_token(), Some(token));
+        assert_eq!(slot.matched(), Some(token));
         assert_eq!(slot.try_fulfill_token(token), Err(token));
         assert_eq!(
             slot.await_outcome(Deadline::Never, None, &SpinPolicy::fixed(1)),
@@ -1109,26 +1089,6 @@ mod tests {
         assert_eq!(
             slot.poll_outcome(&waker, Deadline::Now, None),
             std::task::Poll::Ready(WaitOutcome::Matched(MATCHED))
-        );
-    }
-
-    #[test]
-    fn poll_match_expiry_leaves_slot_waiting() {
-        let slot: WaitSlot<u32> = WaitSlot::new();
-        let (waker, _) = flag_waker();
-        assert_eq!(
-            slot.poll_match(&waker, Deadline::Now),
-            std::task::Poll::Ready(None)
-        );
-        assert!(slot.is_waiting());
-        assert!(slot.poll_match(&waker, Deadline::Never).is_pending());
-        assert!(slot.is_waiting());
-        // A late fulfiller can still land.
-        let token = MIN_TOKEN * 3;
-        assert_eq!(slot.try_fulfill_token(token), Ok(()));
-        assert_eq!(
-            slot.poll_match(&waker, Deadline::Now),
-            std::task::Poll::Ready(Some(token))
         );
     }
 

@@ -83,9 +83,9 @@ use std::cell::Cell;
 use std::ops::ControlFlow;
 use std::sync::atomic::{fence, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::task::{Poll, Waker};
+use std::task::{ready, Poll, Waker};
 use std::time::Duration;
-use synq::dual_list::{DualList, WaitNode, DATA, MOVABLE, REQUEST};
+use synq::dual_list::{DualList, Leave, NodePermit, Start, WaitNode, DATA, MOVABLE, REQUEST};
 use synq::{
     impl_channels_via_transferer, CancelToken, Deadline, PendingTransfer, PollTransferer,
     SpinPolicy, StartTransfer, SyncChannel, TimedSyncChannel, TransferOutcome, Transferer,
@@ -107,10 +107,6 @@ enum PutMode {
     /// A consumer: wait until one takes the item (`transfer`).
     Sync,
 }
-
-/// A linked producer's arrival: `Continue(node)` to wait on `node` (its
-/// waiter reference), `Break(outcome)` when there is nothing to wait for.
-type Linked<T, R> = ControlFlow<TransferOutcome<T>, *const WaitNode<T, R>>;
 
 /// What the linked list holds, counted beside it so the ring paths decide
 /// without pinning: producers push into the ring only while `data` is 0,
@@ -352,7 +348,8 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
                 ControlFlow::Continue(node) => node,
                 ControlFlow::Break(outcome) => return outcome,
             };
-            step = match self.await_fulfill(node, deadline, token) {
+            // SAFETY: our own published node, its waiter reference ours.
+            step = match unsafe { self.wait(node, deadline, token, &DrainSpin::new(self, node)) } {
                 // Handed back by a `refill` that lost the slot: again.
                 TransferOutcome::Transferred(Some(back)) => self.put_step(back, deadline, token),
                 outcome => return outcome,
@@ -395,7 +392,10 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
         match self.link_producer(value, PutMode::Sync, deadline, token) {
-            ControlFlow::Continue(node) => self.await_fulfill(node, deadline, token),
+            // SAFETY: our own published node, its waiter reference ours.
+            ControlFlow::Continue(node) => unsafe {
+                self.wait(node, deadline, token, &DrainSpin::new(self, node))
+            },
             ControlFlow::Break(outcome) => outcome,
         }
     }
@@ -749,7 +749,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     /// the ring's tail and completes `m`. Returns false if the ring was
     /// full after all: the push lost to a producer that read `data` as 0
     /// just before `m` was counted. `m` is then completed with its item
-    /// still in it, and its owner retries ([`Self::settle`]), as a
+    /// still in it, and its owner retries ([`Leave::leave`]), as a
     /// reservation completed without an item does. A claim is never undone:
     /// the list's helping rule reads a lost claim as "decided, unlink it".
     fn move_to_ring(&self, m: &WaitNode<T, R>) -> bool {
@@ -798,7 +798,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         mut value: T,
         deadline: Deadline,
         token: Option<&CancelToken>,
-    ) -> Linked<T, R> {
+    ) -> Start<T, R> {
         if self.linked_data() == 0 {
             match self.ring_push(value) {
                 Ok(()) => return ControlFlow::Break(TransferOutcome::Transferred(None)),
@@ -829,7 +829,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         mode: PutMode,
         deadline: Deadline,
         token: Option<&CancelToken>,
-    ) -> Linked<T, R> {
+    ) -> Start<T, R> {
         let mut item = Some(value);
         let waiting_put = mode == PutMode::Wait;
         let mut node = None;
@@ -962,7 +962,9 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
                     None
                 } else {
                     probe!(RingEmptyWaits);
-                    match self.await_fulfill(published, deadline, token) {
+                    // SAFETY: our own published node, its waiter reference
+                    // ours.
+                    match unsafe { self.wait(published, deadline, token, &self.spin) } {
                         TransferOutcome::Transferred(None) => None,
                         outcome => Some(outcome),
                     }
@@ -998,42 +1000,20 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
             }
         }
     }
+}
 
-    /// Waits on our published node, then settles it. A producer waits
-    /// with [`DrainSpin`], a consumer with the queue's policy alone.
-    fn await_fulfill(
-        &self,
-        node: *const WaitNode<T, R>,
-        deadline: Deadline,
-        token: Option<&CancelToken>,
-    ) -> TransferOutcome<T> {
-        // SAFETY: we hold the waiter reference until `leave`.
-        let own = unsafe { &*node };
-        let verdict = if own.is_data() {
-            own.slot
-                .await_outcome(deadline, token, &DrainSpin::new(self, node))
-        } else {
-            own.slot.await_outcome(deadline, token, &self.spin)
-        };
-        // SAFETY: our own published node; `verdict` is its terminal state.
-        unsafe { self.settle(node, verdict) }
-    }
+// The queue's settle step, how a linked producer or consumer stops
+// waiting. Besides what the list's `leave` reports: a reservation
+// completed without an item (see `fulfill_reservation`) reports
+// `Transferred(None)`, which no consumer otherwise sees; a waiting put
+// handed back with its item (see `move_to_ring`) reports
+// `Transferred(Some(item))`, which no producer otherwise sees; a data node
+// we withdraw is uncounted (see `LinkedCounts`), and its withdrawal may
+// have moved the list's front.
+impl<T: Send, R: Reclaimer> Leave<T> for TransferQueue<T, R> {
+    type Backend = R;
 
-    /// Ends the wait on our published node and leaves the list. Besides
-    /// what `leave` reports: a reservation completed without an item (see
-    /// [`Self::fulfill_reservation`]) reports `Transferred(None)`, which
-    /// no consumer otherwise sees; a waiting put handed back with its item
-    /// (see [`Self::move_to_ring`]) reports `Transferred(Some(item))`,
-    /// which no producer otherwise sees; a data node we withdraw is
-    /// uncounted (see [`LinkedCounts`]), and its withdrawal may have moved
-    /// the list's front.
-    ///
-    /// # Safety
-    ///
-    /// `node` was published by this queue's `link_producer` or `consumer`,
-    /// its waiter reference is the caller's, and `verdict` is its slot's
-    /// terminal state. The node is not touched afterwards.
-    unsafe fn settle(
+    unsafe fn leave(
         &self,
         node: *const WaitNode<T, R>,
         verdict: WaitOutcome,
@@ -1301,39 +1281,44 @@ impl<T: Send> TimedSyncChannel<T> for BufferedChannel<T> {
     }
 }
 
+/// A buffered channel's linked puts are its queue's nodes, and end as the
+/// queue's do.
+impl<T: Send> Leave<T> for BufferedChannel<T> {
+    type Backend = Epoch;
+
+    unsafe fn leave(
+        &self,
+        node: *const WaitNode<T, Epoch>,
+        verdict: WaitOutcome,
+    ) -> TransferOutcome<T> {
+        // SAFETY: per the contract; the channel's nodes are its queue's.
+        unsafe { self.queue.leave(node, verdict) }
+    }
+}
+
 /// A published-but-unresolved buffered transfer: the poll-mode stand-in
 /// for a thread blocked in [`TransferQueue::put`] (a bounded queue's
 /// overflow) or [`TransferQueue::take`] (nothing buffered).
 ///
-/// A sending permit stands for a linked node, as the dual structures'
-/// permits do: a waiting put, polled through its slot and withdrawn by its
-/// cancel CAS when dropped. Dropping one at any point drops its item
-/// exactly once or leaves it queued: an unmoved item goes with the node, a
-/// moved one stays in the ring, and one handed back (its node completed
-/// with the item still in it) goes with the node too. A receiving permit
-/// stands for an entry on the queue's item wait list; it is woken to
-/// retry and never handed an item, so dropping one loses nothing either:
-/// an unresolved permit's entry is retracted, and a wakeup it had received
-/// but not acted on goes to the next pending receiver.
+/// A sending permit is a [`NodePermit`] on a linked waiting put, as the
+/// dual structures' permits are, and dropping it follows their one rule:
+/// an unmoved item goes with the withdrawn node, a moved one stays in the
+/// ring, and one handed back (its node completed with the item still in
+/// it) is dropped with the permit. A receiving permit stands for an entry
+/// on the queue's item wait list; it is woken to retry and never handed an
+/// item, so dropping one loses nothing either: an unresolved permit's
+/// entry is retracted, and a wakeup it had received but not acted on goes
+/// to the next pending receiver.
 #[derive(Debug)]
-pub struct BufferedPermit<T: Send> {
-    channel: Arc<BufferedChannel<T>>,
-    state: PermitState<T>,
-}
+pub struct BufferedPermit<T: Send>(PermitState<T>);
 
 #[derive(Debug)]
-enum PermitState<T> {
-    /// A sender's linked waiting put: we hold its waiter reference.
-    Linked(*const WaitNode<T, Epoch>),
+enum PermitState<T: Send> {
+    /// A sender's linked waiting put.
+    Linked(NodePermit<T, BufferedChannel<T>>),
     /// A receiver and its place on the item wait list.
-    Receiving(Entry),
-    /// Resolved: nothing held.
-    Done,
+    Receiving(Arc<BufferedChannel<T>>, Entry),
 }
-
-// SAFETY: a linked permit holds a waiter's handle on its own node, the
-// reference a blocked thread holds, and the queue is `Sync`.
-unsafe impl<T: Send> Send for BufferedPermit<T> {}
 
 impl<T: Send> PendingTransfer<T> for BufferedPermit<T> {
     fn poll_transfer(
@@ -1342,39 +1327,33 @@ impl<T: Send> PendingTransfer<T> for BufferedPermit<T> {
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> Poll<TransferOutcome<T>> {
-        let queue = &self.channel.queue;
-        let waiters = &queue.item_waiters;
-        let polled = match &mut self.state {
+        match &mut self.0 {
             // A sender: poll the waiting put's node; a put handed back
             // links anew (or finds the ring open) and goes round again.
-            PermitState::Linked(node) => loop {
-                // SAFETY: a linked permit holds the waiter reference.
-                let Poll::Ready(verdict) =
-                    unsafe { &**node }.slot.poll_outcome(waker, deadline, token)
-                else {
-                    break Poll::Pending;
-                };
-                // SAFETY: our own node; `verdict` is its terminal state.
-                let back = match unsafe { queue.settle(*node, verdict) } {
+            PermitState::Linked(permit) => loop {
+                let back = match ready!(permit.poll_transfer(waker, deadline, token)) {
                     TransferOutcome::Transferred(Some(back)) => back,
-                    outcome => break Poll::Ready(outcome),
+                    outcome => return Poll::Ready(outcome),
                 };
-                match queue.put_step(back, deadline, token) {
-                    ControlFlow::Continue(fresh) => *node = fresh,
-                    ControlFlow::Break(outcome) => break Poll::Ready(outcome),
+                match permit.owner().queue.put_step(back, deadline, token) {
+                    // SAFETY: the resolved permit's owner just published
+                    // `fresh` for this same put.
+                    ControlFlow::Continue(fresh) => unsafe { permit.rearm(fresh) },
+                    ControlFlow::Break(outcome) => return Poll::Ready(outcome),
                 }
             },
             // A receiver: retry the take, (re-)register on the item list,
             // and suspend only on an emptiness the SeqCst loads confirm
             // *after* the registration (the waiter half of the handshake
             // in `waiters`).
-            PermitState::Receiving(entry) => loop {
+            PermitState::Receiving(channel, entry) => loop {
+                let queue = &channel.queue;
                 let notified = WaiterQueue::notified(entry);
                 if let Some(v) = queue.poll() {
-                    waiters.release(entry, notified);
-                    break Poll::Ready(TransferOutcome::Transferred(Some(v)));
+                    queue.item_waiters.release(entry, notified);
+                    return Poll::Ready(TransferOutcome::Transferred(Some(v)));
                 }
-                if waiters.arm(entry) {
+                if queue.item_waiters.arm(entry) {
                     continue;
                 }
                 // An index or count that has moved while the take still
@@ -1384,49 +1363,27 @@ impl<T: Send> PendingTransfer<T> for BufferedPermit<T> {
                     continue;
                 }
                 let slot = entry.as_ref().expect("armed above");
-                match slot.poll_outcome(waker, deadline, token) {
-                    Poll::Ready(WaitOutcome::Matched(_)) => {}
-                    Poll::Ready(verdict) => {
-                        waiters.release(entry, false);
-                        break Poll::Ready(match verdict {
+                match ready!(slot.poll_outcome(waker, deadline, token)) {
+                    WaitOutcome::Matched(_) => {}
+                    verdict => {
+                        queue.item_waiters.release(entry, false);
+                        return Poll::Ready(match verdict {
                             WaitOutcome::TimedOut => TransferOutcome::Timeout(None),
                             _ => TransferOutcome::Cancelled(None),
                         });
                     }
-                    Poll::Pending => break Poll::Pending,
                 }
             },
-            PermitState::Done => panic!("permit polled after resolving"),
-        };
-        if polled.is_ready() {
-            self.state = PermitState::Done;
         }
-        polled
     }
 }
 
 impl<T: Send> Drop for BufferedPermit<T> {
     fn drop(&mut self) {
-        let queue = &self.channel.queue;
-        match std::mem::replace(&mut self.state, PermitState::Done) {
-            PermitState::Linked(node) => {
-                // SAFETY: a linked permit holds the waiter reference.
-                if unsafe { &*node }.slot.try_cancel() {
-                    // Withdrawn like a timed-out put; the item has no
-                    // caller to go back to, so it is dropped here.
-                    // SAFETY: our own node, and we won its cancel CAS.
-                    drop(unsafe { queue.settle(node, WaitOutcome::Cancelled) });
-                } else {
-                    // A refill or a consumer claimed it: the item is in the
-                    // ring, taken, or (handed back) still in the node, which
-                    // the last release drops.
-                    // SAFETY: the waiter reference, dropped exactly once.
-                    unsafe { WaitNode::release(node) };
-                }
-            }
-            // A wakeup this receiver holds was not used: it goes on.
-            PermitState::Receiving(mut entry) => queue.item_waiters.release(&mut entry, false),
-            PermitState::Done => {}
+        // A wakeup this receiver holds was not used: it goes on. (A linked
+        // put's permit ends itself; a resolved receiver's entry is gone.)
+        if let PermitState::Receiving(channel, entry) = &mut self.0 {
+            channel.queue.item_waiters.release(entry, false);
         }
     }
 }
@@ -1443,18 +1400,19 @@ impl<T: Send> PollTransferer<T> for BufferedChannel<T> {
             // The deadline and token arrive with the first poll, which
             // withdraws the put if they have already run out.
             Some(value) => match this.queue.put_step(value, Deadline::Never, None) {
-                ControlFlow::Continue(node) => PermitState::Linked(node),
+                // SAFETY: the node the queue just published for this put;
+                // the permit takes its waiter reference.
+                ControlFlow::Continue(node) => {
+                    PermitState::Linked(unsafe { NodePermit::new(Arc::clone(this), node) })
+                }
                 ControlFlow::Break(outcome) => return StartTransfer::Complete(outcome),
             },
             None => match this.queue.poll() {
                 Some(v) => return StartTransfer::Complete(TransferOutcome::Transferred(Some(v))),
-                None => PermitState::Receiving(None),
+                None => PermitState::Receiving(Arc::clone(this), None),
             },
         };
-        StartTransfer::Pending(BufferedPermit {
-            channel: Arc::clone(this),
-            state,
-        })
+        StartTransfer::Pending(BufferedPermit(state))
     }
 }
 
@@ -1960,7 +1918,8 @@ mod tests {
     }
 
     /// A sending permit dropped with its put handed back and not yet
-    /// re-polled: the item is in the node, and goes with it, once.
+    /// re-polled: it leaves as the match it lost to, so the item handed
+    /// back is dropped with it, once.
     #[test]
     fn dropping_a_handed_back_send_drops_its_item_once() {
         let drops = Arc::new(AtomicUsize::new(0));
@@ -1979,9 +1938,11 @@ mod tests {
             .is_pending());
         drop(hand_back_front(ch.queue(), item(9)));
         drop(permit);
-        // The node is the list's dummy now, and keeps the item until the
-        // head moves on or, here, the queue goes.
-        assert_eq!(drops.load(Ordering::SeqCst), 1, "only the popped item");
+        assert_eq!(
+            drops.load(Ordering::SeqCst),
+            2,
+            "the popped and the sent item"
+        );
         assert_eq!(ch.queue().len(), 2, "1 and 9 stay queued");
         drop(ch);
         assert_eq!(drops.load(Ordering::SeqCst), 4, "each item dropped once");
@@ -2233,7 +2194,7 @@ mod tests {
     /// Withdraws a linked `transfer`, as its timeout would.
     fn withdraw(q: &TransferQueue<u32>, node: *const WaitNode<u32, Epoch>) -> u32 {
         assert!(unsafe { &*node }.slot.try_cancel());
-        match unsafe { q.settle(node, WaitOutcome::Cancelled) } {
+        match unsafe { q.leave(node, WaitOutcome::Cancelled) } {
             TransferOutcome::Cancelled(Some(v)) => v,
             other => panic!("expected the item back, got {other:?}"),
         }

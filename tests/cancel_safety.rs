@@ -175,6 +175,37 @@ fn stack_drop_matched_recv_consumes_deposited_item_once() {
     assert_eq!(drops.load(Ordering::SeqCst), 1);
 }
 
+/// The one drop rule's middle case, timed: a `recv` whose reservation a
+/// producer already fulfilled leaves as that match when it is dropped, so
+/// the deposited item goes with the future, at once, not later with the
+/// node's last release.
+#[test]
+fn drop_fulfilled_recv_drops_deposited_item_at_once() {
+    let q: AsyncSyncQueue<Payload> = AsyncSyncQueue::new();
+    let mut fut = q.recv();
+    assert!(poll_once(&mut fut).is_pending());
+    let (p, drops) = payload();
+    q.try_send(p).expect("reservation is waiting");
+    drop(fut);
+    assert_eq!(
+        drops.load(Ordering::SeqCst),
+        1,
+        "queue: dropped with the recv"
+    );
+
+    let s: AsyncSyncStack<Payload> = AsyncSyncStack::new();
+    let mut fut = s.recv();
+    assert!(poll_once(&mut fut).is_pending());
+    let (p, drops) = payload();
+    s.try_send(p).expect("reservation is waiting");
+    drop(fut);
+    assert_eq!(
+        drops.load(Ordering::SeqCst),
+        1,
+        "stack: dropped with the recv"
+    );
+}
+
 /// Why buffered receivers are *woken to retry* from a wait list instead of
 /// being handed their item in a linked reservation, as blocked threads
 /// are: a `RecvFuture` can be dropped after it was fulfilled. The dual
