@@ -15,7 +15,7 @@
 //!   [`synq::SyncDualStack`].
 //!
 //! Both are aliases of the one front-end type, [`AsyncChannel`], which
-//! also carries the combining and the buffered variants. All offer
+//! also carries the buffered variant, [`AsyncTransferQueue`]. All three offer
 //! `send(v).await` / `recv().await`, non-suspending `try_send` /
 //! `try_recv`, and deadline-carrying `send_timed` / `recv_timed`. The
 //! futures are **cancel-safe**: dropping one mid-wait retracts its
@@ -58,20 +58,16 @@ pub use future::{RecvFuture, RecvTimedFuture, SendFuture, SendTimedFuture};
 use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Duration;
-use synq::{
-    CombinerSyncQueue, Deadline, PollTransferer, SyncDualQueue, SyncDualStack, TimedSyncChannel,
-};
+use synq::{Deadline, PollTransferer, SyncDualQueue, SyncDualStack, TimedSyncChannel};
 use synq_transfer::BufferedChannel;
 
 /// An async handoff point over any pollable structure `Q`: `send` and
 /// `recv` futures on the structure's two-phase transfer, and `try_*` on its
-/// channel methods. The four front-ends are aliases of it, one per
+/// channel methods. The three front-ends are aliases of it, one per
 /// structure:
 ///
 /// * [`AsyncSyncQueue`]: fair rendezvous on a [`SyncDualQueue`];
 /// * [`AsyncSyncStack`]: unfair rendezvous on a [`SyncDualStack`];
-/// * [`AsyncCombinerQueue`]: flat-combining rendezvous on a
-///   [`CombinerSyncQueue`];
 /// * [`AsyncTransferQueue`]: a buffered channel on a [`BufferedChannel`].
 ///
 /// A rendezvous `send` resolves once a consumer has taken the item; a
@@ -123,30 +119,6 @@ pub type AsyncSyncQueue<T> = AsyncChannel<T, SyncDualQueue<T>>;
 /// assert_eq!(block_on(s.recv_timed(Duration::from_millis(10))), None);
 /// ```
 pub type AsyncSyncStack<T> = AsyncChannel<T, SyncDualStack<T>>;
-
-/// The **flat-combining** async handoff point: delegation-based pairing
-/// on a [`CombinerSyncQueue`] (FIFO within each combiner sweep; see
-/// `synq::combiner`). Built for oversubscription — a polled task that
-/// finds the structure quiet briefly combines on behalf of every
-/// published request, so single-threaded executors never stall waiting
-/// for a third-party combiner.
-///
-/// # Examples
-///
-/// ```
-/// use synq_async::{block_on, AsyncCombinerQueue};
-/// use synq::SyncChannel;
-/// use std::thread;
-///
-/// let q = AsyncCombinerQueue::new();
-/// let q2 = q.clone();
-/// // A *blocking* producer pairs with an *async* consumer through
-/// // whichever side ends up sweeping.
-/// let t = thread::spawn(move || q2.inner().put(5u32));
-/// assert_eq!(block_on(q.recv()), 5);
-/// t.join().unwrap();
-/// ```
-pub type AsyncCombinerQueue<T> = AsyncChannel<T, CombinerSyncQueue<T>>;
 
 /// The **buffered** async channel: a
 /// [`TransferQueue`](synq_transfer::TransferQueue) behind its
@@ -324,43 +296,6 @@ mod tests {
             }),
         ]);
         assert_eq!(outs, vec![2, 1]);
-    }
-
-    #[test]
-    fn combiner_async_send_pairs_with_blocking_take() {
-        let q = AsyncCombinerQueue::new();
-        let q2 = q.clone();
-        let t = std::thread::spawn(move || q2.inner().take());
-        block_on(q.send(9u64));
-        assert_eq!(t.join().unwrap(), 9);
-    }
-
-    #[test]
-    fn combiner_async_pingpong_single_executor() {
-        // Two tasks on one executor: resolution relies entirely on the
-        // permits' help-combine path (no third thread ever sweeps).
-        let q = AsyncCombinerQueue::new();
-        let (a, b) = (q.clone(), q);
-        let outs = block_on_all(vec![
-            Box::pin(async move {
-                a.send(1u32).await;
-                a.recv().await
-            }) as std::pin::Pin<Box<dyn std::future::Future<Output = u32>>>,
-            Box::pin(async move {
-                let v = b.recv().await;
-                b.send(v + 1).await;
-                v
-            }),
-        ]);
-        assert_eq!(outs, vec![2, 1]);
-    }
-
-    #[test]
-    fn combiner_try_ops_and_timed_recv() {
-        let q: AsyncCombinerQueue<u32> = AsyncCombinerQueue::new();
-        assert_eq!(q.try_recv(), None);
-        assert_eq!(q.try_send(1), Err(1));
-        assert_eq!(block_on(q.recv_timed(Duration::from_millis(10))), None);
     }
 
     #[test]

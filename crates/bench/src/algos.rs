@@ -1,10 +1,7 @@
 //! The algorithm registry: one factory per curve in the paper's figures.
 
 use std::sync::Arc;
-use synq::{
-    CombinerSyncQueue, CombinerSyncStack, SpinPolicy, SyncChannel, SyncDualQueue, SyncDualStack,
-    TimedSyncChannel,
-};
+use synq::{SpinPolicy, SyncChannel, SyncDualQueue, SyncDualStack, TimedSyncChannel};
 use synq_baselines::{HansonFastSQ, HansonSQ, Java5SQ, NaiveSQ};
 use synq_exchanger::EliminationSyncStack;
 use synq_executor::Job;
@@ -55,10 +52,6 @@ pub enum Algo {
     NewUnfairSpin(u32),
     /// Dual stack fronted by an elimination arena of the given size (A3).
     NewElim(usize),
-    /// Flat-combining queue (delegation; FIFO within each sweep).
-    NewCombiner,
-    /// Flat-combining stack (delegation; LIFO within each sweep).
-    NewCombinerStack,
 }
 
 impl Algo {
@@ -76,8 +69,6 @@ impl Algo {
             Algo::NewFairSpin(n) => format!("new-fair-spin{n}"),
             Algo::NewUnfairSpin(n) => format!("new-unfair-spin{n}"),
             Algo::NewElim(n) => format!("new-unfair-elim{n}"),
-            Algo::NewCombiner => "new-combiner".into(),
-            Algo::NewCombinerStack => "new-combiner-stack".into(),
         }
     }
 }
@@ -96,8 +87,6 @@ pub fn make_blocking(algo: Algo) -> Arc<dyn SyncChannel<u64>> {
         Algo::NewFairSpin(n) => Arc::new(SyncDualQueue::with_spin(SpinPolicy::fixed(n))),
         Algo::NewUnfairSpin(n) => Arc::new(SyncDualStack::with_spin(SpinPolicy::fixed(n))),
         Algo::NewElim(slots) => Arc::new(EliminationSyncStack::new(slots)),
-        Algo::NewCombiner => Arc::new(CombinerSyncQueue::new()),
-        Algo::NewCombinerStack => Arc::new(CombinerSyncStack::new()),
     }
 }
 
@@ -114,8 +103,6 @@ pub fn make_timed_job(algo: Algo) -> Option<Arc<dyn TimedSyncChannel<Job>>> {
         Algo::NewFairSpin(n) => Arc::new(SyncDualQueue::with_spin(SpinPolicy::fixed(n))),
         Algo::NewUnfairSpin(n) => Arc::new(SyncDualStack::with_spin(SpinPolicy::fixed(n))),
         Algo::NewElim(slots) => Arc::new(EliminationSyncStack::new(slots)),
-        Algo::NewCombiner => Arc::new(CombinerSyncQueue::new()),
-        Algo::NewCombinerStack => Arc::new(CombinerSyncStack::new()),
     })
 }
 

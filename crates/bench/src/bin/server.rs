@@ -15,11 +15,10 @@
 //!    the gate fires and every in-flight dispatch is dropped, exercising
 //!    the PR 3 cancel-safety retraction at scale; `server.cancels`.
 //!
-//! Variants: the global-FIFO dual queue (`new-fair`), the flat-combining
-//! queue (`new-combiner`, FIFO only within a sweep), and the bounded
-//! buffered channel (`transfer-bounded64`). The fairness comparison is the
-//! point: a weaker order is a trade *only* visible as a latency
-//! distribution — so every series carries a schema rev 3 `latency` block
+//! Variants: the global-FIFO dual queue (`new-fair`) and the bounded
+//! buffered channel (`transfer-bounded64`). A trade between them is *only*
+//! visible as a latency distribution — so every series carries a schema
+//! rev 3 `latency` block
 //! (client-side dispatch spans: from issuing the send to a worker taking
 //! the job) and **p999 is the headline number**. Per-phase values are mean
 //! ns/request; awaited dispatches (steady/storm/wave completions) feed the
@@ -38,7 +37,7 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use synq::{CombinerSyncQueue, Deadline, PollTransferer, SyncDualQueue, TimedSyncChannel};
+use synq::{Deadline, PollTransferer, SyncDualQueue, TimedSyncChannel};
 use synq_async::{block_on_all, cancel::CancelGate, future};
 use synq_bench::hist::Histogram;
 use synq_bench::report::{counter_deltas_since, write_bench_server, FigureReport};
@@ -371,7 +370,7 @@ where
         burst_drops: shared.burst_drops.load(Ordering::Relaxed),
     };
     // The always-on totals go in explicitly; drop same-named probe deltas
-    // from a stats build so each key appears once (combiner-bench rule).
+    // from a stats build so each key appears once.
     let mut counters = counter_deltas_since(&before);
     counters.retain(|(k, _)| !k.starts_with("server."));
     counters.push(("server.requests".into(), totals.requests));
@@ -433,8 +432,6 @@ fn main() -> ExitCode {
     let mut storm_timeouts = 0u64;
     let fair: Arc<SyncDualQueue<Job>> = Arc::new(SyncDualQueue::new());
     storm_timeouts += run_variant("new-fair", fair, &cfg, &mut report).timeouts;
-    let combiner: Arc<CombinerSyncQueue<Job>> = Arc::new(CombinerSyncQueue::new());
-    storm_timeouts += run_variant("new-combiner", combiner, &cfg, &mut report).timeouts;
     let buffered: Arc<BufferedChannel<Job>> = Arc::new(BufferedChannel::bounded(BUFFER_CAP));
     storm_timeouts += run_variant(
         &format!("transfer-bounded{BUFFER_CAP}"),

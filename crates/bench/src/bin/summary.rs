@@ -14,21 +14,20 @@
 use std::process::ExitCode;
 use synq_bench::json::Json;
 use synq_bench::report::{
-    async_path, check_bench_schema, combiner_path, headline_path, park_path, read_bench_file,
-    reclaim_path, ring_path, server_path, wait_strategy_path, write_bench_async,
-    write_bench_combiner, write_bench_headline, write_bench_park, write_bench_reclaim,
-    write_bench_ring, write_bench_server, write_bench_wait_strategy, FigureReport,
+    async_path, check_bench_schema, headline_path, park_path, read_bench_file, reclaim_path,
+    ring_path, server_path, wait_strategy_path, write_bench_async, write_bench_headline,
+    write_bench_park, write_bench_reclaim, write_bench_ring, write_bench_server,
+    write_bench_wait_strategy, FigureReport,
 };
 
 /// The repo-root perf-trajectory files: (resolved path, schema family).
-fn bench_files() -> [(std::path::PathBuf, &'static str); 8] {
+fn bench_files() -> [(std::path::PathBuf, &'static str); 7] {
     [
         (headline_path(), "headline"),
         (wait_strategy_path(), "wait-strategy"),
         (async_path(), "async"),
         (ring_path(), "ring"),
         (reclaim_path(), "reclaim"),
-        (combiner_path(), "combiner"),
         (server_path(), "server"),
         (park_path(), "park"),
     ]
@@ -218,12 +217,6 @@ fn run() -> Result<(), String> {
         guard_overwrite(&reclaim_path(), "reclaim")?;
         let path = write_bench_reclaim(sweep)
             .map_err(|e| format!("failed to write BENCH_reclaim.json: {e}"))?;
-        eprintln!("wrote {}", path.display());
-    }
-    if let Some(sweep) = reports.iter().find(|r| r.id == "combiner") {
-        guard_overwrite(&combiner_path(), "combiner")?;
-        let path = write_bench_combiner(sweep)
-            .map_err(|e| format!("failed to write BENCH_combiner.json: {e}"))?;
         eprintln!("wrote {}", path.display());
     }
     if let Some(sweep) = reports.iter().find(|r| r.id == "server") {

@@ -331,7 +331,7 @@ fn schema_string(family: &str) -> String {
 
 /// Validates the `schema` field of a `BENCH_*.json` document against a
 /// schema family (`"headline"`, `"wait-strategy"`, `"async"`, `"ring"`,
-/// `"reclaim"`, `"combiner"`, `"server"`, `"park"`). Returns the
+/// `"reclaim"`, `"server"`, `"park"`). Returns the
 /// revision on success; a descriptive error for a missing field, a
 /// different family, or a revision outside
 /// [`BENCH_SCHEMA_OLDEST`]..=[`BENCH_SCHEMA_REV`].
@@ -405,11 +405,6 @@ pub fn ring_path() -> PathBuf {
 /// Resolved path of `BENCH_reclaim.json` (`SYNQ_RECLAIM_PATH` override).
 pub fn reclaim_path() -> PathBuf {
     bench_path("SYNQ_RECLAIM_PATH", "BENCH_reclaim.json")
-}
-
-/// Resolved path of `BENCH_combiner.json` (`SYNQ_COMBINER_PATH` override).
-pub fn combiner_path() -> PathBuf {
-    bench_path("SYNQ_COMBINER_PATH", "BENCH_combiner.json")
 }
 
 /// Resolved path of `BENCH_server.json` (`SYNQ_SERVER_PATH` override).
@@ -559,33 +554,13 @@ pub fn write_bench_reclaim(sweep: &FigureReport) -> std::io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Writes the repo-root `BENCH_combiner.json` file: ns/transfer for the
-/// flat-combining structures against the classic and java5-fair variants
-/// under the oversubscribed (threads ≫ cores) preset — the
-/// scheduler-subversion scenario combining exists for. Each combiner
-/// series' `counters` section carries the always-on `combiner.sweeps` /
-/// `combiner.requests` totals plus a derived `combiner.requests_per_sweep`
-/// (floored mean batch size), alongside any stats-build probe deltas.
-/// Returns the path written (overridable with `SYNQ_COMBINER_PATH`).
-pub fn write_bench_combiner(sweep: &FigureReport) -> std::io::Result<PathBuf> {
-    let path = combiner_path();
-    let fields = vec![
-        ("schema".into(), Json::Str(schema_string("combiner"))),
-        ("config".into(), report_config(sweep)),
-        ("sweep".into(), sweep.to_json()),
-    ];
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(Json::Obj(fields).pretty().as_bytes())?;
-    Ok(path)
-}
-
 /// Writes the repo-root `BENCH_server.json` file: the dispatch-server
 /// scenario (async connections dispatching jobs into the executor pool
 /// through a rendezvous channel) per queue variant, across the steady /
 /// burst / timeout-storm / cancellation-wave phases. Every series carries
 /// a schema rev 3 `latency` block — tails, not means, are this file's
-/// entire point: p999 is the headline number for the global-FIFO vs
-/// combiner fairness comparison. The `counters` section records
+/// entire point: p999 is the headline number of each variant. The
+/// `counters` section records
 /// the always-on `server.requests` / `server.timeouts` / `server.cancels`
 /// / `server.burst_drops` totals. Returns the path written (overridable
 /// with `SYNQ_SERVER_PATH`).
@@ -623,6 +598,18 @@ pub fn write_bench_park(sweep: &FigureReport) -> std::io::Result<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs `write` with `var` pointing at `path`. Tests that share a
+    /// variable take turns: one unsetting it mid-write of another would
+    /// send that write to the committed repo-root file.
+    fn with_path_var<T>(var: &str, path: &Path, write: impl FnOnce() -> T) -> T {
+        static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        let _turn = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        std::env::set_var(var, path);
+        let out = write();
+        std::env::remove_var(var);
+        out
+    }
 
     fn sample() -> FigureReport {
         let mut r = FigureReport::new("figureX", "test", "pairs", "ns/transfer", vec![1, 2]);
@@ -662,9 +649,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("synq-headline-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_headline.json");
-        std::env::set_var("SYNQ_HEADLINE_PATH", &path);
-        let written = write_bench_headline(&sample(), Some(&sample())).unwrap();
-        std::env::remove_var("SYNQ_HEADLINE_PATH");
+        let written = with_path_var("SYNQ_HEADLINE_PATH", &path, || {
+            write_bench_headline(&sample(), Some(&sample()))
+        })
+        .unwrap();
         let doc = Json::parse(&std::fs::read_to_string(&written).unwrap()).unwrap();
         let handoff = FigureReport::from_json(doc.get("handoff").unwrap()).unwrap();
         assert_eq!(handoff.series.len(), 2);
@@ -678,9 +666,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("synq-waitstrat-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_wait_strategy.json");
-        std::env::set_var("SYNQ_WAIT_STRATEGY_PATH", &path);
-        let written = write_bench_wait_strategy(&sample()).unwrap();
-        std::env::remove_var("SYNQ_WAIT_STRATEGY_PATH");
+        let written = with_path_var("SYNQ_WAIT_STRATEGY_PATH", &path, || {
+            write_bench_wait_strategy(&sample())
+        })
+        .unwrap();
         let doc = Json::parse(&std::fs::read_to_string(&written).unwrap()).unwrap();
         assert_eq!(
             doc.get("schema").and_then(Json::as_str).map(str::to_owned),
@@ -697,9 +686,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("synq-async-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_async.json");
-        std::env::set_var("SYNQ_ASYNC_PATH", &path);
-        let written = write_bench_async(&sample()).unwrap();
-        std::env::remove_var("SYNQ_ASYNC_PATH");
+        let written =
+            with_path_var("SYNQ_ASYNC_PATH", &path, || write_bench_async(&sample())).unwrap();
         let doc = Json::parse(&std::fs::read_to_string(&written).unwrap()).unwrap();
         assert_eq!(
             doc.get("schema").and_then(Json::as_str).map(str::to_owned),
@@ -716,9 +704,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("synq-ring-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_ring.json");
-        std::env::set_var("SYNQ_RING_PATH", &path);
-        let written = write_bench_ring(&sample()).unwrap();
-        std::env::remove_var("SYNQ_RING_PATH");
+        let written =
+            with_path_var("SYNQ_RING_PATH", &path, || write_bench_ring(&sample())).unwrap();
         let doc = Json::parse(&std::fs::read_to_string(&written).unwrap()).unwrap();
         assert_eq!(
             doc.get("schema").and_then(Json::as_str).map(str::to_owned),
@@ -736,9 +723,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("synq-park-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_park.json");
-        std::env::set_var("SYNQ_PARK_PATH", &path);
-        let written = write_bench_park(&sample()).unwrap();
-        std::env::remove_var("SYNQ_PARK_PATH");
+        let written =
+            with_path_var("SYNQ_PARK_PATH", &path, || write_bench_park(&sample())).unwrap();
         let doc = Json::parse(&std::fs::read_to_string(&written).unwrap()).unwrap();
         assert_eq!(
             doc.get("schema").and_then(Json::as_str).map(str::to_owned),
@@ -756,9 +742,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("synq-reclaim-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_reclaim.json");
-        std::env::set_var("SYNQ_RECLAIM_PATH", &path);
-        let written = write_bench_reclaim(&sample()).unwrap();
-        std::env::remove_var("SYNQ_RECLAIM_PATH");
+        let written = with_path_var(
+            "SYNQ_RECLAIM_PATH",
+            &path,
+            || write_bench_reclaim(&sample()),
+        )
+        .unwrap();
         let doc = Json::parse(&std::fs::read_to_string(&written).unwrap()).unwrap();
         assert_eq!(
             doc.get("schema").and_then(Json::as_str).map(str::to_owned),
@@ -768,41 +757,6 @@ mod tests {
         assert!(doc.get("config").is_some(), "config block recorded");
         let sweep = FigureReport::from_json(doc.get("sweep").unwrap()).unwrap();
         assert_eq!(sweep.series.len(), 2);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn combiner_file_roundtrips_with_config_block() {
-        let dir = std::env::temp_dir().join(format!("synq-combiner-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_combiner.json");
-        std::env::set_var("SYNQ_COMBINER_PATH", &path);
-        let written = write_bench_combiner(&sample()).unwrap();
-        std::env::remove_var("SYNQ_COMBINER_PATH");
-        let doc = Json::parse(&std::fs::read_to_string(&written).unwrap()).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(Json::as_str).map(str::to_owned),
-            Some(format!("synq-bench-combiner/v{BENCH_SCHEMA_REV}"))
-        );
-        assert!(read_bench_file(&written, "combiner").is_ok());
-        // A v99 combiner file must be rejected with the clear-rebuild error.
-        let future = Json::Obj(vec![(
-            "schema".into(),
-            Json::Str("synq-bench-combiner/v99".into()),
-        )]);
-        let err = check_bench_schema(&future, "combiner").unwrap_err();
-        assert!(err.contains("unknown schema revision"), "got: {err}");
-        let sweep = FigureReport::from_json(doc.get("sweep").unwrap()).unwrap();
-        assert_eq!(sweep.series.len(), 2);
-        // PR 8: every BENCH file records the host/run config block.
-        let config = doc.get("config").expect("config block present");
-        assert!(config.get("cores").and_then(Json::as_f64).unwrap() >= 1.0);
-        let ks = config
-            .get("oversub_factors")
-            .and_then(Json::as_array)
-            .unwrap();
-        assert!(!ks.is_empty() && ks.iter().all(|k| k.as_f64().unwrap() >= 2.0));
-        assert!(config.get("quick").is_some());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -826,10 +780,9 @@ mod tests {
 
         let dir = std::env::temp_dir().join(format!("synq-cfgkeep-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_combiner.json");
-        std::env::set_var("SYNQ_COMBINER_PATH", &path);
-        let written = write_bench_combiner(&back).unwrap();
-        std::env::remove_var("SYNQ_COMBINER_PATH");
+        let path = dir.join("BENCH_server.json");
+        let written =
+            with_path_var("SYNQ_SERVER_PATH", &path, || write_bench_server(&back)).unwrap();
         let doc = Json::parse(&std::fs::read_to_string(&written).unwrap()).unwrap();
         assert_eq!(
             doc.get("config")
@@ -937,7 +890,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("synq-server-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_server.json");
-        std::env::set_var("SYNQ_SERVER_PATH", &path);
         let mut r = FigureReport::new("server", "dispatch server", "phase", "ns/request", vec![1]);
         r.push_series_full(
             "new-fair".into(),
@@ -945,15 +897,22 @@ mod tests {
             Vec::new(),
             Some(sample_latency()),
         );
-        let written = write_bench_server(&r).unwrap();
-        std::env::remove_var("SYNQ_SERVER_PATH");
+        let written = with_path_var("SYNQ_SERVER_PATH", &path, || write_bench_server(&r)).unwrap();
         let doc = Json::parse(&std::fs::read_to_string(&written).unwrap()).unwrap();
         assert_eq!(
             doc.get("schema").and_then(Json::as_str),
             Some(&format!("synq-bench-server/v{BENCH_SCHEMA_REV}")[..])
         );
         assert!(read_bench_file(&written, "server").is_ok());
-        assert!(doc.get("config").is_some(), "config block recorded");
+        // Every BENCH file records the host/run config block.
+        let config = doc.get("config").expect("config block present");
+        assert!(config.get("cores").and_then(Json::as_f64).unwrap() >= 1.0);
+        let ks = config
+            .get("oversub_factors")
+            .and_then(Json::as_array)
+            .unwrap();
+        assert!(!ks.is_empty() && ks.iter().all(|k| k.as_f64().unwrap() >= 2.0));
+        assert!(config.get("quick").is_some());
         let sweep = FigureReport::from_json(doc.get("sweep").unwrap()).unwrap();
         assert_eq!(sweep.series[0].latency, Some(sample_latency()));
         std::fs::remove_dir_all(&dir).ok();
@@ -1011,10 +970,10 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("synq-selfcheck-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_headline.json");
-        std::env::set_var("SYNQ_HEADLINE_PATH", &path);
-        write_bench_headline(&sample(), None).unwrap();
-        let checked = read_bench_file(&path, "headline");
-        std::env::remove_var("SYNQ_HEADLINE_PATH");
+        let checked = with_path_var("SYNQ_HEADLINE_PATH", &path, || {
+            write_bench_headline(&sample(), None).unwrap();
+            read_bench_file(&path, "headline")
+        });
         assert!(checked.is_ok(), "got: {checked:?}");
         std::fs::remove_dir_all(&dir).ok();
     }

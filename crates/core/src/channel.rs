@@ -202,12 +202,9 @@ macro_rules! impl_channels_via_transferer {
 }
 
 // The core types get the channel interfaces via the macro.
-use crate::combiner::{CombinerSyncQueue, CombinerSyncStack};
 use crate::dual_queue::SyncDualQueue;
 use crate::dual_stack::SyncDualStack;
 use crate::queue::SynchronousQueue;
 impl_channels_via_transferer!(SyncDualQueue<R: synq_reclaim::Reclaimer>);
 impl_channels_via_transferer!(SyncDualStack<R: synq_reclaim::Reclaimer>);
-impl_channels_via_transferer!(CombinerSyncQueue);
-impl_channels_via_transferer!(CombinerSyncStack);
 impl_channels_via_transferer!(SynchronousQueue);

@@ -48,7 +48,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod channel;
-pub mod combiner;
 pub mod dual_list;
 pub mod dual_queue;
 pub mod dual_stack;
@@ -57,7 +56,6 @@ pub mod queue;
 pub mod transferer;
 
 pub use channel::{SyncChannel, TimedSyncChannel};
-pub use combiner::{CombinerPermit, CombinerSyncQueue, CombinerSyncStack};
 pub use dual_queue::SyncDualQueue;
 pub use dual_stack::SyncDualStack;
 pub use pollable::{PendingTransfer, PollTransferer, StartTransfer};

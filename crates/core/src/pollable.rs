@@ -82,10 +82,7 @@ pub trait PendingTransfer<T: Send>: Send + Unpin {
 ///
 /// Implemented by [`SyncDualQueue`](crate::SyncDualQueue) (fair) and
 /// [`SyncDualStack`](crate::SyncDualStack) (unfair), both with a
-/// [`NodePermit`](crate::dual_list::NodePermit); by the combining pair
-/// [`CombinerSyncQueue`](crate::CombinerSyncQueue) and
-/// [`CombinerSyncStack`](crate::CombinerSyncStack), with a
-/// [`CombinerPermit`](crate::CombinerPermit); and by
+/// [`NodePermit`](crate::dual_list::NodePermit); and by
 /// `synq_transfer::BufferedChannel`, whose permit is a `NodePermit` for a
 /// waiting send and a wait-list entry for a receiver. (`TransferQueue`
 /// itself is polled through that adapter.) The receiver is an `Arc`
@@ -106,7 +103,7 @@ pub trait PollTransferer<T: Send>: Send + Sync + Sized {
 mod tests {
     use super::*;
     use crate::channel::TimedSyncChannel;
-    use crate::{CombinerSyncQueue, CombinerSyncStack, SyncDualQueue, SyncDualStack};
+    use crate::{SyncDualQueue, SyncDualStack};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::task::Waker;
 
@@ -157,16 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn combiner_queue_pending_consumer_is_woken_and_resolves() {
-        pending_consumer_is_woken_and_resolves(Arc::new(CombinerSyncQueue::new()));
-    }
-
-    #[test]
-    fn combiner_stack_pending_consumer_is_woken_and_resolves() {
-        pending_consumer_is_woken_and_resolves(Arc::new(CombinerSyncStack::new()));
-    }
-
-    #[test]
     fn queue_dropping_pending_permit_cancels_reservation() {
         let q: Arc<SyncDualQueue<u32>> = Arc::new(SyncDualQueue::new());
         let StartTransfer::Pending(permit) = SyncDualQueue::start_transfer(&q, None) else {
@@ -187,48 +174,6 @@ mod tests {
         drop(permit);
         assert_eq!(s.offer(1), Err(1));
         assert_eq!(s.linked_nodes(), 0);
-    }
-
-    #[test]
-    fn combiner_dropping_pending_permit_cancels_reservation() {
-        let q: Arc<CombinerSyncQueue<u32>> = Arc::new(CombinerSyncQueue::new());
-        let StartTransfer::Pending(permit) = CombinerSyncQueue::start_transfer(&q, None) else {
-            panic!("expected a pending reservation");
-        };
-        drop(permit);
-        assert_eq!(q.offer(1), Err(1));
-    }
-
-    #[test]
-    fn combiner_producer_permit_poll_deadline_times_out_with_item() {
-        let q: Arc<CombinerSyncQueue<String>> = Arc::new(CombinerSyncQueue::new());
-        let StartTransfer::Pending(mut permit) =
-            CombinerSyncQueue::start_transfer(&q, Some("v".to_string()))
-        else {
-            panic!("expected a pending publication");
-        };
-        let waker = counting_waker(Arc::new(AtomicUsize::new(0)));
-        match permit.poll_transfer(&waker, Deadline::Now, None) {
-            Poll::Ready(TransferOutcome::Timeout(Some(s))) => assert_eq!(s, "v"),
-            other => panic!("expected Timeout with the item back, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn combiner_producer_permit_poll_cancel_token_returns_item() {
-        let s: Arc<CombinerSyncStack<String>> = Arc::new(CombinerSyncStack::new());
-        let StartTransfer::Pending(mut permit) =
-            CombinerSyncStack::start_transfer(&s, Some("w".to_string()))
-        else {
-            panic!("expected a pending publication");
-        };
-        let token = CancelToken::new();
-        token.canceller().cancel();
-        let waker = counting_waker(Arc::new(AtomicUsize::new(0)));
-        match permit.poll_transfer(&waker, Deadline::Never, Some(&token)) {
-            Poll::Ready(TransferOutcome::Cancelled(Some(s))) => assert_eq!(s, "w"),
-            other => panic!("expected Cancelled with the item back, got {other:?}"),
-        }
     }
 
     #[test]

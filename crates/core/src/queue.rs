@@ -1,7 +1,6 @@
 //! The `SynchronousQueue` facade: fair or unfair mode behind one type,
 //! mirroring `java.util.concurrent.SynchronousQueue`.
 
-use crate::combiner::CombinerSyncQueue;
 use crate::dual_queue::SyncDualQueue;
 use crate::dual_stack::SyncDualStack;
 use crate::transferer::{Deadline, TransferOutcome, Transferer};
@@ -16,7 +15,6 @@ use synq_primitives::{CancelToken, SpinPolicy};
 enum Inner<T: Send> {
     Fair(SyncDualQueue<T>),
     Unfair(SyncDualStack<T>),
-    Combining(CombinerSyncQueue<T>),
 }
 
 /// A synchronous queue: every `put` waits for a `take` and vice versa.
@@ -90,31 +88,9 @@ impl<T: Send> SynchronousQueue<T> {
         }
     }
 
-    /// Combining (flat-combining, FIFO-within-a-sweep) mode — the
-    /// delegation alternative to both CAS-based modes, strongest under
-    /// oversubscription (see [`CombinerSyncQueue`]).
-    pub fn combining() -> Self {
-        SynchronousQueue {
-            inner: Inner::Combining(CombinerSyncQueue::new()),
-        }
-    }
-
-    /// Combining mode with an explicit spin policy (ablations).
-    pub fn combining_with_spin(spin: SpinPolicy) -> Self {
-        SynchronousQueue {
-            inner: Inner::Combining(CombinerSyncQueue::with_spin(spin)),
-        }
-    }
-
-    /// True if this queue pairs FIFO (the combining mode is FIFO within
-    /// each sweep batch).
+    /// True if this queue pairs FIFO.
     pub fn is_fair(&self) -> bool {
-        matches!(self.inner, Inner::Fair(_) | Inner::Combining(_))
-    }
-
-    /// True if this queue delegates pairing to a combiner thread.
-    pub fn is_combining(&self) -> bool {
-        matches!(self.inner, Inner::Combining(_))
+        matches!(self.inner, Inner::Fair(_))
     }
 
     /// Transfers `value`, waiting for a consumer.
@@ -181,7 +157,6 @@ impl<T: Send> SynchronousQueue<T> {
         match &self.inner {
             Inner::Fair(q) => q.linked_nodes(),
             Inner::Unfair(s) => s.linked_nodes(),
-            Inner::Combining(c) => c.linked_records(),
         }
     }
 }
@@ -196,7 +171,6 @@ impl<T: Send> Transferer<T> for SynchronousQueue<T> {
         match &self.inner {
             Inner::Fair(q) => q.transfer(item, deadline, token),
             Inner::Unfair(s) => s.transfer(item, deadline, token),
-            Inner::Combining(c) => c.transfer(item, deadline, token),
         }
     }
 }
@@ -206,7 +180,6 @@ impl<T: Send> std::fmt::Debug for SynchronousQueue<T> {
         let mode = match self.inner {
             Inner::Fair(_) => "fair",
             Inner::Unfair(_) => "unfair",
-            Inner::Combining(_) => "combining",
         };
         f.debug_struct("SynchronousQueue")
             .field("mode", &mode)
@@ -237,11 +210,7 @@ mod tests {
 
     #[test]
     fn both_modes_transfer() {
-        for q in [
-            SynchronousQueue::fair(),
-            SynchronousQueue::unfair(),
-            SynchronousQueue::combining(),
-        ] {
+        for q in [SynchronousQueue::fair(), SynchronousQueue::unfair()] {
             let q = Arc::new(q);
             let q2 = Arc::clone(&q);
             let t = thread::spawn(move || q2.take());
@@ -255,7 +224,6 @@ mod tests {
         for q in [
             SynchronousQueue::<u8>::fair(),
             SynchronousQueue::<u8>::unfair(),
-            SynchronousQueue::<u8>::combining(),
         ] {
             assert_eq!(q.poll(), None);
             assert_eq!(q.offer(3), Err(3));
@@ -267,7 +235,6 @@ mod tests {
         for q in [
             SynchronousQueue::<u8>::fair(),
             SynchronousQueue::<u8>::unfair(),
-            SynchronousQueue::<u8>::combining(),
         ] {
             assert_eq!(q.poll_timeout(Duration::from_millis(5)), None);
             assert_eq!(q.offer_timeout(9, Duration::from_millis(5)), Err(9));
@@ -280,16 +247,5 @@ mod tests {
         assert!(q.is_fair());
         let q = SynchronousQueue::<u8>::unfair_with_spin(SpinPolicy::fixed(4));
         assert!(!q.is_fair());
-        let q = SynchronousQueue::<u8>::combining_with_spin(SpinPolicy::fixed(4));
-        assert!(q.is_combining() && q.is_fair());
-    }
-
-    #[test]
-    fn combining_mode_reports_itself() {
-        let q: SynchronousQueue<u8> = SynchronousQueue::combining();
-        assert!(q.is_combining());
-        assert!(format!("{q:?}").contains("combining"));
-        assert!(!SynchronousQueue::<u8>::fair().is_combining());
-        assert_eq!(q.linked_nodes(), 0);
     }
 }

@@ -49,9 +49,7 @@ impl<T> TransferOutcome<T> {
 /// A synchronous transfer point: `Some(item)` puts, `None` takes.
 ///
 /// Implementors: [`crate::SyncDualQueue`], [`crate::SyncDualStack`], the
-/// [`crate::SynchronousQueue`] facade, the combining pair
-/// [`crate::CombinerSyncQueue`] and [`crate::CombinerSyncStack`],
-/// `synq_transfer::TransferQueue` (whose producer side is the synchronous
+/// [`crate::SynchronousQueue`] facade, `synq_transfer::TransferQueue` (whose producer side is the synchronous
 /// `transfer`), `synq_exchanger::EliminationSyncStack`, and the Java SE 5.0
 /// baseline in `synq-baselines`.
 pub trait Transferer<T: Send> {

@@ -87,9 +87,11 @@ probes! {
     QueueAppendCas => "queue.append_cas",
     /// Failed append CAS (another thread won the tail; retry).
     QueueAppendCasFail => "queue.append_cas_fail",
-    /// Successful claim of a reservation at the dual queue's head.
+    /// Successful claim of the front node of a linked dual list (the dual
+    /// queue's, or a `TransferQueue`'s consumer, reservation fill or
+    /// ring refill).
     QueueClaimCas => "queue.claim_cas",
-    /// Failed claim (reservation already taken or cancelled; retry).
+    /// Failed claim (front node already taken or cancelled; retry).
     QueueClaimCasFail => "queue.claim_cas_fail",
     /// Head-pointer advances (dequeues plus cancellation cleanup).
     QueueHeadAdvances => "queue.head_advances",
@@ -217,32 +219,6 @@ probes! {
     /// Scans (hazard) that freed nothing at all: every candidate was pinned
     /// by a slot. A growing count flags a stalled or wedged reader.
     ReclaimStalls => "reclaim.stalls",
-
-    // Flat-combining rendezvous (DESIGN §4.13): one combiner thread sweeps
-    // the publication list and batch-pairs putters with takers.
-    /// Combiner sweeps: full passes over the publication list under the
-    /// combiner lock. `requests / sweeps` is the batch size the assert leg
-    /// checks under oversubscription.
-    CombinerSweeps => "combiner.sweeps",
-    /// Pending requests claimed during sweeps (paired *or* handed back).
-    CombinerRequests => "combiner.requests",
-    /// Requests resolved while their owner waited — the delegation path: a
-    /// *different* thread's sweep completed the handoff.
-    CombinerDelegated => "combiner.delegated",
-    /// Requests resolved by their owner's own lock acquisition (the owner
-    /// was the combiner and served itself within its sweep).
-    CombinerSelfService => "combiner.self_service",
-    /// Publication records newly allocated and linked into the list.
-    CombinerRecordEnrolls => "combiner.record_enrolls",
-    /// Publications that reused the caller's cached per-thread record (no
-    /// allocation, no list CAS — the steady-state fast path).
-    CombinerRecordRecycles => "combiner.record_recycles",
-    /// Records aged out (unlinked to the graveyard) after sitting quiet for
-    /// the structure's age limit of consecutive sweeps.
-    CombinerRecordAged => "combiner.record_aged",
-    /// Combiner-lock CAS attempts that found the lock held (the loser
-    /// published and went to wait; the holder's release re-check covers it).
-    CombinerLockFails => "combiner.lock_fails",
 
     // Parker substrate (DESIGN §4.15): how permits actually move between
     // threads — banked fast paths vs real descheduling syscalls.

@@ -20,6 +20,12 @@
 //!      └───────────────▶ CANCELLED                       (terminal)
 //! ```
 //!
+//! Every transition moves forward: a slot leaves `WAITING` at most once,
+//! and nothing returns it there. A reader that sees any other state may
+//! rely on never seeing `WAITING` again. The poll-mode permits lean on
+//! this when a cancel loses to a claim in progress: the claim can only
+//! end in `MATCHED`.
+//!
 //! Fulfillers that must move data in *both* directions (queue/transfer:
 //! read the waiter's item, or deposit one) go through the two-phase
 //! `try_claim` → `put_item`/`take_item` → `complete` path; `CLAIMED` is the
@@ -139,71 +145,6 @@ impl<T> WaitSlot<T> {
             // exclusive access and the flag flip makes this the only read.
             unsafe { (*self.item.get()).assume_init_drop() };
         }
-    }
-
-    /// First half of re-arming a used slot: drops any pending item and
-    /// clears the item flags and waiter mailbox, but leaves the state word
-    /// *terminal*. The flat-combining publication records recycle their
-    /// embedded slot through a `&self` (the record stays linked in a shared
-    /// intrusive list); keeping the state terminal until [`Self::reopen`]
-    /// runs is what keeps a straggling fulfiller's `try_claim` failing
-    /// throughout the re-arm window.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be the slot's logical owner, with the slot in a
-    /// terminal state (or never published) and no fulfiller holding a live
-    /// claim. Concurrent *failed* claim/cancel attempts are fine — they
-    /// only touch the state word, which this method does not.
-    pub unsafe fn recycle(&self) {
-        if self.filled.load(Ordering::Relaxed) && !self.consumed.swap(true, Ordering::Relaxed) {
-            // SAFETY: filled && !consumed means an initialized T nobody
-            // moved out; the caller's exclusivity contract plus the flag
-            // flip make this the only read.
-            unsafe { (*self.item.get()).assume_init_drop() };
-        }
-        self.filled.store(false, Ordering::Relaxed);
-        self.consumed.store(false, Ordering::Relaxed);
-        self.waiter.take();
-    }
-
-    /// Re-opens a recycled slot for a new round: terminal → `WAITING`
-    /// (Release, publishing any item armed since [`Self::recycle`]).
-    ///
-    /// Call order matters: `recycle` → optional [`Self::put_item`] →
-    /// `reopen`. Arming the cell *before* the state store means any
-    /// fulfiller whose claim lands the instant the slot reopens sees a
-    /// fully armed request (its direction read of [`Self::has_item`] is
-    /// accurate), never a half-built one.
-    ///
-    /// # Safety
-    ///
-    /// Same ownership contract as [`Self::recycle`], which must have run
-    /// since the last terminal transition.
-    pub unsafe fn reopen(&self) {
-        debug_assert!(!matches!(
-            self.state.load(Ordering::Relaxed),
-            WAITING | CLAIMED
-        ));
-        self.state.store(WAITING, Ordering::Release);
-    }
-
-    /// Releases a claim without completing it: `CLAIMED → WAITING`. For
-    /// fulfillers that claim speculatively and may find no counterpart — a
-    /// combiner sweep claims every pending request it sees, pairs what it
-    /// can, and hands the leftovers back. The waiter's spin/park loop
-    /// treats `CLAIMED` as "match imminent", so an unclaimed slot simply
-    /// resumes normal waiting (the parked waiter's mailbox is untouched, so
-    /// a later real fulfiller still wakes it).
-    ///
-    /// # Safety
-    ///
-    /// The caller must have won [`Self::try_claim`], not called
-    /// [`Self::complete`], and left the item cell exactly as the claim
-    /// found it.
-    pub unsafe fn unclaim(&self) {
-        debug_assert_eq!(self.state.load(Ordering::Relaxed), CLAIMED);
-        self.state.store(WAITING, Ordering::Release);
     }
 
     /// Current state word (Acquire). Terminal values license reading the
@@ -333,7 +274,7 @@ impl<T> WaitSlot<T> {
     ///
     /// A plain store suffices: each entitlement below makes the caller the
     /// cell's only reader, and whoever later reads `consumed` (the slot's
-    /// `Drop`, `recycle`, `has_item`) is ordered after it by the state word
+    /// `Drop`, `has_item`) is ordered after it by the state word
     /// or the owner's reference count, like `put_item`'s `filled`. A second
     /// take is still debug-asserted.
     ///
@@ -705,53 +646,6 @@ mod tests {
         assert!(!slot.has_item());
         unsafe { slot.put_item("b".into()) };
         assert_eq!(unsafe { slot.take_item() }, "b");
-    }
-
-    #[test]
-    fn recycle_reopen_rearms_through_shared_ref() {
-        let payload = Arc::new(());
-        let slot = WaitSlot::with_item(Arc::clone(&payload));
-        assert!(slot.try_cancel());
-        // SAFETY: we are the only owner and the slot is terminal.
-        unsafe { slot.recycle() };
-        assert_eq!(Arc::strong_count(&payload), 1, "pending item dropped");
-        assert!(slot.is_cancelled(), "state stays terminal until reopen");
-        assert!(!slot.try_claim(), "claims keep failing mid-recycle");
-        unsafe { slot.put_item(Arc::new(())) };
-        unsafe { slot.reopen() };
-        assert!(slot.is_waiting());
-        assert!(slot.has_item());
-        assert!(slot.try_claim());
-        drop(unsafe { slot.take_item() });
-    }
-
-    #[test]
-    fn unclaim_returns_slot_to_fulfillable_waiting() {
-        let slot: WaitSlot<u32> = WaitSlot::new();
-        assert!(slot.try_claim());
-        assert!(!slot.try_cancel(), "cancel loses while claimed");
-        // SAFETY: we won the claim above and wrote nothing.
-        unsafe { slot.unclaim() };
-        assert!(slot.is_waiting());
-        // A later fulfiller (or canceller) proceeds normally.
-        assert!(slot.try_claim());
-        unsafe { slot.fulfill(3) };
-        assert_eq!(unsafe { slot.take_item() }, 3);
-    }
-
-    #[test]
-    fn unclaim_does_not_consume_parked_waiter_mailbox() {
-        let slot: WaitSlot<u32> = WaitSlot::new();
-        let (waker, hits) = flag_waker();
-        assert!(slot
-            .poll_outcome(&waker, Deadline::Never, None)
-            .is_pending());
-        assert!(slot.try_claim());
-        unsafe { slot.unclaim() };
-        assert_eq!(hits.load(Ordering::SeqCst), 0, "unclaim must not wake");
-        assert!(slot.try_claim());
-        unsafe { slot.fulfill(8) };
-        assert_eq!(hits.load(Ordering::SeqCst), 1, "real fulfiller still wakes");
     }
 
     #[test]

@@ -57,14 +57,15 @@ proptest! {
     }
 
     /// `WaitSlot` state machine vs. a reference model, under arbitrary
-    /// interleavings of fulfiller visits, token fulfillments, cancels,
-    /// re-arms, and recycles, with drop-counting payloads: every CAS
-    /// outcome must match the model, the observable state word must track
-    /// it, and every payload ever created must drop exactly once.
+    /// interleavings of fulfiller visits, token fulfillments, cancels and
+    /// collects, with drop-counting payloads: every CAS outcome must match
+    /// the model, the observable state word must track it, the slot must
+    /// never return to `WAITING` once it has left, and every payload ever
+    /// created must drop exactly once.
     #[test]
     fn wait_slot_matches_state_model(
         starts_armed in any::<bool>(),
-        ops in proptest::collection::vec(0u8..5, 0..60),
+        ops in proptest::collection::vec(0u8..4, 0..60),
     ) {
         use synq_primitives::wait_slot::{CANCELLED, CLAIMED, MATCHED, WAITING};
 
@@ -88,6 +89,7 @@ proptest! {
         let mut filled = false;       // an initialized T was written
         let mut consumed = false;     // ...and moved back out
         let has_item = |filled: bool, consumed: bool| filled && !consumed;
+        let mut left_waiting = false; // the real slot has read non-WAITING
 
         let slot: WaitSlot<Counted> = if starts_armed {
             filled = true;
@@ -139,28 +141,19 @@ proptest! {
                     }
                 }
                 // The waiter (or a matched party) collects the payload.
-                3 => {
+                _ => {
                     if (state == MATCHED || state >= MIN_TOKEN) && has_item(filled, consumed) {
                         drop(unsafe { slot.take_item() });
                         consumed = true;
                     }
                 }
-                // Recycle (the combiner's publication records): once the
-                // slot is terminal anything pending is dropped and the
-                // protocol re-arms from scratch.
-                _ => {
-                    if state != WAITING {
-                        // SAFETY: sole owner, terminal state.
-                        unsafe {
-                            slot.recycle();
-                            slot.reopen();
-                        }
-                        state = WAITING;
-                        filled = false;
-                        consumed = false;
-                    }
-                }
             }
+            // One way only: once the slot has left WAITING it never reads
+            // WAITING again.
+            if left_waiting {
+                prop_assert!(slot.state() != WAITING, "slot returned to WAITING");
+            }
+            left_waiting |= slot.state() != WAITING;
             prop_assert_eq!(slot.state(), state);
             prop_assert_eq!(slot.has_item(), has_item(filled, consumed));
             prop_assert!(state != CLAIMED, "ops above never end mid-claim");

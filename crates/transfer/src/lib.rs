@@ -669,8 +669,10 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     /// frees a slot a waiting put may be counted for.
     fn fulfill_reservation(&self, m: &WaitNode<T, R>, own: &mut Option<T>) -> bool {
         if !m.slot.try_claim() {
+            probe!(QueueClaimCasFail);
             return false;
         }
+        probe!(QueueClaimCas);
         let item = match self.ring_pop() {
             None if self.ring.is_empty() => own.take(),
             popped => popped,
@@ -733,6 +735,11 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
                 return;
             }
             let claimed = m.slot.try_claim();
+            if claimed {
+                probe!(QueueClaimCas);
+            } else {
+                probe!(QueueClaimCasFail);
+            }
             let moved = claimed && self.move_to_ring(&m);
             at.advance_past(m);
             if claimed && !moved {
@@ -985,10 +992,13 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
             }
             let mut taken = None;
             if m.slot.try_claim() {
+                probe!(QueueClaimCas);
                 // SAFETY: claim grants slot read access.
                 taken = Some(unsafe { m.slot.take_item() });
                 self.uncount(m.is_movable());
                 m.slot.complete();
+            } else {
+                probe!(QueueClaimCasFail);
             }
             at.advance_past(m);
             if taken.is_some() {

@@ -1,8 +1,9 @@
 //! Cross-algorithm conformance battery.
 //!
 //! Every synchronous queue implementation in the workspace — the paper's
-//! two new algorithms, the three baselines, and the elimination variant —
-//! is driven through the same behavioural checks, using trait objects so
+//! two new algorithms, the three baselines, the elimination variant, and
+//! the §5 `TransferQueue` through its synchronous `transfer`/`take` — is
+//! driven through the same behavioural checks, using trait objects so
 //! the test code is identical for all of them.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -12,6 +13,7 @@ use std::time::{Duration, Instant};
 use synq_suite::baselines::{HansonSQ, Java5SQ, NaiveSQ};
 use synq_suite::core::{SyncChannel, SynchronousQueue, TimedSyncChannel};
 use synq_suite::exchanger::EliminationSyncStack;
+use synq_suite::transfer::TransferQueue;
 
 type Blocking = Arc<dyn SyncChannel<u64>>;
 type Timed = Arc<dyn TimedSyncChannel<u64>>;
@@ -25,6 +27,8 @@ fn blocking_channels() -> Vec<(&'static str, Blocking)> {
         ("new-fair", Arc::new(SynchronousQueue::fair())),
         ("new-unfair", Arc::new(SynchronousQueue::unfair())),
         ("new-elim", Arc::new(EliminationSyncStack::new(4))),
+        ("transfer", Arc::new(TransferQueue::new())),
+        ("transfer-bounded", Arc::new(TransferQueue::bounded(8))),
     ]
 }
 
@@ -35,6 +39,8 @@ fn timed_channels() -> Vec<(&'static str, Timed)> {
         ("new-fair", Arc::new(SynchronousQueue::fair())),
         ("new-unfair", Arc::new(SynchronousQueue::unfair())),
         ("new-elim", Arc::new(EliminationSyncStack::new(4))),
+        ("transfer", Arc::new(TransferQueue::new())),
+        ("transfer-bounded", Arc::new(TransferQueue::bounded(8))),
     ]
 }
 
