@@ -1,121 +1,48 @@
 //! Broadcast cancellation for in-flight transfer futures.
 //!
-//! A [`CancelGate`] is a one-shot, many-listener latch: any number of
-//! tasks wrap their pending futures in [`CancelGate::wrap`], and a single
-//! [`CancelGate::fire`] resolves every one of them to `None` — the
+//! Any number of tasks wrap their pending futures with
+//! [`Cancelled::new`] on one [`CancelToken`], and a single
+//! [`CancelToken::cancel`] resolves every one of them to `None` — the
 //! "cancellation wave" of a server draining connections on shutdown or
 //! deadline. The wrapped future itself is simply *dropped*, which is
 //! exactly the cancel-safety contract of the transfer futures
 //! ([`crate::future`]): the published node is retracted or conceded, and
 //! the unsent item is released exactly once. This module adds no new
-//! protocol — it only decides *when* to drop.
-//!
-//! # Race discipline
-//!
-//! The only subtle point is the classic register/check race: a task that
-//! observes `fired == false`, then registers its waker, must not miss a
-//! concurrent [`CancelGate::fire`]. The wrapper therefore re-checks the
-//! flag *after* registering; `fire` sets the flag *before* draining the
-//! waker list. Whichever order the two interleave in, either the re-check
-//! sees the flag or the drain sees the waker.
+//! protocol — it only decides *when* to drop. The token is the one the
+//! blocking paths take: the wrapper registers its task with it as a
+//! parked thread registers its unparker, and relies on the token's
+//! register-then-re-check discipline (`synq_primitives::cancel`).
 
 use std::future::Future;
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
+use synq::CancelToken;
+use synq_primitives::cancel::Registration;
 
-struct GateInner {
-    fired: AtomicBool,
-    waiters: Mutex<Vec<Waker>>,
-}
-
-/// A one-shot cancellation latch shared by any number of [`Cancelled`]
-/// wrappers. Cloning shares the latch.
-#[derive(Clone)]
-pub struct CancelGate {
-    inner: Arc<GateInner>,
-}
-
-impl Default for CancelGate {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CancelGate {
-    /// A new, un-fired gate.
-    pub fn new() -> CancelGate {
-        CancelGate {
-            inner: Arc::new(GateInner {
-                fired: AtomicBool::new(false),
-                waiters: Mutex::new(Vec::new()),
-            }),
-        }
-    }
-
-    /// Has [`CancelGate::fire`] been called?
-    pub fn is_fired(&self) -> bool {
-        self.inner.fired.load(Ordering::Acquire)
-    }
-
-    /// Fires the gate: every current and future [`Cancelled`] wrapper on
-    /// this gate resolves to `None`. Idempotent.
-    pub fn fire(&self) {
-        // Flag before drain: see the module docs' race discipline.
-        self.inner.fired.store(true, Ordering::Release);
-        let waiters = std::mem::take(&mut *self.inner.waiters.lock().unwrap());
-        for w in waiters {
-            w.wake();
-        }
-    }
-
-    /// Wraps `future` so it resolves to `Some(output)` normally, or `None`
-    /// — dropping the inner future, which retracts its pending transfer —
-    /// once the gate fires.
-    pub fn wrap<F: Future + Unpin>(&self, future: F) -> Cancelled<F> {
-        Cancelled {
-            gate: self.clone(),
-            inner: Some(future),
-        }
-    }
-
-    /// Registers a waker to be woken by [`CancelGate::fire`], deduplicating
-    /// repeat registrations from the same task. Returns `true` if the gate
-    /// had already fired (the caller must not wait).
-    fn register(&self, waker: &Waker) -> bool {
-        if self.is_fired() {
-            return true;
-        }
-        {
-            let mut waiters = self.inner.waiters.lock().unwrap();
-            if !waiters.iter().any(|w| w.will_wake(waker)) {
-                waiters.push(waker.clone());
-            }
-        }
-        // Re-check after registering (fire sets the flag before draining):
-        // exactly one of {this load, the drain} observes the other's write.
-        self.is_fired()
-    }
-}
-
-impl std::fmt::Debug for CancelGate {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CancelGate")
-            .field("fired", &self.is_fired())
-            .finish()
-    }
-}
-
-/// A future wrapped by [`CancelGate::wrap`]: `Some(output)` on normal
-/// completion, `None` once the gate fires first.
+/// A future that resolves to `Some(output)` on normal completion, or to
+/// `None` once its [`CancelToken`] is cancelled first.
 #[must_use = "futures do nothing unless polled or awaited"]
 pub struct Cancelled<F: Future + Unpin> {
-    gate: CancelGate,
+    token: CancelToken,
+    /// The task's registration with `token`, kept across polls.
+    registration: Option<Registration>,
     /// `None` after resolution — dropping the inner future on
     /// cancellation runs its retract-or-concede path immediately, not at
     /// wrapper drop.
     inner: Option<F>,
+}
+
+impl<F: Future + Unpin> Cancelled<F> {
+    /// Wraps `future` so it resolves to `Some(output)` normally, or `None`
+    /// — dropping the inner future, which retracts its pending transfer —
+    /// once `token` is cancelled.
+    pub fn new(token: &CancelToken, future: F) -> Self {
+        Cancelled {
+            token: token.clone(),
+            registration: None,
+            inner: Some(future),
+        }
+    }
 }
 
 impl<F: Future + Unpin> Unpin for Cancelled<F> {}
@@ -130,16 +57,23 @@ impl<F: Future + Unpin> Future for Cancelled<F> {
             .as_mut()
             .expect("cancelled future polled after completion");
         // Give the inner future priority: a transfer that is already
-        // resolvable completes even if the gate fired concurrently.
-        if let Poll::Ready(out) = Pin::new(inner).poll(cx) {
-            this.inner = None;
-            return Poll::Ready(Some(out));
-        }
-        if this.gate.register(cx.waker()) {
-            this.inner = None; // drop = retract the pending transfer
-            return Poll::Ready(None);
-        }
-        Poll::Pending
+        // resolvable completes even if the token fired concurrently.
+        let out = match Pin::new(inner).poll(cx) {
+            Poll::Ready(out) => Some(out),
+            Poll::Pending => {
+                // Register, then re-check: a concurrent cancel either sees
+                // the registration or is seen here.
+                this.token
+                    .keep_registered(&mut this.registration, cx.waker());
+                if !this.token.is_cancelled() {
+                    return Poll::Pending;
+                }
+                None
+            }
+        };
+        this.inner = None; // on cancellation: drop = retract the transfer
+        this.registration = None;
+        Poll::Ready(out)
     }
 }
 
@@ -150,55 +84,57 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn completes_normally_when_gate_is_idle() {
-        let gate = CancelGate::new();
+    fn completes_normally_when_token_is_idle() {
+        let token = CancelToken::new();
         let q = AsyncSyncQueue::new();
         let q2 = q.clone();
         let t = std::thread::spawn(move || block_on(q2.recv()));
-        block_on(gate.wrap(q.send(7u64))).expect("gate never fired");
+        block_on(Cancelled::new(&token, q.send(7u64))).expect("token never cancelled");
         assert_eq!(t.join().unwrap(), 7);
-        assert!(!gate.is_fired());
+        assert!(!token.is_cancelled());
     }
 
     #[test]
-    fn fired_gate_cancels_before_first_poll() {
-        let gate = CancelGate::new();
-        gate.fire();
+    fn cancelled_token_cancels_before_first_poll() {
+        let token = CancelToken::new();
+        token.cancel();
         let q: AsyncSyncQueue<u64> = AsyncSyncQueue::new();
-        assert_eq!(block_on(gate.wrap(q.send(1))), None);
+        assert_eq!(block_on(Cancelled::new(&token, q.send(1))), None);
         // The retracted item must not be visible to a later taker.
         assert_eq!(q.try_recv(), None);
     }
 
     #[test]
     fn wave_cancels_a_parked_send_and_retracts_the_item() {
-        let gate = CancelGate::new();
+        let token = CancelToken::new();
         let q: AsyncSyncQueue<u64> = AsyncSyncQueue::new();
-        let waver = gate.clone();
+        let waver = token.clone();
         let t = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
-            waver.fire();
+            waver.cancel();
         });
         // No consumer exists: the send parks until the wave hits it.
-        assert_eq!(block_on(gate.wrap(q.send(9))), None);
+        assert_eq!(block_on(Cancelled::new(&token, q.send(9))), None);
         t.join().unwrap();
         assert_eq!(q.try_recv(), None, "cancelled item must be retracted");
     }
 
     #[test]
     fn wave_sweeps_many_connections_and_spares_completed_ones() {
-        let gate = CancelGate::new();
+        let token = CancelToken::new();
         let q: AsyncSyncQueue<u64> = AsyncSyncQueue::new();
         // One receiver pairs with exactly one of the sends; the rest hang
         // until the wave.
         let q2 = q.clone();
         let taker = std::thread::spawn(move || block_on(q2.recv()));
-        let waver = gate.clone();
+        let waver = token.clone();
         let firer = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(30));
-            waver.fire();
+            waver.cancel();
         });
-        let sends: Vec<_> = (0..8u64).map(|i| gate.wrap(q.send(i))).collect();
+        let sends: Vec<_> = (0..8u64)
+            .map(|i| Cancelled::new(&token, q.send(i)))
+            .collect();
         let outcomes = block_on_all(sends);
         let completed = outcomes.iter().filter(|o| o.is_some()).count();
         assert_eq!(completed, 1, "exactly the paired send completes");
@@ -208,11 +144,11 @@ mod tests {
     }
 
     #[test]
-    fn fire_is_idempotent_and_observable() {
-        let gate = CancelGate::new();
-        assert!(!gate.is_fired());
-        gate.fire();
-        gate.fire();
-        assert!(gate.is_fired());
+    fn cancel_is_idempotent_and_observable() {
+        let token = CancelToken::new();
+        assert!(!token.is_cancelled());
+        token.cancel();
+        token.cancel();
+        assert!(token.is_cancelled());
     }
 }

@@ -21,7 +21,9 @@
 //! futures are **cancel-safe**: dropping one mid-wait retracts its
 //! reservation with the same CAS a timed-out blocking waiter uses, and the
 //! in-flight item (unsent, or deposited-but-unread) is dropped exactly
-//! once — see [`future`].
+//! once — see [`future`]. [`Cancelled::new`] resolves any of them to
+//! `None` when a [`synq::CancelToken`] (the one the blocking calls take)
+//! is cancelled.
 //!
 //! The crate is runtime-agnostic and dependency-free: any executor can
 //! poll these futures, and the bundled [`block_on`] / [`block_on_all`]
@@ -51,7 +53,7 @@ pub mod future;
 pub mod timer;
 pub mod wheel;
 
-pub use cancel::{CancelGate, Cancelled};
+pub use cancel::Cancelled;
 pub use driver::{block_on, block_on_all};
 pub use future::{RecvFuture, RecvTimedFuture, SendFuture, SendTimedFuture};
 

@@ -11,9 +11,10 @@
 //!    *dropped*, not queued — `server.burst_drops` counts the loss.
 //! 3. **timeout storm** — timed sends with patience far below the drain
 //!    rate, so most dispatches lapse; `server.timeouts` counts them.
-//! 4. **cancellation wave** — sends wrapped in a [`CancelGate`]; mid-phase
-//!    the gate fires and every in-flight dispatch is dropped, exercising
-//!    the PR 3 cancel-safety retraction at scale; `server.cancels`.
+//! 4. **cancellation wave** — sends wrapped in [`Cancelled`] on one
+//!    [`CancelToken`]; mid-phase the token is cancelled and every in-flight
+//!    dispatch is dropped, exercising the futures' cancel-safety
+//!    retraction at scale; `server.cancels`.
 //!
 //! Variants: the global-FIFO dual queue (`new-fair`) and the bounded
 //! buffered channel (`transfer-bounded64`). A trade between them is *only*
@@ -37,8 +38,8 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use synq::{Deadline, PollTransferer, SyncDualQueue, TimedSyncChannel};
-use synq_async::{block_on_all, cancel::CancelGate, future};
+use synq::{CancelToken, Deadline, PollTransferer, SyncDualQueue, TimedSyncChannel};
+use synq_async::{block_on_all, future, Cancelled};
 use synq_bench::hist::Histogram;
 use synq_bench::report::{counter_deltas_since, write_bench_server, FigureReport};
 use synq_bench::{bench_cores, quick_mode};
@@ -186,7 +187,7 @@ async fn connection_n<Q>(
     phase: Phase,
     queue: Arc<Q>,
     shared: Arc<Shared>,
-    gate: CancelGate,
+    token: CancelToken,
     reqs: usize,
 ) where
     Q: PollTransferer<Job> + TimedSyncChannel<Job> + Send + Sync + 'static,
@@ -249,7 +250,7 @@ async fn connection_n<Q>(
             Phase::Wave => {
                 // A fired wave ends the connection; requests it never
                 // issued are neither requests nor cancels.
-                if gate.is_fired() {
+                if token.is_cancelled() {
                     break;
                 }
                 shared.requests.fetch_add(1, Ordering::Relaxed);
@@ -260,7 +261,7 @@ async fn connection_n<Q>(
                     shared.make_job(),
                     Deadline::after(shared.steady_patience),
                 );
-                match gate.wrap(send).await {
+                match Cancelled::new(&token, send).await {
                     Some(Ok(())) => shared.hist.record(t0.elapsed().as_nanos() as u64),
                     Some(Err(_)) => {
                         shared.timeouts.fetch_add(1, Ordering::Relaxed);
@@ -282,7 +283,7 @@ fn drive_phase<Q>(phase: Phase, queue: &Arc<Q>, cfg: &Config, shared: &Arc<Share
 where
     Q: PollTransferer<Job> + TimedSyncChannel<Job> + Send + Sync + 'static,
 {
-    let gate = CancelGate::new();
+    let token = CancelToken::new();
     let reqs = phase.requests_per_connection(cfg);
     let per_driver = cfg.connections.div_ceil(cfg.drivers);
     let issued_before = shared.requests.load(Ordering::Relaxed);
@@ -295,7 +296,7 @@ where
         }
         let queue = Arc::clone(queue);
         let shared = Arc::clone(shared);
-        let gate = gate.clone();
+        let token = token.clone();
         drivers.push(std::thread::spawn(move || {
             let futures: Vec<_> = (0..conns)
                 .map(|_| {
@@ -303,7 +304,7 @@ where
                         phase,
                         Arc::clone(&queue),
                         Arc::clone(&shared),
-                        gate.clone(),
+                        token.clone(),
                         reqs,
                     )
                 })
@@ -313,7 +314,7 @@ where
     }
     if phase == Phase::Wave {
         std::thread::sleep(cfg.wave_delay);
-        gate.fire();
+        token.cancel();
     }
     for d in drivers {
         d.join().expect("driver thread panicked");

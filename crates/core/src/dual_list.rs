@@ -104,6 +104,7 @@ use core::task::{ready, Poll, Waker};
 use std::ops::ControlFlow;
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use synq_primitives::cancel::Registration;
 use synq_primitives::{CachePadded, CancelToken, WaitOutcome, WaitSlot, WaitStrategy};
 use synq_reclaim::{Atomic, Owned, Reclaimer, Shared, Shield};
 
@@ -331,6 +332,9 @@ pub struct NodePermit<T, Q: Leave<T>> {
     /// Set when `poll_transfer` returned `Ready`: the waiter reference has
     /// been given up and `node` must not be touched again.
     done: bool,
+    /// The task's registration with the token it is polled with, so that
+    /// cancelling the token wakes it; dropped when the permit resolves.
+    registration: Option<Registration>,
 }
 
 // SAFETY: the permit is a waiter's handle on its own node, the reference a
@@ -349,6 +353,7 @@ impl<T, Q: Leave<T>> NodePermit<T, Q> {
             owner,
             node,
             done: false,
+            registration: None,
         }
     }
 
@@ -381,8 +386,12 @@ impl<T: Send, Q: Leave<T> + Send + Sync> PendingTransfer<T> for NodePermit<T, Q>
         assert!(!self.done, "NodePermit polled after completion");
         // SAFETY: `done` is false, so the waiter reference is still held.
         let slot = unsafe { &(*self.node).slot };
+        if let Some(token) = token {
+            token.keep_registered(&mut self.registration, waker);
+        }
         let verdict = ready!(slot.poll_outcome(waker, deadline, token));
         self.done = true;
+        self.registration = None;
         // SAFETY: our own node; `verdict` is its slot's terminal state.
         Poll::Ready(unsafe { self.owner.leave(self.node, verdict) })
     }

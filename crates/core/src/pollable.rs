@@ -60,7 +60,10 @@ pub trait PendingTransfer<T: Send>: Send + Unpin {
     /// Makes one pass of the wait protocol. Registers `waker` and returns
     /// `Pending`, or resolves: `Transferred` when matched, and
     /// `Timeout`/`Cancelled` — with a producer's item handed back — only
-    /// after winning the cancel CAS against any racing fulfiller.
+    /// after winning the cancel CAS against any racing fulfiller. With a
+    /// `token`, the task is registered with it too, so cancelling the
+    /// token wakes a pending poll; the registration ends when the permit
+    /// resolves or is dropped.
     ///
     /// `Pending` with an unexpired [`Deadline::At`] relies on the caller to
     /// arrange a wake at the deadline (there is no timer down here).
@@ -151,6 +154,36 @@ mod tests {
     #[test]
     fn stack_pending_consumer_is_woken_and_resolves() {
         pending_consumer_is_woken_and_resolves(Arc::new(SyncDualStack::new()));
+    }
+
+    /// A permit polled with a token registers its task with it: the
+    /// cancel wakes the task, and the next poll resolves.
+    fn cancelling_the_token_wakes_a_pending_poll<Q: PollTransferer<u32>>(q: Arc<Q>) {
+        let StartTransfer::Pending(mut permit) = Q::start_transfer(&q, None) else {
+            panic!("empty structure must publish a reservation");
+        };
+        let hits = Arc::new(AtomicUsize::new(0));
+        let waker = counting_waker(Arc::clone(&hits));
+        let token = CancelToken::new();
+        assert!(permit
+            .poll_transfer(&waker, Deadline::Never, Some(&token))
+            .is_pending());
+        token.cancel();
+        assert_eq!(hits.load(Ordering::SeqCst), 1, "the cancel wakes the task");
+        match permit.poll_transfer(&waker, Deadline::Never, Some(&token)) {
+            Poll::Ready(TransferOutcome::Cancelled(None)) => {}
+            other => panic!("expected Cancelled, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn queue_cancelling_the_token_wakes_a_pending_poll() {
+        cancelling_the_token_wakes_a_pending_poll(Arc::new(SyncDualQueue::new()));
+    }
+
+    #[test]
+    fn stack_cancelling_the_token_wakes_a_pending_poll() {
+        cancelling_the_token_wakes_a_pending_poll(Arc::new(SyncDualStack::new()));
     }
 
     #[test]

@@ -2,52 +2,42 @@
 //!
 //! Unlike the symmetric [`crate::Exchanger`], a synchronous queue must only
 //! pair *complementary* operations: a producer meeting a producer must not
-//! swap items. Each arena slot therefore holds a typed node (data or
-//! request); an arriving operation claims a complementary node if present,
-//! briefly installs its own node if the slot is empty, and walks away on a
-//! same-type collision (falling back to the main structure).
+//! swap items. Each arena slot therefore publishes its node with the
+//! node's kind (data or request) in the slot word; an arriving operation
+//! takes a complementary node if present, briefly installs its own node if
+//! the slot is empty, and walks away on a same-type collision (falling
+//! back to the main structure). The kind is read from the word, so a
+//! visitor reads no node before the slot has handed it a count on it.
 //!
 //! Arena visits never park — the arena is a backoff device, not a waiting
-//! room. An installed node waits through the shared [`WaitSlot`] loop with
-//! the [`SpinOnly`] strategy: the budget doubles as the deadline, and on
-//! exhaustion the node retracts itself. Cancellation is arbitrated by the
-//! arena-slot pointer CAS (as in the symmetric exchanger), never by the
-//! state word, so installers use [`WaitSlot::await_match`].
+//! room. An installed node is a bare [`WaitSlot`] and waits through the
+//! shared loop with the [`SpinOnly`] strategy: the budget doubles as the
+//! deadline, and on exhaustion the installer gives up the way every kernel
+//! node does, by its cancel CAS. A visitor that took the node's word but
+//! then loses `try_claim` walks away; an installer that loses its cancel
+//! to a claim rides the claim out to the match.
 
 use rand::Rng;
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use synq::Deadline;
-use synq_primitives::{CachePadded, SpinOnly, WaitSlot};
+use synq_primitives::{CachePadded, SpinOnly, WaitOutcome, WaitSlot};
 
-struct ArenaNode<T> {
-    is_data: bool,
-    /// Data node: the installer pre-fills the item cell; the claiming
-    /// consumer takes it. Request node: the claiming producer deposits.
-    slot: WaitSlot<T>,
-}
+use crate::slots::Slots;
 
 /// The asymmetric elimination arena.
 pub struct EliminationArena<T> {
-    /// One slot per cache-line pair: the whole point of the arena is to
-    /// spread contention across slots, which padding makes literal — two
-    /// threads hashing to adjacent slots otherwise still collide on the
-    /// line and the arena degenerates into one contended word.
-    slots: Box<[CachePadded<AtomicPtr<ArenaNode<T>>>]>,
+    /// Data nodes carry kind `true`, requests `false`.
+    slots: Slots<WaitSlot<T>>,
     eliminated: CachePadded<AtomicUsize>,
 }
-
-const _: () = assert!(std::mem::align_of::<CachePadded<AtomicPtr<ArenaNode<u8>>>>() >= 128);
 
 impl<T: Send> EliminationArena<T> {
     /// Creates an arena with `n` slots (`n == 0` disables elimination —
     /// every visit fails fast, for the A3 control arm).
     pub fn new(n: usize) -> Self {
         EliminationArena {
-            slots: (0..n)
-                .map(|_| CachePadded::new(AtomicPtr::new(ptr::null_mut())))
-                .collect(),
+            slots: Slots::new(n),
             eliminated: CachePadded::new(AtomicUsize::new(0)),
         }
     }
@@ -81,130 +71,70 @@ impl<T: Send> EliminationArena<T> {
         }
     }
 
-    fn visit(&self, mut item: Option<T>, spins: u32) -> Result<Option<T>, Option<T>> {
-        if self.slots.is_empty() {
+    fn visit(&self, item: Option<T>, spins: u32) -> Result<Option<T>, Option<T>> {
+        if self.slots.len() == 0 {
             return Err(item);
         }
         let is_data = item.is_some();
         let idx = rand::thread_rng().gen_range(0..self.slots.len());
-        let slot = &self.slots[idx];
-        let cur = slot.load(Ordering::Acquire);
 
-        if !cur.is_null() {
-            // SAFETY: slot entries hold a strong count; the node stays
-            // alive at least until someone claims it (and we only deref).
-            let cur_ref = unsafe { &*cur };
-            if cur_ref.is_data == is_data {
+        if let Some(word) = self.slots.peek(idx) {
+            let partner = if word.kind() == is_data {
+                None // same type: walk away
+            } else {
+                self.slots.take(idx, word)
+            };
+            // A visitor that lost the word to another, or the node to its
+            // installer's cancel, walks away too.
+            let Some(partner) = partner.filter(|p| p.try_claim()) else {
                 synq_obs::probe!(ElimMisses);
-                return Err(item); // same type: walk away
-            }
-            if slot
-                .compare_exchange(cur, ptr::null_mut(), Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                // SAFETY: the CAS transferred the slot's strong count.
-                let partner = unsafe { Arc::from_raw(cur) };
-                // The pointer CAS granted exclusivity, so the claim cannot
-                // lose (installers retract the pointer, never the state).
-                let claimed = partner.slot.try_claim();
-                debug_assert!(claimed, "arena node claimed twice");
-                let result = if is_data {
-                    // Give our item to the waiting consumer.
-                    // SAFETY: the claim grants the item cell to us.
-                    unsafe { partner.slot.fulfill(item.take().expect("item still ours")) };
+                return Err(item);
+            };
+            let result = match item {
+                // Give our item to the waiting consumer.
+                // SAFETY: the won claim grants the item cell to us.
+                Some(v) => {
+                    unsafe { partner.fulfill(v) };
                     None
-                } else {
-                    // Take the waiting producer's pre-filled item.
-                    // SAFETY: as above; data nodes are armed before publish.
-                    let v = unsafe { partner.slot.take_item() };
-                    partner.slot.complete();
+                }
+                // Take the waiting producer's pre-filled item.
+                // SAFETY: as above; data nodes are armed before publish.
+                None => {
+                    let v = unsafe { partner.take_item() };
+                    partner.complete();
                     Some(v)
-                };
-                self.eliminated.fetch_add(1, Ordering::Relaxed);
-                synq_obs::probe!(ElimHits);
-                return Ok(result);
-            }
-            synq_obs::probe!(ElimMisses);
-            return Err(item); // lost the claim race: fall back
+                }
+            };
+            self.eliminated.fetch_add(1, Ordering::Relaxed);
+            synq_obs::probe!(ElimHits);
+            return Ok(result);
         }
 
         // Empty slot: install ourselves for a brief spin.
-        let node = Arc::new(ArenaNode {
-            is_data,
-            slot: WaitSlot::new(),
+        let node = Arc::new(match item {
+            Some(v) => WaitSlot::with_item(v),
+            None => WaitSlot::new(),
         });
-        if let Some(v) = item.take() {
-            // SAFETY: the node is unpublished; the cell is exclusively ours.
-            unsafe { node.slot.put_item(v) };
-        }
-        let raw = Arc::into_raw(Arc::clone(&node)) as *mut ArenaNode<T>;
-        if slot
-            .compare_exchange(ptr::null_mut(), raw, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            // SAFETY: failed CAS — nobody saw `raw`.
-            unsafe { drop(Arc::from_raw(raw)) };
-            synq_obs::probe!(ElimMisses);
-            // SAFETY: node unpublished; re-take the armed item (if any).
-            return Err(if is_data {
-                Some(unsafe { node.slot.reclaim_item() })
-            } else {
-                None
-            });
-        }
-        // The spin budget *is* the patience here: `SpinOnly` never parks,
-        // so budget exhaustion reads as expiry even with `Deadline::Never`.
-        if node
-            .slot
-            .await_match(Deadline::Never, &SpinOnly(spins))
-            .is_some()
-        {
-            self.eliminated.fetch_add(1, Ordering::Relaxed);
-            synq_obs::probe!(ElimHits);
-            return Ok(if is_data {
-                None
-            } else {
+        if self.slots.install(idx, &node, is_data) {
+            // The spin budget *is* the patience here: `SpinOnly` never
+            // parks, so budget exhaustion reads as expiry even with
+            // `Deadline::Never`.
+            if let WaitOutcome::Matched(_) =
+                node.await_outcome(Deadline::Never, None, &SpinOnly(spins))
+            {
+                self.eliminated.fetch_add(1, Ordering::Relaxed);
+                synq_obs::probe!(ElimHits);
                 // SAFETY: the match publishes the producer's deposit.
-                Some(unsafe { node.slot.take_item() })
-            });
-        }
-        // Give up: retract.
-        if slot
-            .compare_exchange(raw, ptr::null_mut(), Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            // SAFETY: we took back the slot's strong count.
-            unsafe { drop(Arc::from_raw(raw)) };
-            synq_obs::probe!(ElimMisses);
-            // SAFETY: retracted before anyone claimed; the cell is ours.
-            return Err(if is_data {
-                Some(unsafe { node.slot.reclaim_item() })
-            } else {
-                None
-            });
-        }
-        // Claimed at the buzzer: finish the exchange.
-        node.slot.await_completion();
-        self.eliminated.fetch_add(1, Ordering::Relaxed);
-        synq_obs::probe!(ElimHits);
-        Ok(if is_data {
-            None
-        } else {
-            // SAFETY: the terminal state publishes the producer's deposit.
-            Some(unsafe { node.slot.take_item() })
-        })
-    }
-}
-
-impl<T> Drop for EliminationArena<T> {
-    fn drop(&mut self) {
-        for slot in self.slots.iter() {
-            let p = slot.load(Ordering::Relaxed);
-            if !p.is_null() {
-                // SAFETY: exclusive access in Drop.
-                unsafe { drop(Arc::from_raw(p)) };
+                return Ok((!is_data).then(|| unsafe { node.take_item() }));
             }
+            // The won cancel CAS: the slot's count is ours again unless a
+            // visitor took the word (and then loses its claim).
+            self.slots.clear(idx, &node, is_data);
         }
+        synq_obs::probe!(ElimMisses);
+        // SAFETY: never published, or given up by the won cancel: the cell
+        // is ours, and a data node holds the item it was armed with.
+        Err(is_data.then(|| unsafe { node.take_item() }))
     }
 }
 
@@ -345,5 +275,97 @@ mod tests {
         consumer.join().unwrap();
         drop(a);
         assert_eq!(drops.load(Ordering::Relaxed), PER);
+    }
+
+    /// Visits that install, claim and give up as fast as they can on one
+    /// slot, so an installer often gives up just as a visitor reads its
+    /// word. Under AddressSanitizer a visitor that read a node it held no
+    /// count on would show as a heap-use-after-free.
+    #[test]
+    fn short_visits_on_one_slot_read_only_counted_nodes() {
+        const VISITS: usize = 200_000;
+        let a = Arc::new(EliminationArena::new(1));
+        let delivered = Arc::new(AtomicUsize::new(0));
+        let received = Arc::new(AtomicUsize::new(0));
+        let handles: Vec<_> = (0..4)
+            .map(|t| {
+                let a = Arc::clone(&a);
+                let (delivered, received) = (Arc::clone(&delivered), Arc::clone(&received));
+                thread::spawn(move || {
+                    for i in 0..VISITS {
+                        let spins = (i % 3) as u32;
+                        if t % 2 == 0 {
+                            if a.try_put(i, spins).is_ok() {
+                                delivered.fetch_add(1, Ordering::Relaxed);
+                            }
+                        } else if a.try_take(spins).is_some() {
+                            received.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(
+            delivered.load(Ordering::Relaxed),
+            received.load(Ordering::Relaxed)
+        );
+    }
+
+    /// Runs `visit` on another thread and claims the node it installs in
+    /// slot 0 of `a`, as a visitor would, then lets its budget run out.
+    /// Retries if the installer gives up before the claim lands.
+    fn claim_installed<T: Send + 'static, R: Send + 'static>(
+        a: &Arc<EliminationArena<T>>,
+        visit: impl Fn(&EliminationArena<T>) -> R + Send + Clone + 'static,
+    ) -> (Arc<WaitSlot<T>>, thread::JoinHandle<R>) {
+        loop {
+            let installer = {
+                let (a, visit) = (Arc::clone(a), visit.clone());
+                thread::spawn(move || visit(&a))
+            };
+            let claimed = loop {
+                if let Some(word) = a.slots.peek(0) {
+                    break a.slots.take(0, word).filter(|n| n.try_claim());
+                }
+                if installer.is_finished() {
+                    break None;
+                }
+                thread::yield_now();
+            };
+            if let Some(node) = claimed {
+                thread::sleep(std::time::Duration::from_millis(5));
+                return (node, installer);
+            }
+            drop(installer.join());
+        }
+    }
+
+    /// An installer whose budget runs out while a visitor holds its node
+    /// `CLAIMED` cannot cancel: it waits for the match and returns it.
+    #[test]
+    fn an_installer_rides_out_a_claim_past_its_budget() {
+        #[derive(Debug, PartialEq)]
+        struct Once(u32);
+        const SPINS: u32 = 1_000;
+        let a = Arc::new(EliminationArena::new(1));
+
+        // A producer installs; the consumer's claim outlasts its budget.
+        let (node, producer) = claim_installed(&a, |a| a.try_put(Once(7), SPINS).is_ok());
+        let got = unsafe { node.take_item() };
+        node.complete();
+        assert!(producer.join().unwrap());
+        assert_eq!(got, Once(7));
+        assert!(!node.has_item(), "the item moved once");
+
+        // A consumer installs; the producer's claim outlasts its budget.
+        let (node, consumer) = claim_installed(&a, |a| a.try_take(SPINS));
+        unsafe { node.fulfill(Once(8)) };
+        assert_eq!(consumer.join().unwrap(), Some(Once(8)));
+        assert!(!node.has_item(), "the item moved once");
+        assert_eq!(a.eliminated(), 2, "the installers count theirs");
+        assert_eq!(a.slots.peek(0), None);
     }
 }

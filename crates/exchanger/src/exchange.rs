@@ -5,27 +5,34 @@
 //! single word, threads meet in an *arena* of independent slots; collisions
 //! on one slot push threads to others, spreading contention (Scherer, Lea &
 //! Scott, "A Scalable Elimination-based Exchange Channel" \[18\]).
+//!
+//! An installed node waits and gives up as every kernel node does: the
+//! partner that takes its slot word must still win the node's `try_claim`,
+//! and the installer gives up only by winning its cancel CAS, so that one
+//! CAS decides a timeout racing a swap. A partner that loses walks away as
+//! from a collision; an installer that loses rides the claim out.
 
 use rand::Rng;
 use std::cell::UnsafeCell;
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use synq::Deadline;
-use synq_primitives::{Backoff, SpinOnly, SpinPolicy, WaitSlot, WaitStrategy};
+use synq_primitives::{Backoff, SpinOnly, SpinPolicy, WaitOutcome, WaitSlot, WaitStrategy};
+
+use crate::slots::Slots;
 
 struct ExNode<T> {
     /// What the installer offers; taken by the claimer.
     give: UnsafeCell<Option<T>>,
-    /// The wait protocol; the claimer deposits its value here. Cancellation
-    /// is arbitrated by the arena-slot pointer CAS, not the state word, so
-    /// the installer waits with [`WaitSlot::await_match`].
+    /// The wait protocol; the claimer deposits its value here, and the
+    /// installer gives up by its cancel CAS.
     slot: WaitSlot<T>,
 }
 
-// SAFETY: access to `give` is serialized by the slot-claim CAS (claimer
-// side) and the uninstall CAS (installer side); `slot` synchronizes itself.
+// SAFETY: access to `give` is serialized by the slot's state word: the
+// claimer reads it after its won `try_claim`, the installer after its won
+// `try_cancel` (or before it published the node); `slot` synchronizes
+// itself.
 unsafe impl<T: Send> Send for ExNode<T> {}
 unsafe impl<T: Send> Sync for ExNode<T> {}
 
@@ -46,7 +53,8 @@ unsafe impl<T: Send> Sync for ExNode<T> {}
 /// assert_eq!((got_in_main, got_in_thread), (1, 2));
 /// ```
 pub struct Exchanger<T> {
-    slots: Box<[AtomicPtr<ExNode<T>>]>,
+    /// Every node is of one kind, `false`.
+    slots: Slots<ExNode<T>>,
     spin: SpinPolicy,
 }
 
@@ -72,7 +80,7 @@ impl<T: Send> Exchanger<T> {
     pub fn with_spin(n: usize, spin: SpinPolicy) -> Self {
         assert!(n >= 1, "exchanger needs at least one slot");
         Exchanger {
-            slots: (0..n).map(|_| AtomicPtr::new(ptr::null_mut())).collect(),
+            slots: Slots::new(n),
             spin,
         }
     }
@@ -113,38 +121,29 @@ impl<T: Send> Exchanger<T> {
                     rng.gen_range(0..=bound.min(self.slots.len() - 1))
                 }
             });
-            let slot = &self.slots[idx];
-            let cur = slot.load(Ordering::Acquire);
-
-            if cur.is_null() {
+            let Some(word) = self.slots.peek(idx) else {
                 // Install ourselves and wait for a partner.
                 let node = Arc::new(ExNode {
                     give: UnsafeCell::new(mine.take()),
                     slot: WaitSlot::new(),
                 });
-                let raw = Arc::into_raw(Arc::clone(&node)) as *mut ExNode<T>;
-                if slot
-                    .compare_exchange(ptr::null_mut(), raw, Ordering::AcqRel, Ordering::Acquire)
-                    .is_err()
-                {
-                    // Lost the slot; retract the published count and retry.
-                    // SAFETY: the failed CAS means nobody saw `raw`.
-                    unsafe { drop(Arc::from_raw(raw)) };
+                if !self.slots.install(idx, &node, false) {
+                    // Lost the slot: retry elsewhere.
                     mine = Some(node_take_give(&node));
                     bound = (bound + 1).min(self.slots.len() - 1);
                     backoff.snooze();
                     continue;
                 }
                 let outcome = if idx == 0 {
-                    self.await_partner(&node, slot, raw, deadline, &self.spin)
+                    self.await_partner(idx, &node, deadline, &self.spin)
                 } else {
                     // Outside slot 0 a node waits one spin window at most,
-                    // then retracts and starts over at slot 0, as Java's
+                    // then gives up and starts over at slot 0, as Java's
                     // `Exchanger` shrinks its arena: two exchanges installed
                     // in different slots would otherwise wait for each
                     // other forever.
                     let window = SpinOnly(self.spin.spins_for(deadline.is_timed()));
-                    match self.await_partner(&node, slot, raw, deadline, &window) {
+                    match self.await_partner(idx, &node, deadline, &window) {
                         Err(back) if !deadline.expired() => {
                             mine = Some(back);
                             bound = 0;
@@ -157,21 +156,13 @@ impl<T: Send> Exchanger<T> {
                     synq_obs::probe!(ExchangerTimeouts);
                 }
                 return outcome;
-            }
+            };
 
-            // Claim the waiting partner.
-            if slot
-                .compare_exchange(cur, ptr::null_mut(), Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-            {
-                // SAFETY: the CAS transferred the slot's strong count.
-                let partner = unsafe { Arc::from_raw(cur) };
+            // Claim the waiting partner; one that gave up is walked away
+            // from, as a collision.
+            if let Some(partner) = self.slots.take(idx, word).filter(|p| p.slot.try_claim()) {
                 let theirs = node_take_give(&partner);
-                // The pointer CAS granted exclusivity, so the claim cannot
-                // lose (installers retract the pointer, never the state).
-                let claimed = partner.slot.try_claim();
-                debug_assert!(claimed, "exchanger slot claimed twice");
-                // SAFETY: the claim grants the item cell to us.
+                // SAFETY: the won claim grants the item cell to us.
                 unsafe { partner.slot.fulfill(mine.take().expect("item still ours")) };
                 synq_obs::probe!(ExchangerSwaps);
                 return Ok(theirs);
@@ -187,58 +178,32 @@ impl<T: Send> Exchanger<T> {
         }
     }
 
-    /// Waits on an installed node (through the shared [`WaitSlot`] loop,
-    /// under `strategy`). On timeout, tries to uninstall; if a partner
-    /// claimed us concurrently we must complete the exchange.
+    /// Waits on the node installed in slot `idx` (through the shared
+    /// [`WaitSlot`] loop, under `strategy`). A wait that ends by the won
+    /// cancel CAS takes the node out of its slot, unless a partner took
+    /// the word first and now loses its claim.
     fn await_partner(
         &self,
+        idx: usize,
         node: &Arc<ExNode<T>>,
-        slot: &AtomicPtr<ExNode<T>>,
-        raw: *mut ExNode<T>,
         deadline: Deadline,
         strategy: &impl WaitStrategy,
     ) -> Result<T, T> {
-        if node.slot.await_match(deadline, strategy).is_some() {
+        if let WaitOutcome::Matched(_) = node.slot.await_outcome(deadline, None, strategy) {
             synq_obs::probe!(ExchangerSwaps);
             // SAFETY: a terminal match publishes the partner's deposit.
             return Ok(unsafe { node.slot.take_item() });
         }
-        // Deadline expired with the state still WAITING (await_match never
-        // cancels — the arena-slot pointer is the cancellation token here).
-        if slot
-            .compare_exchange(raw, ptr::null_mut(), Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-        {
-            // Uninstalled before anyone met us.
-            // SAFETY: we took back the slot's strong count.
-            unsafe { drop(Arc::from_raw(raw)) };
-            return Err(node_take_give(node));
-        }
-        // A partner claimed us at the deadline: the exchange is happening;
-        // wait for completion (bounded by the claimer's next instructions).
-        node.slot.await_completion();
-        synq_obs::probe!(ExchangerSwaps);
-        // SAFETY: as above.
-        Ok(unsafe { node.slot.take_item() })
+        self.slots.clear(idx, node, false);
+        Err(node_take_give(node))
     }
 }
 
 fn node_take_give<T>(node: &ExNode<T>) -> T {
     // SAFETY: callers hold exclusive logical access to `give` (installer
-    // before publication / after uninstall; claimer after the slot CAS).
+    // before publication / after its won cancel; claimer after its won
+    // claim).
     unsafe { (*node.give.get()).take() }.expect("give slot already taken")
-}
-
-impl<T> Drop for Exchanger<T> {
-    fn drop(&mut self) {
-        for slot in self.slots.iter() {
-            let p = slot.load(Ordering::Relaxed);
-            if !p.is_null() {
-                // SAFETY: exclusive access in Drop; reclaim the slot count.
-                unsafe { drop(Arc::from_raw(p)) };
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -311,7 +276,7 @@ mod tests {
                 })
             };
             let inside = exchange(0, 2 * round);
-            while x.slots[0].load(Ordering::Acquire).is_null() {
+            while x.slots.peek(0).is_none() {
                 thread::yield_now();
             }
             let outside = exchange(1, 2 * round + 1);
@@ -333,6 +298,41 @@ mod tests {
             inside.join().unwrap();
             outside.join().unwrap();
         }
+    }
+
+    /// An installer whose deadline passes while a partner holds its node
+    /// `CLAIMED` cannot cancel: it waits for the swap and returns it.
+    #[test]
+    fn an_installer_rides_out_a_claim_past_its_deadline() {
+        const PATIENCE: Duration = Duration::from_millis(20);
+        let x = Arc::new(Exchanger::with_slots(1));
+        // Retried if the installer gives up before the claim lands.
+        let (node, installer) = loop {
+            let installer = {
+                let x = Arc::clone(&x);
+                thread::spawn(move || x.exchange_timeout(String::from("a"), PATIENCE))
+            };
+            let claimed = loop {
+                if let Some(word) = x.slots.peek(0) {
+                    break x.slots.take(0, word).filter(|n| n.slot.try_claim());
+                }
+                if installer.is_finished() {
+                    break None;
+                }
+                thread::yield_now();
+            };
+            match claimed {
+                Some(node) => break (node, installer),
+                None => assert_eq!(installer.join().unwrap(), Err(String::from("a"))),
+            }
+        };
+        thread::sleep(2 * PATIENCE);
+        let theirs = node_take_give(&node);
+        unsafe { node.slot.fulfill(String::from("b")) };
+        assert_eq!(installer.join().unwrap(), Ok(String::from("b")));
+        assert_eq!(theirs, "a");
+        assert!(!node.slot.has_item(), "the item moved once");
+        assert_eq!(x.slots.peek(0), None);
     }
 
     #[test]

@@ -23,6 +23,7 @@
 
 pub mod arena;
 pub mod exchange;
+mod slots;
 pub mod stack;
 
 pub use arena::EliminationArena;

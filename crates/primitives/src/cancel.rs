@@ -4,11 +4,24 @@
 //! interrupted" — Java's `Thread.interrupt`. Rust has no ambient thread
 //! interruption, so the queues accept an optional [`CancelToken`]: a
 //! lightweight flag that waiting loops re-check on every wakeup, paired with
-//! a registration list so that cancelling actively *unparks* any thread
-//! currently blocked on the token. `ThreadPoolExecutor::shutdown_now` uses
-//! this to interrupt idle workers parked in `take`.
+//! a registration list so that cancelling actively wakes whoever is
+//! suspended on the token. A registration is a [`WakeHandle`]: a blocked
+//! thread's [`Unparker`](crate::Unparker) (`ThreadPoolExecutor::shutdown_now`
+//! interrupts idle workers parked in `take` this way) or a pending task's
+//! `Waker` (a poll-mode permit polled with the token, or
+//! `synq_async::Cancelled`).
+//!
+//! # Race discipline
+//!
+//! A waiter registers, *then* re-checks the flag; [`CancelToken::cancel`]
+//! sets the flag, *then* drains the list. Whichever order the two
+//! interleave in, either the re-check sees the flag or the drain sees the
+//! registration, so no waiter suspends past a cancel. [`CancelToken::register`]
+//! makes the re-check itself and wakes the handle at once if it finds the
+//! token already cancelled.
 
-use crate::parker::Unparker;
+use crate::waiter::WakeHandle;
+use core::task::Waker;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -16,7 +29,7 @@ use std::sync::{Arc, Mutex};
 struct Inner {
     cancelled: AtomicBool,
     next_id: AtomicU64,
-    waiters: Mutex<Vec<(u64, Unparker)>>,
+    waiters: Mutex<Vec<(u64, WakeHandle)>>,
 }
 
 /// A cancellation flag observed by waiting queue operations.
@@ -46,11 +59,13 @@ pub struct Canceller {
 }
 
 /// Removes the registration on drop, so abandoned waits don't accumulate
-/// dead unparkers on long-lived tokens.
+/// dead handles on long-lived tokens. It shares the token, so a future can
+/// keep one across polls.
 #[derive(Debug)]
-pub struct Registration<'t> {
-    token: &'t CancelToken,
+pub struct Registration {
+    inner: Arc<Inner>,
     id: u64,
+    handle: WakeHandle,
 }
 
 impl CancelToken {
@@ -72,30 +87,49 @@ impl CancelToken {
         self.inner.cancelled.load(Ordering::Acquire)
     }
 
-    /// Trips the token and unparks every registered waiter.
+    /// Trips the token and wakes every registered waiter.
     pub fn cancel(&self) {
         cancel_inner(&self.inner);
     }
 
-    /// Registers `unparker` to be woken if the token is cancelled while the
-    /// registration guard is alive. If the token is *already* cancelled the
-    /// unparker is woken immediately (so the caller's park cannot hang).
-    pub fn register(&self, unparker: Unparker) -> Registration<'_> {
+    /// Registers `handle` (an [`Unparker`](crate::Unparker) or a `Waker`)
+    /// to be woken if the token is cancelled while the registration guard
+    /// is alive. If the token is *already* cancelled the handle is woken
+    /// immediately (so the caller's suspension cannot hang).
+    pub fn register(&self, handle: impl Into<WakeHandle>) -> Registration {
+        let handle = handle.into();
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
         self.inner
             .waiters
             .lock()
             .unwrap()
-            .push((id, unparker.clone()));
+            .push((id, handle.clone()));
         if self.is_cancelled() {
-            unparker.unpark();
+            handle.clone().wake();
         }
-        Registration { token: self, id }
+        Registration {
+            inner: Arc::clone(&self.inner),
+            id,
+            handle,
+        }
+    }
+
+    /// Keeps the task `waker` wakes registered across polls: `held` is
+    /// kept if it is a registration on this token that wakes the same task
+    /// (`Waker::will_wake`), and replaced by a fresh one otherwise.
+    pub fn keep_registered(&self, held: &mut Option<Registration>, waker: &Waker) {
+        let current = held.as_ref().is_some_and(|r| {
+            Arc::ptr_eq(&r.inner, &self.inner)
+                && matches!(&r.handle, WakeHandle::Task(w) if w.will_wake(waker))
+        });
+        if !current {
+            *held = Some(self.register(waker.clone()));
+        }
     }
 }
 
 impl Canceller {
-    /// Trips the token and unparks every registered waiter.
+    /// Trips the token and wakes every registered waiter.
     pub fn cancel(&self) {
         cancel_inner(&self.inner);
     }
@@ -107,18 +141,19 @@ impl Canceller {
 }
 
 fn cancel_inner(inner: &Inner) {
+    // Flag before drain: see the module docs' race discipline.
     if inner.cancelled.swap(true, Ordering::AcqRel) {
         return; // already cancelled; waiters were already woken
     }
     let waiters = std::mem::take(&mut *inner.waiters.lock().unwrap());
-    for (_, u) in waiters {
-        u.unpark();
+    for (_, handle) in waiters {
+        handle.wake();
     }
 }
 
-impl Drop for Registration<'_> {
+impl Drop for Registration {
     fn drop(&mut self) {
-        let mut waiters = self.token.inner.waiters.lock().unwrap();
+        let mut waiters = self.inner.waiters.lock().unwrap();
         if let Some(pos) = waiters.iter().position(|(id, _)| *id == self.id) {
             waiters.swap_remove(pos);
         }
@@ -183,6 +218,39 @@ mod tests {
         t.cancel();
         // The deregistered parker receives no permit.
         assert!(!p.park_timeout(Duration::from_millis(10)));
+    }
+
+    /// A countable task waker.
+    fn counting_waker() -> (Waker, Arc<std::sync::atomic::AtomicUsize>) {
+        struct W(Arc<std::sync::atomic::AtomicUsize>);
+        impl std::task::Wake for W {
+            fn wake(self: Arc<Self>) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        let hits = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        (Waker::from(Arc::new(W(Arc::clone(&hits)))), hits)
+    }
+
+    #[test]
+    fn a_task_kept_registered_is_listed_once_and_woken_once() {
+        let t = CancelToken::new();
+        let (waker, hits) = counting_waker();
+        let mut held = None;
+        t.keep_registered(&mut held, &waker);
+        t.keep_registered(&mut held, &waker.clone());
+        assert_eq!(t.inner.waiters.lock().unwrap().len(), 1);
+        // Another task replaces the registration.
+        let (other, other_hits) = counting_waker();
+        t.keep_registered(&mut held, &other);
+        assert_eq!(t.inner.waiters.lock().unwrap().len(), 1);
+        t.cancel();
+        assert_eq!(hits.load(Ordering::SeqCst), 0);
+        assert_eq!(other_hits.load(Ordering::SeqCst), 1);
+        // Registering on a cancelled token wakes at once.
+        let mut late = None;
+        t.keep_registered(&mut late, &waker);
+        assert_eq!(hits.load(Ordering::SeqCst), 1);
     }
 
     #[test]

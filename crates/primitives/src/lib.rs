@@ -22,7 +22,8 @@
 //!   async task `Waker` — to whichever thread fulfills it. This is the
 //!   point where the blocking and poll-mode wait loops converge.
 //! * [`CancelToken`] — cooperative cancellation (the paper's "asynchronous
-//!   interrupt" of waiting threads).
+//!   interrupt" of waiting threads): cancelling it wakes every registered
+//!   [`WakeHandle`], a parked thread or a pending task.
 //! * [`CachePadded`] — 128-byte alignment wrapper keeping independently
 //!   contended hot words on separate cache lines (the layout discipline
 //!   behind the paper's contention-freedom property).

@@ -321,21 +321,6 @@ impl<T> WaitSlot<T> {
         self.filled.load(Ordering::Relaxed) && !self.consumed.load(Ordering::Relaxed)
     }
 
-    /// Spins (never parks, never cancels) until the slot leaves the
-    /// `WAITING`/`CLAIMED` states, returning the terminal word. For call
-    /// sites that already *know* fulfillment is imminent — e.g. an
-    /// exchanger that lost its slot-retraction CAS to a claimer mid-swap.
-    pub fn await_completion(&self) -> usize {
-        loop {
-            let s = self.state();
-            if s != WAITING && s != CLAIMED {
-                debug_assert_ne!(s, CANCELLED, "await_completion on a cancelled slot");
-                return s;
-            }
-            std::thread::yield_now();
-        }
-    }
-
     /// The paper's `awaitFulfill`: spin for the strategy's budget (and for
     /// each window [`WaitStrategy::extend_spin`] grants before the first
     /// park), then park until matched, the deadline passes, or `token`
@@ -358,10 +343,9 @@ impl<T> WaitSlot<T> {
     }
 
     /// `await_outcome` without the cancel CAS: on expiry the slot is left
-    /// `WAITING` and `None` is returned. For structures that arbitrate
-    /// cancellation *outside* the slot — the exchanger and arena retract
-    /// their published pointer instead, and a retraction loser must then
-    /// [`Self::await_completion`].
+    /// `WAITING` and `None` is returned. No structure waits this way (each
+    /// gives up by its cancel CAS); it times the bare spin loop for the
+    /// benchmark's `primitives.spin_iter_ns` probe.
     pub fn await_match<S: WaitStrategy + ?Sized>(
         &self,
         deadline: Deadline,
@@ -389,6 +373,9 @@ impl<T> WaitSlot<T> {
     ///
     /// As in the blocking loop, `TimedOut`/`Cancelled` are reported only
     /// after *winning* the cancel CAS, so every verdict is exclusive.
+    /// `token` is only read here: a caller that wants the task woken when
+    /// it fires registers `waker` with it first
+    /// ([`CancelToken::keep_registered`]).
     /// Unlike the blocking loop there is no internal timer: a `Pending`
     /// return with an unexpired [`Deadline::At`] relies on the *caller* to
     /// arrange a wake at (or after) the deadline — `synq-async` routes
@@ -876,21 +863,6 @@ mod tests {
     fn spin_only_expires_without_parking() {
         let slot: WaitSlot<u32> = WaitSlot::new();
         assert_eq!(slot.await_match(Deadline::Never, &SpinOnly(128)), None);
-    }
-
-    #[test]
-    fn await_completion_returns_terminal_state() {
-        let slot: Arc<WaitSlot<u32>> = Arc::new(WaitSlot::new());
-        let other = Arc::clone(&slot);
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(10));
-            assert!(other.try_claim());
-            std::thread::sleep(Duration::from_millis(10));
-            unsafe { other.fulfill(5) };
-        });
-        assert_eq!(slot.await_completion(), MATCHED);
-        assert_eq!(unsafe { slot.take_item() }, 5);
-        h.join().unwrap();
     }
 
     /// A waker that counts its wakes and can park-free "block" via a flag.

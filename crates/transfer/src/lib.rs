@@ -91,6 +91,7 @@ use synq::{
     SpinPolicy, StartTransfer, SyncChannel, TimedSyncChannel, TransferOutcome, Transferer,
 };
 use synq_obs::probe;
+use synq_primitives::cancel::Registration;
 use synq_primitives::{Backoff, CachePadded, WaitOutcome, WaitStrategy};
 use synq_reclaim::{Epoch, Reclaimer};
 use waiters::{Entry, WaiterQueue};
@@ -1326,8 +1327,9 @@ pub struct BufferedPermit<T: Send>(PermitState<T>);
 enum PermitState<T: Send> {
     /// A sender's linked waiting put.
     Linked(NodePermit<T, BufferedChannel<T>>),
-    /// A receiver and its place on the item wait list.
-    Receiving(Arc<BufferedChannel<T>>, Entry),
+    /// A receiver, its place on the item wait list, and its registration
+    /// with the token it is polled with.
+    Receiving(Arc<BufferedChannel<T>>, Entry, Option<Registration>),
 }
 
 impl<T: Send> PendingTransfer<T> for BufferedPermit<T> {
@@ -1356,11 +1358,12 @@ impl<T: Send> PendingTransfer<T> for BufferedPermit<T> {
             // and suspend only on an emptiness the SeqCst loads confirm
             // *after* the registration (the waiter half of the handshake
             // in `waiters`).
-            PermitState::Receiving(channel, entry) => loop {
+            PermitState::Receiving(channel, entry, registration) => loop {
                 let queue = &channel.queue;
                 let notified = WaiterQueue::notified(entry);
                 if let Some(v) = queue.poll() {
                     queue.item_waiters.release(entry, notified);
+                    *registration = None;
                     return Poll::Ready(TransferOutcome::Transferred(Some(v)));
                 }
                 if queue.item_waiters.arm(entry) {
@@ -1373,10 +1376,14 @@ impl<T: Send> PendingTransfer<T> for BufferedPermit<T> {
                     continue;
                 }
                 let slot = entry.as_ref().expect("armed above");
+                if let Some(token) = token {
+                    token.keep_registered(registration, waker);
+                }
                 match ready!(slot.poll_outcome(waker, deadline, token)) {
                     WaitOutcome::Matched(_) => {}
                     verdict => {
                         queue.item_waiters.release(entry, false);
+                        *registration = None;
                         return Poll::Ready(match verdict {
                             WaitOutcome::TimedOut => TransferOutcome::Timeout(None),
                             _ => TransferOutcome::Cancelled(None),
@@ -1392,7 +1399,7 @@ impl<T: Send> Drop for BufferedPermit<T> {
     fn drop(&mut self) {
         // A wakeup this receiver holds was not used: it goes on. (A linked
         // put's permit ends itself; a resolved receiver's entry is gone.)
-        if let PermitState::Receiving(channel, entry) = &mut self.0 {
+        if let PermitState::Receiving(channel, entry, _) = &mut self.0 {
             channel.queue.item_waiters.release(entry, false);
         }
     }
@@ -1419,7 +1426,7 @@ impl<T: Send> PollTransferer<T> for BufferedChannel<T> {
             },
             None => match this.queue.poll() {
                 Some(v) => return StartTransfer::Complete(TransferOutcome::Transferred(Some(v))),
-                None => PermitState::Receiving(Arc::clone(this), None),
+                None => PermitState::Receiving(Arc::clone(this), None, None),
             },
         };
         StartTransfer::Pending(BufferedPermit(state))
@@ -2131,6 +2138,26 @@ mod tests {
             other => panic!("expected Timeout with the item back, got {other:?}"),
         }
         assert_eq!(ch.queue().len(), 2);
+    }
+
+    #[test]
+    fn cancelling_the_token_wakes_a_pending_poll() {
+        let ch: Arc<BufferedChannel<u32>> = Arc::new(BufferedChannel::bounded(4));
+        let StartTransfer::Pending(mut permit) = BufferedChannel::start_transfer(&ch, None) else {
+            panic!("empty channel must pend the receiver");
+        };
+        let (waker, hits) = counting_waker();
+        let token = CancelToken::new();
+        assert!(permit
+            .poll_transfer(&waker, Deadline::Never, Some(&token))
+            .is_pending());
+        token.cancel();
+        assert_eq!(hits.load(Ordering::SeqCst), 1, "the cancel wakes the task");
+        match permit.poll_transfer(&waker, Deadline::Never, Some(&token)) {
+            Poll::Ready(TransferOutcome::Cancelled(None)) => {}
+            other => panic!("expected Cancelled, got {other:?}"),
+        }
+        assert_eq!(ch.queue().waiting_consumer_count(), 0);
     }
 
     #[test]
