@@ -20,7 +20,9 @@
 //!   the decrement runs once no guard protects the node. The node's
 //!   `unlinked` flag records the release: a swap where racing removers can
 //!   reach one node (the stack's skip and absorb), a store where one CAS
-//!   has the only say (the queue's `head` CAS).
+//!   has the only say (the queue's `head` CAS). A node the stack matched
+//!   is retired without it: its fulfiller is its one remover, and no stack
+//!   path reads the flag.
 //! * The **waiter's** reference is released directly when its operation
 //!   returns ([`WaitNode::release`]). A waiter therefore holds
 //!   no guard while it spins or parks (a sleeping thread never stalls
@@ -129,8 +131,10 @@ pub struct WaitNode<T, R: Reclaimer> {
     pub slot: WaitSlot<T>,
     pub(crate) next: Atomic<WaitNode<T, R>, R>,
     refs: AtomicUsize,
-    /// Set by the one release of the structure reference. `leave` reads it
-    /// to skip helping a node that is already off the list.
+    /// Set by the one release of the structure reference, except a matched
+    /// stack node's (see [`Self::retire_structure_ref`]). The queue's
+    /// `leave` reads it to skip helping a node that is already off the
+    /// list.
     unlinked: AtomicBool,
 }
 
@@ -169,6 +173,12 @@ impl<T, R: Reclaimer> WaitNode<T, R> {
         self.refs.fetch_add(1, Ordering::AcqRel);
     }
 
+    /// The node's reference count, for white-box tests.
+    #[cfg(test)]
+    pub(crate) fn ref_count(&self) -> usize {
+        self.refs.load(Ordering::SeqCst)
+    }
+
     /// Drops one counted reference: the waiter's own, one taken with
     /// `add_ref`, or (from inside its deferred retirement) the
     /// structure's. The last one frees the node, and with it any item
@@ -192,8 +202,10 @@ impl<T, R: Reclaimer> WaitNode<T, R> {
 
     /// Releases the structure's reference on a node the caller's CAS just
     /// unlinked, where racing removers may reach the same node (the
-    /// stack's skip and absorb): the `unlinked` swap lets the first
-    /// through. Returns false if another got there first.
+    /// stack's skip and absorb, and its pop of a fulfilling node): the
+    /// `unlinked` swap lets the first through. Returns false if another got
+    /// there first. A node the stack matched has one remover, its
+    /// fulfiller, which calls [`Self::retire_structure_ref`] directly.
     ///
     /// # Safety
     ///
@@ -239,8 +251,12 @@ impl<T, R: Reclaimer> WaitNode<T, R> {
     ///
     /// # Safety
     ///
-    /// Called once per node, by whoever set its `unlinked` flag.
-    unsafe fn retire_structure_ref<'g>(node: Shared<'g, Self>, guard: &'g R::Guard) {
+    /// Called once per node: by whoever set its `unlinked` flag, or by the
+    /// fulfiller of a node the stack matched, which no other thread
+    /// removes (helpers and the waiter pop the pair without releasing it;
+    /// skips and absorbs remove only cancelled nodes). `node` is protected
+    /// by `guard` (or refcount-live) and off its structure.
+    pub(crate) unsafe fn retire_structure_ref<'g>(node: Shared<'g, Self>, guard: &'g R::Guard) {
         let raw = node.as_raw() as usize;
         // SAFETY: the closure runs once no guard protects the node; the
         // waiter's own reference keeps the node alive beyond that if it is
@@ -857,7 +873,7 @@ mod tests {
     }
 
     fn refs<T>(node: Node<T>) -> usize {
-        unsafe { &*node }.refs.load(Ordering::SeqCst)
+        unsafe { &*node }.ref_count()
     }
 
     #[test]

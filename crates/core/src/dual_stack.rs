@@ -43,12 +43,20 @@
 //! The node and its lifetime rule (two references, the structure's
 //! released by a deferred retirement, the owner's directly) are
 //! [`crate::dual_list`]'s. One extra wrinkle (absent from the GC'd Java
-//! version): the waiter must read the *fulfiller's* item after waking,
-//! possibly long after the fulfiller popped both nodes — so the thread
-//! whose CAS installs a match first takes an extra reference on the
-//! fulfilling node *on the waiter's behalf*; the stack's
-//! [`Leave::leave`] releases it after reading, in blocking and poll mode
-//! alike (a dropped permit that lost to the match leaves the same way).
+//! version): a *consumer* waiter must read the fulfiller's item after
+//! waking, possibly long after the fulfiller popped both nodes — so when
+//! the matched node is a request, the thread whose CAS installs the match
+//! first takes an extra reference on the fulfilling node *on the waiter's
+//! behalf*; the stack's [`Leave::leave`] releases it after reading, in
+//! blocking and poll mode alike (a dropped permit that lost to the match
+//! leaves the same way). A producer waiter never reads the fulfilling
+//! node, so its match takes no reference, and the waiter drops none.
+//!
+//! A fulfiller touches the matched waiter's node only while its match CAS
+//! still holds the line: the slot's wake writes the mailbox only if a
+//! waiter registered there, a consumer fulfiller takes the producer's item
+//! at once, and the matched node's structure reference is retired without
+//! the `unlinked` swap, because the fulfiller is its one remover.
 //!
 //! Unlike the queue, the stack removes nodes from *mid-chain* (a fulfiller
 //! or helper skips cancelled nodes beneath the fulfilling top), so the
@@ -68,6 +76,11 @@
 //!   head before dereferencing below it (a popped node is never re-pushed,
 //!   and the protecting slot prevents its address from being recycled, so
 //!   `head == h` is unambiguous).
+//! * **A matched waiter's help-pop** is Java's `head.next == s` test: it
+//!   dereferences only the head it protected, and compares that node's
+//!   `next` with its own node, which its own reference keeps from being
+//!   recycled. Only the fulfilling node of its match links to it once the
+//!   waiter is matched, so the test needs no reference on that node.
 //! * **The chain walk** (`linked_nodes`) is the kernel's head re-anchor:
 //!   with the head stable, every link-validated node reached from it is
 //!   unpopped (the stack pops only at the top) and unskipped, and nodes
@@ -246,8 +259,9 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
 
     /// Installs `f` as `m`'s match, waking `m`'s waiter. Returns true if
     /// `m` is matched to `f` (by us or a helper); false if `m` was
-    /// cancelled. Takes one reference on `f` on the waiter's behalf when
-    /// our CAS wins.
+    /// cancelled. When `m` is a request, takes one reference on `f` on its
+    /// waiter's behalf if our CAS wins: a consumer waiter reads `f`'s
+    /// item, a producer waiter never touches `f`.
     fn try_match<'g>(
         &self,
         m: Shared<'g, WaitNode<T, R>>,
@@ -257,18 +271,23 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
         // SAFETY: both protected by the guard (callers validate `m`).
         let m_ref = unsafe { m.deref() };
         let f_ref = unsafe { f.deref() };
-        // Speculative reference for m's waiter; revoked if the CAS fails.
-        f_ref.add_ref();
+        // Speculative reference for a consumer waiter, taken before the
+        // CAS lets it read `f`; revoked if the CAS fails.
+        let for_waiter = !m_ref.is_data();
+        if for_waiter {
+            f_ref.add_ref();
+        }
         match m_ref.slot.try_fulfill_token(f.as_raw() as usize) {
             Ok(()) => {
                 synq_obs::probe!(StackMatchCas);
                 true
             }
             Err(actual) => {
-                // Revoke the reference we just added.
                 synq_obs::probe!(StackMatchCasFail);
-                // SAFETY: the reference taken above, dropped once.
-                unsafe { WaitNode::release(f.as_raw()) };
+                if for_waiter {
+                    // SAFETY: the reference taken above, dropped once.
+                    unsafe { WaitNode::release(f.as_raw()) };
+                }
                 actual == f.as_raw() as usize
             }
         }
@@ -365,26 +384,27 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
                     };
                     let mn = m_ref.next.load(Ordering::Acquire, &guard);
                     if self.try_match(m, f, &guard) {
+                        // A producer's item is read at once, while the
+                        // match CAS still holds m's line.
+                        // SAFETY: m matched to f grants us (f's owner)
+                        // unique read access to m's item; m is
+                        // refcount-live because its structure reference
+                        // is released only below.
+                        let got = (!is_data).then(|| unsafe { m_ref.slot.take_item() });
                         let _ = self.pop_head(f, mn, &guard);
-                        let out = if is_data {
-                            TransferOutcome::Transferred(None)
-                        } else {
-                            // SAFETY: m matched to f grants us (f's owner)
-                            // unique read access to m's item; m is
-                            // refcount-live because its structure
-                            // reference is released only below.
-                            TransferOutcome::Transferred(Some(unsafe { m_ref.slot.take_item() }))
-                        };
                         // The matched node's structure reference is the
                         // fulfiller's alone to release (helpers and the
                         // waiter's help-pop pop the pair without touching
-                        // it). That keeps `m` alive for the item read
-                        // above even when a helper popped the pair first.
-                        // SAFETY: `m` is off the chain and refcount-live.
-                        unsafe { WaitNode::release_structure_ref(m, &guard) };
+                        // it, and skips remove only cancelled nodes), so
+                        // it is retired without the `unlinked` swap. That
+                        // keeps `m` alive for the item read above even
+                        // when a helper popped the pair first.
+                        // SAFETY: `m` is off the chain, refcount-live, and
+                        // we are its one remover.
+                        unsafe { WaitNode::retire_structure_ref(m, &guard) };
                         // SAFETY: our owner reference on f, dropped once.
                         unsafe { WaitNode::release(f.as_raw()) };
-                        return ControlFlow::Break(out);
+                        return ControlFlow::Break(TransferOutcome::Transferred(got));
                     }
                     // m was cancelled: skip and release it.
                     if f_ref
@@ -444,10 +464,10 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
 }
 
 /// The stack's end of a wait, in blocking and poll mode alike: a matched
-/// waiter helps pop the fulfilling pair, takes a consumer's item from the
-/// fulfilling node (the match token), and releases the reference the
-/// matcher took on that node on its behalf; a waiter that won the cancel
-/// CAS pops the cancelled top and takes a producer's item back.
+/// waiter helps pop the fulfilling pair; a consumer then takes its item
+/// from the fulfilling node (the match token) and releases the reference
+/// the matcher took on that node on its behalf. A waiter that won the
+/// cancel CAS pops the cancelled top and takes a producer's item back.
 impl<T: Send, R: Reclaimer> Leave<T> for SyncDualStack<T, R> {
     type Backend = R;
 
@@ -460,27 +480,36 @@ impl<T: Send, R: Reclaimer> Leave<T> for SyncDualStack<T, R> {
         let node = unsafe { &*node_raw };
         let outcome = match verdict {
             WaitOutcome::Matched(m_token) => {
-                let m = m_token as *const WaitNode<T, R>;
-                // Help pop the fulfilling pair if still on top. Our own
-                // structure reference is NOT ours to release here: the
-                // fulfiller keeps it alive until it has read our item (or
-                // confirmed it need not), then releases it.
+                // Help pop the fulfilling pair if still on top (Java's
+                // `head.next == s`). Our own structure reference is NOT
+                // ours to release here: the fulfiller keeps it alive until
+                // it has read our item (or confirmed it need not), then
+                // releases it.
                 {
                     let guard = R::pin();
                     let h = self.head.load(Ordering::Acquire, &guard);
-                    if std::ptr::eq(h.as_raw(), m) {
-                        let our_next = node.next.load(Ordering::Acquire, &guard);
-                        let _ = self.pop_head(h, our_next, &guard);
+                    // SAFETY: the head, protected by the guard. Its `next`
+                    // is only compared with our own node, whose address
+                    // our reference keeps from being reused.
+                    if let Some(h_ref) = unsafe { h.as_ref() } {
+                        if h_ref.next.load(Ordering::Acquire, &guard).as_raw() == node_raw {
+                            let our_next = node.next.load(Ordering::Acquire, &guard);
+                            let _ = self.pop_head(h, our_next, &guard);
+                        }
                     }
                 }
-                // A producer's item is read by m's owner; a consumer reads
-                // the fulfiller's.
-                // SAFETY: the match grants us unique read access to the
-                // fulfiller's item, and the reference the matcher took on
-                // `m` for us keeps it alive.
-                let item = (!node.is_data()).then(|| unsafe { (*m).slot.take_item() });
-                // SAFETY: that reference, dropped once.
-                unsafe { WaitNode::release(m) };
+                // A producer's item is read by the fulfiller; a consumer
+                // reads the fulfiller's.
+                let item = (!node.is_data()).then(|| {
+                    let m = m_token as *const WaitNode<T, R>;
+                    // SAFETY: the match grants us unique read access to the
+                    // fulfiller's item, and the reference the matcher took
+                    // on `m` for us keeps it alive.
+                    let item = unsafe { (*m).slot.take_item() };
+                    // SAFETY: that reference, dropped once.
+                    unsafe { WaitNode::release(m) };
+                    item
+                });
                 TransferOutcome::Transferred(item)
             }
             verdict => {
@@ -551,7 +580,9 @@ impl<T, R: Reclaimer> std::fmt::Debug for SyncDualStack<T, R> {
 mod tests {
     use super::*;
     use crate::channel::{SyncChannel, TimedSyncChannel};
+    use crate::pollable::PendingTransfer;
     use std::sync::Arc;
+    use std::task::Poll;
     use std::thread;
     use std::time::{Duration, Instant};
 
@@ -791,6 +822,44 @@ mod tests {
         stop.store(1, Ordering::Relaxed);
         let got = consumer.join().unwrap();
         assert_eq!(got, delivered.load(Ordering::Relaxed));
+    }
+
+    /// Who holds the fulfilling node once a match lands, read off the
+    /// waiter's match token: the structure's pending release, plus a
+    /// consumer waiter's reference until it has read the fulfiller's item.
+    /// A producer waiter never reads that node and holds nothing on it.
+    /// The guard held throughout keeps every deferred release pending, so
+    /// the counts are exact.
+    #[test]
+    fn only_a_consumer_waiter_holds_its_fulfilling_node() {
+        let s: Arc<SyncDualStack<u32>> = Arc::new(SyncDualStack::new());
+        let waker = std::task::Waker::noop();
+        let _hold = Epoch::pin();
+        for (waiting, matching) in [(Some(7), None), (None, Some(7))] {
+            let ControlFlow::Continue(node) = s.start_impl(waiting, Deadline::Never, None) else {
+                panic!("an empty stack must make the first arrival wait");
+            };
+            // SAFETY: the node just pushed; the permit takes its owner
+            // reference.
+            let mut permit = unsafe { NodePermit::new(Arc::clone(&s), node) };
+            assert!(matches!(
+                s.start_impl(matching, Deadline::Never, None),
+                ControlFlow::Break(TransferOutcome::Transferred(got)) if got == waiting
+            ));
+            // SAFETY: the permit still holds the waiter's reference.
+            let token = unsafe { &*node }.slot.matched().expect("matched");
+            let f = token as *const WaitNode<u32, Epoch>;
+            let consumer_waits = waiting.is_none();
+            // SAFETY: the structure's release of `f` is deferred past the
+            // held guard, so `f` is live while it is read here.
+            let refs = || unsafe { &*f }.ref_count();
+            assert_eq!(refs(), if consumer_waits { 2 } else { 1 });
+            assert!(matches!(
+                permit.poll_transfer(waker, Deadline::Never, None),
+                Poll::Ready(TransferOutcome::Transferred(got)) if got == matching
+            ));
+            assert_eq!(refs(), 1, "only the structure's pending release");
+        }
     }
 
     #[test]

@@ -219,6 +219,17 @@ impl<T> WaitSlot<T> {
     /// matched it. On failure returns the actual state observed, which the
     /// stack compares against its own pointer to detect "a helper already
     /// matched this pair for us".
+    ///
+    /// The wake writes the waiter's mailbox only if a waiter registered:
+    /// a spinning waiter's line is left alone after the CAS. No wakeup is
+    /// lost, because the CAS, the mailbox load after it, a registrant's
+    /// swap and its state re-read after the swap are all `SeqCst`, so they
+    /// fall in one total order. Either the re-read comes after the CAS and
+    /// sees the token (the waiter does not suspend), or the load comes
+    /// after the swap and sees the handle (and wakes it). [`Self::complete`]
+    /// keeps its unconditional take: its `MATCHED` write is a plain release
+    /// store, and a check-first there would need that store to be `SeqCst`
+    /// (an `xchg` on x86-64) on every two-phase handoff.
     #[inline]
     pub fn try_fulfill_token(&self, token: usize) -> Result<(), usize> {
         debug_assert!(
@@ -227,10 +238,12 @@ impl<T> WaitSlot<T> {
         );
         match self
             .state
-            .compare_exchange(WAITING, token, Ordering::AcqRel, Ordering::Acquire)
+            .compare_exchange(WAITING, token, Ordering::SeqCst, Ordering::Acquire)
         {
             Ok(_) => {
-                self.waiter.wake();
+                if !self.waiter.is_empty() {
+                    self.waiter.wake();
+                }
                 Ok(())
             }
             Err(actual) => Err(actual),
@@ -367,9 +380,12 @@ impl<T> WaitSlot<T> {
     /// what makes the no-lost-wakeup argument go through: a fulfiller that
     /// lands between our state load and our registration either finds the
     /// waker (and wakes it) or has already published the terminal state our
-    /// re-check observes (the register and take swaps on the mailbox hit
-    /// one atomic cell, so whichever runs second synchronizes with the
-    /// first).
+    /// re-check observes. For [`Self::complete`] the register and take
+    /// swaps hit one atomic cell, so whichever runs second synchronizes
+    /// with the first. [`Self::try_fulfill_token`] takes only a handle it
+    /// sees registered, and there the register swap, the re-check, the
+    /// token CAS and the fulfiller's mailbox load are all `SeqCst`: one of
+    /// the two loads sees the other side's write.
     ///
     /// As in the blocking loop, `TimedOut`/`Cancelled` are reported only
     /// after *winning* the cancel CAS, so every verdict is exclusive.
@@ -402,8 +418,8 @@ impl<T> WaitSlot<T> {
         }
         // Re-check after registering (and after any *lost* cancel race —
         // losing means a fulfiller owns the slot, so the match is imminent
-        // or already terminal).
-        match self.state() {
+        // or already terminal). `SeqCst` for the token fulfiller's wake.
+        match self.state.load(Ordering::SeqCst) {
             WAITING | CLAIMED => Poll::Pending,
             CANCELLED => unreachable!("cancel verdicts return above"),
             s => Poll::Ready(WaitOutcome::Matched(s)),
@@ -501,8 +517,9 @@ impl<T> WaitSlot<T> {
             let _registration = token.map(|t| t.register(parker.unparker()));
             // Re-check after registering: a fulfiller may have taken the
             // slot between our state load and the register, in which case
-            // it may already have consumed (or missed) our unparker.
-            if self.state() != WAITING {
+            // it may already have consumed (or missed) our unparker. The
+            // load is `SeqCst` for the token fulfiller's wake.
+            if self.state.load(Ordering::SeqCst) != WAITING {
                 continue;
             }
             match deadline {
@@ -676,19 +693,60 @@ mod tests {
         assert_eq!(unsafe { slot.take_item() }, 5);
     }
 
+    /// The two ways a fulfiller ends a wait: the two-phase claim that
+    /// deposits an item and completes, and the one-shot token CAS, which
+    /// wakes only a waiter it finds registered.
+    #[derive(Clone, Copy, Debug)]
+    enum Fulfiller {
+        ClaimComplete,
+        Token,
+    }
+
+    impl Fulfiller {
+        const BOTH: [Fulfiller; 2] = [Fulfiller::ClaimComplete, Fulfiller::Token];
+        const ITEM: u32 = 99;
+        const TOKEN: usize = 0xfeed0;
+
+        /// Fulfils the waiting `slot`.
+        fn fulfill(self, slot: &WaitSlot<u32>) {
+            match self {
+                Fulfiller::ClaimComplete => {
+                    assert!(slot.try_claim());
+                    unsafe { slot.fulfill(Self::ITEM) };
+                }
+                Fulfiller::Token => assert_eq!(slot.try_fulfill_token(Self::TOKEN), Ok(())),
+            }
+        }
+
+        /// Checks the terminal word of a wait this fulfiller ended, and
+        /// takes a deposited item.
+        fn check(self, slot: &WaitSlot<u32>, word: usize) {
+            match self {
+                Fulfiller::ClaimComplete => {
+                    assert_eq!(word, MATCHED);
+                    assert_eq!(unsafe { slot.take_item() }, Self::ITEM);
+                }
+                Fulfiller::Token => assert_eq!(word, Self::TOKEN),
+            }
+        }
+    }
+
     #[test]
     fn await_outcome_parks_until_fulfilled() {
-        let slot: Arc<WaitSlot<u32>> = Arc::new(WaitSlot::new());
-        let other = Arc::clone(&slot);
-        let h = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(30));
-            assert!(other.try_claim());
-            unsafe { other.fulfill(99) };
-        });
-        let out = slot.await_outcome(Deadline::Never, None, &SpinPolicy::park_immediately());
-        assert_eq!(out, WaitOutcome::Matched(MATCHED));
-        assert_eq!(unsafe { slot.take_item() }, 99);
-        h.join().unwrap();
+        for fulfiller in Fulfiller::BOTH {
+            let slot: Arc<WaitSlot<u32>> = Arc::new(WaitSlot::new());
+            let other = Arc::clone(&slot);
+            let h = std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(30));
+                fulfiller.fulfill(&other);
+            });
+            let out = slot.await_outcome(Deadline::Never, None, &SpinPolicy::park_immediately());
+            let WaitOutcome::Matched(word) = out else {
+                panic!("{fulfiller:?}: {out:?}");
+            };
+            fulfiller.check(&slot, word);
+            h.join().unwrap();
+        }
     }
 
     #[test]
@@ -963,30 +1021,30 @@ mod tests {
         // Hammer the register-then-recheck window: a fulfiller completing
         // concurrently with a pending poll must either be observed by the
         // re-check (Ready) or wake the registered waker.
-        for _ in 0..300 {
-            let slot: Arc<WaitSlot<u32>> = Arc::new(WaitSlot::new());
-            let (waker, hits) = flag_waker();
-            let fulfiller = {
-                let slot = Arc::clone(&slot);
-                std::thread::spawn(move || {
-                    assert!(slot.try_claim());
-                    unsafe { slot.fulfill(1) };
-                })
-            };
-            let polled = slot.poll_outcome(&waker, Deadline::Never, None);
-            fulfiller.join().unwrap();
-            if polled.is_pending() {
-                assert_eq!(
-                    hits.load(Ordering::SeqCst),
-                    1,
-                    "pending poll missed the fulfiller's wake"
-                );
+        for fulfiller in Fulfiller::BOTH {
+            for _ in 0..300 {
+                let slot: Arc<WaitSlot<u32>> = Arc::new(WaitSlot::new());
+                let (waker, hits) = flag_waker();
+                let handle = {
+                    let slot = Arc::clone(&slot);
+                    std::thread::spawn(move || fulfiller.fulfill(&slot))
+                };
+                let polled = slot.poll_outcome(&waker, Deadline::Never, None);
+                handle.join().unwrap();
+                if polled.is_pending() {
+                    assert_eq!(
+                        hits.load(Ordering::SeqCst),
+                        1,
+                        "{fulfiller:?}: pending poll missed the fulfiller's wake"
+                    );
+                }
+                let std::task::Poll::Ready(WaitOutcome::Matched(word)) =
+                    slot.poll_outcome(&waker, Deadline::Never, None)
+                else {
+                    panic!("{fulfiller:?}: not matched after the fulfiller returned");
+                };
+                fulfiller.check(&slot, word);
             }
-            assert_eq!(
-                slot.poll_outcome(&waker, Deadline::Never, None),
-                std::task::Poll::Ready(WaitOutcome::Matched(MATCHED))
-            );
-            let _ = unsafe { slot.take_item() };
         }
     }
 

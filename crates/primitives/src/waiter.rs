@@ -14,7 +14,11 @@
 //! swaps, so the cell never blocks and never loses a wakeup — if `take`
 //! runs before `register`, the waiter's post-register re-check of the node
 //! state observes the match and skips suspending (and if it does suspend,
-//! the matcher's subsequent `take`+wake wakes it).
+//! the matcher's subsequent `take`+wake wakes it). A matcher may instead
+//! check [`WaiterCell::is_empty`] first and take only a registered handle,
+//! leaving a spinning waiter's line alone: the registration swap and the
+//! check are `SeqCst` for that, and the matcher's state write and the
+//! waiter's re-check must be too (`WaitSlot::try_fulfill_token`).
 
 use crate::parker::Unparker;
 use core::task::Waker;
@@ -106,7 +110,8 @@ impl WaiterCell {
     /// Publishes an explicit [`WakeHandle`].
     pub fn register_handle(&self, handle: WakeHandle) {
         let new = Box::into_raw(Box::new(handle));
-        let old = self.slot.swap(new, Ordering::AcqRel);
+        // `SeqCst` for a matcher that checks `is_empty` before taking.
+        let old = self.slot.swap(new, Ordering::SeqCst);
         if !old.is_null() {
             // SAFETY: non-null slot values are always Box::into_raw results
             // and the swap transferred exclusive ownership to us.
@@ -135,9 +140,11 @@ impl WaiterCell {
         }
     }
 
-    /// True if no handle is currently registered.
+    /// True if no handle is currently registered. The load is `SeqCst`,
+    /// so a matcher whose own state write is `SeqCst` may skip the take
+    /// when it finds the cell empty (module docs).
     pub fn is_empty(&self) -> bool {
-        self.slot.load(Ordering::Acquire).is_null()
+        self.slot.load(Ordering::SeqCst).is_null()
     }
 }
 

@@ -1,15 +1,21 @@
-//! What one handoff over a linked dual list costs (`--features stats`):
-//! appends, front claims, node allocations, retirements and epoch pins.
+//! What one handoff over a linked dual list or the dual stack costs
+//! (`--features stats`): list appends and front claims, stack pushes and
+//! match CASes, node allocations, retirements and epoch pins.
 //!
-//! | handoff                                   | append | claim | alloc | retired | pins   |
-//! |-------------------------------------------|-------:|------:|------:|--------:|--------|
-//! | `SyncDualQueue`, poll mode, one thread    |      1 |     1 |     1 |       1 | 2      |
-//! | `TransferQueue`, `take` then `transfer`   |      1 |     1 |     1 |       1 | 2 or 3 |
-//! | `TransferQueue`, `transfer` then `take`   |      1 |     1 |     1 |       1 | 2 or 3 |
-//! | refused `offer`/`poll`/tripped token      |      0 |     - |     0 |       - | -      |
+//! | handoff                                     | append | claim | push | match | alloc | retired | pins   |
+//! |---------------------------------------------|-------:|------:|-----:|------:|------:|--------:|--------|
+//! | `SyncDualQueue`, poll mode, one thread      |      1 |     1 |    0 |     0 |     1 |       1 | 2      |
+//! | `TransferQueue`, `take` then `transfer`     |      1 |     1 |    0 |     0 |     1 |       1 | 2 or 3 |
+//! | `TransferQueue`, `transfer` then `take`     |      1 |     1 |    0 |     0 |     1 |       1 | 2 or 3 |
+//! | `SyncDualStack`, poll mode, receiver waits  |      0 |     0 |    2 |     1 |     2 |       2 | 3      |
+//! | `SyncDualStack`, poll mode, sender waits    |      0 |     0 |    2 |     1 |     2 |       2 | 3      |
+//! | refused `offer`/`poll`/tripped token        |      0 |     - |    0 |     - |     0 |       - | -      |
 //!
 //! The two-thread handoffs take a third pin when the waiter's node is
-//! still linked as it leaves. The refused calls run on both structures.
+//! still linked as it leaves. A stack handoff pushes two nodes, the
+//! waiter's and the fulfilling node above it, and retires both; its third
+//! pin is the waiter's help-pop, which finds the pair already popped. The
+//! refused calls run on all three structures.
 //!
 //! Probe counters are process-wide, so this binary holds a single test.
 
@@ -21,7 +27,7 @@ use std::task::{Poll, Waker};
 use std::thread;
 use synq::{
     CancelToken, Deadline, PendingTransfer, PollTransferer, StartTransfer, SyncDualQueue,
-    TransferOutcome, Transferer,
+    SyncDualStack, TransferOutcome, Transferer,
 };
 use synq_obs::{Probe, StatsSnapshot};
 use synq_transfer::TransferQueue;
@@ -34,6 +40,8 @@ const REFUSED_ROUNDS: usize = 100;
 struct Counts {
     append: u64,
     claim: u64,
+    push: u64,
+    matched: u64,
     alloc: u64,
     retired: u64,
     pins: u64,
@@ -44,25 +52,32 @@ fn counts_since(before: &StatsSnapshot) -> Counts {
     Counts {
         append: d.get(Probe::QueueAppendCas),
         claim: d.get(Probe::QueueClaimCas),
+        push: d.get(Probe::StackPushCas),
+        matched: d.get(Probe::StackMatchCas),
         alloc: d.get(Probe::NodeCacheMisses),
         retired: d.get(Probe::ReclaimRetired),
         pins: d.get(Probe::EpochPins),
     }
 }
 
-/// A receiver publishes and waits, a sender matches it, the receiver's
-/// permit resolves: all on this thread.
-fn poll_mode_handoff(q: &Arc<SyncDualQueue<u32>>, waker: &Waker) {
-    let StartTransfer::Pending(mut permit) = SyncDualQueue::start_transfer(q, None) else {
-        panic!("an empty queue must make the receiver wait");
+/// One side publishes and waits, the other matches it, the waiter's
+/// permit resolves: all on this thread. The receiver waits, or the sender.
+fn poll_mode_handoff<Q: PollTransferer<u32>>(q: &Arc<Q>, waker: &Waker, receiver_waits: bool) {
+    let (waiting, matching) = if receiver_waits {
+        (None, Some(7))
+    } else {
+        (Some(7), None)
+    };
+    let StartTransfer::Pending(mut permit) = Q::start_transfer(q, waiting) else {
+        panic!("an empty structure must make the first arrival wait");
     };
     assert!(matches!(
-        SyncDualQueue::start_transfer(q, Some(7)),
-        StartTransfer::Complete(TransferOutcome::Transferred(None))
+        Q::start_transfer(q, matching),
+        StartTransfer::Complete(TransferOutcome::Transferred(got)) if got == waiting
     ));
     assert!(matches!(
         permit.poll_transfer(waker, Deadline::Never, None),
-        Poll::Ready(TransferOutcome::Transferred(Some(7)))
+        Poll::Ready(TransferOutcome::Transferred(got)) if got == matching
     ));
 }
 
@@ -96,6 +111,8 @@ fn handoffs_over_the_linked_lists_count_as_tabled() {
     let one = Counts {
         append: 1,
         claim: 1,
+        push: 0,
+        matched: 0,
         alloc: 1,
         retired: 1,
         pins: 2,
@@ -105,11 +122,34 @@ fn handoffs_over_the_linked_lists_count_as_tabled() {
     // with the collector.
     let q = Arc::new(SyncDualQueue::new());
     let waker = Waker::noop();
-    poll_mode_handoff(&q, waker);
+    poll_mode_handoff(&q, waker, true);
     for _ in 0..SAMPLES {
         let before = StatsSnapshot::take();
-        poll_mode_handoff(&q, waker);
+        poll_mode_handoff(&q, waker, true);
         assert_eq!(counts_since(&before), one, "poll-mode fair handoff");
+    }
+
+    // The unfair stack in poll mode, in both orders.
+    let st = Arc::new(SyncDualStack::new());
+    let pair = Counts {
+        append: 0,
+        claim: 0,
+        push: 2,
+        matched: 1,
+        alloc: 2,
+        retired: 2,
+        pins: 3,
+    };
+    for _ in 0..SAMPLES {
+        for receiver_waits in [true, false] {
+            let before = StatsSnapshot::take();
+            poll_mode_handoff(&st, waker, receiver_waits);
+            let got = counts_since(&before);
+            assert_eq!(
+                got, pair,
+                "poll-mode stack handoff, receiver waits: {receiver_waits}"
+            );
+        }
     }
 
     // The TransferQueue across two threads, in both arrival orders. The
@@ -161,7 +201,12 @@ fn handoffs_over_the_linked_lists_count_as_tabled() {
     for _ in 0..REFUSED_ROUNDS {
         refused_round(&*q, &tripped);
         refused_round(&*tq, &tripped);
+        refused_round(&*st, &tripped);
     }
     let got = counts_since(&before);
-    assert_eq!((got.alloc, got.append), (0, 0), "refused calls: {got:?}");
+    assert_eq!(
+        (got.alloc, got.append, got.push),
+        (0, 0, 0),
+        "refused calls: {got:?}"
+    );
 }
