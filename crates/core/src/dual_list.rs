@@ -315,8 +315,10 @@ pub trait Leave<T> {
         verdict: WaitOutcome,
     ) -> TransferOutcome<T>;
 
-    /// The blocking waiter, the paper's `awaitFulfill`: spins and parks on
-    /// the node with `strategy`, holding no reclaimer guard, then leaves.
+    /// The blocking waiter, the paper's `awaitFulfill`: spends the start
+    /// of the wait on the thread's own reclamation work, one
+    /// [`Reclaimer::reclaim_step`] at a time, then spins and parks on the
+    /// node with `strategy`, holding no reclaimer guard, then leaves.
     ///
     /// # Safety
     ///
@@ -329,9 +331,15 @@ pub trait Leave<T> {
         strategy: &S,
     ) -> TransferOutcome<T> {
         // SAFETY: the caller's waiter reference keeps the node alive.
-        let verdict = unsafe { &*node }
-            .slot
-            .await_outcome(deadline, token, strategy);
+        let slot = &unsafe { &*node }.slot;
+        // Each step runs at most one closure, so a match, an expiry or a
+        // cancellation is seen within one; the steps are not spins.
+        while slot.is_waiting()
+            && !deadline.expired()
+            && !token.is_some_and(CancelToken::is_cancelled)
+            && Self::Backend::reclaim_step()
+        {}
+        let verdict = slot.await_outcome(deadline, token, strategy);
         // SAFETY: per the contract; `verdict` is the slot's terminal state.
         unsafe { self.leave(node, verdict) }
     }

@@ -70,17 +70,16 @@
 //!   `next` changing** (the dead fulfilling node still points at it).
 //!   Two defenses: the *fulfiller* — the only thread that must read the
 //!   matched node's item — is made the sole releaser of the matched
-//!   node's structure reference (helpers and the waiter's help-pop leave
-//!   it), so the node is refcount-live until the fulfiller is done with
-//!   it; and *helpers* re-validate that the fulfilling node is still the
-//!   head before dereferencing below it (a popped node is never re-pushed,
-//!   and the protecting slot prevents its address from being recycled, so
+//!   node's structure reference (helpers leave it), so the node is
+//!   refcount-live until the fulfiller is done with it; and *helpers*
+//!   re-validate that the fulfilling node is still the head before
+//!   dereferencing below it (a popped node is never re-pushed, and the
+//!   protecting slot prevents its address from being recycled, so
 //!   `head == h` is unambiguous).
-//! * **A matched waiter's help-pop** is Java's `head.next == s` test: it
-//!   dereferences only the head it protected, and compares that node's
-//!   `next` with its own node, which its own reference keeps from being
-//!   recycled. Only the fulfilling node of its match links to it once the
-//!   waiter is matched, so the test needs no reference on that node.
+//! * **A matched waiter does not help pop.** It takes no pin and never
+//!   reads `head`: its fulfiller pops the pair right after the match, and
+//!   if the fulfiller stalls first, the next arrival finds the fulfilling
+//!   node on top and pops the pair for it (case 3).
 //! * **The chain walk** (`linked_nodes`) is the kernel's head re-anchor:
 //!   with the head stable, every link-validated node reached from it is
 //!   unpopped (the stack pops only at the top) and unskipped, and nodes
@@ -393,12 +392,12 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
                         let got = (!is_data).then(|| unsafe { m_ref.slot.take_item() });
                         let _ = self.pop_head(f, mn, &guard);
                         // The matched node's structure reference is the
-                        // fulfiller's alone to release (helpers and the
-                        // waiter's help-pop pop the pair without touching
-                        // it, and skips remove only cancelled nodes), so
-                        // it is retired without the `unlinked` swap. That
-                        // keeps `m` alive for the item read above even
-                        // when a helper popped the pair first.
+                        // fulfiller's alone to release (helpers pop the
+                        // pair without touching it, and skips remove only
+                        // cancelled nodes), so it is retired without the
+                        // `unlinked` swap. That keeps `m` alive for the
+                        // item read above even when a helper popped the
+                        // pair first.
                         // SAFETY: `m` is off the chain, refcount-live, and
                         // we are its one remover.
                         unsafe { WaitNode::retire_structure_ref(m, &guard) };
@@ -464,10 +463,11 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
 }
 
 /// The stack's end of a wait, in blocking and poll mode alike: a matched
-/// waiter helps pop the fulfilling pair; a consumer then takes its item
-/// from the fulfilling node (the match token) and releases the reference
-/// the matcher took on that node on its behalf. A waiter that won the
-/// cancel CAS pops the cancelled top and takes a producer's item back.
+/// waiter leaves the pair to its fulfiller (or a helper) to pop; a
+/// consumer takes its item from the fulfilling node (the match token) and
+/// releases the reference the matcher took on that node on its behalf. A
+/// waiter that won the cancel CAS pops the cancelled top and takes a
+/// producer's item back.
 impl<T: Send, R: Reclaimer> Leave<T> for SyncDualStack<T, R> {
     type Backend = R;
 
@@ -480,24 +480,9 @@ impl<T: Send, R: Reclaimer> Leave<T> for SyncDualStack<T, R> {
         let node = unsafe { &*node_raw };
         let outcome = match verdict {
             WaitOutcome::Matched(m_token) => {
-                // Help pop the fulfilling pair if still on top (Java's
-                // `head.next == s`). Our own structure reference is NOT
-                // ours to release here: the fulfiller keeps it alive until
-                // it has read our item (or confirmed it need not), then
-                // releases it.
-                {
-                    let guard = R::pin();
-                    let h = self.head.load(Ordering::Acquire, &guard);
-                    // SAFETY: the head, protected by the guard. Its `next`
-                    // is only compared with our own node, whose address
-                    // our reference keeps from being reused.
-                    if let Some(h_ref) = unsafe { h.as_ref() } {
-                        if h_ref.next.load(Ordering::Acquire, &guard).as_raw() == node_raw {
-                            let our_next = node.next.load(Ordering::Acquire, &guard);
-                            let _ = self.pop_head(h, our_next, &guard);
-                        }
-                    }
-                }
+                // No pin and no look at `head`: the fulfiller pops the
+                // pair, and it, not we, releases our node's structure
+                // reference once it has read our item (or need not).
                 // A producer's item is read by the fulfiller; a consumer
                 // reads the fulfiller's.
                 let item = (!node.is_data()).then(|| {

@@ -63,6 +63,18 @@ impl Bag {
         }
         std::mem::take(&mut self.retired)
     }
+
+    /// Runs the most recently pushed closure. Returns the bag's ledger
+    /// retirements once that was its last one, so a bag run piecemeal is
+    /// still settled once.
+    pub(crate) fn call_one(&mut self) -> Option<usize> {
+        debug_assert!(!self.is_empty(), "running an empty bag");
+        self.len -= 1;
+        // SAFETY: slot `len` was initialized by `push`, and lowering `len`
+        // first makes this the only read of it.
+        unsafe { self.deferreds[self.len].assume_init_read() }.call();
+        self.is_empty().then(|| std::mem::take(&mut self.retired))
+    }
 }
 
 impl Drop for Bag {
@@ -134,6 +146,21 @@ mod tests {
         assert_eq!(c.load(Ordering::SeqCst), 10);
         assert_eq!(bag.call_all(), 0, "an emptied bag runs nothing");
         assert_eq!(c.load(Ordering::SeqCst), 10);
+    }
+
+    #[test]
+    fn call_one_reports_the_retired_share_with_the_last_closure() {
+        let c = Arc::new(AtomicUsize::new(0));
+        let mut bag = Bag::new();
+        for i in 0..3 {
+            bag.push(counting_deferred(&c), i != 1);
+        }
+        assert_eq!(bag.call_one(), None);
+        assert_eq!(bag.call_one(), None);
+        assert_eq!(c.load(Ordering::SeqCst), 2);
+        assert_eq!(bag.call_one(), Some(2), "settled once, with the last");
+        assert!(bag.is_empty());
+        assert_eq!(c.load(Ordering::SeqCst), 3);
     }
 
     #[test]

@@ -96,6 +96,13 @@ impl LocalHandle {
         // SAFETY: as in `pin`.
         unsafe { (*self.local).flush() }
     }
+
+    /// One slice of this thread's reclamation work; see
+    /// [`crate::Reclaimer::reclaim_step`].
+    pub(crate) fn reclaim_step(&self) -> bool {
+        // SAFETY: as in `pin`.
+        unsafe { (*self.local).reclaim_step() }
+    }
 }
 
 impl Drop for LocalHandle {

@@ -27,6 +27,12 @@ pub fn pin() -> Guard {
     with_handle(|h| h.pin())
 }
 
+/// One slice of the calling thread's reclamation work against the default
+/// collector; false once it has none, or once the thread is exiting.
+pub(crate) fn reclaim_step() -> bool {
+    HANDLE.try_with(LocalHandle::reclaim_step).unwrap_or(false)
+}
+
 #[inline]
 fn with_handle<F, R>(f: F) -> R
 where

@@ -12,9 +12,19 @@
 //!   crossbeam's deferred unlinking — it avoids the bootstrapping problem of
 //!   reclaiming the reclaimer's own nodes).
 //! * **Garbage stack** — a Treiber-style stack of [`SealedBag`]s. Collection
-//!   detaches the whole stack with one `swap`, frees expired bags, and
-//!   pushes the rest back; concurrent collectors therefore operate on
-//!   disjoint chains and never contend beyond the two CAS words. Bags are
+//!   detaches the whole stack with one `swap`, moves the expired bags onto
+//!   the collecting thread's private chain, and pushes the rest back;
+//!   concurrent collectors therefore operate on disjoint chains and never
+//!   contend beyond the two CAS words.
+//! * **When** — every [`PINS_BETWEEN_COLLECT`]th pin makes a collection
+//!   *due*. A waiter takes it in its idle time ([`Local::reclaim_step`]):
+//!   one call detaches the expired bags, and each call runs one closure of
+//!   the private chain, so the wait notices its match within one closure.
+//!   At the next mark the pin runs what the waits left of the chain, and
+//!   takes the due collection itself if no wait did; `flush` and thread
+//!   exit run the chain dry too.
+//!   Running an expired bag needs no pin: expiry is two epoch advances
+//!   past the seal, after which no thread can reach its objects. Bags are
 //!   inline arrays and the stack's node skeletons are pooled
 //!   ([`NODE_POOL_CAP`], filled when the collector is created), so a steady
 //!   defer/collect load does not allocate (`tests/no_alloc.rs` counts).
@@ -48,7 +58,7 @@ use synq_primitives::CachePadded;
 const FREE: usize = 0;
 const IN_USE: usize = 1;
 
-/// Collect every `PINS_BETWEEN_COLLECT` pins.
+/// A collection falls due every `PINS_BETWEEN_COLLECT` pins.
 const PINS_BETWEEN_COLLECT: usize = 128;
 
 /// `Local::epoch` is `(global_epoch << EPOCH_SHIFT) | flags`, or `0` when
@@ -156,9 +166,11 @@ impl Global {
                     *local.global.get() = Some(Arc::clone(self));
                 }
                 debug_assert_eq!(local.epoch.load(Ordering::Relaxed), 0);
+                debug_assert!(local.expired.get().is_null());
                 local.guard_count.set(0);
                 local.handle_count.set(1);
                 local.pin_count.set(0);
+                local.collect_due.set(false);
                 return local;
             }
         }
@@ -173,6 +185,8 @@ impl Global {
             guard_count: Cell::new(0),
             handle_count: Cell::new(1),
             pin_count: Cell::new(0),
+            collect_due: Cell::new(false),
+            expired: Cell::new(ptr::null_mut()),
             global: UnsafeCell::new(Some(Arc::clone(self))),
         }));
         let mut head = self.registry.load(Ordering::Relaxed);
@@ -304,8 +318,10 @@ impl Global {
         }
     }
 
-    /// Tries to advance the epoch, then frees every expired bag.
-    pub(crate) fn collect(&self) {
+    /// Tries to advance the epoch, then moves every expired bag off the
+    /// garbage stack onto the private chain at `chain`; unexpired bags go
+    /// back on the stack.
+    fn detach_expired(&self, chain: &Cell<*mut GarbageNode>) {
         synq_obs::probe!(EpochCollects);
         let global_epoch = self.try_advance();
 
@@ -315,12 +331,9 @@ impl Global {
             // SAFETY: detached chain is exclusively ours.
             let next = unsafe { (*p).next };
             if unsafe { (*p).sealed.is_expired(global_epoch) } {
-                // Run the bag where it lies, then recycle the skeleton. The
-                // deferreds may re-enter `push_sealed` (another skeleton) or
-                // `collect` (a disjoint chain); no lock is held meanwhile.
-                let retired = unsafe { (*p).sealed.bag.call_all() };
-                unsafe { self.retire_node_skeleton(p) };
-                self.ledger.reclaimed(retired);
+                // SAFETY: as above; the private chain is the caller's.
+                unsafe { (*p).next = chain.get() };
+                chain.set(p);
             } else {
                 // Unexpired: re-push the node as-is, no realloc.
                 self.push_node(p);
@@ -351,6 +364,7 @@ impl Drop for Global {
             // SAFETY: exclusive access in Drop; Locals hold no Arc (FREE).
             let local = unsafe { Box::from_raw(p) };
             debug_assert_eq!(local.state.load(Ordering::Relaxed), FREE);
+            debug_assert!(local.expired.get().is_null(), "finalize drains");
             p = local.next.load(Ordering::Relaxed);
             drop(local);
         }
@@ -382,6 +396,11 @@ pub(crate) struct Local {
     handle_count: Cell<usize>,
     /// Pins since registration; drives periodic collection.
     pin_count: Cell<usize>,
+    /// A pin mark made a collection due, and nobody has taken it yet.
+    collect_due: Cell<bool>,
+    /// Expired bags this thread took off the garbage stack and has not
+    /// finished running, linked through `next`: its private chain.
+    expired: Cell<*mut GarbageNode>,
     /// Keeps the collector alive while registered.
     global: UnsafeCell<Option<Arc<Global>>>,
 }
@@ -435,8 +454,17 @@ impl Local {
 
         let pins = self.pin_count.get().wrapping_add(1);
         self.pin_count.set(pins);
+        // A mark makes a collection due, for this thread's next wait to
+        // take ([`Self::reclaim_step`]). If no wait took the last mark's,
+        // it is taken here and this mark's stays due: a thread that never
+        // waits still collects once per mark, one mark late. Whatever its
+        // waits left of the private chain is run here too, so the chain
+        // never holds more than one collection.
         if pins.is_multiple_of(PINS_BETWEEN_COLLECT) {
-            global.collect();
+            if self.collect_due.replace(true) {
+                global.detach_expired(&self.expired);
+            }
+            while self.run_one() {}
         }
     }
 
@@ -523,10 +551,50 @@ impl Local {
         global.ledger.raise_peak(global.pending());
     }
 
-    /// Seals the bag and runs a collection cycle.
+    /// Seals the bag and runs a collection cycle: takes one, then runs
+    /// the private chain dry.
     pub(crate) fn flush(&self) {
         self.seal_bag();
-        self.global().collect();
+        self.global().detach_expired(&self.expired);
+        while self.run_one() {}
+    }
+
+    /// One slice of this thread's reclamation work, for a waiter's idle
+    /// time: takes the due collection if there is one, then runs one
+    /// closure of the private chain. False once there is nothing to run.
+    pub(crate) fn reclaim_step(&self) -> bool {
+        if self.collect_due.replace(false) {
+            self.global().detach_expired(&self.expired);
+        }
+        self.run_one()
+    }
+
+    /// Runs one closure of the private chain; false if it is empty.
+    fn run_one(&self) -> bool {
+        let p = self.expired.get();
+        if p.is_null() {
+            return false;
+        }
+        // Detach the node before running anything in it: the closure may
+        // pin past a mark (an item's `Drop`, say) and drain the chain, and
+        // that nested drain must not run or free this node.
+        // SAFETY: chain nodes are this thread's alone, and detached from
+        // the chain, `p` is out of every nested drain's reach.
+        unsafe {
+            self.expired.set((*p).next);
+            let global = self.global();
+            match (*p).sealed.bag.call_one() {
+                Some(retired) => {
+                    global.retire_node_skeleton(p);
+                    global.ledger.reclaimed(retired);
+                }
+                None => {
+                    (*p).next = self.expired.get();
+                    self.expired.set(p);
+                }
+            }
+        }
+        true
     }
 
     /// Called by `LocalHandle::drop`.
@@ -545,6 +613,8 @@ impl Local {
         debug_assert_eq!(self.guard_count.get(), 0);
         debug_assert_eq!(self.handle_count.get(), 0);
         self.seal_bag();
+        // Expired bags a wait left half run are this thread's to finish.
+        while self.run_one() {}
         // Clear any lazily-published epoch: a recycled record must never
         // satisfy a later owner's fence-free fast path on the strength of
         // a publish this thread made.
@@ -555,5 +625,164 @@ impl Local {
         // `global` (possibly the last Arc) drops here, after FREE is
         // published, so Global::drop can assume all records are FREE.
         drop(global);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bag::MAX_OBJECTS;
+    use crate::collector::{Collector, LocalHandle};
+    use std::sync::atomic::AtomicBool;
+    use std::thread;
+
+    /// Two bags' worth: one sealed when the first fills, one by hand.
+    const N: usize = 2 * MAX_OBJECTS;
+
+    fn local(h: &LocalHandle) -> &Local {
+        // SAFETY: the record lives as long as its handle.
+        unsafe { &*h.local }
+    }
+
+    /// Retires `closures` through the ledger, seals them, and advances the
+    /// epoch twice, so the bags are expired but still on the garbage stack.
+    fn retire_expired(h: &LocalHandle, closures: impl Iterator<Item = Deferred>) {
+        let guard = h.pin();
+        for d in closures {
+            local(h).retire(d);
+        }
+        local(h).seal_bag();
+        drop(guard);
+        let global = local(h).global();
+        let e = global.epoch();
+        global.try_advance();
+        global.try_advance();
+        assert_eq!(
+            global.epoch(),
+            e.wrapping_add(2),
+            "a lone unpinned thread advances"
+        );
+    }
+
+    /// Pins up to the next mark, which makes a collection due.
+    fn reach_a_mark(h: &LocalHandle) {
+        assert!(!local(h).collect_due.get());
+        while !local(h).collect_due.get() {
+            drop(h.pin());
+        }
+    }
+
+    struct DropCount(Arc<AtomicUsize>);
+
+    impl Drop for DropCount {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn dropping(drops: &Arc<AtomicUsize>) -> Deferred {
+        let d = DropCount(Arc::clone(drops));
+        Deferred::new(move || drop(d))
+    }
+
+    #[test]
+    fn a_due_collection_runs_one_closure_per_step_and_settles_each_bag_once() {
+        let c = Collector::new();
+        let h = c.register();
+        let ran = Arc::new(AtomicUsize::new(0));
+        retire_expired(&h, (0..N).map(|_| dropping(&ran)));
+        reach_a_mark(&h);
+        assert_eq!(ran.load(Ordering::SeqCst), 0, "a mark collects nothing");
+        assert_eq!(c.global.pending(), N);
+        for step in 1..=N {
+            assert!(h.reclaim_step());
+            assert!(!local(&h).collect_due.get(), "the first step took it");
+            assert_eq!(ran.load(Ordering::SeqCst), step, "one closure a step");
+            let settled = step / MAX_OBJECTS * MAX_OBJECTS;
+            assert_eq!(c.global.pending(), N - settled, "step {step}");
+        }
+        assert!(!h.reclaim_step(), "nothing left to run");
+        assert_eq!(ran.load(Ordering::SeqCst), N);
+    }
+
+    #[test]
+    fn the_next_mark_runs_what_the_steps_left() {
+        let c = Collector::new();
+        let h = c.register();
+        let ran = Arc::new(AtomicUsize::new(0));
+        retire_expired(&h, (0..N).map(|_| dropping(&ran)));
+        reach_a_mark(&h);
+        for _ in 0..N / 4 {
+            assert!(h.reclaim_step());
+        }
+        for _ in 0..PINS_BETWEEN_COLLECT {
+            assert_eq!(ran.load(Ordering::SeqCst), N / 4, "only a mark runs it");
+            drop(h.pin());
+        }
+        assert_eq!(ran.load(Ordering::SeqCst), N, "the next mark ran it");
+        assert!(
+            local(&h).collect_due.get(),
+            "the mark's own collection waits"
+        );
+        assert_eq!(c.global.pending(), 0);
+        assert!(!h.reclaim_step(), "nothing left to run");
+    }
+
+    #[test]
+    fn a_thread_that_exits_mid_chain_runs_the_rest_at_exit() {
+        let c = Collector::new();
+        let drops = Arc::new(AtomicUsize::new(0));
+        {
+            let (c, drops) = (c.clone(), Arc::clone(&drops));
+            thread::spawn(move || {
+                let h = c.register();
+                retire_expired(&h, (0..N).map(|_| dropping(&drops)));
+                reach_a_mark(&h);
+                for _ in 0..N / 4 {
+                    assert!(h.reclaim_step());
+                }
+                assert_eq!(drops.load(Ordering::SeqCst), N / 4);
+                // `h` drops here, the private chain half run.
+            })
+            .join()
+            .unwrap();
+        }
+        assert_eq!(drops.load(Ordering::SeqCst), N);
+        assert_eq!(c.global.pending(), 0);
+    }
+
+    #[test]
+    fn a_closure_that_pins_past_a_mark_while_a_step_runs_it_runs_once() {
+        let c = Collector::new();
+        let h = c.register();
+        let runs: Arc<Vec<AtomicUsize>> = Arc::new((0..N).map(|_| AtomicUsize::new(0)).collect());
+        let nested = Arc::new(AtomicBool::new(false));
+        let record = h.local as usize;
+        retire_expired(
+            &h,
+            (0..N).map(|i| {
+                let (runs, nested) = (Arc::clone(&runs), Arc::clone(&nested));
+                Deferred::new(move || {
+                    runs[i].fetch_add(1, Ordering::SeqCst);
+                    if !nested.swap(true, Ordering::SeqCst) {
+                        // Up to the next mark, which drains the chain this
+                        // closure is being run from.
+                        // SAFETY: the test's handle keeps the record alive.
+                        let local = unsafe { &*(record as *const Local) };
+                        for _ in 0..PINS_BETWEEN_COLLECT {
+                            drop(local.pin());
+                        }
+                    }
+                })
+            }),
+        );
+        reach_a_mark(&h);
+        assert!(h.reclaim_step());
+        assert!(nested.load(Ordering::SeqCst));
+        let ran = || runs.iter().filter(|r| r.load(Ordering::SeqCst) > 0).count();
+        assert_eq!(ran(), MAX_OBJECTS + 1, "the nested drain ran the other bag");
+        while h.reclaim_step() {}
+        assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1));
+        assert_eq!(c.global.pending(), 0);
     }
 }

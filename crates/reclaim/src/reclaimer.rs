@@ -98,6 +98,15 @@ pub trait Reclaimer: Sized + Send + Sync + 'static {
     /// Best-effort reclamation pass on the calling thread (seal + collect
     /// for epoch, a registry scan for hazard). Never blocks.
     fn collect();
+
+    /// One small slice of the calling thread's reclamation work, for time
+    /// it has no other use for (a waiter before it spins). True if it did
+    /// some and more may be left; a caller loops while it has nothing
+    /// better to do. The default does nothing (hazard); epoch takes a
+    /// collection a pin made due and runs one expired closure per call.
+    fn reclaim_step() -> bool {
+        false
+    }
 }
 
 /// A critical-section witness: the trait face of a backend's guard.
@@ -253,6 +262,11 @@ impl Reclaimer for Epoch {
 
     fn collect() {
         crate::default::pin().flush();
+    }
+
+    #[inline]
+    fn reclaim_step() -> bool {
+        crate::default::reclaim_step()
     }
 }
 

@@ -2,11 +2,14 @@
 //! bags are inline arrays that move into pooled garbage-node skeletons,
 //! and inline-sized closures are stored in place. A counting global
 //! allocator (per thread, so the test harness's own threads do not count)
-//! proves it over 10 k retirements after a warm-up.
+//! proves it over 10 k retirements after a warm-up, once with collections
+//! on the pin path and once with every collection taken and run by
+//! `Reclaimer::reclaim_step`, as a waiter does.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use synq_reclaim::{Epoch, Reclaimer, Shield};
 
 struct Counting;
@@ -34,37 +37,72 @@ static ALLOC: Counting = Counting;
 
 static RAN: AtomicUsize = AtomicUsize::new(0);
 
-/// `n` pins, each retiring one closure that captures a word, half of them
-/// through the ledger (`defer_retire`) and half as plain deferrals; an
-/// explicit seal-and-collect every 256 on top of the collector's own every
-/// 128 pins. The load repeats every 256 items, so a warm-up of many
-/// periods has already allocated every garbage-node skeleton it needs.
+/// Both cases read the process-wide `RAN` and `Epoch::pending`.
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+/// One pin that retires one closure capturing a word: through the ledger
+/// (`defer_retire`) for even `i`, as a plain deferral for odd.
+fn retire_one(i: usize) -> <Epoch as Reclaimer>::Guard {
+    let guard = Epoch::pin();
+    let f = move || {
+        RAN.fetch_add(1, Ordering::Relaxed);
+    };
+    // SAFETY: the closure touches only a static.
+    unsafe {
+        if i.is_multiple_of(2) {
+            guard.defer_retire(8 * (i + 1), f);
+        } else {
+            guard.defer_unchecked(f);
+        }
+    }
+    guard
+}
+
+/// `n` retirements, with an explicit seal-and-collect every 256 on top of
+/// the collections the pins make due. The load repeats every 256 items, so
+/// a warm-up of many periods has already allocated every garbage-node
+/// skeleton it needs.
 fn churn(n: usize) {
     for i in 0..n {
-        let guard = Epoch::pin();
-        let f = move || {
-            RAN.fetch_add(i & 1, Ordering::Relaxed);
-        };
-        // SAFETY: the closure touches only a static.
-        unsafe {
-            if i % 2 == 0 {
-                guard.defer_retire(8 * (i + 1), f);
-            } else {
-                guard.defer_unchecked(f);
-            }
-        }
+        let guard = retire_one(i);
         if i % 256 == 255 {
             guard.flush();
         }
     }
 }
 
+/// `n` retirements, each followed by reclamation steps until none is
+/// left: every collection a pin makes due is taken by a step, so the pin
+/// path never collects, and no seal-and-collect is asked for. Returns how
+/// many closures the steps ran.
+fn churn_by_steps(n: usize) -> usize {
+    let mut stepped = 0;
+    for i in 0..n {
+        drop(retire_one(i));
+        while Epoch::reclaim_step() {
+            stepped += 1;
+        }
+    }
+    stepped
+}
+
 fn bytes() -> usize {
     BYTES.with(Cell::get)
 }
 
+/// Collects until every closure retired so far has run.
+fn settle(retired: usize) {
+    for _ in 0..8 {
+        Epoch::collect();
+    }
+    assert_eq!(RAN.load(Ordering::Relaxed), retired, "every closure ran");
+    assert_eq!(Epoch::pending(), 0);
+}
+
 #[test]
 fn steady_defer_and_collect_allocate_nothing() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap();
+    let ran = RAN.load(Ordering::Relaxed);
     churn(10_000);
     let before = bytes();
     churn(10_000);
@@ -73,9 +111,30 @@ fn steady_defer_and_collect_allocate_nothing() {
         0,
         "10 k deferrals plus collections allocated after warm-up"
     );
-    for _ in 0..8 {
-        Epoch::collect();
-    }
-    assert_eq!(RAN.load(Ordering::Relaxed), 10_000, "every closure ran");
-    assert_eq!(Epoch::pending(), 0);
+    settle(ran + 20_000);
+}
+
+#[test]
+fn steady_defer_drained_by_reclaim_steps_allocates_nothing() {
+    const N: usize = 10_000;
+    let _serial = ONE_AT_A_TIME.lock().unwrap();
+    let ran = RAN.load(Ordering::Relaxed);
+    churn_by_steps(N);
+    let before = (bytes(), RAN.load(Ordering::Relaxed));
+    let stepped = churn_by_steps(N);
+    assert_eq!(
+        bytes() - before.0,
+        0,
+        "10 k deferrals drained by reclamation steps allocated after warm-up"
+    );
+    assert_eq!(
+        RAN.load(Ordering::Relaxed) - before.1,
+        stepped,
+        "a closure ran outside a step"
+    );
+    // The steps keep up: what is left is the open bag and the bags sealed
+    // in the last two epochs, a few hundred closures.
+    let behind = ran + 2 * N - RAN.load(Ordering::Relaxed);
+    assert!(behind < 512, "{behind} closures left behind the steps");
+    settle(ran + 2 * N);
 }

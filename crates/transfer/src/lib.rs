@@ -1147,8 +1147,8 @@ impl<T, R: Reclaimer> Drop for TransferQueue<T, R> {
     fn drop(&mut self) {
         // The ring and the list free what they still hold. The nodes this
         // queue retired, and the part-filled bags its threads sealed as
-        // they exited, wait for a collection, which the epoch backend runs
-        // on every 128th pin of a thread: a long way off now that buffered
+        // they exited, wait for a collection, which the epoch backend makes
+        // due on every 128th pin of a thread: a long way off now that buffered
         // traffic does not pin. Queues built and torn down in a row piled
         // up some fifty sealed bags that way; one best-effort pass per
         // torn-down queue keeps it to a handful. A queue that never retired

@@ -14,6 +14,8 @@
 //! The last test counts live wait nodes through this binary's allocator:
 //! a node is freed by whoever drops its last reference, so after the
 //! structure is dropped and the backend has collected, none may be left.
+//! Its spinning rows also show that a thread's own reclamation work, which
+//! a wait starts on and a match cuts short, is finished when it exits.
 
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -23,8 +25,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 use synq::dual_list::{WaitNode, REQUEST};
 use synq::{
-    CancelToken, Deadline, SyncDualQueue, SyncDualStack, TimedSyncChannel, TransferOutcome,
-    Transferer,
+    CancelToken, Deadline, SpinPolicy, SyncDualQueue, SyncDualStack, TimedSyncChannel,
+    TransferOutcome, Transferer,
 };
 use synq_reclaim::{Epoch, Hazard, Reclaimer};
 use synq_transfer::TransferQueue;
@@ -265,16 +267,11 @@ proptest! {
     }
 }
 
-/// 10 k handoffs, then a storm of timed sends and timed receives that all
-/// lapse, on a structure built by `make` over backend `R`. Once the
-/// structure is dropped and `R` has collected, no wait node and no payload
-/// may be left.
-fn check_nodes_return_to_baseline<R: Reclaimer>(
-    name: &str,
-    make: impl FnOnce() -> Arc<dyn TimedSyncChannel<Marked>>,
-) {
-    const HANDOFFS: usize = 10_000;
-    const LAPSES: usize = 300;
+const HANDOFFS: usize = 10_000;
+
+/// The live wait-node count before a row, once the allocator is shown to
+/// see `R`'s nodes.
+fn marked_baseline<R: Reclaimer>() -> isize {
     assert_eq!(Layout::new::<WaitNode<Marked, R>>(), MARKED_NODE);
     let baseline = LIVE_MARKED_NODES.load(Ordering::SeqCst);
     let probe = WaitNode::<Marked, R>::alloc(REQUEST);
@@ -284,6 +281,40 @@ fn check_nodes_return_to_baseline<R: Reclaimer>(
         "the allocator does not see this structure's nodes"
     );
     drop(probe);
+    baseline
+}
+
+/// Collects under `R` until the live wait nodes are back to `baseline`,
+/// then checks that no payload is left either.
+fn await_baseline<R: Reclaimer>(name: &str, baseline: isize, live: &AtomicIsize) {
+    // A pass frees only what no other thread's guard can still reach, and
+    // the tests running beside this one pin the same backends.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        R::collect();
+        if LIVE_MARKED_NODES.load(Ordering::SeqCst) == baseline {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{name}: {} wait nodes leaked",
+            LIVE_MARKED_NODES.load(Ordering::SeqCst) - baseline
+        );
+        thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(live.load(Ordering::SeqCst), 0, "{name}: payloads leaked");
+}
+
+/// 10 k handoffs, then a storm of timed sends and timed receives that all
+/// lapse, on a structure built by `make` over backend `R`. Once the
+/// structure is dropped and `R` has collected, no wait node and no payload
+/// may be left.
+fn check_nodes_return_to_baseline<R: Reclaimer>(
+    name: &str,
+    make: impl FnOnce() -> Arc<dyn TimedSyncChannel<Marked>>,
+) {
+    const LAPSES: usize = 300;
+    let baseline = marked_baseline::<R>();
     let live = Arc::new(AtomicIsize::new(0));
     let channel = make();
 
@@ -322,26 +353,46 @@ fn check_nodes_return_to_baseline<R: Reclaimer>(
         }
     });
     drop(channel);
-
-    // A pass frees only what no other thread's guard can still reach, and
-    // the tests running beside this one pin the same backends.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        R::collect();
-        if LIVE_MARKED_NODES.load(Ordering::SeqCst) == baseline {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "{name}: {} wait nodes leaked",
-            LIVE_MARKED_NODES.load(Ordering::SeqCst) - baseline
-        );
-        thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(live.load(Ordering::SeqCst), 0, "{name}: payloads leaked");
+    await_baseline::<R>(name, baseline, &live);
 }
 
-/// One test for all six rows: they share the allocator's one counter.
+/// Spin budget of the spinning rows: long enough that neither side parks.
+const SPIN_ONLY: u32 = 100_000;
+
+/// 10 k blocking handoffs between a producer thread and a consumer thread
+/// that both spin instead of parking, on a structure built by `make` over
+/// backend `R`. Each wait starts on its thread's reclamation steps, and a
+/// match often cuts them short; the rest is run when the thread exits.
+/// Once both have been joined, the structure is dropped and `R` has
+/// collected, no wait node and no payload may be left.
+fn check_spinning_pair_returns_to_baseline<R: Reclaimer>(
+    name: &str,
+    make: impl FnOnce() -> Arc<dyn TimedSyncChannel<Marked>>,
+) {
+    let baseline = marked_baseline::<R>();
+    let live = Arc::new(AtomicIsize::new(0));
+    let channel = make();
+    thread::scope(|s| {
+        let producer = s.spawn(|| {
+            for id in 0..HANDOFFS {
+                channel.put(Marked(Payload::new(id, &live)));
+            }
+        });
+        let consumer = s.spawn(|| {
+            for id in 0..HANDOFFS {
+                assert_eq!(channel.take().0.id, id, "{name}: one producer, in order");
+            }
+        });
+        // A handle's `join`, unlike the scope's, waits for the thread's
+        // exit, its thread-local destructors included.
+        producer.join().unwrap();
+        consumer.join().unwrap();
+    });
+    drop(channel);
+    await_baseline::<R>(name, baseline, &live);
+}
+
+/// One test for all ten rows: they share the allocator's one counter.
 #[test]
 fn live_nodes_return_to_baseline_under_both_backends() {
     check_nodes_return_to_baseline::<Epoch>("queue/epoch", || {
@@ -361,5 +412,18 @@ fn live_nodes_return_to_baseline_under_both_backends() {
     });
     check_nodes_return_to_baseline::<Hazard>("transfer/hazard", || {
         Arc::new(TransferQueue::<Marked, Hazard>::new_in())
+    });
+    let spin = || SpinPolicy::fixed(SPIN_ONLY);
+    check_spinning_pair_returns_to_baseline::<Epoch>("spinning queue/epoch", || {
+        Arc::new(SyncDualQueue::<Marked, Epoch>::with_spin_in(spin()))
+    });
+    check_spinning_pair_returns_to_baseline::<Hazard>("spinning queue/hazard", || {
+        Arc::new(SyncDualQueue::<Marked, Hazard>::with_spin_in(spin()))
+    });
+    check_spinning_pair_returns_to_baseline::<Epoch>("spinning stack/epoch", || {
+        Arc::new(SyncDualStack::<Marked, Epoch>::with_spin_in(spin()))
+    });
+    check_spinning_pair_returns_to_baseline::<Hazard>("spinning stack/hazard", || {
+        Arc::new(SyncDualStack::<Marked, Hazard>::with_spin_in(spin()))
     });
 }
