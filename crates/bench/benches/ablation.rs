@@ -1,5 +1,5 @@
 //! Criterion versions of the design-choice ablations (A1–A3):
-//! spin budget, Java5 entry-lock fairness, and elimination arena size.
+//! spin budget, Java5 entry-lock fairness, and the elimination arena.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
@@ -44,12 +44,7 @@ fn benches(c: &mut Criterion) {
         ],
         4,
     );
-    run(
-        c,
-        "a3_elimination",
-        &[Algo::NewUnfair, Algo::NewElim(1), Algo::NewElim(4)],
-        4,
-    );
+    run(c, "a3_elimination", &[Algo::NewUnfair, Algo::NewElim], 4);
 }
 
 criterion_group!(ablation, benches);

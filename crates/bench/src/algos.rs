@@ -50,8 +50,8 @@ pub enum Algo {
     NewFairSpin(u32),
     /// Dual stack with a custom spin budget (A1).
     NewUnfairSpin(u32),
-    /// Dual stack fronted by an elimination arena of the given size (A3).
-    NewElim(usize),
+    /// Dual stack fronted by a one-slot elimination arena (A3).
+    NewElim,
 }
 
 impl Algo {
@@ -68,7 +68,7 @@ impl Algo {
             Algo::NewUnfair => "new-unfair".into(),
             Algo::NewFairSpin(n) => format!("new-fair-spin{n}"),
             Algo::NewUnfairSpin(n) => format!("new-unfair-spin{n}"),
-            Algo::NewElim(n) => format!("new-unfair-elim{n}"),
+            Algo::NewElim => "new-unfair-elim".into(),
         }
     }
 }
@@ -86,7 +86,7 @@ pub fn make_blocking(algo: Algo) -> Arc<dyn SyncChannel<u64>> {
         Algo::NewUnfair => Arc::new(SyncDualStack::new()),
         Algo::NewFairSpin(n) => Arc::new(SyncDualQueue::with_spin(SpinPolicy::fixed(n))),
         Algo::NewUnfairSpin(n) => Arc::new(SyncDualStack::with_spin(SpinPolicy::fixed(n))),
-        Algo::NewElim(slots) => Arc::new(EliminationSyncStack::new(slots)),
+        Algo::NewElim => Arc::new(EliminationSyncStack::new()),
     }
 }
 
@@ -102,7 +102,7 @@ pub fn make_timed_job(algo: Algo) -> Option<Arc<dyn TimedSyncChannel<Job>>> {
         Algo::NewUnfair => Arc::new(SyncDualStack::new()),
         Algo::NewFairSpin(n) => Arc::new(SyncDualQueue::with_spin(SpinPolicy::fixed(n))),
         Algo::NewUnfairSpin(n) => Arc::new(SyncDualStack::with_spin(SpinPolicy::fixed(n))),
-        Algo::NewElim(slots) => Arc::new(EliminationSyncStack::new(slots)),
+        Algo::NewElim => Arc::new(EliminationSyncStack::new()),
     })
 }
 
@@ -141,7 +141,7 @@ pub enum Structure {
     Unfair,
     /// The `LinkedTransferQueue`-style unbounded transfer queue.
     Transfer,
-    /// Dual stack fronted by a 4-slot elimination arena.
+    /// Dual stack fronted by a one-slot elimination arena.
     Elim,
     /// Java SE 5.0 baseline, unfair mode (its Listing 4 default is
     /// park-immediately; other policies show what spinning buys a
@@ -157,7 +157,7 @@ impl Structure {
             Structure::Fair => "new-fair",
             Structure::Unfair => "new-unfair",
             Structure::Transfer => "transfer",
-            Structure::Elim => "new-unfair-elim4",
+            Structure::Elim => "new-unfair-elim",
             Structure::Java5Unfair => "java5-unfair",
         }
     }
@@ -169,7 +169,7 @@ pub fn make_policy_channel(structure: Structure, policy: SpinPolicy) -> Arc<dyn 
         Structure::Fair => Arc::new(SyncDualQueue::with_spin(policy)),
         Structure::Unfair => Arc::new(SyncDualStack::with_spin(policy)),
         Structure::Transfer => Arc::new(TransferQueue::with_spin(policy)),
-        Structure::Elim => Arc::new(EliminationSyncStack::with_spin(4, policy)),
+        Structure::Elim => Arc::new(EliminationSyncStack::with_spin(policy)),
         Structure::Java5Unfair => Arc::new(Java5SQ::with_spin(false, policy)),
     }
 }

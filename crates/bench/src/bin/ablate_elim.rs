@@ -1,7 +1,9 @@
-//! A3 — elimination arena size sweep on the dual stack (paper §5).
+//! A3 — the dual stack with and without its one-slot elimination arena
+//! (paper §5).
 //!
 //! The paper's finding: elimination pays only under "artificially extreme
-//! contention"; otherwise the arena visit is pure overhead.
+//! contention"; otherwise the arena visit is pure overhead. Arenas of 4
+//! and 16 slots lost to the plain stack and are deleted (DESIGN §3).
 
 use synq_bench::algos::Algo;
 use synq_bench::runner::{finish, run_handoff_figure};
@@ -9,16 +11,10 @@ use synq_bench::workload::HandoffShape;
 use synq_bench::PAIR_LEVELS;
 
 fn main() {
-    let algos = [
-        Algo::NewUnfair,
-        Algo::NewElim(0),
-        Algo::NewElim(1),
-        Algo::NewElim(4),
-        Algo::NewElim(16),
-    ];
+    let algos = [Algo::NewUnfair, Algo::NewElim];
     let report = run_handoff_figure(
         "ablate_elim",
-        "A3: elimination arena size (0 = arena disabled)",
+        "A3: dual stack with a one-slot elimination arena",
         "pairs",
         PAIR_LEVELS,
         &algos,

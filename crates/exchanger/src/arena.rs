@@ -1,13 +1,18 @@
-//! An *asymmetric* elimination arena for synchronous queues.
+//! An *asymmetric* one-slot elimination arena for synchronous queues.
 //!
 //! Unlike the symmetric [`crate::Exchanger`], a synchronous queue must only
 //! pair *complementary* operations: a producer meeting a producer must not
-//! swap items. Each arena slot therefore publishes its node with the
-//! node's kind (data or request) in the slot word; an arriving operation
-//! takes a complementary node if present, briefly installs its own node if
-//! the slot is empty, and walks away on a same-type collision (falling
-//! back to the main structure). The kind is read from the word, so a
-//! visitor reads no node before the slot has handed it a count on it.
+//! swap items. The slot therefore publishes its node with the node's kind
+//! (data or request) in the slot word; an arriving operation takes a
+//! complementary node if present, briefly installs its own node if the
+//! slot is empty, and walks away on a same-type collision (falling back to
+//! the main structure). The kind is read from the word, so a visitor reads
+//! no node before the slot has handed it a count on it.
+//!
+//! One slot, because one slot is the only size that ever beat the plain
+//! stack: in ten full-mode rounds of the A3 sweep sizes 4 and 16 won at
+//! most three rounds at any level, the single slot nine at five levels
+//! (DESIGN §3).
 //!
 //! Arena visits never park — the arena is a backoff device, not a waiting
 //! room. An installed node is a bare [`WaitSlot`] and waits through the
@@ -17,7 +22,6 @@
 //! then loses `try_claim` walks away; an installer that loses its cancel
 //! to a claim rides the claim out to the match.
 
-use rand::Rng;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use synq::Deadline;
@@ -25,97 +29,83 @@ use synq_primitives::{CachePadded, SpinOnly, WaitOutcome, WaitSlot};
 
 use crate::slots::Slots;
 
+/// The one slot's index in [`Slots`].
+const SLOT: usize = 0;
+
 /// The asymmetric elimination arena.
-pub struct EliminationArena<T> {
-    /// Data nodes carry kind `true`, requests `false`.
+pub(crate) struct EliminationArena<T> {
+    /// One slot; data nodes carry kind `true`, requests `false`.
     slots: Slots<WaitSlot<T>>,
     eliminated: CachePadded<AtomicUsize>,
 }
 
 impl<T: Send> EliminationArena<T> {
-    /// Creates an arena with `n` slots (`n == 0` disables elimination —
-    /// every visit fails fast, for the A3 control arm).
-    pub fn new(n: usize) -> Self {
+    /// An arena of one empty slot.
+    pub(crate) fn new() -> Self {
         EliminationArena {
-            slots: Slots::new(n),
+            slots: Slots::new(1),
             eliminated: CachePadded::new(AtomicUsize::new(0)),
         }
     }
 
     /// Number of transfers completed through the arena (diagnostic).
-    pub fn eliminated(&self) -> usize {
+    pub(crate) fn eliminated(&self) -> usize {
         self.eliminated.load(Ordering::Relaxed)
     }
 
-    /// Producer-side visit: returns `Ok(())` if a waiting consumer took the
-    /// item, `Err(item)` to fall back to the main structure.
-    pub fn try_put(&self, item: T, spins: u32) -> Result<(), T> {
-        match self.visit(Some(item), spins) {
-            Ok(opt) => {
-                debug_assert!(opt.is_none());
-                Ok(())
-            }
-            Err(item) => Err(item.expect("producer visit returns its item")),
-        }
-    }
-
-    /// Consumer-side visit: returns `Ok(Some(v))` on elimination,
-    /// `Err(None)` to fall back.
-    pub fn try_take(&self, spins: u32) -> Option<T> {
-        match self.visit(None, spins) {
-            Ok(v) => {
-                debug_assert!(v.is_some());
-                v
-            }
-            Err(_) => None,
-        }
-    }
-
-    fn visit(&self, item: Option<T>, spins: u32) -> Result<Option<T>, Option<T>> {
-        if self.slots.len() == 0 {
-            return Err(item);
-        }
+    /// One visit, as a producer (`Some(item)`) or a consumer (`None`),
+    /// spinning at most `spins` iterations for a partner. `Ok` carries what
+    /// the handoff gives back, like `TransferOutcome::Transferred`; `Err`
+    /// hands `item` back to fall back to the main structure.
+    pub(crate) fn visit(&self, mut item: Option<T>, spins: u32) -> Result<Option<T>, Option<T>> {
         let is_data = item.is_some();
-        let idx = rand::thread_rng().gen_range(0..self.slots.len());
 
-        if let Some(word) = self.slots.peek(idx) {
-            let partner = if word.kind() == is_data {
-                None // same type: walk away
-            } else {
-                self.slots.take(idx, word)
-            };
-            // A visitor that lost the word to another, or the node to its
-            // installer's cancel, walks away too.
-            let Some(partner) = partner.filter(|p| p.try_claim()) else {
-                synq_obs::probe!(ElimMisses);
-                return Err(item);
-            };
-            let result = match item {
-                // Give our item to the waiting consumer.
-                // SAFETY: the won claim grants the item cell to us.
-                Some(v) => {
-                    unsafe { partner.fulfill(v) };
-                    None
-                }
-                // Take the waiting producer's pre-filled item.
-                // SAFETY: as above; data nodes are armed before publish.
-                None => {
-                    let v = unsafe { partner.take_item() };
-                    partner.complete();
-                    Some(v)
-                }
-            };
-            self.eliminated.fetch_add(1, Ordering::Relaxed);
-            synq_obs::probe!(ElimHits);
-            return Ok(result);
-        }
+        // Two looks: a visitor that loses the empty slot to another's
+        // install looks again, because the winner may be its partner; two
+        // sides arriving together would otherwise both fall back.
+        for _ in 0..2 {
+            if let Some(word) = self.slots.peek(SLOT) {
+                let partner = if word.kind() == is_data {
+                    None // same type: walk away
+                } else {
+                    self.slots.take(SLOT, word)
+                };
+                // A visitor that lost the word to another, or the node to
+                // its installer's cancel, walks away too.
+                let Some(partner) = partner.filter(|p| p.try_claim()) else {
+                    break;
+                };
+                let result = match item {
+                    // Give our item to the waiting consumer.
+                    // SAFETY: the won claim grants the item cell to us.
+                    Some(v) => {
+                        unsafe { partner.fulfill(v) };
+                        None
+                    }
+                    // Take the waiting producer's pre-filled item.
+                    // SAFETY: as above; data nodes are armed before publish.
+                    None => {
+                        let v = unsafe { partner.take_item() };
+                        partner.complete();
+                        Some(v)
+                    }
+                };
+                self.eliminated.fetch_add(1, Ordering::Relaxed);
+                synq_obs::probe!(ElimHits);
+                return Ok(result);
+            }
 
-        // Empty slot: install ourselves for a brief spin.
-        let node = Arc::new(match item {
-            Some(v) => WaitSlot::with_item(v),
-            None => WaitSlot::new(),
-        });
-        if self.slots.install(idx, &node, is_data) {
+            // Empty slot: install ourselves for a brief spin.
+            let node = Arc::new(match item {
+                Some(v) => WaitSlot::with_item(v),
+                None => WaitSlot::new(),
+            });
+            if !self.slots.install(SLOT, &node, is_data) {
+                // SAFETY: never published: the cell is ours, and a data
+                // node holds the item it was armed with.
+                item = is_data.then(|| unsafe { node.take_item() });
+                continue;
+            }
             // The spin budget *is* the patience here: `SpinOnly` never
             // parks, so budget exhaustion reads as expiry even with
             // `Deadline::Never`.
@@ -129,12 +119,14 @@ impl<T: Send> EliminationArena<T> {
             }
             // The won cancel CAS: the slot's count is ours again unless a
             // visitor took the word (and then loses its claim).
-            self.slots.clear(idx, &node, is_data);
+            self.slots.clear(SLOT, &node, is_data);
+            // SAFETY: given up by the won cancel: the cell is ours again,
+            // and a data node still holds its item.
+            item = is_data.then(|| unsafe { node.take_item() });
+            break;
         }
         synq_obs::probe!(ElimMisses);
-        // SAFETY: never published, or given up by the won cancel: the cell
-        // is ours, and a data node holds the item it was armed with.
-        Err(is_data.then(|| unsafe { node.take_item() }))
+        Err(item)
     }
 }
 
@@ -143,17 +135,21 @@ mod tests {
     use super::*;
     use std::thread;
 
-    #[test]
-    fn empty_arena_always_falls_back() {
-        let a: EliminationArena<u32> = EliminationArena::new(0);
-        assert_eq!(a.try_put(1, 100), Err(1));
-        assert_eq!(a.try_take(100), None);
-        assert_eq!(a.eliminated(), 0);
+    impl<T: Send> EliminationArena<T> {
+        fn try_put(&self, item: T, spins: u32) -> Result<(), T> {
+            self.visit(Some(item), spins)
+                .map(drop)
+                .map_err(Option::unwrap)
+        }
+
+        fn try_take(&self, spins: u32) -> Option<T> {
+            self.visit(None, spins).ok().flatten()
+        }
     }
 
     #[test]
     fn lone_visit_retracts() {
-        let a: EliminationArena<u32> = EliminationArena::new(1);
+        let a: EliminationArena<u32> = EliminationArena::new();
         assert_eq!(a.try_put(7, 10), Err(7));
         assert_eq!(a.try_take(10), None);
         assert_eq!(a.eliminated(), 0);
@@ -161,7 +157,7 @@ mod tests {
 
     #[test]
     fn complementary_ops_eliminate() {
-        let a = Arc::new(EliminationArena::new(1));
+        let a = Arc::new(EliminationArena::new());
         let a2 = Arc::clone(&a);
         // The consumer spins long enough for the producer to arrive.
         let consumer = thread::spawn(move || {
@@ -193,7 +189,7 @@ mod tests {
     fn same_type_ops_do_not_pair() {
         // Two producers visiting must never "exchange": one installs, the
         // other sees a same-type node and walks away.
-        let a = Arc::new(EliminationArena::new(1));
+        let a = Arc::new(EliminationArena::new());
         let a2 = Arc::clone(&a);
         let t = thread::spawn(move || a2.try_put(1u32, 50_000));
         let r = a.try_put(2u32, 50_000);
@@ -208,7 +204,7 @@ mod tests {
         use std::sync::atomic::AtomicUsize;
         const PRODUCERS: usize = 2;
         const PER: usize = 500;
-        let a = Arc::new(EliminationArena::new(2));
+        let a = Arc::new(EliminationArena::new());
         let delivered = Arc::new(AtomicUsize::new(0));
         let received = Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();
@@ -257,7 +253,7 @@ mod tests {
         }
         let drops = Arc::new(AtomicUsize::new(0));
         const PER: usize = 300;
-        let a: Arc<EliminationArena<Counted>> = Arc::new(EliminationArena::new(1));
+        let a: Arc<EliminationArena<Counted>> = Arc::new(EliminationArena::new());
         let a2 = Arc::clone(&a);
         let d2 = Arc::clone(&drops);
         let producer = thread::spawn(move || {
@@ -284,7 +280,7 @@ mod tests {
     #[test]
     fn short_visits_on_one_slot_read_only_counted_nodes() {
         const VISITS: usize = 200_000;
-        let a = Arc::new(EliminationArena::new(1));
+        let a = Arc::new(EliminationArena::new());
         let delivered = Arc::new(AtomicUsize::new(0));
         let received = Arc::new(AtomicUsize::new(0));
         let handles: Vec<_> = (0..4)
@@ -315,7 +311,7 @@ mod tests {
     }
 
     /// Runs `visit` on another thread and claims the node it installs in
-    /// slot 0 of `a`, as a visitor would, then lets its budget run out.
+    /// the slot of `a`, as a visitor would, then lets its budget run out.
     /// Retries if the installer gives up before the claim lands.
     fn claim_installed<T: Send + 'static, R: Send + 'static>(
         a: &Arc<EliminationArena<T>>,
@@ -327,8 +323,8 @@ mod tests {
                 thread::spawn(move || visit(&a))
             };
             let claimed = loop {
-                if let Some(word) = a.slots.peek(0) {
-                    break a.slots.take(0, word).filter(|n| n.try_claim());
+                if let Some(word) = a.slots.peek(SLOT) {
+                    break a.slots.take(SLOT, word).filter(|n| n.try_claim());
                 }
                 if installer.is_finished() {
                     break None;
@@ -350,7 +346,7 @@ mod tests {
         #[derive(Debug, PartialEq)]
         struct Once(u32);
         const SPINS: u32 = 1_000;
-        let a = Arc::new(EliminationArena::new(1));
+        let a = Arc::new(EliminationArena::new());
 
         // A producer installs; the consumer's claim outlasts its budget.
         let (node, producer) = claim_installed(&a, |a| a.try_put(Once(7), SPINS).is_ok());
@@ -366,6 +362,6 @@ mod tests {
         assert_eq!(consumer.join().unwrap(), Some(Once(8)));
         assert!(!node.has_item(), "the item moved once");
         assert_eq!(a.eliminated(), 2, "the installers count theirs");
-        assert_eq!(a.slots.peek(0), None);
+        assert_eq!(a.slots.peek(SLOT), None);
     }
 }

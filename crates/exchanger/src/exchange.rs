@@ -209,6 +209,7 @@ fn node_take_give<T>(node: &ExNode<T>) -> T {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread;
 
     #[test]
@@ -335,13 +336,128 @@ mod tests {
         assert_eq!(x.slots.peek(0), None);
     }
 
+    /// A payload that counts its drops in `drops[id]`.
+    #[derive(Debug)]
+    struct Counted {
+        id: usize,
+        drops: Arc<[AtomicUsize]>,
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.drops[self.id].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    fn drop_counters(n: usize) -> Arc<[AtomicUsize]> {
+        (0..n).map(|_| AtomicUsize::new(0)).collect()
+    }
+
+    fn dropped(drops: &[AtomicUsize]) -> Vec<usize> {
+        drops.iter().map(|d| d.load(Ordering::Relaxed)).collect()
+    }
+
+    /// A node still published when the exchanger drops is freed with it,
+    /// payload and all; a timed-out exchange leaves nothing published.
     #[test]
     fn dropped_exchanger_frees_installed_node() {
-        // Install a node via a timed exchange that expires after the
-        // exchanger is dropped? Simpler: timeout cleanly uninstalls; then
-        // drop. Exercises the Drop path with empty and non-empty slots.
-        let x: Exchanger<Vec<u8>> = Exchanger::with_slots(2);
-        let _ = x.exchange_timeout(vec![1], Duration::from_millis(5));
+        let drops = drop_counters(2);
+        let counted = |id| Counted {
+            id,
+            drops: Arc::clone(&drops),
+        };
+        let x = Exchanger::with_slots(2);
+
+        let back = x
+            .exchange_timeout(counted(0), Duration::from_millis(5))
+            .unwrap_err();
+        assert_eq!((x.slots.peek(0), x.slots.peek(1)), (None, None));
+        assert_eq!(back.id, 0);
+        drop(back);
+        assert_eq!(dropped(&drops), [1, 0]);
+
+        let node = Arc::new(ExNode {
+            give: UnsafeCell::new(Some(counted(1))),
+            slot: WaitSlot::new(),
+        });
+        assert!(x.slots.install(1, &node, false));
+        drop(node);
+        assert_eq!(dropped(&drops), [1, 0], "the slot's count keeps it alive");
         drop(x);
+        assert_eq!(dropped(&drops), [1, 1]);
+    }
+
+    /// Exchanges that install, claim and give up as fast as they can on one
+    /// slot, so an installer often gives up just as a partner reads its
+    /// word. Under AddressSanitizer a partner that read a node it held no
+    /// count on would show as a heap-use-after-free.
+    #[test]
+    fn short_waits_on_one_slot_read_only_counted_nodes() {
+        const THREADS: usize = 4;
+        const VISITS: usize = 200_000;
+        let x = Arc::new(Exchanger::with_slots(1));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let x = Arc::clone(&x);
+                thread::spawn(move || {
+                    let mut swaps = Vec::new();
+                    for i in 0..VISITS {
+                        let mine = t * VISITS + i;
+                        let patience = Duration::from_micros((i % 3) as u64);
+                        match x.exchange_with(mine, Deadline::after(patience)) {
+                            Ok(theirs) => swaps.push((mine, theirs)),
+                            Err(back) => assert_eq!(back, mine),
+                        }
+                    }
+                    swaps
+                })
+            })
+            .collect();
+        let swaps: std::collections::HashMap<usize, usize> = handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
+        for (mine, theirs) in &swaps {
+            assert_eq!(swaps.get(theirs), Some(mine), "{mine} got {theirs}");
+        }
+    }
+
+    /// Drop-counting payloads through install, claim and give-up churn on
+    /// one slot: every payload comes back as a swap or a refusal, and is
+    /// dropped exactly once.
+    #[test]
+    fn payloads_dropped_exactly_once_under_churn() {
+        const THREADS: usize = 4;
+        const PER: usize = 2_000;
+        let drops = drop_counters(THREADS * PER);
+        let x = Arc::new(Exchanger::with_slots(1));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (x, drops) = (Arc::clone(&x), Arc::clone(&drops));
+                thread::spawn(move || {
+                    let mut swapped = 0;
+                    for i in 0..PER {
+                        let id = t * PER + i;
+                        let mine = Counted {
+                            id,
+                            drops: Arc::clone(&drops),
+                        };
+                        let patience = Duration::from_micros((i % 5) as u64);
+                        match x.exchange_timeout(mine, patience) {
+                            Ok(theirs) => {
+                                assert_ne!(theirs.id / PER, t, "swapped with itself");
+                                swapped += 1;
+                            }
+                            Err(back) => assert_eq!(back.id, id),
+                        }
+                    }
+                    swapped
+                })
+            })
+            .collect();
+        let swapped: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        assert_eq!(swapped % 2, 0, "a swap completes on both sides");
+        drop(x);
+        assert!(dropped(&drops).iter().all(|&n| n == 1));
     }
 }

@@ -11,21 +11,20 @@
 //! * [`Exchanger`] — a scalable elimination-based *exchange channel* (the
 //!   structure the authors built for `java.util.concurrent.Exchanger`
 //!   \[18\]): any two threads that meet swap values symmetrically.
-//! * [`EliminationSyncStack`] — a synchronous dual stack with an
-//!   *asymmetric* elimination arena bolted on: producers and consumers that
-//!   collide on the stack head retry in an arena slot, pairing off without
-//!   ever touching the head. The paper reports this is "beneficial only in
-//!   cases of artificially extreme contention"; ablation A3 reproduces that
-//!   finding.
+//! * [`EliminationSyncStack`] — a synchronous dual stack with a one-slot
+//!   *asymmetric* elimination arena in front: a producer and a consumer
+//!   that meet in the slot pair off without touching the stack head. The
+//!   paper reports elimination "beneficial only in cases of artificially
+//!   extreme contention"; ablation A3 found only the one slot worth
+//!   keeping, and only while both sides spin in it (DESIGN §3).
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod arena;
+mod arena;
 pub mod exchange;
 mod slots;
 pub mod stack;
 
-pub use arena::EliminationArena;
 pub use exchange::Exchanger;
 pub use stack::EliminationSyncStack;

@@ -1,5 +1,6 @@
 //! The slot array shared by the [`Exchanger`](crate::Exchanger) and the
-//! [`EliminationArena`](crate::EliminationArena).
+//! one-slot elimination arena of the
+//! [`EliminationSyncStack`](crate::EliminationSyncStack).
 //!
 //! A slot is one word: empty (0), or the address of a node an installer
 //! has published, with the node's *kind* in the low bit (the arena's
@@ -39,8 +40,8 @@ impl Word {
 
 /// A fixed array of slots, each owning a count of the node it publishes.
 pub(crate) struct Slots<N> {
-    /// One slot per cache-line pair: the point of an arena is to spread
-    /// contention across slots, which padding makes literal.
+    /// One slot per cache-line pair: the point of the exchanger's arena is
+    /// to spread contention across slots, which padding makes literal.
     words: Box<[CachePadded<AtomicUsize>]>,
     _owns: PhantomData<Arc<N>>,
 }

@@ -1,16 +1,17 @@
 //! The elimination-backoff synchronous stack — the extension the paper
 //! sketches in §5 and leaves to future work.
 //!
-//! Every transfer first makes one brief visit to an
-//! [`EliminationArena`]; if a complementary operation is met there, the
-//! pair "cancel each other out" without touching the stack head. Otherwise
-//! the operation proceeds through the ordinary [`SyncDualStack`].
+//! Every transfer first makes one brief visit to a one-slot elimination
+//! arena; if a complementary operation is met there, the pair "cancel each
+//! other out" without touching the stack head. Otherwise the operation
+//! proceeds through the ordinary [`SyncDualStack`].
 //!
-//! The paper's finding — elimination is "beneficial only in cases of
-//! artificially extreme contention", because "the reduced contention
-//! benefits would need to outweigh the delayed release (lower throughput)
-//! experienced when threads do not meet in arena locations" — is exactly
-//! what ablation A3 measures by sweeping the arena size.
+//! The paper finds elimination "beneficial only in cases of artificially
+//! extreme contention", because "the reduced contention benefits would
+//! need to outweigh the delayed release (lower throughput) experienced
+//! when threads do not meet in arena locations". Ablation A3 measures this
+//! stack against the plain one; larger arenas lost there and are gone
+//! (DESIGN §3).
 
 use crate::arena::EliminationArena;
 use synq::{
@@ -28,7 +29,7 @@ use synq::{
 /// use std::sync::Arc;
 /// use std::thread;
 ///
-/// let q = Arc::new(EliminationSyncStack::new(4));
+/// let q = Arc::new(EliminationSyncStack::new());
 /// let q2 = Arc::clone(&q);
 /// let t = thread::spawn(move || q2.take());
 /// q.put(5u32);
@@ -37,22 +38,28 @@ use synq::{
 pub struct EliminationSyncStack<T: Send> {
     stack: SyncDualStack<T>,
     arena: EliminationArena<T>,
-    arena_spins: u32,
+}
+
+/// How long an arena visit spins for a partner before it falls back.
+const ARENA_SPINS: u32 = 128;
+
+impl<T: Send> Default for EliminationSyncStack<T> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<T: Send> EliminationSyncStack<T> {
-    /// Creates a stack with `arena_slots` elimination slots (0 disables
-    /// elimination entirely — the A3 control arm).
-    pub fn new(arena_slots: usize) -> Self {
-        Self::with_spin(arena_slots, SpinPolicy::adaptive())
+    /// Creates a stack with the adaptive spin policy.
+    pub fn new() -> Self {
+        Self::with_spin(SpinPolicy::adaptive())
     }
 
-    /// Full configuration.
-    pub fn with_spin(arena_slots: usize, spin: SpinPolicy) -> Self {
+    /// Creates a stack whose waits on the stack follow `spin`.
+    pub fn with_spin(spin: SpinPolicy) -> Self {
         EliminationSyncStack {
             stack: SyncDualStack::with_spin(spin),
-            arena: EliminationArena::new(arena_slots),
-            arena_spins: 128,
+            arena: EliminationArena::new(),
         }
     }
 
@@ -76,15 +83,9 @@ impl<T: Send> Transferer<T> for EliminationSyncStack<T> {
         let item = if deadline.is_now() {
             item
         } else {
-            match item {
-                Some(v) => match self.arena.try_put(v, self.arena_spins) {
-                    Ok(()) => return TransferOutcome::Transferred(None),
-                    Err(v) => Some(v),
-                },
-                None => match self.arena.try_take(self.arena_spins) {
-                    Some(v) => return TransferOutcome::Transferred(Some(v)),
-                    None => None,
-                },
+            match self.arena.visit(item, ARENA_SPINS) {
+                Ok(got) => return TransferOutcome::Transferred(got),
+                Err(item) => item,
             }
         };
         self.stack.transfer(item, deadline, token)
@@ -111,7 +112,7 @@ mod tests {
 
     #[test]
     fn basic_rendezvous() {
-        let q = Arc::new(EliminationSyncStack::new(2));
+        let q = Arc::new(EliminationSyncStack::new());
         let q2 = Arc::clone(&q);
         let t = thread::spawn(move || q2.take());
         q.put(1u32);
@@ -119,25 +120,15 @@ mod tests {
     }
 
     #[test]
-    fn zero_slot_arena_is_plain_stack() {
-        let q = Arc::new(EliminationSyncStack::new(0));
-        let q2 = Arc::clone(&q);
-        let t = thread::spawn(move || q2.take());
-        q.put(2u32);
-        assert_eq!(t.join().unwrap(), 2);
-        assert_eq!(q.eliminated(), 0);
-    }
-
-    #[test]
     fn poll_offer_fail_on_empty() {
-        let q: EliminationSyncStack<u8> = EliminationSyncStack::new(4);
+        let q: EliminationSyncStack<u8> = EliminationSyncStack::new();
         assert_eq!(q.poll(), None);
         assert_eq!(q.offer(1), Err(1));
     }
 
     #[test]
     fn timed_ops_respect_patience() {
-        let q: EliminationSyncStack<u8> = EliminationSyncStack::new(4);
+        let q: EliminationSyncStack<u8> = EliminationSyncStack::new();
         assert_eq!(q.poll_timeout(Duration::from_millis(10)), None);
         assert_eq!(q.offer_timeout(2, Duration::from_millis(10)), Err(2));
     }
@@ -146,7 +137,7 @@ mod tests {
     fn heavy_contention_eliminates_some_pairs() {
         const THREADS: usize = 4;
         const PER: usize = 2_000;
-        let q = Arc::new(EliminationSyncStack::new(8));
+        let q = Arc::new(EliminationSyncStack::new());
         let mut handles = Vec::new();
         for _ in 0..THREADS {
             let q = Arc::clone(&q);
@@ -175,7 +166,7 @@ mod tests {
     #[test]
     fn values_conserved_with_elimination() {
         const PER: usize = 3_000;
-        let q = Arc::new(EliminationSyncStack::new(4));
+        let q = Arc::new(EliminationSyncStack::new());
         let q2 = Arc::clone(&q);
         let producer = thread::spawn(move || {
             for i in 0..PER {

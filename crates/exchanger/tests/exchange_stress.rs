@@ -1,4 +1,4 @@
-//! Stress and conformance tests for the exchanger and elimination arena.
+//! Stress and conformance tests for the exchanger and the elimination stack.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -100,7 +100,7 @@ fn elimination_stack_conserves_under_timed_chaos() {
     use std::sync::atomic::{AtomicUsize, Ordering};
     const PRODUCERS: usize = 3;
     const PER: usize = 500;
-    let q = Arc::new(EliminationSyncStack::new(4));
+    let q = Arc::new(EliminationSyncStack::new());
     let delivered = Arc::new(AtomicUsize::new(0));
     let mut handles = Vec::new();
     for _ in 0..PRODUCERS {
@@ -146,7 +146,7 @@ fn elimination_stack_conserves_under_timed_chaos() {
 fn elimination_stack_blocking_api_equivalence() {
     // The elimination wrapper must be observationally equivalent to the
     // plain stack for the blocking API.
-    let q = Arc::new(EliminationSyncStack::new(2));
+    let q = Arc::new(EliminationSyncStack::new());
     let q2 = Arc::clone(&q);
     let consumer = thread::spawn(move || (0..100).map(|_| q2.take()).sum::<u64>());
     for i in 0..100u64 {

@@ -3,8 +3,9 @@
 //! The paper's "Pragmatics" section describes one policy — spin briefly,
 //! then park — but the structures in this suite need four variants of it:
 //! the adaptive default, a fixed budget (for ablations), park-immediately
-//! (spinning disabled), and *spin-only* for the elimination arena, whose
-//! visits must never deschedule the visiting thread. `WaitStrategy`
+//! (spinning disabled), and *spin-only* for the elimination stack's arena
+//! slot and the exchanger's outer slots, whose visits must never
+//! deschedule the visiting thread. `WaitStrategy`
 //! abstracts exactly the knobs the wait loop consumes so that every
 //! structure — and the benchmark harness — can sweep them uniformly.
 
@@ -81,9 +82,10 @@ impl WaitStrategy for SpinPolicy {
 
 /// Spin for a fixed budget and never park; exhaustion counts as a timeout.
 ///
-/// This is the elimination arena's contract: a visit is a *bounded* attempt
-/// to eliminate against a partner, and descheduling inside the arena would
-/// turn a backoff mechanism into a blocking one.
+/// This is the contract of the elimination stack's one arena slot and of
+/// the exchanger's slots past the first: a visit is a *bounded* attempt to
+/// meet a partner, and descheduling there would turn a backoff mechanism
+/// into a blocking one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpinOnly(pub u32);
 

@@ -1,6 +1,7 @@
-//! What one handoff over a linked dual list or the dual stack costs
-//! (`--features stats`): list appends and front claims, stack pushes and
-//! match CASes, node allocations, retirements and epoch pins.
+//! What one handoff over a linked dual list, the dual stack or the
+//! `TransferQueue`'s ring costs (`--features stats`): list appends and
+//! front claims, stack pushes and match CASes, node allocations,
+//! retirements and epoch pins.
 //!
 //! | handoff                                     | append | claim | push | match | alloc | retired | pins   |
 //! |---------------------------------------------|-------:|------:|-----:|------:|------:|--------:|--------|
@@ -9,14 +10,17 @@
 //! | `TransferQueue`, `transfer` then `take`     |      1 |     1 |    0 |     0 |     1 |       1 | 2 or 3 |
 //! | `SyncDualStack`, poll mode, receiver waits  |      0 |     0 |    2 |     1 |     2 |       2 | 2      |
 //! | `SyncDualStack`, poll mode, sender waits    |      0 |     0 |    2 |     1 |     2 |       2 | 2      |
+//! | `TransferQueue`, buffered `put` then `take` |      0 |     0 |    0 |     0 |     0 |       0 | 0      |
 //! | refused `offer`/`poll`/tripped token        |      0 |     - |    0 |     - |     0 |       - | -      |
 //!
 //! The two-thread handoffs take a third pin when the waiter's node is
 //! still linked as it leaves. A stack handoff pushes two nodes, the
 //! waiter's and the fulfilling node above it, and retires both; its two
 //! pins are the two arrivals', since a matched stack waiter leaves the
-//! pair to its fulfiller and takes none. The refused calls run on all
-//! three structures.
+//! pair to its fulfiller and takes none. The buffered row runs on an
+//! unbounded and a bounded queue: the item goes through the ring and the
+//! list is never looked at. The refused calls run on all three
+//! structures.
 //!
 //! Probe counters are process-wide, so this binary holds a single test.
 
@@ -108,7 +112,7 @@ fn refused_round<Q: Transferer<u32>>(q: &Q, tripped: &CancelToken) {
 }
 
 #[test]
-fn handoffs_over_the_linked_lists_count_as_tabled() {
+fn handoffs_count_as_tabled() {
     let one = Counts {
         append: 1,
         claim: 1,
@@ -194,6 +198,26 @@ fn handoffs_over_the_linked_lists_count_as_tabled() {
     }
     drop(to_helper);
     helper.join().unwrap();
+
+    // The ring path, in both modes: nothing linked, allocated, retired or
+    // pinned.
+    let none = Counts {
+        append: 0,
+        claim: 0,
+        push: 0,
+        matched: 0,
+        alloc: 0,
+        retired: 0,
+        pins: 0,
+    };
+    for ring in [TransferQueue::new(), TransferQueue::bounded(8)] {
+        for _ in 0..SAMPLES {
+            let before = StatsSnapshot::take();
+            ring.put(7);
+            assert_eq!(ring.take(), 7);
+            assert_eq!(counts_since(&before), none, "buffered put then take");
+        }
+    }
 
     // Refused calls allocate nothing and link nothing.
     let tripped = CancelToken::new();

@@ -9,8 +9,8 @@
 //!    backlog for an idle worker's empty batch (the classic
 //!    work-rebalancing rendezvous).
 //! 2. An [`EliminationSyncStack`] serves a burst of producer/consumer
-//!    traffic; under contention some pairs meet in the elimination arena
-//!    and never touch the stack head at all.
+//!    traffic; some pairs meet in its one-slot elimination arena and
+//!    never touch the stack head at all.
 
 use std::sync::Arc;
 use std::thread;
@@ -47,7 +47,7 @@ fn main() {
     assert_eq!(got_back, 0);
 
     // --- 2. Elimination-backoff synchronous stack -------------------------
-    let stack: Arc<EliminationSyncStack<u64>> = Arc::new(EliminationSyncStack::new(8));
+    let stack: Arc<EliminationSyncStack<u64>> = Arc::new(EliminationSyncStack::new());
     const THREADS: usize = 4;
     const PER: usize = 5_000;
 

@@ -21,7 +21,8 @@
 //!   a hazard-pointer backend whose stalled-thread garbage is bounded.
 //! * [`primitives`] — parker, semaphore, ticket lock, backoff, spin policy.
 //! * [`classic`] — Treiber stack, M&S queue, nonsynchronous dual structures.
-//! * [`exchanger`] — elimination arena and elimination-backoff queue.
+//! * [`exchanger`] — elimination-based exchanger and a synchronous stack
+//!   with a one-slot elimination arena in front.
 //! * [`transfer`] — TransferQueue (sync + async enqueue): a ring of
 //!   cycle-versioned slots in front of the dual list, consumers that wait
 //!   as linked reservations in both modes, a `put` that overflows

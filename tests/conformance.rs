@@ -26,7 +26,7 @@ fn blocking_channels() -> Vec<(&'static str, Blocking)> {
         ("java5-unfair", Arc::new(Java5SQ::unfair())),
         ("new-fair", Arc::new(SynchronousQueue::fair())),
         ("new-unfair", Arc::new(SynchronousQueue::unfair())),
-        ("new-elim", Arc::new(EliminationSyncStack::new(4))),
+        ("new-elim", Arc::new(EliminationSyncStack::new())),
         ("transfer", Arc::new(TransferQueue::new())),
         ("transfer-bounded", Arc::new(TransferQueue::bounded(8))),
     ]
@@ -38,7 +38,7 @@ fn timed_channels() -> Vec<(&'static str, Timed)> {
         ("java5-unfair", Arc::new(Java5SQ::unfair())),
         ("new-fair", Arc::new(SynchronousQueue::fair())),
         ("new-unfair", Arc::new(SynchronousQueue::unfair())),
-        ("new-elim", Arc::new(EliminationSyncStack::new(4))),
+        ("new-elim", Arc::new(EliminationSyncStack::new())),
         ("transfer", Arc::new(TransferQueue::new())),
         ("transfer-bounded", Arc::new(TransferQueue::bounded(8))),
     ]
