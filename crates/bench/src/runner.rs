@@ -6,12 +6,15 @@ use crate::report::{counter_deltas_since, FigureReport};
 use crate::workload::{executor_ns_per_task, handoff_ns_per_transfer_recording, HandoffShape};
 use crate::{latency_enabled, quick_mode, sweep, transfers_for};
 use std::sync::Arc;
-use synq_obs::StatsSnapshot;
+use synq_obs::{Probe, StatsSnapshot};
 
 /// Runs a handoff figure (Figures 3–5) over `algos` and prints progress to
 /// stderr. With `SYNQ_BENCH_LATENCY=1` every series additionally records
 /// its per-operation latency distribution across the whole sweep and
-/// carries the schema rev 3 `latency` block.
+/// carries the schema rev 3 `latency` block. In a `--features stats` build
+/// the probe counters are snapshotted around each cell: each cell's line
+/// is followed by its own nonzero counts, and a series' `counters` are the
+/// sum of its cells'.
 pub fn run_handoff_figure(
     id: &str,
     title: &str,
@@ -25,22 +28,38 @@ pub fn run_handoff_figure(
     let levels = sweep(levels, quick);
     let mut report = FigureReport::new(id, title, x_label, "ns/transfer", levels.clone());
     for &algo in algos {
-        let before = StatsSnapshot::take();
         let hist = record_latency.then(|| Arc::new(Histogram::new()));
         let mut values = Vec::with_capacity(levels.len());
+        let mut cells = Vec::with_capacity(levels.len());
         for &level in &levels {
             let s = shape(level);
             let transfers = transfers_for(s.producers + s.consumers, quick);
+            let before = StatsSnapshot::take();
             let ns =
                 handoff_ns_per_transfer_recording(make_blocking(algo), s, transfers, hist.clone());
+            let cell = StatsSnapshot::take().delta(&before);
             eprintln!(
                 "  {id} {:>14} {x_label}={level:<3} -> {ns:>12.0} ns/transfer ({transfers} transfers)",
                 algo.name()
             );
+            if !cell.is_zero() {
+                let counts: Vec<String> = cell
+                    .nonzero()
+                    .into_iter()
+                    .map(|(name, n)| format!("{name}={n}"))
+                    .collect();
+                eprintln!("      counters: {}", counts.join(" "));
+            }
             values.push(ns);
+            cells.push(cell);
         }
+        let counters = Probe::ALL
+            .iter()
+            .map(|&p| (p.name().to_owned(), cells.iter().map(|c| c.get(p)).sum()))
+            .filter(|&(_, n)| n > 0)
+            .collect();
         let latency = hist.and_then(|h| h.summary());
-        report.push_series_full(algo.name(), values, counter_deltas_since(&before), latency);
+        report.push_series_full(algo.name(), values, counters, latency);
     }
     report
 }

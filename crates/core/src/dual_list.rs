@@ -3,8 +3,8 @@
 //! Listing 5 / Figure 1) and the linked half of the TransferQueue (§5)
 //! share. [`crate::SyncDualQueue`] and `synq_transfer::TransferQueue` keep
 //! only their *policy* (who waits, what a match moves) and call the steps
-//! below in a straight line; [`crate::SyncDualStack`] keeps its
-//! fulfilling-node protocol and takes the node and its lifetime from here.
+//! below in a straight line; [`crate::SyncDualStack`] keeps its own
+//! Treiber linking and takes the node and its lifetime from here.
 //! All three end a wait the same way, through [`Leave`].
 //!
 //! # Layer 1: the wait node and its lifetime
@@ -17,12 +17,11 @@
 //!
 //! * The **structure's** reference is released by the thread whose CAS
 //!   unlinks the node, once, and only through [`Shield::defer_retire`]:
-//!   the decrement runs once no guard protects the node. The node's
-//!   `unlinked` flag records the release: a swap where racing removers can
-//!   reach one node (the stack's skip and absorb), a store where one CAS
-//!   has the only say (the queue's `head` CAS). A node the stack matched
-//!   is retired without it: its fulfiller is its one remover, and no stack
-//!   path reads the flag.
+//!   the decrement runs once no guard protects the node. In both
+//!   structures one CAS has the only say (the queue's and the stack's
+//!   `head` CAS each have one winner). The queue records the release in
+//!   the node's `unlinked` flag, which its `leave` reads; the stack has
+//!   no reader for it and retires without it.
 //! * The **waiter's** reference is released directly when its operation
 //!   returns ([`WaitNode::release`]). A waiter therefore holds
 //!   no guard while it spins or parks (a sleeping thread never stalls
@@ -112,8 +111,7 @@ use synq_reclaim::{Atomic, Owned, Reclaimer, Shared, Shield};
 
 /// Mode word of a waiting consumer's node (a reservation).
 pub const REQUEST: usize = 0;
-/// Mode bit of a waiting producer's node. The dual stack ORs its
-/// `FULFILLING` bit into the same word.
+/// Mode bit of a waiting producer's node.
 pub const DATA: usize = 1;
 /// Mode bit of a data node whose producer waits for its item to be given
 /// a place, not for a consumer (a bounded `TransferQueue`'s put on a full
@@ -131,10 +129,9 @@ pub struct WaitNode<T, R: Reclaimer> {
     pub slot: WaitSlot<T>,
     pub(crate) next: Atomic<WaitNode<T, R>, R>,
     refs: AtomicUsize,
-    /// Set by the one release of the structure reference, except a matched
-    /// stack node's (see [`Self::retire_structure_ref`]). The queue's
+    /// Set by the queue's one release of the structure reference. Its
     /// `leave` reads it to skip helping a node that is already off the
-    /// list.
+    /// list; the stack never sets or reads it.
     unlinked: AtomicBool,
 }
 
@@ -166,23 +163,15 @@ impl<T, R: Reclaimer> WaitNode<T, R> {
         self.mode & MOVABLE != 0
     }
 
-    /// Takes one more counted reference, to be dropped with
-    /// [`Self::release`]. The caller must already be entitled to the node
-    /// (guarded, or holding a reference).
-    pub(crate) fn add_ref(&self) {
-        self.refs.fetch_add(1, Ordering::AcqRel);
-    }
-
     /// The node's reference count, for white-box tests.
     #[cfg(test)]
     pub(crate) fn ref_count(&self) -> usize {
         self.refs.load(Ordering::SeqCst)
     }
 
-    /// Drops one counted reference: the waiter's own, one taken with
-    /// `add_ref`, or (from inside its deferred retirement) the
-    /// structure's. The last one frees the node, and with it any item
-    /// nobody consumed.
+    /// Drops one counted reference: the waiter's own, or (from inside its
+    /// deferred retirement) the structure's. The last one frees the node,
+    /// and with it any item nobody consumed.
     ///
     /// # Safety
     ///
@@ -200,41 +189,12 @@ impl<T, R: Reclaimer> WaitNode<T, R> {
         }
     }
 
-    /// Releases the structure's reference on a node the caller's CAS just
-    /// unlinked, where racing removers may reach the same node (the
-    /// stack's skip and absorb, and its pop of a fulfilling node): the
-    /// `unlinked` swap lets the first through. Returns false if another got
-    /// there first. A node the stack matched has one remover, its
-    /// fulfiller, which calls [`Self::retire_structure_ref`] directly.
+    /// Releases the structure's reference on a node the caller's queue
+    /// head CAS just unlinked, and records it in `unlinked`.
     ///
     /// # Safety
     ///
-    /// `node` is protected by `guard` (or refcount-live) and has been
-    /// unlinked from its structure.
-    pub(crate) unsafe fn release_structure_ref<'g>(
-        node: Shared<'g, Self>,
-        guard: &'g R::Guard,
-    ) -> bool {
-        // SAFETY: per the contract.
-        if unsafe { node.deref() }
-            .unlinked
-            .swap(true, Ordering::AcqRel)
-        {
-            return false;
-        }
-        // SAFETY: the swap made us the one releaser.
-        unsafe { Self::retire_structure_ref(node, guard) };
-        true
-    }
-
-    /// Releases the structure's reference on a node only the caller's CAS
-    /// can have unlinked (a queue's head CAS has one winner), so `unlinked`
-    /// is set with a store.
-    ///
-    /// # Safety
-    ///
-    /// As [`Self::release_structure_ref`], and the caller is the node's one
-    /// remover.
+    /// As [`Self::retire_structure_ref`].
     unsafe fn release_unlinked<'g>(node: Shared<'g, Self>, guard: &'g R::Guard) {
         // SAFETY: per the contract.
         let n = unsafe { node.deref() };
@@ -251,11 +211,9 @@ impl<T, R: Reclaimer> WaitNode<T, R> {
     ///
     /// # Safety
     ///
-    /// Called once per node: by whoever set its `unlinked` flag, or by the
-    /// fulfiller of a node the stack matched, which no other thread
-    /// removes (helpers and the waiter pop the pair without releasing it;
-    /// skips and absorbs remove only cancelled nodes). `node` is protected
-    /// by `guard` (or refcount-live) and off its structure.
+    /// Called once per node, by the winner of the one CAS that unlinked
+    /// it (a queue's or a stack's `head` CAS). `node` is protected by
+    /// `guard` (or refcount-live) and off its structure.
     pub(crate) unsafe fn retire_structure_ref<'g>(node: Shared<'g, Self>, guard: &'g R::Guard) {
         let raw = node.as_raw() as usize;
         // SAFETY: the closure runs once no guard protects the node; the

@@ -1,89 +1,93 @@
 //! The synchronous dual stack — the paper's **unfair** algorithm
 //! (Listing 6 / Figure 2), with time-out and cancellation support in the
-//! style of the Java 6 production version (`TransferStack`).
+//! style of the Java 6 production version (`TransferStack`), and one
+//! deviation: a waiter is matched in place, not by a fulfilling node.
 //!
 //! # Algorithm
 //!
 //! The stack is a singly linked list with one `head` pointer (the Treiber
-//! skeleton). It holds either data nodes (waiting producers) or request
-//! nodes (waiting consumers) — plus, transiently, a single *fulfilling*
-//! node of the opposite type on top. Three cases on arrival:
+//! skeleton). Its waiting nodes are all of one mode, data nodes (waiting
+//! producers) or request nodes (waiting consumers); nodes whose wait is
+//! already decided (matched, claimed or cancelled) may lie among them
+//! until they surface. One rule on arrival, applied to the top:
 //!
-//! 1. **Empty or same mode** — push our node and wait for a counterpart to
-//!    set its `match` pointer (spin on our own node, then park).
-//! 2. **Complementary mode on top** — push a node marked `FULFILLING`
-//!    above it, then *annihilate*: CAS the reservation's `match` to our
-//!    fulfilling node and pop both together (Figure 2 steps B–D).
-//! 3. **Fulfilling node on top** — *help* the fulfiller complete its match
-//!    and pop, then retry our own operation. Helping is what makes the
-//!    algorithm lock-free: no thread can block another's progress.
+//! 1. **Decided top** — pop it and look again. This is the helping step
+//!    that makes the algorithm lock-free: a thread that stalls after
+//!    deciding a node leaves nothing another must wait for, because any
+//!    arrival can pop what it left.
+//! 2. **Complementary waiting top** — match it in place, then pop it. A
+//!    producer claims a consumer's slot, deposits its item and completes
+//!    the match (`try_claim` → `put_item` → `complete`, as the
+//!    [queue](crate::dual_queue) does). A consumer stores a token in a
+//!    producer's slot with one CAS and then moves the producer's item out:
+//!    the waiter never touches its item again once matched, so this is the
+//!    only write to the waiter's line.
+//! 3. **Empty, or a waiting top of our own mode** — push our node and wait
+//!    for a counterpart to decide it (spin on our own node, then park).
 //!
-//! The request linearizes at the head-CAS that pushes our node (case 1) or
-//! our fulfilling node (case 2); the follow-up linearizes at the `match`
-//! CAS (paper §3.3).
+//! Every waiting node on the stack has the mode of every node above it
+//! (a push goes only onto a waiting node of its own mode, or an empty
+//! stack), so the top's mode is the mode of everything still waiting.
+//! A request linearizes at the head CAS that pushes its node (case 3) or,
+//! when it matches, at the head read that saw the top waiting (case 2):
+//! that node stays `WAITING` until our CAS decides it, so nobody matched
+//! or cancelled it in between, and it was the newest waiting node when we
+//! read it. The follow-up linearizes at the match CAS (paper §3.3).
+//!
+//! # The deviation from Listing 6
+//!
+//! The paper matches by pushing a *fulfilling* node above the waiter and
+//! popping the pair, and helpers complete a fulfiller's match for it. Here
+//! the slot's own CAS, which already arbitrates match against cancel, is
+//! the match, so a handoff costs one node, one push, one match CAS and
+//! one retirement instead of two nodes, two pushes and two retirements.
+//! Figure 2's protocol stays in the repo as `synq_classic::DualStack`, its
+//! DISC 2004 ancestor. The JDK took the same step when it rebuilt
+//! `SynchronousQueue` on `LinkedTransferQueue`'s nodes (JDK 21): an unfair
+//! waiter there is also matched in place (cited from memory of the JDK
+//! source, nothing from it is vendored here).
 //!
 //! # Cancellation and cleaning
 //!
-//! A waiter cancels by CASing its node's state word `WAITING → CANCELLED`
-//! — the same word a fulfiller CASes its own address into, so
-//! match-vs-cancel is arbitrated by a single CAS exactly as in the Java
-//! code (which CASes the `match` pointer to self; here the shared
-//! [`synq_primitives::WaitSlot`] engine reserves the low state values and
-//! uses the fulfiller's address as the match *token*). Cancelled nodes are
-//! reclaimed when they surface at the top of the stack: every arriving operation (and the
-//! canceller itself) first pops cancelled top nodes, and fulfillers skip
-//! over cancelled nodes beneath them (`cas_next`), releasing them. As in
-//! the [queue](crate::dual_queue), we do not unsplice cancelled nodes from
-//! the *middle* of the stack from arbitrary positions — that is only
-//! memory-safe under a tracing GC — but the skip-from-fulfiller path plus
-//! top absorption bounds buildup the same way (experiment A4).
+//! A waiter cancels by CASing its node's state word `WAITING → CANCELLED`,
+//! the same word a matcher CASes, so match-vs-cancel is arbitrated by one
+//! CAS as in the Java code. A cancelled node is a decided node: it is
+//! popped when it surfaces, by the next arrival or by the canceller
+//! itself, which pops decided tops before it leaves. As in the
+//! [queue](crate::dual_queue), nodes are never unspliced from the middle
+//! of the stack (memory-safe only under a tracing GC), so a decided node
+//! buried under a newer waiter stays until that waiter is decided and
+//! popped (experiment A4).
 //!
 //! # Memory lifetime
 //!
 //! The node and its lifetime rule (two references, the structure's
 //! released by a deferred retirement, the owner's directly) are
-//! [`crate::dual_list`]'s. One extra wrinkle (absent from the GC'd Java
-//! version): a *consumer* waiter must read the fulfiller's item after
-//! waking, possibly long after the fulfiller popped both nodes — so when
-//! the matched node is a request, the thread whose CAS installs the match
-//! first takes an extra reference on the fulfilling node *on the waiter's
-//! behalf*; the stack's [`Leave::leave`] releases it after reading, in
-//! blocking and poll mode alike (a dropped permit that lost to the match
-//! leaves the same way). A producer waiter never reads the fulfilling
-//! node, so its match takes no reference, and the waiter drops none.
+//! [`crate::dual_list`]'s. The stack's part of it is one rule: **a node
+//! leaves the stack only by a head CAS**, which has one winner, so that
+//! winner retires the structure reference directly, with no `unlinked`
+//! flag to arbitrate. After a successful pop the popper keeps popping
+//! decided tops, so a node decided while buried is popped when it
+//! surfaces, and a stack at rest holds no decided node.
 //!
-//! A fulfiller touches the matched waiter's node only while its match CAS
-//! still holds the line: the slot's wake writes the mailbox only if a
-//! waiter registered there, a consumer fulfiller takes the producer's item
-//! at once, and the matched node's structure reference is retired without
-//! the `unlinked` swap, because the fulfiller is its one remover.
+//! A matcher reads and writes the node it matched only while its guard
+//! protects the node, and the structure reference is retired only after
+//! the node is popped, deferred past that guard. A matched waiter's
+//! [`Leave::leave`] reads only its own slot: a consumer takes the item its
+//! producer deposited there, a producer reads nothing. It takes no pin and
+//! never reads `head`.
 //!
-//! Unlike the queue, the stack removes nodes from *mid-chain* (a fulfiller
-//! or helper skips cancelled nodes beneath the fulfilling top), so the
-//! bounded-protection backends need stronger validation than the queue's
-//! snapshot re-check:
+//! Under the bounded-protection backends two facts cover every access:
 //!
-//! * **Skips rewrite the link before retiring its target**, so
-//!   [`synq_reclaim::Shield::protect`]'s own source re-check (publish, re-read, loop)
-//!   already rules out dereferencing a skip victim.
-//! * **A matched reservation can be retired without its predecessor's
-//!   `next` changing** (the dead fulfilling node still points at it).
-//!   Two defenses: the *fulfiller* — the only thread that must read the
-//!   matched node's item — is made the sole releaser of the matched
-//!   node's structure reference (helpers leave it), so the node is
-//!   refcount-live until the fulfiller is done with it; and *helpers*
-//!   re-validate that the fulfilling node is still the head before
-//!   dereferencing below it (a popped node is never re-pushed, and the
-//!   protecting slot prevents its address from being recycled, so
-//!   `head == h` is unambiguous).
-//! * **A matched waiter does not help pop.** It takes no pin and never
-//!   reads `head`: its fulfiller pops the pair right after the match, and
-//!   if the fulfiller stalls first, the next arrival finds the fulfilling
-//!   node on top and pops the pair for it (case 3).
+//! * **`next` is fixed at the push** and nodes leave only at the top, so
+//!   a head CAS from `h` to `h.next` certifies that `h` was still the head
+//!   (a popped node is never re-pushed, and the protecting slot keeps
+//!   `h`'s address from being recycled). `h.next` is only ever a CAS
+//!   operand; the only nodes dereferenced are loaded straight from `head`.
 //! * **The chain walk** (`linked_nodes`) is the kernel's head re-anchor:
-//!   with the head stable, every link-validated node reached from it is
-//!   unpopped (the stack pops only at the top) and unskipped, and nodes
-//!   retired before the walk began are unreachable from the current head.
+//!   with the head stable, every node reached from it is still linked, and
+//!   nodes retired before the walk began are unreachable from the current
+//!   head.
 
 use crate::dual_list::{count_linked, Leave, NodePermit, Start, WaitNode, DATA, REQUEST};
 use crate::pollable::{PollTransferer, StartTransfer};
@@ -91,19 +95,14 @@ use crate::transferer::{Deadline, TransferOutcome, Transferer};
 use std::ops::ControlFlow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+use synq_primitives::wait_slot::MIN_TOKEN;
 use synq_primitives::{CachePadded, CancelToken, SpinPolicy, WaitOutcome};
 use synq_reclaim::{Atomic, Epoch, Owned, Reclaimer, Shared};
 
-/// Mode bit: the node is actively fulfilling the node beneath it (ORed
-/// with the kernel's `REQUEST`/`DATA`). The stack's fulfillers match a
-/// reservation by storing their own node's address in its slot as the
-/// match *token* (the Java `TransferStack` CASes a `match` pointer; the
-/// slot's reserved control states play the null/self roles).
-const FULFILLING: usize = 2;
-
-fn is_fulfilling<T, R: Reclaimer>(node: &WaitNode<T, R>) -> bool {
-    node.mode & FULFILLING != 0
-}
+/// The word a consumer stores in a waiting producer's slot to match it.
+/// The producer's waiter only needs to see that it was matched; any word
+/// the slot does not reserve for its control states would do.
+const TAKEN: usize = MIN_TOKEN;
 
 /// The unfair (LIFO) synchronous queue — "based on a LIFO stack".
 ///
@@ -196,24 +195,47 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
         }
     }
 
-    /// Pops `h`, releasing its structure reference, if it is still the
-    /// head.
-    fn pop_head<'g>(
-        &self,
-        h: Shared<'g, WaitNode<T, R>>,
-        new_head: Shared<'g, WaitNode<T, R>>,
-        guard: &'g R::Guard,
-    ) -> bool {
+    /// Pops `h`, a decided top, if it is still the head. A node leaves the
+    /// stack only this way, so the winning CAS is its one remover and
+    /// retires its structure reference directly.
+    fn pop_head<'g>(&self, h: Shared<'g, WaitNode<T, R>>, guard: &'g R::Guard) -> bool {
+        // SAFETY: `h` was loaded from `head` under the guard. Its `next`
+        // is fixed at the push and only becomes our CAS operand.
+        let next = unsafe { h.deref() }.next.load(Ordering::Acquire, guard);
         if self
             .head
-            .compare_exchange(h, new_head, Ordering::AcqRel, Ordering::Acquire, guard)
+            .compare_exchange(h, next, Ordering::AcqRel, Ordering::Acquire, guard)
             .is_ok()
         {
-            // SAFETY: our CAS unlinked `h`, which the guard protects.
-            unsafe { WaitNode::release_structure_ref(h, guard) };
+            // SAFETY: our CAS unlinked `h`, which the guard protects, and
+            // only one CAS can move `head` off it.
+            unsafe { WaitNode::retire_structure_ref(h, guard) };
             true
         } else {
             false
+        }
+    }
+
+    /// Pops decided tops (matched, claimed or cancelled) until the stack is
+    /// empty or its top waits, and returns that head. `own` is the
+    /// caller's own cancelled node, or null; popping any other node counts
+    /// as helping.
+    fn pop_decided<'g>(
+        &self,
+        own: *const WaitNode<T, R>,
+        guard: &'g R::Guard,
+    ) -> Shared<'g, WaitNode<T, R>> {
+        loop {
+            let h = self.head.load(Ordering::Acquire, guard);
+            // SAFETY: loaded from `head` under the guard.
+            match unsafe { h.as_ref() } {
+                Some(top) if !top.slot.is_waiting() => {
+                    if self.pop_head(h, guard) && h.as_raw() != own {
+                        synq_obs::probe!(StackHelped);
+                    }
+                }
+                _ => return h,
+            }
         }
     }
 
@@ -228,8 +250,7 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
         item: &mut Option<T>,
         guard: &'g R::Guard,
     ) -> Option<Shared<'g, WaitNode<T, R>>> {
-        let mut owned = node.take().unwrap_or_else(|| WaitNode::alloc(mode));
-        owned.mode = mode;
+        let owned = node.take().unwrap_or_else(|| WaitNode::alloc(mode));
         if let Some(v) = item.take() {
             // SAFETY: we own the unpublished node, and its cell is empty.
             unsafe { owned.slot.put_item(v) };
@@ -256,200 +277,87 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
         }
     }
 
-    /// Installs `f` as `m`'s match, waking `m`'s waiter. Returns true if
-    /// `m` is matched to `f` (by us or a helper); false if `m` was
-    /// cancelled. When `m` is a request, takes one reference on `f` on its
-    /// waiter's behalf if our CAS wins: a consumer waiter reads `f`'s
-    /// item, a producer waiter never touches `f`.
-    fn try_match<'g>(
-        &self,
-        m: Shared<'g, WaitNode<T, R>>,
-        f: Shared<'g, WaitNode<T, R>>,
-        _guard: &'g R::Guard,
-    ) -> bool {
-        // SAFETY: both protected by the guard (callers validate `m`).
-        let m_ref = unsafe { m.deref() };
-        let f_ref = unsafe { f.deref() };
-        // Speculative reference for a consumer waiter, taken before the
-        // CAS lets it read `f`; revoked if the CAS fails.
-        let for_waiter = !m_ref.is_data();
-        if for_waiter {
-            f_ref.add_ref();
-        }
-        match m_ref.slot.try_fulfill_token(f.as_raw() as usize) {
-            Ok(()) => {
-                synq_obs::probe!(StackMatchCas);
-                true
-            }
-            Err(actual) => {
-                synq_obs::probe!(StackMatchCasFail);
-                if for_waiter {
-                    // SAFETY: the reference taken above, dropped once.
-                    unsafe { WaitNode::release(f.as_raw()) };
+    /// Matches `top`, a waiting node of the other mode, in place: a
+    /// producer deposits its `item` in a consumer's slot, a consumer takes
+    /// a producer's item into `item`. False if another thread decided
+    /// `top` first; a producer's item is then back in `item`.
+    fn match_in_place(top: &WaitNode<T, R>, item: &mut Option<T>) -> bool {
+        let won = match item.take() {
+            Some(v) => {
+                let claimed = top.slot.try_claim();
+                if claimed {
+                    // SAFETY: the claim grants us the empty request cell.
+                    unsafe { top.slot.put_item(v) };
+                    top.slot.complete();
+                } else {
+                    *item = Some(v);
                 }
-                actual == f.as_raw() as usize
+                claimed
             }
+            None => {
+                let taken = top.slot.try_fulfill_token(TAKEN).is_ok();
+                if taken {
+                    // SAFETY: the match makes the producer's item ours, and
+                    // its waiter never reads it again; the guard keeps the
+                    // node alive until it is popped and retired.
+                    *item = Some(unsafe { top.slot.take_item() });
+                }
+                taken
+            }
+        };
+        if won {
+            synq_obs::probe!(StackMatchCas);
+        } else {
+            synq_obs::probe!(StackMatchCasFail);
         }
+        won
     }
 
-    /// Pops cancelled nodes off the top. The stack-side cleaning strategy.
-    fn pop_cancelled(&self, guard: &R::Guard) {
-        loop {
-            let h = self.head.load(Ordering::Acquire, guard);
-            let Some(h_ref) = (unsafe { h.as_ref() }) else {
-                return;
-            };
-            if !h_ref.slot.is_cancelled() {
-                return;
-            }
-            // `next` is only installed as the new head, never dereferenced:
-            // while `h` is still the head (the CAS below certifies it), a
-            // node beneath a cancelled — non-fulfilling — top cannot be
-            // removed, so its structure reference is intact.
-            let next = h_ref.next.load(Ordering::Acquire, guard);
-            let _ = self.pop_head(h, next, guard);
-        }
-    }
-
-    /// The lock-free phase of one transfer: annihilate with a complementary
-    /// waiter (helping any fulfiller in the way) or push a wait node. Never
-    /// waits; `deadline`/`token` feed only the fail-fast checks before
-    /// publication (pass [`Deadline::Never`] and `None` to always publish,
-    /// as poll-mode callers do).
+    /// The lock-free phase of one transfer: match the waiting counterpart
+    /// on top in place, or push a wait node, popping decided tops on the
+    /// way. Never waits; `deadline`/`token` feed only the fail-fast checks
+    /// before publication (pass [`Deadline::Never`] and `None` to always
+    /// publish, as poll-mode callers do).
     fn start_impl(
         &self,
         mut item: Option<T>,
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> Start<T, R> {
-        let is_data = item.is_some();
-        let mode = if is_data { DATA } else { REQUEST };
+        let mode = if item.is_some() { DATA } else { REQUEST };
         let mut node: Option<Owned<WaitNode<T, R>>> = None;
 
         loop {
             let guard = R::pin();
-            self.pop_cancelled(&guard);
+            let h = self.pop_decided(std::ptr::null(), &guard);
 
-            let h = self.head.load(Ordering::Acquire, &guard);
-            let h_ref = unsafe { h.as_ref() };
-
-            if h_ref.is_none_or(|top| top.mode == mode) {
-                // Case 1: empty or same mode — push and wait.
-                if deadline.is_now() {
-                    return ControlFlow::Break(TransferOutcome::Timeout(item));
-                }
-                if token.is_some_and(|tk| tk.is_cancelled()) {
-                    return ControlFlow::Break(TransferOutcome::Cancelled(item));
-                }
-                match self.push(h, mode, &mut node, &mut item, &guard) {
-                    Some(published) => return ControlFlow::Continue(published.as_raw()),
-                    None => continue,
-                }
-            }
-
-            let h_ref = h_ref.expect("non-empty in cases 2/3");
-            if !is_fulfilling(h_ref) {
-                // Case 2: complementary waiter on top — push a fulfilling
-                // node above it and annihilate the pair.
-                let Some(f) = self.push(h, mode | FULFILLING, &mut node, &mut item, &guard) else {
-                    continue;
-                };
-                // SAFETY: f protected by the guard; we also hold its owner
-                // reference.
-                let f_ref = unsafe { f.deref() };
-                loop {
-                    // `m` is safe to dereference under every backend:
-                    // `protect` re-checks `f.next` after publishing, so a
-                    // skip victim (link rewritten before its retirement)
-                    // is never returned; and a *matched* `m` can only be
-                    // retired by us, below — its structure reference is
-                    // the fulfiller's to release.
-                    let m = f_ref.next.load(Ordering::Acquire, &guard);
-                    let Some(m_ref) = (unsafe { m.as_ref() }) else {
-                        // Everything beneath us was cancelled and skipped:
-                        // back out, reclaim our item, retry from scratch.
-                        let _ = self.pop_head(f, Shared::null(), &guard);
-                        if is_data {
-                            // SAFETY: no match happened (next never null
-                            // after a successful match), so the item is
-                            // still exclusively ours.
-                            // (`consumed` stays true so the node's drop
-                            // does not double-free the moved-out item.)
-                            item = Some(unsafe { f_ref.slot.take_item() });
-                        }
-                        // SAFETY: our owner reference, dropped once.
-                        unsafe { WaitNode::release(f.as_raw()) };
-                        break;
-                    };
-                    let mn = m_ref.next.load(Ordering::Acquire, &guard);
-                    if self.try_match(m, f, &guard) {
-                        // A producer's item is read at once, while the
-                        // match CAS still holds m's line.
-                        // SAFETY: m matched to f grants us (f's owner)
-                        // unique read access to m's item; m is
-                        // refcount-live because its structure reference
-                        // is released only below.
-                        let got = (!is_data).then(|| unsafe { m_ref.slot.take_item() });
-                        let _ = self.pop_head(f, mn, &guard);
-                        // The matched node's structure reference is the
-                        // fulfiller's alone to release (helpers pop the
-                        // pair without touching it, and skips remove only
-                        // cancelled nodes), so it is retired without the
-                        // `unlinked` swap. That keeps `m` alive for the
-                        // item read above even when a helper popped the
-                        // pair first.
-                        // SAFETY: `m` is off the chain, refcount-live, and
-                        // we are its one remover.
-                        unsafe { WaitNode::retire_structure_ref(m, &guard) };
-                        // SAFETY: our owner reference on f, dropped once.
-                        unsafe { WaitNode::release(f.as_raw()) };
-                        return ControlFlow::Break(TransferOutcome::Transferred(got));
+            // SAFETY: `pop_decided` loaded `h` from `head` under the guard.
+            match unsafe { h.as_ref() } {
+                Some(top) if top.mode != mode => {
+                    // Case 2: a complementary waiter on top.
+                    if !Self::match_in_place(top, &mut item) {
+                        // Decided by another: popped on the next pass.
+                        continue;
                     }
-                    // m was cancelled: skip and release it.
-                    if f_ref
-                        .next
-                        .compare_exchange(m, mn, Ordering::AcqRel, Ordering::Acquire, &guard)
-                        .is_ok()
-                    {
-                        // SAFETY: our CAS unlinked `m`, which the guard
-                        // protects.
-                        unsafe { WaitNode::release_structure_ref(m, &guard) };
+                    // Pop what we matched, then whatever decided nodes
+                    // surface beneath it. A failed pop means another
+                    // arrival popped it, or a newer waiter buried it and
+                    // whoever pops that waiter pops it too.
+                    if self.pop_head(h, &guard) {
+                        let _ = self.pop_decided(std::ptr::null(), &guard);
                     }
+                    return ControlFlow::Break(TransferOutcome::Transferred(item));
                 }
-                continue;
-            }
-
-            // Case 3: someone else's fulfilling node on top — help it.
-            let m = h_ref.next.load(Ordering::Acquire, &guard);
-            // Re-validate the root before touching `m`: if `h` was popped,
-            // its fulfiller may retire the matched node without `h.next`
-            // ever changing. Seeing `head == h` *after* the protecting
-            // load above is conclusive — popped nodes are never re-pushed
-            // and the slot keeps `h`'s address from being recycled — and
-            // the fulfiller's release only happens once `h` is off the
-            // head, so `m` is not yet retired and our protection holds.
-            if !self.head.load(Ordering::Acquire, &guard).ptr_eq(&h) {
-                continue;
-            }
-            match unsafe { m.as_ref() } {
-                None => {
-                    let _ = self.pop_head(h, Shared::null(), &guard);
-                }
-                Some(m_ref) => {
-                    let mn = m_ref.next.load(Ordering::Acquire, &guard);
-                    if self.try_match(m, h, &guard) {
-                        synq_obs::probe!(StackHelped);
-                        // Pop the pair; the matched node's structure
-                        // reference is left for its fulfiller.
-                        let _ = self.pop_head(h, mn, &guard);
-                    } else if h_ref
-                        .next
-                        .compare_exchange(m, mn, Ordering::AcqRel, Ordering::Acquire, &guard)
-                        .is_ok()
-                    {
-                        // SAFETY: our CAS unlinked `m`, which the guard
-                        // protects.
-                        unsafe { WaitNode::release_structure_ref(m, &guard) };
+                _ => {
+                    // Case 3: empty or our own mode — push and wait.
+                    if deadline.is_now() {
+                        return ControlFlow::Break(TransferOutcome::Timeout(item));
+                    }
+                    if token.is_some_and(|tk| tk.is_cancelled()) {
+                        return ControlFlow::Break(TransferOutcome::Cancelled(item));
+                    }
+                    if let Some(published) = self.push(h, mode, &mut node, &mut item, &guard) {
+                        return ControlFlow::Continue(published.as_raw());
                     }
                 }
             }
@@ -463,11 +371,10 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
 }
 
 /// The stack's end of a wait, in blocking and poll mode alike: a matched
-/// waiter leaves the pair to its fulfiller (or a helper) to pop; a
-/// consumer takes its item from the fulfilling node (the match token) and
-/// releases the reference the matcher took on that node on its behalf. A
-/// waiter that won the cancel CAS pops the cancelled top and takes a
-/// producer's item back.
+/// waiter reads only its own slot (a consumer takes the item its producer
+/// deposited there) and leaves its node for whoever pops it. A waiter that
+/// won the cancel CAS pops the decided tops, its own node among them if it
+/// is on top, and takes a producer's item back.
 impl<T: Send, R: Reclaimer> Leave<T> for SyncDualStack<T, R> {
     type Backend = R;
 
@@ -479,27 +386,16 @@ impl<T: Send, R: Reclaimer> Leave<T> for SyncDualStack<T, R> {
         // SAFETY: we hold the owner reference.
         let node = unsafe { &*node_raw };
         let outcome = match verdict {
-            WaitOutcome::Matched(m_token) => {
-                // No pin and no look at `head`: the fulfiller pops the
-                // pair, and it, not we, releases our node's structure
-                // reference once it has read our item (or need not).
-                // A producer's item is read by the fulfiller; a consumer
-                // reads the fulfiller's.
-                let item = (!node.is_data()).then(|| {
-                    let m = m_token as *const WaitNode<T, R>;
-                    // SAFETY: the match grants us unique read access to the
-                    // fulfiller's item, and the reference the matcher took
-                    // on `m` for us keeps it alive.
-                    let item = unsafe { (*m).slot.take_item() };
-                    // SAFETY: that reference, dropped once.
-                    unsafe { WaitNode::release(m) };
-                    item
-                });
+            WaitOutcome::Matched(_) => {
+                // No pin and no look at `head`: the matcher pops the node.
+                // SAFETY: a producer deposited a consumer's item before
+                // completing the match.
+                let item = (!node.is_data()).then(|| unsafe { node.slot.take_item() });
                 TransferOutcome::Transferred(item)
             }
             verdict => {
                 // We won the cancel CAS.
-                self.pop_cancelled(&R::pin());
+                let _ = self.pop_decided(node_raw, &R::pin());
                 // SAFETY: cancellation wins a producer's item back.
                 let item = node.is_data().then(|| unsafe { node.slot.take_item() });
                 if verdict == WaitOutcome::Cancelled {
@@ -809,42 +705,95 @@ mod tests {
         assert_eq!(got, delivered.load(Ordering::Relaxed));
     }
 
-    /// Who holds the fulfilling node once a match lands, read off the
-    /// waiter's match token: the structure's pending release, plus a
-    /// consumer waiter's reference until it has read the fulfiller's item.
-    /// A producer waiter never reads that node and holds nothing on it.
-    /// The guard held throughout keeps every deferred release pending, so
-    /// the counts are exact.
+    /// Payload that counts its drops.
+    struct Counted<'a>(&'a std::sync::atomic::AtomicUsize);
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// A matcher whose pop lost to a newer push leaves its node decided
+    /// beneath that waiter. It is popped once it surfaces, by the thread
+    /// that popped the waiter above it, and its structure reference is
+    /// retired then: the guard held throughout keeps that release pending,
+    /// so the counts are exact.
     #[test]
-    fn only_a_consumer_waiter_holds_its_fulfilling_node() {
+    fn a_node_decided_under_a_newer_push_is_popped_when_it_surfaces() {
         let s: Arc<SyncDualStack<u32>> = Arc::new(SyncDualStack::new());
         let waker = std::task::Waker::noop();
         let _hold = Epoch::pin();
-        for (waiting, matching) in [(Some(7), None), (None, Some(7))] {
-            let ControlFlow::Continue(node) = s.start_impl(waiting, Deadline::Never, None) else {
-                panic!("an empty stack must make the first arrival wait");
+        let reserve = || {
+            let ControlFlow::Continue(node) = s.start_impl(None, Deadline::Never, None) else {
+                panic!("a consumer on an empty or request stack waits");
             };
             // SAFETY: the node just pushed; the permit takes its owner
             // reference.
-            let mut permit = unsafe { NodePermit::new(Arc::clone(&s), node) };
-            assert!(matches!(
-                s.start_impl(matching, Deadline::Never, None),
-                ControlFlow::Break(TransferOutcome::Transferred(got)) if got == waiting
-            ));
-            // SAFETY: the permit still holds the waiter's reference.
-            let token = unsafe { &*node }.slot.matched().expect("matched");
-            let f = token as *const WaitNode<u32, Epoch>;
-            let consumer_waits = waiting.is_none();
-            // SAFETY: the structure's release of `f` is deferred past the
-            // held guard, so `f` is live while it is read here.
-            let refs = || unsafe { &*f }.ref_count();
-            assert_eq!(refs(), if consumer_waits { 2 } else { 1 });
+            (node, unsafe { NodePermit::new(Arc::clone(&s), node) })
+        };
+        let (buried, mut buried_permit) = reserve();
+        let (newer, mut newer_permit) = reserve();
+        assert_eq!(s.linked_nodes(), 2);
+        // A producer that read `buried` on top matches it after `newer`
+        // was pushed, and its pop fails.
+        // SAFETY: the permit holds the waiter's reference.
+        let b = unsafe { &*buried };
+        assert!(b.slot.try_claim());
+        // SAFETY: the claim grants the empty request cell.
+        unsafe { b.slot.put_item(1) };
+        b.slot.complete();
+        assert_eq!(b.ref_count(), 2, "still linked: waiter and structure");
+        // The next producer matches `newer`, pops it and then `buried`.
+        assert!(matches!(
+            s.start_impl(Some(2), Deadline::Never, None),
+            ControlFlow::Break(TransferOutcome::Transferred(None))
+        ));
+        assert_eq!(s.linked_nodes(), 0);
+        for (node, permit, item) in [
+            (buried, &mut buried_permit, 1),
+            (newer, &mut newer_permit, 2),
+        ] {
+            // SAFETY: the permit still holds the waiter's reference, and
+            // the held guard keeps the structure's.
+            let refs = unsafe { &*node }.ref_count();
+            assert_eq!(refs, 2, "the waiter's, and the pending release");
             assert!(matches!(
                 permit.poll_transfer(waker, Deadline::Never, None),
-                Poll::Ready(TransferOutcome::Transferred(got)) if got == matching
+                Poll::Ready(TransferOutcome::Transferred(Some(got))) if got == item
             ));
-            assert_eq!(refs(), 1, "only the structure's pending release");
+            // SAFETY: the held guard keeps the structure's release pending.
+            let refs = unsafe { &*node }.ref_count();
+            assert_eq!(refs, 1, "only the structure's pending release");
         }
+    }
+
+    /// The drop rule's third case on the stack: a request permit dropped
+    /// while a producer's claim is in progress gives up only its waiter
+    /// reference, and the item the producer then deposits goes with the
+    /// node, dropped once at its last release.
+    #[test]
+    fn a_permit_dropped_mid_claim_leaves_the_item_to_the_node() {
+        let drops = std::sync::atomic::AtomicUsize::new(0);
+        let s: Arc<SyncDualStack<Counted<'_>>> = Arc::new(SyncDualStack::new());
+        let StartTransfer::Pending(permit) = SyncDualStack::start_transfer(&s, None) else {
+            panic!("an empty stack publishes the reservation");
+        };
+        // SAFETY: single-threaded; nothing is retired behind our back, and
+        // the structure's release runs on the spot.
+        let guard = unsafe { Epoch::unprotected() };
+        let h = s.head.load(Ordering::Acquire, &guard);
+        // SAFETY: the reservation, still linked.
+        let top = unsafe { h.deref() };
+        assert!(top.slot.try_claim());
+        drop(permit);
+        // SAFETY: the claim grants the empty request cell.
+        unsafe { top.slot.put_item(Counted(&drops)) };
+        top.slot.complete();
+        assert_eq!(drops.load(Ordering::SeqCst), 0, "the node keeps it");
+        assert!(s.pop_head(h, &guard));
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "freed at its last release");
+        assert_eq!(s.linked_nodes(), 0);
     }
 
     #[test]

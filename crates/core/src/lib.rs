@@ -13,10 +13,11 @@
 //!
 //! * [`SyncDualQueue`] — the **fair** variant: strict FIFO pairing, built
 //!   on an M&S-queue skeleton (paper Listing 5 / Figure 1).
-//! * [`SyncDualStack`] — the **unfair** variant: LIFO pairing via
-//!   *fulfilling* nodes that annihilate with the reservation beneath them
-//!   (paper Listing 6 / Figure 2). Unfairness improves locality by keeping
-//!   recently active threads "hot".
+//! * [`SyncDualStack`] — the **unfair** variant: LIFO pairing on a
+//!   Treiber-stack skeleton (paper Listing 6 / Figure 2), matching the
+//!   waiter on top in place where the paper pushes a *fulfilling* node
+//!   above it (see its module docs). Unfairness improves locality by
+//!   keeping recently active threads "hot".
 //!
 //! Both support the full rich interface the paper calls for: blocking
 //! `put`/`take`, non-blocking `offer`/`poll`, timed variants with a

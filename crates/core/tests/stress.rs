@@ -45,10 +45,11 @@ fn queue_mode_flips_rapidly() {
 
 #[test]
 fn stack_survives_fulfiller_backout_storms() {
-    // Force the fulfiller back-out path (case 2 with everything beneath
-    // cancelled): consumers with tiny patience keep leaving cancelled
-    // reservations; producers with short patience repeatedly push
-    // fulfilling nodes over them and must back out cleanly.
+    // Storm the decided-top path: consumers with tiny patience keep
+    // leaving cancelled reservations on top, and producers with short
+    // patience keep racing them, popping cancelled tops and matching or
+    // losing to a cancel in place. Every delivered value must arrive, and
+    // cancelled nodes must not pile up.
     let s: Arc<SyncDualStack<u64>> = Arc::new(SyncDualStack::new());
     let stop = Arc::new(AtomicUsize::new(0));
     let consumers: Vec<_> = (0..2)

@@ -96,16 +96,18 @@ probes! {
     /// Head-pointer advances (dequeues plus cancellation cleanup).
     QueueHeadAdvances => "queue.head_advances",
 
-    // Dual stack (paper §4.2 / Listing 5).
+    // Dual stack (paper Listing 6, matched in place).
     /// Successful CAS pushing a waiting node onto the dual stack.
     StackPushCas => "stack.push_cas",
     /// Failed push CAS (lost the head race; retry).
     StackPushCasFail => "stack.push_cas_fail",
-    /// Successful fulfillment CAS matching the top waiting node.
+    /// Successful in-place match of the top waiting node: a producer's
+    /// claim or a consumer's token CAS on its slot.
     StackMatchCas => "stack.match_cas",
-    /// Failed fulfillment CAS (node vanished or was taken; retry).
+    /// Failed in-place match (the top was decided by another; retry).
     StackMatchCasFail => "stack.match_cas_fail",
-    /// Times a thread helped complete someone else's in-flight match.
+    /// Pops of a decided top that this thread did not decide (the helping
+    /// step).
     StackHelped => "stack.helped",
 
     // WaitSlot protocol (DESIGN §4.7): how waiting time is actually spent.
@@ -123,6 +125,9 @@ probes! {
     WaitCancels => "wait.cancels",
     /// Cancel attempts that lost the race to a concurrent fulfill.
     WaitCancelRaceLost => "wait.cancel_race_lost",
+    /// Yields of a blocking waiter that found its slot `CLAIMED` (a
+    /// fulfiller moving the item).
+    WaitClaimedYields => "wait.claimed_yields",
 
     // Wait-node allocation (DESIGN §4.4). The names date from a
     // per-structure free list that is gone; the benchmark looks them up.

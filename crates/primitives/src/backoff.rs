@@ -87,7 +87,7 @@ impl Backoff {
 
     /// Backs off, escalating from spinning to `yield_now` once the budget is
     /// exhausted. Appropriate when the retry may be blocked on another
-    /// thread's progress (e.g. helping a fulfilling node).
+    /// thread's progress (e.g. waiting for a decided node to be popped).
     #[inline]
     pub fn snooze(&self) {
         let step = self.step.get();

@@ -29,12 +29,11 @@
 //! Fulfillers that must move data in *both* directions (queue/transfer:
 //! read the waiter's item, or deposit one) go through the two-phase
 //! `try_claim` → `put_item`/`take_item` → `complete` path; `CLAIMED` is the
-//! short window in which the fulfiller owns the item cell. Fulfillers that
-//! only need to *announce themselves* (the dual stack publishes the
-//! fulfilling node's address so the waiter can find its partner) use the
-//! one-shot `try_fulfill_token`, which stores any `usize ≥ MIN_TOKEN` —
-//! in practice a pointer, whose alignment guarantees it clears the four
-//! reserved control values.
+//! short window in which the fulfiller owns the item cell. A fulfiller that
+//! needs no cell access before the match (the dual stack's consumer, which
+//! takes a waiting producer's item only once the match is decided) uses
+//! the one-shot `try_fulfill_token`, which stores any `usize ≥ MIN_TOKEN`
+//! and so clears the four reserved control values.
 //!
 //! # Item ownership
 //!
@@ -75,8 +74,7 @@ pub const MIN_TOKEN: usize = 4;
 pub enum WaitOutcome {
     /// A fulfiller completed the handoff. The payload is the terminal
     /// state word: [`MATCHED`], or the token a [`WaitSlot::try_fulfill_token`]
-    /// fulfiller stored (the dual stack reads its partner's address back
-    /// out of this).
+    /// fulfiller stored.
     Matched(usize),
     /// The deadline (or a non-parking strategy's spin budget) expired and
     /// the waiter won the cancel race.
@@ -214,11 +212,8 @@ impl<T> WaitSlot<T> {
     }
 
     /// One-shot fulfiller CAS: `WAITING → token`, waking the waiter on
-    /// success. `token` must be ≥ [`MIN_TOKEN`] (asserted) — the dual
-    /// stack passes its fulfilling node's address so the waiter learns who
-    /// matched it. On failure returns the actual state observed, which the
-    /// stack compares against its own pointer to detect "a helper already
-    /// matched this pair for us".
+    /// success. `token` must be ≥ [`MIN_TOKEN`] (asserted). On failure
+    /// returns the actual state observed.
     ///
     /// The wake writes the waiter's mailbox only if a waiter registered:
     /// a spinning waiter's line is left alone after the CAS. No wakeup is
@@ -453,6 +448,7 @@ impl<T> WaitSlot<T> {
                 CLAIMED => {
                     // A fulfiller owns the cell; the match is imminent and
                     // cancellation has already lost. Stay out of its way.
+                    synq_obs::probe!(WaitClaimedYields);
                     std::thread::yield_now();
                     continue;
                 }

@@ -8,16 +8,17 @@
 //! | `SyncDualQueue`, poll mode, one thread      |      1 |     1 |    0 |     0 |     1 |       1 | 2      |
 //! | `TransferQueue`, `take` then `transfer`     |      1 |     1 |    0 |     0 |     1 |       1 | 2 or 3 |
 //! | `TransferQueue`, `transfer` then `take`     |      1 |     1 |    0 |     0 |     1 |       1 | 2 or 3 |
-//! | `SyncDualStack`, poll mode, receiver waits  |      0 |     0 |    2 |     1 |     2 |       2 | 2      |
-//! | `SyncDualStack`, poll mode, sender waits    |      0 |     0 |    2 |     1 |     2 |       2 | 2      |
+//! | `SyncDualStack`, poll mode, receiver waits  |      0 |     0 |    1 |     1 |     1 |       1 | 2      |
+//! | `SyncDualStack`, poll mode, sender waits    |      0 |     0 |    1 |     1 |     1 |       1 | 2      |
 //! | `TransferQueue`, buffered `put` then `take` |      0 |     0 |    0 |     0 |     0 |       0 | 0      |
 //! | refused `offer`/`poll`/tripped token        |      0 |     - |    0 |     - |     0 |       - | -      |
 //!
 //! The two-thread handoffs take a third pin when the waiter's node is
-//! still linked as it leaves. A stack handoff pushes two nodes, the
-//! waiter's and the fulfilling node above it, and retires both; its two
-//! pins are the two arrivals', since a matched stack waiter leaves the
-//! pair to its fulfiller and takes none. The buffered row runs on an
+//! still linked as it leaves. A stack handoff pushes one node, the
+//! waiter's, which the matcher matches in place (a claim when the
+//! receiver waits, a token CAS when the sender does) and pops; its two
+//! pins are the two arrivals', since a matched stack waiter leaves its
+//! node to the matcher and takes none. The buffered row runs on an
 //! unbounded and a bounded queue: the item goes through the ring and the
 //! list is never looked at. The refused calls run on all three
 //! structures.
@@ -139,10 +140,10 @@ fn handoffs_count_as_tabled() {
     let pair = Counts {
         append: 0,
         claim: 0,
-        push: 2,
+        push: 1,
         matched: 1,
-        alloc: 2,
-        retired: 2,
+        alloc: 1,
+        retired: 1,
         pins: 2,
     };
     for _ in 0..SAMPLES {
