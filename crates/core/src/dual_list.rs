@@ -1,11 +1,13 @@
 //! The dual-list kernel: the one wait node, its lifetime, and the
-//! Michael & Scott linking that the fair synchronous queue (paper
-//! Listing 5 / Figure 1) and the linked half of the TransferQueue (§5)
-//! share. [`crate::SyncDualQueue`] and `synq_transfer::TransferQueue` keep
-//! only their *policy* (who waits, what a match moves) and call the steps
-//! below in a straight line; [`crate::SyncDualStack`] keeps its own
-//! Treiber linking and takes the node and its lifetime from here.
-//! All three end a wait the same way, through [`Leave`].
+//! Michael & Scott linking under the fair synchronous queue (paper
+//! Listing 5 / Figure 1) and the linked half of the TransferQueue (§5),
+//! which are one structure: [`crate::SyncDualQueue`] is a
+//! [`crate::transfer::TransferQueue`] without a ring. Its one arrival,
+//! `TransferQueue::xfer`, keeps only the *policy* (who waits, what a match
+//! moves) and calls the steps below in a straight line;
+//! [`crate::SyncDualStack`] keeps its own Treiber linking and takes the
+//! node and its lifetime from here. Both end a wait the same way, through
+//! [`Leave`].
 //!
 //! # Layer 1: the wait node and its lifetime
 //!
@@ -637,16 +639,6 @@ impl<T, R: Reclaimer> DualList<T, R> {
     pub fn linked_nodes(&self) -> usize {
         count_linked(&self.head, true)
     }
-
-    /// Has this list ever retired a node, that is, has `head` ever moved?
-    /// The first dummy is the one head nobody settled: the head moves only
-    /// onto a node that was claimed, matched or cancelled first.
-    pub fn has_retired(&mut self) -> bool {
-        // SAFETY: `&mut self`; head is never null.
-        let guard = unsafe { R::unprotected() };
-        let dummy = unsafe { self.head.load(Ordering::Relaxed, &guard).deref() };
-        !dummy.slot.is_waiting()
-    }
 }
 
 impl<T, R: Reclaimer> Drop for DualList<T, R> {
@@ -914,16 +906,14 @@ mod tests {
         let drops = AtomicUsize::new(0);
         for structure_first in [true, false] {
             drops.store(0, Ordering::SeqCst);
-            let mut list: List<Counted<'_>> = DualList::default();
+            let list: List<Counted<'_>> = DualList::default();
             // Two requests; each is handed an item its waiter never reads
             // (a dropped permit). The second only serves to move the head
             // past the first, which releases the first's structure
             // reference: on the spot, under the unprotected guard.
             let first = append(&list, None);
             let second = append(&list, None);
-            assert!(!list.has_retired());
             fulfill_front(&list, Counted(&drops));
-            assert!(list.has_retired(), "the first dummy is gone");
             assert_eq!(refs(first), 2, "the dummy keeps its structure reference");
             if structure_first {
                 fulfill_front(&list, Counted(&drops));

@@ -2,10 +2,10 @@
 //! (Listing 5 / Figure 1), with the time-out and cancellation support of
 //! the Java 6 production version.
 //!
-//! The list itself — the wait node and its lifetime, the M&S linking,
-//! head absorption of cancelled nodes, the validation the reclamation
-//! backends need — is [`crate::dual_list`]; see its module docs. What is
-//! here is the synchronous queue's policy over it: *both* sides wait. An
+//! It is the [`TransferQueue`] without a ring: the paper's §5 says the
+//! TransferQueue's "base synchronous support … mirrors our fair
+//! synchronous queue", and here it is that support and nothing else. Both
+//! sides arrive through the transfer queue's one loop and wait there. An
 //! arriving thread whose mode matches the list's contents (or finds it
 //! empty) appends its node and waits for a counterpart to mark it
 //! `MATCHED` (spin-then-park on its own node, no remote accesses while
@@ -13,10 +13,13 @@
 //! the front with a CAS on its state word, moves the item across and
 //! unparks the waiter. The request linearizes at the `next` CAS that
 //! appends the node, or at the state CAS that claims a waiting counterpart
-//! (paper §3.3).
+//! (paper §3.3). The list itself is [`crate::dual_list`]; the ring's steps
+//! that this queue skips are listed in the [`transfer`](crate::transfer)
+//! module docs.
 
-use crate::dual_list::{DualList, Leave, NodePermit, Start, WaitNode, DATA, REQUEST};
+use crate::dual_list::{Leave, NodePermit, WaitNode};
 use crate::pollable::{PollTransferer, StartTransfer};
+use crate::transfer::{PutMode, TransferQueue};
 use crate::transferer::{Deadline, TransferOutcome, Transferer};
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -57,10 +60,7 @@ use synq_reclaim::{Epoch, Reclaimer};
 /// let q: SyncDualQueue<u32, Hazard> = SyncDualQueue::new_in();
 /// assert_eq!(q.poll(), None);
 /// ```
-pub struct SyncDualQueue<T, R: Reclaimer = Epoch> {
-    list: DualList<T, R>,
-    spin: SpinPolicy,
-}
+pub struct SyncDualQueue<T, R: Reclaimer = Epoch>(pub(crate) TransferQueue<T, R>);
 
 // Layout: the list's padded ends must survive embedding.
 const _: () = assert!(std::mem::align_of::<SyncDualQueue<u8>>() >= 128);
@@ -110,99 +110,13 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
     /// Creates an empty queue under the reclamation backend `R` with an
     /// explicit spin policy.
     pub fn with_spin_in(spin: SpinPolicy) -> Self {
-        SyncDualQueue {
-            list: DualList::default(),
-            spin,
-        }
-    }
-
-    /// The lock-free phase of one transfer: match a waiting counterpart or
-    /// publish a node at the tail. Never waits; `deadline`/`token` are
-    /// consulted only for the fail-fast checks before publication (pass
-    /// [`Deadline::Never`] and `None` to always publish, as poll-mode
-    /// callers do — they apply their own checks on each poll).
-    fn start_impl(
-        &self,
-        mut item: Option<T>,
-        deadline: Deadline,
-        token: Option<&CancelToken>,
-    ) -> Start<T, R> {
-        let is_data = item.is_some();
-        // The node is allocated at most once per call and reused across
-        // retries (the paper's pragmatics: avoid per-retry allocation).
-        let mut node = None;
-
-        loop {
-            let guard = R::pin();
-            let at = self.list.arrive(&guard);
-
-            if at.is_empty() || at.tail_is_data() == is_data {
-                // Empty queue, or queue holds our own mode: append & wait.
-                if !at.tail_settled() {
-                    continue;
-                }
-                // We would have to wait. Fail fast for `offer`/`poll` and
-                // for already-tripped cancellation tokens.
-                if deadline.is_now() {
-                    return ControlFlow::Break(TransferOutcome::Timeout(item));
-                }
-                if token.is_some_and(|tk| tk.is_cancelled()) {
-                    return ControlFlow::Break(TransferOutcome::Cancelled(item));
-                }
-                let mode = if is_data { DATA } else { REQUEST };
-                let owned = node.take().unwrap_or_else(|| WaitNode::alloc(mode));
-                if let Some(v) = item.take() {
-                    // SAFETY: we own the unpublished node; its slot is empty
-                    // (fresh node, or item reclaimed after a lost race).
-                    unsafe { owned.slot.put_item(v) };
-                }
-                match at.try_append(owned) {
-                    Ok(published) => return ControlFlow::Continue(published),
-                    Err(owned) => {
-                        // Reclaim the item and retry with the same node.
-                        if is_data {
-                            // SAFETY: node unpublished; we wrote the slot
-                            // above and nobody else can see it.
-                            item = Some(unsafe { owned.slot.reclaim_item() });
-                        }
-                        node = Some(owned);
-                        continue;
-                    }
-                }
-            }
-
-            // Complementary mode at the front: match `head.next`.
-            let Some(m) = at.front() else { continue };
-            debug_assert_ne!(m.is_data(), is_data, "dual invariant violated");
-
-            let matched = if m.slot.try_claim() {
-                synq_obs::probe!(QueueClaimCas);
-                if let Some(v) = item.take() {
-                    // Give our item to the waiting consumer.
-                    // SAFETY: winning the claim grants slot write access.
-                    unsafe { m.slot.put_item(v) };
-                } else {
-                    // Take the waiting producer's item.
-                    // SAFETY: winning the claim grants slot read access.
-                    item = Some(unsafe { m.slot.take_item() });
-                }
-                m.slot.complete();
-                true
-            } else {
-                synq_obs::probe!(QueueClaimCasFail);
-                false
-            };
-            at.advance_past(m);
-            if matched {
-                return ControlFlow::Break(TransferOutcome::Transferred(item));
-            }
-        }
+        SyncDualQueue(TransferQueue::ringless(spin))
     }
 
     /// Diagnostic: number of linked nodes (excluding the dummy). O(n); used
     /// by tests and the cleaning ablation, not by the algorithm.
     pub fn linked_nodes(&self) -> usize {
-        self.list.linked_nodes()
+        self.0.list.linked_nodes()
     }
 }
 
@@ -214,8 +128,9 @@ impl<T: Send, R: Reclaimer> Leave<T> for SyncDualQueue<T, R> {
         node: *const WaitNode<T, R>,
         verdict: WaitOutcome,
     ) -> TransferOutcome<T> {
-        // SAFETY: per the contract; this queue's nodes are its list's.
-        unsafe { self.list.leave(node, verdict) }
+        // SAFETY: per the contract; this queue's nodes are its inner
+        // queue's.
+        unsafe { self.0.leave(node, verdict) }
     }
 }
 
@@ -226,10 +141,12 @@ impl<T: Send, R: Reclaimer> Transferer<T> for SyncDualQueue<T, R> {
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
-        match self.start_impl(item, deadline, token) {
+        match self.0.xfer(item, PutMode::Sync, deadline, token) {
             ControlFlow::Break(outcome) => outcome,
             // SAFETY: the node we just published, its waiter reference ours.
-            ControlFlow::Continue(node) => unsafe { self.wait(node, deadline, token, &self.spin) },
+            ControlFlow::Continue(node) => unsafe {
+                self.wait(node, deadline, token, &self.0.spin)
+            },
         }
     }
 }
@@ -240,7 +157,7 @@ impl<T: Send, R: Reclaimer> PollTransferer<T> for SyncDualQueue<T, R> {
     fn start_transfer(this: &Arc<Self>, item: Option<T>) -> StartTransfer<T, Self::Permit> {
         // Never/None: poll-mode callers apply deadline and cancellation on
         // each poll; the lock-free phase must always publish.
-        match this.start_impl(item, Deadline::Never, None) {
+        match this.0.xfer(item, PutMode::Sync, Deadline::Never, None) {
             ControlFlow::Break(outcome) => StartTransfer::Complete(outcome),
             // SAFETY: the node we just published; the permit takes its
             // waiter reference.
@@ -483,7 +400,7 @@ mod tests {
         {
             // SAFETY: single-threaded; nothing is retired behind our back.
             let guard = unsafe { Epoch::unprotected() };
-            let at = q.list.arrive(&guard);
+            let at = q.0.list.arrive(&guard);
             let m = at.front().expect("the reservation");
             assert!(m.slot.try_claim());
             drop(permit);

@@ -12,7 +12,9 @@
 //! (waiting consumers), never both at once:
 //!
 //! * [`SyncDualQueue`] — the **fair** variant: strict FIFO pairing, built
-//!   on an M&S-queue skeleton (paper Listing 5 / Figure 1).
+//!   on an M&S-queue skeleton (paper Listing 5 / Figure 1). It is the
+//!   paper's §5 [`transfer::TransferQueue`] without its ring: one arrival
+//!   loop serves both.
 //! * [`SyncDualStack`] — the **unfair** variant: LIFO pairing on a
 //!   Treiber-stack skeleton (paper Listing 6 / Figure 2), matching the
 //!   waiter on top in place where the paper pushes a *fulfilling* node
@@ -25,6 +27,10 @@
 //! via [`CancelToken`]. All waiting is *local*: a waiter spins briefly on
 //! its own node and then parks; unsuccessful follow-ups make no remote
 //! memory accesses (the paper's contention-freedom property).
+//!
+//! The [`transfer`] module adds the paper's §5 extension, a queue whose
+//! producers enqueue either synchronously (`transfer`) or asynchronously
+//! (`put`, buffered in a ring); the `synq-transfer` crate re-exports it.
 //!
 //! The usual entry point is the [`SynchronousQueue`] facade, which selects
 //! fair or unfair mode at construction like the Java class:
@@ -54,6 +60,7 @@ pub mod dual_queue;
 pub mod dual_stack;
 pub mod pollable;
 pub mod queue;
+pub mod transfer;
 pub mod transferer;
 
 pub use channel::{SyncChannel, TimedSyncChannel};

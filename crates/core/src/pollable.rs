@@ -86,7 +86,7 @@ pub trait PendingTransfer<T: Send>: Send + Unpin {
 /// Implemented by [`SyncDualQueue`](crate::SyncDualQueue) (fair) and
 /// [`SyncDualStack`](crate::SyncDualStack) (unfair), both with a
 /// [`NodePermit`](crate::dual_list::NodePermit); and by
-/// `synq_transfer::BufferedChannel`, whose permit is a `NodePermit` for a
+/// [`BufferedChannel`](crate::transfer::BufferedChannel), whose permit is a `NodePermit` for a
 /// waiting send and a wait-list entry for a receiver. (`TransferQueue`
 /// itself is polled through that adapter.) The receiver is an `Arc`
 /// because the returned permit keeps the structure alive for as long as

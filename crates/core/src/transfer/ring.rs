@@ -40,13 +40,13 @@ struct Slot<T> {
 /// Bounded lock-free MPMC FIFO with per-slot cycle versioning.
 ///
 /// Capacity is rounded up to a power of two (minimum 2). All operations
-/// are non-blocking (`try_*`); [`TransferQueue`](crate::TransferQueue)
+/// are non-blocking (`try_*`); [`TransferQueue`](super::TransferQueue)
 /// makes whoever cannot use it wait as a linked node.
 ///
 /// # Examples
 ///
 /// ```
-/// use synq_transfer::RingBuffer;
+/// use synq::transfer::RingBuffer;
 ///
 /// let r = RingBuffer::new(4);
 /// assert_eq!(r.capacity(), 4);
@@ -58,9 +58,9 @@ struct Slot<T> {
 /// ```
 pub struct RingBuffer<T> {
     /// Next position to pop. Padded: producers never write it.
-    head: CachePadded<AtomicUsize>,
+    pub(super) head: CachePadded<AtomicUsize>,
     /// Next position to push. Padded: consumers never write it.
-    tail: CachePadded<AtomicUsize>,
+    pub(super) tail: CachePadded<AtomicUsize>,
     mask: usize,
     slots: Box<[Slot<T>]>,
 }
@@ -95,6 +95,18 @@ impl<T> RingBuffer<T> {
             tail: CachePadded::new(AtomicUsize::new(0)),
             mask: capacity - 1,
             slots,
+        }
+    }
+
+    /// A ring with no slots and no allocation, for a queue that never
+    /// buffers: it reads empty, a push or a pop would panic, and its
+    /// capacity means nothing.
+    pub(crate) fn without_slots() -> Self {
+        RingBuffer {
+            head: CachePadded::new(AtomicUsize::new(0)),
+            tail: CachePadded::new(AtomicUsize::new(0)),
+            mask: 0,
+            slots: Box::new([]),
         }
     }
 

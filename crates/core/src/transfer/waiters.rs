@@ -1,4 +1,4 @@
-//! The wait list for the one waiter the [`synq::dual_list`] kernel has no
+//! The wait list for the one waiter the [`crate::dual_list`] kernel has no
 //! node for: an **async receiver** (`BufferedPermit`, either mode).
 //!
 //! A *thread* that finds nothing to take waits as a linked reservation and

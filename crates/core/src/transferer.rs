@@ -49,9 +49,10 @@ impl<T> TransferOutcome<T> {
 /// A synchronous transfer point: `Some(item)` puts, `None` takes.
 ///
 /// Implementors: [`crate::SyncDualQueue`], [`crate::SyncDualStack`], the
-/// [`crate::SynchronousQueue`] facade, `synq_transfer::TransferQueue` (whose producer side is the synchronous
-/// `transfer`), `synq_exchanger::EliminationSyncStack`, and the Java SE 5.0
-/// baseline in `synq-baselines`.
+/// [`crate::SynchronousQueue`] facade, [`crate::transfer::TransferQueue`]
+/// (whose producer side is the synchronous `transfer`),
+/// `synq_exchanger::EliminationSyncStack`, and the Java SE 5.0 baseline in
+/// `synq-baselines`.
 pub trait Transferer<T: Send> {
     /// Performs one synchronous handoff.
     ///

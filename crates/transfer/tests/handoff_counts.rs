@@ -6,6 +6,8 @@
 //! | handoff                                     | append | claim | push | match | alloc | retired | pins   |
 //! |---------------------------------------------|-------:|------:|-----:|------:|------:|--------:|--------|
 //! | `SyncDualQueue`, poll mode, one thread      |      1 |     1 |    0 |     0 |     1 |       1 | 2      |
+//! | `SyncDualQueue`, `take` then `put`          |      1 |     1 |    0 |     0 |     1 |       1 | 2 or 3 |
+//! | `SyncDualQueue`, `put` then `take`          |      1 |     1 |    0 |     0 |     1 |       1 | 2 or 3 |
 //! | `TransferQueue`, `take` then `transfer`     |      1 |     1 |    0 |     0 |     1 |       1 | 2 or 3 |
 //! | `TransferQueue`, `transfer` then `take`     |      1 |     1 |    0 |     0 |     1 |       1 | 2 or 3 |
 //! | `SyncDualStack`, poll mode, receiver waits  |      0 |     0 |    1 |     1 |     1 |       1 | 2      |
@@ -13,12 +15,14 @@
 //! | `TransferQueue`, buffered `put` then `take` |      0 |     0 |    0 |     0 |     0 |       0 | 0      |
 //! | refused `offer`/`poll`/tripped token        |      0 |     - |    0 |     - |     0 |       - | -      |
 //!
-//! The two-thread handoffs take a third pin when the waiter's node is
-//! still linked as it leaves. A stack handoff pushes one node, the
-//! waiter's, which the matcher matches in place (a claim when the
-//! receiver waits, a token CAS when the sender does) and pops; its two
-//! pins are the two arrivals', since a matched stack waiter leaves its
-//! node to the matcher and takes none. The buffered row runs on an
+//! The `SyncDualQueue` is the `TransferQueue` without a ring, so the two
+//! count the same: its two-thread rows are the `TransferQueue`'s, with
+//! `put` for `transfer`. The two-thread handoffs take a third pin when
+//! the waiter's node is still linked as it leaves. A stack handoff pushes
+//! one node, the waiter's, which the matcher matches in place (a claim
+//! when the receiver waits, a token CAS when the sender does) and pops;
+//! its two pins are the two arrivals', since a matched stack waiter leaves
+//! its node to the matcher and takes none. The buffered row runs on an
 //! unbounded and a bounded queue: the item goes through the ring and the
 //! list is never looked at. The refused calls run on all three
 //! structures.
@@ -32,8 +36,8 @@ use std::sync::Arc;
 use std::task::{Poll, Waker};
 use std::thread;
 use synq::{
-    CancelToken, Deadline, PendingTransfer, PollTransferer, StartTransfer, SyncDualQueue,
-    SyncDualStack, TransferOutcome, Transferer,
+    CancelToken, Deadline, PendingTransfer, PollTransferer, StartTransfer, SyncChannel,
+    SyncDualQueue, SyncDualStack, TransferOutcome, Transferer,
 };
 use synq_obs::{Probe, StatsSnapshot};
 use synq_transfer::TransferQueue;
@@ -92,6 +96,53 @@ fn await_append(before: &StatsSnapshot) {
     while counts_since(before).append == 0 {
         thread::yield_now();
     }
+}
+
+/// Hands 7 from one thread to another `SAMPLES` times in each arrival
+/// order, and checks each handoff counts as `one` does, give or take the
+/// third pin. The helper thread lives for the whole run, so no sample
+/// pays for its registration; round 0 warms both threads up. Through
+/// `SyncChannel`, `put` is the `TransferQueue`'s synchronous `transfer`.
+fn two_thread_rows<Q>(q: &Arc<Q>, name: &str, one: &Counts)
+where
+    Q: SyncChannel<u32> + Send + Sync + 'static,
+{
+    let (to_helper, orders) = mpsc::channel::<bool>();
+    let (done, from_helper) = mpsc::channel::<()>();
+    let helper = {
+        let q = Arc::clone(q);
+        thread::spawn(move || {
+            for take in orders {
+                if take {
+                    assert_eq!(q.take(), 7);
+                } else {
+                    q.put(7);
+                }
+                done.send(()).unwrap();
+            }
+        })
+    };
+    for round in 0..=SAMPLES {
+        for helper_takes in [true, false] {
+            let before = StatsSnapshot::take();
+            to_helper.send(helper_takes).unwrap();
+            await_append(&before);
+            if helper_takes {
+                q.put(7);
+            } else {
+                assert_eq!(q.take(), 7);
+            }
+            from_helper.recv().unwrap();
+            let got = counts_since(&before);
+            let order = ["put then take", "take then put"][usize::from(helper_takes)];
+            if round > 0 {
+                assert!(matches!(got.pins, 2 | 3), "{name}, {order}: {got:?}");
+                assert_eq!(Counts { pins: 2, ..got }, *one, "{name}, {order}");
+            }
+        }
+    }
+    drop(to_helper);
+    helper.join().unwrap();
 }
 
 /// One offer, poll, tripped-token put and tripped-token take, each of
@@ -158,47 +209,10 @@ fn handoffs_count_as_tabled() {
         }
     }
 
-    // The TransferQueue across two threads, in both arrival orders. The
-    // helper thread lives for the whole test, so no sample pays for its
-    // registration.
+    // Both fair queues across two threads, in both arrival orders.
+    two_thread_rows(&q, "SyncDualQueue", &one);
     let tq = Arc::new(TransferQueue::new());
-    let (to_helper, orders) = mpsc::channel::<bool>();
-    let (done, from_helper) = mpsc::channel::<()>();
-    let helper = {
-        let tq = Arc::clone(&tq);
-        thread::spawn(move || {
-            for take in orders {
-                if take {
-                    assert_eq!(tq.take(), 7);
-                } else {
-                    tq.transfer(7);
-                }
-                done.send(()).unwrap();
-            }
-        })
-    };
-    for round in 0..=SAMPLES {
-        for helper_takes in [true, false] {
-            let before = StatsSnapshot::take();
-            to_helper.send(helper_takes).unwrap();
-            await_append(&before);
-            if helper_takes {
-                tq.transfer(7);
-            } else {
-                assert_eq!(tq.take(), 7);
-            }
-            from_helper.recv().unwrap();
-            let got = counts_since(&before);
-            // Round 0 warms both threads up.
-            let order = ["transfer then take", "take then transfer"][usize::from(helper_takes)];
-            if round > 0 {
-                assert!(matches!(got.pins, 2 | 3), "{order}: {got:?}");
-                assert_eq!(Counts { pins: 2, ..got }, one, "{order}");
-            }
-        }
-    }
-    drop(to_helper);
-    helper.join().unwrap();
+    two_thread_rows(&tq, "TransferQueue", &one);
 
     // The ring path, in both modes: nothing linked, allocated, retired or
     // pinned.
