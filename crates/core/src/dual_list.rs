@@ -103,7 +103,8 @@
 
 use crate::pollable::PendingTransfer;
 use crate::transferer::{Deadline, TransferOutcome};
-use core::task::{ready, Poll, Waker};
+use core::task::{Poll, Waker};
+use std::marker::PhantomData;
 use std::ops::ControlFlow;
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -275,10 +276,14 @@ pub trait Leave<T> {
         verdict: WaitOutcome,
     ) -> TransferOutcome<T>;
 
-    /// The blocking waiter, the paper's `awaitFulfill`: spends the start
-    /// of the wait on the thread's own reclamation work, one
-    /// [`Reclaimer::reclaim_step`] at a time, then spins and parks on the
-    /// node with `strategy`, holding no reclaimer guard, then leaves.
+    /// The blocking waiter, the paper's `awaitFulfill`: pays for the node
+    /// it published with one [`Reclaimer::reclaim_step`] of the thread's
+    /// reclamation work, then spins and parks on the node with `strategy`,
+    /// holding no reclaimer guard, then leaves. The rest of that work runs
+    /// only once the spin is spent and the wait is about to park, one step
+    /// per pass of the wait loop ([`WaitStrategy::before_park`]), so a
+    /// thread frees at the rate it allocates while it finds its matches
+    /// spinning, and in bulk only in time it would sleep through.
     ///
     /// # Safety
     ///
@@ -292,16 +297,54 @@ pub trait Leave<T> {
     ) -> TransferOutcome<T> {
         // SAFETY: the caller's waiter reference keeps the node alive.
         let slot = &unsafe { &*node }.slot;
-        // Each step runs at most one closure, so a match, an expiry or a
-        // cancellation is seen within one; the steps are not spins.
-        while slot.is_waiting()
-            && !deadline.expired()
-            && !token.is_some_and(CancelToken::is_cancelled)
-            && Self::Backend::reclaim_step()
-        {}
-        let verdict = slot.await_outcome(deadline, token, strategy);
+        Self::Backend::reclaim_step();
+        let strategy = Reclaiming {
+            strategy,
+            backend: PhantomData::<Self::Backend>,
+        };
+        let verdict = slot.await_outcome(deadline, token, &strategy);
         // SAFETY: per the contract; `verdict` is the slot's terminal state.
         unsafe { self.leave(node, verdict) }
+    }
+}
+
+/// A waiter's `strategy` with the thread's reclamation work as its pre-park
+/// hook: one [`Reclaimer::reclaim_step`] per call, after whatever work the
+/// strategy has of its own.
+struct Reclaiming<'s, S: ?Sized, R> {
+    strategy: &'s S,
+    backend: PhantomData<R>,
+}
+
+impl<S: WaitStrategy + ?Sized, R: Reclaimer> WaitStrategy for Reclaiming<'_, S, R> {
+    #[inline]
+    fn spin_budget(&self, timed: bool) -> u32 {
+        self.strategy.spin_budget(timed)
+    }
+
+    #[inline]
+    fn parks(&self) -> bool {
+        self.strategy.parks()
+    }
+
+    #[inline]
+    fn deadline_poll_interval(&self) -> u32 {
+        self.strategy.deadline_poll_interval()
+    }
+
+    #[inline]
+    fn extend_spin(&self) -> bool {
+        self.strategy.extend_spin()
+    }
+
+    #[inline]
+    fn before_park(&self) -> bool {
+        self.strategy.before_park() || R::reclaim_step()
+    }
+
+    #[inline]
+    fn observe(&self, timed: bool, spun: u64, parked: u64, matched: bool) {
+        self.strategy.observe(timed, spun, parked, matched);
     }
 }
 
@@ -373,7 +416,13 @@ impl<T: Send, Q: Leave<T> + Send + Sync> PendingTransfer<T> for NodePermit<T, Q>
         if let Some(token) = token {
             token.keep_registered(&mut self.registration, waker);
         }
-        let verdict = ready!(slot.poll_outcome(waker, deadline, token));
+        let Poll::Ready(verdict) = slot.poll_outcome(waker, deadline, token) else {
+            // A task's idle time is its executor's, so a pending poll pays
+            // only for the node it waits on: one step, as a blocking
+            // waiter's first.
+            Q::Backend::reclaim_step();
+            return Poll::Pending;
+        };
         self.done = true;
         self.registration = None;
         // SAFETY: our own node; `verdict` is its slot's terminal state.

@@ -165,8 +165,15 @@ impl<T: Send> RingBuffer<T> {
                     }
                 }
             } else if dif < 0 {
-                // The slot still holds an item from `capacity` positions
-                // ago: the ring is full.
+                // The slot still holds the item from `capacity` positions
+                // ago. Once the head has passed that position a popper
+                // owns it and is about to release the slot: the ring only
+                // looks full, so wait for the release. Otherwise it is.
+                let previous = tail.wrapping_sub(self.capacity());
+                if self.head.load(Ordering::SeqCst).wrapping_sub(previous) as isize > 0 {
+                    std::thread::yield_now();
+                    continue;
+                }
                 return Err(value);
             } else {
                 // Another producer claimed this position; chase the tail.
@@ -406,6 +413,29 @@ mod tests {
             assert_eq!(r.try_pop(), Some(round + 1_000_000));
             assert_eq!(r.try_pop(), None, "round {round} not empty");
         }
+    }
+
+    #[test]
+    fn a_push_waits_for_a_pop_that_has_not_released_its_slot() {
+        let r = RingBuffer::new(2);
+        assert_eq!(r.try_push(1), Ok(()));
+        assert_eq!(r.try_push(2), Ok(()));
+        // Pop position 0 up to its head CAS, as a popper descheduled before
+        // its `seq` store: the indices say one slot is free.
+        r.head.store(1, Ordering::SeqCst);
+        // SAFETY: the hand-made head CAS owns the item at position 0.
+        assert_eq!(unsafe { (*r.slots[0].value.get()).assume_init_read() }, 1);
+        assert_eq!(r.len(), 1);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+                r.slots[0].seq.store(r.capacity(), Ordering::Release);
+            });
+            assert_eq!(r.try_push(3), Ok(()), "the ring was not full");
+        });
+        assert_eq!(r.try_push(4), Err(4), "full by the indices");
+        assert_eq!(r.try_pop(), Some(2));
+        assert_eq!(r.try_pop(), Some(3));
     }
 
     #[test]

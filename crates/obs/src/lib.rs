@@ -148,6 +148,11 @@ probes! {
     EpochCollects => "epoch.collects",
     /// Successful global-epoch advances.
     EpochAdvances => "epoch.advances",
+    /// Closures of a thread's expired bags run by `reclaim_step`, one per
+    /// slice: a blocking wait's, its pre-park hook's or a pending poll's.
+    /// The rest of `reclaim.freed` ran at a pin's mark, a flush or thread
+    /// exit.
+    EpochWaitSlices => "epoch.wait_slices",
 
     // Elimination arena + exchanger (paper §4.3).
     /// Arena visits that eliminated against a waiting partner.

@@ -50,6 +50,20 @@ pub trait WaitStrategy {
         false
     }
 
+    /// Asked by the wait loop when the spin budget and every extension are
+    /// spent and the waiter is about to park for the first time (never
+    /// after a park, never by a strategy that does not park): `true` says
+    /// the call did one slice of idle-time work and more may be left, and
+    /// the loop re-reads the slot, polls the deadline and token, and asks
+    /// again; `false` lets it park. A slice should be short, since a match
+    /// that lands during one is seen only after it. The blocking waiter of
+    /// a kernel node spends it on its thread's reclamation work. The
+    /// default is `false`, which compiles the question away.
+    #[inline]
+    fn before_park(&self) -> bool {
+        false
+    }
+
     /// Feedback from a finished wait: how many iterations it spun, how many
     /// times it parked, and whether it ended in a match (as opposed to a
     /// timeout or cancellation). The wait loop calls this exactly once per

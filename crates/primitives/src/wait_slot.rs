@@ -331,9 +331,10 @@ impl<T> WaitSlot<T> {
 
     /// The paper's `awaitFulfill`: spin for the strategy's budget (and for
     /// each window [`WaitStrategy::extend_spin`] grants before the first
-    /// park), then park until matched, the deadline passes, or `token`
-    /// fires. Timeout and cancellation are reported only after *winning*
-    /// the cancel CAS, so every return value is an exclusive verdict:
+    /// park), run the strategy's [`WaitStrategy::before_park`] slices until
+    /// it has none left, then park until matched, the deadline passes, or
+    /// `token` fires. Timeout and cancellation are reported only after
+    /// *winning* the cancel CAS, so every return value is an exclusive verdict:
     /// `Matched` means the fulfiller owns the handoff, `TimedOut`/`Cancelled`
     /// mean the slot is terminally `CANCELLED` and no fulfiller touched it.
     ///
@@ -506,6 +507,14 @@ impl<T> WaitSlot<T> {
                     continue;
                 }
                 break 'outcome Err(WaitOutcome::TimedOut);
+            }
+
+            // About to park for the first time: a strategy with idle-time
+            // work does it now, one slice per pass, so a match, an expiry
+            // or a cancellation that lands meanwhile is seen within one.
+            if parked == 0 && strategy.before_park() {
+                until_poll = 0;
+                continue;
             }
 
             let parker = parker.get_or_insert_with(Parker::new);
@@ -917,6 +926,137 @@ mod tests {
     fn spin_only_expires_without_parking() {
         let slot: WaitSlot<u32> = WaitSlot::new();
         assert_eq!(slot.await_match(Deadline::Never, &SpinOnly(128)), None);
+    }
+
+    /// A strategy with `slices` slices of pre-park work; the call numbered
+    /// `match_at` matches `slot` before it reports its slice.
+    struct Sliced<'s> {
+        budget: u32,
+        slices: u32,
+        started: Arc<AtomicBool>,
+        calls: Arc<AtomicUsize>,
+        match_at: Option<(usize, &'s WaitSlot<u32>)>,
+        seen: std::cell::Cell<(u64, u64)>,
+    }
+
+    impl Sliced<'_> {
+        fn new(budget: u32, slices: u32) -> Self {
+            Sliced {
+                budget,
+                slices,
+                started: Arc::default(),
+                calls: Arc::default(),
+                match_at: None,
+                seen: Default::default(),
+            }
+        }
+    }
+
+    impl WaitStrategy for Sliced<'_> {
+        fn spin_budget(&self, _timed: bool) -> u32 {
+            self.started.store(true, Ordering::SeqCst);
+            self.budget
+        }
+
+        fn before_park(&self) -> bool {
+            let call = self.calls.fetch_add(1, Ordering::SeqCst) + 1;
+            if let Some((at, slot)) = self.match_at {
+                if call == at {
+                    assert!(slot.try_claim());
+                    unsafe { slot.fulfill(3) };
+                }
+            }
+            call <= self.slices as usize
+        }
+
+        fn observe(&self, _timed: bool, spun: u64, parked: u64, _matched: bool) {
+            self.seen.set((spun, parked));
+        }
+    }
+
+    #[test]
+    fn a_wait_matched_while_spinning_never_asks_the_pre_park_hook() {
+        let slot: Arc<WaitSlot<u32>> = Arc::new(WaitSlot::new());
+        let other = Arc::clone(&slot);
+        let s = Sliced::new(u32::MAX, u32::MAX);
+        let (started, calls) = (Arc::clone(&s.started), Arc::clone(&s.calls));
+        let waiter = std::thread::spawn(move || {
+            let out = other.await_outcome(Deadline::Never, None, &s);
+            (out, s.seen.get())
+        });
+        // The budget is taken: the waiter is in a spin it cannot finish.
+        while !started.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        assert!(slot.try_claim());
+        unsafe { slot.fulfill(1) };
+        let (out, (_, parked)) = waiter.join().unwrap();
+        assert_eq!(out, WaitOutcome::Matched(MATCHED));
+        assert_eq!(calls.load(Ordering::SeqCst), 0, "the hook was asked");
+        assert_eq!(parked, 0);
+    }
+
+    #[test]
+    fn a_parking_wait_runs_every_slice_before_it_parks() {
+        let slot: Arc<WaitSlot<u32>> = Arc::new(WaitSlot::new());
+        let other = Arc::clone(&slot);
+        let s = Sliced::new(5, 6);
+        let calls = Arc::clone(&s.calls);
+        let waiter = std::thread::spawn(move || {
+            let out = other.await_outcome(Deadline::Never, None, &s);
+            (out, s.seen.get())
+        });
+        until_registered(&slot);
+        assert_eq!(calls.load(Ordering::SeqCst), 7, "six slices, then false");
+        assert!(slot.try_claim());
+        unsafe { slot.fulfill(2) };
+        let (out, (spun, parked)) = waiter.join().unwrap();
+        assert_eq!(out, WaitOutcome::Matched(MATCHED));
+        assert_eq!(calls.load(Ordering::SeqCst), 7);
+        assert_eq!(spun, 5, "slices are not spins");
+        assert!(parked <= 1, "parked {parked} times");
+    }
+
+    #[test]
+    fn a_match_during_the_hook_returns_without_parking() {
+        let slot: WaitSlot<u32> = WaitSlot::new();
+        let s = Sliced {
+            match_at: Some((3, &slot)),
+            ..Sliced::new(2, 10)
+        };
+        let out = slot.await_outcome(Deadline::Never, None, &s);
+        assert_eq!(out, WaitOutcome::Matched(MATCHED));
+        assert_eq!(s.calls.load(Ordering::SeqCst), 3, "the slot was re-read");
+        assert_eq!(s.seen.get(), (2, 0));
+    }
+
+    #[test]
+    fn the_pre_park_hook_is_never_asked_after_a_park() {
+        let slot: Arc<WaitSlot<u32>> = Arc::new(WaitSlot::new());
+        let other = Arc::clone(&slot);
+        let s = Sliced::new(0, 3);
+        let calls = Arc::clone(&s.calls);
+        let waiter = std::thread::spawn(move || {
+            let out = other.await_outcome(Deadline::Never, None, &s);
+            (out, s.seen.get())
+        });
+        // Three spurious wakes, as in the extension's test above.
+        for _ in 0..3 {
+            let handle = loop {
+                if let Some(h) = slot.waiter.take() {
+                    break h;
+                }
+                std::thread::yield_now();
+            };
+            handle.wake();
+        }
+        until_registered(&slot);
+        assert!(slot.try_claim());
+        unsafe { slot.fulfill(1) };
+        let (out, (_, parked)) = waiter.join().unwrap();
+        assert_eq!(out, WaitOutcome::Matched(MATCHED));
+        assert!(parked >= 3, "parked {parked} times");
+        assert_eq!(calls.load(Ordering::SeqCst), 4, "three slices, then false");
     }
 
     /// A waker that counts its wakes and can park-free "block" via a flag.

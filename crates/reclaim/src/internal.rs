@@ -20,9 +20,13 @@
 //!   *due*. A waiter takes it in its idle time ([`Local::reclaim_step`]):
 //!   one call detaches the expired bags, and each call runs one closure of
 //!   the private chain, so the wait notices its match within one closure.
-//!   At the next mark the pin runs what the waits left of the chain, and
-//!   takes the due collection itself if no wait did; `flush` and thread
-//!   exit run the chain dry too.
+//!   The waits pace it to allocation: a blocking wait runs one step
+//!   before it spins and the rest only when it is about to park, and a
+//!   pending poll runs one, so a thread that finds its matches spinning
+//!   frees about one closure per node it publishes instead of a bag in a
+//!   burst. At the next mark the pin runs what the waits left of the
+//!   chain, and takes the due collection itself if no wait did; `flush`
+//!   and thread exit run the chain dry too.
 //!   Running an expired bag needs no pin: expiry is two epoch advances
 //!   past the seal, after which no thread can reach its objects. Bags are
 //!   inline arrays and the stack's node skeletons are pooled
@@ -566,7 +570,11 @@ impl Local {
         if self.collect_due.replace(false) {
             self.global().detach_expired(&self.expired);
         }
-        self.run_one()
+        let ran = self.run_one();
+        if ran {
+            synq_obs::probe!(EpochWaitSlices);
+        }
+        ran
     }
 
     /// Runs one closure of the private chain; false if it is empty.
