@@ -26,7 +26,7 @@
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-use synq::{impl_channels_via_transferer, Deadline, TransferOutcome, Transferer};
+use synq::{impl_sync_channel, Deadline, TimedSyncChannel, TransferOutcome};
 use synq_primitives::{CancelToken, SpinPolicy, TicketLock, WaitOutcome, WaitSlot};
 
 /// Per-waiter synchronizer (the Listing 4 `Node` with its AQS replaced by
@@ -56,7 +56,7 @@ impl<T> Lists<T> {
 /// lock; unfair uses LIFO lists + an ordinary (barging) mutex.
 ///
 /// Unlike [`crate::HansonSQ`], this design supports the full rich
-/// interface, so it implements [`Transferer`] and participates in the
+/// interface, so it implements [`TimedSyncChannel`] and participates in the
 /// `ThreadPoolExecutor` benchmark (Figure 6).
 ///
 /// # Examples
@@ -194,7 +194,7 @@ enum Step<T> {
     FailFast(Option<T>),
 }
 
-impl<T: Send> Transferer<T> for Java5SQ<T> {
+impl<T: Send> TimedSyncChannel<T> for Java5SQ<T> {
     fn transfer(
         &self,
         item: Option<T>,
@@ -261,7 +261,7 @@ impl<T: Send> Transferer<T> for Java5SQ<T> {
     }
 }
 
-impl_channels_via_transferer!(Java5SQ);
+impl_sync_channel!(Java5SQ);
 
 #[cfg(test)]
 mod tests {

@@ -102,7 +102,7 @@
 //!   successor retired while its predecessor still reads as live.
 
 use crate::pollable::PendingTransfer;
-use crate::transferer::{Deadline, TransferOutcome};
+use crate::{Deadline, TransferOutcome};
 use core::task::{Poll, Waker};
 use std::marker::PhantomData;
 use std::ops::ControlFlow;

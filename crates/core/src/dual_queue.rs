@@ -20,7 +20,7 @@
 use crate::dual_list::{Leave, NodePermit, WaitNode};
 use crate::pollable::{PollTransferer, StartTransfer};
 use crate::transfer::{PutMode, TransferQueue};
-use crate::transferer::{Deadline, TransferOutcome, Transferer};
+use crate::{impl_sync_channel, Deadline, TimedSyncChannel, TransferOutcome};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use synq_primitives::{CancelToken, SpinPolicy, WaitOutcome};
@@ -134,7 +134,7 @@ impl<T: Send, R: Reclaimer> Leave<T> for SyncDualQueue<T, R> {
     }
 }
 
-impl<T: Send, R: Reclaimer> Transferer<T> for SyncDualQueue<T, R> {
+impl<T: Send, R: Reclaimer> TimedSyncChannel<T> for SyncDualQueue<T, R> {
     fn transfer(
         &self,
         item: Option<T>,
@@ -150,6 +150,8 @@ impl<T: Send, R: Reclaimer> Transferer<T> for SyncDualQueue<T, R> {
         }
     }
 }
+
+impl_sync_channel!(SyncDualQueue<R: Reclaimer>);
 
 impl<T: Send, R: Reclaimer> PollTransferer<T> for SyncDualQueue<T, R> {
     type Permit = NodePermit<T, Self>;

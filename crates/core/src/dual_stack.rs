@@ -91,7 +91,7 @@
 
 use crate::dual_list::{count_linked, Leave, NodePermit, Start, WaitNode, DATA, REQUEST};
 use crate::pollable::{PollTransferer, StartTransfer};
-use crate::transferer::{Deadline, TransferOutcome, Transferer};
+use crate::{impl_sync_channel, Deadline, TimedSyncChannel, TransferOutcome};
 use std::ops::ControlFlow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -411,7 +411,7 @@ impl<T: Send, R: Reclaimer> Leave<T> for SyncDualStack<T, R> {
     }
 }
 
-impl<T: Send, R: Reclaimer> Transferer<T> for SyncDualStack<T, R> {
+impl<T: Send, R: Reclaimer> TimedSyncChannel<T> for SyncDualStack<T, R> {
     fn transfer(
         &self,
         item: Option<T>,
@@ -425,6 +425,8 @@ impl<T: Send, R: Reclaimer> Transferer<T> for SyncDualStack<T, R> {
         }
     }
 }
+
+impl_sync_channel!(SyncDualStack<R: Reclaimer>);
 
 impl<T: Send, R: Reclaimer> PollTransferer<T> for SyncDualStack<T, R> {
     type Permit = NodePermit<T, Self>;

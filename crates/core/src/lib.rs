@@ -24,7 +24,9 @@
 //! Both support the full rich interface the paper calls for: blocking
 //! `put`/`take`, non-blocking `offer`/`poll`, timed variants with a
 //! *patience* interval, and asynchronous cancellation (Java's interrupts)
-//! via [`CancelToken`]. All waiting is *local*: a waiter spins briefly on
+//! via [`CancelToken`]. As in Java 6, every one of these is one call,
+//! [`TimedSyncChannel::transfer`], over which the [`TimedSyncChannel`]
+//! methods are provided. All waiting is *local*: a waiter spins briefly on
 //! its own node and then parks; unsuccessful follow-ups make no remote
 //! memory accesses (the paper's contention-freedom property).
 //!
@@ -61,12 +63,10 @@ pub mod dual_stack;
 pub mod pollable;
 pub mod queue;
 pub mod transfer;
-pub mod transferer;
 
-pub use channel::{SyncChannel, TimedSyncChannel};
+pub use channel::{SyncChannel, TimedSyncChannel, TransferOutcome};
 pub use dual_queue::SyncDualQueue;
 pub use dual_stack::SyncDualStack;
 pub use pollable::{PendingTransfer, PollTransferer, StartTransfer};
 pub use queue::SynchronousQueue;
-pub use synq_primitives::{CancelToken, SpinPolicy};
-pub use transferer::{Deadline, TransferOutcome, Transferer};
+pub use synq_primitives::{CancelToken, Deadline, SpinPolicy};

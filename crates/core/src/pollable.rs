@@ -1,7 +1,7 @@
 //! Poll-mode (two-phase) transfer entry points.
 //!
-//! The blocking [`Transferer`](crate::Transferer) interface folds the whole
-//! rendezvous — reserve, wait, resolve — into one call, because a thread
+//! The blocking [`TimedSyncChannel::transfer`](crate::TimedSyncChannel::transfer)
+//! folds the whole rendezvous — reserve, wait, resolve — into one call, because a thread
 //! can simply park in the middle. An async task cannot: it must *return*
 //! while waiting and be re-polled later. This module splits the protocol at
 //! exactly the seam the paper's algorithms already have:
@@ -29,7 +29,7 @@
 //! to drop at every protocol state; the permit, not the future, owns the
 //! obligation.
 
-use crate::transferer::{Deadline, TransferOutcome};
+use crate::{Deadline, TransferOutcome};
 use core::task::{Poll, Waker};
 use std::sync::Arc;
 use synq_primitives::CancelToken;

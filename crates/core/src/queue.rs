@@ -3,7 +3,7 @@
 
 use crate::dual_queue::SyncDualQueue;
 use crate::dual_stack::SyncDualStack;
-use crate::transferer::{Deadline, TransferOutcome, Transferer};
+use crate::{impl_sync_channel, Deadline, SyncChannel, TimedSyncChannel, TransferOutcome};
 use std::time::Duration;
 use synq_primitives::{CancelToken, SpinPolicy};
 
@@ -95,45 +95,32 @@ impl<T: Send> SynchronousQueue<T> {
 
     /// Transfers `value`, waiting for a consumer.
     pub fn put(&self, value: T) {
-        match self.transfer(Some(value), Deadline::Never, None) {
-            TransferOutcome::Transferred(_) => {}
-            _ => unreachable!("untimed put cannot fail"),
-        }
+        SyncChannel::put(self, value)
     }
 
     /// Receives a value, waiting for a producer.
     pub fn take(&self) -> T {
-        match self.transfer(None, Deadline::Never, None) {
-            TransferOutcome::Transferred(Some(v)) => v,
-            _ => unreachable!("untimed take cannot fail"),
-        }
+        SyncChannel::take(self)
     }
 
     /// Transfers `value` only if a consumer is already waiting.
     pub fn offer(&self, value: T) -> Result<(), T> {
-        match self.transfer(Some(value), Deadline::Now, None) {
-            TransferOutcome::Transferred(_) => Ok(()),
-            other => Err(other.into_inner().expect("item returned on failure")),
-        }
+        TimedSyncChannel::offer(self, value)
     }
 
     /// Receives only if a producer is already waiting.
     pub fn poll(&self) -> Option<T> {
-        self.transfer(None, Deadline::Now, None).into_inner()
+        TimedSyncChannel::poll(self)
     }
 
     /// `offer` with patience.
     pub fn offer_timeout(&self, value: T, patience: Duration) -> Result<(), T> {
-        match self.transfer(Some(value), Deadline::after(patience), None) {
-            TransferOutcome::Transferred(_) => Ok(()),
-            other => Err(other.into_inner().expect("item returned on failure")),
-        }
+        TimedSyncChannel::offer_timeout(self, value, patience)
     }
 
     /// `poll` with patience.
     pub fn poll_timeout(&self, patience: Duration) -> Option<T> {
-        self.transfer(None, Deadline::after(patience), None)
-            .into_inner()
+        TimedSyncChannel::poll_timeout(self, patience)
     }
 
     /// A synchronous queue buffers nothing: always 0.
@@ -161,7 +148,7 @@ impl<T: Send> SynchronousQueue<T> {
     }
 }
 
-impl<T: Send> Transferer<T> for SynchronousQueue<T> {
+impl<T: Send> TimedSyncChannel<T> for SynchronousQueue<T> {
     fn transfer(
         &self,
         item: Option<T>,
@@ -174,6 +161,8 @@ impl<T: Send> Transferer<T> for SynchronousQueue<T> {
         }
     }
 }
+
+impl_sync_channel!(SynchronousQueue);
 
 impl<T: Send> std::fmt::Debug for SynchronousQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

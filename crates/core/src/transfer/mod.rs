@@ -88,8 +88,8 @@ pub use ring::RingBuffer;
 
 use crate::dual_list::{DualList, Leave, NodePermit, Start, WaitNode, DATA, MOVABLE, REQUEST};
 use crate::{
-    impl_channels_via_transferer, CancelToken, Deadline, PendingTransfer, PollTransferer,
-    SpinPolicy, StartTransfer, SyncChannel, TimedSyncChannel, TransferOutcome, Transferer,
+    impl_sync_channel, CancelToken, Deadline, PendingTransfer, PollTransferer, SpinPolicy,
+    StartTransfer, TimedSyncChannel, TransferOutcome,
 };
 use std::cell::Cell;
 use std::ops::ControlFlow;
@@ -338,18 +338,12 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     /// when the item cannot enter the ring now: the ring is full, or
     /// linked data (a waiting `transfer` or put) is queued ahead of it.
     pub fn try_put(&self, value: T) -> Result<(), T> {
-        match self.put_with(value, Deadline::Now, None) {
-            TransferOutcome::Transferred(_) => Ok(()),
-            other => Err(other.into_inner().expect("item returned")),
-        }
+        self.put_with(value, Deadline::Now, None).sent()
     }
 
     /// Buffered enqueue, waiting up to `patience` for ring space.
     pub fn put_timeout(&self, value: T, patience: Duration) -> Result<(), T> {
-        match self.put_with(value, Deadline::after(patience), None) {
-            TransferOutcome::Transferred(_) => Ok(()),
-            other => Err(other.into_inner().expect("item returned")),
-        }
+        self.put_with(value, Deadline::after(patience), None).sent()
     }
 
     /// Fully general buffered enqueue. The deadline/token only matter in
@@ -391,18 +385,13 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     /// either mode. Async receivers are woken by buffered sends and by
     /// linked data, never handed an item, so they do not count here.
     pub fn try_transfer(&self, value: T) -> Result<(), T> {
-        match self.transfer_with(value, Deadline::Now, None) {
-            TransferOutcome::Transferred(_) => Ok(()),
-            other => Err(other.into_inner().expect("item returned")),
-        }
+        self.transfer_with(value, Deadline::Now, None).sent()
     }
 
     /// Synchronous enqueue with patience.
     pub fn transfer_timeout(&self, value: T, patience: Duration) -> Result<(), T> {
-        match self.transfer_with(value, Deadline::after(patience), None) {
-            TransferOutcome::Transferred(_) => Ok(()),
-            other => Err(other.into_inner().expect("item returned")),
-        }
+        self.transfer_with(value, Deadline::after(patience), None)
+            .sent()
     }
 
     /// Fully general synchronous enqueue.
@@ -1147,13 +1136,13 @@ impl<T: Send, R: Reclaimer> WaitStrategy for DrainSpin<'_, T, R> {
 }
 
 /// A `TransferQueue` is itself a synchronous transfer point when driven
-/// through [`Transferer`]: the producer side maps to the *synchronous*
+/// through the channel traits: the producer side maps to the *synchronous*
 /// `transfer` (the paper: "the base synchronous support in TransferQueues
 /// mirrors our fair synchronous queue"). This lets a `TransferQueue` slot
 /// directly into anything built over the channel traits — including the
 /// `ThreadPoolExecutor` — while still offering `put` for asynchronous use.
 /// (For *buffered* channel-trait semantics, wrap in [`BufferedChannel`].)
-impl<T: Send, R: Reclaimer> Transferer<T> for TransferQueue<T, R> {
+impl<T: Send, R: Reclaimer> TimedSyncChannel<T> for TransferQueue<T, R> {
     fn transfer(
         &self,
         item: Option<T>,
@@ -1167,7 +1156,7 @@ impl<T: Send, R: Reclaimer> Transferer<T> for TransferQueue<T, R> {
     }
 }
 
-impl_channels_via_transferer!(TransferQueue<R: synq_reclaim::Reclaimer>);
+impl_sync_channel!(TransferQueue<R: Reclaimer>);
 
 impl<T, R: Reclaimer> std::fmt::Debug for TransferQueue<T, R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -1245,52 +1234,19 @@ impl<T: Send> BufferedChannel<T> {
     }
 }
 
-impl<T: Send> SyncChannel<T> for BufferedChannel<T> {
-    fn put(&self, value: T) {
-        self.queue.put(value);
-    }
-
-    fn take(&self) -> T {
-        self.queue.take()
-    }
-
-    fn send_batch(&self, items: &mut Vec<T>) {
-        self.queue.put_batch(items);
-    }
-
-    fn recv_batch(&self, out: &mut Vec<T>, max: usize) -> usize {
-        self.queue.take_batch(out, max)
-    }
-}
-
+/// The buffered mapping: a put is the queue's buffered `put_with`, and the
+/// batches are its ring batches.
 impl<T: Send> TimedSyncChannel<T> for BufferedChannel<T> {
-    fn offer(&self, value: T) -> Result<(), T> {
-        self.queue.try_put(value)
-    }
-
-    fn poll(&self) -> Option<T> {
-        self.queue.poll()
-    }
-
-    fn offer_timeout(&self, value: T, patience: Duration) -> Result<(), T> {
-        self.queue.put_timeout(value, patience)
-    }
-
-    fn poll_timeout(&self, patience: Duration) -> Option<T> {
-        self.queue.poll_timeout(patience)
-    }
-
-    fn put_with(
+    fn transfer(
         &self,
-        value: T,
+        item: Option<T>,
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
-        self.queue.put_with(value, deadline, token)
-    }
-
-    fn take_with(&self, deadline: Deadline, token: Option<&CancelToken>) -> TransferOutcome<T> {
-        self.queue.take_with(deadline, token)
+        match item {
+            Some(v) => self.queue.put_with(v, deadline, token),
+            None => self.queue.take_with(deadline, token),
+        }
     }
 
     fn try_send_batch(&self, items: &mut Vec<T>) -> usize {
@@ -1301,6 +1257,8 @@ impl<T: Send> TimedSyncChannel<T> for BufferedChannel<T> {
         self.queue.try_take_batch(out, max)
     }
 }
+
+impl_sync_channel!(BufferedChannel);
 
 /// A buffered channel's linked puts are its queue's nodes, and end as the
 /// queue's do.

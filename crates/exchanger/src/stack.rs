@@ -15,8 +15,8 @@
 
 use crate::arena::EliminationArena;
 use synq::{
-    impl_channels_via_transferer, CancelToken, Deadline, SpinPolicy, SyncDualStack,
-    TransferOutcome, Transferer,
+    impl_sync_channel, CancelToken, Deadline, SpinPolicy, SyncDualStack, TimedSyncChannel,
+    TransferOutcome,
 };
 
 /// A synchronous dual stack with an elimination arena in front.
@@ -70,17 +70,18 @@ impl<T: Send> EliminationSyncStack<T> {
     }
 }
 
-impl<T: Send> Transferer<T> for EliminationSyncStack<T> {
+impl<T: Send> TimedSyncChannel<T> for EliminationSyncStack<T> {
     fn transfer(
         &self,
         item: Option<T>,
         deadline: Deadline,
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
-        // One arena visit, then the main structure. (`Deadline::Now` skips
-        // the arena: `poll`/`offer` promise not to wait, and an arena visit
+        // One arena visit, then the main structure. (`Deadline::Now` and a
+        // tripped token skip the arena: `poll`/`offer` promise not to wait,
+        // a cancelled caller must not be paired, and an arena visit
         // installs-and-spins.)
-        let item = if deadline.is_now() {
+        let item = if deadline.is_now() || token.is_some_and(CancelToken::is_cancelled) {
             item
         } else {
             match self.arena.visit(item, ARENA_SPINS) {
@@ -92,7 +93,7 @@ impl<T: Send> Transferer<T> for EliminationSyncStack<T> {
     }
 }
 
-impl_channels_via_transferer!(EliminationSyncStack);
+impl_sync_channel!(EliminationSyncStack);
 
 impl<T: Send> std::fmt::Debug for EliminationSyncStack<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

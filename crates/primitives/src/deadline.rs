@@ -1,8 +1,7 @@
 //! Patience bounds for blocking operations.
 //!
-//! `Deadline` used to live next to the `Transferer` trait in `synq-core`,
-//! but the shared [`crate::WaitSlot`] engine needs it too, so it lives here
-//! at the bottom of the crate graph. `synq::Deadline` remains a re-export.
+//! The shared [`crate::WaitSlot`] engine consumes a `Deadline`, so it lives
+//! here at the bottom of the crate graph; `synq::Deadline` is a re-export.
 
 use std::time::{Duration, Instant};
 

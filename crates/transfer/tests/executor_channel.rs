@@ -1,6 +1,6 @@
 //! A `TransferQueue` in either mode serves as a thread pool's work
-//! channel: its `Transferer` side is the synchronous handoff the pool's
-//! workers rendezvous on.
+//! channel: its `TimedSyncChannel` side is the synchronous handoff the
+//! pool's workers rendezvous on.
 
 use std::sync::Arc;
 use synq_transfer::TransferQueue;

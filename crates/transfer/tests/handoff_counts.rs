@@ -24,8 +24,10 @@
 //! its two pins are the two arrivals', since a matched stack waiter leaves
 //! its node to the matcher and takes none. The buffered row runs on an
 //! unbounded and a bounded queue: the item goes through the ring and the
-//! list is never looked at. The refused calls run on all three
-//! structures.
+//! list is never looked at. The refused calls are `offer`, `poll`, and
+//! `put_with`/`take_with` with a tripped token, as callers make them
+//! through `TimedSyncChannel`; they run on all three structures and on
+//! both modes of the `SynchronousQueue` facade.
 //!
 //! Probe counters are process-wide, so this binary holds a single test.
 
@@ -37,7 +39,7 @@ use std::task::{Poll, Waker};
 use std::thread;
 use synq::{
     CancelToken, Deadline, PendingTransfer, PollTransferer, StartTransfer, SyncChannel,
-    SyncDualQueue, SyncDualStack, TransferOutcome, Transferer,
+    SyncDualQueue, SyncDualStack, SynchronousQueue, TimedSyncChannel, TransferOutcome,
 };
 use synq_obs::{Probe, StatsSnapshot};
 use synq_transfer::TransferQueue;
@@ -145,22 +147,19 @@ where
     helper.join().unwrap();
 }
 
-/// One offer, poll, tripped-token put and tripped-token take, each of
-/// which must be refused, its item handed back.
-fn refused_round<Q: Transferer<u32>>(q: &Q, tripped: &CancelToken) {
-    let now = (Deadline::Now, None);
-    let cancelled = (Deadline::Never, Some(tripped));
-    for (item, (deadline, token)) in [
-        (Some(1), now),
-        (None, now),
-        (Some(2), cancelled),
-        (None, cancelled),
-    ] {
-        match q.transfer(item, deadline, token) {
-            TransferOutcome::Transferred(_) => panic!("a refused call transferred"),
-            out => assert_eq!(out.into_inner(), item),
-        }
-    }
+/// One `offer`, `poll`, tripped-token `put_with` and tripped-token
+/// `take_with`, each of which must be refused, its item handed back.
+fn refused_round<Q: TimedSyncChannel<u32>>(q: &Q, tripped: &CancelToken) {
+    assert_eq!(q.offer(1), Err(1));
+    assert_eq!(q.poll(), None);
+    assert_eq!(
+        q.put_with(2, Deadline::Never, Some(tripped)),
+        TransferOutcome::Cancelled(Some(2))
+    );
+    assert_eq!(
+        q.take_with(Deadline::Never, Some(tripped)),
+        TransferOutcome::Cancelled(None)
+    );
 }
 
 #[test]
@@ -237,11 +236,14 @@ fn handoffs_count_as_tabled() {
     // Refused calls allocate nothing and link nothing.
     let tripped = CancelToken::new();
     tripped.canceller().cancel();
+    let (fair, unfair) = (SynchronousQueue::fair(), SynchronousQueue::unfair());
     let before = StatsSnapshot::take();
     for _ in 0..REFUSED_ROUNDS {
         refused_round(&*q, &tripped);
         refused_round(&*tq, &tripped);
         refused_round(&*st, &tripped);
+        refused_round(&fair, &tripped);
+        refused_round(&unfair, &tripped);
     }
     let got = counts_since(&before);
     assert_eq!(

@@ -67,7 +67,7 @@ fn main() {
     let token = CancelToken::new();
     let canceller = token.canceller();
     let q4 = Arc::clone(&q3);
-    let waiter = thread::spawn(move || q4.transfer_cancellable(&token));
+    let waiter = thread::spawn(move || q4.take_with(Deadline::Never, Some(&token)));
     thread::sleep(Duration::from_millis(30));
     canceller.cancel(); // asynchronously interrupt the blocked take
     match waiter.join().unwrap() {
@@ -91,16 +91,4 @@ fn main() {
     println!("same rendezvous semantics under the hazard-pointer backend");
 
     println!("quickstart complete");
-}
-
-/// Tiny extension trait so the example reads naturally.
-trait TakeCancellable<T: Send> {
-    fn transfer_cancellable(&self, token: &CancelToken) -> TransferOutcome<T>;
-}
-
-impl<T: Send> TakeCancellable<T> for SynchronousQueue<T> {
-    fn transfer_cancellable(&self, token: &CancelToken) -> TransferOutcome<T> {
-        use synq_suite::core::Transferer;
-        self.transfer(None, Deadline::Never, Some(token))
-    }
 }

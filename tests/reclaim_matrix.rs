@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 use synq::dual_list::{WaitNode, REQUEST};
 use synq::{
     CancelToken, Deadline, SpinPolicy, SyncDualQueue, SyncDualStack, TimedSyncChannel,
-    TransferOutcome, Transferer,
+    TransferOutcome,
 };
 use synq_reclaim::{Epoch, Hazard, Reclaimer};
 use synq_transfer::TransferQueue;
@@ -91,7 +91,7 @@ static ALLOCATOR: CountMarkedNodes = CountMarkedNodes;
 /// (`BufferedChannel` is fixed to the default backend).
 struct Buffered<T, R: Reclaimer>(TransferQueue<T, R>);
 
-impl<T: Send, R: Reclaimer> Transferer<T> for Buffered<T, R> {
+impl<T: Send, R: Reclaimer> TimedSyncChannel<T> for Buffered<T, R> {
     fn transfer(
         &self,
         item: Option<T>,
@@ -105,7 +105,7 @@ impl<T: Send, R: Reclaimer> Transferer<T> for Buffered<T, R> {
     }
 }
 
-synq::impl_channels_via_transferer!(Buffered<R: Reclaimer>);
+synq::impl_sync_channel!(Buffered<R: Reclaimer>);
 
 /// Runs `producers`×`per` timed sends against `consumers` timed receivers
 /// on `channel`, then checks the exactly-one-pairing contract: every id is
