@@ -348,6 +348,12 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
 
     /// Fully general buffered enqueue. The deadline/token only matter in
     /// bounded mode (an unbounded buffered put never waits).
+    ///
+    /// **Name-resolution note:** as with [`Self::put`], this inherent
+    /// method shadows `TimedSyncChannel::put_with`, which is the
+    /// *synchronous* [`Self::transfer_with`]. Called as `q.put_with(..)` on
+    /// a concrete `TransferQueue` it buffers; through a
+    /// `dyn TimedSyncChannel` or a generic bound it waits for a consumer.
     pub fn put_with(
         &self,
         value: T,
@@ -1615,6 +1621,25 @@ mod tests {
             let t = thread::spawn(move || SyncChannel::take(&*q2));
             SyncChannel::put(&*q, 9); // trait put == synchronous transfer
             assert_eq!(t.join().unwrap(), 9);
+        }
+    }
+
+    /// `put_with` has two meanings on one queue: the inherent method
+    /// buffers, the channel trait's is the synchronous `transfer_with`.
+    #[test]
+    fn put_with_buffers_inherently_and_transfers_through_the_trait() {
+        use crate::TimedSyncChannel;
+        for q in both_modes() {
+            assert_eq!(
+                q.put_with(1, Deadline::Now, None),
+                TransferOutcome::Transferred(None)
+            );
+            assert_eq!(
+                TimedSyncChannel::put_with(&*q, 2, Deadline::Now, None),
+                TransferOutcome::Timeout(Some(2))
+            );
+            assert_eq!(q.len(), 1);
+            assert_eq!(q.poll(), Some(1));
         }
     }
 
