@@ -12,27 +12,28 @@
 //! # Layer 1: the wait node and its lifetime
 //!
 //! A [`WaitNode`] is a mode word, a [`WaitSlot`] (state machine, item cell,
-//! waiter mailbox), a `next` link and a reference count, initially 2: one
-//! reference held by the *structure*, one by the *waiter* that published
-//! the node (a queue's first dummy starts at 1). The lifetime rule, stated
-//! once:
+//! waiter mailbox), a `next` link and an exit flag. Two parties use a
+//! node: the *structure*, which matchers reach only under a guard, and the
+//! *waiter* that published it, which holds no guard. The lifetime rule,
+//! stated once:
 //!
-//! * The **structure's** reference is released by the thread whose CAS
-//!   unlinks the node, once, and only through [`Shield::defer_retire`]:
-//!   the decrement runs once no guard protects the node. In both
-//!   structures one CAS has the only say (the queue's and the stack's
-//!   `head` CAS each have one winner). The queue records the release in
-//!   the node's `unlinked` flag, which its `leave` reads; the stack has
-//!   no reader for it and retires without it.
-//! * The **waiter's** reference is released directly when its operation
-//!   returns ([`WaitNode::release`]). A waiter therefore holds
-//!   no guard while it spins or parks (a sleeping thread never stalls
-//!   reclamation) and touches only its own node; matchers touch a node
-//!   only while guarded.
-//! * Whoever drops the **last** reference frees the node on the spot, an
-//!   unconsumed item with it. That is safe for the waiter too: its release
-//!   can be the last only after the structure's deferred release has run,
-//!   that is, after every guard that could reach the node is gone.
+//! * The thread whose CAS unlinks the node **retires** it, once, and only
+//!   through [`Shield::defer_retire`]: the retirement runs once no guard
+//!   protects the node. In both structures one CAS has the only say (the
+//!   queue's and the stack's `head` CAS each have one winner). The queue
+//!   records the unlink in the node's `unlinked` flag, which its `leave`
+//!   reads; the stack has no reader for it and retires without it.
+//! * The **waiter exits** when its operation returns
+//!   ([`WaitNode::release`]): one `Release` store of the exit flag after
+//!   its last access. A waiter therefore holds no guard while it spins or
+//!   parks (a sleeping thread never stalls reclamation) and touches only
+//!   its own node; matchers touch a node only while guarded. A node nobody
+//!   waits on (a queue's first dummy, an asynchronous put's node) is
+//!   created exited.
+//! * The retirement frees the node, an unconsumed item with it, if an
+//!   `Acquire` load finds the flag set; otherwise it pins and defers itself
+//!   again. The grace period rules out every guarded user and the flag the
+//!   unguarded one, whichever of the two ends last.
 //!
 //! # Leaving: the one way a wait ends
 //!
@@ -47,9 +48,8 @@
 //!   unsent item is dropped with the outcome;
 //! * it lost to a completed match: it leaves as that match, and drops
 //!   whatever the match hands it (an item deposited for a consumer);
-//! * it lost to a claim still in progress: it drops only the waiter
-//!   reference, and the node's last release drops an item the claimer
-//!   deposits.
+//! * it lost to a claim still in progress: it only exits, and the
+//!   retirement that frees the node drops an item the claimer deposits.
 //!
 //! # Layer 2: the queue
 //!
@@ -106,7 +106,7 @@ use crate::{Deadline, TransferOutcome};
 use core::task::{Poll, Waker};
 use std::marker::PhantomData;
 use std::ops::ControlFlow;
-use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use synq_primitives::cancel::Registration;
 use synq_primitives::{CachePadded, CancelToken, WaitOutcome, WaitSlot, WaitStrategy};
@@ -131,29 +131,35 @@ pub struct WaitNode<T, R: Reclaimer> {
     /// request's, by the matcher while `CLAIMED`.
     pub slot: WaitSlot<T>,
     pub(crate) next: Atomic<WaitNode<T, R>, R>,
-    refs: AtomicUsize,
-    /// Set by the queue's one release of the structure reference. Its
-    /// `leave` reads it to skip helping a node that is already off the
-    /// list; the stack never sets or reads it.
+    /// Nonzero once the waiter has exited, after its last access; the
+    /// retirement frees the node only then. A word, not a `bool`: the node
+    /// keeps the size (80 bytes with the benchmark's item) and allocator
+    /// size class it had with the count, and at 72 bytes `buffered_ring`'s
+    /// set-up read 11-22 % slower (EXPERIMENTS P42).
+    pub(crate) exited: AtomicUsize,
+    /// Set by the queue's one retirement of the node. Its `leave` reads it
+    /// to skip helping a node that is already off the list; the stack
+    /// never sets or reads it.
     unlinked: AtomicBool,
 }
 
 impl<T, R: Reclaimer> WaitNode<T, R> {
-    fn with_refs(mode: usize, refs: usize) -> Owned<Self> {
+    fn new(mode: usize, exited: bool) -> Owned<Self> {
         Owned::new(WaitNode {
             mode,
             slot: WaitSlot::new(),
             next: Atomic::null(),
-            refs: AtomicUsize::new(refs),
+            exited: AtomicUsize::new(exited as usize),
             unlinked: AtomicBool::new(false),
         })
     }
 
-    /// A node armed for publication: empty slot, two references.
-    pub fn alloc(mode: usize) -> Owned<Self> {
+    /// A node armed for publication, with an empty slot: `waited` on by
+    /// the thread or task that publishes it, or exited from the start.
+    pub fn alloc(mode: usize, waited: bool) -> Owned<Self> {
         // One per node allocated; there is no cache to hit.
         synq_obs::probe!(NodeCacheMisses);
-        Self::with_refs(mode, 2)
+        Self::new(mode, !waited)
     }
 
     /// Producer (`true`) or consumer (`false`) node.
@@ -166,71 +172,54 @@ impl<T, R: Reclaimer> WaitNode<T, R> {
         self.mode & MOVABLE != 0
     }
 
-    /// The node's reference count, for white-box tests.
-    #[cfg(test)]
-    pub(crate) fn ref_count(&self) -> usize {
-        self.refs.load(Ordering::SeqCst)
-    }
-
-    /// Drops one counted reference: the waiter's own, or (from inside its
-    /// deferred retirement) the structure's. The last one frees the node,
-    /// and with it any item nobody consumed.
+    /// The waiter's exit: its last access to the node is over. From here
+    /// on the node is the retirement's to free, with any item nobody
+    /// consumed.
     ///
     /// # Safety
     ///
-    /// The caller owns one reference on `ptr`, gives it up, and does not
-    /// touch the node afterwards.
+    /// The caller is the node's waiter, exits once, and does not touch the
+    /// node afterwards.
     pub unsafe fn release(ptr: *const Self) {
-        // SAFETY: the caller's reference keeps the node alive.
-        if unsafe { &*ptr }.refs.fetch_sub(1, Ordering::Release) == 1 {
-            fence(Ordering::Acquire);
-            // SAFETY: last reference, so the structure's release has run,
-            // and that one is deferred past every guard that could reach
-            // the node (module docs). The slot's `Drop` drops an item
-            // that is still pending.
-            drop(unsafe { Box::from_raw(ptr as *mut Self) });
-        }
+        // SAFETY: the node is not freed before this store.
+        unsafe { &*ptr }.exited.store(1, Ordering::Release);
     }
 
-    /// Releases the structure's reference on a node the caller's queue
-    /// head CAS just unlinked, and records it in `unlinked`.
-    ///
-    /// # Safety
-    ///
-    /// As [`Self::retire_structure_ref`].
-    unsafe fn release_unlinked<'g>(node: Shared<'g, Self>, guard: &'g R::Guard) {
-        // SAFETY: per the contract.
-        let n = unsafe { node.deref() };
-        debug_assert!(
-            !n.unlinked.load(Ordering::Relaxed),
-            "structure reference released twice"
-        );
-        n.unlinked.store(true, Ordering::Release);
-        // SAFETY: per the contract.
-        unsafe { Self::retire_structure_ref(node, guard) };
-    }
-
-    /// Hands the structure's reference to the reclaimer.
+    /// Hands the node at `raw` to the reclaimer, to be freed once no guard
+    /// can reach it and its waiter has exited. A waiter still inside is not
+    /// done with it: the deferred closure then defers itself again, under a
+    /// pin of its own (both backends accept a retirement from inside a
+    /// running closure).
     ///
     /// # Safety
     ///
     /// Called once per node, by the winner of the one CAS that unlinked
-    /// it (a queue's or a stack's `head` CAS). `node` is protected by
-    /// `guard` (or refcount-live) and off its structure.
-    pub(crate) unsafe fn retire_structure_ref<'g>(node: Shared<'g, Self>, guard: &'g R::Guard) {
-        let raw = node.as_raw() as usize;
-        // SAFETY: the closure runs once no guard protects the node; the
-        // waiter's own reference keeps the node alive beyond that if it is
-        // still waking up.
-        unsafe { guard.defer_retire(raw, move || Self::release(raw as *const Self)) };
+    /// it (a queue's or a stack's `head` CAS). The node is protected by
+    /// `guard` and off its structure.
+    pub(crate) unsafe fn retire(raw: *const Self, guard: &R::Guard) {
+        let reap = move || {
+            // SAFETY: unlinked and past its grace period, so only the
+            // waiter can still touch it, until its exit (Acquire pairs
+            // with that Release store).
+            if unsafe { &*raw }.exited.load(Ordering::Acquire) != 0 {
+                drop(unsafe { Box::from_raw(raw.cast_mut()) });
+            } else {
+                synq_obs::probe!(NodeWaiterInside);
+                // SAFETY: still unlinked, and retired only by this closure.
+                unsafe { Self::retire(raw, &R::pin()) };
+            }
+        };
+        // SAFETY: the closure frees nothing a guard or a waiter can reach.
+        unsafe { guard.defer_retire(raw as usize, reap) };
     }
 
     /// Frees the chain behind `first` outright (a structure's `Drop`).
     ///
     /// # Safety
     ///
-    /// Exclusive access to the structure: every waiter has returned, so
-    /// each chain node holds exactly the structure's reference.
+    /// Exclusive access to the structure: every waiter has exited. A node
+    /// whose waiter has not (a permit passed to `mem::forget` keeps its
+    /// structure alive, so this cannot happen through the API) is leaked.
     pub(crate) unsafe fn drain_chain(first: &Atomic<Self, R>) {
         // SAFETY: exclusive access per the contract.
         let guard = unsafe { R::unprotected() };
@@ -238,15 +227,17 @@ impl<T, R: Reclaimer> WaitNode<T, R> {
         // SAFETY: as above; the link is read before the node is freed.
         while let Some(node) = unsafe { p.as_ref() } {
             let next = node.next.load(Ordering::Relaxed, &guard);
-            unsafe { Self::release(p.as_raw()) };
+            if node.exited.load(Ordering::Acquire) != 0 {
+                drop(unsafe { Box::from_raw(p.as_raw() as *mut Self) });
+            }
             p = next;
         }
     }
 }
 
 /// The lock-free phase of one arrival: `Break(outcome)` when it resolved
-/// without waiting, `Continue(node)` when it published `node`, whose waiter
-/// reference the caller now holds and ends with [`Leave::leave`].
+/// without waiting, `Continue(node)` when it published `node`, which the
+/// caller now waits on and exits with [`Leave::leave`].
 pub type Start<T, R> = ControlFlow<TransferOutcome<T>, *const WaitNode<T, R>>;
 
 /// How a structure ends a waiter's wait on a node it published: the step
@@ -259,13 +250,13 @@ pub trait Leave<T> {
 
     /// Ends the wait on the caller's own published node, whose slot reached
     /// the terminal state `verdict` reports: unlinks or helps unlink the
-    /// node, drops the references the waiter holds, and resolves the
-    /// transfer, carrying the item that is now the caller's.
+    /// node, exits it ([`WaitNode::release`]), and resolves the transfer,
+    /// carrying the item that is now the caller's.
     ///
     /// # Safety
     ///
     /// `node` was published by this structure's arrival (its [`Start`] was
-    /// `Continue(node)`) and its waiter reference is the caller's;
+    /// `Continue(node)`) and the caller is its waiter, not yet exited;
     /// `verdict` is what the slot's wait returned (or `TimedOut`/`Cancelled`
     /// after the caller won the cancel CAS itself, or `Matched` with the
     /// slot's [`WaitSlot::matched`] word). The node is not touched
@@ -295,7 +286,7 @@ pub trait Leave<T> {
         token: Option<&CancelToken>,
         strategy: &S,
     ) -> TransferOutcome<T> {
-        // SAFETY: the caller's waiter reference keeps the node alive.
+        // SAFETY: the node is not freed before its waiter exits.
         let slot = &unsafe { &*node }.slot;
         Self::Backend::reclaim_step();
         let strategy = Reclaiming {
@@ -356,16 +347,16 @@ impl<S: WaitStrategy + ?Sized, R: Reclaimer> WaitStrategy for Reclaiming<'_, S, 
 pub struct NodePermit<T, Q: Leave<T>> {
     owner: Arc<Q>,
     node: *const WaitNode<T, Q::Backend>,
-    /// Set when `poll_transfer` returned `Ready`: the waiter reference has
-    /// been given up and `node` must not be touched again.
+    /// Set when `poll_transfer` returned `Ready`: the waiter has exited
+    /// and `node` must not be touched again.
     done: bool,
     /// The task's registration with the token it is polled with, so that
     /// cancelling the token wakes it; dropped when the permit resolves.
     registration: Option<Registration>,
 }
 
-// SAFETY: the permit is a waiter's handle on its own node, the reference a
-// blocked thread holds, and the owner is shared across threads anyway.
+// SAFETY: the permit is a waiter's handle on its own node, as a blocked
+// thread is, and the owner is shared across threads anyway.
 unsafe impl<T: Send, Q: Leave<T> + Send + Sync> Send for NodePermit<T, Q> {}
 
 impl<T, Q: Leave<T>> NodePermit<T, Q> {
@@ -374,7 +365,7 @@ impl<T, Q: Leave<T>> NodePermit<T, Q> {
     /// # Safety
     ///
     /// `node` came from `owner`'s arrival as `Continue(node)`, and the
-    /// permit takes over its waiter reference.
+    /// permit becomes its waiter.
     pub unsafe fn new(owner: Arc<Q>, node: *const WaitNode<T, Q::Backend>) -> Self {
         NodePermit {
             owner,
@@ -411,7 +402,7 @@ impl<T: Send, Q: Leave<T> + Send + Sync> PendingTransfer<T> for NodePermit<T, Q>
         token: Option<&CancelToken>,
     ) -> Poll<TransferOutcome<T>> {
         assert!(!self.done, "NodePermit polled after completion");
-        // SAFETY: `done` is false, so the waiter reference is still held.
+        // SAFETY: `done` is false, so the waiter has not exited.
         let slot = unsafe { &(*self.node).slot };
         if let Some(token) = token {
             token.keep_registered(&mut self.registration, waker);
@@ -435,7 +426,7 @@ impl<T, Q: Leave<T>> Drop for NodePermit<T, Q> {
         if self.done {
             return;
         }
-        // SAFETY: the waiter reference is still held.
+        // SAFETY: the waiter has not exited.
         let slot = unsafe { &(*self.node).slot };
         let verdict = if slot.try_cancel() {
             WaitOutcome::Cancelled
@@ -443,9 +434,9 @@ impl<T, Q: Leave<T>> Drop for NodePermit<T, Q> {
             WaitOutcome::Matched(word)
         } else {
             // A claim in progress: the claimer may still be writing the
-            // cell, so leave it the node; its last release drops what
-            // the claimer deposits.
-            // SAFETY: the waiter reference, dropped exactly once.
+            // cell, so only exit; the retirement that frees the node drops
+            // what the claimer deposits.
+            // SAFETY: our own node, exited exactly once.
             unsafe { WaitNode::release(self.node) };
             return;
         };
@@ -514,8 +505,8 @@ unsafe impl<T: Send, R: Reclaimer> Sync for DualList<T, R> {}
 
 impl<T, R: Reclaimer> Default for DualList<T, R> {
     fn default() -> Self {
-        // The first dummy holds only the structure reference.
-        let dummy = WaitNode::with_refs(REQUEST, 1);
+        // Nobody waits on the first dummy.
+        let dummy = WaitNode::new(REQUEST, true);
         // SAFETY: single-threaded construction.
         let guard = unsafe { R::unprotected() };
         let dummy = dummy.into_shared(&guard);
@@ -543,8 +534,8 @@ impl<T, R: Reclaimer> DualList<T, R> {
         }
     }
 
-    /// Advances `head` from `h` to its successor `nh`, releasing the old
-    /// dummy's structure reference. Returns true if this thread's CAS won.
+    /// Advances `head` from `h` to its successor `nh`, retiring the old
+    /// dummy. Returns true if this thread's CAS won.
     fn advance_head<'g>(
         &self,
         h: Shared<'g, WaitNode<T, R>>,
@@ -573,8 +564,11 @@ impl<T, R: Reclaimer> DualList<T, R> {
         }
         // SAFETY: `h` was unlinked by our CAS, which also proves it was
         // the live head the caller had protected, and only one CAS can move
-        // `head` off `h`.
-        unsafe { WaitNode::release_unlinked(h, guard) };
+        // `head` off `h`. `unlinked` records it for `leave`.
+        let old = unsafe { h.deref() };
+        debug_assert!(!old.unlinked.load(Ordering::Relaxed), "retired twice");
+        old.unlinked.store(true, Ordering::Release);
+        unsafe { WaitNode::retire(old, guard) };
         true
     }
 
@@ -610,15 +604,15 @@ impl<T, R: Reclaimer> DualList<T, R> {
     }
 
     /// Ends a wait on the caller's own published node, whose slot reached
-    /// the terminal state `verdict` reports: helps unlink the node, drops
-    /// the waiter's reference, and resolves the transfer, carrying the item
-    /// that is now the caller's (what a matcher delivered to a request; a
-    /// withdrawn producer's own item back).
+    /// the terminal state `verdict` reports: helps unlink the node, exits
+    /// it, and resolves the transfer, carrying the item that is now the
+    /// caller's (what a matcher delivered to a request; a withdrawn
+    /// producer's own item back).
     ///
     /// # Safety
     ///
-    /// `node` came from [`Arrival::try_append`] on this list and its
-    /// waiter reference is the caller's; `verdict` is what the slot's wait
+    /// `node` came from [`Arrival::try_append`] on this list and the caller
+    /// is its waiter, not yet exited; `verdict` is what the slot's wait
     /// returned (or `TimedOut`/`Cancelled` after the caller won the cancel
     /// CAS itself). The node is not touched afterwards.
     pub unsafe fn leave(
@@ -626,7 +620,7 @@ impl<T, R: Reclaimer> DualList<T, R> {
         node: *const WaitNode<T, R>,
         verdict: WaitOutcome,
     ) -> TransferOutcome<T> {
-        // SAFETY: the waiter reference keeps the node alive.
+        // SAFETY: the node is not freed before its waiter exits.
         let own = unsafe { &*node };
         let matched = matches!(verdict, WaitOutcome::Matched(_));
         if !matched {
@@ -648,7 +642,7 @@ impl<T, R: Reclaimer> DualList<T, R> {
             // SAFETY: a matcher wrote a request's slot before MATCHED;
             // winning the cancel CAS wins a data node's item back.
             .then(|| unsafe { own.slot.take_item() });
-        // SAFETY: balanced with the creation count of 2.
+        // SAFETY: our last access to the node is above.
         unsafe { WaitNode::release(node) };
         match verdict {
             WaitOutcome::Matched(_) => TransferOutcome::Transferred(item),
@@ -660,8 +654,8 @@ impl<T, R: Reclaimer> DualList<T, R> {
     /// Has the head already reached `own`, a node whose wait is over? Then
     /// it is the dummy (`head == own`) or behind it (`unlinked`), and there
     /// is nothing for its waiter to help. Needs no pin: `head` is only
-    /// compared with `own`, whose address the waiter reference keeps from
-    /// being reused.
+    /// compared with `own`, whose address cannot be reused before its
+    /// waiter exits.
     fn is_dequeued(&self, own: &WaitNode<T, R>) -> bool {
         if own.unlinked.load(Ordering::Acquire) {
             return true;
@@ -671,8 +665,8 @@ impl<T, R: Reclaimer> DualList<T, R> {
         std::ptr::eq(self.head.load(Ordering::Acquire, &bare).as_raw(), own)
     }
 
-    /// Is `own`, a node its caller published here and still holds the
-    /// waiter reference on, the node behind the dummy: next in line to be
+    /// Is `own`, a node its caller published here and still waits on, the
+    /// node behind the dummy: next in line to be
     /// matched? Pins; `head.next` is only compared with `own`, as in
     /// `leave`. Once true it stays true until `own`'s wait is decided,
     /// because only a decided node lets the head move onto it.
@@ -754,7 +748,7 @@ impl<'g, T, R: Reclaimer> Arrival<'g, T, R> {
 
     /// Links `node` behind the snapshot's tail and swings `tail` to it.
     /// On success the node is published and the returned pointer is the
-    /// caller's waiter reference; on a lost race the node comes back
+    /// caller's to wait on and exit; on a lost race the node comes back
     /// unpublished.
     pub fn try_append(
         &self,
@@ -832,6 +826,7 @@ impl<T, R: Reclaimer> std::ops::Deref for Front<'_, T, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
     use synq_reclaim::Epoch;
 
     type List<T> = DualList<T, Epoch>;
@@ -840,9 +835,9 @@ mod tests {
     const PREFIX: usize = if cfg!(miri) { 8 } else { 64 };
 
     /// Every test here is single-threaded over its own list, which is what
-    /// the unprotected guard asks for. Under it a structure-reference
-    /// release runs its retire closure on the spot, so reference counts
-    /// can be asserted step by step.
+    /// the unprotected guard asks for. Under it a retirement runs on the
+    /// spot: it frees a node whose waiter has exited, and otherwise defers
+    /// itself to the real collector, under a pin of its own.
     fn unprotected() -> synq_reclaim::Guard {
         unsafe { Epoch::unprotected() }
     }
@@ -861,7 +856,7 @@ mod tests {
         let at = list.arrive(&guard);
         assert!(at.tail_settled());
         let mode = if item.is_some() { DATA } else { REQUEST };
-        let node = WaitNode::alloc(mode);
+        let node = WaitNode::alloc(mode, true);
         if let Some(v) = item {
             unsafe { node.slot.put_item(v) };
         }
@@ -879,8 +874,23 @@ mod tests {
         at.advance_past(m);
     }
 
-    fn refs<T>(node: Node<T>) -> usize {
-        unsafe { &*node }.ref_count()
+    fn unlinked<T>(node: Node<T>) -> bool {
+        unsafe { &*node }.unlinked.load(Ordering::SeqCst)
+    }
+
+    fn exited<T>(node: Node<T>) -> bool {
+        unsafe { &*node }.exited.load(Ordering::SeqCst) != 0
+    }
+
+    /// Collects until `done` holds: the other tests in this binary pin the
+    /// same collector, so a grace period can take more than one pass.
+    fn collect_until(done: impl Fn() -> bool) {
+        let give_up = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < give_up, "never collected");
+            Epoch::collect();
+            std::thread::yield_now();
+        }
     }
 
     #[test]
@@ -891,7 +901,7 @@ mod tests {
         let first = {
             let at = list.arrive(&guard);
             assert!(at.is_empty() && at.tail_settled());
-            let node = WaitNode::alloc(REQUEST);
+            let node = WaitNode::alloc(REQUEST, true);
             at.tail_node()
                 .next
                 .compare_exchange(
@@ -909,7 +919,7 @@ mod tests {
         // the stale tail, and moves `tail` on instead.
         let at = list.arrive(&guard);
         assert!(at.is_empty());
-        let spare = WaitNode::alloc(REQUEST);
+        let spare = WaitNode::alloc(REQUEST, true);
         let spare = at.try_append(spare).expect_err("the tail has a successor");
         assert!(!at.tail_settled(), "a lagging tail is not settled");
         assert!(list.tail.load(Ordering::Acquire, &guard).ptr_eq(&first));
@@ -940,46 +950,61 @@ mod tests {
         let guard = unprotected();
         assert!(list.arrive(&guard).is_empty());
         assert_eq!(list.linked_nodes(), 0);
-        // All but the last (the dummy now) have lost the structure's
-        // reference; none has lost the waiter's.
+        // All but the last (the dummy now) are retired, and their
+        // retirements wait for waiters that have not exited.
         let (last, passed) = nodes.split_last().unwrap();
-        assert!(passed.iter().all(|&n| refs(n) == 1));
-        assert_eq!(refs(*last), 2);
+        assert!(passed.iter().all(|&n| unlinked(n) && !exited(n)));
+        assert!(!unlinked(*last) && !exited(*last));
         for node in nodes {
             unsafe { WaitNode::release(node) };
         }
     }
 
     #[test]
-    fn the_last_release_frees_at_once_whichever_reference_it_is() {
-        let drops = AtomicUsize::new(0);
-        for structure_first in [true, false] {
-            drops.store(0, Ordering::SeqCst);
+    fn the_retirement_frees_a_node_only_after_its_waiter_exits() {
+        // Static: a retirement deferred to the real collector may outlive
+        // a failed assertion below.
+        static DROPS: AtomicUsize = AtomicUsize::new(0);
+        let drops = || DROPS.load(Ordering::SeqCst);
+        for retired_first in [true, false] {
+            DROPS.store(0, Ordering::SeqCst);
             let list: List<Counted<'_>> = DualList::default();
             // Two requests; each is handed an item its waiter never reads
-            // (a dropped permit). The second only serves to move the head
-            // past the first, which releases the first's structure
-            // reference: on the spot, under the unprotected guard.
+            // (a permit dropped mid-claim). The second only serves to move
+            // the head past the first, which retires the first: on the
+            // spot, under the unprotected guard.
             let first = append(&list, None);
             let second = append(&list, None);
-            fulfill_front(&list, Counted(&drops));
-            assert_eq!(refs(first), 2, "the dummy keeps its structure reference");
-            if structure_first {
-                fulfill_front(&list, Counted(&drops));
-                assert_eq!((refs(first), drops.load(Ordering::SeqCst)), (1, 0));
+            fulfill_front(&list, Counted(&DROPS));
+            assert!(!unlinked(first), "the dummy is not retired");
+            if retired_first {
+                let before = synq_obs::StatsSnapshot::take();
+                fulfill_front(&list, Counted(&DROPS));
+                assert!(unlinked(first) && !exited(first));
+                // Its waiter is still inside, so every collection that runs
+                // the retirement finds it so and defers it again.
+                for _ in 0..8 {
+                    Epoch::collect();
+                }
+                assert_eq!(drops(), 0, "the node and its item survive");
+                let delta = synq_obs::StatsSnapshot::take().delta(&before);
+                if synq_obs::ENABLED {
+                    assert!(delta.get(synq_obs::Probe::NodeWaiterInside) > 0);
+                }
                 unsafe { WaitNode::release(first) };
+                collect_until(|| drops() == 1);
             } else {
                 unsafe { WaitNode::release(first) };
-                assert_eq!((refs(first), drops.load(Ordering::SeqCst)), (1, 0));
-                fulfill_front(&list, Counted(&drops));
+                assert_eq!(drops(), 0, "an exit frees nothing");
+                fulfill_front(&list, Counted(&DROPS));
+                // Nothing stands between this retirement and the free: no
+                // second deferral, no free list, no `Drop` of the list.
+                assert_eq!(drops(), 1, "first and its item");
             }
-            // Nothing stands between the last release and the free: no
-            // second deferral, no free list, no `Drop` of the list.
-            assert_eq!(drops.load(Ordering::SeqCst), 1, "first and its item");
             unsafe { WaitNode::release(second) };
-            assert_eq!(drops.load(Ordering::SeqCst), 1, "second is the dummy");
+            assert_eq!(drops(), 1, "second is the dummy");
             drop(list);
-            assert_eq!(drops.load(Ordering::SeqCst), 2, "second's item, at Drop");
+            assert_eq!(drops(), 2, "second's item, at Drop");
         }
     }
 

@@ -143,7 +143,7 @@ impl<T: Send, R: Reclaimer> TimedSyncChannel<T> for SyncDualQueue<T, R> {
     ) -> TransferOutcome<T> {
         match self.0.xfer(item, PutMode::Sync, deadline, token) {
             ControlFlow::Break(outcome) => outcome,
-            // SAFETY: the node we just published, its waiter reference ours.
+            // SAFETY: the node we just published, ours to wait on.
             ControlFlow::Continue(node) => unsafe {
                 self.wait(node, deadline, token, &self.0.spin)
             },
@@ -161,8 +161,8 @@ impl<T: Send, R: Reclaimer> PollTransferer<T> for SyncDualQueue<T, R> {
         // each poll; the lock-free phase must always publish.
         match this.0.xfer(item, PutMode::Sync, Deadline::Never, None) {
             ControlFlow::Break(outcome) => StartTransfer::Complete(outcome),
-            // SAFETY: the node we just published; the permit takes its
-            // waiter reference.
+            // SAFETY: the node we just published; the permit is its
+            // waiter.
             ControlFlow::Continue(node) => {
                 StartTransfer::Pending(unsafe { NodePermit::new(Arc::clone(this), node) })
             }
@@ -384,7 +384,7 @@ mod tests {
     }
 
     /// The drop rule's third case: a permit dropped while a fulfiller's
-    /// claim is in progress gives up only its waiter reference, and the
+    /// claim is in progress only exits, and the
     /// item the claimer then deposits goes with the node.
     #[test]
     fn a_permit_dropped_mid_claim_leaves_the_item_to_the_node() {

@@ -61,21 +61,20 @@
 //!
 //! # Memory lifetime
 //!
-//! The node and its lifetime rule (two references, the structure's
-//! released by a deferred retirement, the owner's directly) are
-//! [`crate::dual_list`]'s. The stack's part of it is one rule: **a node
-//! leaves the stack only by a head CAS**, which has one winner, so that
-//! winner retires the structure reference directly, with no `unlinked`
-//! flag to arbitrate. After a successful pop the popper keeps popping
-//! decided tops, so a node decided while buried is popped when it
-//! surfaces, and a stack at rest holds no decided node.
+//! The node and its lifetime rule (a deferred retirement that frees the
+//! node once its waiter has exited) are [`crate::dual_list`]'s. The
+//! stack's part of it is one rule: **a node leaves the stack only by a
+//! head CAS**, which has one winner, so that winner retires the node
+//! directly, with no `unlinked` flag to arbitrate. After a successful pop
+//! the popper keeps popping decided tops, so a node decided while buried
+//! is popped when it surfaces, and a stack at rest holds no decided node.
 //!
 //! A matcher reads and writes the node it matched only while its guard
-//! protects the node, and the structure reference is retired only after
-//! the node is popped, deferred past that guard. A matched waiter's
-//! [`Leave::leave`] reads only its own slot: a consumer takes the item its
-//! producer deposited there, a producer reads nothing. It takes no pin and
-//! never reads `head`.
+//! protects the node, and the node is retired only after it is popped,
+//! deferred past that guard. A matched waiter's [`Leave::leave`] reads
+//! only its own slot: a consumer takes the item its producer deposited
+//! there, a producer reads nothing. It takes no pin and never reads
+//! `head`.
 //!
 //! Under the bounded-protection backends two facts cover every access:
 //!
@@ -209,7 +208,7 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
         {
             // SAFETY: our CAS unlinked `h`, which the guard protects, and
             // only one CAS can move `head` off it.
-            unsafe { WaitNode::retire_structure_ref(h, guard) };
+            unsafe { WaitNode::retire(h.as_raw(), guard) };
             true
         } else {
             false
@@ -250,7 +249,7 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
         item: &mut Option<T>,
         guard: &'g R::Guard,
     ) -> Option<Shared<'g, WaitNode<T, R>>> {
-        let owned = node.take().unwrap_or_else(|| WaitNode::alloc(mode));
+        let owned = node.take().unwrap_or_else(|| WaitNode::alloc(mode, true));
         if let Some(v) = item.take() {
             // SAFETY: we own the unpublished node, and its cell is empty.
             unsafe { owned.slot.put_item(v) };
@@ -383,7 +382,7 @@ impl<T: Send, R: Reclaimer> Leave<T> for SyncDualStack<T, R> {
         node_raw: *const WaitNode<T, R>,
         verdict: WaitOutcome,
     ) -> TransferOutcome<T> {
-        // SAFETY: we hold the owner reference.
+        // SAFETY: the node is not freed before its waiter, us, exits.
         let node = unsafe { &*node_raw };
         let outcome = match verdict {
             WaitOutcome::Matched(_) => {
@@ -405,7 +404,7 @@ impl<T: Send, R: Reclaimer> Leave<T> for SyncDualStack<T, R> {
                 }
             }
         };
-        // SAFETY: our owner reference, dropped once.
+        // SAFETY: our last access to the node is above.
         unsafe { WaitNode::release(node_raw) };
         outcome
     }
@@ -420,7 +419,7 @@ impl<T: Send, R: Reclaimer> TimedSyncChannel<T> for SyncDualStack<T, R> {
     ) -> TransferOutcome<T> {
         match self.start_impl(item, deadline, token) {
             ControlFlow::Break(outcome) => outcome,
-            // SAFETY: the node we just pushed, its owner reference ours.
+            // SAFETY: the node we just pushed, ours to wait on.
             ControlFlow::Continue(node) => unsafe { self.wait(node, deadline, token, &self.spin) },
         }
     }
@@ -436,8 +435,7 @@ impl<T: Send, R: Reclaimer> PollTransferer<T> for SyncDualStack<T, R> {
         // each poll; the lock-free phase must always publish.
         match this.start_impl(item, Deadline::Never, None) {
             ControlFlow::Break(outcome) => StartTransfer::Complete(outcome),
-            // SAFETY: the node we just pushed; the permit takes its owner
-            // reference.
+            // SAFETY: the node we just pushed; the permit is its waiter.
             ControlFlow::Continue(node) => {
                 StartTransfer::Pending(unsafe { NodePermit::new(Arc::clone(this), node) })
             }
@@ -448,7 +446,7 @@ impl<T: Send, R: Reclaimer> PollTransferer<T> for SyncDualStack<T, R> {
 impl<T, R: Reclaimer> Drop for SyncDualStack<T, R> {
     fn drop(&mut self) {
         // SAFETY: `&mut self`; waiters borrow the stack, so all have
-        // returned and the remaining references are the structure's.
+        // exited.
         unsafe { WaitNode::drain_chain(&self.head) };
     }
 }
@@ -718,9 +716,9 @@ mod tests {
 
     /// A matcher whose pop lost to a newer push leaves its node decided
     /// beneath that waiter. It is popped once it surfaces, by the thread
-    /// that popped the waiter above it, and its structure reference is
-    /// retired then: the guard held throughout keeps that release pending,
-    /// so the counts are exact.
+    /// that popped the waiter above it, and retired then: the guard held
+    /// throughout keeps that retirement pending, so the nodes stay
+    /// readable and each one's exit shows.
     #[test]
     fn a_node_decided_under_a_newer_push_is_popped_when_it_surfaces() {
         let s: Arc<SyncDualStack<u32>> = Arc::new(SyncDualStack::new());
@@ -730,8 +728,7 @@ mod tests {
             let ControlFlow::Continue(node) = s.start_impl(None, Deadline::Never, None) else {
                 panic!("a consumer on an empty or request stack waits");
             };
-            // SAFETY: the node just pushed; the permit takes its owner
-            // reference.
+            // SAFETY: the node just pushed; the permit is its waiter.
             (node, unsafe { NodePermit::new(Arc::clone(&s), node) })
         };
         let (buried, mut buried_permit) = reserve();
@@ -739,13 +736,16 @@ mod tests {
         assert_eq!(s.linked_nodes(), 2);
         // A producer that read `buried` on top matches it after `newer`
         // was pushed, and its pop fails.
-        // SAFETY: the permit holds the waiter's reference.
+        // SAFETY: the permit, its waiter, has not exited.
         let b = unsafe { &*buried };
         assert!(b.slot.try_claim());
         // SAFETY: the claim grants the empty request cell.
         unsafe { b.slot.put_item(1) };
         b.slot.complete();
-        assert_eq!(b.ref_count(), 2, "still linked: waiter and structure");
+        assert!(
+            b.exited.load(Ordering::SeqCst) == 0,
+            "still linked and waited on"
+        );
         // The next producer matches `newer`, pops it and then `buried`.
         assert!(matches!(
             s.start_impl(Some(2), Deadline::Never, None),
@@ -756,24 +756,23 @@ mod tests {
             (buried, &mut buried_permit, 1),
             (newer, &mut newer_permit, 2),
         ] {
-            // SAFETY: the permit still holds the waiter's reference, and
-            // the held guard keeps the structure's.
-            let refs = unsafe { &*node }.ref_count();
-            assert_eq!(refs, 2, "the waiter's, and the pending release");
+            // SAFETY: the held guard keeps the retirement pending.
+            let waiting = unsafe { &*node }.exited.load(Ordering::SeqCst) == 0;
+            assert!(waiting, "popped and retired, its waiter still inside");
             assert!(matches!(
                 permit.poll_transfer(waker, Deadline::Never, None),
                 Poll::Ready(TransferOutcome::Transferred(Some(got))) if got == item
             ));
-            // SAFETY: the held guard keeps the structure's release pending.
-            let refs = unsafe { &*node }.ref_count();
-            assert_eq!(refs, 1, "only the structure's pending release");
+            // SAFETY: the held guard keeps the retirement pending.
+            let exited = unsafe { &*node }.exited.load(Ordering::SeqCst) != 0;
+            assert!(exited, "resolving the permit is the waiter's exit");
         }
     }
 
     /// The drop rule's third case on the stack: a request permit dropped
-    /// while a producer's claim is in progress gives up only its waiter
-    /// reference, and the item the producer then deposits goes with the
-    /// node, dropped once at its last release.
+    /// while a producer's claim is in progress only exits, and the item the
+    /// producer then deposits goes with the node, dropped once when the
+    /// retirement frees it.
     #[test]
     fn a_permit_dropped_mid_claim_leaves_the_item_to_the_node() {
         let drops = std::sync::atomic::AtomicUsize::new(0);
@@ -782,7 +781,7 @@ mod tests {
             panic!("an empty stack publishes the reservation");
         };
         // SAFETY: single-threaded; nothing is retired behind our back, and
-        // the structure's release runs on the spot.
+        // the retirement runs on the spot.
         let guard = unsafe { Epoch::unprotected() };
         let h = s.head.load(Ordering::Acquire, &guard);
         // SAFETY: the reservation, still linked.
@@ -794,7 +793,7 @@ mod tests {
         top.slot.complete();
         assert_eq!(drops.load(Ordering::SeqCst), 0, "the node keeps it");
         assert!(s.pop_head(h, &guard));
-        assert_eq!(drops.load(Ordering::SeqCst), 1, "freed at its last release");
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "freed at its retirement");
         assert_eq!(s.linked_nodes(), 0);
     }
 

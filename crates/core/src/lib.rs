@@ -50,8 +50,8 @@
 //! ```
 //!
 //! Node reclamation uses epoch-based reclamation ([`synq_reclaim`]) plus a
-//! per-node reference count so that waiters can *unpin while parked* —
-//! a sleeping thread never stalls global memory reclamation.
+//! per-node exit flag so that waiters can *unpin while parked* — a
+//! sleeping thread never stalls global memory reclamation.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

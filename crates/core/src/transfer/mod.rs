@@ -369,7 +369,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
                 ControlFlow::Continue(node) => node,
                 ControlFlow::Break(outcome) => return outcome,
             };
-            // SAFETY: our own published node, its waiter reference ours.
+            // SAFETY: our own published node, ours to wait on.
             step = match unsafe { self.wait(node, deadline, token, &DrainSpin::new(self, node)) } {
                 // Handed back by a `refill` that lost the slot: again.
                 TransferOutcome::Transferred(Some(back)) => self.put_step(back, deadline, token),
@@ -408,7 +408,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         token: Option<&CancelToken>,
     ) -> TransferOutcome<T> {
         match self.xfer(Some(value), PutMode::Sync, deadline, token) {
-            // SAFETY: our own published node, its waiter reference ours.
+            // SAFETY: our own published node, ours to wait on.
             ControlFlow::Continue(node) => unsafe {
                 self.wait(node, deadline, token, &DrainSpin::new(self, node))
             },
@@ -874,6 +874,8 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     ) -> Start<T, R> {
         let is_data = item.is_some();
         let waiting_put = mode == PutMode::Wait;
+        // Nobody waits on an async node: it is created exited.
+        let waited = mode != PutMode::Async;
         let kind = match (is_data, waiting_put) {
             (false, _) => REQUEST,
             (true, false) => DATA,
@@ -906,7 +908,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
                         return ControlFlow::Break(TransferOutcome::Cancelled(item));
                     }
                 }
-                let owned = node.take().unwrap_or_else(|| WaitNode::alloc(kind));
+                let owned = node.take().unwrap_or_else(|| WaitNode::alloc(kind, waited));
                 if let Some(v) = item.take() {
                     // SAFETY: unpublished node, exclusively ours.
                     unsafe { owned.slot.put_item(v) };
@@ -926,11 +928,6 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
                             self.item_waiters.notify(1);
                             if mode == PutMode::Async {
                                 probe!(RingOverflowPuts);
-                                // Nobody waits on an async node: it keeps
-                                // only the structure's reference.
-                                // SAFETY: the waiter reference
-                                // `try_append` gave us.
-                                unsafe { WaitNode::release(published) };
                                 return ControlFlow::Break(TransferOutcome::Transferred(None));
                             }
                             if waiting_put {
@@ -1015,7 +1012,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         // push that missed the count is seen here, and we retract; losing
         // the cancel CAS means a producer is already completing us.
         self.counts.reservations.fetch_add(1, Ordering::SeqCst);
-        // SAFETY: we hold the waiter reference.
+        // SAFETY: we are its waiter, not yet exited.
         let slot = unsafe { &(*published).slot };
         let outcome = if !self.ring.is_empty() && slot.try_cancel() {
             // SAFETY: our own node, and we won its cancel CAS.
@@ -1023,7 +1020,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
             None
         } else {
             probe!(RingEmptyWaits);
-            // SAFETY: our own published node, its waiter reference ours.
+            // SAFETY: our own published node, ours to wait on.
             match unsafe { self.wait(published, deadline, token, &self.spin) } {
                 TransferOutcome::Transferred(None) => None,
                 outcome => Some(outcome),
@@ -1041,7 +1038,8 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
 // handed back with its item (see `move_to_ring`) reports
 // `Transferred(Some(item))`, which no producer otherwise sees; a data node
 // we withdraw is uncounted (see `LinkedCounts`), and its withdrawal may
-// have moved the list's front.
+// have moved the list's front. The ringless mode has none of the three: it
+// is the list's `leave` alone.
 impl<T: Send, R: Reclaimer> Leave<T> for TransferQueue<T, R> {
     type Backend = R;
 
@@ -1050,7 +1048,11 @@ impl<T: Send, R: Reclaimer> Leave<T> for TransferQueue<T, R> {
         node: *const WaitNode<T, R>,
         verdict: WaitOutcome,
     ) -> TransferOutcome<T> {
-        // SAFETY: the waiter reference keeps the node alive until `leave`.
+        if self.ringless {
+            // SAFETY: per the contract.
+            return unsafe { self.list.leave(node, verdict) };
+        }
+        // SAFETY: the node is not freed before its waiter exits.
         let own = unsafe { &*node };
         let matched = matches!(verdict, WaitOutcome::Matched(_));
         let withdrew = !matched && own.is_data();
@@ -1392,7 +1394,7 @@ impl<T: Send> PollTransferer<T> for BufferedChannel<T> {
             // withdraws the put if they have already run out.
             Some(value) => match this.queue.put_step(value, Deadline::Never, None) {
                 // SAFETY: the node the queue just published for this put;
-                // the permit takes its waiter reference.
+                // the permit is its waiter.
                 ControlFlow::Continue(node) => {
                     PermitState::Linked(unsafe { NodePermit::new(Arc::clone(this), node) })
                 }

@@ -136,6 +136,9 @@ probes! {
     NodeCacheHits => "node_cache.hits",
     /// Wait nodes taken from the global allocator: one per node.
     NodeCacheMisses => "node_cache.misses",
+    /// Retirements of a wait node that found its waiter still inside
+    /// (not yet exited) and deferred themselves again.
+    NodeWaiterInside => "node.waiter_inside",
 
     // Epoch reclamation (synq-reclaim).
     /// Epoch pins (one per protected critical section entry).

@@ -87,7 +87,7 @@ pub enum WaitOutcome {
 /// mailbox, with the spin-then-park loop that animates them.
 ///
 /// Structures embed a `WaitSlot<T>` per node and keep only their linking
-/// (queue/stack pointers, reference counts) local.
+/// (queue/stack pointers, the node's exit flag) local.
 #[derive(Debug)]
 pub struct WaitSlot<T> {
     state: AtomicUsize,
@@ -283,7 +283,7 @@ impl<T> WaitSlot<T> {
     /// A plain store suffices: each entitlement below makes the caller the
     /// cell's only reader, and whoever later reads `consumed` (the slot's
     /// `Drop`, `has_item`) is ordered after it by the state word
-    /// or the owner's reference count, like `put_item`'s `filled`. A second
+    /// or the owner's exit flag, like `put_item`'s `filled`. A second
     /// take is still debug-asserted.
     ///
     /// # Safety

@@ -158,16 +158,20 @@ struct HazardLocal {
     cursor: Cell<usize>,
     /// Re-entrancy latch: a retire closure may itself retire.
     scanning: Cell<bool>,
+    /// A registration made during TLS teardown: it orphans its list at
+    /// drop instead of scanning it.
+    transient: bool,
     retired: RefCell<Vec<Retired>>,
 }
 
 impl HazardLocal {
-    fn new() -> Self {
+    fn new(transient: bool) -> Self {
         HazardLocal {
             record: register(),
             guard_count: Cell::new(0),
             cursor: Cell::new(0),
             scanning: Cell::new(false),
+            transient,
             retired: RefCell::new(Vec::new()),
         }
     }
@@ -258,9 +262,14 @@ impl Drop for HazardLocal {
             slot.store(0, Ordering::Release);
         }
         // One last scan with our own protections retracted; whatever other
-        // threads still protect is orphaned for them to adopt.
-        self.scanning.set(false);
-        self.scan();
+        // threads still protect is orphaned for them to adopt. A transient
+        // record does not scan: a closure it ran could retire again (a
+        // wait node whose waiter is still inside does), through another
+        // transient record whose drop would scan it again, without end.
+        if !self.transient {
+            self.scanning.set(false);
+            self.scan();
+        }
         let rest = self.retired.take();
         if !rest.is_empty() {
             ORPHANS
@@ -273,7 +282,7 @@ impl Drop for HazardLocal {
 }
 
 thread_local! {
-    static LOCAL: HazardLocal = HazardLocal::new();
+    static LOCAL: HazardLocal = HazardLocal::new(false);
 }
 
 /// The hazard-pointer backend marker. See the module docs.
@@ -285,7 +294,7 @@ pub struct HazardGuard {
     /// Null for unprotected guards.
     local: *const HazardLocal,
     /// Transient registration used when the thread-local is gone (TLS
-    /// teardown); dropped — and scanned — with the guard.
+    /// teardown); dropped with the guard, its retire list orphaned.
     _own: Option<Box<HazardLocal>>,
 }
 
@@ -310,7 +319,7 @@ impl Reclaimer for Hazard {
             Ok(local) => HazardGuard { local, _own: None },
             Err(_) => {
                 // TLS destructor context: transient registration.
-                let own = Box::new(HazardLocal::new());
+                let own = Box::new(HazardLocal::new(true));
                 own.guard_count.set(1);
                 let local = &*own as *const HazardLocal;
                 HazardGuard {
@@ -413,7 +422,7 @@ impl std::fmt::Debug for HazardGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::sync::Arc;
 
     /// Boxes a u64, returning (address, closure that frees and counts).
@@ -527,6 +536,48 @@ mod tests {
         // lock at the instant we look. So collect until it is gone; the
         // count below still fails on a second free or on none at all.
         drop(g);
+        let give_up = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while drops.load(Ordering::SeqCst) == 0 && std::time::Instant::now() < give_up {
+            Hazard::collect();
+            std::thread::yield_now();
+        }
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "freed exactly once");
+    }
+
+    /// Retires `addr` under a fresh pin with a closure that frees it once
+    /// `done` is set and otherwise retires itself again, as a wait node
+    /// whose waiter is still inside does.
+    fn retire_until_done(addr: usize, done: Arc<AtomicBool>, drops: Arc<AtomicUsize>) {
+        let g = Hazard::pin();
+        let reap = move || {
+            if done.load(Ordering::SeqCst) {
+                // SAFETY: freed exactly once, by the last run.
+                drop(unsafe { Box::from_raw(addr as *mut u64) });
+                drops.fetch_add(1, Ordering::SeqCst);
+            } else {
+                retire_until_done(addr, done, drops);
+            }
+        };
+        // SAFETY: nobody protects `addr`; the closure frees it once.
+        unsafe { g.defer_retire(addr, reap) };
+    }
+
+    #[test]
+    fn a_closure_that_retires_itself_at_thread_exit_is_orphaned() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let done = Arc::new(AtomicBool::new(false));
+        let addr = Box::into_raw(Box::new(0u64)) as usize;
+        // The worker's last scan runs the closure, which retires itself
+        // through a transient record (the thread-local is gone). That
+        // record orphans it: were it to scan, it would run the closure
+        // again, which would make another, and so on down the stack.
+        let (d, f) = (Arc::clone(&drops), Arc::clone(&done));
+        std::thread::spawn(move || retire_until_done(addr, f, d))
+            .join()
+            .unwrap();
+        assert_eq!(drops.load(Ordering::SeqCst), 0, "not done yet");
+        done.store(true, Ordering::SeqCst);
+        // As in the test above, any thread's scan may hold the orphan.
         let give_up = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while drops.load(Ordering::SeqCst) == 0 && std::time::Instant::now() < give_up {
             Hazard::collect();

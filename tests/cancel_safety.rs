@@ -178,7 +178,7 @@ fn stack_drop_matched_recv_consumes_deposited_item_once() {
 /// The one drop rule's middle case, timed: a `recv` whose reservation a
 /// producer already fulfilled leaves as that match when it is dropped, so
 /// the deposited item goes with the future, at once, not later with the
-/// node's last release.
+/// node's retirement.
 #[test]
 fn drop_fulfilled_recv_drops_deposited_item_at_once() {
     let q: AsyncSyncQueue<Payload> = AsyncSyncQueue::new();

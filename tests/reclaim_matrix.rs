@@ -11,22 +11,26 @@
 //! every consumer that finds the ring empty publishes a reservation that
 //! a push must find, claim and complete under the backend's validation.
 //!
-//! The last test counts live wait nodes through this binary's allocator:
-//! a node is freed by whoever drops its last reference, so after the
-//! structure is dropped and the backend has collected, none may be left.
-//! Its spinning rows also show that a thread's own reclamation work, which
-//! a wait starts on and a match cuts short, is finished when it exits.
+//! The last two tests count live wait nodes through this binary's
+//! allocator. A node is freed by its retirement once its waiter has
+//! exited, so after the structure is dropped and the backend has
+//! collected, none may be left; its spinning rows also show that a
+//! thread's own reclamation work, which a wait starts on and a match cuts
+//! short, is finished when it exits. And a node retired while its waiter,
+//! an unpolled permit, is still inside survives every collection until
+//! that permit resolves or is dropped, and for good if it never is.
 
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError, RwLock, RwLockReadGuard};
+use std::task::{Poll, Waker};
 use std::thread;
 use std::time::{Duration, Instant};
 use synq::dual_list::{WaitNode, REQUEST};
 use synq::{
-    CancelToken, Deadline, SpinPolicy, SyncDualQueue, SyncDualStack, TimedSyncChannel,
-    TransferOutcome,
+    CancelToken, Deadline, PendingTransfer, PollTransferer, SpinPolicy, StartTransfer,
+    SyncDualQueue, SyncDualStack, TimedSyncChannel, TransferOutcome,
 };
 use synq_reclaim::{Epoch, Hazard, Reclaimer};
 use synq_transfer::TransferQueue;
@@ -65,23 +69,59 @@ const _: () = assert!(MARKED_NODE.align() == 64);
 
 static LIVE_MARKED_NODES: AtomicIsize = AtomicIsize::new(0);
 
+/// The lifetime test's payload, counting its drops. Its 256-byte alignment
+/// gives its wait node a layout of its own, counted apart from `Marked`'s.
+#[repr(align(256))]
+struct Tagged(Arc<AtomicUsize>);
+
+impl Drop for Tagged {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+const TAGGED_NODE: Layout = Layout::new::<WaitNode<Tagged, Epoch>>();
+const _: () = assert!(TAGGED_NODE.align() == 256);
+
+static LIVE_TAGGED_NODES: AtomicIsize = AtomicIsize::new(0);
+
 struct CountMarkedNodes;
+
+impl CountMarkedNodes {
+    fn counter(layout: Layout) -> Option<&'static AtomicIsize> {
+        if layout == MARKED_NODE {
+            Some(&LIVE_MARKED_NODES)
+        } else if layout == TAGGED_NODE {
+            Some(&LIVE_TAGGED_NODES)
+        } else {
+            None
+        }
+    }
+}
 
 // SAFETY: forwards to `System` unchanged.
 unsafe impl GlobalAlloc for CountMarkedNodes {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if layout == MARKED_NODE {
-            LIVE_MARKED_NODES.fetch_add(1, Ordering::Relaxed);
+        if let Some(live) = Self::counter(layout) {
+            live.fetch_add(1, Ordering::Relaxed);
         }
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if layout == MARKED_NODE {
-            LIVE_MARKED_NODES.fetch_sub(1, Ordering::Relaxed);
+        if let Some(live) = Self::counter(layout) {
+            live.fetch_sub(1, Ordering::Relaxed);
         }
         unsafe { System.dealloc(ptr, layout) }
     }
+}
+
+/// Every test here shares it; the lifetime test, which reads the backends'
+/// process-wide `pending` counts, takes it alone.
+static EXCLUSIVE: RwLock<()> = RwLock::new(());
+
+fn shared() -> RwLockReadGuard<'static, ()> {
+    EXCLUSIVE.read().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[global_allocator]
@@ -117,6 +157,7 @@ fn check_conservation(
     consumers: usize,
     per: usize,
 ) -> Result<(), TestCaseError> {
+    let _shared = shared();
     let live = Arc::new(AtomicIsize::new(0));
     let stop = Arc::new(AtomicUsize::new(0));
     let received = Arc::new(Mutex::new(Vec::new()));
@@ -274,7 +315,7 @@ const HANDOFFS: usize = 10_000;
 fn marked_baseline<R: Reclaimer>() -> isize {
     assert_eq!(Layout::new::<WaitNode<Marked, R>>(), MARKED_NODE);
     let baseline = LIVE_MARKED_NODES.load(Ordering::SeqCst);
-    let probe = WaitNode::<Marked, R>::alloc(REQUEST);
+    let probe = WaitNode::<Marked, R>::alloc(REQUEST, true);
     assert_eq!(
         LIVE_MARKED_NODES.load(Ordering::SeqCst),
         baseline + 1,
@@ -395,6 +436,7 @@ fn check_spinning_pair_returns_to_baseline<R: Reclaimer>(
 /// One test for all ten rows: they share the allocator's one counter.
 #[test]
 fn live_nodes_return_to_baseline_under_both_backends() {
+    let _shared = shared();
     check_nodes_return_to_baseline::<Epoch>("queue/epoch", || {
         Arc::new(SyncDualQueue::<Marked, Epoch>::new_in())
     });
@@ -425,5 +467,147 @@ fn live_nodes_return_to_baseline_under_both_backends() {
     });
     check_spinning_pair_returns_to_baseline::<Hazard>("spinning stack/hazard", || {
         Arc::new(SyncDualStack::<Marked, Hazard>::with_spin_in(spin()))
+    });
+}
+
+/// Permits that are never dropped, as `mem::forget` leaves one, but kept
+/// reachable so that a leak checker does not report them.
+static NEVER_DROPPED: Mutex<Vec<Box<dyn Send>>> = Mutex::new(Vec::new());
+
+/// Collections under `R` enough for any retirement pending before them to
+/// have run: the epoch backend frees a bag two advances after it is sealed,
+/// one advance per collection; the hazard backend scans once.
+fn settle<R: Reclaimer>() {
+    for _ in 0..4 {
+        R::collect();
+    }
+}
+
+/// Collects under `R` until `done` holds, or fails after ten seconds.
+fn collect_until<R: Reclaimer>(what: &str, done: impl Fn() -> bool) {
+    let give_up = Instant::now() + Duration::from_secs(10);
+    while !done() {
+        assert!(Instant::now() < give_up, "{what}");
+        R::collect();
+        thread::yield_now();
+    }
+}
+
+/// A request permit on `s`, published on a stack or queue with nobody to
+/// match it yet.
+fn request<S: PollTransferer<Tagged>>(s: &Arc<S>) -> S::Permit {
+    match S::start_transfer(s, None) {
+        StartTransfer::Pending(permit) => permit,
+        StartTransfer::Complete(_) => panic!("nobody sends yet"),
+    }
+}
+
+/// Publishes a request, matches it with an item counted on `drops` and
+/// retires its node, and returns its still unpolled permit. A stack pops
+/// the node it matches; a queue's matched node becomes the dummy, so a
+/// second handoff moves the head past it.
+fn retired_unpolled_request<S>(s: &Arc<S>, drops: &Arc<AtomicUsize>) -> S::Permit
+where
+    S: PollTransferer<Tagged> + TimedSyncChannel<Tagged>,
+{
+    let permit = request(s);
+    assert!(
+        s.offer(Tagged(Arc::clone(drops))).is_ok(),
+        "a request waits"
+    );
+    let mut second = request(s);
+    let spare = Arc::new(AtomicUsize::new(0));
+    assert!(
+        s.offer(Tagged(Arc::clone(&spare))).is_ok(),
+        "a request waits"
+    );
+    assert!(matches!(
+        second.poll_transfer(Waker::noop(), Deadline::Never, None),
+        Poll::Ready(TransferOutcome::Transferred(Some(_)))
+    ));
+    assert_eq!(spare.load(Ordering::SeqCst), 1, "the second item, dropped");
+    permit
+}
+
+/// The node of a matched request, retired while its permit is unpolled,
+/// keeps its item through every collection; once the permit resolves (or
+/// is dropped), the collections that free any retirement made then free
+/// it, and its item is dropped once. A permit never dropped keeps its node
+/// for good, one retirement that stays pending, while everything else
+/// drains; the structure it keeps alive holds `dummies` nodes of its own.
+fn check_unpolled_permit_keeps_its_node<R, S>(name: &str, dummies: isize, make: impl Fn() -> S)
+where
+    R: Reclaimer,
+    S: PollTransferer<Tagged> + TimedSyncChannel<Tagged>,
+    S::Permit: 'static,
+{
+    let live = || LIVE_TAGGED_NODES.load(Ordering::SeqCst);
+    for resolve in [true, false] {
+        let s = Arc::new(make());
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mut permit = retired_unpolled_request(&s, &drops);
+        for _ in 0..4 {
+            settle::<R>();
+            assert_eq!(drops.load(Ordering::SeqCst), 0, "{name}: item intact");
+        }
+        let before = live();
+        if resolve {
+            let Poll::Ready(TransferOutcome::Transferred(Some(item))) =
+                permit.poll_transfer(Waker::noop(), Deadline::Never, None)
+            else {
+                panic!("{name}: the request was matched");
+            };
+            drop(item);
+        } else {
+            drop(permit);
+        }
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "{name}: the item, once");
+        assert_eq!(live(), before, "{name}: resolving frees nothing itself");
+        settle::<R>();
+        assert_eq!(live(), before - 1, "{name}: the next collections free it");
+        drop(s);
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "{name}: dropped once");
+    }
+
+    settle::<R>();
+    let (nodes, pending) = (live(), R::pending());
+    let s = Arc::new(make());
+    let drops = Arc::new(AtomicUsize::new(0));
+    let forgotten = retired_unpolled_request(&s, &drops);
+    NEVER_DROPPED
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .push(Box::new(forgotten));
+    // More nodes retired after it, each exited: they drain around it.
+    for _ in 0..64 {
+        let _ = retired_unpolled_request(&s, &Arc::new(AtomicUsize::new(0)));
+    }
+    drop(s);
+    collect_until::<R>(&format!("{name}: retired nodes drain"), || {
+        live() == nodes + 1 + dummies && R::pending() == pending + 1
+    });
+    for _ in 0..4 {
+        settle::<R>();
+        assert_eq!(drops.load(Ordering::SeqCst), 0, "{name}: kept for good");
+        assert_eq!(R::pending(), pending + 1, "{name}: one retirement stays");
+    }
+}
+
+/// Both structures under both backends. It reads the backends' process-wide
+/// `pending` counts, so no other test of this file runs beside it.
+#[test]
+fn an_unpolled_permit_keeps_its_retired_node_under_both_backends() {
+    let _alone = EXCLUSIVE.write().unwrap_or_else(PoisonError::into_inner);
+    check_unpolled_permit_keeps_its_node::<Epoch, _>("queue/epoch", 1, || {
+        SyncDualQueue::<Tagged, Epoch>::new_in()
+    });
+    check_unpolled_permit_keeps_its_node::<Hazard, _>("queue/hazard", 1, || {
+        SyncDualQueue::<Tagged, Hazard>::new_in()
+    });
+    check_unpolled_permit_keeps_its_node::<Epoch, _>("stack/epoch", 0, || {
+        SyncDualStack::<Tagged, Epoch>::new_in()
+    });
+    check_unpolled_permit_keeps_its_node::<Hazard, _>("stack/hazard", 0, || {
+        SyncDualStack::<Tagged, Hazard>::new_in()
     });
 }
