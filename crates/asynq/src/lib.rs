@@ -227,16 +227,6 @@ impl<T: Send, Q: PollTransferer<T> + TimedSyncChannel<T>> AsyncChannel<T, Q> {
     pub fn recv_timed(&self, patience: Duration) -> RecvTimedFuture<'_, T, Q> {
         future::recv_timed(&self.inner, Deadline::after(patience))
     }
-
-    /// Like [`send`](Self::send), with an explicit [`Deadline`].
-    pub fn send_deadline(&self, value: T, deadline: Deadline) -> SendTimedFuture<'_, T, Q> {
-        future::send_timed(&self.inner, value, deadline)
-    }
-
-    /// Like [`recv`](Self::recv), with an explicit [`Deadline`].
-    pub fn recv_deadline(&self, deadline: Deadline) -> RecvTimedFuture<'_, T, Q> {
-        future::recv_timed(&self.inner, deadline)
-    }
 }
 
 impl<T: Send> AsyncChannel<T, BufferedChannel<T>> {

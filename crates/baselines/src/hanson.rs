@@ -13,9 +13,9 @@
 //! only [`SyncChannel`] and is absent from the `ThreadPoolExecutor`
 //! benchmark (Figure 6), exactly as in the paper.
 
+use crate::{FastSemaphore, Semaphore};
 use std::cell::UnsafeCell;
 use synq::SyncChannel;
-use synq_primitives::{FastSemaphore, Semaphore};
 
 /// Listing 1, translated. The `item` slot is an `UnsafeCell`: exclusive
 /// access is guaranteed by the semaphore protocol (a producer owns the slot

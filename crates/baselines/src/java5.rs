@@ -18,16 +18,17 @@
 //! exposes the same knob as the dual structures for uniform sweeps.
 //!
 //! In fair mode the entry lock itself is FIFO-fair
-//! ([`synq_primitives::TicketLock`]), matching the Java implementation's
+//! ([`crate::TicketLock`]), matching the Java implementation's
 //! fair-mode `ReentrantLock`: "the fair-mode version uses a fair-mode entry
 //! lock to ensure FIFO wait ordering. This causes pileups that block the
 //! threads that will fulfill waiting threads" — the effect ablation A2
 //! isolates.
 
+use crate::TicketLock;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use synq::{impl_sync_channel, Deadline, TimedSyncChannel, TransferOutcome};
-use synq_primitives::{CancelToken, SpinPolicy, TicketLock, WaitOutcome, WaitSlot};
+use synq_primitives::{CancelToken, SpinPolicy, WaitOutcome, WaitSlot};
 
 /// Per-waiter synchronizer (the Listing 4 `Node` with its AQS replaced by
 /// the shared wait-slot protocol). Producer nodes are armed with their item
@@ -389,7 +390,7 @@ mod tests {
     fn cancellation_interrupts_take() {
         let q: Arc<Java5SQ<u32>> = Arc::new(Java5SQ::fair());
         let token = CancelToken::new();
-        let canceller = token.canceller();
+        let canceller = token.clone();
         let q2 = Arc::clone(&q);
         let t = thread::spawn(move || q2.take_with(Deadline::Never, Some(&token)));
         thread::sleep(Duration::from_millis(20));

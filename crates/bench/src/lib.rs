@@ -86,7 +86,7 @@ pub fn contended_pairs(quick: bool) -> Vec<usize> {
 }
 
 /// Reads the harness scale from the environment: `SYNQ_BENCH_QUICK=1`
-/// shrinks transfer counts and sweeps so `cargo bench`/CI stay fast.
+/// shrinks transfer counts and sweeps so CI stays fast.
 pub fn quick_mode() -> bool {
     std::env::var("SYNQ_BENCH_QUICK")
         .map(|v| v != "0")

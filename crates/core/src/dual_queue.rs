@@ -281,7 +281,7 @@ mod tests {
     fn cancellation_interrupts_waiting_take() {
         let q: Arc<SyncDualQueue<u8>> = Arc::new(SyncDualQueue::new());
         let token = CancelToken::new();
-        let canceller = token.canceller();
+        let canceller = token.clone();
         let q2 = Arc::clone(&q);
         let t = thread::spawn(move || q2.take_with(Deadline::Never, Some(&token)));
         thread::sleep(Duration::from_millis(30));
@@ -296,7 +296,7 @@ mod tests {
     fn cancellation_returns_item_to_producer() {
         let q: Arc<SyncDualQueue<Vec<u8>>> = Arc::new(SyncDualQueue::new());
         let token = CancelToken::new();
-        let canceller = token.canceller();
+        let canceller = token.clone();
         let q2 = Arc::clone(&q);
         let t = thread::spawn(move || q2.put_with(vec![1, 2, 3], Deadline::Never, Some(&token)));
         thread::sleep(Duration::from_millis(30));

@@ -575,7 +575,7 @@ mod tests {
     fn cancellation_interrupts_waiting_take() {
         let s: Arc<SyncDualStack<u8>> = Arc::new(SyncDualStack::new());
         let token = CancelToken::new();
-        let canceller = token.canceller();
+        let canceller = token.clone();
         let s2 = Arc::clone(&s);
         let t = thread::spawn(move || s2.take_with(Deadline::Never, Some(&token)));
         thread::sleep(Duration::from_millis(25));

@@ -233,7 +233,7 @@ mod tests {
             panic!("expected a pending publication");
         };
         let token = CancelToken::new();
-        token.canceller().cancel();
+        token.cancel();
         let waker = counting_waker(Arc::new(AtomicUsize::new(0)));
         match permit.poll_transfer(&waker, Deadline::Never, Some(&token)) {
             Poll::Ready(TransferOutcome::Cancelled(Some(s))) => assert_eq!(s, "w"),

@@ -1533,7 +1533,7 @@ mod tests {
     fn cancellation_of_waiting_transfer() {
         let q: Arc<TransferQueue<u32>> = Arc::new(TransferQueue::new());
         let token = CancelToken::new();
-        let canceller = token.canceller();
+        let canceller = token.clone();
         let q2 = Arc::clone(&q);
         let t = thread::spawn(move || q2.transfer_with(4, Deadline::Never, Some(&token)));
         thread::sleep(Duration::from_millis(20));

@@ -17,7 +17,7 @@ const ROUNDS: usize = 100;
 fn a_tripped_token_skips_the_arena() {
     let q = EliminationSyncStack::new();
     let tripped = CancelToken::new();
-    tripped.canceller().cancel();
+    tripped.cancel();
     let before = StatsSnapshot::take();
     for _ in 0..ROUNDS {
         assert_eq!(

@@ -35,27 +35,23 @@ pub struct Backoff {
 
 /// Seed of the exponential schedule: the very first backoff step busy-waits
 /// `BACKOFF_SPIN_SEED` iterations, doubling from there.
-pub const BACKOFF_SPIN_SEED: u32 = 1;
+pub(crate) const BACKOFF_SPIN_SEED: u32 = 1;
 
 /// Exponent of the spin phase's ceiling: steps grow `1, 2, 4, ... 2^BACKOFF_SPIN_LIMIT`
 /// and no single [`Backoff::spin`]/[`Backoff::snooze`] call busy-waits more
 /// than `2^BACKOFF_SPIN_LIMIT` iterations.
-pub const BACKOFF_SPIN_LIMIT: u32 = 6;
+pub(crate) const BACKOFF_SPIN_LIMIT: u32 = 6;
 
 /// The fully-grown spin step, `2^BACKOFF_SPIN_LIMIT` iterations. Kept equal
-/// to the adaptive wait budget's ceiling ([`crate::ADAPTIVE_SPIN_CAP`]) so
+/// to the adaptive wait budget's ceiling ([`crate::spin::ADAPTIVE_SPIN_CAP`]) so
 /// the CAS-retry path and the spin-then-park path draw the "cheaper than a
 /// context switch" line at the same place; a compile-time assertion in
 /// `spin.rs` enforces the pairing.
-pub const BACKOFF_SPIN_CAP: u32 = BACKOFF_SPIN_SEED << BACKOFF_SPIN_LIMIT;
+pub(crate) const BACKOFF_SPIN_CAP: u32 = BACKOFF_SPIN_SEED << BACKOFF_SPIN_LIMIT;
 
 /// Past `BACKOFF_YIELD_LIMIT` total steps (spin phase included),
 /// [`Backoff::is_completed`] reports saturation and callers typically park.
-pub const BACKOFF_YIELD_LIMIT: u32 = 10;
-
-// Short internal aliases; the public names above are the documented API.
-const SPIN_LIMIT: u32 = BACKOFF_SPIN_LIMIT;
-const YIELD_LIMIT: u32 = BACKOFF_YIELD_LIMIT;
+pub(crate) const BACKOFF_YIELD_LIMIT: u32 = 10;
 
 impl Backoff {
     /// Creates a fresh backoff with zero accumulated delay.
@@ -76,11 +72,11 @@ impl Backoff {
     /// between optimistic CAS retries on a lightly contended word.
     #[inline]
     pub fn spin(&self) {
-        let step = self.step.get().min(SPIN_LIMIT);
+        let step = self.step.get().min(BACKOFF_SPIN_LIMIT);
         for _ in 0..(1u32 << step) {
             core::hint::spin_loop();
         }
-        if self.step.get() <= SPIN_LIMIT {
+        if self.step.get() <= BACKOFF_SPIN_LIMIT {
             self.step.set(self.step.get() + 1);
         }
     }
@@ -91,14 +87,14 @@ impl Backoff {
     #[inline]
     pub fn snooze(&self) {
         let step = self.step.get();
-        if step <= SPIN_LIMIT && !uniprocessor() {
+        if step <= BACKOFF_SPIN_LIMIT && !uniprocessor() {
             for _ in 0..(1u32 << step) {
                 core::hint::spin_loop();
             }
         } else {
             std::thread::yield_now();
         }
-        if step <= YIELD_LIMIT {
+        if step <= BACKOFF_YIELD_LIMIT {
             self.step.set(step + 1);
         }
     }
@@ -107,7 +103,7 @@ impl Backoff {
     /// of continuing to snooze.
     #[inline]
     pub fn is_completed(&self) -> bool {
-        self.step.get() > YIELD_LIMIT
+        self.step.get() > BACKOFF_YIELD_LIMIT
     }
 }
 
@@ -160,7 +156,7 @@ mod tests {
     fn snooze_saturates() {
         let b = Backoff::new();
         assert!(!b.is_completed());
-        for _ in 0..=YIELD_LIMIT {
+        for _ in 0..=BACKOFF_YIELD_LIMIT {
             b.snooze();
         }
         assert!(b.is_completed());

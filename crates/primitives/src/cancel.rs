@@ -34,8 +34,8 @@ struct Inner {
 
 /// A cancellation flag observed by waiting queue operations.
 ///
-/// Cloning produces another handle on the same flag. Use [`Canceller`] (or
-/// [`CancelToken::cancel`] from any clone) to trip it.
+/// Cloning produces another handle on the same flag; [`CancelToken::cancel`]
+/// from any clone trips it.
 ///
 /// # Examples
 ///
@@ -49,12 +49,6 @@ struct Inner {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
-    inner: Arc<Inner>,
-}
-
-/// A send-only handle for tripping a [`CancelToken`].
-#[derive(Debug, Clone)]
-pub struct Canceller {
     inner: Arc<Inner>,
 }
 
@@ -74,13 +68,6 @@ impl CancelToken {
         Self::default()
     }
 
-    /// Returns a handle that can only cancel, not wait.
-    pub fn canceller(&self) -> Canceller {
-        Canceller {
-            inner: Arc::clone(&self.inner),
-        }
-    }
-
     /// True once [`cancel`](CancelToken::cancel) has been called.
     #[inline]
     pub fn is_cancelled(&self) -> bool {
@@ -89,7 +76,14 @@ impl CancelToken {
 
     /// Trips the token and wakes every registered waiter.
     pub fn cancel(&self) {
-        cancel_inner(&self.inner);
+        // Flag before drain: see the module docs' race discipline.
+        if self.inner.cancelled.swap(true, Ordering::AcqRel) {
+            return; // already cancelled; waiters were already woken
+        }
+        let waiters = std::mem::take(&mut *self.inner.waiters.lock().unwrap());
+        for (_, handle) in waiters {
+            handle.wake();
+        }
     }
 
     /// Registers `handle` (an [`Unparker`](crate::Unparker) or a `Waker`)
@@ -128,29 +122,6 @@ impl CancelToken {
     }
 }
 
-impl Canceller {
-    /// Trips the token and wakes every registered waiter.
-    pub fn cancel(&self) {
-        cancel_inner(&self.inner);
-    }
-
-    /// True once cancelled.
-    pub fn is_cancelled(&self) -> bool {
-        self.inner.cancelled.load(Ordering::Acquire)
-    }
-}
-
-fn cancel_inner(inner: &Inner) {
-    // Flag before drain: see the module docs' race discipline.
-    if inner.cancelled.swap(true, Ordering::AcqRel) {
-        return; // already cancelled; waiters were already woken
-    }
-    let waiters = std::mem::take(&mut *inner.waiters.lock().unwrap());
-    for (_, handle) in waiters {
-        handle.wake();
-    }
-}
-
 impl Drop for Registration {
     fn drop(&mut self) {
         let mut waiters = self.inner.waiters.lock().unwrap();
@@ -171,7 +142,7 @@ mod tests {
     fn fresh_token_not_cancelled() {
         let t = CancelToken::new();
         assert!(!t.is_cancelled());
-        assert!(!t.canceller().is_cancelled());
+        assert!(!t.clone().is_cancelled());
     }
 
     #[test]
@@ -187,7 +158,7 @@ mod tests {
     #[test]
     fn cancel_unparks_registered_waiter() {
         let t = CancelToken::new();
-        let c = t.canceller();
+        let c = t.clone();
         let p = Parker::new();
         let _reg = t.register(p.unparker());
         let h = thread::spawn(move || {

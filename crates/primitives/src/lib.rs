@@ -12,11 +12,6 @@
 //!   fulfillment spin briefly (about a quarter of a context switch) before
 //!   parking; on uniprocessors spinning is useless and disabled.
 //! * [`Backoff`] — bounded exponential backoff for CAS retry loops.
-//! * [`Semaphore`] — a counting semaphore, the substrate of Hanson's
-//!   synchronous queue (Listing 1 in the paper).
-//! * [`TicketLock`] — a strictly FIFO ("fair-mode") lock with queued
-//!   parking, used to reproduce the Java SE 5.0 fair-mode entry lock whose
-//!   pileups the paper identifies as the main fair-mode bottleneck.
 //! * [`WaiterCell`] — a lock-free, single-slot mailbox through which a
 //!   waiter publishes its [`WakeHandle`] — a thread [`Unparker`] or an
 //!   async task `Waker` — to whichever thread fulfills it. This is the
@@ -46,26 +41,18 @@ pub mod backoff;
 pub mod cache_padded;
 pub mod cancel;
 pub mod deadline;
-pub mod fast_semaphore;
 pub mod parker;
-pub mod semaphore;
 pub mod spin;
-pub mod ticket_lock;
 pub mod wait;
 pub mod wait_slot;
 pub mod waiter;
 
-pub use backoff::{
-    Backoff, BACKOFF_SPIN_CAP, BACKOFF_SPIN_LIMIT, BACKOFF_SPIN_SEED, BACKOFF_YIELD_LIMIT,
-};
+pub use backoff::Backoff;
 pub use cache_padded::CachePadded;
-pub use cancel::{CancelToken, Canceller};
+pub use cancel::CancelToken;
 pub use deadline::Deadline;
-pub use fast_semaphore::FastSemaphore;
 pub use parker::{CondvarParker, CondvarUnparker, Parker, Unparker};
-pub use semaphore::Semaphore;
-pub use spin::{SpinCalibrator, SpinPolicy, ADAPTIVE_SPIN_CAP};
-pub use ticket_lock::{TicketLock, TicketLockGuard};
+pub use spin::{SpinCalibrator, SpinPolicy};
 pub use wait::{SpinOnly, WaitStrategy};
 pub use wait_slot::{WaitOutcome, WaitSlot, MIN_TOKEN};
 pub use waiter::{WaiterCell, WakeHandle};

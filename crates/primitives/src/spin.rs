@@ -43,7 +43,7 @@ pub const DEADLINE_POLL_INTERVAL: u32 = 16;
 /// the two tuning knobs agree on what "a context switch is cheaper than
 /// this" means. Untimed waits get 16x this, as in the Java implementation,
 /// because they do no deadline bookkeeping inside the loop.
-pub const ADAPTIVE_SPIN_CAP: u32 = 64;
+pub(crate) const ADAPTIVE_SPIN_CAP: u32 = 64;
 
 // The "one context switch is worth this many spins" line must be drawn in
 // the same place by both tuning knobs (see `BACKOFF_SPIN_CAP`'s docs).
@@ -131,7 +131,7 @@ impl SpinCalibrator {
     }
 
     /// Current spin budget: ~2x the observed direct-handoff latency, capped
-    /// at [`ADAPTIVE_SPIN_CAP`] (timed) or 16x that (untimed).
+    /// at 64 spins (timed) or 16x that (untimed).
     #[inline]
     pub fn budget(&self, timed: bool) -> u32 {
         let ewma = self.ewma_x16.load(Ordering::Relaxed) >> EWMA_FP_SHIFT;

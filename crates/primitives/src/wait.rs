@@ -39,7 +39,7 @@ pub trait WaitStrategy {
 
     /// Asked by the wait loop when the spin budget runs out before the
     /// waiter has parked even once (never after a park): `true` grants one
-    /// more window of [`crate::spin::ADAPTIVE_SPIN_CAP`] spins, polled for
+    /// more window of 64 spins (the adaptive budget's ceiling), polled for
     /// the deadline and token as any spin is, after which it asks again.
     /// For a waiter that can *see* its handoff coming, the paper's "next in
     /// line for fulfillment": the `TransferQueue`'s producer behind a

@@ -245,9 +245,9 @@ impl<T> WaitSlot<T> {
         }
     }
 
-    /// Canceller side: `WAITING → CANCELLED`. On success the slot's
-    /// registered unparker (if any) is discarded — the canceller *is* the
-    /// waiter, so there is nobody to wake.
+    /// Cancelling side: `WAITING → CANCELLED`. On success the slot's
+    /// registered unparker (if any) is discarded — the one cancelling *is*
+    /// the waiter, so there is nobody to wake.
     #[inline]
     pub fn try_cancel(&self) -> bool {
         if self
@@ -772,7 +772,7 @@ mod tests {
     fn await_outcome_cancelled_by_token_while_parked() {
         let slot: Arc<WaitSlot<u32>> = Arc::new(WaitSlot::new());
         let token = Arc::new(CancelToken::new());
-        let canceller = token.canceller();
+        let canceller = token.clone();
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(30));
             canceller.cancel();
@@ -909,7 +909,7 @@ mod tests {
     fn a_fired_token_cancels_an_always_extending_wait() {
         let slot: WaitSlot<u32> = WaitSlot::new();
         let token = CancelToken::new();
-        let canceller = token.canceller();
+        let canceller = token.clone();
         let h = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
             canceller.cancel();

@@ -235,7 +235,7 @@ fn handoffs_count_as_tabled() {
 
     // Refused calls allocate nothing and link nothing.
     let tripped = CancelToken::new();
-    tripped.canceller().cancel();
+    tripped.cancel();
     let (fair, unfair) = (SynchronousQueue::fair(), SynchronousQueue::unfair());
     let before = StatsSnapshot::take();
     for _ in 0..REFUSED_ROUNDS {

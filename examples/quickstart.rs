@@ -65,7 +65,7 @@ fn main() {
     // --- 5. Cancellation ("interrupts") ----------------------------------
     let q3: Arc<SynchronousQueue<u32>> = Arc::new(SynchronousQueue::new());
     let token = CancelToken::new();
-    let canceller = token.canceller();
+    let canceller = token.clone();
     let q4 = Arc::clone(&q3);
     let waiter = thread::spawn(move || q4.take_with(Deadline::Never, Some(&token)));
     thread::sleep(Duration::from_millis(30));

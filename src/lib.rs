@@ -15,11 +15,13 @@
 //! * [`core`] (`synq`) — the paper's contribution: the synchronous dual
 //!   queue (fair) and synchronous dual stack (unfair).
 //! * [`baselines`] — the comparators: naive monitor queue, Hanson's
-//!   semaphore queue, Java SE 5.0-style fair/unfair queues.
+//!   semaphore queue, Java SE 5.0-style fair/unfair queues, and the
+//!   semaphores and FIFO ticket lock they are built from.
 //! * [`reclaim`] — pluggable memory reclamation (the GC substitute): the
 //!   `Reclaimer`/`Shield` trait family with an epoch backend (default) and
 //!   a hazard-pointer backend whose stalled-thread garbage is bounded.
-//! * [`primitives`] — parker, semaphore, ticket lock, backoff, spin policy.
+//! * [`primitives`] — the wait path: parker, spin policy, wait slot,
+//!   cancellation, backoff.
 //! * [`classic`] — Treiber stack, M&S queue, nonsynchronous dual structures.
 //! * [`exchanger`] — elimination-based exchanger and a synchronous stack
 //!   with a one-slot elimination arena in front.

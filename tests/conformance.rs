@@ -242,7 +242,7 @@ fn cancellation_interrupts_both_sides() {
     for (name, ch) in timed_channels() {
         // Consumer side.
         let token = CancelToken::new();
-        let canceller = token.canceller();
+        let canceller = token.clone();
         let ch2 = Arc::clone(&ch);
         let t = thread::spawn(move || ch2.take_with(Deadline::Never, Some(&token)));
         thread::sleep(Duration::from_millis(20));
@@ -253,7 +253,7 @@ fn cancellation_interrupts_both_sides() {
         }
         // Producer side (gets the item back).
         let token = CancelToken::new();
-        let canceller = token.canceller();
+        let canceller = token.clone();
         let ch2 = Arc::clone(&ch);
         let t = thread::spawn(move || ch2.put_with(55, Deadline::Never, Some(&token)));
         thread::sleep(Duration::from_millis(20));

@@ -44,7 +44,7 @@ fn chaos_session(fair: bool) {
         SynchronousQueue::unfair()
     });
     let token = CancelToken::new();
-    let canceller = token.canceller();
+    let canceller = token.clone();
     let received = Arc::new(AtomicUsize::new(0));
     let delivered = Arc::new(AtomicUsize::new(0));
 
@@ -143,7 +143,7 @@ fn repeated_cancel_storms_leave_channel_usable() {
     let q: Arc<SynchronousQueue<u64>> = Arc::new(SynchronousQueue::fair());
     for round in 0..10 {
         let token = CancelToken::new();
-        let canceller = token.canceller();
+        let canceller = token.clone();
         let mut waiters = Vec::new();
         for _ in 0..4 {
             let q = Arc::clone(&q);
