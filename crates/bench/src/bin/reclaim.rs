@@ -68,7 +68,7 @@ fn stalled_level<R: Reclaimer>(pairs: usize, transfers_per_pair: usize) -> f64 {
             let target = Box::into_raw(Box::new(0u64)) as usize;
             let src = AtomicUsize::new(target);
             let guard = R::pin();
-            let _ = guard.protect::<u64>(&src, Ordering::Acquire);
+            let _ = guard.protect(&src, Ordering::Acquire);
             while !stop.load(Ordering::Relaxed) {
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }

@@ -17,7 +17,7 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use synq_primitives::{CachePadded, Parker, WaiterCell};
-use synq_reclaim::{self as epoch, Atomic, Guard, Owned, Shared};
+use synq_reclaim::{Atomic, Epoch, Guard, Owned, Reclaimer, Shared, Shield};
 
 const WAITING: usize = 0;
 const CLAIMED: usize = 1;
@@ -136,7 +136,7 @@ impl<T: Send> DualQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         let dummy = Node::new(false, 1);
-        let guard = unsafe { epoch::unprotected() };
+        let guard = unsafe { Epoch::unprotected() };
         let dummy = dummy.into_shared(&guard);
         let head = Atomic::null();
         let tail = Atomic::null();
@@ -163,9 +163,9 @@ impl<T: Send> DualQueue<T> {
             let was = unsafe { h.deref() }.unlinked.swap(true, Ordering::AcqRel);
             debug_assert!(!was);
             let raw = h.as_raw() as usize;
-            // SAFETY: deferred past the grace period.
+            // SAFETY: unlinked, and retired once; freed past the grace period.
             unsafe {
-                guard.defer_unchecked(move || Node::release(raw as *const Node<T>));
+                guard.defer_retire(raw, move || Node::release(raw as *const Node<T>));
             }
             true
         } else {
@@ -194,7 +194,7 @@ impl<T: Send> DualQueue<T> {
         let mut value = Some(value);
         let mut node: Option<Owned<Node<T>>> = None;
         loop {
-            let guard = epoch::pin();
+            let guard = Epoch::pin();
             self.absorb_cancelled(&guard);
             let h = self.head.load(Ordering::Acquire, &guard);
             let t = self.tail.load(Ordering::Acquire, &guard);
@@ -283,7 +283,7 @@ impl<T: Send> DualQueue<T> {
     pub fn dequeue_reserve(&self) -> DequeueTicket<'_, T> {
         let mut node: Option<Owned<Node<T>>> = None;
         loop {
-            let guard = epoch::pin();
+            let guard = Epoch::pin();
             self.absorb_cancelled(&guard);
             let h = self.head.load(Ordering::Acquire, &guard);
             let t = self.tail.load(Ordering::Acquire, &guard);
@@ -437,7 +437,7 @@ impl<T: Send> DequeueTicket<'_, T> {
                     ) {
                         Ok(_) => {
                             node.waiter.take();
-                            let guard = epoch::pin();
+                            let guard = Epoch::pin();
                             self.queue.absorb_cancelled(&guard);
                             drop(guard);
                             // SAFETY: ticket reference.
@@ -529,7 +529,7 @@ impl<T: Send> Drop for DequeueTicket<'_, T> {
 
 impl<T> Drop for DualQueue<T> {
     fn drop(&mut self) {
-        let guard = unsafe { epoch::unprotected() };
+        let guard = unsafe { Epoch::unprotected() };
         let mut p = self.head.load(Ordering::Relaxed, &guard);
         while !p.is_null() {
             // SAFETY: exclusive access in Drop.

@@ -15,7 +15,7 @@ use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use synq_primitives::{CachePadded, Parker, WaiterCell};
-use synq_reclaim::{self as epoch, Atomic, Guard, Owned, Shared};
+use synq_reclaim::{Atomic, Epoch, Guard, Owned, Reclaimer, Shared, Shield};
 
 const REQUEST: usize = 0;
 const DATA: usize = 1;
@@ -145,9 +145,9 @@ impl<T: Send> DualStack<T> {
             return;
         }
         let raw = node.as_raw() as usize;
-        // SAFETY: deferred past the grace period.
+        // SAFETY: unlinked, and retired once; freed past the grace period.
         unsafe {
-            guard.defer_unchecked(move || Node::release(raw as *const Node<T>));
+            guard.defer_retire(raw, move || Node::release(raw as *const Node<T>));
         }
     }
 
@@ -274,7 +274,7 @@ impl<T: Send> DualStack<T> {
         let mut value = Some(value);
         let mut node: Option<Owned<Node<T>>> = None;
         loop {
-            let guard = epoch::pin();
+            let guard = Epoch::pin();
             self.absorb_cancelled(&guard);
             let h = self.head.load(Ordering::Acquire, &guard);
             let h_ref = unsafe { h.as_ref() };
@@ -376,7 +376,7 @@ impl<T: Send> DualStack<T> {
     pub fn pop_reserve(&self) -> PopTicket<'_, T> {
         let mut node: Option<Owned<Node<T>>> = None;
         loop {
-            let guard = epoch::pin();
+            let guard = Epoch::pin();
             self.absorb_cancelled(&guard);
             let h = self.head.load(Ordering::Acquire, &guard);
             let h_ref = unsafe { h.as_ref() };
@@ -534,7 +534,7 @@ impl<T: Send> PopTicket<'_, T> {
                     .is_ok()
                 {
                     node.waiter.take();
-                    let guard = epoch::pin();
+                    let guard = Epoch::pin();
                     self.stack.absorb_cancelled(&guard);
                     drop(guard);
                     // SAFETY: ticket reference.
@@ -607,7 +607,7 @@ impl<T: Send> Drop for PopTicket<'_, T> {
 
 impl<T> Drop for DualStack<T> {
     fn drop(&mut self) {
-        let guard = unsafe { epoch::unprotected() };
+        let guard = unsafe { Epoch::unprotected() };
         let mut p = self.head.load(Ordering::Relaxed, &guard);
         while !p.is_null() {
             // SAFETY: exclusive access in Drop.

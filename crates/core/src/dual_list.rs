@@ -319,11 +319,6 @@ impl<S: WaitStrategy + ?Sized, R: Reclaimer> WaitStrategy for Reclaiming<'_, S, 
     }
 
     #[inline]
-    fn deadline_poll_interval(&self) -> u32 {
-        self.strategy.deadline_poll_interval()
-    }
-
-    #[inline]
     fn extend_spin(&self) -> bool {
         self.strategy.extend_spin()
     }

@@ -1126,7 +1126,7 @@ impl<T: Send, R: Reclaimer> WaitStrategy for DrainSpin<'_, T, R> {
     }
 
     fn extend_spin(&self) -> bool {
-        if self.queue.spin.max_untimed_spins == 0 {
+        if !self.queue.spin.spins() {
             return false;
         }
         let now = self.queue.ring.len();

@@ -19,7 +19,7 @@ use synq::{
     TimedSyncChannel, TransferOutcome,
 };
 use synq_obs::{Probe, StatsSnapshot};
-use synq_reclaim::{Epoch, Reclaimer};
+use synq_reclaim::{Epoch, Reclaimer, Shield};
 
 /// Closures on the chain: more than the slices each phase runs.
 const K: usize = 16;
@@ -43,7 +43,7 @@ fn reach_a_draining_mark() {
     MARKER.store(false, Ordering::SeqCst);
     let guard = synq_reclaim::pin();
     // SAFETY: the closure touches only a static.
-    unsafe { guard.defer_unchecked(|| MARKER.store(true, Ordering::SeqCst)) };
+    unsafe { guard.defer_retire(0, || MARKER.store(true, Ordering::SeqCst)) };
     guard.flush();
     drop(guard);
     for _ in 0..10_000 {
@@ -64,7 +64,7 @@ fn load_the_chain() {
     for _ in 0..K {
         // SAFETY: the closure touches only a static.
         unsafe {
-            guard.defer_unchecked(|| {
+            guard.defer_retire(0, || {
                 RAN.fetch_add(1, Ordering::SeqCst);
             })
         };

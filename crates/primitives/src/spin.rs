@@ -29,8 +29,8 @@ use std::sync::Arc;
 /// Spin iterations between deadline/cancellation polls in the wait loop.
 ///
 /// `Instant::now()` is a vDSO call but still tens of nanoseconds — polling
-/// it every spin would dominate short spins, so [`crate::WaitStrategy`]
-/// amortizes it over this many iterations by default. The worst-case
+/// it every spin would dominate short spins, so [`crate::WaitSlot`]'s wait
+/// loop amortizes it over this many iterations. The worst-case
 /// deadline overshoot is therefore this many `spin_loop` hints, well under
 /// a scheduling quantum. See DESIGN.md §4.7.
 pub const DEADLINE_POLL_INTERVAL: u32 = 16;
@@ -156,9 +156,9 @@ pub struct SpinPolicy {
     /// Spin iterations before parking when the wait has a deadline. For a
     /// calibrated policy this is the cap; the live budget comes from the
     /// calibrator.
-    pub max_timed_spins: u32,
+    max_timed_spins: u32,
     /// Spin iterations before parking when the wait is unbounded.
-    pub max_untimed_spins: u32,
+    max_untimed_spins: u32,
     /// Online budget estimator; `None` for the fixed ablation settings and
     /// on uniprocessors (where any spinning only delays the peer).
     calibrator: Option<Arc<SpinCalibrator>>,
@@ -230,6 +230,14 @@ impl SpinPolicy {
         }
     }
 
+    /// Whether this policy spins at all: false for
+    /// [`SpinPolicy::park_immediately`], `fixed(0)` and the adaptive
+    /// policy on a uniprocessor, whatever a calibrator would answer.
+    #[inline]
+    pub fn spins(&self) -> bool {
+        self.max_untimed_spins > 0
+    }
+
     /// The calibrator backing this policy, if it is an adaptive one.
     #[inline]
     pub fn calibrator(&self) -> Option<&SpinCalibrator> {
@@ -269,6 +277,14 @@ mod tests {
         assert_eq!(SpinPolicy::fixed(10).spins_for(false), 160);
         assert_eq!(SpinPolicy::park_immediately().spins_for(true), 0);
         assert_eq!(SpinPolicy::park_immediately().spins_for(false), 0);
+    }
+
+    #[test]
+    fn only_a_zero_budget_does_not_spin() {
+        assert!(SpinPolicy::fixed(1).spins());
+        assert!(!SpinPolicy::fixed(0).spins());
+        assert!(!SpinPolicy::park_immediately().spins());
+        assert_eq!(SpinPolicy::adaptive().spins(), ncpus() >= 2);
     }
 
     #[test]

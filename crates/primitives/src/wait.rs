@@ -9,7 +9,7 @@
 //! abstracts exactly the knobs the wait loop consumes so that every
 //! structure — and the benchmark harness — can sweep them uniformly.
 
-use crate::spin::{SpinPolicy, DEADLINE_POLL_INTERVAL};
+use crate::spin::SpinPolicy;
 
 /// How a waiter burns time between publishing its node and being matched.
 ///
@@ -27,14 +27,6 @@ pub trait WaitStrategy {
     /// a timeout instead of descheduling.
     fn parks(&self) -> bool {
         true
-    }
-
-    /// Poll the deadline and cancellation token only once per this many
-    /// spin iterations. `Instant::now()` is a vDSO call but still tens of
-    /// nanoseconds — hammering it every pass would dominate short spins.
-    /// Defaults to [`DEADLINE_POLL_INTERVAL`].
-    fn deadline_poll_interval(&self) -> u32 {
-        DEADLINE_POLL_INTERVAL
     }
 
     /// Asked by the wait loop when the spin budget runs out before the
@@ -125,7 +117,6 @@ mod tests {
         assert_eq!(p.spin_budget(true), 8);
         assert_eq!(p.spin_budget(false), 128);
         assert!(p.parks());
-        assert!(p.deadline_poll_interval() > 0);
     }
 
     #[test]

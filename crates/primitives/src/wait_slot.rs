@@ -47,7 +47,7 @@
 use crate::cancel::CancelToken;
 use crate::deadline::Deadline;
 use crate::parker::Parker;
-use crate::spin::ADAPTIVE_SPIN_CAP;
+use crate::spin::{ADAPTIVE_SPIN_CAP, DEADLINE_POLL_INTERVAL};
 use crate::wait::WaitStrategy;
 use crate::waiter::WaiterCell;
 use core::task::{Poll, Waker};
@@ -339,7 +339,7 @@ impl<T> WaitSlot<T> {
     /// mean the slot is terminally `CANCELLED` and no fulfiller touched it.
     ///
     /// The deadline and token are polled once per
-    /// [`WaitStrategy::deadline_poll_interval`] spin iterations (and
+    /// [`DEADLINE_POLL_INTERVAL`] spin iterations (and
     /// immediately after every unpark) rather than every pass.
     pub fn await_outcome<S: WaitStrategy + ?Sized>(
         &self,
@@ -432,7 +432,6 @@ impl<T> WaitSlot<T> {
         arbitrate: bool,
     ) -> Result<WaitOutcome, WaitOutcome> {
         let mut spins = strategy.spin_budget(deadline.is_timed());
-        let poll_interval = strategy.deadline_poll_interval().max(1);
         // Poll on the very first pass (Deadline::Now must not spin through
         // a whole interval), then once per interval.
         let mut until_poll = 0u32;
@@ -458,7 +457,7 @@ impl<T> WaitSlot<T> {
             }
 
             if until_poll == 0 {
-                until_poll = poll_interval;
+                until_poll = DEADLINE_POLL_INTERVAL;
                 if token.is_some_and(|t| t.is_cancelled()) {
                     if arbitrate {
                         if self.try_cancel() {

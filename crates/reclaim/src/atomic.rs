@@ -1,11 +1,10 @@
-//! Tagged atomic pointers: [`Atomic`], [`Owned`], [`Shared`].
+//! Atomic pointers to reclaimed nodes: [`Atomic`], [`Owned`], [`Shared`].
 //!
-//! The unused low bits of a well-aligned pointer store a small integer
-//! *tag*. The paper's authors note that "Java does not allow us to set flag
-//! bits in pointers (to distinguish among the types of pointed-to nodes)"
-//! and pay an extra word per node instead; in Rust we can offer both (the
-//! synchronous queues use a mode word for fidelity to the paper, and the
-//! ablation benches exercise tags).
+//! The paper's authors note that "Java does not allow us to set flag bits
+//! in pointers (to distinguish among the types of pointed-to nodes)" and
+//! pay an extra word per node instead. The structures here keep that mode
+//! word, so these pointers are plain addresses: no bits are stolen, and
+//! the word an [`Atomic`] holds is exactly the address it points at.
 
 use crate::reclaimer::{Epoch, Reclaimer, Shield};
 use std::fmt;
@@ -14,31 +13,11 @@ use std::mem;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Bit mask of the tag bits available for `T` (alignment − 1).
-#[inline]
-fn low_bits<T>() -> usize {
-    mem::align_of::<T>() - 1
-}
-
-#[inline]
-fn compose<T>(raw: *const T, tag: usize) -> usize {
-    debug_assert_eq!(raw as usize & low_bits::<T>(), 0, "unaligned pointer");
-    (raw as usize) | (tag & low_bits::<T>())
-}
-
-#[inline]
-fn decompose<T>(data: usize) -> (*const T, usize) {
-    (
-        (data & !low_bits::<T>()) as *const T,
-        data & low_bits::<T>(),
-    )
-}
-
 /// Types that can be passed as the "new" operand of atomic operations.
 pub trait Pointer<T> {
-    /// The composed pointer+tag word.
+    /// The pointer as an address word.
     fn into_usize(self) -> usize;
-    /// Rebuilds the value from a composed word.
+    /// Rebuilds the value from an address word.
     ///
     /// # Safety
     ///
@@ -47,20 +26,20 @@ pub trait Pointer<T> {
     unsafe fn from_usize(data: usize) -> Self;
 }
 
-/// An owned, heap-allocated `T` with a tag — the unique-ownership stage of
-/// a node's life, before it is published into a structure.
+/// An owned, heap-allocated `T` — the unique-ownership stage of a node's
+/// life, before it is published into a structure.
 pub struct Owned<T> {
     data: usize,
     _marker: PhantomData<Box<T>>,
 }
 
-/// A tagged pointer valid for the lifetime of a guard borrow.
+/// A pointer valid for the lifetime of a guard borrow.
 pub struct Shared<'g, T> {
     data: usize,
     _marker: PhantomData<(&'g (), *const T)>,
 }
 
-/// A tagged atomic pointer to `T`, reclaimed through the backend `R`
+/// An atomic pointer to `T`, reclaimed through the backend `R`
 /// (defaulted to [`Epoch`] so pre-trait code compiles unchanged).
 ///
 /// `R` only matters for [`Atomic::load`], which routes the read through
@@ -91,28 +70,9 @@ impl<T, P: Pointer<T>> fmt::Debug for CompareExchangeError<'_, T, P> {
 // ---------------------------------------------------------------- Owned --
 
 impl<T> Owned<T> {
-    /// Heap-allocates `value` with tag 0.
+    /// Heap-allocates `value`.
     pub fn new(value: T) -> Self {
-        Owned {
-            data: compose(Box::into_raw(Box::new(value)), 0),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Returns the tag.
-    pub fn tag(&self) -> usize {
-        decompose::<T>(self.data).1
-    }
-
-    /// Returns the same allocation with the tag replaced.
-    pub fn with_tag(self, tag: usize) -> Self {
-        let data = self.data;
-        mem::forget(self);
-        let (raw, _) = decompose::<T>(data);
-        Owned {
-            data: compose(raw, tag),
-            _marker: PhantomData,
-        }
+        Self::from_box(Box::new(value))
     }
 
     /// Converts into a [`Shared`] bound to `_guard` (any backend's guard
@@ -127,45 +87,42 @@ impl<T> Owned<T> {
         }
     }
 
-    /// Wraps an existing allocation (tag 0).
+    /// Wraps an existing allocation.
     pub fn from_box(b: Box<T>) -> Self {
         Owned {
-            data: compose(Box::into_raw(b), 0),
+            data: Box::into_raw(b) as usize,
             _marker: PhantomData,
         }
     }
 
     /// Unwraps the allocation.
     pub fn into_box(self) -> Box<T> {
-        let (raw, _) = decompose::<T>(self.data);
+        let raw = self.data as *mut T;
         mem::forget(self);
         // SAFETY: Owned uniquely owns the Box-allocated pointer.
-        unsafe { Box::from_raw(raw as *mut T) }
+        unsafe { Box::from_raw(raw) }
     }
 }
 
 impl<T> Deref for Owned<T> {
     type Target = T;
     fn deref(&self) -> &T {
-        let (raw, _) = decompose::<T>(self.data);
         // SAFETY: unique ownership of a valid allocation.
-        unsafe { &*raw }
+        unsafe { &*(self.data as *const T) }
     }
 }
 
 impl<T> DerefMut for Owned<T> {
     fn deref_mut(&mut self) -> &mut T {
-        let (raw, _) = decompose::<T>(self.data);
         // SAFETY: unique ownership of a valid allocation.
-        unsafe { &mut *(raw as *mut T) }
+        unsafe { &mut *(self.data as *mut T) }
     }
 }
 
 impl<T> Drop for Owned<T> {
     fn drop(&mut self) {
-        let (raw, _) = decompose::<T>(self.data);
         // SAFETY: unique ownership.
-        drop(unsafe { Box::from_raw(raw as *mut T) });
+        drop(unsafe { Box::from_raw(self.data as *mut T) });
     }
 }
 
@@ -185,10 +142,7 @@ impl<T> Pointer<T> for Owned<T> {
 
 impl<T: fmt::Debug> fmt::Debug for Owned<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Owned")
-            .field("value", &**self)
-            .field("tag", &self.tag())
-            .finish()
+        f.debug_struct("Owned").field("value", &**self).finish()
     }
 }
 
@@ -202,7 +156,7 @@ impl<T> Clone for Shared<'_, T> {
 impl<T> Copy for Shared<'_, T> {}
 
 impl<'g, T> Shared<'g, T> {
-    /// The null pointer (tag 0).
+    /// The null pointer.
     pub fn null() -> Self {
         Shared {
             data: 0,
@@ -210,28 +164,14 @@ impl<'g, T> Shared<'g, T> {
         }
     }
 
-    /// Raw pointer with the tag stripped.
+    /// The raw pointer.
     pub fn as_raw(&self) -> *const T {
-        decompose::<T>(self.data).0
+        self.data as *const T
     }
 
-    /// True if the pointer (ignoring tag) is null.
+    /// True if the pointer is null.
     pub fn is_null(&self) -> bool {
-        self.as_raw().is_null()
-    }
-
-    /// The tag bits.
-    pub fn tag(&self) -> usize {
-        decompose::<T>(self.data).1
-    }
-
-    /// Same pointer, different tag.
-    pub fn with_tag(&self, tag: usize) -> Shared<'g, T> {
-        let (raw, _) = decompose::<T>(self.data);
-        Shared {
-            data: compose(raw, tag),
-            _marker: PhantomData,
-        }
+        self.data == 0
     }
 
     /// Dereferences the pointer.
@@ -269,12 +209,12 @@ impl<'g, T> Shared<'g, T> {
         unsafe { Owned::from_usize(self.data) }
     }
 
-    /// Pointer equality including tags.
+    /// Pointer equality.
     pub fn ptr_eq(&self, other: &Shared<'_, T>) -> bool {
         self.data == other.data
     }
 
-    /// Builds a `Shared` from a raw pointer (tag 0).
+    /// Builds a `Shared` from a raw pointer.
     ///
     /// # Safety
     ///
@@ -282,7 +222,6 @@ impl<'g, T> Shared<'g, T> {
     /// means `load` would provide: a pin covering its reachability, or a
     /// reference count / exclusive access held by the caller.
     pub unsafe fn from_raw(raw: *const T) -> Shared<'g, T> {
-        debug_assert_eq!(raw as usize & low_bits::<T>(), 0, "unaligned pointer");
         Shared {
             data: raw as usize,
             _marker: PhantomData,
@@ -313,7 +252,6 @@ impl<T> fmt::Debug for Shared<'_, T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Shared")
             .field("raw", &self.as_raw())
-            .field("tag", &self.tag())
             .finish()
     }
 }
@@ -327,12 +265,9 @@ impl<T> Default for Shared<'_, T> {
 // --------------------------------------------------------------- Atomic --
 
 impl<T, R> Atomic<T, R> {
-    /// Heap-allocates `value` and points at it (tag 0).
+    /// Heap-allocates `value` and points at it.
     pub fn new(value: T) -> Self {
-        Atomic {
-            data: AtomicUsize::new(compose(Box::into_raw(Box::new(value)), 0)),
-            _marker: PhantomData,
-        }
+        Self::from_owned(Owned::new(value))
     }
 
     /// A null atomic pointer.
@@ -373,7 +308,7 @@ impl<T, R: Reclaimer> Atomic<T, R> {
     pub fn load<'g>(&self, ord: Ordering, guard: &'g R::Guard) -> Shared<'g, T> {
         // SAFETY: Shared::from_usize on a word this Atomic holds, protected
         // per the Shield contract.
-        unsafe { Shared::from_usize(guard.protect::<T>(&self.data, ord)) }
+        unsafe { Shared::from_usize(guard.protect(&self.data, ord)) }
     }
 
     /// Stores a new pointer, discarding (not freeing) the old one.
@@ -445,15 +380,6 @@ impl<T, R: Reclaimer> Atomic<T, R> {
             }),
         }
     }
-
-    /// Bitwise OR on the tag bits; returns the previous value (subject to
-    /// the same no-deref caveat as [`Atomic::swap`] under bounded-slot
-    /// backends).
-    pub fn fetch_or<'g>(&self, tag: usize, ord: Ordering, _guard: &'g R::Guard) -> Shared<'g, T> {
-        let prev = self.data.fetch_or(tag & low_bits::<T>(), ord);
-        // SAFETY: word held by this Atomic.
-        unsafe { Shared::from_usize(prev) }
-    }
 }
 
 impl<T, R> Default for Atomic<T, R> {
@@ -464,12 +390,8 @@ impl<T, R> Default for Atomic<T, R> {
 
 impl<T, R> fmt::Debug for Atomic<T, R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let data = self.data.load(Ordering::Relaxed);
-        let (raw, tag) = decompose::<T>(data);
-        f.debug_struct("Atomic")
-            .field("raw", &raw)
-            .field("tag", &tag)
-            .finish()
+        let raw = self.data.load(Ordering::Relaxed) as *const T;
+        f.debug_struct("Atomic").field("raw", &raw).finish()
     }
 }
 
@@ -483,30 +405,24 @@ unsafe impl<T: Send> Send for Owned<T> {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::guard::unprotected;
 
-    #[test]
-    fn owned_roundtrip() {
-        let o = Owned::new(42u64);
-        assert_eq!(*o, 42);
-        assert_eq!(o.tag(), 0);
-        let o = o.with_tag(3);
-        assert_eq!(o.tag(), 3);
-        assert_eq!(*o, 42);
-        let b = o.into_box();
-        assert_eq!(*b, 42);
+    fn unprotected() -> <Epoch as Reclaimer>::Guard {
+        // SAFETY: every test owns the atomics it touches.
+        unsafe { Epoch::unprotected() }
     }
 
     #[test]
-    fn tag_bits_bounded_by_alignment() {
-        // u64 has alignment 8 → 3 tag bits.
-        let o = Owned::new(1u64).with_tag(0xff);
-        assert_eq!(o.tag(), 0x7);
+    fn owned_roundtrip() {
+        let mut o = Owned::new(42u64);
+        assert_eq!(*o, 42);
+        *o += 1;
+        let b = o.into_box();
+        assert_eq!(*b, 43);
     }
 
     #[test]
     fn atomic_load_store_swap() {
-        let g = unsafe { unprotected() };
+        let g = unprotected();
         let a: Atomic<u64> = Atomic::new(10);
         let p = a.load(Ordering::Acquire, &g);
         assert_eq!(unsafe { *p.deref() }, 10);
@@ -522,7 +438,7 @@ mod tests {
 
     #[test]
     fn compare_exchange_success_and_failure() {
-        let g = unsafe { unprotected() };
+        let g = unprotected();
         let a: Atomic<u64> = Atomic::new(1);
         let cur = a.load(Ordering::Acquire, &g);
 
@@ -550,31 +466,16 @@ mod tests {
     }
 
     #[test]
-    fn shared_null_and_tags() {
+    fn shared_null() {
         let n = Shared::<u64>::null();
         assert!(n.is_null());
-        assert_eq!(n.tag(), 0);
-        let t = n.with_tag(1);
-        assert!(t.is_null());
-        assert_eq!(t.tag(), 1);
-        assert!(!t.ptr_eq(&n));
-    }
-
-    #[test]
-    fn fetch_or_sets_tag() {
-        let g = unsafe { unprotected() };
-        let a: Atomic<u64> = Atomic::new(5);
-        let before = a.fetch_or(1, Ordering::AcqRel, &g);
-        assert_eq!(before.tag(), 0);
-        let after = a.load(Ordering::Acquire, &g);
-        assert_eq!(after.tag(), 1);
-        assert_eq!(unsafe { *after.deref() }, 5);
-        unsafe { drop(Box::from_raw(after.as_raw() as *mut u64)) };
+        assert!(n.as_raw().is_null());
+        assert!(n.ptr_eq(&Shared::default()));
     }
 
     #[test]
     fn compare_exchange_weak_eventually_succeeds() {
-        let g = unsafe { unprotected() };
+        let g = unprotected();
         let a: Atomic<u64> = Atomic::new(1);
         let cur = a.load(Ordering::Acquire, &g);
         let mut new = Owned::new(2u64);
@@ -597,7 +498,7 @@ mod tests {
 
     #[test]
     fn owned_from_box_and_shared_from_raw() {
-        let g = unsafe { unprotected() };
+        let g = unprotected();
         let o = Owned::from_box(Box::new(9u64));
         let raw = &*o as *const u64;
         let a: Atomic<u64> = Atomic::from_owned(o);
@@ -608,7 +509,7 @@ mod tests {
 
     #[test]
     fn default_atomic_is_null() {
-        let g = unsafe { unprotected() };
+        let g = unprotected();
         let a = Atomic::<u64>::default();
         assert!(a.load(Ordering::Acquire, &g).is_null());
     }

@@ -7,7 +7,7 @@
 //! seal epoch (three-epoch reclamation): recording the *seal*-time epoch is
 //! conservative, since every item in the bag was retired at or before it.
 //!
-//! The storage is inline (a length plus an array), so sealing moves the
+//! The storage is inline (two indices and an array), so sealing moves the
 //! bag into a pooled garbage-node skeleton and allocates nothing.
 
 use crate::deferred::Deferred;
@@ -16,13 +16,12 @@ use std::mem::MaybeUninit;
 /// Maximum number of deferred items in a bag before it must be sealed.
 pub(crate) const MAX_OBJECTS: usize = 64;
 
-/// A fixed-capacity container of deferred closures.
+/// A fixed-capacity container of deferred closures, each a retirement
+/// that the garbage ledger counts until it runs.
 pub(crate) struct Bag {
-    /// `deferreds[..len]` are initialized.
+    /// `deferreds[..len - ran]` are initialized: pushed, and not yet run.
+    ran: usize,
     len: usize,
-    /// How many of them came through `Shield::defer_retire`: the items the
-    /// garbage ledger counts, settled when the bag runs.
-    retired: usize,
     deferreds: [MaybeUninit<Deferred>; MAX_OBJECTS],
 }
 
@@ -30,56 +29,50 @@ impl Bag {
     pub(crate) fn new() -> Self {
         const EMPTY: MaybeUninit<Deferred> = MaybeUninit::uninit();
         Bag {
+            ran: 0,
             len: 0,
-            retired: 0,
             deferreds: [EMPTY; MAX_OBJECTS],
         }
     }
 
     pub(crate) fn is_empty(&self) -> bool {
-        self.len == 0
+        self.ran == self.len
     }
 
     pub(crate) fn is_full(&self) -> bool {
         self.len == MAX_OBJECTS
     }
 
-    /// Adds `deferred`, counted as a ledger retirement if `retired`. The
-    /// bag must not be full (the index panics if it is).
-    pub(crate) fn push(&mut self, deferred: Deferred, retired: bool) {
+    /// Adds `deferred`. Only an open bag is pushed to, and it must not be
+    /// full (the index panics if it is).
+    pub(crate) fn push(&mut self, deferred: Deferred) {
+        debug_assert_eq!(self.ran, 0, "pushing to a bag being run");
         self.deferreds[self.len].write(deferred);
         self.len += 1;
-        self.retired += usize::from(retired);
     }
 
-    /// Runs every deferred closure in the bag, emptying it. Returns how
-    /// many of them were ledger retirements.
-    pub(crate) fn call_all(&mut self) -> usize {
-        let len = std::mem::take(&mut self.len);
-        for slot in &mut self.deferreds[..len] {
-            // SAFETY: the first `len` slots were initialized by `push`, and
-            // zeroing `len` first makes this the only read of each.
-            unsafe { slot.assume_init_read() }.call();
-        }
-        std::mem::take(&mut self.retired)
-    }
-
-    /// Runs the most recently pushed closure. Returns the bag's ledger
-    /// retirements once that was its last one, so a bag run piecemeal is
-    /// still settled once.
+    /// Runs the newest closure not yet run. Returns how many closures the
+    /// bag held once that was its last one, so a bag run piecemeal is
+    /// settled on the ledger once.
     pub(crate) fn call_one(&mut self) -> Option<usize> {
         debug_assert!(!self.is_empty(), "running an empty bag");
-        self.len -= 1;
-        // SAFETY: slot `len` was initialized by `push`, and lowering `len`
+        self.ran += 1;
+        let slot = self.len - self.ran;
+        // SAFETY: the slot was initialized by `push`, and raising `ran`
         // first makes this the only read of it.
-        unsafe { self.deferreds[self.len].assume_init_read() }.call();
-        self.is_empty().then(|| std::mem::take(&mut self.retired))
+        unsafe { self.deferreds[slot].assume_init_read() }.call();
+        self.is_empty().then(|| {
+            self.ran = 0;
+            std::mem::take(&mut self.len)
+        })
     }
 }
 
 impl Drop for Bag {
     fn drop(&mut self) {
-        self.call_all();
+        while !self.is_empty() {
+            self.call_one();
+        }
     }
 }
 
@@ -116,7 +109,7 @@ mod tests {
         let mut bag = Bag::new();
         for _ in 0..MAX_OBJECTS {
             assert!(!bag.is_full());
-            bag.push(counting_deferred(&c), false);
+            bag.push(counting_deferred(&c));
         }
         assert!(bag.is_full());
         assert_eq!(c.load(Ordering::SeqCst), 0);
@@ -129,38 +122,30 @@ mod tests {
         let c = Arc::new(AtomicUsize::new(0));
         let mut bag = Bag::new();
         for _ in 0..10 {
-            bag.push(counting_deferred(&c), false);
+            bag.push(counting_deferred(&c));
         }
         drop(bag);
         assert_eq!(c.load(Ordering::SeqCst), 10);
     }
 
     #[test]
-    fn call_all_reports_the_retired_share() {
-        let c = Arc::new(AtomicUsize::new(0));
-        let mut bag = Bag::new();
-        for i in 0..10 {
-            bag.push(counting_deferred(&c), i % 3 == 0);
-        }
-        assert_eq!(bag.call_all(), 4, "items 0, 3, 6 and 9");
-        assert_eq!(c.load(Ordering::SeqCst), 10);
-        assert_eq!(bag.call_all(), 0, "an emptied bag runs nothing");
-        assert_eq!(c.load(Ordering::SeqCst), 10);
-    }
-
-    #[test]
-    fn call_one_reports_the_retired_share_with_the_last_closure() {
-        let c = Arc::new(AtomicUsize::new(0));
+    fn call_one_runs_the_newest_first_and_reports_the_count_with_the_last() {
+        let order = Arc::new(std::sync::Mutex::new(Vec::new()));
         let mut bag = Bag::new();
         for i in 0..3 {
-            bag.push(counting_deferred(&c), i != 1);
+            let order = Arc::clone(&order);
+            bag.push(Deferred::new(move || order.lock().unwrap().push(i)));
         }
         assert_eq!(bag.call_one(), None);
         assert_eq!(bag.call_one(), None);
-        assert_eq!(c.load(Ordering::SeqCst), 2);
-        assert_eq!(bag.call_one(), Some(2), "settled once, with the last");
+        assert_eq!(*order.lock().unwrap(), [2, 1]);
+        assert_eq!(bag.call_one(), Some(3), "settled once, with the last");
         assert!(bag.is_empty());
-        assert_eq!(c.load(Ordering::SeqCst), 3);
+        assert_eq!(*order.lock().unwrap(), [2, 1, 0]);
+
+        // The emptied bag is open again, for a fresh count.
+        bag.push(Deferred::new(|| {}));
+        assert_eq!(bag.call_one(), Some(1));
     }
 
     #[test]
@@ -179,9 +164,9 @@ mod tests {
         let mut bag = Bag::new();
         assert!(bag.is_empty());
         let c = Arc::new(AtomicUsize::new(0));
-        bag.push(counting_deferred(&c), false);
+        bag.push(counting_deferred(&c));
         assert!(!bag.is_empty());
-        bag.call_all();
+        bag.call_one();
         assert!(bag.is_empty());
         assert_eq!(c.load(Ordering::SeqCst), 1);
     }

@@ -28,7 +28,7 @@ impl fmt::Debug for Deferred {
 }
 
 // SAFETY: the closure is required to be Send at construction (enforced by
-// the caller contract of `Deferred::new` — see `Guard::defer_unchecked`).
+// the caller contract of `Deferred::new` — see `Shield::defer_retire`).
 unsafe impl Send for Deferred {}
 
 impl Deferred {

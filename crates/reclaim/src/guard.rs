@@ -1,59 +1,23 @@
 //! Pinning guards.
 
-use crate::atomic::Shared;
-use crate::deferred::Deferred;
 use crate::internal::Local;
 use std::fmt;
-use std::ptr;
 
 /// A witness that the current thread is pinned.
 ///
 /// While a `Guard` is alive, the global epoch cannot advance more than one
-/// step past the epoch observed at pin time, so any [`Shared`] pointer
-/// loaded through it remains valid (not freed) for the guard's lifetime.
+/// step past the epoch observed at pin time, so any [`crate::Shared`]
+/// pointer loaded through it remains valid (not freed) for the guard's
+/// lifetime.
 ///
 /// Dropping the guard unpins the thread (when the last nested guard goes).
 pub struct Guard {
-    /// Owning participant record; null for [`unprotected`] guards.
+    /// Owning participant record; null for the guard of
+    /// [`crate::Reclaimer::unprotected`].
     pub(crate) local: *const Local,
 }
 
 impl Guard {
-    /// Defers an arbitrary closure until no pinned thread can hold
-    /// references obtained before this point.
-    ///
-    /// # Safety
-    ///
-    /// The closure must be safe to run on any thread, at any later time —
-    /// in particular it must not capture references that could dangle by
-    /// then (raw pointers whose targets outlive the deferral are the
-    /// intended cargo). On an [`unprotected`] guard the closure runs
-    /// immediately (exclusive access implies no grace period is needed).
-    pub unsafe fn defer_unchecked<F: FnOnce()>(&self, f: F) {
-        match unsafe { self.local.as_ref() } {
-            Some(local) => local.defer(Deferred::new(f)),
-            None => f(),
-        }
-    }
-
-    /// Defers dropping the heap allocation behind `ptr`.
-    ///
-    /// # Safety
-    ///
-    /// `ptr` must have been produced by [`crate::Owned::new`] (or
-    /// equivalent `Box` allocation), must be unlinked from the structure so
-    /// no *new* references can be created, and must not be destroyed twice.
-    pub unsafe fn defer_destroy<T>(&self, ptr: Shared<'_, T>) {
-        let raw = ptr.as_raw() as usize;
-        // SAFETY: per caller contract; the closure only runs once the grace
-        // period has elapsed.
-        unsafe {
-            self.defer_unchecked(move || {
-                drop(Box::from_raw(raw as *mut T));
-            });
-        }
-    }
-
     /// Seals this thread's garbage bag and runs a collection cycle.
     /// No-op on an unprotected guard.
     pub fn flush(&self) {
@@ -76,39 +40,5 @@ impl Drop for Guard {
 impl fmt::Debug for Guard {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.pad("Guard { .. }")
-    }
-}
-
-/// Returns a dummy guard that performs no pinning and runs deferred
-/// closures immediately.
-///
-/// # Safety
-///
-/// Usable only when the caller has exclusive access to the data structure
-/// (e.g. inside `Drop` or when holding `&mut`), because loads through this
-/// guard are not protected by any grace period.
-pub unsafe fn unprotected() -> Guard {
-    Guard { local: ptr::null() }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
-
-    #[test]
-    fn unprotected_defer_runs_immediately() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        let c = Arc::clone(&counter);
-        // SAFETY: no shared structure involved.
-        let guard = unsafe { unprotected() };
-        unsafe {
-            guard.defer_unchecked(move || {
-                c.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-        assert_eq!(counter.load(Ordering::SeqCst), 1);
-        guard.flush(); // no-op, must not crash
     }
 }

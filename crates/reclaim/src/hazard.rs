@@ -37,7 +37,6 @@
 use crate::deferred::Deferred;
 use crate::reclaimer::{GarbageLedger, Reclaimer, Shield, SLOT_WINDOW};
 use std::cell::{Cell, RefCell};
-use std::mem;
 use std::ptr;
 use std::sync::atomic::{fence, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
@@ -104,7 +103,7 @@ fn pending() -> usize {
 static ORPHANS: Mutex<Vec<Retired>> = Mutex::new(Vec::new());
 
 struct Retired {
-    /// Untagged allocation address — the scan key.
+    /// Allocation address — the scan key.
     addr: usize,
     deferred: Deferred,
 }
@@ -355,18 +354,16 @@ impl Reclaimer for Hazard {
 }
 
 impl Shield for HazardGuard {
-    fn protect<T>(&self, src: &AtomicUsize, ord: Ordering) -> usize {
+    fn protect(&self, src: &AtomicUsize, ord: Ordering) -> usize {
         let Some(local) = self.local() else {
             return src.load(ord);
         };
         debug_assert!(local.guard_count.get() > 0, "protect outside a pin");
-        let mask = mem::align_of::<T>() - 1;
         let slot = local.next_slot();
         let mut cur = src.load(ord);
         loop {
-            let addr = cur & !mask;
-            publish(slot, addr);
-            if addr == 0 {
+            publish(slot, cur);
+            if cur == 0 {
                 return cur;
             }
             let again = src.load(ord);
@@ -443,7 +440,7 @@ mod tests {
         let src = AtomicUsize::new(addr);
 
         let g = Hazard::pin();
-        let seen = g.protect::<u64>(&src, Ordering::Acquire);
+        let seen = g.protect(&src, Ordering::Acquire);
         assert_eq!(seen, addr);
 
         // Retire the node from a nested guard and force scans: the slot
@@ -499,7 +496,7 @@ mod tests {
             .map(|i| AtomicUsize::new((i + 1) << 3))
             .collect();
         for w in &words {
-            let v = g.protect::<u64>(w, Ordering::Acquire);
+            let v = g.protect(w, Ordering::Acquire);
             assert_eq!(v, w.load(Ordering::Relaxed));
         }
         drop(g);
@@ -513,7 +510,7 @@ mod tests {
 
         // Main thread protects the node...
         let g = Hazard::pin();
-        assert_eq!(g.protect::<u64>(&src, Ordering::Acquire), addr);
+        assert_eq!(g.protect(&src, Ordering::Acquire), addr);
 
         // ...a worker retires it and exits; its final scan cannot free it,
         // so the entry lands on the orphan list.
@@ -592,7 +589,7 @@ mod tests {
         let (addr, free) = tracked_alloc(&drops);
         let src = AtomicUsize::new(addr);
         let g = unsafe { Hazard::unprotected() };
-        assert_eq!(g.protect::<u64>(&src, Ordering::Acquire), addr);
+        assert_eq!(g.protect(&src, Ordering::Acquire), addr);
         unsafe { g.defer_retire(addr, free) };
         assert_eq!(drops.load(Ordering::SeqCst), 1);
         g.flush(); // no-op, must not crash
@@ -605,7 +602,7 @@ mod tests {
         let src = AtomicUsize::new(addr);
 
         let outer = Hazard::pin();
-        let seen = outer.protect::<u64>(&src, Ordering::Acquire);
+        let seen = outer.protect(&src, Ordering::Acquire);
         assert_eq!(seen, addr);
         {
             let inner = Hazard::pin();
@@ -651,7 +648,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     let g = Hazard::pin();
-                    let addr = g.protect::<u64>(&shared, Ordering::Acquire);
+                    let addr = g.protect(&shared, Ordering::Acquire);
                     // SAFETY: `shared` is a structure field (never retired
                     // while the test runs), so protect's validation
                     // suffices for the deref.

@@ -3,14 +3,18 @@
 //!
 //! # Design
 //!
+//! * **One collector** — the process has one [`Global`], created by the
+//!   first thread that registers and never dropped; every record holds a
+//!   plain `&'static` reference to it, which the pin path reads the epoch
+//!   through.
 //! * **Global epoch** — a monotonically increasing (wrapping) counter.
 //! * **Registry** — a push-only lock-free singly linked list of [`Local`]
-//!   records. Records are never physically unlinked; a record whose thread
-//!   has exited is marked `FREE` and recycled by the next thread that
-//!   registers, so the registry's length is bounded by the maximum number of
-//!   *concurrent* participants ever observed (documented trade-off vs.
-//!   crossbeam's deferred unlinking — it avoids the bootstrapping problem of
-//!   reclaiming the reclaimer's own nodes).
+//!   records. Records are never physically unlinked or freed; a record
+//!   whose thread has exited is marked `FREE` and recycled by the next
+//!   thread that registers, so the registry's length is bounded by the
+//!   maximum number of *concurrent* participants ever observed (documented
+//!   trade-off vs. crossbeam's deferred unlinking — it avoids the
+//!   bootstrapping problem of reclaiming the reclaimer's own nodes).
 //! * **Garbage stack** — a Treiber-style stack of [`SealedBag`]s. Collection
 //!   detaches the whole stack with one `swap`, moves the expired bags onto
 //!   the collecting thread's private chain, and pushes the rest back;
@@ -32,9 +36,10 @@
 //!   inline arrays and the stack's node skeletons are pooled
 //!   ([`NODE_POOL_CAP`], filled when the collector is created), so a steady
 //!   defer/collect load does not allocate (`tests/no_alloc.rs` counts).
-//! * **Garbage ledger** — each record counts its own retirements (an
-//!   owner-only store); whoever runs a sealed bag settles it on the
-//!   collector's [`GarbageLedger`] once per bag. See that type.
+//! * **Garbage ledger** — every deferral is a retirement: each record
+//!   counts its own (an owner-only store), and whoever runs a sealed bag
+//!   settles it on the collector's [`GarbageLedger`] once per bag. See
+//!   that type.
 //! * **Pinning** — the outermost pin publishes `(global << 2) | PINNED` in
 //!   the thread's epoch slot, with a `SeqCst` fence that globally orders the
 //!   publication against `try_advance`'s scan (that ordering is what makes
@@ -55,7 +60,7 @@ use std::cell::{Cell, UnsafeCell};
 use std::mem::MaybeUninit;
 use std::ptr;
 use std::sync::atomic::{fence, AtomicPtr, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use synq_primitives::CachePadded;
 
 /// `Local::state` values.
@@ -84,7 +89,7 @@ struct GarbageNode {
     next: *mut GarbageNode,
 }
 
-/// Shared collector state. One per [`crate::Collector`].
+/// Shared collector state: the process has one (`default::global`).
 pub(crate) struct Global {
     /// The global epoch (raw counter; wraps). Padded: read on every pin and
     /// written by `try_advance` — it must not share a line with the
@@ -133,7 +138,7 @@ impl Global {
     fn locals(&self) -> impl Iterator<Item = &Local> {
         let mut p = self.registry.load(Ordering::Acquire);
         std::iter::from_fn(move || {
-            // SAFETY: registry nodes are never freed while the Global lives.
+            // SAFETY: registry nodes are never freed.
             let local = unsafe { p.as_ref() }?;
             p = local.next.load(Ordering::Acquire);
             Some(local)
@@ -155,7 +160,8 @@ impl Global {
     }
 
     /// Registers the calling thread, recycling a FREE record if available.
-    pub(crate) fn register(self: &Arc<Global>) -> *const Local {
+    /// The record is the thread's until it calls [`Local::release_handle`].
+    pub(crate) fn register(&'static self) -> &'static Local {
         // Try to recycle a retired record first.
         for local in self.locals() {
             if local.state.load(Ordering::Relaxed) == FREE
@@ -165,41 +171,38 @@ impl Global {
                     .is_ok()
             {
                 // SAFETY: the CAS gave us exclusive ownership of the cells.
-                unsafe {
-                    debug_assert!((*local.bag.get()).is_empty());
-                    *local.global.get() = Some(Arc::clone(self));
-                }
+                debug_assert!(unsafe { (*local.bag.get()).is_empty() });
                 debug_assert_eq!(local.epoch.load(Ordering::Relaxed), 0);
                 debug_assert!(local.expired.get().is_null());
                 local.guard_count.set(0);
-                local.handle_count.set(1);
+                local.has_handle.set(true);
                 local.pin_count.set(0);
                 local.collect_due.set(false);
                 return local;
             }
         }
 
-        // No free record: allocate and push a new one.
-        let local = Box::into_raw(Box::new(Local {
+        // No free record: allocate and push a new one, never to be freed.
+        let local: &'static Local = Box::leak(Box::new(Local {
             epoch: AtomicUsize::new(0),
             state: AtomicUsize::new(IN_USE),
             next: AtomicPtr::new(ptr::null_mut()),
             retired: AtomicUsize::new(0),
             bag: UnsafeCell::new(Bag::new()),
             guard_count: Cell::new(0),
-            handle_count: Cell::new(1),
+            has_handle: Cell::new(true),
             pin_count: Cell::new(0),
             collect_due: Cell::new(false),
             expired: Cell::new(ptr::null_mut()),
-            global: UnsafeCell::new(Some(Arc::clone(self))),
+            global: self,
         }));
+        let raw = local as *const Local as *mut Local;
         let mut head = self.registry.load(Ordering::Relaxed);
         loop {
-            // SAFETY: `local` is ours until the push succeeds.
-            unsafe { (*local).next.store(head, Ordering::Relaxed) };
+            local.next.store(head, Ordering::Relaxed);
             match self
                 .registry
-                .compare_exchange(head, local, Ordering::Release, Ordering::Relaxed)
+                .compare_exchange(head, raw, Ordering::Release, Ordering::Relaxed)
             {
                 Ok(_) => return local,
                 Err(h) => head = h,
@@ -347,34 +350,6 @@ impl Global {
     }
 }
 
-impl Drop for Global {
-    fn drop(&mut self) {
-        // No participant holds an Arc<Global> anymore, so every Local is
-        // FREE and no thread can be pinned: run all remaining garbage and
-        // free the registry.
-        let mut g = *self.garbage.get_mut();
-        while !g.is_null() {
-            // SAFETY: exclusive access in Drop.
-            let node = unsafe { Box::from_raw(g) };
-            g = node.next;
-            drop(node);
-        }
-        for p in self.node_pool.get_mut().unwrap().drain(..) {
-            // SAFETY: pooled skeletons are logically uninitialized.
-            drop(unsafe { Box::from_raw(p as *mut MaybeUninit<GarbageNode>) });
-        }
-        let mut p = *self.registry.get_mut();
-        while !p.is_null() {
-            // SAFETY: exclusive access in Drop; Locals hold no Arc (FREE).
-            let local = unsafe { Box::from_raw(p) };
-            debug_assert_eq!(local.state.load(Ordering::Relaxed), FREE);
-            debug_assert!(local.expired.get().is_null(), "finalize drains");
-            p = local.next.load(Ordering::Relaxed);
-            drop(local);
-        }
-    }
-}
-
 /// Per-thread participant record. Cells are owner-thread-only while IN_USE.
 ///
 /// Line-aligned so records of different threads never share a cache line:
@@ -396,8 +371,9 @@ pub(crate) struct Local {
     bag: UnsafeCell<Bag>,
     /// Number of live `Guard`s (re-entrant pinning).
     guard_count: Cell<usize>,
-    /// Number of live `LocalHandle`s for this record.
-    handle_count: Cell<usize>,
+    /// The registering thread still holds the record: false once it
+    /// exits, after which the last guard's drop frees the record.
+    has_handle: Cell<bool>,
     /// Pins since registration; drives periodic collection.
     pin_count: Cell<usize>,
     /// A pin mark made a collection due, and nobody has taken it yet.
@@ -405,19 +381,13 @@ pub(crate) struct Local {
     /// Expired bags this thread took off the garbage stack and has not
     /// finished running, linked through `next`: its private chain.
     expired: Cell<*mut GarbageNode>,
-    /// Keeps the collector alive while registered.
-    global: UnsafeCell<Option<Arc<Global>>>,
+    /// The collector whose registry holds this record.
+    global: &'static Global,
 }
 
 const _: () = assert!(std::mem::align_of::<Local>() >= 128);
 
 impl Local {
-    fn global(&self) -> &Arc<Global> {
-        // SAFETY: `global` is Some for the whole IN_USE lifetime and only
-        // the owner thread (us) takes it in `finalize`.
-        unsafe { (*self.global.get()).as_ref().expect("local not registered") }
-    }
-
     /// Pins the thread; returns a guard that unpins on drop.
     pub(crate) fn pin(&self) -> Guard {
         let guard = Guard {
@@ -433,7 +403,7 @@ impl Local {
 
     /// Publishes the epoch for an outermost guard.
     fn publish(&self) {
-        let global = self.global();
+        let global = self.global;
         let ge = global.epoch.load(Ordering::Relaxed);
         let pinned = (ge << EPOCH_SHIFT) | PINNED;
         // Fast path: our slot is still published at the current global
@@ -489,11 +459,6 @@ impl Local {
         }
     }
 
-    /// True if a guard is currently alive on this thread.
-    pub(crate) fn is_pinned(&self) -> bool {
-        self.guard_count.get() > 0
-    }
-
     /// Called by `Guard::drop`.
     pub(crate) fn unpin(&self) {
         let count = self.guard_count.get();
@@ -506,31 +471,23 @@ impl Local {
             // the plain read-modify-write below cannot race.
             let e = self.epoch.load(Ordering::Relaxed);
             self.epoch.store(e | LAZY, Ordering::Release);
-            if self.handle_count.get() == 0 {
+            if !self.has_handle.get() {
                 self.finalize();
             }
         }
     }
 
-    /// Adds a deferred closure to this thread's bag, sealing if full.
-    pub(crate) fn defer(&self, deferred: Deferred) {
-        self.push(deferred, false);
-    }
-
-    /// As `defer`, counted on this record's ledger counter.
+    /// Adds a deferred closure to this thread's bag, sealing it if full,
+    /// and counts it on this record's ledger counter.
     pub(crate) fn retire(&self, deferred: Deferred) {
         GarbageLedger::retire(&self.retired);
-        self.push(deferred, true);
-    }
-
-    fn push(&self, deferred: Deferred, retired: bool) {
         synq_obs::probe!(EpochDefers);
         // SAFETY (both blocks): the bag is owner-thread-only, and neither
         // borrow outlives its statement, so `seal_bag` takes its own.
         if unsafe { (*self.bag.get()).is_full() } {
             self.seal_bag();
         }
-        unsafe { (*self.bag.get()).push(deferred, retired) };
+        unsafe { (*self.bag.get()).push(deferred) };
     }
 
     /// Seals the current bag into the global garbage stack and samples the
@@ -541,7 +498,7 @@ impl Local {
         if bag.is_empty() {
             return;
         }
-        let global = self.global();
+        let global = self.global;
         // Globally order the seal-epoch read after every prior access to
         // the retired objects (crossbeam's `push_bag` carries the same
         // fence). Without it the read could return a stale, older epoch
@@ -559,7 +516,7 @@ impl Local {
     /// the private chain dry.
     pub(crate) fn flush(&self) {
         self.seal_bag();
-        self.global().detach_expired(&self.expired);
+        self.global.detach_expired(&self.expired);
         while self.run_one() {}
     }
 
@@ -568,7 +525,7 @@ impl Local {
     /// closure of the private chain. False once there is nothing to run.
     pub(crate) fn reclaim_step(&self) -> bool {
         if self.collect_due.replace(false) {
-            self.global().detach_expired(&self.expired);
+            self.global.detach_expired(&self.expired);
         }
         let ran = self.run_one();
         if ran {
@@ -590,7 +547,7 @@ impl Local {
         // the chain, `p` is out of every nested drain's reach.
         unsafe {
             self.expired.set((*p).next);
-            let global = self.global();
+            let global = self.global;
             match (*p).sealed.bag.call_one() {
                 Some(retired) => {
                     global.retire_node_skeleton(p);
@@ -605,21 +562,21 @@ impl Local {
         true
     }
 
-    /// Called by `LocalHandle::drop`.
+    /// The registering thread is done with the record (it is exiting):
+    /// frees it now, or at the drop of its last guard.
     pub(crate) fn release_handle(&self) {
-        let count = self.handle_count.get();
-        debug_assert!(count > 0);
-        self.handle_count.set(count - 1);
-        if count == 1 && self.guard_count.get() == 0 {
+        debug_assert!(self.has_handle.get(), "released twice");
+        self.has_handle.set(false);
+        if self.guard_count.get() == 0 {
             self.finalize();
         }
     }
 
-    /// Retires this record: flush remaining garbage, drop the collector
-    /// reference, and mark FREE for recycling.
+    /// Frees this record: seals its open bag onto the global garbage stack,
+    /// runs its private chain dry, and marks it FREE for recycling.
     fn finalize(&self) {
         debug_assert_eq!(self.guard_count.get(), 0);
-        debug_assert_eq!(self.handle_count.get(), 0);
+        debug_assert!(!self.has_handle.get());
         self.seal_bag();
         // Expired bags a wait left half run are this thread's to finish.
         while self.run_one() {}
@@ -627,12 +584,7 @@ impl Local {
         // satisfy a later owner's fence-free fast path on the strength of
         // a publish this thread made.
         self.epoch.store(0, Ordering::Release);
-        // SAFETY: owner-thread-only cell; after this we only touch `state`.
-        let global = unsafe { (*self.global.get()).take().expect("double finalize") };
         self.state.store(FREE, Ordering::Release);
-        // `global` (possibly the last Arc) drops here, after FREE is
-        // published, so Global::drop can assume all records are FREE.
-        drop(global);
     }
 }
 
@@ -640,28 +592,33 @@ impl Local {
 mod tests {
     use super::*;
     use crate::bag::MAX_OBJECTS;
-    use crate::collector::{Collector, LocalHandle};
     use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
     use std::thread;
 
     /// Two bags' worth: one sealed when the first fills, one by hand.
     const N: usize = 2 * MAX_OBJECTS;
 
-    fn local(h: &LocalHandle) -> &Local {
-        // SAFETY: the record lives as long as its handle.
-        unsafe { &*h.local }
+    /// A collector of the test's own, so that no other test's pins or
+    /// garbage reach it. Never dropped, like the process-wide one; the
+    /// list keeps it reachable, so leak checkers do not report it.
+    fn isolated() -> &'static Global {
+        static ISOLATED: Mutex<Vec<&'static Global>> = Mutex::new(Vec::new());
+        let global = Box::leak(Box::new(Global::new()));
+        ISOLATED.lock().unwrap().push(global);
+        global
     }
 
     /// Retires `closures` through the ledger, seals them, and advances the
     /// epoch twice, so the bags are expired but still on the garbage stack.
-    fn retire_expired(h: &LocalHandle, closures: impl Iterator<Item = Deferred>) {
-        let guard = h.pin();
+    fn retire_expired(local: &Local, closures: impl Iterator<Item = Deferred>) {
+        let guard = local.pin();
         for d in closures {
-            local(h).retire(d);
+            local.retire(d);
         }
-        local(h).seal_bag();
+        local.seal_bag();
         drop(guard);
-        let global = local(h).global();
+        let global = local.global;
         let e = global.epoch();
         global.try_advance();
         global.try_advance();
@@ -673,10 +630,10 @@ mod tests {
     }
 
     /// Pins up to the next mark, which makes a collection due.
-    fn reach_a_mark(h: &LocalHandle) {
-        assert!(!local(h).collect_due.get());
-        while !local(h).collect_due.get() {
-            drop(h.pin());
+    fn reach_a_mark(local: &Local) {
+        assert!(!local.collect_due.get());
+        while !local.collect_due.get() {
+            drop(local.pin());
         }
     }
 
@@ -695,79 +652,76 @@ mod tests {
 
     #[test]
     fn a_due_collection_runs_one_closure_per_step_and_settles_each_bag_once() {
-        let c = Collector::new();
-        let h = c.register();
+        let global = isolated();
+        let local = global.register();
         let ran = Arc::new(AtomicUsize::new(0));
-        retire_expired(&h, (0..N).map(|_| dropping(&ran)));
-        reach_a_mark(&h);
+        retire_expired(local, (0..N).map(|_| dropping(&ran)));
+        reach_a_mark(local);
         assert_eq!(ran.load(Ordering::SeqCst), 0, "a mark collects nothing");
-        assert_eq!(c.global.pending(), N);
+        assert_eq!(global.pending(), N);
         for step in 1..=N {
-            assert!(h.reclaim_step());
-            assert!(!local(&h).collect_due.get(), "the first step took it");
+            assert!(local.reclaim_step());
+            assert!(!local.collect_due.get(), "the first step took it");
             assert_eq!(ran.load(Ordering::SeqCst), step, "one closure a step");
             let settled = step / MAX_OBJECTS * MAX_OBJECTS;
-            assert_eq!(c.global.pending(), N - settled, "step {step}");
+            assert_eq!(global.pending(), N - settled, "step {step}");
         }
-        assert!(!h.reclaim_step(), "nothing left to run");
+        assert!(!local.reclaim_step(), "nothing left to run");
         assert_eq!(ran.load(Ordering::SeqCst), N);
     }
 
     #[test]
     fn the_next_mark_runs_what_the_steps_left() {
-        let c = Collector::new();
-        let h = c.register();
+        let global = isolated();
+        let local = global.register();
         let ran = Arc::new(AtomicUsize::new(0));
-        retire_expired(&h, (0..N).map(|_| dropping(&ran)));
-        reach_a_mark(&h);
+        retire_expired(local, (0..N).map(|_| dropping(&ran)));
+        reach_a_mark(local);
         for _ in 0..N / 4 {
-            assert!(h.reclaim_step());
+            assert!(local.reclaim_step());
         }
         for _ in 0..PINS_BETWEEN_COLLECT {
             assert_eq!(ran.load(Ordering::SeqCst), N / 4, "only a mark runs it");
-            drop(h.pin());
+            drop(local.pin());
         }
         assert_eq!(ran.load(Ordering::SeqCst), N, "the next mark ran it");
-        assert!(
-            local(&h).collect_due.get(),
-            "the mark's own collection waits"
-        );
-        assert_eq!(c.global.pending(), 0);
-        assert!(!h.reclaim_step(), "nothing left to run");
+        assert!(local.collect_due.get(), "the mark's own collection waits");
+        assert_eq!(global.pending(), 0);
+        assert!(!local.reclaim_step(), "nothing left to run");
     }
 
     #[test]
     fn a_thread_that_exits_mid_chain_runs_the_rest_at_exit() {
-        let c = Collector::new();
+        let global = isolated();
         let drops = Arc::new(AtomicUsize::new(0));
         {
-            let (c, drops) = (c.clone(), Arc::clone(&drops));
+            let drops = Arc::clone(&drops);
             thread::spawn(move || {
-                let h = c.register();
-                retire_expired(&h, (0..N).map(|_| dropping(&drops)));
-                reach_a_mark(&h);
+                let local = global.register();
+                retire_expired(local, (0..N).map(|_| dropping(&drops)));
+                reach_a_mark(local);
                 for _ in 0..N / 4 {
-                    assert!(h.reclaim_step());
+                    assert!(local.reclaim_step());
                 }
                 assert_eq!(drops.load(Ordering::SeqCst), N / 4);
-                // `h` drops here, the private chain half run.
+                // The thread exits here, the private chain half run.
+                local.release_handle();
             })
             .join()
             .unwrap();
         }
         assert_eq!(drops.load(Ordering::SeqCst), N);
-        assert_eq!(c.global.pending(), 0);
+        assert_eq!(global.pending(), 0);
     }
 
     #[test]
     fn a_closure_that_pins_past_a_mark_while_a_step_runs_it_runs_once() {
-        let c = Collector::new();
-        let h = c.register();
+        let global = isolated();
+        let local = global.register();
         let runs: Arc<Vec<AtomicUsize>> = Arc::new((0..N).map(|_| AtomicUsize::new(0)).collect());
         let nested = Arc::new(AtomicBool::new(false));
-        let record = h.local as usize;
         retire_expired(
-            &h,
+            local,
             (0..N).map(|i| {
                 let (runs, nested) = (Arc::clone(&runs), Arc::clone(&nested));
                 Deferred::new(move || {
@@ -775,8 +729,6 @@ mod tests {
                     if !nested.swap(true, Ordering::SeqCst) {
                         // Up to the next mark, which drains the chain this
                         // closure is being run from.
-                        // SAFETY: the test's handle keeps the record alive.
-                        let local = unsafe { &*(record as *const Local) };
                         for _ in 0..PINS_BETWEEN_COLLECT {
                             drop(local.pin());
                         }
@@ -784,13 +736,32 @@ mod tests {
                 })
             }),
         );
-        reach_a_mark(&h);
-        assert!(h.reclaim_step());
+        reach_a_mark(local);
+        assert!(local.reclaim_step());
         assert!(nested.load(Ordering::SeqCst));
         let ran = || runs.iter().filter(|r| r.load(Ordering::SeqCst) > 0).count();
         assert_eq!(ran(), MAX_OBJECTS + 1, "the nested drain ran the other bag");
-        while h.reclaim_step() {}
+        while local.reclaim_step() {}
         assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1));
-        assert_eq!(c.global.pending(), 0);
+        assert_eq!(global.pending(), 0);
+    }
+
+    #[test]
+    fn a_record_released_under_a_live_guard_is_freed_by_the_guard_and_reused() {
+        let global = isolated();
+        let local = global.register();
+        let guard = local.pin();
+        // The thread exits while a guard (made in a TLS destructor, say)
+        // is still alive: the record must stay in use until it drops.
+        local.release_handle();
+        assert_eq!(local.state.load(Ordering::Relaxed), IN_USE);
+        drop(guard);
+        assert_eq!(local.state.load(Ordering::Relaxed), FREE);
+        assert_eq!(local.epoch.load(Ordering::Relaxed), 0, "nothing published");
+        assert!(
+            ptr::eq(global.register(), local),
+            "the freed record is reused"
+        );
+        assert_eq!(global.locals().count(), 1);
     }
 }

@@ -4,27 +4,28 @@
 //! whose garbage collector silently solves the hardest problem in lock-free
 //! programming: a node unlinked from a structure may still be *reachable* by
 //! threads that obtained a reference before the unlink, so it cannot be
-//! freed immediately. This crate rebuilds that substrate for Rust as
-//! three-epoch deferred reclamation in the style of crossbeam-epoch:
+//! freed immediately. This crate rebuilds that substrate for Rust as one
+//! process-wide, three-epoch collector in the style of crossbeam-epoch:
 //!
 //! * Threads **pin** the current epoch before touching shared nodes and
 //!   unpin when done ([`pin`] returns a [`Guard`]).
-//! * Unlinked nodes (or arbitrary cleanup closures) are **deferred** on the
-//!   guard; they are collected into per-thread bags, sealed with the global
-//!   epoch, and executed only once **two epoch advances** have occurred —
-//!   by which time every thread that was pinned at unlink time has unpinned,
-//!   so no references can remain.
+//! * Unlinked nodes are **retired** through the guard
+//!   ([`Shield::defer_retire`]): their cleanup closures are collected into
+//!   per-thread bags, sealed with the global epoch, and executed only once
+//!   **two epoch advances** have occurred — by which time every thread
+//!   that was pinned at unlink time has unpinned, so no references can
+//!   remain. Every retirement counts in [`Reclaimer::pending`] until its
+//!   closure has run.
 //! * The global epoch **advances** only when every currently pinned thread
 //!   has observed it, making the grace period sound.
 //!
-//! The pointer types ([`Atomic`], [`Owned`], [`Shared`]) carry **tag bits**
-//! in the pointer's alignment bits — the facility the paper's authors wished
-//! for in Java ("Java does not allow us to set flag bits in pointers") and
-//! worked around with an extra mode word per node.
+//! The pointer types ([`Atomic`], [`Owned`], [`Shared`]) are plain
+//! addresses: the structures keep the paper's mode word in the node, so
+//! no pointer bits are stolen.
 //!
 //! # Pluggable backends
 //!
-//! The epoch scheme above is now one implementation of the [`Reclaimer`]
+//! The epoch scheme above is one implementation of the [`Reclaimer`]
 //! trait family ([`Reclaimer`] + [`Shield`], see [`reclaimer`]); the
 //! [`Hazard`] backend trades slower protected loads for a **bounded**
 //! garbage population even when a reader stalls forever mid-critical
@@ -35,16 +36,17 @@
 //! # Example (default epoch backend)
 //!
 //! ```
-//! use synq_reclaim::{self as epoch, Atomic, Owned};
+//! use synq_reclaim::{self as epoch, Atomic, Owned, Shield};
 //! use std::sync::atomic::Ordering;
 //!
 //! let a: Atomic<i32> = Atomic::new(1234);
 //! let guard = epoch::pin();
 //! let p = a.load(Ordering::Acquire, &guard);
 //! assert_eq!(unsafe { p.as_ref() }, Some(&1234));
-//! // Replace and defer destruction of the old value:
+//! // Replace and retire the old value:
 //! let old = a.swap(Owned::new(5678), Ordering::AcqRel, &guard);
-//! unsafe { guard.defer_destroy(old) };
+//! let raw = old.as_raw() as usize;
+//! unsafe { guard.defer_retire(raw, move || drop(Box::from_raw(raw as *mut i32))) };
 //! # drop(guard);
 //! # unsafe { drop(a.into_owned()) };
 //! ```
@@ -52,7 +54,7 @@
 //! # Example (trait-generic code, hazard backend)
 //!
 //! ```
-//! use synq_reclaim::{Atomic, Hazard, Owned, Reclaimer, Shield};
+//! use synq_reclaim::{Atomic, Epoch, Hazard, Owned, Reclaimer, Shield};
 //! use std::sync::atomic::Ordering;
 //!
 //! fn replace<R: Reclaimer>(a: &Atomic<i32, R>, value: i32) {
@@ -70,6 +72,14 @@
 //! assert_eq!(unsafe { p.as_ref() }, Some(&2));
 //! # drop(guard);
 //! # unsafe { drop(a.into_owned()) };
+//!
+//! // The same code over the default backend, pinned by `Epoch::pin()`.
+//! let b: Atomic<i32> = Atomic::new(1);
+//! replace::<Epoch>(&b, 2);
+//! let guard = Epoch::pin();
+//! assert_eq!(unsafe { b.load(Ordering::Acquire, &guard).as_ref() }, Some(&2));
+//! # drop(guard);
+//! # unsafe { drop(b.into_owned()) };
 //! ```
 
 #![warn(missing_docs)]
@@ -77,7 +87,6 @@
 
 mod atomic;
 mod bag;
-mod collector;
 mod default;
 mod deferred;
 mod guard;
@@ -86,8 +95,7 @@ mod internal;
 pub mod reclaimer;
 
 pub use atomic::{Atomic, CompareExchangeError, Owned, Pointer, Shared};
-pub use collector::{Collector, LocalHandle};
-pub use default::{default_collector, pin};
-pub use guard::{unprotected, Guard};
+pub use default::pin;
+pub use guard::Guard;
 pub use hazard::{Hazard, HazardGuard, SCAN_THRESHOLD, SLOTS_PER_RECORD};
 pub use reclaimer::{Epoch, Reclaimer, Shield, SLOT_WINDOW};

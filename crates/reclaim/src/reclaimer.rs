@@ -25,8 +25,8 @@
 //! # Ordering and validation contract
 //!
 //! `protect` guarantees: *at some instant during the call, `src` held the
-//! returned word while the protection for its (untagged) address was
-//! globally visible*. For a `src` that is a **structure field** (a queue's
+//! returned word while the protection for that address was globally
+//! visible*. For a `src` that is a **structure field** (a queue's
 //! `head`/`tail`), that instant proves the pointee was not yet retired —
 //! retirement always follows the CAS that unlinks it — so the result may be
 //! dereferenced directly.
@@ -50,6 +50,7 @@
 
 use crate::deferred::Deferred;
 use crate::guard::Guard;
+use std::ptr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A memory-reclamation scheme, selectable per structure via a type
@@ -114,25 +115,25 @@ pub trait Reclaimer: Sized + Send + Sync + 'static {
 /// See the module docs for the `protect` validation contract that generic
 /// structure code must uphold.
 pub trait Shield {
-    /// Loads the pointer word in `src` such that the allocation behind its
-    /// untagged address cannot be reclaimed while this shield lives (or,
-    /// for bounded-slot backends, until the protection is recycled —
-    /// see [`SLOT_WINDOW`]).
-    ///
-    /// `T` only supplies the alignment used to strip tag bits before the
-    /// address is published to a hazard slot.
-    fn protect<T>(&self, src: &AtomicUsize, ord: Ordering) -> usize;
+    /// Loads the pointer word in `src` such that the allocation at that
+    /// address cannot be reclaimed while this shield lives (or, for
+    /// bounded-slot backends, until the protection is recycled — see
+    /// [`SLOT_WINDOW`]).
+    fn protect(&self, src: &AtomicUsize, ord: Ordering) -> usize;
 
     /// Defers `f` until no thread can hold a protected reference to the
-    /// allocation at `addr` (untagged). Epoch ignores `addr` (the grace
-    /// period covers everything); hazard keys its scan on it.
+    /// allocation at `addr`, and counts it in [`Reclaimer::pending`] until
+    /// it has run. Epoch ignores `addr` (the grace period covers
+    /// everything); hazard keys its scan on it.
     ///
     /// # Safety
     ///
-    /// As for [`Guard::defer_unchecked`]: `f` must be safe to run on any
-    /// thread at any later time, and `addr` must be the untagged address of
-    /// the unlinked allocation `f` reclaims (it must not be retired twice).
-    /// On an unprotected shield `f` runs immediately.
+    /// `f` must be safe to run on any thread at any later time — in
+    /// particular it must not capture references that could dangle by
+    /// then (raw pointers whose targets outlive the deferral are the
+    /// intended cargo) — and `addr` must be the address of the unlinked
+    /// allocation `f` reclaims (it must not be retired twice). On an
+    /// unprotected shield `f` runs immediately.
     unsafe fn defer_retire<F: FnOnce()>(&self, addr: usize, f: F);
 
     /// Hurries reclamation along (seal the bag / scan the registry).
@@ -244,20 +245,19 @@ impl Reclaimer for Epoch {
 
     #[inline]
     unsafe fn unprotected() -> Guard {
-        // SAFETY: forwarded caller contract.
-        unsafe { crate::guard::unprotected() }
+        Guard { local: ptr::null() }
     }
 
     fn pending() -> usize {
-        crate::default_collector().global.pending()
+        crate::default::global().pending()
     }
 
     fn peak_pending() -> usize {
-        crate::default_collector().global.peak_pending()
+        crate::default::global().peak_pending()
     }
 
     fn reset_peak() {
-        crate::default_collector().global.reset_peak()
+        crate::default::global().reset_peak()
     }
 
     fn collect() {
@@ -272,7 +272,7 @@ impl Reclaimer for Epoch {
 
 impl Shield for Guard {
     #[inline]
-    fn protect<T>(&self, src: &AtomicUsize, ord: Ordering) -> usize {
+    fn protect(&self, src: &AtomicUsize, ord: Ordering) -> usize {
         // The pin already protects every reachable node; no per-pointer
         // publication is needed.
         src.load(ord)
@@ -359,7 +359,7 @@ mod tests {
     fn epoch_protect_matches_plain_load() {
         let word = AtomicUsize::new(0xbeef0);
         let g = Epoch::pin();
-        assert_eq!(g.protect::<u64>(&word, Ordering::Acquire), 0xbeef0);
+        assert_eq!(g.protect(&word, Ordering::Acquire), 0xbeef0);
     }
 
     #[test]

@@ -4,12 +4,15 @@
 //! allocator (per thread, so the test harness's own threads do not count)
 //! proves it over 10 k retirements after a warm-up, once with collections
 //! on the pin path and once with every collection taken and run by
-//! `Reclaimer::reclaim_step`, as a waiter does.
+//! `Reclaimer::reclaim_step`, as a waiter does. The same allocator shows
+//! that a thread's participant record, freed when it exits, is reused by
+//! the next thread rather than allocated again.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::thread;
 use synq_reclaim::{Epoch, Reclaimer, Shield};
 
 struct Counting;
@@ -18,10 +21,17 @@ thread_local! {
     static BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
+/// Allocations aligned to 128 bytes, process-wide: in this binary, only
+/// the epoch collector's per-thread participant records ask for that.
+static RECORDS: AtomicUsize = AtomicUsize::new(0);
+
 // SAFETY: forwards to the system allocator; the count is a side effect.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let _ = BYTES.try_with(|b| b.set(b.get() + layout.size()));
+        if layout.align() >= 128 {
+            RECORDS.fetch_add(1, Ordering::Relaxed);
+        }
         // SAFETY: forwarded caller contract.
         unsafe { System.alloc(layout) }
     }
@@ -37,24 +47,18 @@ static ALLOC: Counting = Counting;
 
 static RAN: AtomicUsize = AtomicUsize::new(0);
 
-/// Both cases read the process-wide `RAN` and `Epoch::pending`.
+/// The cases read the process-wide `RAN`, `Epoch::pending` and registry.
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
-/// One pin that retires one closure capturing a word: through the ledger
-/// (`defer_retire`) for even `i`, as a plain deferral for odd.
+/// One pin that retires one closure capturing a word.
 fn retire_one(i: usize) -> <Epoch as Reclaimer>::Guard {
     let guard = Epoch::pin();
-    let f = move || {
-        RAN.fetch_add(1, Ordering::Relaxed);
-    };
     // SAFETY: the closure touches only a static.
     unsafe {
-        if i.is_multiple_of(2) {
-            guard.defer_retire(8 * (i + 1), f);
-        } else {
-            guard.defer_unchecked(f);
-        }
-    }
+        guard.defer_retire(8 * (i + 1), move || {
+            RAN.fetch_add(1, Ordering::Relaxed);
+        })
+    };
     guard
 }
 
@@ -137,4 +141,23 @@ fn steady_defer_drained_by_reclaim_steps_allocates_nothing() {
     let behind = ran + 2 * N - RAN.load(Ordering::Relaxed);
     assert!(behind < 512, "{behind} closures left behind the steps");
     settle(ran + 2 * N);
+}
+
+#[test]
+fn an_exited_threads_record_is_reused_not_allocated_again() {
+    let _serial = ONE_AT_A_TIME.lock().unwrap();
+    let pin_on_a_new_thread = || thread::spawn(|| drop(Epoch::pin())).join().unwrap();
+    // The first threads may find every record in use: they leave one free.
+    for _ in 0..4 {
+        pin_on_a_new_thread();
+    }
+    let before = RECORDS.load(Ordering::Relaxed);
+    for _ in 0..64 {
+        pin_on_a_new_thread();
+    }
+    assert_eq!(
+        RECORDS.load(Ordering::Relaxed) - before,
+        0,
+        "64 threads that pinned one after another allocated records"
+    );
 }

@@ -46,7 +46,7 @@ fn peak_garbage_under_stall<R: Reclaimer>(count: usize) -> usize {
             let target = Box::into_raw(Box::new(0u64)) as usize;
             let src = AtomicUsize::new(target);
             let guard = R::pin();
-            let _ = guard.protect::<u64>(&src, Ordering::Acquire);
+            let _ = guard.protect(&src, Ordering::Acquire);
             pinned.store(true, Ordering::Release);
             while !stop.load(Ordering::Relaxed) {
                 std::thread::sleep(std::time::Duration::from_millis(1));

@@ -1,11 +1,15 @@
-//! Cross-thread stress tests for the epoch collector: every deferred
+//! Cross-thread stress tests for the epoch collector: every retired
 //! destruction must run exactly once, and never while a reference could
 //! still exist.
+//!
+//! The tests share the process-wide collector with each other, so each
+//! waits for its own frees by collecting in a bounded loop.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
-use synq_reclaim::{Atomic, Collector, Owned};
+use std::time::Duration;
+use synq_reclaim::{pin, Atomic, Epoch, Guard, Owned, Reclaimer, Shared, Shield};
 
 /// Payload whose drops are counted.
 struct Tracked {
@@ -19,12 +23,38 @@ impl Drop for Tracked {
     }
 }
 
+/// Retires `old`, unlinked by the caller's swap, to be freed once no pin
+/// can reach it.
+fn retire(guard: &Guard, old: Shared<'_, Tracked>) {
+    let raw = old.as_raw() as usize;
+    // SAFETY: unlinked by the swap that returned it, and retired once.
+    unsafe { guard.defer_retire(raw, move || drop(Box::from_raw(raw as *mut Tracked))) };
+}
+
+/// Collects until `drops` reads `expected`, or gives up after about two
+/// seconds; returns it. Other tests pin the same collector meanwhile.
+fn collect_until(drops: &AtomicUsize, expected: usize) -> usize {
+    for _ in 0..2_000 {
+        if drops.load(Ordering::SeqCst) == expected {
+            break;
+        }
+        Epoch::collect();
+        thread::sleep(Duration::from_millis(1));
+    }
+    drops.load(Ordering::SeqCst)
+}
+
+/// Frees the slot's last occupant, which nothing retired.
+fn free_survivor(slot: Atomic<Tracked>) {
+    // SAFETY: every thread that could reach it has been joined.
+    drop(unsafe { slot.into_owned() });
+}
+
 #[test]
 fn swap_storm_drops_each_value_exactly_once() {
     const THREADS: usize = 8;
     const OPS: usize = 2_000;
 
-    let collector = Collector::new();
     let drops = Arc::new(AtomicUsize::new(0));
     let slot: Arc<Atomic<Tracked>> = Arc::new(Atomic::new(Tracked {
         value: u64::MAX,
@@ -33,13 +63,11 @@ fn swap_storm_drops_each_value_exactly_once() {
 
     let mut handles = Vec::new();
     for t in 0..THREADS {
-        let collector = collector.clone();
         let slot = Arc::clone(&slot);
         let drops = Arc::clone(&drops);
         handles.push(thread::spawn(move || {
-            let handle = collector.register();
             for i in 0..OPS {
-                let guard = handle.pin();
+                let guard = pin();
                 let new = Owned::new(Tracked {
                     value: (t * OPS + i) as u64,
                     drops: Arc::clone(&drops),
@@ -49,9 +77,9 @@ fn swap_storm_drops_each_value_exactly_once() {
                 // the access that epoch reclamation must keep safe.
                 let v = unsafe { old.deref().value };
                 assert!(v == u64::MAX || v < (THREADS * OPS) as u64);
-                unsafe { guard.defer_destroy(old) };
+                retire(&guard, old);
             }
-            handle.flush();
+            Epoch::collect();
         }));
     }
     for h in handles {
@@ -59,18 +87,8 @@ fn swap_storm_drops_each_value_exactly_once() {
     }
 
     // THREADS*OPS values were retired; the final occupant is still live.
-    // Dropping the collector runs all leftover garbage.
-    let final_ptr = {
-        let handle = collector.register();
-        let guard = handle.pin();
-        let p = slot.load(Ordering::Acquire, &guard);
-        p.as_raw() as usize
-    };
-    drop(collector);
-    assert_eq!(drops.load(Ordering::SeqCst), THREADS * OPS);
-
-    // Free the survivor.
-    unsafe { drop(Box::from_raw(final_ptr as *mut Tracked)) };
+    assert_eq!(collect_until(&drops, THREADS * OPS), THREADS * OPS);
+    free_survivor(Arc::into_inner(slot).unwrap());
     assert_eq!(drops.load(Ordering::SeqCst), THREADS * OPS + 1);
 }
 
@@ -84,7 +102,6 @@ fn readers_never_observe_freed_memory() {
     const WRITERS: usize = 2;
     const OPS: usize = 3_000;
 
-    let collector = Collector::new();
     let drops = Arc::new(AtomicUsize::new(0));
     let slot: Arc<Atomic<Tracked>> = Arc::new(Atomic::new(Tracked {
         value: CANARY,
@@ -94,13 +111,11 @@ fn readers_never_observe_freed_memory() {
 
     let mut handles = Vec::new();
     for _ in 0..READERS {
-        let collector = collector.clone();
         let slot = Arc::clone(&slot);
         let stop = Arc::clone(&stop);
         handles.push(thread::spawn(move || {
-            let handle = collector.register();
             while stop.load(Ordering::Relaxed) == 0 {
-                let guard = handle.pin();
+                let guard = pin();
                 let p = slot.load(Ordering::Acquire, &guard);
                 let v = unsafe { p.deref().value };
                 assert_eq!(v, CANARY, "reader observed freed/overwritten node");
@@ -108,19 +123,17 @@ fn readers_never_observe_freed_memory() {
         }));
     }
     for _ in 0..WRITERS {
-        let collector = collector.clone();
         let slot = Arc::clone(&slot);
         let drops = Arc::clone(&drops);
         handles.push(thread::spawn(move || {
-            let handle = collector.register();
             for _ in 0..OPS {
-                let guard = handle.pin();
+                let guard = pin();
                 let new = Owned::new(Tracked {
                     value: CANARY,
                     drops: Arc::clone(&drops),
                 });
                 let old = slot.swap(new, Ordering::AcqRel, &guard);
-                unsafe { guard.defer_destroy(old) };
+                retire(&guard, old);
             }
         }));
     }
@@ -134,71 +147,29 @@ fn readers_never_observe_freed_memory() {
         h.join().unwrap();
     }
 
-    let survivor = {
-        let handle = collector.register();
-        let guard = handle.pin();
-        slot.load(Ordering::Acquire, &guard).as_raw() as usize
-    };
-    drop(collector);
-    assert_eq!(drops.load(Ordering::SeqCst), WRITERS * OPS);
-    unsafe { drop(Box::from_raw(survivor as *mut Tracked)) };
-}
-
-#[test]
-fn many_collectors_are_independent() {
-    let drops_a = Arc::new(AtomicUsize::new(0));
-    let drops_b = Arc::new(AtomicUsize::new(0));
-    let a = Collector::new();
-    let b = Collector::new();
-    let ha = a.register();
-    let hb = b.register();
-
-    // Pin collector B forever; it must not block A's reclamation.
-    let _guard_b = hb.pin();
-
-    {
-        let guard = ha.pin();
-        let d = Arc::clone(&drops_a);
-        unsafe {
-            guard.defer_unchecked(move || {
-                d.fetch_add(1, Ordering::SeqCst);
-            });
-        }
-    }
-    for _ in 0..16 {
-        ha.flush();
-        if drops_a.load(Ordering::SeqCst) == 1 {
-            break;
-        }
-    }
-    assert_eq!(drops_a.load(Ordering::SeqCst), 1);
-    assert_eq!(drops_b.load(Ordering::SeqCst), 0);
+    assert_eq!(collect_until(&drops, WRITERS * OPS), WRITERS * OPS);
+    free_survivor(Arc::into_inner(slot).unwrap());
 }
 
 #[test]
 fn heavy_defer_volume_is_bounded_by_flushes() {
     // Retire far more objects than one bag holds; everything must be freed
-    // once the collector drops.
-    let collector = Collector::new();
+    // once collections come round.
     let drops = Arc::new(AtomicUsize::new(0));
-    {
-        let handle = collector.register();
-        for round in 0..100 {
-            let guard = handle.pin();
-            for _ in 0..100 {
-                let d = Arc::clone(&drops);
-                unsafe {
-                    guard.defer_unchecked(move || {
-                        d.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-            }
-            drop(guard);
-            if round % 10 == 0 {
-                handle.flush();
+    for round in 0..100 {
+        let guard = pin();
+        for _ in 0..100 {
+            let d = Arc::clone(&drops);
+            // SAFETY: the closure owns what it touches.
+            unsafe {
+                guard.defer_retire(0, move || {
+                    d.fetch_add(1, Ordering::SeqCst);
+                });
             }
         }
+        if round % 10 == 0 {
+            guard.flush();
+        }
     }
-    drop(collector);
-    assert_eq!(drops.load(Ordering::SeqCst), 100 * 100);
+    assert_eq!(collect_until(&drops, 100 * 100), 100 * 100);
 }
