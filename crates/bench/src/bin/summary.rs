@@ -14,20 +14,18 @@
 use std::process::ExitCode;
 use synq_bench::json::Json;
 use synq_bench::report::{
-    async_path, check_bench_schema, headline_path, park_path, read_bench_file, reclaim_path,
-    ring_path, server_path, wait_strategy_path, write_bench_async, write_bench_headline,
-    write_bench_park, write_bench_reclaim, write_bench_ring, write_bench_server,
-    write_bench_wait_strategy, FigureReport,
+    async_path, check_bench_schema, headline_path, park_path, read_bench_file, ring_path,
+    server_path, wait_strategy_path, write_bench_async, write_bench_headline, write_bench_park,
+    write_bench_ring, write_bench_server, write_bench_wait_strategy, FigureReport,
 };
 
 /// The repo-root perf-trajectory files: (resolved path, schema family).
-fn bench_files() -> [(std::path::PathBuf, &'static str); 7] {
+fn bench_files() -> [(std::path::PathBuf, &'static str); 6] {
     [
         (headline_path(), "headline"),
         (wait_strategy_path(), "wait-strategy"),
         (async_path(), "async"),
         (ring_path(), "ring"),
-        (reclaim_path(), "reclaim"),
         (server_path(), "server"),
         (park_path(), "park"),
     ]
@@ -211,12 +209,6 @@ fn run() -> Result<(), String> {
         guard_overwrite(&ring_path(), "ring")?;
         let path =
             write_bench_ring(sweep).map_err(|e| format!("failed to write BENCH_ring.json: {e}"))?;
-        eprintln!("wrote {}", path.display());
-    }
-    if let Some(sweep) = reports.iter().find(|r| r.id == "reclaim") {
-        guard_overwrite(&reclaim_path(), "reclaim")?;
-        let path = write_bench_reclaim(sweep)
-            .map_err(|e| format!("failed to write BENCH_reclaim.json: {e}"))?;
         eprintln!("wrote {}", path.display());
     }
     if let Some(sweep) = reports.iter().find(|r| r.id == "server") {

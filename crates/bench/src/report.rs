@@ -331,7 +331,7 @@ fn schema_string(family: &str) -> String {
 
 /// Validates the `schema` field of a `BENCH_*.json` document against a
 /// schema family (`"headline"`, `"wait-strategy"`, `"async"`, `"ring"`,
-/// `"reclaim"`, `"server"`, `"park"`). Returns the
+/// `"server"`, `"park"`). Returns the
 /// revision on success; a descriptive error for a missing field, a
 /// different family, or a revision outside
 /// [`BENCH_SCHEMA_OLDEST`]..=[`BENCH_SCHEMA_REV`].
@@ -400,11 +400,6 @@ pub fn async_path() -> PathBuf {
 /// Resolved path of `BENCH_ring.json` (`SYNQ_RING_PATH` override).
 pub fn ring_path() -> PathBuf {
     bench_path("SYNQ_RING_PATH", "BENCH_ring.json")
-}
-
-/// Resolved path of `BENCH_reclaim.json` (`SYNQ_RECLAIM_PATH` override).
-pub fn reclaim_path() -> PathBuf {
-    bench_path("SYNQ_RECLAIM_PATH", "BENCH_reclaim.json")
 }
 
 /// Resolved path of `BENCH_server.json` (`SYNQ_SERVER_PATH` override).
@@ -526,26 +521,6 @@ pub fn write_bench_ring(sweep: &FigureReport) -> std::io::Result<PathBuf> {
     let path = ring_path();
     let fields = vec![
         ("schema".into(), Json::Str(schema_string("ring"))),
-        ("config".into(), report_config(sweep)),
-        ("sweep".into(), sweep.to_json()),
-    ];
-    let mut f = std::fs::File::create(&path)?;
-    f.write_all(Json::Obj(fields).pretty().as_bytes())?;
-    Ok(path)
-}
-
-/// Writes the repo-root `BENCH_reclaim.json` file: transfers/sec per
-/// reclamation backend under stalled-thread injection (one reader parked
-/// mid-critical-section while producer/consumer pairs hammer the queue).
-/// Each series' `counters` section records the backend's
-/// `reclaim.peak_pending` — the peak unreclaimed-garbage watermark the
-/// stalled-thread garbage-bound claims rest on (recorded explicitly, even
-/// when zero). Returns the path written (overridable with
-/// `SYNQ_RECLAIM_PATH`).
-pub fn write_bench_reclaim(sweep: &FigureReport) -> std::io::Result<PathBuf> {
-    let path = reclaim_path();
-    let fields = vec![
-        ("schema".into(), Json::Str(schema_string("reclaim"))),
         ("config".into(), report_config(sweep)),
         ("sweep".into(), sweep.to_json()),
     ];
@@ -731,29 +706,6 @@ mod tests {
             Some(format!("synq-bench-park/v{BENCH_SCHEMA_REV}"))
         );
         assert!(read_bench_file(&written, "park").is_ok());
-        assert!(doc.get("config").is_some(), "config block recorded");
-        let sweep = FigureReport::from_json(doc.get("sweep").unwrap()).unwrap();
-        assert_eq!(sweep.series.len(), 2);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn reclaim_file_roundtrips() {
-        let dir = std::env::temp_dir().join(format!("synq-reclaim-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_reclaim.json");
-        let written = with_path_var(
-            "SYNQ_RECLAIM_PATH",
-            &path,
-            || write_bench_reclaim(&sample()),
-        )
-        .unwrap();
-        let doc = Json::parse(&std::fs::read_to_string(&written).unwrap()).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(Json::as_str).map(str::to_owned),
-            Some(format!("synq-bench-reclaim/v{BENCH_SCHEMA_REV}"))
-        );
-        assert!(read_bench_file(&written, "reclaim").is_ok());
         assert!(doc.get("config").is_some(), "config block recorded");
         let sweep = FigureReport::from_json(doc.get("sweep").unwrap()).unwrap();
         assert_eq!(sweep.series.len(), 2);

@@ -177,7 +177,12 @@ impl<T: Send> DualStack<T> {
         // SAFETY: both protected.
         let m_ref = unsafe { m.deref() };
         let f_ref = unsafe { f.deref() };
-        f_ref.refs.fetch_add(1, Ordering::AcqRel);
+        // A reservation's ticket reads `f` through `match_` and releases
+        // it; a data node has no ticket, so nobody would.
+        let for_ticket = !m_ref.is_data();
+        if for_ticket {
+            f_ref.refs.fetch_add(1, Ordering::AcqRel);
+        }
         match m_ref.match_.compare_exchange(
             ptr::null_mut(),
             f.as_raw() as *mut Node<T>,
@@ -189,8 +194,10 @@ impl<T: Send> DualStack<T> {
                 true
             }
             Err(actual) => {
-                // SAFETY: revoke the speculative reference.
-                unsafe { Node::release(f.as_raw()) };
+                if for_ticket {
+                    // SAFETY: revoke the speculative reference.
+                    unsafe { Node::release(f.as_raw()) };
+                }
                 std::ptr::eq(actual, f.as_raw())
             }
         }

@@ -11,12 +11,12 @@ use std::sync::atomic::Ordering;
 use synq_primitives::{Backoff, CachePadded};
 use synq_reclaim::{Atomic, Epoch, Owned, Reclaimer, Shield};
 
-struct Node<T, R: Reclaimer> {
+struct Node<T> {
     /// Uninitialized in the dummy node, initialized in all others. The
     /// value is moved out by the dequeuer that advances the head past it
     /// (at which point the node *becomes* the new dummy).
     value: MaybeUninit<T>,
-    next: Atomic<Node<T, R>, R>,
+    next: Atomic<Node<T>>,
 }
 
 /// A lock-free FIFO queue.
@@ -33,55 +33,33 @@ struct Node<T, R: Reclaimer> {
 /// assert_eq!(q.dequeue(), Some(2));
 /// assert_eq!(q.dequeue(), None);
 /// ```
-///
-/// A reclamation backend other than the default epoch collector is selected
-/// with the second type parameter (see [`Reclaimer`]):
-///
-/// ```
-/// use synq_classic::MsQueue;
-/// use synq_reclaim::Hazard;
-///
-/// let q: MsQueue<u32, Hazard> = MsQueue::new_in();
-/// q.enqueue(1);
-/// assert_eq!(q.dequeue(), Some(1));
-/// ```
-pub struct MsQueue<T, R: Reclaimer = Epoch> {
+pub struct MsQueue<T> {
     /// Dequeuers hammer `head`; padded apart from `tail` so the two
     /// ends of the queue do not false-share (M&S's key scalability trait).
-    head: CachePadded<Atomic<Node<T, R>, R>>,
+    head: CachePadded<Atomic<Node<T>>>,
     /// Enqueuers hammer `tail`.
-    tail: CachePadded<Atomic<Node<T, R>, R>>,
+    tail: CachePadded<Atomic<Node<T>>>,
 }
 
 const _: () = assert!(std::mem::align_of::<MsQueue<u8>>() >= 128);
 const _: () = assert!(std::mem::size_of::<MsQueue<u8>>() >= 256);
 
-impl<T, R: Reclaimer> Default for MsQueue<T, R> {
+impl<T> Default for MsQueue<T> {
     fn default() -> Self {
-        Self::new_in()
+        Self::new()
     }
 }
 
 impl<T> MsQueue<T> {
-    /// Creates an empty queue (one dummy node) under the default epoch
-    /// reclaimer. (Kept non-generic so bare `MsQueue::new()` call sites
-    /// infer the default backend; use [`MsQueue::new_in`] to pick another.)
+    /// Creates an empty queue (one dummy node).
     pub fn new() -> Self {
-        Self::new_in()
-    }
-}
-
-impl<T, R: Reclaimer> MsQueue<T, R> {
-    /// Creates an empty queue (one dummy node) under the reclamation
-    /// backend `R`.
-    pub fn new_in() -> Self {
         let dummy = Owned::new(Node {
             value: MaybeUninit::uninit(),
             next: Atomic::null(),
         });
         // Both head and tail point at the same dummy; we must not double
         // free it, so only `head` is treated as owning in Drop.
-        let guard = unsafe { R::unprotected() };
+        let guard = unsafe { Epoch::unprotected() };
         let dummy = dummy.into_shared(&guard);
         MsQueue {
             head: CachePadded::new(Atomic::from_owned(unsafe { dummy.into_owned() })),
@@ -95,7 +73,7 @@ impl<T, R: Reclaimer> MsQueue<T, R> {
 
     /// Appends `value` at the tail.
     pub fn enqueue(&self, value: T) {
-        let guard = R::pin();
+        let guard = Epoch::pin();
         let mut node = Owned::new(Node {
             value: MaybeUninit::new(value),
             next: Atomic::null(),
@@ -144,7 +122,7 @@ impl<T, R: Reclaimer> MsQueue<T, R> {
 
     /// Removes and returns the oldest value, or `None` if empty.
     pub fn dequeue(&self) -> Option<T> {
-        let guard = R::pin();
+        let guard = Epoch::pin();
         let backoff = Backoff::new();
         loop {
             let head = self.head.load(Ordering::Acquire, &guard);
@@ -168,16 +146,14 @@ impl<T, R: Reclaimer> MsQueue<T, R> {
                 .compare_exchange(head, next, Ordering::AcqRel, Ordering::Relaxed, &guard)
                 .is_ok()
             {
-                // `next` is the new dummy; its value is ours to take (the
-                // CAS success also proves `next` was still linked, so this
-                // first deref of it is sound under bounded-slot backends).
-                // The retired old dummy's value was consumed when it was
+                // `next` is the new dummy; its value is ours to take. The
+                // retired old dummy's value was consumed when it was
                 // dequeued (or never written), so the deferred Box drop
                 // frees only the skeleton.
                 let value = unsafe { next_ref.value.assume_init_read() };
                 let addr = head.as_raw() as usize;
                 unsafe {
-                    guard.defer_retire(addr, move || drop(Box::from_raw(addr as *mut Node<T, R>)))
+                    guard.defer_retire(addr, move || drop(Box::from_raw(addr as *mut Node<T>)))
                 };
                 return Some(value);
             }
@@ -187,7 +163,7 @@ impl<T, R: Reclaimer> MsQueue<T, R> {
 
     /// True if the queue was empty at the moment of the check.
     pub fn is_empty(&self) -> bool {
-        let guard = R::pin();
+        let guard = Epoch::pin();
         let head = self.head.load(Ordering::Acquire, &guard);
         unsafe { head.deref() }
             .next
@@ -196,10 +172,10 @@ impl<T, R: Reclaimer> MsQueue<T, R> {
     }
 }
 
-impl<T, R: Reclaimer> Drop for MsQueue<T, R> {
+impl<T> Drop for MsQueue<T> {
     fn drop(&mut self) {
         // SAFETY: exclusive access in Drop.
-        let guard = unsafe { R::unprotected() };
+        let guard = unsafe { Epoch::unprotected() };
         // The head node is the dummy: its value is uninitialized.
         let mut node = self.head.load(Ordering::Relaxed, &guard);
         let mut first = true;
@@ -217,7 +193,6 @@ impl<T, R: Reclaimer> Drop for MsQueue<T, R> {
 fn _assert_send_sync() {
     fn check<X: Send + Sync>() {}
     check::<MsQueue<usize>>();
-    check::<MsQueue<usize, synq_reclaim::Hazard>>();
 }
 
 #[cfg(test)]
@@ -240,18 +215,6 @@ mod tests {
         }
         assert_eq!(q.dequeue(), None);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn hazard_backend_fifo_order() {
-        let q: MsQueue<u32, synq_reclaim::Hazard> = MsQueue::new_in();
-        for i in 0..100 {
-            q.enqueue(i);
-        }
-        for i in 0..100 {
-            assert_eq!(q.dequeue(), Some(i));
-        }
-        assert_eq!(q.dequeue(), None);
     }
 
     #[test]

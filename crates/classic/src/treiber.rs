@@ -10,9 +10,9 @@ use std::sync::atomic::Ordering;
 use synq_primitives::{Backoff, CachePadded};
 use synq_reclaim::{Atomic, Epoch, Owned, Reclaimer, Shield};
 
-struct Node<T, R: Reclaimer> {
+struct Node<T> {
     value: ManuallyDrop<T>,
-    next: Atomic<Node<T, R>, R>,
+    next: Atomic<Node<T>>,
 }
 
 /// A lock-free LIFO stack.
@@ -29,43 +29,22 @@ struct Node<T, R: Reclaimer> {
 /// assert_eq!(stack.pop(), Some(1));
 /// assert_eq!(stack.pop(), None);
 /// ```
-///
-/// A reclamation backend other than the default epoch collector is selected
-/// with the second type parameter (see [`Reclaimer`]):
-///
-/// ```
-/// use synq_classic::TreiberStack;
-/// use synq_reclaim::Hazard;
-///
-/// let stack: TreiberStack<u32, Hazard> = TreiberStack::new_in();
-/// stack.push(1);
-/// assert_eq!(stack.pop(), Some(1));
-/// ```
-pub struct TreiberStack<T, R: Reclaimer = Epoch> {
+pub struct TreiberStack<T> {
     /// Padded: the single contended word of the whole structure.
-    head: CachePadded<Atomic<Node<T, R>, R>>,
+    head: CachePadded<Atomic<Node<T>>>,
 }
 
 const _: () = assert!(std::mem::align_of::<TreiberStack<u8>>() >= 128);
 
-impl<T, R: Reclaimer> Default for TreiberStack<T, R> {
+impl<T> Default for TreiberStack<T> {
     fn default() -> Self {
-        Self::new_in()
+        Self::new()
     }
 }
 
 impl<T> TreiberStack<T> {
-    /// Creates an empty stack under the default epoch reclaimer. (Kept
-    /// non-generic so bare `TreiberStack::new()` call sites infer the
-    /// default backend; use [`TreiberStack::new_in`] to pick another.)
+    /// Creates an empty stack.
     pub fn new() -> Self {
-        Self::new_in()
-    }
-}
-
-impl<T, R: Reclaimer> TreiberStack<T, R> {
-    /// Creates an empty stack under the reclamation backend `R`.
-    pub fn new_in() -> Self {
         TreiberStack {
             head: CachePadded::new(Atomic::null()),
         }
@@ -73,7 +52,7 @@ impl<T, R: Reclaimer> TreiberStack<T, R> {
 
     /// Pushes a value on top of the stack.
     pub fn push(&self, value: T) {
-        let guard = R::pin();
+        let guard = Epoch::pin();
         let mut node = Owned::new(Node {
             value: ManuallyDrop::new(value),
             next: Atomic::null(),
@@ -101,7 +80,7 @@ impl<T, R: Reclaimer> TreiberStack<T, R> {
 
     /// Pops the most recently pushed value, or `None` if empty.
     pub fn pop(&self) -> Option<T> {
-        let guard = R::pin();
+        let guard = Epoch::pin();
         let backoff = Backoff::new();
         loop {
             let head = self.head.load(Ordering::Acquire, &guard);
@@ -118,7 +97,7 @@ impl<T, R: Reclaimer> TreiberStack<T, R> {
                 let value = unsafe { std::ptr::read(&*node.value) };
                 let addr = head.as_raw() as usize;
                 unsafe {
-                    guard.defer_retire(addr, move || drop(Box::from_raw(addr as *mut Node<T, R>)))
+                    guard.defer_retire(addr, move || drop(Box::from_raw(addr as *mut Node<T>)))
                 };
                 return Some(value);
             }
@@ -128,15 +107,15 @@ impl<T, R: Reclaimer> TreiberStack<T, R> {
 
     /// True if the stack was empty at the moment of the check.
     pub fn is_empty(&self) -> bool {
-        let guard = R::pin();
+        let guard = Epoch::pin();
         self.head.load(Ordering::Acquire, &guard).is_null()
     }
 }
 
-impl<T, R: Reclaimer> Drop for TreiberStack<T, R> {
+impl<T> Drop for TreiberStack<T> {
     fn drop(&mut self) {
         // SAFETY: exclusive access in Drop.
-        let guard = unsafe { R::unprotected() };
+        let guard = unsafe { Epoch::unprotected() };
         let mut head = self.head.load(Ordering::Relaxed, &guard);
         while !head.is_null() {
             // SAFETY: exclusive access; nodes were allocated by push.
@@ -150,7 +129,6 @@ impl<T, R: Reclaimer> Drop for TreiberStack<T, R> {
 fn _assert_send_sync() {
     fn check<X: Send + Sync>() {}
     check::<TreiberStack<usize>>();
-    check::<TreiberStack<usize, synq_reclaim::Hazard>>();
 }
 
 #[cfg(test)]
@@ -177,18 +155,6 @@ mod tests {
     #[test]
     fn pop_empty_is_none() {
         let s: TreiberStack<u8> = TreiberStack::new();
-        assert_eq!(s.pop(), None);
-    }
-
-    #[test]
-    fn hazard_backend_lifo_order() {
-        let s: TreiberStack<u32, synq_reclaim::Hazard> = TreiberStack::new_in();
-        for i in 0..100 {
-            s.push(i);
-        }
-        for i in (0..100).rev() {
-            assert_eq!(s.pop(), Some(i));
-        }
         assert_eq!(s.pop(), None);
     }
 

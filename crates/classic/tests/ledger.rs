@@ -1,5 +1,5 @@
 //! `DualQueue` and `DualStack` retire an unlinked node through the epoch
-//! backend's ledger: the closure that releases it counts in
+//! collector's ledger: the closure that releases it counts in
 //! `Epoch::pending()` from the unlink until it has run.
 //!
 //! The ledger is process-wide, so this binary holds a single test.

@@ -208,22 +208,17 @@ pub trait TimedSyncChannel<T: Send>: SyncChannel<T> {
 #[macro_export]
 macro_rules! impl_sync_channel {
     ($ty:ident) => {
-        $crate::impl_sync_channel!(@imp ($ty<T>), (T: Send));
-    };
-    // Variant for types carrying a reclamation-backend parameter: covers
-    // every backend, not just the default.
-    ($ty:ident<$r:ident: $bound:path>) => {
-        $crate::impl_sync_channel!(@imp ($ty<T, $r>), (T: Send, $r: $bound));
-    };
-    (@imp ($($self_ty:tt)*), ($($gen:tt)*)) => {
-        impl<$($gen)*> $crate::SyncChannel<T> for $($self_ty)*
+        impl<T: Send> $crate::SyncChannel<T> for $ty<T>
         where
-            $($self_ty)*: Send + Sync,
+            $ty<T>: Send + Sync,
         {
             fn put(&self, value: T) {
                 let outcome =
                     $crate::TimedSyncChannel::put_with(self, value, $crate::Deadline::Never, None);
-                assert!(outcome.is_success(), "untimed, uncancellable put cannot fail");
+                assert!(
+                    outcome.is_success(),
+                    "untimed, uncancellable put cannot fail"
+                );
             }
 
             fn take(&self) -> T {

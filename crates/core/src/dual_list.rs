@@ -78,39 +78,16 @@
 //! nodes are not unspliced (Java's `cleanMe`): that is memory-safe only
 //! under a tracing collector, because an unspliced node can stay reachable
 //! through a chain of earlier unspliced predecessors.
-//!
-//! # Validation under bounded-slot reclaimers
-//!
-//! Under [`synq_reclaim::Hazard`] a node reached through another node's
-//! `next` may be dereferenced only after proving it was not yet retired
-//! when its protection became visible (the [`Shield::protect`] contract).
-//! The list retires nodes strictly front to back, as the head advances
-//! past them, and `tail` never references a retired node (see
-//! `advance_head`), so two checks cover every access:
-//!
-//! * **Snapshot re-check** ([`Arrival::front`], `absorb_cancelled`):
-//!   re-load `head` and compare it with the protected snapshot. A
-//!   protected structure-field value cannot be recycled while its slot is
-//!   live, so pointer equality proves it is still the head, and a live
-//!   head means none of its successors is retired.
-//! * **Head re-anchor** (`count_linked`, the chain walk): after protecting
-//!   `p.next`, re-read the anchor and restart if it moved. An unchanged
-//!   anchor is conclusive (popped nodes are never re-linked, and the slot
-//!   protecting it prevents address reuse), so every node reached from it
-//!   is still linked. A per-node `unlinked` flag would not do: the popping
-//!   thread sets it *after* its CAS, so a stalled popper can leave a
-//!   successor retired while its predecessor still reads as live.
 
 use crate::pollable::PendingTransfer;
 use crate::{Deadline, TransferOutcome};
 use core::task::{Poll, Waker};
-use std::marker::PhantomData;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use synq_primitives::cancel::Registration;
 use synq_primitives::{CachePadded, CancelToken, WaitOutcome, WaitSlot, WaitStrategy};
-use synq_reclaim::{Atomic, Owned, Reclaimer, Shared, Shield};
+use synq_reclaim::{Atomic, Epoch, Guard, Owned, Reclaimer, Shared, Shield};
 
 /// Mode word of a waiting consumer's node (a reservation).
 pub const REQUEST: usize = 0;
@@ -124,13 +101,13 @@ pub const MOVABLE: usize = 4;
 
 /// The wait node shared by the dual queue, the dual stack and the
 /// TransferQueue's linked half. See the [module docs](self).
-pub struct WaitNode<T, R: Reclaimer> {
+pub struct WaitNode<T> {
     /// Immutable once published.
     pub(crate) mode: usize,
     /// A data node's item is written by its owner before publication; a
     /// request's, by the matcher while `CLAIMED`.
     pub slot: WaitSlot<T>,
-    pub(crate) next: Atomic<WaitNode<T, R>, R>,
+    pub(crate) next: Atomic<WaitNode<T>>,
     /// Nonzero once the waiter has exited, after its last access; the
     /// retirement frees the node only then. A word, not a `bool`: the node
     /// keeps the size (80 bytes with the benchmark's item) and allocator
@@ -143,7 +120,7 @@ pub struct WaitNode<T, R: Reclaimer> {
     unlinked: AtomicBool,
 }
 
-impl<T, R: Reclaimer> WaitNode<T, R> {
+impl<T> WaitNode<T> {
     fn new(mode: usize, exited: bool) -> Owned<Self> {
         Owned::new(WaitNode {
             mode,
@@ -188,7 +165,7 @@ impl<T, R: Reclaimer> WaitNode<T, R> {
     /// Hands the node at `raw` to the reclaimer, to be freed once no guard
     /// can reach it and its waiter has exited. A waiter still inside is not
     /// done with it: the deferred closure then defers itself again, under a
-    /// pin of its own (both backends accept a retirement from inside a
+    /// pin of its own (the collector accepts a retirement from inside a
     /// running closure).
     ///
     /// # Safety
@@ -196,7 +173,7 @@ impl<T, R: Reclaimer> WaitNode<T, R> {
     /// Called once per node, by the winner of the one CAS that unlinked
     /// it (a queue's or a stack's `head` CAS). The node is protected by
     /// `guard` and off its structure.
-    pub(crate) unsafe fn retire(raw: *const Self, guard: &R::Guard) {
+    pub(crate) unsafe fn retire(raw: *const Self, guard: &Guard) {
         let reap = move || {
             // SAFETY: unlinked and past its grace period, so only the
             // waiter can still touch it, until its exit (Acquire pairs
@@ -206,7 +183,7 @@ impl<T, R: Reclaimer> WaitNode<T, R> {
             } else {
                 synq_obs::probe!(NodeWaiterInside);
                 // SAFETY: still unlinked, and retired only by this closure.
-                unsafe { Self::retire(raw, &R::pin()) };
+                unsafe { Self::retire(raw, &Epoch::pin()) };
             }
         };
         // SAFETY: the closure frees nothing a guard or a waiter can reach.
@@ -220,9 +197,9 @@ impl<T, R: Reclaimer> WaitNode<T, R> {
     /// Exclusive access to the structure: every waiter has exited. A node
     /// whose waiter has not (a permit passed to `mem::forget` keeps its
     /// structure alive, so this cannot happen through the API) is leaked.
-    pub(crate) unsafe fn drain_chain(first: &Atomic<Self, R>) {
+    pub(crate) unsafe fn drain_chain(first: &Atomic<Self>) {
         // SAFETY: exclusive access per the contract.
-        let guard = unsafe { R::unprotected() };
+        let guard = unsafe { Epoch::unprotected() };
         let mut p = first.load(Ordering::Relaxed, &guard);
         // SAFETY: as above; the link is read before the node is freed.
         while let Some(node) = unsafe { p.as_ref() } {
@@ -238,16 +215,13 @@ impl<T, R: Reclaimer> WaitNode<T, R> {
 /// The lock-free phase of one arrival: `Break(outcome)` when it resolved
 /// without waiting, `Continue(node)` when it published `node`, which the
 /// caller now waits on and exits with [`Leave::leave`].
-pub type Start<T, R> = ControlFlow<TransferOutcome<T>, *const WaitNode<T, R>>;
+pub type Start<T> = ControlFlow<TransferOutcome<T>, *const WaitNode<T>>;
 
 /// How a structure ends a waiter's wait on a node it published: the step
 /// after the slot's terminal state, written once per structure and shared
 /// by the blocking waiter ([`Self::wait`]) and the poll-mode one
 /// ([`NodePermit`]). See the [module docs](self).
 pub trait Leave<T> {
-    /// The reclamation backend of the structure's nodes.
-    type Backend: Reclaimer;
-
     /// Ends the wait on the caller's own published node, whose slot reached
     /// the terminal state `verdict` reports: unlinks or helps unlink the
     /// node, exits it ([`WaitNode::release`]), and resolves the transfer,
@@ -261,11 +235,7 @@ pub trait Leave<T> {
     /// after the caller won the cancel CAS itself, or `Matched` with the
     /// slot's [`WaitSlot::matched`] word). The node is not touched
     /// afterwards.
-    unsafe fn leave(
-        &self,
-        node: *const WaitNode<T, Self::Backend>,
-        verdict: WaitOutcome,
-    ) -> TransferOutcome<T>;
+    unsafe fn leave(&self, node: *const WaitNode<T>, verdict: WaitOutcome) -> TransferOutcome<T>;
 
     /// The blocking waiter, the paper's `awaitFulfill`: pays for the node
     /// it published with one [`Reclaimer::reclaim_step`] of the thread's
@@ -281,18 +251,15 @@ pub trait Leave<T> {
     /// As [`Self::leave`], without the verdict.
     unsafe fn wait<S: WaitStrategy + ?Sized>(
         &self,
-        node: *const WaitNode<T, Self::Backend>,
+        node: *const WaitNode<T>,
         deadline: Deadline,
         token: Option<&CancelToken>,
         strategy: &S,
     ) -> TransferOutcome<T> {
         // SAFETY: the node is not freed before its waiter exits.
         let slot = &unsafe { &*node }.slot;
-        Self::Backend::reclaim_step();
-        let strategy = Reclaiming {
-            strategy,
-            backend: PhantomData::<Self::Backend>,
-        };
+        Epoch::reclaim_step();
+        let strategy = Reclaiming(strategy);
         let verdict = slot.await_outcome(deadline, token, &strategy);
         // SAFETY: per the contract; `verdict` is the slot's terminal state.
         unsafe { self.leave(node, verdict) }
@@ -302,35 +269,32 @@ pub trait Leave<T> {
 /// A waiter's `strategy` with the thread's reclamation work as its pre-park
 /// hook: one [`Reclaimer::reclaim_step`] per call, after whatever work the
 /// strategy has of its own.
-struct Reclaiming<'s, S: ?Sized, R> {
-    strategy: &'s S,
-    backend: PhantomData<R>,
-}
+struct Reclaiming<'s, S: ?Sized>(&'s S);
 
-impl<S: WaitStrategy + ?Sized, R: Reclaimer> WaitStrategy for Reclaiming<'_, S, R> {
+impl<S: WaitStrategy + ?Sized> WaitStrategy for Reclaiming<'_, S> {
     #[inline]
     fn spin_budget(&self, timed: bool) -> u32 {
-        self.strategy.spin_budget(timed)
+        self.0.spin_budget(timed)
     }
 
     #[inline]
     fn parks(&self) -> bool {
-        self.strategy.parks()
+        self.0.parks()
     }
 
     #[inline]
     fn extend_spin(&self) -> bool {
-        self.strategy.extend_spin()
+        self.0.extend_spin()
     }
 
     #[inline]
     fn before_park(&self) -> bool {
-        self.strategy.before_park() || R::reclaim_step()
+        self.0.before_park() || Epoch::reclaim_step()
     }
 
     #[inline]
     fn observe(&self, timed: bool, spun: u64, parked: u64, matched: bool) {
-        self.strategy.observe(timed, spun, parked, matched);
+        self.0.observe(timed, spun, parked, matched);
     }
 }
 
@@ -341,7 +305,7 @@ impl<S: WaitStrategy + ?Sized, R: Reclaimer> WaitStrategy for Reclaiming<'_, S, 
 /// built on top are safe to drop at any point.
 pub struct NodePermit<T, Q: Leave<T>> {
     owner: Arc<Q>,
-    node: *const WaitNode<T, Q::Backend>,
+    node: *const WaitNode<T>,
     /// Set when `poll_transfer` returned `Ready`: the waiter has exited
     /// and `node` must not be touched again.
     done: bool,
@@ -361,7 +325,7 @@ impl<T, Q: Leave<T>> NodePermit<T, Q> {
     ///
     /// `node` came from `owner`'s arrival as `Continue(node)`, and the
     /// permit becomes its waiter.
-    pub unsafe fn new(owner: Arc<Q>, node: *const WaitNode<T, Q::Backend>) -> Self {
+    pub unsafe fn new(owner: Arc<Q>, node: *const WaitNode<T>) -> Self {
         NodePermit {
             owner,
             node,
@@ -382,7 +346,7 @@ impl<T, Q: Leave<T>> NodePermit<T, Q> {
     /// # Safety
     ///
     /// The permit resolved, and `node` is as in [`Self::new`].
-    pub unsafe fn rearm(&mut self, node: *const WaitNode<T, Q::Backend>) {
+    pub unsafe fn rearm(&mut self, node: *const WaitNode<T>) {
         debug_assert!(self.done, "re-armed an unresolved permit");
         self.node = node;
         self.done = false;
@@ -406,7 +370,7 @@ impl<T: Send, Q: Leave<T> + Send + Sync> PendingTransfer<T> for NodePermit<T, Q>
             // A task's idle time is its executor's, so a pending poll pays
             // only for the node it waits on: one step, as a blocking
             // waiter's first.
-            Q::Backend::reclaim_step();
+            Epoch::reclaim_step();
             return Poll::Pending;
         };
         self.done = true;
@@ -453,57 +417,45 @@ impl<T, Q: Leave<T>> std::fmt::Debug for NodePermit<T, Q> {
 /// Counts the nodes on the chain behind `anchor` (a queue's `head`, whose
 /// first node is the dummy and is skipped with `skip_anchor`; a stack's
 /// `head`). Racy by nature: O(n), for diagnostics.
-pub(crate) fn count_linked<T, R: Reclaimer>(
-    anchor: &Atomic<WaitNode<T, R>, R>,
-    skip_anchor: bool,
-) -> usize {
-    let guard = R::pin();
-    'restart: loop {
-        let root = anchor.load(Ordering::Acquire, &guard);
-        let mut skip = skip_anchor;
-        let mut count = 0;
-        let mut p = root;
-        // SAFETY: head re-anchor (module docs). `root` came from the
-        // structure field; every later `p` was protected and then
-        // validated by the anchor re-read below before this deref. Each
-        // restart means the anchor moved, so the loop is lock-free.
-        while let Some(n) = unsafe { p.as_ref() } {
-            if !std::mem::take(&mut skip) {
-                count += 1;
-            }
-            let next = n.next.load(Ordering::Acquire, &guard);
-            if !anchor.load(Ordering::Acquire, &guard).ptr_eq(&root) {
-                continue 'restart;
-            }
-            p = next;
+pub(crate) fn count_linked<T>(anchor: &Atomic<WaitNode<T>>, skip_anchor: bool) -> usize {
+    let guard = Epoch::pin();
+    let mut p = anchor.load(Ordering::Acquire, &guard);
+    let mut skip = skip_anchor;
+    let mut count = 0;
+    // SAFETY: every node on the chain was linked behind the anchor at some
+    // instant after the pin, so none is freed before the guard drops.
+    while let Some(n) = unsafe { p.as_ref() } {
+        if !std::mem::take(&mut skip) {
+            count += 1;
         }
-        return count;
+        p = n.next.load(Ordering::Acquire, &guard);
     }
+    count
 }
 
 /// The M&S-skeleton dual list. See the [module docs](self).
-pub struct DualList<T, R: Reclaimer> {
+pub struct DualList<T> {
     /// Matchers hammer `head`, appenders hammer `tail`; each owns its cache
     /// line(s) so the two ends never false-share.
-    head: CachePadded<Atomic<WaitNode<T, R>, R>>,
-    tail: CachePadded<Atomic<WaitNode<T, R>, R>>,
+    head: CachePadded<Atomic<WaitNode<T>>>,
+    tail: CachePadded<Atomic<WaitNode<T>>>,
 }
 
 // Layout: padding must actually separate the two ends.
-const _: () = assert!(std::mem::align_of::<DualList<u8, synq_reclaim::Epoch>>() >= 128);
-const _: () = assert!(std::mem::size_of::<DualList<u8, synq_reclaim::Epoch>>() >= 2 * 128);
+const _: () = assert!(std::mem::align_of::<DualList<u8>>() >= 128);
+const _: () = assert!(std::mem::size_of::<DualList<u8>>() >= 2 * 128);
 
 // SAFETY: nodes hand `T` values across threads; all shared mutation goes
 // through atomics and the slot's claim/consume protocol.
-unsafe impl<T: Send, R: Reclaimer> Send for DualList<T, R> {}
-unsafe impl<T: Send, R: Reclaimer> Sync for DualList<T, R> {}
+unsafe impl<T: Send> Send for DualList<T> {}
+unsafe impl<T: Send> Sync for DualList<T> {}
 
-impl<T, R: Reclaimer> Default for DualList<T, R> {
+impl<T> Default for DualList<T> {
     fn default() -> Self {
         // Nobody waits on the first dummy.
         let dummy = WaitNode::new(REQUEST, true);
         // SAFETY: single-threaded construction.
-        let guard = unsafe { R::unprotected() };
+        let guard = unsafe { Epoch::unprotected() };
         let dummy = dummy.into_shared(&guard);
         let head = Atomic::null();
         let tail = Atomic::null();
@@ -516,10 +468,10 @@ impl<T, R: Reclaimer> Default for DualList<T, R> {
     }
 }
 
-impl<T, R: Reclaimer> DualList<T, R> {
+impl<T> DualList<T> {
     /// Starts one arrival: absorbs leading cancelled nodes, then snapshots
     /// `head` and `tail`.
-    pub fn arrive<'g>(&'g self, guard: &'g R::Guard) -> Arrival<'g, T, R> {
+    pub fn arrive<'g>(&'g self, guard: &'g Guard) -> Arrival<'g, T> {
         self.absorb_cancelled(guard);
         Arrival {
             list: self,
@@ -533,9 +485,9 @@ impl<T, R: Reclaimer> DualList<T, R> {
     /// dummy. Returns true if this thread's CAS won.
     fn advance_head<'g>(
         &self,
-        h: Shared<'g, WaitNode<T, R>>,
-        nh: Shared<'g, WaitNode<T, R>>,
-        guard: &'g R::Guard,
+        h: Shared<'g, WaitNode<T>>,
+        nh: Shared<'g, WaitNode<T>>,
+        guard: &'g Guard,
     ) -> bool {
         if self
             .head
@@ -546,11 +498,10 @@ impl<T, R: Reclaimer> DualList<T, R> {
         }
         synq_obs::probe!(QueueHeadAdvances);
         // Help a lagging tail off `h` before retiring it, so `tail` never
-        // references a retired node (Michael's rule). Without this a
-        // bounded-slot backend could free `h` while `tail` still points at
-        // it, and a later tail-load's source re-validation would wrongly
-        // pass. Tail moves only forward along the chain, so once past `h`
-        // it can never return.
+        // references a retired node (Michael's rule): a thread pinned after
+        // `h`'s grace period would otherwise load it from `tail` freed.
+        // Tail moves only forward along the chain, so once past `h` it can
+        // never return.
         let t = self.tail.load(Ordering::Acquire, guard);
         if t.ptr_eq(&h) {
             let _ = self
@@ -569,20 +520,15 @@ impl<T, R: Reclaimer> DualList<T, R> {
 
     /// Absorbs leading cancelled nodes: the cleaning strategy (module
     /// docs), run by every arrival and by cancelling waiters.
-    fn absorb_cancelled(&self, guard: &R::Guard) {
+    fn absorb_cancelled(&self, guard: &Guard) {
         let mut h = self.head.load(Ordering::Acquire, guard);
         loop {
             // SAFETY: head is never null (dummy invariant) and protected.
             let hn = unsafe { h.deref() }.next.load(Ordering::Acquire, guard);
-            // Snapshot re-check (module docs): `hn` came through a node
-            // field, so prove `h` was still the head after `hn`'s
-            // protection published.
-            let reread = self.head.load(Ordering::Acquire, guard);
-            if !h.ptr_eq(&reread) {
-                h = reread;
-                continue;
-            }
-            // SAFETY: validated just above.
+            // SAFETY: `h` was the head under this pin, so its successor
+            // cannot be unlinked, let alone freed, before the guard drops.
+            // A stale `h` only fails the CAS below or ends the pass; the
+            // next arrival starts again from the head.
             match unsafe { hn.as_ref() } {
                 Some(n) if n.slot.is_cancelled() => {}
                 _ => return,
@@ -612,7 +558,7 @@ impl<T, R: Reclaimer> DualList<T, R> {
     /// CAS itself). The node is not touched afterwards.
     pub unsafe fn leave(
         &self,
-        node: *const WaitNode<T, R>,
+        node: *const WaitNode<T>,
         verdict: WaitOutcome,
     ) -> TransferOutcome<T> {
         // SAFETY: the node is not freed before its waiter exits.
@@ -620,12 +566,12 @@ impl<T, R: Reclaimer> DualList<T, R> {
         let matched = matches!(verdict, WaitOutcome::Matched(_));
         if !matched {
             // The cancelled prefix now includes our node.
-            self.absorb_cancelled(&R::pin());
+            self.absorb_cancelled(&Epoch::pin());
         } else if !self.is_dequeued(own) {
             // Help dequeue our own node if it is next in line (paper
             // Listing 5 lines 17-19). `hn` is only compared against our
             // own pointer, never dereferenced.
-            let guard = R::pin();
+            let guard = Epoch::pin();
             let h = self.head.load(Ordering::Acquire, &guard);
             // SAFETY: head is never null, and protected.
             let hn = unsafe { h.deref() }.next.load(Ordering::Acquire, &guard);
@@ -651,12 +597,12 @@ impl<T, R: Reclaimer> DualList<T, R> {
     /// is nothing for its waiter to help. Needs no pin: `head` is only
     /// compared with `own`, whose address cannot be reused before its
     /// waiter exits.
-    fn is_dequeued(&self, own: &WaitNode<T, R>) -> bool {
+    fn is_dequeued(&self, own: &WaitNode<T>) -> bool {
         if own.unlinked.load(Ordering::Acquire) {
             return true;
         }
         // SAFETY: nothing loaded through this guard is dereferenced.
-        let bare = unsafe { R::unprotected() };
+        let bare = unsafe { Epoch::unprotected() };
         std::ptr::eq(self.head.load(Ordering::Acquire, &bare).as_raw(), own)
     }
 
@@ -665,8 +611,8 @@ impl<T, R: Reclaimer> DualList<T, R> {
     /// matched? Pins; `head.next` is only compared with `own`, as in
     /// `leave`. Once true it stays true until `own`'s wait is decided,
     /// because only a decided node lets the head move onto it.
-    pub fn is_front(&self, own: *const WaitNode<T, R>) -> bool {
-        let guard = R::pin();
+    pub fn is_front(&self, own: *const WaitNode<T>) -> bool {
+        let guard = Epoch::pin();
         let h = self.head.load(Ordering::Acquire, &guard);
         // SAFETY: head is never null, and protected.
         let hn = unsafe { h.deref() }.next.load(Ordering::Acquire, &guard);
@@ -679,7 +625,7 @@ impl<T, R: Reclaimer> DualList<T, R> {
     }
 }
 
-impl<T, R: Reclaimer> Drop for DualList<T, R> {
+impl<T> Drop for DualList<T> {
     fn drop(&mut self) {
         // SAFETY: `&mut self`; waiters borrow the owning structure, so all
         // have returned.
@@ -689,15 +635,15 @@ impl<T, R: Reclaimer> Drop for DualList<T, R> {
 
 /// One arrival's snapshot of the list's two ends, bound to the list and
 /// the guard that produced it.
-pub struct Arrival<'g, T, R: Reclaimer> {
-    list: &'g DualList<T, R>,
-    guard: &'g R::Guard,
-    head: Shared<'g, WaitNode<T, R>>,
-    tail: Shared<'g, WaitNode<T, R>>,
+pub struct Arrival<'g, T> {
+    list: &'g DualList<T>,
+    guard: &'g Guard,
+    head: Shared<'g, WaitNode<T>>,
+    tail: Shared<'g, WaitNode<T>>,
 }
 
-impl<'g, T, R: Reclaimer> Arrival<'g, T, R> {
-    fn tail_node(&self) -> &'g WaitNode<T, R> {
+impl<'g, T> Arrival<'g, T> {
+    fn tail_node(&self) -> &'g WaitNode<T> {
         // SAFETY: `tail` is never null and was loaded from the structure
         // field under `guard`; it never references a retired node.
         unsafe { self.tail.deref() }
@@ -747,8 +693,8 @@ impl<'g, T, R: Reclaimer> Arrival<'g, T, R> {
     /// unpublished.
     pub fn try_append(
         &self,
-        node: Owned<WaitNode<T, R>>,
-    ) -> Result<*const WaitNode<T, R>, Owned<WaitNode<T, R>>> {
+        node: Owned<WaitNode<T>>,
+    ) -> Result<*const WaitNode<T>, Owned<WaitNode<T>>> {
         match self.tail_node().next.compare_exchange(
             Shared::null(),
             node,
@@ -776,16 +722,15 @@ impl<'g, T, R: Reclaimer> Arrival<'g, T, R> {
 
     /// The node at `head.next`, validated; `None` if the snapshot went
     /// stale (the caller starts over).
-    pub fn front(&self) -> Option<Front<'g, T, R>> {
+    pub fn front(&self) -> Option<Front<'g, T>> {
         let list = self.list;
-        // SAFETY: head is never null; structure-field protection.
+        // SAFETY: head is never null, and protected.
         let node = unsafe { self.head.deref() }
             .next
             .load(Ordering::Acquire, self.guard);
-        // Snapshot re-check (module docs): `node` came through a node
-        // field; `head` unchanged proves it was unretired when its
-        // protection published, and `tail` unchanged that the mode read
-        // off it still describes the front.
+        // Listing 5's consistency check (`t != tail || h != head`): with
+        // both ends unchanged, `node` is still the front and the mode read
+        // off the tail still describes it.
         let stale = !self
             .tail
             .ptr_eq(&list.tail.load(Ordering::Acquire, self.guard))
@@ -798,20 +743,20 @@ impl<'g, T, R: Reclaimer> Arrival<'g, T, R> {
     /// Advances the head past `front` (paper Figure 1 step D), whether
     /// the caller's claim on it won or lost: a node that is matched,
     /// claimed by someone else or cancelled is the next dummy either way.
-    pub fn advance_past(&self, front: Front<'g, T, R>) {
+    pub fn advance_past(&self, front: Front<'g, T>) {
         let _ = self.list.advance_head(self.head, front.node, self.guard);
     }
 }
 
 /// A validated reference to the node at the front of the list.
-pub struct Front<'g, T, R: Reclaimer> {
-    node: Shared<'g, WaitNode<T, R>>,
+pub struct Front<'g, T> {
+    node: Shared<'g, WaitNode<T>>,
 }
 
-impl<T, R: Reclaimer> std::ops::Deref for Front<'_, T, R> {
-    type Target = WaitNode<T, R>;
+impl<T> std::ops::Deref for Front<'_, T> {
+    type Target = WaitNode<T>;
 
-    fn deref(&self) -> &WaitNode<T, R> {
+    fn deref(&self) -> &WaitNode<T> {
         // SAFETY: non-null and validated by `Arrival::front`, protected by
         // its guard.
         unsafe { self.node.deref() }
@@ -822,10 +767,9 @@ impl<T, R: Reclaimer> std::ops::Deref for Front<'_, T, R> {
 mod tests {
     use super::*;
     use std::time::{Duration, Instant};
-    use synq_reclaim::Epoch;
 
-    type List<T> = DualList<T, Epoch>;
-    type Node<T> = *const WaitNode<T, Epoch>;
+    type List<T> = DualList<T>;
+    type Node<T> = *const WaitNode<T>;
 
     const PREFIX: usize = if cfg!(miri) { 8 } else { 64 };
 
@@ -833,7 +777,7 @@ mod tests {
     /// the unprotected guard asks for. Under it a retirement runs on the
     /// spot: it frees a node whose waiter has exited, and otherwise defers
     /// itself to the real collector, under a pin of its own.
-    fn unprotected() -> synq_reclaim::Guard {
+    fn unprotected() -> Guard {
         unsafe { Epoch::unprotected() }
     }
 

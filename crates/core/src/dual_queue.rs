@@ -24,16 +24,11 @@ use crate::{impl_sync_channel, Deadline, TimedSyncChannel, TransferOutcome};
 use std::ops::ControlFlow;
 use std::sync::Arc;
 use synq_primitives::{CancelToken, SpinPolicy, WaitOutcome};
-use synq_reclaim::{Epoch, Reclaimer};
 
 /// The fair (FIFO) synchronous queue.
 ///
-/// See the [module docs](self) for the algorithm. The second type
-/// parameter selects the memory-reclamation backend (see "Choosing a
-/// reclaimer" in the README); it defaults to [`Epoch`], so
-/// `SyncDualQueue<T>` is the fast-load configuration every pre-existing
-/// caller gets. Prefer the [`crate::SynchronousQueue`] facade unless you
-/// need this concrete type.
+/// See the [module docs](self) for the algorithm. Prefer the
+/// [`crate::SynchronousQueue`] facade unless you need this concrete type.
 ///
 /// # Examples
 ///
@@ -49,67 +44,26 @@ use synq_reclaim::{Epoch, Reclaimer};
 /// q.put("hello");
 /// assert_eq!(t.join().unwrap(), "hello");
 /// ```
-///
-/// Selecting the hazard-pointer backend (bounded garbage under stalled
-/// readers, slower loads):
-///
-/// ```
-/// use synq::{SyncDualQueue, TimedSyncChannel};
-/// use synq_reclaim::Hazard;
-///
-/// let q: SyncDualQueue<u32, Hazard> = SyncDualQueue::new_in();
-/// assert_eq!(q.poll(), None);
-/// ```
-pub struct SyncDualQueue<T, R: Reclaimer = Epoch>(pub(crate) TransferQueue<T, R>);
+pub struct SyncDualQueue<T>(pub(crate) TransferQueue<T>);
 
 // Layout: the list's padded ends must survive embedding.
 const _: () = assert!(std::mem::align_of::<SyncDualQueue<u8>>() >= 128);
 const _: () = assert!(std::mem::size_of::<SyncDualQueue<u8>>() >= 2 * 128);
 
-impl<T: Send, R: Reclaimer> Default for SyncDualQueue<T, R> {
+impl<T: Send> Default for SyncDualQueue<T> {
     fn default() -> Self {
-        Self::new_in()
+        Self::new()
     }
 }
 
 impl<T: Send> SyncDualQueue<T> {
-    /// Creates an empty queue with the adaptive spin policy (and the
-    /// default [`Epoch`] reclaimer — see [`SyncDualQueue::new_in`] for
-    /// other backends).
+    /// Creates an empty queue with the adaptive spin policy.
     pub fn new() -> Self {
         Self::with_spin(SpinPolicy::adaptive())
     }
 
     /// Creates an empty queue with an explicit spin policy (ablation A1).
     pub fn with_spin(spin: SpinPolicy) -> Self {
-        Self::with_spin_in(spin)
-    }
-}
-
-impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
-    /// Creates an empty queue under the reclamation backend `R` with the
-    /// adaptive spin policy. The backend defaults to epoch, so the plain
-    /// [`SyncDualQueue::new`] is `new_in` with `R = Epoch`:
-    ///
-    /// ```
-    /// use synq::{SyncChannel, SyncDualQueue, TimedSyncChannel};
-    /// use synq_reclaim::{Epoch, Hazard};
-    ///
-    /// let epoch: SyncDualQueue<u32, Epoch> = SyncDualQueue::new_in(); // == new()
-    /// let hazard: SyncDualQueue<u32, Hazard> = SyncDualQueue::new_in();
-    /// std::thread::scope(|s| {
-    ///     s.spawn(|| hazard.put(7));
-    ///     s.spawn(|| assert_eq!(hazard.take(), 7));
-    /// });
-    /// assert_eq!(epoch.offer(1), Err(1)); // nobody waiting
-    /// ```
-    pub fn new_in() -> Self {
-        Self::with_spin_in(SpinPolicy::adaptive())
-    }
-
-    /// Creates an empty queue under the reclamation backend `R` with an
-    /// explicit spin policy.
-    pub fn with_spin_in(spin: SpinPolicy) -> Self {
         SyncDualQueue(TransferQueue::ringless(spin))
     }
 
@@ -120,21 +74,15 @@ impl<T: Send, R: Reclaimer> SyncDualQueue<T, R> {
     }
 }
 
-impl<T: Send, R: Reclaimer> Leave<T> for SyncDualQueue<T, R> {
-    type Backend = R;
-
-    unsafe fn leave(
-        &self,
-        node: *const WaitNode<T, R>,
-        verdict: WaitOutcome,
-    ) -> TransferOutcome<T> {
+impl<T: Send> Leave<T> for SyncDualQueue<T> {
+    unsafe fn leave(&self, node: *const WaitNode<T>, verdict: WaitOutcome) -> TransferOutcome<T> {
         // SAFETY: per the contract; this queue's nodes are its inner
         // queue's.
         unsafe { self.0.leave(node, verdict) }
     }
 }
 
-impl<T: Send, R: Reclaimer> TimedSyncChannel<T> for SyncDualQueue<T, R> {
+impl<T: Send> TimedSyncChannel<T> for SyncDualQueue<T> {
     fn transfer(
         &self,
         item: Option<T>,
@@ -151,9 +99,9 @@ impl<T: Send, R: Reclaimer> TimedSyncChannel<T> for SyncDualQueue<T, R> {
     }
 }
 
-impl_sync_channel!(SyncDualQueue<R: Reclaimer>);
+impl_sync_channel!(SyncDualQueue);
 
-impl<T: Send, R: Reclaimer> PollTransferer<T> for SyncDualQueue<T, R> {
+impl<T: Send> PollTransferer<T> for SyncDualQueue<T> {
     type Permit = NodePermit<T, Self>;
 
     fn start_transfer(this: &Arc<Self>, item: Option<T>) -> StartTransfer<T, Self::Permit> {
@@ -170,7 +118,7 @@ impl<T: Send, R: Reclaimer> PollTransferer<T> for SyncDualQueue<T, R> {
     }
 }
 
-impl<T, R: Reclaimer> std::fmt::Debug for SyncDualQueue<T, R> {
+impl<T> std::fmt::Debug for SyncDualQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.pad("SyncDualQueue { .. }")
     }
@@ -184,6 +132,7 @@ mod tests {
     use std::sync::Arc;
     use std::thread;
     use std::time::{Duration, Instant};
+    use synq_reclaim::{Epoch, Reclaimer};
 
     #[test]
     fn poll_and_offer_on_empty_fail() {
@@ -417,15 +366,5 @@ mod tests {
         );
         drop(q);
         assert_eq!(DROPS.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn hazard_backend_put_take_pair() {
-        let q: Arc<SyncDualQueue<u32, synq_reclaim::Hazard>> = Arc::new(SyncDualQueue::new_in());
-        let q2 = Arc::clone(&q);
-        let t = thread::spawn(move || q2.take());
-        q.put(7);
-        assert_eq!(t.join().unwrap(), 7);
-        assert_eq!(q.linked_nodes(), 0);
     }
 }

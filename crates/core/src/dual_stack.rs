@@ -75,18 +75,6 @@
 //! only its own slot: a consumer takes the item its producer deposited
 //! there, a producer reads nothing. It takes no pin and never reads
 //! `head`.
-//!
-//! Under the bounded-protection backends two facts cover every access:
-//!
-//! * **`next` is fixed at the push** and nodes leave only at the top, so
-//!   a head CAS from `h` to `h.next` certifies that `h` was still the head
-//!   (a popped node is never re-pushed, and the protecting slot keeps
-//!   `h`'s address from being recycled). `h.next` is only ever a CAS
-//!   operand; the only nodes dereferenced are loaded straight from `head`.
-//! * **The chain walk** (`linked_nodes`) is the kernel's head re-anchor:
-//!   with the head stable, every node reached from it is still linked, and
-//!   nodes retired before the walk began are unreachable from the current
-//!   head.
 
 use crate::dual_list::{count_linked, Leave, NodePermit, Start, WaitNode, DATA, REQUEST};
 use crate::pollable::{PollTransferer, StartTransfer};
@@ -96,7 +84,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use synq_primitives::wait_slot::MIN_TOKEN;
 use synq_primitives::{CachePadded, CancelToken, SpinPolicy, WaitOutcome};
-use synq_reclaim::{Atomic, Epoch, Owned, Reclaimer, Shared};
+use synq_reclaim::{Atomic, Epoch, Guard, Owned, Reclaimer, Shared};
 
 /// The word a consumer stores in a waiting producer's slot to match it.
 /// The producer's waiter only needs to see that it was matched; any word
@@ -119,21 +107,10 @@ const TAKEN: usize = MIN_TOKEN;
 /// q.put(7u32);
 /// assert_eq!(t.join().unwrap(), 7);
 /// ```
-///
-/// A reclamation backend other than the default epoch collector is selected
-/// with the second type parameter (see [`Reclaimer`]):
-///
-/// ```
-/// use synq::{SyncDualStack, TimedSyncChannel};
-/// use synq_reclaim::Hazard;
-///
-/// let s: SyncDualStack<u32, Hazard> = SyncDualStack::new_in();
-/// assert_eq!(s.poll(), None);
-/// ```
-pub struct SyncDualStack<T, R: Reclaimer = Epoch> {
+pub struct SyncDualStack<T> {
     /// The single contended word of the structure: padded so the spin
     /// policy beside it never rides its cache line.
-    head: CachePadded<Atomic<WaitNode<T, R>, R>>,
+    head: CachePadded<Atomic<WaitNode<T>>>,
     spin: SpinPolicy,
 }
 
@@ -142,52 +119,23 @@ const _: () = assert!(std::mem::align_of::<SyncDualStack<u8>>() >= 128);
 const _: () = assert!(std::mem::size_of::<SyncDualStack<u8>>() >= 128);
 
 // SAFETY: as for SyncDualQueue.
-unsafe impl<T: Send, R: Reclaimer> Send for SyncDualStack<T, R> {}
-unsafe impl<T: Send, R: Reclaimer> Sync for SyncDualStack<T, R> {}
+unsafe impl<T: Send> Send for SyncDualStack<T> {}
+unsafe impl<T: Send> Sync for SyncDualStack<T> {}
 
-impl<T: Send, R: Reclaimer> Default for SyncDualStack<T, R> {
+impl<T: Send> Default for SyncDualStack<T> {
     fn default() -> Self {
-        Self::new_in()
+        Self::new()
     }
 }
 
 impl<T: Send> SyncDualStack<T> {
-    /// Creates an empty stack with the adaptive spin policy and the
-    /// default epoch reclaimer. (Kept non-generic so bare
-    /// `SyncDualStack::new()` call sites infer the default backend; use
-    /// [`SyncDualStack::new_in`] to pick another.)
+    /// Creates an empty stack with the adaptive spin policy.
     pub fn new() -> Self {
         Self::with_spin(SpinPolicy::adaptive())
     }
 
     /// Creates an empty stack with an explicit spin policy (ablation A1).
     pub fn with_spin(spin: SpinPolicy) -> Self {
-        Self::with_spin_in(spin)
-    }
-}
-
-impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
-    /// Creates an empty stack with the adaptive spin policy under the
-    /// reclamation backend `R`. The backend defaults to epoch, so the
-    /// plain [`SyncDualStack::new`] is `new_in` with `R = Epoch`:
-    ///
-    /// ```
-    /// use synq::{SyncChannel, SyncDualStack};
-    /// use synq_reclaim::Hazard;
-    ///
-    /// let s: SyncDualStack<u32, Hazard> = SyncDualStack::new_in();
-    /// std::thread::scope(|sc| {
-    ///     sc.spawn(|| s.put(7));
-    ///     sc.spawn(|| assert_eq!(s.take(), 7));
-    /// });
-    /// ```
-    pub fn new_in() -> Self {
-        Self::with_spin_in(SpinPolicy::adaptive())
-    }
-
-    /// Creates an empty stack with an explicit spin policy under the
-    /// reclamation backend `R`.
-    pub fn with_spin_in(spin: SpinPolicy) -> Self {
         SyncDualStack {
             head: CachePadded::new(Atomic::null()),
             spin,
@@ -197,7 +145,7 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
     /// Pops `h`, a decided top, if it is still the head. A node leaves the
     /// stack only this way, so the winning CAS is its one remover and
     /// retires its structure reference directly.
-    fn pop_head<'g>(&self, h: Shared<'g, WaitNode<T, R>>, guard: &'g R::Guard) -> bool {
+    fn pop_head<'g>(&self, h: Shared<'g, WaitNode<T>>, guard: &'g Guard) -> bool {
         // SAFETY: `h` was loaded from `head` under the guard. Its `next`
         // is fixed at the push and only becomes our CAS operand.
         let next = unsafe { h.deref() }.next.load(Ordering::Acquire, guard);
@@ -221,9 +169,9 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
     /// as helping.
     fn pop_decided<'g>(
         &self,
-        own: *const WaitNode<T, R>,
-        guard: &'g R::Guard,
-    ) -> Shared<'g, WaitNode<T, R>> {
+        own: *const WaitNode<T>,
+        guard: &'g Guard,
+    ) -> Shared<'g, WaitNode<T>> {
         loop {
             let h = self.head.load(Ordering::Acquire, guard);
             // SAFETY: loaded from `head` under the guard.
@@ -243,12 +191,12 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
     /// race both go back where they came from, for the retry.
     fn push<'g>(
         &self,
-        h: Shared<'g, WaitNode<T, R>>,
+        h: Shared<'g, WaitNode<T>>,
         mode: usize,
-        node: &mut Option<Owned<WaitNode<T, R>>>,
+        node: &mut Option<Owned<WaitNode<T>>>,
         item: &mut Option<T>,
-        guard: &'g R::Guard,
-    ) -> Option<Shared<'g, WaitNode<T, R>>> {
+        guard: &'g Guard,
+    ) -> Option<Shared<'g, WaitNode<T>>> {
         let owned = node.take().unwrap_or_else(|| WaitNode::alloc(mode, true));
         if let Some(v) = item.take() {
             // SAFETY: we own the unpublished node, and its cell is empty.
@@ -280,7 +228,7 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
     /// producer deposits its `item` in a consumer's slot, a consumer takes
     /// a producer's item into `item`. False if another thread decided
     /// `top` first; a producer's item is then back in `item`.
-    fn match_in_place(top: &WaitNode<T, R>, item: &mut Option<T>) -> bool {
+    fn match_in_place(top: &WaitNode<T>, item: &mut Option<T>) -> bool {
         let won = match item.take() {
             Some(v) => {
                 let claimed = top.slot.try_claim();
@@ -322,12 +270,12 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
         mut item: Option<T>,
         deadline: Deadline,
         token: Option<&CancelToken>,
-    ) -> Start<T, R> {
+    ) -> Start<T> {
         let mode = if item.is_some() { DATA } else { REQUEST };
-        let mut node: Option<Owned<WaitNode<T, R>>> = None;
+        let mut node: Option<Owned<WaitNode<T>>> = None;
 
         loop {
-            let guard = R::pin();
+            let guard = Epoch::pin();
             let h = self.pop_decided(std::ptr::null(), &guard);
 
             // SAFETY: `pop_decided` loaded `h` from `head` under the guard.
@@ -374,12 +322,10 @@ impl<T: Send, R: Reclaimer> SyncDualStack<T, R> {
 /// deposited there) and leaves its node for whoever pops it. A waiter that
 /// won the cancel CAS pops the decided tops, its own node among them if it
 /// is on top, and takes a producer's item back.
-impl<T: Send, R: Reclaimer> Leave<T> for SyncDualStack<T, R> {
-    type Backend = R;
-
+impl<T: Send> Leave<T> for SyncDualStack<T> {
     unsafe fn leave(
         &self,
-        node_raw: *const WaitNode<T, R>,
+        node_raw: *const WaitNode<T>,
         verdict: WaitOutcome,
     ) -> TransferOutcome<T> {
         // SAFETY: the node is not freed before its waiter, us, exits.
@@ -394,7 +340,7 @@ impl<T: Send, R: Reclaimer> Leave<T> for SyncDualStack<T, R> {
             }
             verdict => {
                 // We won the cancel CAS.
-                let _ = self.pop_decided(node_raw, &R::pin());
+                let _ = self.pop_decided(node_raw, &Epoch::pin());
                 // SAFETY: cancellation wins a producer's item back.
                 let item = node.is_data().then(|| unsafe { node.slot.take_item() });
                 if verdict == WaitOutcome::Cancelled {
@@ -410,7 +356,7 @@ impl<T: Send, R: Reclaimer> Leave<T> for SyncDualStack<T, R> {
     }
 }
 
-impl<T: Send, R: Reclaimer> TimedSyncChannel<T> for SyncDualStack<T, R> {
+impl<T: Send> TimedSyncChannel<T> for SyncDualStack<T> {
     fn transfer(
         &self,
         item: Option<T>,
@@ -425,9 +371,9 @@ impl<T: Send, R: Reclaimer> TimedSyncChannel<T> for SyncDualStack<T, R> {
     }
 }
 
-impl_sync_channel!(SyncDualStack<R: Reclaimer>);
+impl_sync_channel!(SyncDualStack);
 
-impl<T: Send, R: Reclaimer> PollTransferer<T> for SyncDualStack<T, R> {
+impl<T: Send> PollTransferer<T> for SyncDualStack<T> {
     type Permit = NodePermit<T, Self>;
 
     fn start_transfer(this: &Arc<Self>, item: Option<T>) -> StartTransfer<T, Self::Permit> {
@@ -443,7 +389,7 @@ impl<T: Send, R: Reclaimer> PollTransferer<T> for SyncDualStack<T, R> {
     }
 }
 
-impl<T, R: Reclaimer> Drop for SyncDualStack<T, R> {
+impl<T> Drop for SyncDualStack<T> {
     fn drop(&mut self) {
         // SAFETY: `&mut self`; waiters borrow the stack, so all have
         // exited.
@@ -451,7 +397,7 @@ impl<T, R: Reclaimer> Drop for SyncDualStack<T, R> {
     }
 }
 
-impl<T, R: Reclaimer> std::fmt::Debug for SyncDualStack<T, R> {
+impl<T> std::fmt::Debug for SyncDualStack<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.pad("SyncDualStack { .. }")
     }
@@ -482,30 +428,6 @@ mod tests {
         let t = thread::spawn(move || s2.take());
         s.put(31u32);
         assert_eq!(t.join().unwrap(), 31);
-    }
-
-    #[test]
-    fn hazard_backend_put_take_pair() {
-        let s: Arc<SyncDualStack<u32, synq_reclaim::Hazard>> = Arc::new(SyncDualStack::new_in());
-        let s2 = Arc::clone(&s);
-        let t = thread::spawn(move || s2.take());
-        s.put(47u32);
-        assert_eq!(t.join().unwrap(), 47);
-        assert_eq!(s.linked_nodes(), 0);
-    }
-
-    #[test]
-    fn hazard_backend_timeout_storm_is_absorbed() {
-        let s: SyncDualStack<u32, synq_reclaim::Hazard> = SyncDualStack::new_in();
-        for i in 0..200 {
-            let _ = s.offer_timeout(i, Duration::from_micros(1));
-        }
-        let _ = s.poll();
-        assert!(
-            s.linked_nodes() <= 2,
-            "cancelled nodes built up: {}",
-            s.linked_nodes()
-        );
     }
 
     #[test]
@@ -592,41 +514,6 @@ mod tests {
         const CONSUMERS: usize = 4;
         const PER: usize = 500;
         let s = Arc::new(SyncDualStack::new());
-        let mut handles = Vec::new();
-        for p in 0..PRODUCERS {
-            let s = Arc::clone(&s);
-            handles.push(thread::spawn(move || {
-                for i in 0..PER {
-                    s.put(p * PER + i);
-                }
-            }));
-        }
-        let sums: Vec<_> = (0..CONSUMERS)
-            .map(|_| {
-                let s = Arc::clone(&s);
-                thread::spawn(move || {
-                    let mut sum = 0usize;
-                    for _ in 0..(PRODUCERS * PER / CONSUMERS) {
-                        sum += s.take();
-                    }
-                    sum
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let total: usize = sums.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(total, (0..PRODUCERS * PER).sum::<usize>());
-        assert_eq!(s.linked_nodes(), 0);
-    }
-
-    #[test]
-    fn hazard_backend_values_conserved_under_stress() {
-        const PRODUCERS: usize = 4;
-        const CONSUMERS: usize = 4;
-        const PER: usize = 250;
-        let s: Arc<SyncDualStack<usize, synq_reclaim::Hazard>> = Arc::new(SyncDualStack::new_in());
         let mut handles = Vec::new();
         for p in 0..PRODUCERS {
             let s = Arc::clone(&s);

@@ -197,22 +197,10 @@ fn unbounded_ring_slots<T>() -> usize {
 /// assert_eq!(q.poll(), Some(1));
 /// assert_eq!(q.poll(), Some(2));
 /// ```
-///
-/// The memory-reclamation backend is pluggable (`R`, default
-/// [`Epoch`]) — see `synq_reclaim` for the trade-offs:
-///
-/// ```
-/// use synq_reclaim::Hazard;
-/// use synq::transfer::TransferQueue;
-///
-/// let q: TransferQueue<u32, Hazard> = TransferQueue::new_in();
-/// q.put(7);
-/// assert_eq!(q.take(), 7);
-/// ```
-pub struct TransferQueue<T, R: Reclaimer = Epoch> {
+pub struct TransferQueue<T> {
     /// Rendezvous (synchronous transfers, consumers' reservations) and
     /// overflow.
-    pub(crate) list: DualList<T, R>,
+    pub(crate) list: DualList<T>,
     pub(crate) spin: SpinPolicy,
     /// The array fast path in front of the linked protocol.
     ring: RingBuffer<T>,
@@ -235,22 +223,21 @@ pub struct TransferQueue<T, R: Reclaimer = Epoch> {
 const _: () = assert!(std::mem::align_of::<TransferQueue<u8>>() >= 128);
 const _: () = assert!(std::mem::size_of::<TransferQueue<u8>>() >= 2 * 128);
 
-impl<T: Send, R: Reclaimer> Default for TransferQueue<T, R> {
+impl<T: Send> Default for TransferQueue<T> {
     fn default() -> Self {
-        Self::new_in()
+        Self::new()
     }
 }
 
 impl<T: Send> TransferQueue<T> {
-    /// Creates an empty unbounded queue (under the default [`Epoch`]
-    /// reclaimer — see [`TransferQueue::new_in`] for other backends).
+    /// Creates an empty unbounded queue.
     pub fn new() -> Self {
         Self::with_spin(SpinPolicy::adaptive())
     }
 
     /// Creates an empty unbounded queue with an explicit spin policy.
     pub fn with_spin(spin: SpinPolicy) -> Self {
-        Self::with_spin_in(spin)
+        Self::build(spin, RingBuffer::new(unbounded_ring_slots::<T>()), false)
     }
 
     /// Creates a bounded queue: buffered `put`/`poll` ride a
@@ -263,29 +250,6 @@ impl<T: Send> TransferQueue<T> {
 
     /// [`Self::bounded`] with an explicit spin policy.
     pub fn bounded_with_spin(capacity: usize, spin: SpinPolicy) -> Self {
-        Self::bounded_with_spin_in(capacity, spin)
-    }
-}
-
-impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
-    /// Creates an empty unbounded queue under the reclamation backend
-    /// `R`: `TransferQueue::<T, Hazard>::new_in()`.
-    pub fn new_in() -> Self {
-        Self::with_spin_in(SpinPolicy::adaptive())
-    }
-
-    /// [`Self::new_in`] with an explicit spin policy.
-    pub fn with_spin_in(spin: SpinPolicy) -> Self {
-        Self::build(spin, RingBuffer::new(unbounded_ring_slots::<T>()), false)
-    }
-
-    /// [`Self::bounded`] under the reclamation backend `R`.
-    pub fn bounded_in(capacity: usize) -> Self {
-        Self::bounded_with_spin_in(capacity, SpinPolicy::adaptive())
-    }
-
-    /// [`Self::bounded_in`] with an explicit spin policy.
-    pub fn bounded_with_spin_in(capacity: usize, spin: SpinPolicy) -> Self {
         Self::build(spin, RingBuffer::new(capacity), true)
     }
 
@@ -654,7 +618,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     /// item. Returns false when no reservation could be claimed.
     fn serve_reservation(&self) -> bool {
         loop {
-            let guard = R::pin();
+            let guard = Epoch::pin();
             let at = self.list.arrive(&guard);
             if at.is_empty() || at.tail_is_data() {
                 return false;
@@ -683,7 +647,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     /// The pop is made on the consumer's behalf, so it goes through
     /// `ring_pop` like the consumer's own would: on a bounded queue it
     /// frees a slot a waiting put may be counted for.
-    fn fulfill_reservation(&self, m: &WaitNode<T, R>, own: &mut Option<T>) -> bool {
+    fn fulfill_reservation(&self, m: &WaitNode<T>, own: &mut Option<T>) -> bool {
         if !m.slot.try_claim() {
             probe!(QueueClaimCasFail);
             return false;
@@ -744,7 +708,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     fn refill_from_front(&self) {
         fence(Ordering::SeqCst);
         loop {
-            let guard = R::pin();
+            let guard = Epoch::pin();
             let at = self.list.arrive(&guard);
             if at.is_empty() || !at.tail_is_data() {
                 return;
@@ -778,7 +742,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     /// still in it, and its owner retries ([`Leave::leave`]), as a
     /// reservation completed without an item does. A claim is never undone:
     /// the list's helping rule reads a lost claim as "decided, unlink it".
-    fn move_to_ring(&self, m: &WaitNode<T, R>) -> bool {
+    fn move_to_ring(&self, m: &WaitNode<T>) -> bool {
         // SAFETY: the claim gives us the cell alone, as an unpublished
         // node's owner has it; a failed push puts the item back.
         let item = unsafe { m.slot.reclaim_item() };
@@ -823,12 +787,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
     /// no linked data is queued and the ring has room, else linked (see
     /// [`Self::xfer`]); a bounded queue's put is then to be waited on and
     /// settled.
-    fn put_step(
-        &self,
-        mut value: T,
-        deadline: Deadline,
-        token: Option<&CancelToken>,
-    ) -> Start<T, R> {
+    fn put_step(&self, mut value: T, deadline: Deadline, token: Option<&CancelToken>) -> Start<T> {
         if self.linked_data() == 0 {
             match self.ring_push(value) {
                 Ok(()) => return ControlFlow::Break(TransferOutcome::Transferred(None)),
@@ -871,7 +830,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         mode: PutMode,
         deadline: Deadline,
         token: Option<&CancelToken>,
-    ) -> Start<T, R> {
+    ) -> Start<T> {
         let is_data = item.is_some();
         let waiting_put = mode == PutMode::Wait;
         // Nobody waits on an async node: it is created exited.
@@ -884,7 +843,7 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
         let mut node = None;
         let backoff = Backoff::new();
         loop {
-            let guard = R::pin();
+            let guard = Epoch::pin();
             let at = self.list.arrive(&guard);
 
             if at.is_empty() || at.tail_is_data() == is_data {
@@ -1040,14 +999,8 @@ impl<T: Send, R: Reclaimer> TransferQueue<T, R> {
 // we withdraw is uncounted (see `LinkedCounts`), and its withdrawal may
 // have moved the list's front. The ringless mode has none of the three: it
 // is the list's `leave` alone.
-impl<T: Send, R: Reclaimer> Leave<T> for TransferQueue<T, R> {
-    type Backend = R;
-
-    unsafe fn leave(
-        &self,
-        node: *const WaitNode<T, R>,
-        verdict: WaitOutcome,
-    ) -> TransferOutcome<T> {
+impl<T: Send> Leave<T> for TransferQueue<T> {
+    unsafe fn leave(&self, node: *const WaitNode<T>, verdict: WaitOutcome) -> TransferOutcome<T> {
         if self.ringless {
             // SAFETY: per the contract.
             return unsafe { self.list.leave(node, verdict) };
@@ -1086,9 +1039,9 @@ impl<T: Send, R: Reclaimer> Leave<T> for TransferQueue<T, R> {
 ///
 /// Budget and feedback are the policy's: a handoff caught in an extension
 /// is recorded as the direct handoff it was.
-struct DrainSpin<'q, T, R: Reclaimer> {
-    queue: &'q TransferQueue<T, R>,
-    node: *const WaitNode<T, R>,
+struct DrainSpin<'q, T> {
+    queue: &'q TransferQueue<T>,
+    node: *const WaitNode<T>,
     /// Ring occupancy at the previous ask; `None` before the first.
     occupancy: Cell<Option<usize>>,
     /// The node was seen next in line, which it then stays until its wait
@@ -1096,8 +1049,8 @@ struct DrainSpin<'q, T, R: Reclaimer> {
     next_in_line: Cell<bool>,
 }
 
-impl<'q, T: Send, R: Reclaimer> DrainSpin<'q, T, R> {
-    fn new(queue: &'q TransferQueue<T, R>, node: *const WaitNode<T, R>) -> Self {
+impl<'q, T: Send> DrainSpin<'q, T> {
+    fn new(queue: &'q TransferQueue<T>, node: *const WaitNode<T>) -> Self {
         DrainSpin {
             queue,
             node,
@@ -1119,7 +1072,7 @@ impl<'q, T: Send, R: Reclaimer> DrainSpin<'q, T, R> {
     }
 }
 
-impl<T: Send, R: Reclaimer> WaitStrategy for DrainSpin<'_, T, R> {
+impl<T: Send> WaitStrategy for DrainSpin<'_, T> {
     #[inline]
     fn spin_budget(&self, timed: bool) -> u32 {
         self.queue.spin.spin_budget(timed)
@@ -1150,7 +1103,7 @@ impl<T: Send, R: Reclaimer> WaitStrategy for DrainSpin<'_, T, R> {
 /// directly into anything built over the channel traits — including the
 /// `ThreadPoolExecutor` — while still offering `put` for asynchronous use.
 /// (For *buffered* channel-trait semantics, wrap in [`BufferedChannel`].)
-impl<T: Send, R: Reclaimer> TimedSyncChannel<T> for TransferQueue<T, R> {
+impl<T: Send> TimedSyncChannel<T> for TransferQueue<T> {
     fn transfer(
         &self,
         item: Option<T>,
@@ -1164,9 +1117,9 @@ impl<T: Send, R: Reclaimer> TimedSyncChannel<T> for TransferQueue<T, R> {
     }
 }
 
-impl_sync_channel!(TransferQueue<R: Reclaimer>);
+impl_sync_channel!(TransferQueue);
 
-impl<T, R: Reclaimer> std::fmt::Debug for TransferQueue<T, R> {
+impl<T> std::fmt::Debug for TransferQueue<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TransferQueue")
             .field("capacity", &self.bounded.then(|| self.ring.capacity()))
@@ -1271,13 +1224,7 @@ impl_sync_channel!(BufferedChannel);
 /// A buffered channel's linked puts are its queue's nodes, and end as the
 /// queue's do.
 impl<T: Send> Leave<T> for BufferedChannel<T> {
-    type Backend = Epoch;
-
-    unsafe fn leave(
-        &self,
-        node: *const WaitNode<T, Epoch>,
-        verdict: WaitOutcome,
-    ) -> TransferOutcome<T> {
+    unsafe fn leave(&self, node: *const WaitNode<T>, verdict: WaitOutcome) -> TransferOutcome<T> {
         // SAFETY: per the contract; the channel's nodes are its queue's.
         unsafe { self.queue.leave(node, verdict) }
     }
@@ -1542,6 +1489,18 @@ mod tests {
             TransferOutcome::Cancelled(Some(4)) => {}
             other => panic!("expected Cancelled(4), got {other:?}"),
         }
+    }
+
+    #[test]
+    fn timeout_storm_absorbs_cancelled() {
+        let q: TransferQueue<u32> = TransferQueue::new();
+        for _ in 0..64 {
+            assert!(q.poll_timeout(Duration::from_micros(1)).is_none());
+        }
+        // Cancelled reservations must not wedge the queue.
+        q.put(9);
+        assert_eq!(q.take(), 9);
+        assert!(q.is_empty());
     }
 
     #[test]
@@ -2239,7 +2198,7 @@ mod tests {
 
     /// Links a `transfer` of `v` and returns its node, as a blocked
     /// `transfer` holds it.
-    fn linked_transfer(q: &TransferQueue<u32>, v: u32) -> *const WaitNode<u32, Epoch> {
+    fn linked_transfer(q: &TransferQueue<u32>, v: u32) -> *const WaitNode<u32> {
         match q.xfer(Some(v), PutMode::Sync, Deadline::Never, None) {
             ControlFlow::Continue(node) => node,
             ControlFlow::Break(_) => panic!("nobody waits to take it"),
@@ -2247,7 +2206,7 @@ mod tests {
     }
 
     /// Withdraws a linked `transfer`, as its timeout would.
-    fn withdraw(q: &TransferQueue<u32>, node: *const WaitNode<u32, Epoch>) -> u32 {
+    fn withdraw(q: &TransferQueue<u32>, node: *const WaitNode<u32>) -> u32 {
         assert!(unsafe { &*node }.slot.try_cancel());
         match unsafe { q.leave(node, WaitOutcome::Cancelled) } {
             TransferOutcome::Cancelled(Some(v)) => v,
@@ -2256,7 +2215,7 @@ mod tests {
     }
 
     /// Each row: items popped from the ring before an ask, and the answer.
-    fn asks(q: &TransferQueue<u32>, s: &DrainSpin<'_, u32, Epoch>, rows: &[(usize, bool)]) {
+    fn asks(q: &TransferQueue<u32>, s: &DrainSpin<'_, u32>, rows: &[(usize, bool)]) {
         for (i, &(pops, extends)) in rows.iter().enumerate() {
             for _ in 0..pops {
                 q.ring.try_pop().expect("a ring item");
@@ -2321,85 +2280,5 @@ mod tests {
             &[(0, false), (1, false), (3, false)],
         );
         assert_eq!(withdraw(&q, node), 9);
-    }
-
-    #[test]
-    fn hazard_backend_async_fifo() {
-        use synq_reclaim::Hazard;
-        let q: TransferQueue<u32, Hazard> = TransferQueue::new_in();
-        q.put(1);
-        q.put(2);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.take(), 1);
-        assert_eq!(q.take(), 2);
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn hazard_backend_sync_rendezvous() {
-        use synq_reclaim::Hazard;
-        let q: Arc<TransferQueue<u32, Hazard>> = Arc::new(TransferQueue::new_in());
-        let p = {
-            let q = Arc::clone(&q);
-            thread::spawn(move || q.transfer(42))
-        };
-        assert_eq!(q.take(), 42);
-        p.join().unwrap();
-    }
-
-    #[test]
-    fn hazard_backend_values_conserved_under_stress() {
-        use synq_reclaim::Hazard;
-        const PRODUCERS: usize = 4;
-        const PER: usize = 250;
-        let q: Arc<TransferQueue<usize, Hazard>> = Arc::new(TransferQueue::new_in());
-        let mut handles = Vec::new();
-        for p in 0..PRODUCERS {
-            let q = Arc::clone(&q);
-            handles.push(thread::spawn(move || {
-                for i in 0..PER {
-                    let v = p * PER + i;
-                    if i % 3 == 0 {
-                        q.transfer(v);
-                    } else {
-                        q.put(v);
-                    }
-                }
-            }));
-        }
-        let sum = Arc::new(AtomicUsize::new(0));
-        let consumers: Vec<_> = (0..4)
-            .map(|_| {
-                let q = Arc::clone(&q);
-                let sum = Arc::clone(&sum);
-                thread::spawn(move || {
-                    for _ in 0..PER {
-                        sum.fetch_add(q.take(), Ordering::Relaxed);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        for c in consumers {
-            c.join().unwrap();
-        }
-        assert_eq!(sum.load(Ordering::Relaxed), (0..PRODUCERS * PER).sum());
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn hazard_backend_timeout_storm_absorbs_cancelled() {
-        use std::time::Duration;
-        use synq_reclaim::Hazard;
-        let q: TransferQueue<u32, Hazard> = TransferQueue::new_in();
-        for _ in 0..64 {
-            assert!(q.poll_timeout(Duration::from_micros(1)).is_none());
-        }
-        // Cancelled reservations must not wedge the queue.
-        q.put(9);
-        assert_eq!(q.take(), 9);
-        assert!(q.is_empty());
     }
 }

@@ -216,22 +216,13 @@ probes! {
     /// Linked consumer reservations claimed by a producer after its ring
     /// push (the consumer is handed the ring's oldest item, or retries).
     RingReservationWakes => "ring.reservation_wakes",
-    /// Nodes handed to a reclaimer backend (`Shield::defer_retire`), across
-    /// every backend — the inflow side of the garbage ledger.
+    /// Nodes handed to the epoch collector (`Shield::defer_retire`) — the
+    /// inflow side of the garbage ledger.
     ReclaimRetired => "reclaim.retired",
     /// Retire closures actually executed (a reference dropped, the node
     /// freed if it was the last) — the outflow side; `retired - freed` is
     /// the live garbage population.
     ReclaimFreed => "reclaim.freed",
-    /// Hazard-pointer scans: one per pass over the slot registry when a
-    /// retire list reaches its threshold (or an explicit `collect`).
-    ReclaimHazardScans => "reclaim.hazard_scans",
-    /// Retired nodes kept across a hazard scan because an active slot still
-    /// protected them — retire-list length pressure under load.
-    ReclaimHazardHeld => "reclaim.hazard_held",
-    /// Scans (hazard) that freed nothing at all: every candidate was pinned
-    /// by a slot. A growing count flags a stalled or wedged reader.
-    ReclaimStalls => "reclaim.stalls",
 
     // Parker substrate (DESIGN §4.15): how permits actually move between
     // threads — banked fast paths vs real descheduling syscalls.

@@ -6,7 +6,7 @@
 //! word, so these pointers are plain addresses: no bits are stolen, and
 //! the word an [`Atomic`] holds is exactly the address it points at.
 
-use crate::reclaimer::{Epoch, Reclaimer, Shield};
+use crate::guard::Guard;
 use std::fmt;
 use std::marker::PhantomData;
 use std::mem;
@@ -39,15 +39,12 @@ pub struct Shared<'g, T> {
     _marker: PhantomData<(&'g (), *const T)>,
 }
 
-/// An atomic pointer to `T`, reclaimed through the backend `R`
-/// (defaulted to [`Epoch`] so pre-trait code compiles unchanged).
-///
-/// `R` only matters for [`Atomic::load`], which routes the read through
-/// [`Shield::protect`] of `R`'s guard type — a plain load for the epoch
-/// backend, a publish-and-revalidate loop for hazard pointers.
-pub struct Atomic<T, R = Epoch> {
+/// An atomic pointer to `T`, whose pointee is reclaimed through the epoch
+/// collector: what a load returns stays valid while the guard it was
+/// loaded under lives.
+pub struct Atomic<T> {
     data: AtomicUsize,
-    _marker: PhantomData<(*mut T, R)>,
+    _marker: PhantomData<*mut T>,
 }
 
 /// Error type of [`Atomic::compare_exchange`]: the actual current value and
@@ -75,10 +72,9 @@ impl<T> Owned<T> {
         Self::from_box(Box::new(value))
     }
 
-    /// Converts into a [`Shared`] bound to `_guard` (any backend's guard
-    /// type), relinquishing unique ownership (the pointer is now managed by
-    /// the caller's protocol).
-    pub fn into_shared<'g, G>(self, _guard: &'g G) -> Shared<'g, T> {
+    /// Converts into a [`Shared`] bound to `_guard`, relinquishing unique
+    /// ownership (the pointer is now managed by the caller's protocol).
+    pub fn into_shared<'g>(self, _guard: &'g Guard) -> Shared<'g, T> {
         let data = self.data;
         mem::forget(self);
         Shared {
@@ -264,7 +260,7 @@ impl<T> Default for Shared<'_, T> {
 
 // --------------------------------------------------------------- Atomic --
 
-impl<T, R> Atomic<T, R> {
+impl<T> Atomic<T> {
     /// Heap-allocates `value` and points at it.
     pub fn new(value: T) -> Self {
         Self::from_owned(Owned::new(value))
@@ -296,19 +292,12 @@ impl<T, R> Atomic<T, R> {
         // SAFETY: per caller contract.
         unsafe { Owned::from_usize(self.data.into_inner()) }
     }
-}
 
-impl<T, R: Reclaimer> Atomic<T, R> {
-    /// Loads the pointer; the result is protected by `_guard`.
-    ///
-    /// Under bounded-slot backends the protection is routed through
-    /// [`Shield::protect`]; see its contract for when the result may be
-    /// dereferenced (structure-field sources: directly; node-field sources:
-    /// only after re-validating a structure field).
-    pub fn load<'g>(&self, ord: Ordering, guard: &'g R::Guard) -> Shared<'g, T> {
-        // SAFETY: Shared::from_usize on a word this Atomic holds, protected
-        // per the Shield contract.
-        unsafe { Shared::from_usize(guard.protect(&self.data, ord)) }
+    /// Loads the pointer; the result is protected by `_guard`, whose pin
+    /// covers every node reachable while it lives.
+    pub fn load<'g>(&self, ord: Ordering, _guard: &'g Guard) -> Shared<'g, T> {
+        // SAFETY: a word this Atomic holds.
+        unsafe { Shared::from_usize(self.data.load(ord)) }
     }
 
     /// Stores a new pointer, discarding (not freeing) the old one.
@@ -317,15 +306,11 @@ impl<T, R: Reclaimer> Atomic<T, R> {
     }
 
     /// Atomically swaps the pointer, returning the previous value.
-    ///
-    /// The result is **not** routed through [`Shield::protect`]: under
-    /// bounded-slot backends it may only be compared or retired, never
-    /// dereferenced (the epoch pin covers it; a hazard slot does not).
     pub fn swap<'g, P: Pointer<T>>(
         &self,
         new: P,
         ord: Ordering,
-        _guard: &'g R::Guard,
+        _guard: &'g Guard,
     ) -> Shared<'g, T> {
         // SAFETY: previous word was held by this Atomic.
         unsafe { Shared::from_usize(self.data.swap(new.into_usize(), ord)) }
@@ -339,7 +324,7 @@ impl<T, R: Reclaimer> Atomic<T, R> {
         new: P,
         success: Ordering,
         failure: Ordering,
-        _guard: &'g R::Guard,
+        _guard: &'g Guard,
     ) -> Result<Shared<'g, T>, CompareExchangeError<'g, T, P>> {
         let new_data = new.into_usize();
         match self
@@ -365,7 +350,7 @@ impl<T, R: Reclaimer> Atomic<T, R> {
         new: P,
         success: Ordering,
         failure: Ordering,
-        _guard: &'g R::Guard,
+        _guard: &'g Guard,
     ) -> Result<Shared<'g, T>, CompareExchangeError<'g, T, P>> {
         let new_data = new.into_usize();
         match self
@@ -382,13 +367,13 @@ impl<T, R: Reclaimer> Atomic<T, R> {
     }
 }
 
-impl<T, R> Default for Atomic<T, R> {
+impl<T> Default for Atomic<T> {
     fn default() -> Self {
         Atomic::null()
     }
 }
 
-impl<T, R> fmt::Debug for Atomic<T, R> {
+impl<T> fmt::Debug for Atomic<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let raw = self.data.load(Ordering::Relaxed) as *const T;
         f.debug_struct("Atomic").field("raw", &raw).finish()
@@ -396,17 +381,17 @@ impl<T, R> fmt::Debug for Atomic<T, R> {
 }
 
 // SAFETY: an Atomic hands out &T across threads (via Shared::deref), so it
-// requires T: Send + Sync, matching crossbeam-epoch. `R` is a phantom
-// marker and imposes nothing.
-unsafe impl<T: Send + Sync, R> Send for Atomic<T, R> {}
-unsafe impl<T: Send + Sync, R> Sync for Atomic<T, R> {}
+// requires T: Send + Sync, matching crossbeam-epoch.
+unsafe impl<T: Send + Sync> Send for Atomic<T> {}
+unsafe impl<T: Send + Sync> Sync for Atomic<T> {}
 unsafe impl<T: Send> Send for Owned<T> {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Epoch, Reclaimer};
 
-    fn unprotected() -> <Epoch as Reclaimer>::Guard {
+    fn unprotected() -> Guard {
         // SAFETY: every test owns the atomics it touches.
         unsafe { Epoch::unprotected() }
     }

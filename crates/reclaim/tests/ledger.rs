@@ -1,34 +1,34 @@
 //! The garbage ledger across threads. A retirement is counted on the
 //! retiring thread's own record and settled by whichever thread runs it;
 //! `pending` sums the records. Threads that exit with their retirements
-//! still in an open bag (epoch) or retire list (hazard) must leave the sum
-//! exact, and the peak, sampled at seals and scans, must have seen them.
+//! still in an open bag must leave the sum exact, and the peak, sampled at
+//! seals, must have seen them.
 //!
-//! The ledger is process-wide per backend, so both backends run inside one
-//! `#[test]`, one after the other.
+//! The ledger is process-wide, so this binary holds one `#[test]`.
 
 use std::sync::{Arc, Barrier};
-use synq_reclaim::{Epoch, Hazard, Reclaimer, Shield, SCAN_THRESHOLD};
+use synq_reclaim::{Epoch, Reclaimer, Shield};
 
 const THREADS: usize = 4;
-/// Under the epoch bag size (64) and the hazard scan threshold, so nothing
-/// is sealed or scanned before a thread exits.
-const PER_THREAD: usize = SCAN_THRESHOLD / 2;
+/// Under the epoch bag size (64), so nothing is sealed before a thread
+/// exits.
+const PER_THREAD: usize = 32;
 
 /// Collects until `pending` is back at `target` (or gives up); returns it.
-fn drain_to<R: Reclaimer>(target: usize) -> usize {
+fn drain_to(target: usize) -> usize {
     for _ in 0..64 {
-        if R::pending() == target {
+        if Epoch::pending() == target {
             break;
         }
-        R::collect();
+        Epoch::collect();
     }
-    R::pending()
+    Epoch::pending()
 }
 
-fn threads_exit_with_open_garbage<R: Reclaimer>() {
-    let baseline = drain_to::<R>(0);
-    R::reset_peak();
+#[test]
+fn exited_threads_leave_the_ledger_exact() {
+    let baseline = drain_to(0);
+    Epoch::reset_peak();
 
     let barrier = Arc::new(Barrier::new(THREADS));
     let workers: Vec<_> = (0..THREADS)
@@ -36,7 +36,7 @@ fn threads_exit_with_open_garbage<R: Reclaimer>() {
             let barrier = Arc::clone(&barrier);
             std::thread::spawn(move || {
                 for _ in 0..PER_THREAD {
-                    let guard = R::pin();
+                    let guard = Epoch::pin();
                     let addr = Box::into_raw(Box::new(0u64)) as usize;
                     // SAFETY: never shared; retired once; the closure only
                     // frees it.
@@ -44,10 +44,10 @@ fn threads_exit_with_open_garbage<R: Reclaimer>() {
                         guard.defer_retire(addr, move || drop(Box::from_raw(addr as *mut u64)))
                     };
                 }
-                let own = R::pending();
+                let own = Epoch::pending();
                 barrier.wait();
-                let all = R::pending();
-                // Nobody exits (and seals or scans) before all have looked.
+                let all = Epoch::pending();
+                // Nobody exits (and seals) before all have looked.
                 barrier.wait();
                 (own, all)
             })
@@ -56,34 +56,21 @@ fn threads_exit_with_open_garbage<R: Reclaimer>() {
     let seen: Vec<(usize, usize)> = workers.into_iter().map(|h| h.join().unwrap()).collect();
 
     for &(own, all) in &seen {
-        assert!(
-            own >= PER_THREAD,
-            "{}: own open items uncounted ({own})",
-            R::NAME
-        );
+        assert!(own >= PER_THREAD, "own open items uncounted ({own})");
         assert!(
             all >= THREADS * PER_THREAD,
-            "{}: other threads' open items uncounted ({all})",
-            R::NAME
+            "other threads' open items uncounted ({all})"
         );
     }
     let largest = seen.iter().map(|&(_, all)| all).max().unwrap();
-    let peak = R::peak_pending();
+    let peak = Epoch::peak_pending();
     assert!(
         peak >= largest,
-        "{}: peak {peak} below a pending count a thread saw ({largest})",
-        R::NAME
+        "peak {peak} below a pending count a thread saw ({largest})"
     );
     assert_eq!(
-        drain_to::<R>(baseline),
+        drain_to(baseline),
         baseline,
-        "{}: pending did not return to its baseline",
-        R::NAME
+        "pending did not return to its baseline"
     );
-}
-
-#[test]
-fn exited_threads_leave_the_ledger_exact() {
-    threads_exit_with_open_garbage::<Epoch>();
-    threads_exit_with_open_garbage::<Hazard>();
 }

@@ -13,7 +13,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
-use synq_reclaim::{Epoch, Reclaimer, Shield};
+use synq_reclaim::{Epoch, Guard, Reclaimer, Shield};
 
 struct Counting;
 
@@ -51,7 +51,7 @@ static RAN: AtomicUsize = AtomicUsize::new(0);
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 /// One pin that retires one closure capturing a word.
-fn retire_one(i: usize) -> <Epoch as Reclaimer>::Guard {
+fn retire_one(i: usize) -> Guard {
     let guard = Epoch::pin();
     // SAFETY: the closure touches only a static.
     unsafe {

@@ -12,10 +12,8 @@ use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 use synq_suite::core::{
-    CancelToken, Deadline, SyncChannel, SyncDualQueue, SynchronousQueue, TimedSyncChannel,
-    TransferOutcome,
+    CancelToken, Deadline, SynchronousQueue, TimedSyncChannel, TransferOutcome,
 };
-use synq_suite::reclaim::Hazard;
 
 fn main() {
     // --- 1. Blocking rendezvous -----------------------------------------
@@ -74,21 +72,6 @@ fn main() {
         TransferOutcome::Cancelled(None) => println!("blocked take was interrupted cleanly"),
         other => panic!("unexpected outcome: {other:?}"),
     }
-
-    // --- 6. Picking a reclamation backend --------------------------------
-    // Every structure takes a memory-reclamation backend as a defaulted
-    // type parameter: the plain constructors use epoch reclamation (the
-    // fastest common case), while the `_in` constructors accept any
-    // `Reclaimer` — here hazard pointers, whose unreclaimed garbage stays
-    // bounded even if a thread stalls mid-operation (DESIGN.md §4.12).
-    let epoch_q: SyncDualQueue<u32> = SyncDualQueue::new(); // default: Epoch
-    let hazard_q: Arc<SyncDualQueue<u32, Hazard>> = Arc::new(SyncDualQueue::new_in());
-    assert_eq!(epoch_q.poll(), None);
-    let hq = Arc::clone(&hazard_q);
-    let consumer = thread::spawn(move || hq.take());
-    hazard_q.put(42);
-    assert_eq!(consumer.join().unwrap(), 42);
-    println!("same rendezvous semantics under the hazard-pointer backend");
 
     println!("quickstart complete");
 }

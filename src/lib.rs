@@ -17,9 +17,8 @@
 //! * [`baselines`] — the comparators: naive monitor queue, Hanson's
 //!   semaphore queue, Java SE 5.0-style fair/unfair queues, and the
 //!   semaphores and FIFO ticket lock they are built from.
-//! * [`reclaim`] — pluggable memory reclamation (the GC substitute): the
-//!   `Reclaimer`/`Shield` trait family with an epoch backend (default) and
-//!   a hazard-pointer backend whose stalled-thread garbage is bounded.
+//! * [`reclaim`] — memory reclamation (the GC substitute): one
+//!   process-wide epoch collector.
 //! * [`primitives`] — the wait path: parker, spin policy, wait slot,
 //!   cancellation, backoff.
 //! * [`classic`] — Treiber stack, M&S queue, nonsynchronous dual structures.

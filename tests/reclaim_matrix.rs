@@ -1,24 +1,22 @@
-//! Reclaimer feature-matrix conformance: the exactly-one-pairing and
-//! drop-conservation contracts of the dual structures must hold under
-//! every reclamation backend, not just the default epoch scheme. Runs the
-//! same timed producer/consumer proptest battery against the three
-//! clients of the `synq::dual_list` kernel, `SyncDualQueue`,
-//! `SyncDualStack` and `TransferQueue`, each instantiated with both
-//! `Epoch` and `Hazard`. A `TransferQueue` is driven twice: through its
-//! `TimedSyncChannel` impl, timed *synchronous* transfers against timed
-//! takes (its linked path, which the ring never touches), and, bounded at
-//! two slots, through *buffered* timed puts against timed takes, where
-//! every consumer that finds the ring empty publishes a reservation that
-//! a push must find, claim and complete under the backend's validation.
+//! Node-lifetime conformance of the three clients of the
+//! `synq::dual_list` kernel, `SyncDualQueue`, `SyncDualStack` and
+//! `TransferQueue`: the exactly-one-pairing and drop-conservation
+//! contracts under a timed producer/consumer proptest battery. A
+//! `TransferQueue` is driven twice: through its `TimedSyncChannel` impl,
+//! timed *synchronous* transfers against timed takes (its linked path,
+//! which the ring never touches), and, bounded at two slots behind a
+//! `BufferedChannel`, through *buffered* timed puts against timed takes,
+//! where every consumer that finds the ring empty publishes a reservation
+//! that a push must find, claim and complete.
 //!
 //! The last two tests count live wait nodes through this binary's
 //! allocator. A node is freed by its retirement once its waiter has
-//! exited, so after the structure is dropped and the backend has
-//! collected, none may be left; its spinning rows also show that a
-//! thread's own reclamation work, which a wait starts on and a match cuts
-//! short, is finished when it exits. And a node retired while its waiter,
-//! an unpolled permit, is still inside survives every collection until
-//! that permit resolves or is dropped, and for good if it never is.
+//! exited, so after the structure is dropped and the collector has run,
+//! none may be left; its spinning rows also show that a thread's own
+//! reclamation work, which a wait starts on and a match cuts short, is
+//! finished when it exits. And a node retired while its waiter, an
+//! unpolled permit, is still inside survives every collection until that
+//! permit resolves or is dropped, and for good if it never is.
 
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -28,11 +26,12 @@ use std::task::{Poll, Waker};
 use std::thread;
 use std::time::{Duration, Instant};
 use synq::dual_list::{WaitNode, REQUEST};
+use synq::transfer::BufferedChannel;
 use synq::{
-    CancelToken, Deadline, PendingTransfer, PollTransferer, SpinPolicy, StartTransfer,
-    SyncDualQueue, SyncDualStack, TimedSyncChannel, TransferOutcome,
+    Deadline, PendingTransfer, PollTransferer, SpinPolicy, StartTransfer, SyncDualQueue,
+    SyncDualStack, TimedSyncChannel, TransferOutcome,
 };
-use synq_reclaim::{Epoch, Hazard, Reclaimer};
+use synq_reclaim::{Epoch, Reclaimer};
 use synq_transfer::TransferQueue;
 
 /// A payload that tracks its own liveness: exactly one decrement per
@@ -64,7 +63,7 @@ impl Drop for Payload {
 #[repr(align(64))]
 struct Marked(Payload);
 
-const MARKED_NODE: Layout = Layout::new::<WaitNode<Marked, Epoch>>();
+const MARKED_NODE: Layout = Layout::new::<WaitNode<Marked>>();
 const _: () = assert!(MARKED_NODE.align() == 64);
 
 static LIVE_MARKED_NODES: AtomicIsize = AtomicIsize::new(0);
@@ -80,7 +79,7 @@ impl Drop for Tagged {
     }
 }
 
-const TAGGED_NODE: Layout = Layout::new::<WaitNode<Tagged, Epoch>>();
+const TAGGED_NODE: Layout = Layout::new::<WaitNode<Tagged>>();
 const _: () = assert!(TAGGED_NODE.align() == 256);
 
 static LIVE_TAGGED_NODES: AtomicIsize = AtomicIsize::new(0);
@@ -116,8 +115,8 @@ unsafe impl GlobalAlloc for CountMarkedNodes {
     }
 }
 
-/// Every test here shares it; the lifetime test, which reads the backends'
-/// process-wide `pending` counts, takes it alone.
+/// Every test here shares it; the lifetime test, which reads the
+/// collector's process-wide `pending` count, takes it alone.
 static EXCLUSIVE: RwLock<()> = RwLock::new(());
 
 fn shared() -> RwLockReadGuard<'static, ()> {
@@ -126,26 +125,6 @@ fn shared() -> RwLockReadGuard<'static, ()> {
 
 #[global_allocator]
 static ALLOCATOR: CountMarkedNodes = CountMarkedNodes;
-
-/// A `TransferQueue` under any backend seen through its *buffered* put
-/// (`BufferedChannel` is fixed to the default backend).
-struct Buffered<T, R: Reclaimer>(TransferQueue<T, R>);
-
-impl<T: Send, R: Reclaimer> TimedSyncChannel<T> for Buffered<T, R> {
-    fn transfer(
-        &self,
-        item: Option<T>,
-        deadline: Deadline,
-        token: Option<&CancelToken>,
-    ) -> TransferOutcome<T> {
-        match item {
-            Some(v) => self.0.put_with(v, deadline, token),
-            None => self.0.take_with(deadline, token),
-        }
-    }
-}
-
-synq::impl_sync_channel!(Buffered<R: Reclaimer>);
 
 /// Runs `producers`×`per` timed sends against `consumers` timed receivers
 /// on `channel`, then checks the exactly-one-pairing contract: every id is
@@ -219,91 +198,47 @@ fn check_conservation(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Dual queue under the default epoch backend (the matrix baseline).
+    /// Dual queue.
     #[test]
     fn queue_epoch_pairs_exactly_once(
         producers in 1usize..=3,
         consumers in 1usize..=3,
         per in 1usize..=25,
     ) {
-        let q: Arc<SyncDualQueue<Payload, Epoch>> = Arc::new(SyncDualQueue::new_in());
+        let q: Arc<SyncDualQueue<Payload>> = Arc::new(SyncDualQueue::new());
         check_conservation(q, producers, consumers, per)?;
     }
 
-    /// Dual queue under the hazard-pointer backend.
-    #[test]
-    fn queue_hazard_pairs_exactly_once(
-        producers in 1usize..=3,
-        consumers in 1usize..=3,
-        per in 1usize..=25,
-    ) {
-        let q: Arc<SyncDualQueue<Payload, Hazard>> = Arc::new(SyncDualQueue::new_in());
-        check_conservation(q, producers, consumers, per)?;
-    }
-
-    /// Dual stack under the default epoch backend.
+    /// Dual stack.
     #[test]
     fn stack_epoch_pairs_exactly_once(
         producers in 1usize..=3,
         consumers in 1usize..=3,
         per in 1usize..=25,
     ) {
-        let s: Arc<SyncDualStack<Payload, Epoch>> = Arc::new(SyncDualStack::new_in());
+        let s: Arc<SyncDualStack<Payload>> = Arc::new(SyncDualStack::new());
         check_conservation(s, producers, consumers, per)?;
     }
 
-    /// Dual stack under the hazard-pointer backend.
-    #[test]
-    fn stack_hazard_pairs_exactly_once(
-        producers in 1usize..=3,
-        consumers in 1usize..=3,
-        per in 1usize..=25,
-    ) {
-        let s: Arc<SyncDualStack<Payload, Hazard>> = Arc::new(SyncDualStack::new_in());
-        check_conservation(s, producers, consumers, per)?;
-    }
-
-    /// Transfer queue (linked half) under the default epoch backend.
+    /// Transfer queue (linked half).
     #[test]
     fn transfer_epoch_pairs_exactly_once(
         producers in 1usize..=3,
         consumers in 1usize..=3,
         per in 1usize..=25,
     ) {
-        let q: Arc<TransferQueue<Payload, Epoch>> = Arc::new(TransferQueue::new_in());
+        let q: Arc<TransferQueue<Payload>> = Arc::new(TransferQueue::new());
         check_conservation(q, producers, consumers, per)?;
     }
 
-    /// Transfer queue (linked half) under the hazard-pointer backend.
-    #[test]
-    fn transfer_hazard_pairs_exactly_once(
-        producers in 1usize..=3,
-        consumers in 1usize..=3,
-        per in 1usize..=25,
-    ) {
-        let q: Arc<TransferQueue<Payload, Hazard>> = Arc::new(TransferQueue::new_in());
-        check_conservation(q, producers, consumers, per)?;
-    }
-
-    /// Bounded transfer queue, buffered put/take, default epoch backend.
+    /// Bounded transfer queue, buffered put/take.
     #[test]
     fn transfer_bounded_epoch_buffers_exactly_once(
         producers in 1usize..=3,
         consumers in 1usize..=3,
         per in 1usize..=25,
     ) {
-        let q = Arc::new(Buffered(TransferQueue::<Payload, Epoch>::bounded_in(2)));
-        check_conservation(q, producers, consumers, per)?;
-    }
-
-    /// Bounded transfer queue, buffered put/take, hazard-pointer backend.
-    #[test]
-    fn transfer_bounded_hazard_buffers_exactly_once(
-        producers in 1usize..=3,
-        consumers in 1usize..=3,
-        per in 1usize..=25,
-    ) {
-        let q = Arc::new(Buffered(TransferQueue::<Payload, Hazard>::bounded_in(2)));
+        let q = Arc::new(BufferedChannel::<Payload>::bounded(2));
         check_conservation(q, producers, consumers, per)?;
     }
 }
@@ -311,11 +246,10 @@ proptest! {
 const HANDOFFS: usize = 10_000;
 
 /// The live wait-node count before a row, once the allocator is shown to
-/// see `R`'s nodes.
-fn marked_baseline<R: Reclaimer>() -> isize {
-    assert_eq!(Layout::new::<WaitNode<Marked, R>>(), MARKED_NODE);
+/// see the structures' nodes.
+fn marked_baseline() -> isize {
     let baseline = LIVE_MARKED_NODES.load(Ordering::SeqCst);
-    let probe = WaitNode::<Marked, R>::alloc(REQUEST, true);
+    let probe = WaitNode::<Marked>::alloc(REQUEST, true);
     assert_eq!(
         LIVE_MARKED_NODES.load(Ordering::SeqCst),
         baseline + 1,
@@ -325,14 +259,14 @@ fn marked_baseline<R: Reclaimer>() -> isize {
     baseline
 }
 
-/// Collects under `R` until the live wait nodes are back to `baseline`,
-/// then checks that no payload is left either.
-fn await_baseline<R: Reclaimer>(name: &str, baseline: isize, live: &AtomicIsize) {
+/// Collects until the live wait nodes are back to `baseline`, then checks
+/// that no payload is left either.
+fn await_baseline(name: &str, baseline: isize, live: &AtomicIsize) {
     // A pass frees only what no other thread's guard can still reach, and
-    // the tests running beside this one pin the same backends.
+    // the tests running beside this one pin the same collector.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        R::collect();
+        Epoch::collect();
         if LIVE_MARKED_NODES.load(Ordering::SeqCst) == baseline {
             break;
         }
@@ -347,15 +281,14 @@ fn await_baseline<R: Reclaimer>(name: &str, baseline: isize, live: &AtomicIsize)
 }
 
 /// 10 k handoffs, then a storm of timed sends and timed receives that all
-/// lapse, on a structure built by `make` over backend `R`. Once the
-/// structure is dropped and `R` has collected, no wait node and no payload
-/// may be left.
-fn check_nodes_return_to_baseline<R: Reclaimer>(
+/// lapse, on a structure built by `make`. Once the structure is dropped
+/// and the collector has run, no wait node and no payload may be left.
+fn check_nodes_return_to_baseline(
     name: &str,
     make: impl FnOnce() -> Arc<dyn TimedSyncChannel<Marked>>,
 ) {
     const LAPSES: usize = 300;
-    let baseline = marked_baseline::<R>();
+    let baseline = marked_baseline();
     let live = Arc::new(AtomicIsize::new(0));
     let channel = make();
 
@@ -394,23 +327,23 @@ fn check_nodes_return_to_baseline<R: Reclaimer>(
         }
     });
     drop(channel);
-    await_baseline::<R>(name, baseline, &live);
+    await_baseline(name, baseline, &live);
 }
 
 /// Spin budget of the spinning rows: long enough that neither side parks.
 const SPIN_ONLY: u32 = 100_000;
 
 /// 10 k blocking handoffs between a producer thread and a consumer thread
-/// that both spin instead of parking, on a structure built by `make` over
-/// backend `R`. Each wait starts on its thread's reclamation steps, and a
-/// match often cuts them short; the rest is run when the thread exits.
-/// Once both have been joined, the structure is dropped and `R` has
-/// collected, no wait node and no payload may be left.
-fn check_spinning_pair_returns_to_baseline<R: Reclaimer>(
+/// that both spin instead of parking, on a structure built by `make`. Each
+/// wait starts on its thread's reclamation steps, and a match often cuts
+/// them short; the rest is run when the thread exits. Once both have been
+/// joined, the structure is dropped and the collector has run, no wait
+/// node and no payload may be left.
+fn check_spinning_pair_returns_to_baseline(
     name: &str,
     make: impl FnOnce() -> Arc<dyn TimedSyncChannel<Marked>>,
 ) {
-    let baseline = marked_baseline::<R>();
+    let baseline = marked_baseline();
     let live = Arc::new(AtomicIsize::new(0));
     let channel = make();
     thread::scope(|s| {
@@ -430,43 +363,22 @@ fn check_spinning_pair_returns_to_baseline<R: Reclaimer>(
         consumer.join().unwrap();
     });
     drop(channel);
-    await_baseline::<R>(name, baseline, &live);
+    await_baseline(name, baseline, &live);
 }
 
-/// One test for all ten rows: they share the allocator's one counter.
+/// One test for all five rows: they share the allocator's one counter.
 #[test]
-fn live_nodes_return_to_baseline_under_both_backends() {
+fn live_nodes_return_to_baseline() {
     let _shared = shared();
-    check_nodes_return_to_baseline::<Epoch>("queue/epoch", || {
-        Arc::new(SyncDualQueue::<Marked, Epoch>::new_in())
-    });
-    check_nodes_return_to_baseline::<Hazard>("queue/hazard", || {
-        Arc::new(SyncDualQueue::<Marked, Hazard>::new_in())
-    });
-    check_nodes_return_to_baseline::<Epoch>("stack/epoch", || {
-        Arc::new(SyncDualStack::<Marked, Epoch>::new_in())
-    });
-    check_nodes_return_to_baseline::<Hazard>("stack/hazard", || {
-        Arc::new(SyncDualStack::<Marked, Hazard>::new_in())
-    });
-    check_nodes_return_to_baseline::<Epoch>("transfer/epoch", || {
-        Arc::new(TransferQueue::<Marked, Epoch>::new_in())
-    });
-    check_nodes_return_to_baseline::<Hazard>("transfer/hazard", || {
-        Arc::new(TransferQueue::<Marked, Hazard>::new_in())
-    });
+    check_nodes_return_to_baseline("queue", || Arc::new(SyncDualQueue::<Marked>::new()));
+    check_nodes_return_to_baseline("stack", || Arc::new(SyncDualStack::<Marked>::new()));
+    check_nodes_return_to_baseline("transfer", || Arc::new(TransferQueue::<Marked>::new()));
     let spin = || SpinPolicy::fixed(SPIN_ONLY);
-    check_spinning_pair_returns_to_baseline::<Epoch>("spinning queue/epoch", || {
-        Arc::new(SyncDualQueue::<Marked, Epoch>::with_spin_in(spin()))
+    check_spinning_pair_returns_to_baseline("spinning queue", || {
+        Arc::new(SyncDualQueue::<Marked>::with_spin(spin()))
     });
-    check_spinning_pair_returns_to_baseline::<Hazard>("spinning queue/hazard", || {
-        Arc::new(SyncDualQueue::<Marked, Hazard>::with_spin_in(spin()))
-    });
-    check_spinning_pair_returns_to_baseline::<Epoch>("spinning stack/epoch", || {
-        Arc::new(SyncDualStack::<Marked, Epoch>::with_spin_in(spin()))
-    });
-    check_spinning_pair_returns_to_baseline::<Hazard>("spinning stack/hazard", || {
-        Arc::new(SyncDualStack::<Marked, Hazard>::with_spin_in(spin()))
+    check_spinning_pair_returns_to_baseline("spinning stack", || {
+        Arc::new(SyncDualStack::<Marked>::with_spin(spin()))
     });
 }
 
@@ -474,21 +386,21 @@ fn live_nodes_return_to_baseline_under_both_backends() {
 /// reachable so that a leak checker does not report them.
 static NEVER_DROPPED: Mutex<Vec<Box<dyn Send>>> = Mutex::new(Vec::new());
 
-/// Collections under `R` enough for any retirement pending before them to
-/// have run: the epoch backend frees a bag two advances after it is sealed,
-/// one advance per collection; the hazard backend scans once.
-fn settle<R: Reclaimer>() {
+/// Collections enough for any retirement pending before them to have run:
+/// the collector frees a bag two advances after it is sealed, one advance
+/// per collection.
+fn settle() {
     for _ in 0..4 {
-        R::collect();
+        Epoch::collect();
     }
 }
 
-/// Collects under `R` until `done` holds, or fails after ten seconds.
-fn collect_until<R: Reclaimer>(what: &str, done: impl Fn() -> bool) {
+/// Collects until `done` holds, or fails after ten seconds.
+fn collect_until(what: &str, done: impl Fn() -> bool) {
     let give_up = Instant::now() + Duration::from_secs(10);
     while !done() {
         assert!(Instant::now() < give_up, "{what}");
-        R::collect();
+        Epoch::collect();
         thread::yield_now();
     }
 }
@@ -535,9 +447,8 @@ where
 /// it, and its item is dropped once. A permit never dropped keeps its node
 /// for good, one retirement that stays pending, while everything else
 /// drains; the structure it keeps alive holds `dummies` nodes of its own.
-fn check_unpolled_permit_keeps_its_node<R, S>(name: &str, dummies: isize, make: impl Fn() -> S)
+fn check_unpolled_permit_keeps_its_node<S>(name: &str, dummies: isize, make: impl Fn() -> S)
 where
-    R: Reclaimer,
     S: PollTransferer<Tagged> + TimedSyncChannel<Tagged>,
     S::Permit: 'static,
 {
@@ -547,7 +458,7 @@ where
         let drops = Arc::new(AtomicUsize::new(0));
         let mut permit = retired_unpolled_request(&s, &drops);
         for _ in 0..4 {
-            settle::<R>();
+            settle();
             assert_eq!(drops.load(Ordering::SeqCst), 0, "{name}: item intact");
         }
         let before = live();
@@ -563,14 +474,14 @@ where
         }
         assert_eq!(drops.load(Ordering::SeqCst), 1, "{name}: the item, once");
         assert_eq!(live(), before, "{name}: resolving frees nothing itself");
-        settle::<R>();
+        settle();
         assert_eq!(live(), before - 1, "{name}: the next collections free it");
         drop(s);
         assert_eq!(drops.load(Ordering::SeqCst), 1, "{name}: dropped once");
     }
 
-    settle::<R>();
-    let (nodes, pending) = (live(), R::pending());
+    settle();
+    let (nodes, pending) = (live(), Epoch::pending());
     let s = Arc::new(make());
     let drops = Arc::new(AtomicUsize::new(0));
     let forgotten = retired_unpolled_request(&s, &drops);
@@ -583,31 +494,25 @@ where
         let _ = retired_unpolled_request(&s, &Arc::new(AtomicUsize::new(0)));
     }
     drop(s);
-    collect_until::<R>(&format!("{name}: retired nodes drain"), || {
-        live() == nodes + 1 + dummies && R::pending() == pending + 1
+    collect_until(&format!("{name}: retired nodes drain"), || {
+        live() == nodes + 1 + dummies && Epoch::pending() == pending + 1
     });
     for _ in 0..4 {
-        settle::<R>();
+        settle();
         assert_eq!(drops.load(Ordering::SeqCst), 0, "{name}: kept for good");
-        assert_eq!(R::pending(), pending + 1, "{name}: one retirement stays");
+        assert_eq!(
+            Epoch::pending(),
+            pending + 1,
+            "{name}: one retirement stays"
+        );
     }
 }
 
-/// Both structures under both backends. It reads the backends' process-wide
-/// `pending` counts, so no other test of this file runs beside it.
+/// Both structures. It reads the collector's process-wide `pending`
+/// count, so no other test of this file runs beside it.
 #[test]
-fn an_unpolled_permit_keeps_its_retired_node_under_both_backends() {
+fn an_unpolled_permit_keeps_its_retired_node() {
     let _alone = EXCLUSIVE.write().unwrap_or_else(PoisonError::into_inner);
-    check_unpolled_permit_keeps_its_node::<Epoch, _>("queue/epoch", 1, || {
-        SyncDualQueue::<Tagged, Epoch>::new_in()
-    });
-    check_unpolled_permit_keeps_its_node::<Hazard, _>("queue/hazard", 1, || {
-        SyncDualQueue::<Tagged, Hazard>::new_in()
-    });
-    check_unpolled_permit_keeps_its_node::<Epoch, _>("stack/epoch", 0, || {
-        SyncDualStack::<Tagged, Epoch>::new_in()
-    });
-    check_unpolled_permit_keeps_its_node::<Hazard, _>("stack/hazard", 0, || {
-        SyncDualStack::<Tagged, Hazard>::new_in()
-    });
+    check_unpolled_permit_keeps_its_node("queue", 1, SyncDualQueue::<Tagged>::new);
+    check_unpolled_permit_keeps_its_node("stack", 0, SyncDualStack::<Tagged>::new);
 }

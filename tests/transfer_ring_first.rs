@@ -16,7 +16,6 @@ use std::thread;
 use std::time::Duration;
 use synq_async::AsyncTransferQueue;
 use synq_suite::core::{Deadline, TransferOutcome};
-use synq_suite::reclaim::{Epoch, Hazard, Reclaimer};
 use synq_suite::transfer::TransferQueue;
 
 /// How long a wakeup may take before the test calls it lost.
@@ -187,9 +186,10 @@ fn backlog_overflows_the_ring_and_drains_back_to_it() {
 /// the consumer's reservation is visible (the put meets a waiting, soon
 /// parked, consumer); even rounds put at once, so that the push races the
 /// consumer's publish-then-recheck. A lost wakeup in either is a hang.
-fn single_put_always_reaches_blocked_consumer<R: Reclaimer>() {
+#[test]
+fn park_vs_push_never_loses_a_wakeup() {
     let rounds = if cfg!(miri) { 40 } else { 20_000 };
-    let q: Arc<TransferQueue<usize, R>> = Arc::new(TransferQueue::new_in());
+    let q: Arc<TransferQueue<usize>> = Arc::new(TransferQueue::new());
     let (ack, acks) = mpsc::channel();
     let consumer = {
         let q = Arc::clone(&q);
@@ -214,16 +214,6 @@ fn single_put_always_reaches_blocked_consumer<R: Reclaimer>() {
     consumer.join().unwrap();
     assert!(q.is_empty());
     assert!(!q.has_waiting_consumer());
-}
-
-#[test]
-fn park_vs_push_never_loses_a_wakeup() {
-    single_put_always_reaches_blocked_consumer::<Epoch>();
-}
-
-#[test]
-fn park_vs_push_never_loses_a_wakeup_hazard() {
-    single_put_always_reaches_blocked_consumer::<Hazard>();
 }
 
 #[test]
