@@ -4,20 +4,34 @@
 //! `Mutex<BinaryHeap>`; a timeout storm serialised all registrations on that
 //! lock and paid `O(log n)` per push under it. The wheel shards the same
 //! state [`LEVELS`] x [`SLOTS`] ways — one tiny mutex per slot — so
-//! registrations for different ticks never contend, and firing a tick only
-//! touches the slots that are actually occupied (a per-level occupancy
-//! bitmap makes the empty case a couple of atomic loads).
+//! registrations for different ticks never contend. A per-level occupancy
+//! bitmap lets `advance` visit only the occupied slots a span crosses.
 //!
 //! # Layout
 //!
-//! Time is quantised into [`TICK`] (100 µs) ticks counted from the wheel's
+//! Time is quantised into [`TICK`] (10 µs) ticks counted from the wheel's
 //! `origin`. Level `l` covers deadlines `64^l ..64^(l+1)` ticks ahead of the
 //! cursor in slots of `64^l` ticks each; with 4 levels the horizon is
-//! `64^4` ticks ≈ 28 min, and anything further is clamped into the top
+//! `64^4` ticks ≈ 2.8 min, and anything further is clamped into the top
 //! level (it cascades — is re-placed — as the cursor approaches, which only
 //! costs a re-shelving every `64^3` ticks). A deadline is mapped to
 //! `at_ticks` by *ceiling* division so an entry never fires before its
 //! instant; the public contract is fire **at or after**.
+//!
+//! # Advancing
+//!
+//! Each slot has a *drain tick*: the tick at which the cursor reaches it
+//! (for level `l`, a multiple of `64^l`). `advance` claims the whole span
+//! `(cursor, now]` with one cursor store, then, level by level from the
+//! bottom, drains the occupied slots whose drain tick lies in that span:
+//! the span's slots as a rotated bit mask, ANDed with the occupancy
+//! bitmap. A drained entry fires if its deadline is in the span and is
+//! otherwise re-placed against the new cursor, strictly below its old
+//! level (or again in the top level, if it is still past the horizon). So
+//! the cost of an advance is a few atomic loads per level plus one drain
+//! per occupied slot crossed, whatever the span: an hour of idle time
+//! with one far entry armed costs one drain of that entry's slot, not a
+//! step per 64 ticks. That is what lets the tick be as fine as 10 µs.
 //!
 //! # Concurrency protocol
 //!
@@ -46,13 +60,16 @@ use std::task::Waker;
 use std::time::{Duration, Instant};
 
 /// Wheel resolution: deadlines are rounded *up* to the next tick boundary.
-/// 100 µs keeps timeout lateness an order of magnitude below the storm
-/// patience the server bench applies (the old heap timer slept to exact
-/// deadlines, so coarse rounding here would be a regression it never had),
-/// while the occupancy-guided `advance` keeps empty ticks near-free.
-pub const TICK: Duration = Duration::from_micros(100);
+/// 10 µs keeps the rounding well under the timer thread's wake-up latency
+/// (the thread runs with the minimum timer slack; see [`crate::timer`]), so
+/// an async deadline fires within about 10–20 µs of its instant. A coarser
+/// tick showed directly as timeout lateness: at 100 µs, a lapse resolved
+/// 111 µs (p50) after its deadline on `dispatch_open`. Since `advance` costs
+/// nothing per idle tick, a finer tick costs only the shorter horizon and
+/// more frequent re-shelving of far entries.
+pub const TICK: Duration = Duration::from_micros(10);
 
-const TICK_NANOS: u128 = 100_000;
+const TICK_NANOS: u128 = TICK.as_nanos();
 
 /// Hierarchy depth.
 pub const LEVELS: usize = 4;
@@ -233,61 +250,61 @@ impl TimerWheel {
     /// was reached. The caller invokes the wakers (outside all wheel locks).
     /// Serialised internally; intended for a single driver thread.
     pub fn advance(&self, now: Instant) -> Vec<Waker> {
+        let mut fired = Vec::new();
+        self.advance_into(now, &mut fired);
+        fired
+    }
+
+    /// [`advance`](TimerWheel::advance) into `fired`. Returns the number of
+    /// slots drained, the work done: it depends on the occupied slots whose
+    /// drain tick the span crosses, not on the span's length.
+    fn advance_into(&self, now: Instant, fired: &mut Vec<Waker>) -> usize {
         let _g = self.advance_lock.lock().expect("wheel advance poisoned");
         let target = self.ticks_floor(now);
-        let mut cur = self.cursor.load(Ordering::SeqCst);
-        let mut fired = Vec::new();
+        let cur = self.cursor.load(Ordering::SeqCst);
         if target <= cur {
-            return fired;
+            return 0;
         }
-        // Fast path: nothing armed anywhere. Claim the span, then re-check
-        // occupancy (Dekker: an insert racing with this jump either sees the
-        // new cursor and reclaims, or its bit is visible to our re-check).
-        if self.all_empty() {
-            self.cursor.store(target, Ordering::SeqCst);
-            if self.all_empty() {
-                return fired;
+        // Publish before reading occupancy: the insert handshake relies on
+        // it.
+        self.cursor.store(target, Ordering::SeqCst);
+        let mut drained = 0;
+        // Bottom-up. A drained entry that is not yet due is re-placed
+        // against `target`, which puts it strictly below its old level
+        // (its drain tick was at most `target`, so it is less than one of
+        // that level's slots away), in a level already swept. An entry
+        // still past the horizon goes back into the top level, after its
+        // occupancy was read, so this pass does not drain it twice.
+        for level in 0..LEVELS {
+            let shift = SLOT_BITS * level as u32;
+            // Drain ticks of this level, multiples of `64^level`, in
+            // `(cur, target]`. None here means none in any higher level.
+            let crossed = (target >> shift) - (cur >> shift);
+            if crossed == 0 {
+                break;
             }
-            self.sweep_all(target, &mut fired);
-            return fired;
-        }
-        while cur < target {
-            // Stop at the next cascade boundary (multiple of 64 ticks) or at
-            // the target, whichever comes first. Level-0 entries need no
-            // per-tick stepping because the sweep below visits every
-            // occupied level-0 slot, not just the one for the current tick.
-            let boundary = ((cur >> SLOT_BITS) + 1) << SLOT_BITS;
-            let stop = boundary.min(target);
-            // Publish before draining — the insert handshake relies on it.
-            self.cursor.store(stop, Ordering::SeqCst);
-            if stop.is_multiple_of(1 << SLOT_BITS) {
-                // Cascade every level whose period divides `stop`, top-down
-                // so re-placed entries land in levels swept afterwards.
-                for level in (1..LEVELS).rev() {
-                    if stop.is_multiple_of(1u64 << (SLOT_BITS * level as u32)) {
-                        let slot =
-                            ((stop >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-                        if self.levels[level].occupancy.load(Ordering::SeqCst) & (1 << slot) != 0 {
-                            for e in self.levels[level].drain(slot) {
-                                self.fire_or_replace(e, stop, &mut fired);
-                            }
-                        }
-                    }
+            let mut occ = self.levels[level].occupancy.load(Ordering::SeqCst)
+                & Self::slots_after(cur >> shift, crossed);
+            while occ != 0 {
+                let slot = occ.trailing_zeros() as usize;
+                occ &= occ - 1;
+                for e in self.levels[level].drain(slot) {
+                    self.fire_or_replace(e, target, fired);
                 }
-            }
-            self.sweep_level0(stop, &mut fired);
-            cur = stop;
-            if self.all_empty() {
-                // Nothing left anywhere: jump the remaining span, with the
-                // same post-store re-check as the fast path above.
-                self.cursor.store(target, Ordering::SeqCst);
-                if !self.all_empty() {
-                    self.sweep_all(target, &mut fired);
-                }
-                return fired;
+                drained += 1;
             }
         }
-        fired
+        drained
+    }
+
+    /// Bitmap of the `count` slots after slot `from` (mod 64): the slots
+    /// of the drain ticks `from + 1 ..= from + count`, in units of the
+    /// level's slot width.
+    fn slots_after(from: u64, count: u64) -> u64 {
+        if count >= SLOTS as u64 {
+            return u64::MAX;
+        }
+        ((1u64 << count) - 1).rotate_left(((from + 1) % SLOTS as u64) as u32)
     }
 
     /// Earliest pending deadline, if any. Occupancy-guided scan; meant for
@@ -310,12 +327,6 @@ impl TimerWheel {
         min.map(|ticks| self.origin + Duration::from_nanos(ticks.saturating_mul(TICK_NANOS as u64)))
     }
 
-    fn all_empty(&self) -> bool {
-        self.levels
-            .iter()
-            .all(|l| l.occupancy.load(Ordering::SeqCst) == 0)
-    }
-
     /// Fires `e` if due at `cursor_now`, else re-places it (used while
     /// cascading; the advance lock is held, so the cursor is stable).
     fn fire_or_replace(&self, e: Entry, cursor_now: u64, fired: &mut Vec<Waker>) {
@@ -324,50 +335,6 @@ impl TimerWheel {
         } else {
             let (level, slot) = Self::place(e.at_ticks, cursor_now);
             self.levels[level].push(slot, e);
-        }
-    }
-
-    /// Drains every occupied level-0 slot, firing due entries and keeping
-    /// future ones in place.
-    fn sweep_level0(&self, cursor_now: u64, fired: &mut Vec<Waker>) {
-        let mut occ = self.levels[0].occupancy.load(Ordering::SeqCst);
-        while occ != 0 {
-            let slot = occ.trailing_zeros() as usize;
-            occ &= occ - 1;
-            let mut s = self.levels[0].slots[slot]
-                .lock()
-                .expect("wheel slot poisoned");
-            if s.iter().any(|e| e.at_ticks <= cursor_now) {
-                let mut keep = Vec::with_capacity(s.len());
-                for e in s.drain(..) {
-                    if e.at_ticks <= cursor_now {
-                        fired.push(e.waker);
-                    } else {
-                        keep.push(e);
-                    }
-                }
-                if keep.is_empty() {
-                    self.levels[0]
-                        .occupancy
-                        .fetch_and(!(1 << slot), Ordering::SeqCst);
-                }
-                *s = keep;
-            }
-        }
-    }
-
-    /// Full-wheel rescue sweep used after a cursor jump raced an insert:
-    /// fires everything due at `cursor_now` and re-places the rest.
-    fn sweep_all(&self, cursor_now: u64, fired: &mut Vec<Waker>) {
-        for level in (0..LEVELS).rev() {
-            let mut occ = self.levels[level].occupancy.load(Ordering::SeqCst);
-            while occ != 0 {
-                let slot = occ.trailing_zeros() as usize;
-                occ &= occ - 1;
-                for e in self.levels[level].drain(slot) {
-                    self.fire_or_replace(e, cursor_now, fired);
-                }
-            }
         }
     }
 }
@@ -404,16 +371,14 @@ mod tests {
         let origin = Instant::now();
         let w = TimerWheel::new(origin);
         let hits = Arc::new(AtomicUsize::new(0));
+        let at = origin + Duration::from_millis(10);
         assert!(matches!(
-            w.insert(
-                origin + Duration::from_millis(10),
-                counting_waker(Arc::clone(&hits))
-            ),
+            w.insert(at, counting_waker(Arc::clone(&hits))),
             Insert::Armed
         ));
-        // 9.5 ms: one tick short of the (ceiling-rounded) deadline.
-        assert!(w.advance(origin + Duration::from_micros(9_500)).is_empty());
-        let due = w.advance(origin + Duration::from_millis(10));
+        // One tick short of the (ceiling-rounded) deadline.
+        assert!(w.advance(at - TICK).is_empty());
+        let due = w.advance(at);
         assert_eq!(due.len(), 1);
         for waker in due {
             waker.wake();
@@ -428,12 +393,13 @@ mod tests {
         let origin = Instant::now();
         let w = TimerWheel::new(origin);
         let hits = Arc::new(AtomicUsize::new(0));
-        // 20 µs from origin: must round up to tick 1, not down to "due".
+        // A fifth of a tick from origin: must round up to tick 1, not down
+        // to "due".
         assert!(matches!(
-            w.insert(origin + Duration::from_micros(20), counting_waker(hits)),
+            w.insert(origin + TICK / 5, counting_waker(hits)),
             Insert::Armed
         ));
-        assert!(w.advance(origin + Duration::from_micros(90)).is_empty());
+        assert!(w.advance(origin + TICK * 9 / 10).is_empty());
         assert_eq!(w.advance(origin + TICK).len(), 1);
     }
 
@@ -465,28 +431,45 @@ mod tests {
         assert_eq!(w.next_deadline(), Some(origin + Duration::from_millis(70)));
     }
 
+    /// `TICK * 64^level * n`: a delay `n` slots out on `level`.
+    fn slots_out(level: u32, n: u32) -> Duration {
+        TICK * (1 << (SLOT_BITS * level)) * n
+    }
+
     #[test]
     fn cascades_across_levels_and_horizon_clamp() {
         let origin = Instant::now();
         let w = TimerWheel::new(origin);
         let log = Arc::new(Mutex::new(Vec::new()));
-        // Level 1 (~0.5 s), level 2 (~5 min), level 3 (~5 h: past the 64^3
-        // slot span, still inside level 3), and beyond-horizon (~2 days:
-        // clamped into level 3 and re-shelved as the cursor approaches).
-        let delays_ms = [500_u64, 300_000, 18_000_000, 180_000_000];
-        for (i, ms) in delays_ms.into_iter().enumerate() {
+        // Levels 1, 2 and 3, and beyond the horizon (clamped into level 3
+        // and re-shelved as the cursor approaches), each a few ticks off a
+        // slot boundary.
+        let delays = [
+            slots_out(1, 10) + TICK * 3,
+            slots_out(2, 20) + TICK * 7,
+            slots_out(3, 30) + TICK * 11,
+            slots_out(4, 50) + TICK * 13,
+        ];
+        for (i, d) in delays.into_iter().enumerate() {
             assert!(matches!(
-                w.insert(
-                    origin + Duration::from_millis(ms),
-                    tagged_waker(Arc::clone(&log), i),
-                ),
+                w.insert(origin + d, tagged_waker(Arc::clone(&log), i)),
                 Insert::Armed
             ));
         }
-        // Walk time forward in coarse, uneven jumps well past everything.
+        // Walk time forward in coarse, uneven jumps well past everything,
+        // stopping one tick short of the first deadline on the way.
         let mut fired = Vec::new();
-        for step_ms in [137_u64, 499, 600, 70_000, 400_000, 17_000_000, 200_000_000] {
-            for waker in w.advance(origin + Duration::from_millis(step_ms)) {
+        let steps = [
+            delays[0] / 3,
+            delays[0] - TICK,
+            delays[0],
+            delays[1] / 2,
+            delays[2] - TICK * 5,
+            delays[2] * 7,
+            delays[3] * 2,
+        ];
+        for step in steps {
+            for waker in w.advance(origin + step) {
                 waker.wake();
             }
             fired.push(log.lock().unwrap().clone());
@@ -494,71 +477,138 @@ mod tests {
         // Each fires exactly once, in deadline order across steps.
         let final_log = log.lock().unwrap().clone();
         assert_eq!(final_log, vec![0, 1, 2, 3]);
-        // And never before its deadline: entry 0 (500 ms) must not be in
-        // the 499 ms snapshot.
+        // And never before its deadline: entry 0 must not be in the
+        // snapshot one tick short of it, and must be in the next.
         assert!(fired[1].is_empty());
+        assert_eq!(fired[2], vec![0]);
+        assert_eq!(fired[4], vec![0, 1]);
+    }
+
+    #[test]
+    fn an_idle_span_costs_a_drain_per_occupied_slot_not_per_tick() {
+        let origin = Instant::now();
+        let w = TimerWheel::new(origin);
+        let hits = Arc::new(AtomicUsize::new(0));
+        let hour = Duration::from_secs(3600);
+        assert!(matches!(
+            w.insert(origin + 2 * hour, counting_waker(Arc::clone(&hits))),
+            Insert::Armed
+        ));
+        let mut fired = Vec::new();
+        // One hour, 360 million ticks, in one call: the entry is past the
+        // horizon, so the only slot crossed that holds anything is its own
+        // top-level slot, drained once and re-placed.
+        assert_eq!(w.advance_into(origin + hour, &mut fired), 1);
+        assert!(fired.is_empty());
+        // Ten minutes more in 1 s steps: the entry's top-level slot comes
+        // round once a horizon, and nothing else is ever drained.
+        let horizon = TICK * (1 << (SLOT_BITS * LEVELS as u32));
+        let mut drained = 0;
+        for s in 1..=600 {
+            drained += w.advance_into(origin + hour + Duration::from_secs(s), &mut fired);
+        }
+        let laps = (Duration::from_secs(600).as_nanos() / horizon.as_nanos()) as usize;
+        assert!(
+            (laps..=laps + 1).contains(&drained),
+            "drained {drained} slots in 600 steps, expected one per horizon ({laps} or {})",
+            laps + 1
+        );
+        assert!(fired.is_empty());
+        // The rest of the way, again in one call: it cascades down through
+        // the levels and fires, each level drained at most once.
+        let drained = w.advance_into(origin + 2 * hour, &mut fired);
+        assert!(drained <= LEVELS, "drained {drained} slots");
+        assert_eq!(fired.len(), 1);
+    }
+
+    /// Oracle check: every registration fires exactly once, never before
+    /// its (ceiling-rounded) deadline tick, and exactly in the advance step
+    /// that first covers it — compared against a plain list of deadlines.
+    /// All entries are inserted on a fresh wheel; a final step past
+    /// `max_us` must drain everything.
+    fn check_against_oracle(
+        delays_us: &[u64],
+        steps_us: &[u64],
+        max_us: u64,
+    ) -> Result<(), proptest::TestCaseError> {
+        let origin = Instant::now();
+        let w = TimerWheel::new(origin);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        // Oracle: deadline of entry i in ticks, ceiling-rounded,
+        // matching the wheel's contract.
+        let tick_ns = TICK_NANOS as u64;
+        let at_ticks: Vec<u64> = delays_us
+            .iter()
+            .map(|us| (us * 1000).div_ceil(tick_ns))
+            .collect();
+        for (i, us) in delays_us.iter().enumerate() {
+            match w.insert(
+                origin + Duration::from_micros(*us),
+                tagged_waker(Arc::clone(&log), i),
+            ) {
+                Insert::Armed => {}
+                // Only a zero-tick deadline can be due on a fresh wheel.
+                Insert::Due(waker) => {
+                    proptest::prop_assert_eq!(at_ticks[i], 0);
+                    waker.wake();
+                }
+            }
+        }
+        let mut now_us = 0_u64;
+        let mut prev_ticks = 0_u64;
+        let mut steps = steps_us.to_vec();
+        // Final step far past every deadline: everything must drain.
+        steps.push(max_us + 1);
+        for step in steps {
+            now_us += step;
+            let target_ticks = now_us * 1000 / tick_ns; // floor, like the wheel
+            let before = log.lock().unwrap().len();
+            for waker in w.advance(origin + Duration::from_micros(now_us)) {
+                waker.wake();
+            }
+            let log_now = log.lock().unwrap().clone();
+            // Exactly the oracle's due set fired in this step.
+            let mut got: Vec<usize> = log_now[before..].to_vec();
+            got.sort_unstable();
+            let mut want: Vec<usize> = (0..at_ticks.len())
+                .filter(|&i| at_ticks[i] > prev_ticks && at_ticks[i] <= target_ticks)
+                .collect();
+            // Entries due at tick 0 were fired at insert time.
+            if prev_ticks == 0 {
+                want.retain(|&i| at_ticks[i] != 0);
+            }
+            want.sort_unstable();
+            proptest::prop_assert_eq!(got, want);
+            prev_ticks = target_ticks;
+        }
+        // Everything fired exactly once.
+        let mut all = log.lock().unwrap().clone();
+        all.sort_unstable();
+        proptest::prop_assert_eq!(all, (0..at_ticks.len()).collect::<Vec<_>>());
+        Ok(())
     }
 
     proptest::proptest! {
-        /// Oracle check: every registration fires exactly once, never
-        /// before its (ceiling-rounded) deadline tick, and exactly in the
-        /// advance step that first covers it — compared against a plain
-        /// sorted list of deadlines.
+        /// Coarse: deadlines out to 400 s, past the 2.8 min horizon, and
+        /// steps of up to 150 s, so entries clamp, cascade and fire in
+        /// steps that each cross many slots of every level.
         #[test]
         fn firing_matches_sorted_oracle(
             delays_us in proptest::collection::vec(0_u64..=400_000_000, 1..48),
             steps_us in proptest::collection::vec(1_u64..=150_000_000, 1..12),
         ) {
-            let origin = Instant::now();
-            let w = TimerWheel::new(origin);
-            let log = Arc::new(Mutex::new(Vec::new()));
-            // Oracle: deadline of entry i in ticks (1 tick = 1 ms = 1000 us,
-            // ceiling-rounded, matching the wheel's contract).
-            let at_ticks: Vec<u64> = delays_us.iter().map(|us| us.div_ceil(1000)).collect();
-            for (i, us) in delays_us.iter().enumerate() {
-                match w.insert(
-                    origin + Duration::from_micros(*us),
-                    tagged_waker(Arc::clone(&log), i),
-                ) {
-                    Insert::Armed => {}
-                    // Only a zero-tick deadline can be due on a fresh wheel.
-                    Insert::Due(waker) => {
-                        proptest::prop_assert_eq!(at_ticks[i], 0);
-                        waker.wake();
-                    }
-                }
-            }
-            let mut now_us = 0_u64;
-            let mut prev_ticks = 0_u64;
-            let mut steps = steps_us.clone();
-            // Final step far past every deadline: everything must drain.
-            steps.push(500_000_000);
-            for step in steps {
-                now_us += step;
-                let target_ticks = now_us / 1000; // floor, like the wheel
-                let before = log.lock().unwrap().len();
-                for waker in w.advance(origin + Duration::from_micros(now_us)) {
-                    waker.wake();
-                }
-                let log_now = log.lock().unwrap().clone();
-                // Exactly the oracle's due set fired in this step.
-                let mut got: Vec<usize> = log_now[before..].to_vec();
-                got.sort_unstable();
-                let mut want: Vec<usize> = (0..at_ticks.len())
-                    .filter(|&i| at_ticks[i] > prev_ticks && at_ticks[i] <= target_ticks)
-                    .collect();
-                // Entries due at tick 0 were fired at insert time.
-                if prev_ticks == 0 {
-                    want.retain(|&i| at_ticks[i] != 0);
-                }
-                want.sort_unstable();
-                proptest::prop_assert_eq!(got, want);
-                prev_ticks = target_ticks;
-            }
-            // Everything fired exactly once.
-            let mut all = log.lock().unwrap().clone();
-            all.sort_unstable();
-            proptest::prop_assert_eq!(all, (0..at_ticks.len()).collect::<Vec<_>>());
+            check_against_oracle(&delays_us, &steps_us, 400_000_000)?;
+        }
+
+        /// Fine: deadlines within 50 ms (levels 0 to 2) and steps of a
+        /// few ticks to a few slots, so each step crosses a partial,
+        /// wrapping range of slots.
+        #[test]
+        fn fine_steps_match_sorted_oracle(
+            delays_us in proptest::collection::vec(0_u64..=50_000, 1..48),
+            steps_us in proptest::collection::vec(1_u64..=3_000, 1..64),
+        ) {
+            check_against_oracle(&delays_us, &steps_us, 50_000)?;
         }
     }
 }

@@ -33,6 +33,10 @@
 //! timeout storm recorded at least one `server.timeouts` event — the CI
 //! guard that the storm actually stormed. The counters are bin-local and
 //! always on, so the guard holds in stats and non-stats builds alike.
+//!
+//! A `stats` build also prints, per phase, the async timer thread's
+//! wake-ups per second and wakers fired per wake-up (`timer.wakes`,
+//! `timer.fired`): how many deadlines one wake-up serves.
 
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,7 +48,7 @@ use synq_bench::hist::Histogram;
 use synq_bench::report::{counter_deltas_since, write_bench_server, FigureReport};
 use synq_bench::{bench_cores, quick_mode};
 use synq_executor::{Job, PoolConfig, ThreadPool};
-use synq_obs::probe;
+use synq_obs::{probe, Probe, StatsSnapshot};
 use synq_transfer::BufferedChannel;
 
 /// Ring capacity for the buffered variant: small enough that bursts
@@ -338,7 +342,7 @@ fn run_variant<Q>(name: &str, queue: Arc<Q>, cfg: &Config, report: &mut FigureRe
 where
     Q: PollTransferer<Job> + TimedSyncChannel<Job> + Send + Sync + 'static,
 {
-    let before = synq_obs::StatsSnapshot::take();
+    let before = StatsSnapshot::take();
     let shared = Arc::new(Shared::new(cfg));
     let pool = ThreadPool::new(
         Arc::clone(&queue) as Arc<dyn TimedSyncChannel<Job>>,
@@ -354,11 +358,24 @@ where
 
     let mut values = Vec::with_capacity(Phase::ALL.len());
     for phase in Phase::ALL {
+        let (start, timer_before) = (Instant::now(), StatsSnapshot::take());
         let ns = drive_phase(phase, &queue, cfg, &shared);
         eprintln!(
             "  server {name:>20} {:>6} -> {ns:>12.0} ns/request",
             phase.name()
         );
+        if synq_obs::ENABLED {
+            let secs = start.elapsed().as_secs_f64();
+            let timer = StatsSnapshot::take().delta(&timer_before);
+            let (wakes, fired) = (timer.get(Probe::TimerWakes), timer.get(Probe::TimerFired));
+            eprintln!(
+                "  server {name:>20} {:>6} -> timer {:.0} wakes/s, {:.2} fired/wake \
+                 ({wakes} wakes, {fired} fired in {secs:.3} s)",
+                phase.name(),
+                wakes as f64 / secs,
+                fired as f64 / wakes.max(1) as f64
+            );
+        }
         values.push(ns);
     }
     pool.shutdown();

@@ -7,9 +7,6 @@
 //!
 //! - [`probe!`] increments a named [`Probe`] counter in a cache-padded,
 //!   per-thread-sharded table ([`record`]).
-//! - [`trace!`] appends a `(thread, kind, timestamp, payload)` event to a
-//!   fixed-capacity lock-free ring ([`trace_event`], [`trace_events`]) for
-//!   post-mortem reconstruction of handoff races.
 //! - [`StatsSnapshot`] sums the shards into one vector; two snapshots
 //!   subtract into a per-interval delta that the bench crate embeds in its
 //!   JSON reports.
@@ -17,14 +14,13 @@
 //! # The `stats` feature
 //!
 //! Everything above is gated on `--features stats`. With the feature off
-//! (the default) [`record`] and [`trace_event`] are **`const fn`s with empty
-//! bodies**: a `const fn` cannot touch statics, atomics, or TLS, so the
-//! compiler proves at type-check time that every probe site is effect-free,
-//! and `#[inline(always)]` guarantees no residual call instruction. No
-//! counter table or ring buffer is even declared ([`TABLE_BYTES`] is 0).
-//! `tests/probe_noop.rs` pins this down by evaluating both functions in a
-//! `const` block — the test *fails to compile* if a runtime effect sneaks
-//! in.
+//! (the default) [`record`] is a **`const fn` with an empty body**: a
+//! `const fn` cannot touch statics, atomics, or TLS, so the compiler proves
+//! at type-check time that every probe site is effect-free, and
+//! `#[inline(always)]` guarantees no residual call instruction. No counter
+//! table is even declared ([`TABLE_BYTES`] is 0). `tests/probe_noop.rs`
+//! pins this down by evaluating `record` in a `const` block — the test
+//! *fails to compile* if a runtime effect sneaks in.
 //!
 //! Instrumented crates depend on `synq-obs` unconditionally and forward a
 //! `stats` feature to it; because `probe!` expands to a call into *this*
@@ -188,6 +184,14 @@ probes! {
     AsyncPolls => "async.polls",
     /// Polls that returned `Pending` (registered a waker and suspended).
     AsyncPendings => "async.pendings",
+    /// Passes of the async timer thread that end in a park: its wake-ups.
+    TimerWakes => "timer.wakes",
+    /// Wakers the async timer thread fired; `fired / wakes` is how many
+    /// deadlines one wake-up serves.
+    TimerFired => "timer.fired",
+    /// Wakers that panicked when the timer thread fired them (the panic is
+    /// caught and dropped).
+    TimerWakePanics => "timer.wake_panics",
 
     // Ring-buffer fast path (DESIGN §4.11): SCQ-style cycle-versioned
     // slots in front of the TransferQueue rendezvous, bounded or unbounded.
@@ -279,38 +283,6 @@ macro_rules! probe {
     };
 }
 
-/// Appends an event to the trace ring.
-///
-/// `trace!(Kind)` records a zero payload; `trace!(Kind, word)` records an
-/// arbitrary `u64` (a pointer bit-pattern, a ticket, a state value). With
-/// `stats` off this is a `const fn` no-op.
-#[macro_export]
-macro_rules! trace {
-    ($probe:ident) => {
-        $crate::trace_event($crate::Probe::$probe, 0)
-    };
-    ($probe:ident, $payload:expr) => {
-        $crate::trace_event($crate::Probe::$probe, $payload as u64)
-    };
-}
-
-/// One decoded entry from the trace ring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Global ticket: total order of ring writes (monotone, gap-free among
-    /// surviving events).
-    pub ticket: u64,
-    /// Small dense id of the recording thread (the per-process dense
-    /// counter that also picks the counter shard).
-    pub thread: u64,
-    /// What happened.
-    pub kind: Probe,
-    /// Nanoseconds since the first instrumented event in the process.
-    pub time_ns: u64,
-    /// Free-form payload word supplied at the trace site.
-    pub payload: u64,
-}
-
 /// An aggregated view of every probe counter at one instant.
 ///
 /// Counters are monotone; subtract two snapshots with
@@ -360,19 +332,14 @@ impl StatsSnapshot {
     }
 }
 
-pub use imp::{record, reset, trace_event, trace_events, ENABLED, RING_CAP, TABLE_BYTES};
-
-#[cfg(feature = "stats")]
-pub use imp::thread_id;
+pub use imp::{record, reset, ENABLED, TABLE_BYTES};
 
 #[cfg(feature = "stats")]
 mod imp {
-    //! The real implementation: sharded counter table + seqlock ring.
+    //! The real implementation: a sharded counter table.
 
     use super::Probe;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::OnceLock;
-    use std::time::Instant;
 
     /// Instrumentation is compiled in.
     pub const ENABLED: bool = true;
@@ -409,8 +376,8 @@ mod imp {
 
     /// Small dense id of the calling thread, assigned on first
     /// instrumented event (`std::thread::ThreadId` has no stable integer
-    /// accessor). Used for both shard selection and trace attribution.
-    pub fn thread_id() -> u64 {
+    /// accessor). Used for shard selection.
+    fn thread_id() -> u64 {
         THREAD_ID.with(|t| *t)
     }
 
@@ -445,99 +412,6 @@ mod imp {
             }
         }
     }
-
-    // ------------------------------------------------------------------
-    // Event ring tracer.
-    //
-    // A fixed array of slots, claimed by a global fetch_add ticket and
-    // guarded by a per-slot sequence word in the seqlock style:
-    //
-    //   writer(t): seq.store(2t+1); fields.store(..); seq.store(2t+2)
-    //   reader:    s1 = seq;  fields.load(..);  s2 = seq;
-    //              valid iff s1 == s2 and s1 is even and nonzero
-    //
-    // An odd or changed sequence means a writer was mid-flight (its ticket
-    // lapped the reader); the reader simply drops that slot. Fields are
-    // relaxed atomics, not raw memory, so an interleaved read yields a
-    // discarded stale value — never UB — and the scheme stays Miri-clean.
-    // ------------------------------------------------------------------
-
-    /// Trace ring capacity in events; older events are overwritten.
-    pub const RING_CAP: usize = 1024;
-
-    struct RingSlot {
-        seq: AtomicU64,
-        thread: AtomicU64,
-        kind: AtomicU64,
-        time_ns: AtomicU64,
-        payload: AtomicU64,
-    }
-
-    impl RingSlot {
-        #[allow(clippy::declare_interior_mutable_const)] // array-init seed
-        const EMPTY: RingSlot = RingSlot {
-            seq: AtomicU64::new(0),
-            thread: AtomicU64::new(0),
-            kind: AtomicU64::new(0),
-            time_ns: AtomicU64::new(0),
-            payload: AtomicU64::new(0),
-        };
-    }
-
-    static RING: [RingSlot; RING_CAP] = [RingSlot::EMPTY; RING_CAP];
-    static RING_TICKET: AtomicU64 = AtomicU64::new(0);
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-
-    fn now_ns() -> u64 {
-        EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-    }
-
-    /// Appends one event to the trace ring. Lock-free: one `fetch_add` to
-    /// claim a slot, then plain relaxed stores published by the sequence
-    /// word.
-    #[inline(always)]
-    pub fn trace_event(kind: Probe, payload: u64) {
-        let ticket = RING_TICKET.fetch_add(1, Ordering::Relaxed);
-        let slot = &RING[(ticket % RING_CAP as u64) as usize];
-        slot.seq.store(2 * ticket + 1, Ordering::Release);
-        slot.thread.store(thread_id(), Ordering::Relaxed);
-        slot.kind.store(kind as u64, Ordering::Relaxed);
-        slot.time_ns.store(now_ns(), Ordering::Relaxed);
-        slot.payload.store(payload, Ordering::Relaxed);
-        slot.seq.store(2 * ticket + 2, Ordering::Release);
-    }
-
-    /// Snapshots the ring: every fully-written, un-lapped event in ticket
-    /// (write) order. Events overwritten or mid-write during the scan are
-    /// omitted.
-    pub fn trace_events() -> Vec<super::TraceEvent> {
-        let mut events = Vec::with_capacity(RING_CAP);
-        for slot in &RING {
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 == 0 || s1 % 2 == 1 {
-                continue; // never written, or writer mid-flight
-            }
-            let thread = slot.thread.load(Ordering::Relaxed);
-            let kind = slot.kind.load(Ordering::Relaxed);
-            let time_ns = slot.time_ns.load(Ordering::Relaxed);
-            let payload = slot.payload.load(Ordering::Relaxed);
-            if slot.seq.load(Ordering::Acquire) != s1 {
-                continue; // a writer lapped us mid-read; fields are torn
-            }
-            let Some(kind) = Probe::from_index(kind as usize) else {
-                continue;
-            };
-            events.push(super::TraceEvent {
-                ticket: (s1 - 2) / 2,
-                thread,
-                kind,
-                time_ns,
-                payload,
-            });
-        }
-        events.sort_by_key(|e| e.ticket);
-        events
-    }
 }
 
 #[cfg(not(feature = "stats"))]
@@ -556,17 +430,9 @@ mod imp {
     /// No counter table exists in this configuration.
     pub const TABLE_BYTES: usize = 0;
 
-    /// Trace ring capacity the `stats` build would have (kept equal so
-    /// code may size buffers against it unconditionally).
-    pub const RING_CAP: usize = 1024;
-
     /// No-op. See the module docs: const-ness proves effect-freedom.
     #[inline(always)]
     pub const fn record(_probe: Probe, _n: u64) {}
-
-    /// No-op. See the module docs: const-ness proves effect-freedom.
-    #[inline(always)]
-    pub const fn trace_event(_kind: Probe, _payload: u64) {}
 
     /// No-op; there are no counters to clear.
     #[inline(always)]
@@ -574,11 +440,6 @@ mod imp {
 
     pub(super) fn collect_counts() -> [u64; Probe::COUNT] {
         [0; Probe::COUNT]
-    }
-
-    /// Always empty; there is no ring.
-    pub fn trace_events() -> Vec<super::TraceEvent> {
-        Vec::new()
     }
 }
 

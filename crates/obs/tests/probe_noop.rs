@@ -1,20 +1,19 @@
 //! Proof that the stats-off build carries zero probe overhead.
 //!
-//! The "asm test" here is stronger than inspecting assembly: both recording
-//! entry points are evaluated in `const` items. Rust's const evaluator
+//! The "asm test" here is stronger than inspecting assembly: the recording
+//! entry point is evaluated in a `const` item. Rust's const evaluator
 //! rejects any read or write of a `static`, atomic, or thread-local, so
-//! this file *fails to compile* if `record`/`trace_event` ever gain a
-//! runtime effect in the default configuration. Combined with
+//! this file *fails to compile* if `record` ever gains a runtime effect in
+//! the default configuration. Combined with
 //! `#[inline(always)]`, a provably effect-free empty body leaves no
 //! instructions at probe sites.
 
 #![cfg(not(feature = "stats"))]
 
-use synq_obs::{probe, trace, Probe, StatsSnapshot};
+use synq_obs::{probe, Probe, StatsSnapshot};
 
 // Compile-time proof: no-ops are const-evaluable, hence effect-free.
 const _: () = synq_obs::record(Probe::WaitSpins, 1);
-const _: () = synq_obs::trace_event(Probe::WaitParks, 0xdead_beef);
 const _: () = assert!(!synq_obs::ENABLED);
 const _: () = assert!(synq_obs::TABLE_BYTES == 0);
 
@@ -24,17 +23,10 @@ fn probes_record_nothing() {
     for _ in 0..1000 {
         probe!(QueueAppendCasFail);
         probe!(WaitSpins, 64);
-        trace!(WaitParks, 7);
     }
     let after = StatsSnapshot::take();
     assert!(before.is_zero());
     assert!(after.is_zero());
     assert!(after.delta(&before).is_zero());
     assert!(after.nonzero().is_empty());
-}
-
-#[test]
-fn trace_ring_is_absent() {
-    trace!(ElimHits, 42);
-    assert!(synq_obs::trace_events().is_empty());
 }

@@ -1,23 +1,12 @@
 //! Behavioral tests for the instrumented (`--features stats`) build:
-//! shard aggregation under concurrency and ring-tracer wraparound/order.
+//! shard aggregation under concurrency.
 //!
-//! Counters and the ring are process-global, so every test here uses its
-//! own disjoint set of [`Probe`]s and measures with snapshot deltas; the
-//! ring tests additionally serialize behind a lock because wraparound
-//! assertions need exclusive ownership of the ticket stream.
+//! Counters are process-global, so every test here uses its own disjoint
+//! set of [`Probe`]s and measures with snapshot deltas.
 
 #![cfg(feature = "stats")]
 
-use std::sync::{Mutex, OnceLock};
-use synq_obs::{probe, trace, Probe, StatsSnapshot, RING_CAP};
-
-/// Serializes tests that need the trace ring to themselves.
-fn ring_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    LOCK.get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-}
+use synq_obs::{probe, Probe, StatsSnapshot};
 
 #[test]
 fn enabled_reports_table() {
@@ -89,86 +78,5 @@ mod shard_aggregation {
                 increment_counts.iter().sum::<u64>()
             );
         }
-    }
-}
-
-#[test]
-fn trace_events_ordered_with_payloads() {
-    let _guard = ring_lock();
-    for i in 0..10u64 {
-        trace!(ElimHits, i);
-    }
-    let events = synq_obs::trace_events();
-    let mine: Vec<_> = events
-        .iter()
-        .filter(|e| e.kind == Probe::ElimHits)
-        .collect();
-    assert!(
-        mine.len() >= 10,
-        "expected our 10 events, got {}",
-        mine.len()
-    );
-    let tail = &mine[mine.len() - 10..];
-    // Ticket order is write order; payloads rode along intact.
-    for pair in tail.windows(2) {
-        assert!(pair[0].ticket < pair[1].ticket);
-        assert!(pair[0].time_ns <= pair[1].time_ns);
-        assert_eq!(pair[0].payload + 1, pair[1].payload);
-    }
-    // All ten were written by this thread.
-    assert!(tail.iter().all(|e| e.thread == tail[0].thread));
-}
-
-#[test]
-fn trace_ring_wraparound_keeps_newest() {
-    let _guard = ring_lock();
-    let total = RING_CAP as u64 * 3 + 17;
-    for i in 0..total {
-        trace!(ExchangerTimeouts, i);
-    }
-    let events = synq_obs::trace_events();
-    let mine: Vec<_> = events
-        .iter()
-        .filter(|e| e.kind == Probe::ExchangerTimeouts)
-        .collect();
-    // The ring holds at most RING_CAP events, and what survives is the
-    // newest window: the final event must be the last one written, and
-    // payloads must be consecutive back from it.
-    assert!(!mine.is_empty() && mine.len() <= RING_CAP);
-    let last = mine.last().unwrap();
-    assert_eq!(last.payload, total - 1);
-    for pair in mine.windows(2) {
-        assert_eq!(pair[0].payload + 1, pair[1].payload);
-        assert!(pair[0].ticket < pair[1].ticket);
-    }
-}
-
-#[test]
-fn concurrent_tracing_yields_consistent_events() {
-    let _guard = ring_lock();
-    let threads = 8;
-    let per_thread = RING_CAP / 2; // force overlap and wraparound
-    std::thread::scope(|s| {
-        for t in 0..threads as u64 {
-            s.spawn(move || {
-                for i in 0..per_thread as u64 {
-                    trace!(ExchangerSwaps, (t << 32) | i);
-                }
-            });
-        }
-    });
-    let events = synq_obs::trace_events();
-    let mine: Vec<_> = events
-        .iter()
-        .filter(|e| e.kind == Probe::ExchangerSwaps)
-        .collect();
-    assert!(!mine.is_empty());
-    // No torn slot survives the seqlock check: every event's payload must
-    // decode to a (thread-tag, index) pair some thread actually wrote.
-    for e in mine {
-        let tag = e.payload >> 32;
-        let idx = e.payload & 0xffff_ffff;
-        assert!(tag < threads as u64, "torn payload tag {tag}");
-        assert!(idx < per_thread as u64, "torn payload index {idx}");
     }
 }
