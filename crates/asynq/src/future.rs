@@ -9,7 +9,10 @@
 //!    ([`PendingTransfer::poll_transfer`]), which registers the task's
 //!    waker before re-checking state, so the fulfiller's wake is never
 //!    lost. Timed futures additionally arm the crate [`timer`]
-//!    so an expired deadline gets a re-poll even if no fulfiller arrives.
+//!    so an expired deadline gets a re-poll even if no fulfiller arrives:
+//!    once per waker, not once per poll. A future polled again with a
+//!    waker that [`will_wake`](std::task::Waker::will_wake) the one it
+//!    armed the timer with does not register again.
 //! 3. **Done** — terminal; re-polling panics, per the future contract.
 //!
 //! # Cancel safety
@@ -25,7 +28,8 @@ use crate::timer;
 use std::future::Future;
 use std::pin::Pin;
 use std::sync::Arc;
-use std::task::{Context, Poll};
+use std::task::{Context, Poll, Waker};
+use std::time::Instant;
 use synq::pollable::{PendingTransfer, PollTransferer, StartTransfer};
 use synq::{Deadline, TransferOutcome};
 
@@ -43,6 +47,8 @@ struct RawTransfer<'a, T: Send, Q: PollTransferer<T>> {
     structure: &'a Arc<Q>,
     deadline: Deadline,
     state: State<T, Q::Permit>,
+    /// The waker the timer was last armed with, for a timed future.
+    timer_waker: Option<Waker>,
 }
 
 impl<T: Send, Q: PollTransferer<T>> RawTransfer<'_, T, Q> {
@@ -74,7 +80,7 @@ impl<T: Send, Q: PollTransferer<T>> RawTransfer<'_, T, Q> {
                             // The wait engine has no timer; arrange the
                             // deadline re-poll ourselves.
                             if let Deadline::At(at) = self.deadline {
-                                timer::wake_at(at, cx.waker().clone());
+                                self.arm_timer(at, cx.waker());
                             }
                             return Poll::Pending;
                         }
@@ -83,6 +89,18 @@ impl<T: Send, Q: PollTransferer<T>> RawTransfer<'_, T, Q> {
                 State::Done => panic!("transfer future polled after completion"),
             }
         }
+    }
+
+    /// Registers `waker` with the timer unless the last registration
+    /// already wakes the same task.
+    fn arm_timer(&mut self, at: Instant, waker: &Waker) {
+        if let Some(armed) = &self.timer_waker {
+            if armed.will_wake(waker) {
+                return;
+            }
+        }
+        timer::wake_at(at, waker.clone());
+        self.timer_waker = Some(waker.clone());
     }
 }
 
@@ -135,6 +153,7 @@ pub fn send<T: Send, Q: PollTransferer<T>>(structure: &Arc<Q>, value: T) -> Send
             structure,
             deadline: Deadline::Never,
             state: State::Init(Some(value)),
+            timer_waker: None,
         },
     }
 }
@@ -146,6 +165,7 @@ pub fn recv<T: Send, Q: PollTransferer<T>>(structure: &Arc<Q>) -> RecvFuture<'_,
             structure,
             deadline: Deadline::Never,
             state: State::Init(None),
+            timer_waker: None,
         },
     }
 }
@@ -162,6 +182,7 @@ pub fn send_timed<T: Send, Q: PollTransferer<T>>(
             structure,
             deadline,
             state: State::Init(Some(value)),
+            timer_waker: None,
         },
     }
 }
@@ -177,6 +198,7 @@ pub fn recv_timed<T: Send, Q: PollTransferer<T>>(
             structure,
             deadline,
             state: State::Init(None),
+            timer_waker: None,
         },
     }
 }
@@ -225,5 +247,46 @@ impl<T: Send, Q: PollTransferer<T>> Future for RecvTimedFuture<'_, T, Q> {
             TransferOutcome::Timeout(None) => None,
             _ => unreachable!("timed recv without a token cannot be cancelled"),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::AsyncSyncQueue;
+    use std::future::Future;
+    use std::pin::Pin;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::task::{Context, Poll, Wake, Waker};
+    use std::time::{Duration, Instant};
+
+    struct Count(AtomicUsize);
+
+    impl Wake for Count {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_timed_future_polled_ten_times_with_one_waker_is_woken_once() {
+        let count = Arc::new(Count(AtomicUsize::new(0)));
+        let waker = Waker::from(Arc::clone(&count));
+        let mut cx = Context::from_waker(&waker);
+        let q: AsyncSyncQueue<u32> = AsyncSyncQueue::new();
+        let mut recv = q.recv_timed(Duration::from_millis(100));
+        for _ in 0..10 {
+            assert!(Pin::new(&mut recv).poll(&mut cx).is_pending());
+        }
+        let start = Instant::now();
+        while count.0.load(Ordering::SeqCst) == 0 {
+            assert!(start.elapsed() < Duration::from_secs(5), "never woken");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // Registrations for one deadline fire in one driver pass; the
+        // sleep only gives a late one room to show.
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(count.0.load(Ordering::SeqCst), 1);
+        assert_eq!(Pin::new(&mut recv).poll(&mut cx), Poll::Ready(None));
     }
 }

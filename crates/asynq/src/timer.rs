@@ -11,28 +11,32 @@
 //! Registrations are fire-and-forget: a waker fires *at or after* its
 //! instant, is never cancelled, and may fire after the future it belongs
 //! to has already resolved — a spurious wake, which the poll contract
-//! makes harmless. Re-registering on every poll (what the futures do) is
-//! likewise fine; the poll contract only obliges the *most recent* waker.
+//! makes harmless. The futures register once per waker, not once per poll
+//! (see [`crate::future`]).
 //!
-//! Before PR 10 this module *was* the timer: one `Mutex<BinaryHeap>` that
-//! every registration and every expiry serialised on. Now registration goes
-//! straight into the wheel's per-slot locks (typically uncontended) and the
-//! driver thread only coordinates with inserters through a tiny dirty-flag
-//! mutex around its sleep decision:
+//! # The driver's sleep
 //!
-//! * the driver clears `dirty`, drains the wheel, computes the next
-//!   deadline, and — **only if `dirty` is still clear** — commits to sleep
-//!   until then (a futex-timed park on Linux, via
-//!   [`synq_primitives::Parker`]);
-//! * `wake_at` arms the wheel first, then sets `dirty` and unparks the
-//!   driver if its committed wake-up is too late (or it committed to sleep
-//!   forever).
+//! The wheel is one heap behind one lock (see [`crate::wheel`]). The
+//! driver coordinates with registrations through one more small mutex,
+//! holding `next_wake`, the deadline it committed to sleep until:
 //!
-//! An insert that lands mid-scan thus either makes the driver re-scan
-//! (`dirty` observed set at commit time) or beats the commit and adjusts it
-//! via unpark; the banked-permit semantics of the parker make a spurious
-//! unpark a cheap no-op. A registration never blocks behind the driver's
-//! sleep or behind expiry processing.
+//! * the driver clears `next_wake`, advances the wheel, reads the next
+//!   deadline, commits it to `next_wake`, and parks until it (a
+//!   futex-timed park on Linux, via [`synq_primitives::Parker`]);
+//! * `wake_at` arms the wheel first, then unparks the driver if
+//!   `next_wake` is cleared or later than its own deadline.
+//!
+//! The race to beat is an insert that lands after the driver read the next
+//! deadline but before it committed it. Such an insert reads `next_wake`
+//! either before the commit, and finds it cleared (the driver is
+//! mid-pass), so it unparks the driver; or after it, and finds a deadline
+//! read without the insert: it unparks the driver if its own deadline is
+//! earlier, and otherwise the driver wakes no later than that deadline and
+//! makes a pass that sees the insert. The parker banks the permit, so a
+//! driver unparked before it parks returns from that park at once and
+//! makes another pass, which sees the insert. A superfluous unpark costs
+//! one extra pass. A registration never blocks behind the driver's sleep
+//! or behind expiry processing.
 //!
 //! # Firing on time
 //!
@@ -63,20 +67,11 @@ use std::task::Waker;
 use std::time::Instant;
 use synq_primitives::{Parker, Unparker};
 
-/// The driver's published sleep decision, used by `wake_at` to decide
-/// whether an unpark is needed.
-struct Coord {
-    /// Set by `wake_at` after arming the wheel; cleared by the driver right
-    /// before it scans. "The wheel changed since your scan started."
-    dirty: bool,
-    /// The deadline the driver committed to sleep until (`None`: either
-    /// sleeping unbounded or currently mid-scan — both mean "unpark me").
-    next_wake: Option<Instant>,
-}
-
 struct Timer {
     wheel: TimerWheel,
-    coord: Mutex<Coord>,
+    /// The deadline the driver committed to sleep until (`None`: either
+    /// sleeping unbounded or mid-pass; both mean "unpark me").
+    next_wake: Mutex<Option<Instant>>,
     unparker: Unparker,
 }
 
@@ -89,10 +84,7 @@ fn timer() -> &'static Timer {
         // `static` reference lets it share the state with no refcounting.
         let t: &'static Timer = Box::leak(Box::new(Timer {
             wheel: TimerWheel::new(Instant::now()),
-            coord: Mutex::new(Coord {
-                dirty: false,
-                next_wake: None,
-            }),
+            next_wake: Mutex::new(None),
             unparker: parker.unparker(),
         }));
         std::thread::Builder::new()
@@ -106,14 +98,10 @@ fn timer() -> &'static Timer {
 fn run(t: &'static Timer, parker: Parker) {
     set_min_timer_slack();
     loop {
-        {
-            let mut c = t.coord.lock().expect("timer poisoned");
-            c.dirty = false;
-            c.next_wake = None;
-        }
+        *t.next_wake.lock().expect("timer poisoned") = None;
         // Fire everything due. `wake` can run arbitrary executor code, so
         // the wheel hands the wakers out instead of invoking them inside
-        // its locks, and a panic in one is dropped (module docs).
+        // its lock, and a panic in one is dropped (module docs).
         let due = t.wheel.advance(Instant::now());
         synq_obs::probe!(TimerFired, due.len());
         for w in due {
@@ -121,16 +109,10 @@ fn run(t: &'static Timer, parker: Parker) {
                 synq_obs::probe!(TimerWakePanics);
             }
         }
+        // An insert that lands from here on is covered by the unpark
+        // argument in the module docs.
         let next = t.wheel.next_deadline();
-        {
-            let mut c = t.coord.lock().expect("timer poisoned");
-            if c.dirty {
-                // An insert raced the scan: its deadline may be earlier
-                // than `next` (or may already be due). Re-scan.
-                continue;
-            }
-            c.next_wake = next;
-        }
+        *t.next_wake.lock().expect("timer poisoned") = next;
         synq_obs::probe!(TimerWakes);
         match next {
             Some(at) => {
@@ -182,13 +164,14 @@ pub fn wake_at(at: Instant, waker: Waker) {
         }
         Insert::Armed => {}
     }
-    let mut c = t.coord.lock().expect("timer poisoned");
-    c.dirty = true;
-    // `None` means the driver is either mid-scan (the dirty flag alone
-    // would do) or parked with no deadline (it must be woken) — unparking
-    // covers both, and a superfluous permit is banked, not lost.
-    let needs_unpark = c.next_wake.is_none_or(|nw| at < nw);
-    drop(c);
+    // `None` means the driver is either mid-pass or parked with no
+    // deadline; unparking covers both, and a superfluous permit is banked,
+    // not lost.
+    let needs_unpark = t
+        .next_wake
+        .lock()
+        .expect("timer poisoned")
+        .is_none_or(|nw| at < nw);
     if needs_unpark {
         t.unparker.unpark();
     }
@@ -268,8 +251,7 @@ mod tests {
     #[test]
     fn timeout_storm_fires_everything() {
         // A burst of near deadlines across many ticks: all must fire, and
-        // promptly. This is the regression guard for the storm behaviour
-        // the wheel was introduced to fix.
+        // promptly.
         let hits = Arc::new(AtomicUsize::new(0));
         let n = 512;
         for i in 0..n {

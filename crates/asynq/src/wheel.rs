@@ -1,176 +1,123 @@
-//! Hierarchical hashed timer wheel: the data structure under [`crate::timer`].
+//! The pending deadlines under [`crate::timer`]: one binary heap of
+//! `(deadline tick, waker)` behind one lock.
 //!
-//! The original global timer kept every pending deadline in one
-//! `Mutex<BinaryHeap>`; a timeout storm serialised all registrations on that
-//! lock and paid `O(log n)` per push under it. The wheel shards the same
-//! state [`LEVELS`] x [`SLOTS`] ways — one tiny mutex per slot — so
-//! registrations for different ticks never contend. A per-level occupancy
-//! bitmap lets `advance` visit only the occupied slots a span crosses.
+//! `insert` pushes, `advance` pops every entry due by `now`, earliest
+//! first, and `next_deadline` peeks at the top. The driver runs
+//! `next_deadline` on every pass, so reading the earliest deadline costs a
+//! peek, not a scan of what is pending.
 //!
-//! # Layout
+//! One lock costs no parallelism: [`crate::timer::wake_at`] takes the
+//! driver's coordination mutex after every insert anyway, so registrations
+//! are serialised there (DESIGN §4.15 measures this heap against the
+//! lock-per-slot wheel it replaced).
 //!
-//! Time is quantised into [`TICK`] (10 µs) ticks counted from the wheel's
-//! `origin`. Level `l` covers deadlines `64^l ..64^(l+1)` ticks ahead of the
-//! cursor in slots of `64^l` ticks each; with 4 levels the horizon is
-//! `64^4` ticks ≈ 2.8 min, and anything further is clamped into the top
-//! level (it cascades — is re-placed — as the cursor approaches, which only
-//! costs a re-shelving every `64^3` ticks). A deadline is mapped to
-//! `at_ticks` by *ceiling* division so an entry never fires before its
-//! instant; the public contract is fire **at or after**.
+//! The module and the type keep their wheel names because the benchmark
+//! imports `synq_async::wheel::TimerWheel` and calls `new`, `insert` and
+//! `advance` through a shared reference.
 //!
-//! # Advancing
+//! # No user code under the lock
 //!
-//! Each slot has a *drain tick*: the tick at which the cursor reaches it
-//! (for level `l`, a multiple of `64^l`). `advance` claims the whole span
-//! `(cursor, now]` with one cursor store, then, level by level from the
-//! bottom, drains the occupied slots whose drain tick lies in that span:
-//! the span's slots as a rotated bit mask, ANDed with the occupancy
-//! bitmap. A drained entry fires if its deadline is in the span and is
-//! otherwise re-placed against the new cursor, strictly below its old
-//! level (or again in the top level, if it is still past the horizon). So
-//! the cost of an advance is a few atomic loads per level plus one drain
-//! per occupied slot crossed, whatever the span: an hour of idle time
-//! with one far entry armed costs one drain of that entry's slot, not a
-//! step per 64 ticks. That is what lets the tick be as fine as 10 µs.
-//!
-//! # Concurrency protocol
-//!
-//! `insert` is designed to run concurrently with `advance` (which a single
-//! driver thread calls under an internal lock). The race to beat: an entry
-//! placed in a slot whose processing point the cursor passes *while the
-//! insert is in flight* would silently wait a whole ring revolution. The
-//! defence is a Dekker-style handshake on (`cursor`, occupancy bitmap):
-//!
-//! * `advance` publishes the new cursor (`SeqCst` store) **before** reading
-//!   occupancy and draining slots;
-//! * `insert` pushes the entry and sets the occupancy bit (under the slot
-//!   lock, `SeqCst`) **before** re-reading the cursor.
-//!
-//! In every interleaving at least one side sees the other: either the
-//! driver's occupancy read observes the new bit (it drains the slot and
-//! fires/re-places the entry), or the inserter's cursor re-read observes
-//! that the cursor reached its entry's cascade point — in which case it
-//! tries to take the entry back out by id: success means the insert retries
-//! against the fresh cursor; failure means the driver already owns it.
-//! Slot mutexes double as the happens-before edge between the two sides.
+//! A waker is moved into the heap and moved out of it, never cloned, woken
+//! or dropped while the lock is held: `insert` hands an already-due waker
+//! back as [`Insert::Due`], and `advance` returns the due wakers for the
+//! caller to wake. Nothing under the lock can panic, so the lock cannot be
+//! poisoned.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
+use std::sync::{Mutex, MutexGuard};
 use std::task::Waker;
 use std::time::{Duration, Instant};
 
-/// Wheel resolution: deadlines are rounded *up* to the next tick boundary.
-/// 10 µs keeps the rounding well under the timer thread's wake-up latency
-/// (the thread runs with the minimum timer slack; see [`crate::timer`]), so
-/// an async deadline fires within about 10–20 µs of its instant. A coarser
-/// tick showed directly as timeout lateness: at 100 µs, a lapse resolved
-/// 111 µs (p50) after its deadline on `dispatch_open`. Since `advance` costs
-/// nothing per idle tick, a finer tick costs only the shorter horizon and
-/// more frequent re-shelving of far entries.
+/// Timer resolution: deadlines are rounded *up* to the next tick
+/// boundary, so an entry never fires before its instant, and deadlines
+/// within one tick fire in one driver pass. 10 µs keeps the rounding well
+/// under the timer thread's wake-up latency (the thread runs with the
+/// minimum timer slack; see [`crate::timer`]), so an async deadline fires
+/// within about 10–20 µs of its instant. A coarser tick showed directly
+/// as timeout lateness: at 100 µs, a lapse resolved 111 µs (p50) after its
+/// deadline on `dispatch_open`.
 pub const TICK: Duration = Duration::from_micros(10);
 
 const TICK_NANOS: u128 = TICK.as_nanos();
 
-/// Hierarchy depth.
-pub const LEVELS: usize = 4;
-
-/// Slots per level (64, so slot indices are 6 bits of `at_ticks`).
-pub const SLOTS: usize = 64;
-
-const SLOT_BITS: u32 = 6;
-
-/// One registered timeout.
+/// One registered timeout, ordered by deadline alone and reversed, so the
+/// max-heap [`BinaryHeap`] yields the earliest deadline first.
 struct Entry {
-    /// Absolute deadline in ticks from the wheel origin (ceiling-rounded).
+    /// Absolute deadline in ticks from the origin (ceiling-rounded).
     at_ticks: u64,
-    /// Unique id, so a racing inserter can reclaim exactly its own entry.
-    id: u64,
     waker: Waker,
 }
 
-/// One slot ring: 64 independently locked buckets plus an occupancy bitmap
-/// (bit `s` set iff slot `s` is nonempty; maintained under the slot lock).
-struct Level {
-    occupancy: AtomicU64,
-    slots: [Mutex<Vec<Entry>>; SLOTS],
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.at_ticks.cmp(&self.at_ticks)
+    }
 }
 
-impl Level {
-    fn new() -> Self {
-        Level {
-            occupancy: AtomicU64::new(0),
-            slots: std::array::from_fn(|_| Mutex::new(Vec::new())),
-        }
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
+}
 
-    /// Pushes under the slot lock and maintains the bitmap invariant.
-    fn push(&self, slot: usize, entry: Entry) {
-        let mut s = self.slots[slot].lock().expect("wheel slot poisoned");
-        s.push(entry);
-        self.occupancy.fetch_or(1 << slot, Ordering::SeqCst);
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.at_ticks == other.at_ticks
     }
+}
 
-    /// Takes the whole slot, clearing its bit. Returns an empty vec cheaply
-    /// when a stale-looking bit raced with a concurrent drain.
-    fn drain(&self, slot: usize) -> Vec<Entry> {
-        let mut s = self.slots[slot].lock().expect("wheel slot poisoned");
-        self.occupancy.fetch_and(!(1 << slot), Ordering::SeqCst);
-        std::mem::take(&mut *s)
-    }
+impl Eq for Entry {}
 
-    /// Removes the entry with `id` from `slot`, if it is still there.
-    fn remove(&self, slot: usize, id: u64) -> Option<Entry> {
-        let mut s = self.slots[slot].lock().expect("wheel slot poisoned");
-        let i = s.iter().position(|e| e.id == id)?;
-        let e = s.swap_remove(i);
-        if s.is_empty() {
-            self.occupancy.fetch_and(!(1 << slot), Ordering::SeqCst);
-        }
-        Some(e)
-    }
+/// What the lock guards.
+struct Pending {
+    /// Last advanced tick: a deadline at or before it is due.
+    cursor: u64,
+    heap: BinaryHeap<Entry>,
 }
 
 /// Result of [`TimerWheel::insert`].
 pub enum Insert {
-    /// The deadline is in the future; the wheel owns the waker now.
+    /// The deadline is in the future; the timer owns the waker now.
     Armed,
-    /// The deadline already passed: the waker comes straight back and the
-    /// caller must invoke it (the wheel never wakes from `insert`, so
-    /// arbitrary executor code cannot run inside a registration).
+    /// The deadline is at or before the last advanced tick: the waker comes
+    /// straight back and the caller must invoke it (the timer never wakes
+    /// from `insert`, so no executor code runs inside a registration).
     Due(Waker),
 }
 
-/// A 4x64 hierarchical timer wheel. See the module docs for the layout and
-/// the insert/advance handshake.
+/// The timer's pending deadlines. See the module docs.
 pub struct TimerWheel {
     origin: Instant,
-    /// Last fully processed tick. Only `advance` (serialised by
-    /// `advance_lock`) stores it; `insert` reads it lock-free.
-    cursor: AtomicU64,
-    advance_lock: Mutex<()>,
-    next_id: AtomicU64,
-    levels: [Level; LEVELS],
+    pending: Mutex<Pending>,
 }
 
 impl std::fmt::Debug for TimerWheel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let p = self.lock();
         f.debug_struct("TimerWheel")
-            .field("cursor", &self.cursor.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
+            .field("cursor", &p.cursor)
+            .field("pending", &p.heap.len())
+            .finish()
     }
 }
 
 impl TimerWheel {
-    /// An empty wheel whose tick 0 is `origin` (registrations at or before
+    /// An empty timer whose tick 0 is `origin` (registrations at or before
     /// `origin` are immediately due).
     pub fn new(origin: Instant) -> Self {
         TimerWheel {
             origin,
-            cursor: AtomicU64::new(0),
-            advance_lock: Mutex::new(()),
-            next_id: AtomicU64::new(0),
-            levels: std::array::from_fn(|_| Level::new()),
+            pending: Mutex::new(Pending {
+                cursor: 0,
+                heap: BinaryHeap::new(),
+            }),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Pending> {
+        // Never poisoned: no code that can panic runs under it (module docs).
+        self.pending.lock().expect("timer heap poisoned")
     }
 
     /// `now` in whole elapsed ticks (floor): the last tick boundary reached.
@@ -186,163 +133,42 @@ impl TimerWheel {
         (nanos.div_ceil(TICK_NANOS)).min(u64::MAX as u128) as u64
     }
 
-    /// (level, slot) for a future deadline, relative to cursor position `c`.
-    fn place(at_ticks: u64, c: u64) -> (usize, usize) {
-        debug_assert!(at_ticks > c);
-        let delta = at_ticks - c;
-        // Smallest level whose span covers the delta, clamped to the top.
-        let mut level = 0;
-        while level + 1 < LEVELS && delta >= 1u64 << (SLOT_BITS * (level as u32 + 1)) {
-            level += 1;
-        }
-        let slot = ((at_ticks >> (SLOT_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize;
-        (level, slot)
-    }
-
-    /// The tick at which the driver drains the slot a `(level, at_ticks)`
-    /// entry lives in: the enclosing `64^level` boundary (for level 0, the
-    /// deadline itself).
-    fn cascade_tick(level: usize, at_ticks: u64) -> u64 {
-        at_ticks & !((1u64 << (SLOT_BITS * level as u32)) - 1)
-    }
-
-    /// Registers `waker` to fire at-or-after `at`. Wait-free against other
-    /// inserters of different ticks; safe against a concurrent [`advance`].
-    ///
-    /// [`advance`]: TimerWheel::advance
+    /// Registers `waker` to fire at or after `at`, or hands it back as
+    /// [`Insert::Due`] if `at` is at or before the last advanced tick.
     pub fn insert(&self, at: Instant, waker: Waker) -> Insert {
         let at_ticks = self.ticks_ceil(at);
-        let mut waker = waker;
-        loop {
-            let c = self.cursor.load(Ordering::SeqCst);
-            if at_ticks <= c {
-                return Insert::Due(waker);
-            }
-            let (level, slot) = Self::place(at_ticks, c);
-            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-            self.levels[level].push(
-                slot,
-                Entry {
-                    at_ticks,
-                    id,
-                    waker,
-                },
-            );
-            // Dekker re-check (see module docs): if the cursor has reached
-            // the point at which this slot gets drained, the driver may have
-            // swept it just before our push landed.
-            let c2 = self.cursor.load(Ordering::SeqCst);
-            if c2 < Self::cascade_tick(level, at_ticks) {
-                return Insert::Armed;
-            }
-            match self.levels[level].remove(slot, id) {
-                // Our entry is still there, but possibly stranded: take it
-                // back and re-place against the fresh cursor (which may make
-                // it due, or move it to a lower level).
-                Some(e) => waker = e.waker,
-                // The driver drained it first; it will fire or re-place it.
-                None => return Insert::Armed,
-            }
+        let mut p = self.lock();
+        if at_ticks <= p.cursor {
+            return Insert::Due(waker);
         }
+        p.heap.push(Entry { at_ticks, waker });
+        Insert::Armed
     }
 
-    /// Advances the cursor to `now`, collecting every waker whose deadline
-    /// was reached. The caller invokes the wakers (outside all wheel locks).
-    /// Serialised internally; intended for a single driver thread.
+    /// Advances to `now`, returning every waker whose deadline was reached,
+    /// earliest first. The caller invokes them, outside the lock.
     pub fn advance(&self, now: Instant) -> Vec<Waker> {
+        let target = self.ticks_floor(now);
         let mut fired = Vec::new();
-        self.advance_into(now, &mut fired);
+        let mut p = self.lock();
+        let Pending { cursor, heap } = &mut *p;
+        *cursor = target.max(*cursor);
+        while heap.peek().is_some_and(|e| e.at_ticks <= *cursor) {
+            fired.extend(heap.pop().map(|e| e.waker));
+        }
         fired
     }
 
-    /// [`advance`](TimerWheel::advance) into `fired`. Returns the number of
-    /// slots drained, the work done: it depends on the occupied slots whose
-    /// drain tick the span crosses, not on the span's length.
-    fn advance_into(&self, now: Instant, fired: &mut Vec<Waker>) -> usize {
-        let _g = self.advance_lock.lock().expect("wheel advance poisoned");
-        let target = self.ticks_floor(now);
-        let cur = self.cursor.load(Ordering::SeqCst);
-        if target <= cur {
-            return 0;
-        }
-        // Publish before reading occupancy: the insert handshake relies on
-        // it.
-        self.cursor.store(target, Ordering::SeqCst);
-        let mut drained = 0;
-        // Bottom-up. A drained entry that is not yet due is re-placed
-        // against `target`, which puts it strictly below its old level
-        // (its drain tick was at most `target`, so it is less than one of
-        // that level's slots away), in a level already swept. An entry
-        // still past the horizon goes back into the top level, after its
-        // occupancy was read, so this pass does not drain it twice.
-        for level in 0..LEVELS {
-            let shift = SLOT_BITS * level as u32;
-            // Drain ticks of this level, multiples of `64^level`, in
-            // `(cur, target]`. None here means none in any higher level.
-            let crossed = (target >> shift) - (cur >> shift);
-            if crossed == 0 {
-                break;
-            }
-            let mut occ = self.levels[level].occupancy.load(Ordering::SeqCst)
-                & Self::slots_after(cur >> shift, crossed);
-            while occ != 0 {
-                let slot = occ.trailing_zeros() as usize;
-                occ &= occ - 1;
-                for e in self.levels[level].drain(slot) {
-                    self.fire_or_replace(e, target, fired);
-                }
-                drained += 1;
-            }
-        }
-        drained
-    }
-
-    /// Bitmap of the `count` slots after slot `from` (mod 64): the slots
-    /// of the drain ticks `from + 1 ..= from + count`, in units of the
-    /// level's slot width.
-    fn slots_after(from: u64, count: u64) -> u64 {
-        if count >= SLOTS as u64 {
-            return u64::MAX;
-        }
-        ((1u64 << count) - 1).rotate_left(((from + 1) % SLOTS as u64) as u32)
-    }
-
-    /// Earliest pending deadline, if any. Occupancy-guided scan; meant for
-    /// the driver deciding how long to sleep, not for hot paths. A racing
-    /// insert can be missed — the driver's dirty-flag protocol re-runs the
-    /// scan in that case (see `timer.rs`).
+    /// Earliest pending deadline, if any (the tick it fires at).
     pub fn next_deadline(&self) -> Option<Instant> {
-        let mut min: Option<u64> = None;
-        for level in &self.levels {
-            let mut occ = level.occupancy.load(Ordering::SeqCst);
-            while occ != 0 {
-                let slot = occ.trailing_zeros() as usize;
-                occ &= occ - 1;
-                let s = level.slots[slot].lock().expect("wheel slot poisoned");
-                for e in s.iter() {
-                    min = Some(min.map_or(e.at_ticks, |m: u64| m.min(e.at_ticks)));
-                }
-            }
-        }
-        min.map(|ticks| self.origin + Duration::from_nanos(ticks.saturating_mul(TICK_NANOS as u64)))
-    }
-
-    /// Fires `e` if due at `cursor_now`, else re-places it (used while
-    /// cascading; the advance lock is held, so the cursor is stable).
-    fn fire_or_replace(&self, e: Entry, cursor_now: u64, fired: &mut Vec<Waker>) {
-        if e.at_ticks <= cursor_now {
-            fired.push(e.waker);
-        } else {
-            let (level, slot) = Self::place(e.at_ticks, cursor_now);
-            self.levels[level].push(slot, e);
-        }
+        let ticks = self.lock().heap.peek()?.at_ticks;
+        Some(self.origin + Duration::from_nanos(ticks.saturating_mul(TICK_NANOS as u64)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering as AOrd};
     use std::sync::Arc;
 
     /// A waker that records its entry's index into a shared log when woken.
@@ -356,26 +182,20 @@ mod tests {
         Waker::from(Arc::new(W(log, idx)))
     }
 
-    fn counting_waker(hits: Arc<AtomicUsize>) -> Waker {
-        struct W(Arc<AtomicUsize>);
-        impl std::task::Wake for W {
-            fn wake(self: Arc<Self>) {
-                self.0.fetch_add(1, AOrd::SeqCst);
-            }
-        }
-        Waker::from(Arc::new(W(hits)))
+    /// A fresh log and a waker that records index 0 into it.
+    fn logged_waker() -> (Arc<Mutex<Vec<usize>>>, Waker) {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let waker = tagged_waker(Arc::clone(&log), 0);
+        (log, waker)
     }
 
     #[test]
     fn fires_at_or_after_deadline_never_before() {
         let origin = Instant::now();
         let w = TimerWheel::new(origin);
-        let hits = Arc::new(AtomicUsize::new(0));
+        let (log, waker) = logged_waker();
         let at = origin + Duration::from_millis(10);
-        assert!(matches!(
-            w.insert(at, counting_waker(Arc::clone(&hits))),
-            Insert::Armed
-        ));
+        assert!(matches!(w.insert(at, waker), Insert::Armed));
         // One tick short of the (ceiling-rounded) deadline.
         assert!(w.advance(at - TICK).is_empty());
         let due = w.advance(at);
@@ -383,7 +203,7 @@ mod tests {
         for waker in due {
             waker.wake();
         }
-        assert_eq!(hits.load(AOrd::SeqCst), 1);
+        assert_eq!(log.lock().unwrap().len(), 1);
         // Exactly once: nothing left.
         assert!(w.advance(origin + Duration::from_secs(1)).is_empty());
     }
@@ -392,13 +212,10 @@ mod tests {
     fn sub_tick_deadline_rounds_up() {
         let origin = Instant::now();
         let w = TimerWheel::new(origin);
-        let hits = Arc::new(AtomicUsize::new(0));
+        let (_, waker) = logged_waker();
         // A fifth of a tick from origin: must round up to tick 1, not down
         // to "due".
-        assert!(matches!(
-            w.insert(origin + TICK / 5, counting_waker(hits)),
-            Insert::Armed
-        ));
+        assert!(matches!(w.insert(origin + TICK / 5, waker), Insert::Armed));
         assert!(w.advance(origin + TICK * 9 / 10).is_empty());
         assert_eq!(w.advance(origin + TICK).len(), 1);
     }
@@ -407,11 +224,8 @@ mod tests {
     fn past_deadline_is_due_immediately() {
         let origin = Instant::now();
         let w = TimerWheel::new(origin);
-        let hits = Arc::new(AtomicUsize::new(0));
-        assert!(matches!(
-            w.insert(origin, counting_waker(hits)),
-            Insert::Due(_)
-        ));
+        let (_, waker) = logged_waker();
+        assert!(matches!(w.insert(origin, waker), Insert::Due(_)));
     }
 
     #[test]
@@ -431,24 +245,23 @@ mod tests {
         assert_eq!(w.next_deadline(), Some(origin + Duration::from_millis(70)));
     }
 
-    /// `TICK * 64^level * n`: a delay `n` slots out on `level`.
-    fn slots_out(level: u32, n: u32) -> Duration {
-        TICK * (1 << (SLOT_BITS * level)) * n
+    /// A delay of `n` ticks.
+    fn ticks(n: u32) -> Duration {
+        TICK * n
     }
 
     #[test]
-    fn cascades_across_levels_and_horizon_clamp() {
+    fn far_deadlines_fire_in_order_and_never_early() {
         let origin = Instant::now();
         let w = TimerWheel::new(origin);
         let log = Arc::new(Mutex::new(Vec::new()));
-        // Levels 1, 2 and 3, and beyond the horizon (clamped into level 3
-        // and re-shelved as the cursor approaches), each a few ticks off a
-        // slot boundary.
+        // From 6.4 ms to 2.3 h out, each a few ticks off a multiple of a
+        // power of 64.
         let delays = [
-            slots_out(1, 10) + TICK * 3,
-            slots_out(2, 20) + TICK * 7,
-            slots_out(3, 30) + TICK * 11,
-            slots_out(4, 50) + TICK * 13,
+            ticks(64 * 10 + 3),
+            ticks(64 * 64 * 20 + 7),
+            ticks(64 * 64 * 64 * 30 + 11),
+            ticks(64 * 64 * 64 * 64 * 50 + 13),
         ];
         for (i, d) in delays.into_iter().enumerate() {
             assert!(matches!(
@@ -485,49 +298,32 @@ mod tests {
     }
 
     #[test]
-    fn an_idle_span_costs_a_drain_per_occupied_slot_not_per_tick() {
+    fn an_entry_two_hours_out_waits_out_an_hour_and_fires_once() {
         let origin = Instant::now();
         let w = TimerWheel::new(origin);
-        let hits = Arc::new(AtomicUsize::new(0));
+        let (log, waker) = logged_waker();
         let hour = Duration::from_secs(3600);
-        assert!(matches!(
-            w.insert(origin + 2 * hour, counting_waker(Arc::clone(&hits))),
-            Insert::Armed
-        ));
-        let mut fired = Vec::new();
-        // One hour, 360 million ticks, in one call: the entry is past the
-        // horizon, so the only slot crossed that holds anything is its own
-        // top-level slot, drained once and re-placed.
-        assert_eq!(w.advance_into(origin + hour, &mut fired), 1);
-        assert!(fired.is_empty());
-        // Ten minutes more in 1 s steps: the entry's top-level slot comes
-        // round once a horizon, and nothing else is ever drained.
-        let horizon = TICK * (1 << (SLOT_BITS * LEVELS as u32));
-        let mut drained = 0;
-        for s in 1..=600 {
-            drained += w.advance_into(origin + hour + Duration::from_secs(s), &mut fired);
+        assert!(matches!(w.insert(origin + 2 * hour, waker), Insert::Armed));
+        assert!(w.advance(origin + hour).is_empty());
+        assert!(w.advance(origin + 2 * hour - TICK).is_empty());
+        let due = w.advance(origin + 2 * hour);
+        assert_eq!(due.len(), 1);
+        for waker in due {
+            waker.wake();
         }
-        let laps = (Duration::from_secs(600).as_nanos() / horizon.as_nanos()) as usize;
-        assert!(
-            (laps..=laps + 1).contains(&drained),
-            "drained {drained} slots in 600 steps, expected one per horizon ({laps} or {})",
-            laps + 1
-        );
-        assert!(fired.is_empty());
-        // The rest of the way, again in one call: it cascades down through
-        // the levels and fires, each level drained at most once.
-        let drained = w.advance_into(origin + 2 * hour, &mut fired);
-        assert!(drained <= LEVELS, "drained {drained} slots");
-        assert_eq!(fired.len(), 1);
+        assert_eq!(log.lock().unwrap().len(), 1);
+        assert!(w.advance(origin + 3 * hour).is_empty());
     }
 
-    /// Oracle check: every registration fires exactly once, never before
-    /// its (ceiling-rounded) deadline tick, and exactly in the advance step
-    /// that first covers it — compared against a plain list of deadlines.
-    /// All entries are inserted on a fresh wheel; a final step past
-    /// `max_us` must drain everything.
+    /// Oracle check over interleaved inserts and advances, against a plain
+    /// list of deadlines. Entry `i` has absolute deadline `entries[i].0` µs
+    /// from the origin and is inserted right before step `entries[i].1`
+    /// (mod the step count). An insert at or before the cursor must come
+    /// back `Insert::Due`; any other fires exactly once, never before its
+    /// (ceiling-rounded) deadline tick, in the first step that covers it. A
+    /// final step past `max_us` must drain everything.
     fn check_against_oracle(
-        delays_us: &[u64],
+        entries: &[(u64, usize)],
         steps_us: &[u64],
         max_us: u64,
     ) -> Result<(), proptest::TestCaseError> {
@@ -535,33 +331,39 @@ mod tests {
         let w = TimerWheel::new(origin);
         let log = Arc::new(Mutex::new(Vec::new()));
         // Oracle: deadline of entry i in ticks, ceiling-rounded,
-        // matching the wheel's contract.
+        // matching the timer's contract.
         let tick_ns = TICK_NANOS as u64;
-        let at_ticks: Vec<u64> = delays_us
+        let at_ticks: Vec<u64> = entries
             .iter()
-            .map(|us| (us * 1000).div_ceil(tick_ns))
+            .map(|(us, _)| (us * 1000).div_ceil(tick_ns))
             .collect();
-        for (i, us) in delays_us.iter().enumerate() {
-            match w.insert(
-                origin + Duration::from_micros(*us),
-                tagged_waker(Arc::clone(&log), i),
-            ) {
-                Insert::Armed => {}
-                // Only a zero-tick deadline can be due on a fresh wheel.
-                Insert::Due(waker) => {
-                    proptest::prop_assert_eq!(at_ticks[i], 0);
-                    waker.wake();
-                }
-            }
-        }
-        let mut now_us = 0_u64;
-        let mut prev_ticks = 0_u64;
         let mut steps = steps_us.to_vec();
         // Final step far past every deadline: everything must drain.
         steps.push(max_us + 1);
-        for step in steps {
+        let mut armed = vec![false; entries.len()];
+        let mut now_us = 0_u64;
+        let mut cursor = 0_u64;
+        for (s, step) in steps.iter().enumerate() {
+            for (i, &(us, before_step)) in entries.iter().enumerate() {
+                if before_step % steps.len() != s {
+                    continue;
+                }
+                match w.insert(
+                    origin + Duration::from_micros(us),
+                    tagged_waker(Arc::clone(&log), i),
+                ) {
+                    Insert::Armed => {
+                        proptest::prop_assert!(at_ticks[i] > cursor);
+                        armed[i] = true;
+                    }
+                    Insert::Due(waker) => {
+                        proptest::prop_assert!(at_ticks[i] <= cursor);
+                        waker.wake();
+                    }
+                }
+            }
             now_us += step;
-            let target_ticks = now_us * 1000 / tick_ns; // floor, like the wheel
+            let target_ticks = now_us * 1000 / tick_ns; // floor, like the timer
             let before = log.lock().unwrap().len();
             for waker in w.advance(origin + Duration::from_micros(now_us)) {
                 waker.wake();
@@ -570,16 +372,11 @@ mod tests {
             // Exactly the oracle's due set fired in this step.
             let mut got: Vec<usize> = log_now[before..].to_vec();
             got.sort_unstable();
-            let mut want: Vec<usize> = (0..at_ticks.len())
-                .filter(|&i| at_ticks[i] > prev_ticks && at_ticks[i] <= target_ticks)
+            let want: Vec<usize> = (0..at_ticks.len())
+                .filter(|&i| armed[i] && at_ticks[i] > cursor && at_ticks[i] <= target_ticks)
                 .collect();
-            // Entries due at tick 0 were fired at insert time.
-            if prev_ticks == 0 {
-                want.retain(|&i| at_ticks[i] != 0);
-            }
-            want.sort_unstable();
             proptest::prop_assert_eq!(got, want);
-            prev_ticks = target_ticks;
+            cursor = target_ticks;
         }
         // Everything fired exactly once.
         let mut all = log.lock().unwrap().clone();
@@ -588,27 +385,39 @@ mod tests {
         Ok(())
     }
 
+    /// Pairs each deadline with the step it is inserted before, cycling
+    /// through `before_steps`.
+    fn entries(deadlines_us: &[u64], before_steps: &[usize]) -> Vec<(u64, usize)> {
+        deadlines_us
+            .iter()
+            .copied()
+            .zip(before_steps.iter().copied().cycle())
+            .collect()
+    }
+
     proptest::proptest! {
-        /// Coarse: deadlines out to 400 s, past the 2.8 min horizon, and
-        /// steps of up to 150 s, so entries clamp, cascade and fire in
-        /// steps that each cross many slots of every level.
+        /// Coarse: deadlines out to 400 s and steps of up to 150 s, so one
+        /// step covers many entries, and an insert after a few steps is
+        /// often already due.
         #[test]
         fn firing_matches_sorted_oracle(
-            delays_us in proptest::collection::vec(0_u64..=400_000_000, 1..48),
+            deadlines_us in proptest::collection::vec(0_u64..=400_000_000, 1..48),
+            before_steps in proptest::collection::vec(0_usize..16, 1..48),
             steps_us in proptest::collection::vec(1_u64..=150_000_000, 1..12),
         ) {
-            check_against_oracle(&delays_us, &steps_us, 400_000_000)?;
+            check_against_oracle(&entries(&deadlines_us, &before_steps), &steps_us, 400_000_000)?;
         }
 
-        /// Fine: deadlines within 50 ms (levels 0 to 2) and steps of a
-        /// few ticks to a few slots, so each step crosses a partial,
-        /// wrapping range of slots.
+        /// Fine: deadlines within 50 ms and steps of a few ticks to a few
+        /// hundred, so deadlines and steps share ticks and an insert lands
+        /// just before, at or just after the cursor.
         #[test]
         fn fine_steps_match_sorted_oracle(
-            delays_us in proptest::collection::vec(0_u64..=50_000, 1..48),
+            deadlines_us in proptest::collection::vec(0_u64..=50_000, 1..48),
+            before_steps in proptest::collection::vec(0_usize..80, 1..48),
             steps_us in proptest::collection::vec(1_u64..=3_000, 1..64),
         ) {
-            check_against_oracle(&delays_us, &steps_us, 50_000)?;
+            check_against_oracle(&entries(&deadlines_us, &before_steps), &steps_us, 50_000)?;
         }
     }
 }

@@ -12,7 +12,7 @@
 //!   the portable backend via [`synq_primitives::CondvarParker`]. On Linux
 //!   the gap is the futex win; off Linux the two coincide.
 //! * `timeout/*` — uncontended `park_timeout(50µs)` churn, ns per expired
-//!   wait: the timed-wait path the timer wheel drives.
+//!   wait: the timed-wait path the async timer drives.
 //! * `spin/*` — pairwise rendezvous handoff through the fair dual queue
 //!   under `adaptive` / `park-now` / `spin32` / `spin320` policies,
 //!   ns/transfer. `adaptive` must track the best fixed policy without

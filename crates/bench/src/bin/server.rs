@@ -144,7 +144,7 @@ struct Shared {
     hist: Histogram,
     /// Storm-phase spans only, *including* lapsed dispatches — its tail is
     /// how late past the 50 µs patience the timeout path actually fired,
-    /// the wakeup-lateness figure the timer wheel is accountable for.
+    /// the wakeup-lateness figure the async timer is accountable for.
     /// Exported as `server.storm_*` counters (the all-phase `latency`
     /// block keeps its PR 9 meaning).
     storm_hist: Histogram,
