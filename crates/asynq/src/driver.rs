@@ -16,19 +16,10 @@ use std::sync::Arc;
 use std::task::{Context, Poll, Wake, Waker};
 use synq_primitives::{Parker, Unparker};
 
-/// Wakes the driving thread through its one-permit parker. An unpark
-/// before the park (the wake-before-pending race) is remembered by the
-/// permit, so no wakeup is ever lost.
-struct ThreadWaker(Unparker);
-
-impl Wake for ThreadWaker {
-    fn wake(self: Arc<Self>) {
-        self.0.unpark();
-    }
-}
-
 /// Polls `future` to completion on the calling thread, parking between
-/// polls.
+/// polls. The waker is the parker's own: a wake before the park (the
+/// wake-before-pending race) is remembered by the permit, so no wakeup is
+/// ever lost.
 ///
 /// # Examples
 ///
@@ -38,7 +29,7 @@ impl Wake for ThreadWaker {
 /// ```
 pub fn block_on<F: Future>(future: F) -> F::Output {
     let parker = Parker::new();
-    let waker = Waker::from(Arc::new(ThreadWaker(parker.unparker())));
+    let waker = parker.waker();
     let mut cx = Context::from_waker(&waker);
     let mut future = pin!(future);
     loop {

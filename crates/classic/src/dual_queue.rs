@@ -487,7 +487,7 @@ impl<T: Send> DequeueTicket<'_, T> {
                 std::hint::spin_loop();
                 continue;
             }
-            node.waiter.register(parker.unparker());
+            node.waiter.register(parker.waker());
             if node.state.load(Ordering::Acquire) == FULFILLED {
                 continue;
             }

@@ -577,7 +577,7 @@ impl<T: Send> PopTicket<'_, T> {
                 std::hint::spin_loop();
                 continue;
             }
-            node.waiter.register(parker.unparker());
+            node.waiter.register(parker.waker());
             if !node.match_.load(Ordering::Acquire).is_null() {
                 continue;
             }

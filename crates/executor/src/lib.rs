@@ -18,17 +18,24 @@
 //! [`ThreadPool::shutdown`] interrupts them through a [`CancelToken`].
 //! This is the workload of **Figure 6**, with the channel pluggable so
 //! every algorithm from the evaluation can sit at the pool's core.
+//!
+//! [`ThreadPool::submit`]'s [`TaskHandle`] is woken the way a queue's
+//! waiter is: a joiner, blocking or async, registers a `Waker` in the
+//! task's [`WaiterCell`] under the result lock, and the completing worker
+//! takes and wakes it. A blocking join parks at once on its own
+//! [`Parker`], so a worker whose joiner has not parked makes no wake
+//! syscall.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use synq::{CancelToken, Deadline, TimedSyncChannel, TransferOutcome};
-use synq_primitives::{CachePadded, WaiterCell};
+use synq_primitives::{CachePadded, Parker, WaiterCell};
 
 /// A unit of work.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -119,18 +126,18 @@ const _: () = assert!(std::mem::align_of::<PoolInner>() >= 128);
 /// a panicking task, as in Java where the `Future` captures the exception).
 ///
 /// The handle is also a [`std::future::Future`] resolving to the same
-/// `Result`, so an async task can `handle.await` a pool-executed job: the
-/// completing worker wakes the registered waker through the same
-/// [`WaiterCell`] mailbox the synchronous structures use.
+/// `Result`, so an async task can `handle.await` a pool-executed job. Both
+/// joins wait the same way: the completing worker wakes the registered
+/// waker through the same [`WaiterCell`] mailbox the synchronous
+/// structures use.
 pub struct TaskHandle<R> {
     shared: Arc<TaskShared<R>>,
 }
 
 struct TaskShared<R> {
     slot: Mutex<Option<std::thread::Result<R>>>,
-    cvar: Condvar,
-    /// Waker mailbox for the `Future` impl; blocking joiners use the
-    /// condvar instead.
+    /// The joiner's waker: a polling task's, or a blocking joiner's
+    /// parker's. Registered under `slot`'s lock (see the `Future` impl).
     waker: WaiterCell,
 }
 
@@ -146,12 +153,17 @@ impl std::fmt::Debug for TaskPanicked {
 impl<R> TaskHandle<R> {
     /// Blocks until the task completes; returns its result.
     pub fn join(self) -> Result<R, TaskPanicked> {
-        let mut slot = self.shared.slot.lock().unwrap();
+        let mut parker = None;
         loop {
+            let mut slot = self.shared.slot.lock().unwrap();
             if let Some(result) = slot.take() {
                 return result.map_err(TaskPanicked);
             }
-            slot = self.shared.cvar.wait(slot).unwrap();
+            // Registered under the lock, as in the `Future` impl.
+            let parker = parker.get_or_insert_with(Parker::new);
+            self.shared.waker.register(parker.waker());
+            drop(slot);
+            parker.park();
         }
     }
 
@@ -187,7 +199,7 @@ impl<R> std::future::Future for TaskHandle<R> {
         // slot under this same lock before it wakes, so either it already
         // finished (seen above) or our waker is in place for its wake —
         // a wakeup can never fall between the check and the registration.
-        self.shared.waker.register_waker(cx.waker());
+        self.shared.waker.register(cx.waker().clone());
         std::task::Poll::Pending
     }
 }
@@ -339,16 +351,14 @@ impl ThreadPool {
     {
         let shared = Arc::new(TaskShared {
             slot: Mutex::new(None),
-            cvar: Condvar::new(),
             waker: WaiterCell::new(),
         });
         let shared2 = Arc::clone(&shared);
         self.execute(move || {
             let result = catch_unwind(AssertUnwindSafe(f));
             *shared2.slot.lock().unwrap() = Some(result);
-            shared2.cvar.notify_all();
-            // After the slot is visibly filled: wake an async joiner, if
-            // one registered (see the Future impl for the ordering).
+            // After the slot is visibly filled: wake the joiner, if one
+            // registered (see the Future impl for the ordering).
             shared2.waker.wake();
         })?;
         Ok(TaskHandle { shared })
@@ -669,6 +679,72 @@ mod submit_tests {
         assert_eq!(sum, (0..20u64).map(|i| i * i).sum::<u64>());
         pool.shutdown();
         pool.join();
+    }
+
+    /// Counts its drops; `id` is checked by whoever receives it.
+    struct Counted {
+        id: usize,
+        drops: Arc<AtomicUsize>,
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.drops.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_join_racing_its_jobs_completion_returns_the_value_exactly_once() {
+        const ROUNDS: usize = 10_000;
+        let pool = ThreadPool::cached(Arc::new(SynchronousQueue::<Job>::unfair()));
+        let drops = Arc::new(AtomicUsize::new(0));
+        for id in 0..ROUNDS {
+            let d = Arc::clone(&drops);
+            let handle = pool
+                .submit(move || {
+                    // Vary which side arrives first: the joiner parks on
+                    // some rounds and finds the result on others.
+                    for _ in 0..id % 64 {
+                        std::hint::spin_loop();
+                    }
+                    Counted { id, drops: d }
+                })
+                .unwrap();
+            let got = handle.join().unwrap();
+            assert_eq!(got.id, id);
+            assert_eq!(drops.load(Ordering::SeqCst), id, "nothing dropped early");
+        }
+        assert_eq!(drops.load(Ordering::SeqCst), ROUNDS);
+        pool.shutdown();
+        pool.join();
+    }
+
+    #[test]
+    fn a_handle_dropped_without_a_join_drops_its_result_exactly_once() {
+        const N: usize = 200;
+        let pool = ThreadPool::cached(Arc::new(SynchronousQueue::<Job>::unfair()));
+        let drops = Arc::new(AtomicUsize::new(0));
+        for id in 0..N {
+            let d = Arc::clone(&drops);
+            let handle = pool
+                .submit(move || {
+                    if id % 2 == 0 {
+                        std::thread::sleep(Duration::from_micros(50));
+                    }
+                    Counted { id, drops: d }
+                })
+                .unwrap();
+            // Dropped before or after the job completes, by turns.
+            if id % 4 < 2 {
+                while !handle.is_finished() {
+                    std::thread::yield_now();
+                }
+            }
+            drop(handle);
+        }
+        pool.shutdown();
+        pool.join();
+        assert_eq!(drops.load(Ordering::SeqCst), N);
     }
 
     #[test]

@@ -139,8 +139,6 @@ probes! {
     // Epoch reclamation (synq-reclaim).
     /// Epoch pins (one per protected critical section entry).
     EpochPins => "epoch.pins",
-    /// Pins satisfied by the fence-free lazy re-pin fast path.
-    EpochFastRepins => "epoch.fast_repins",
     /// Garbage nodes deferred for later reclamation.
     EpochDefers => "epoch.defers",
     /// Bag-collection passes executed.

@@ -5,11 +5,11 @@
 //! interruption, so the queues accept an optional [`CancelToken`]: a
 //! lightweight flag that waiting loops re-check on every wakeup, paired with
 //! a registration list so that cancelling actively wakes whoever is
-//! suspended on the token. A registration is a [`WakeHandle`]: a blocked
-//! thread's [`Unparker`](crate::Unparker) (`ThreadPoolExecutor::shutdown_now`
-//! interrupts idle workers parked in `take` this way) or a pending task's
-//! `Waker` (a poll-mode permit polled with the token, or
-//! `synq_async::Cancelled`).
+//! suspended on the token. A registration is a [`Waker`]: a blocked
+//! thread's [`Parker::waker`](crate::Parker::waker)
+//! (`ThreadPoolExecutor::shutdown_now` interrupts idle workers parked in
+//! `take` this way) or a pending task's (a poll-mode permit polled with the
+//! token, or `synq_async::Cancelled`).
 //!
 //! # Race discipline
 //!
@@ -17,10 +17,9 @@
 //! sets the flag, *then* drains the list. Whichever order the two
 //! interleave in, either the re-check sees the flag or the drain sees the
 //! registration, so no waiter suspends past a cancel. [`CancelToken::register`]
-//! makes the re-check itself and wakes the handle at once if it finds the
+//! makes the re-check itself and wakes the waker at once if it finds the
 //! token already cancelled.
 
-use crate::waiter::WakeHandle;
 use core::task::Waker;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -29,7 +28,7 @@ use std::sync::{Arc, Mutex};
 struct Inner {
     cancelled: AtomicBool,
     next_id: AtomicU64,
-    waiters: Mutex<Vec<(u64, WakeHandle)>>,
+    waiters: Mutex<Vec<(u64, Waker)>>,
 }
 
 /// A cancellation flag observed by waiting queue operations.
@@ -53,13 +52,13 @@ pub struct CancelToken {
 }
 
 /// Removes the registration on drop, so abandoned waits don't accumulate
-/// dead handles on long-lived tokens. It shares the token, so a future can
+/// dead wakers on long-lived tokens. It shares the token, so a future can
 /// keep one across polls.
 #[derive(Debug)]
 pub struct Registration {
     inner: Arc<Inner>,
     id: u64,
-    handle: WakeHandle,
+    waker: Waker,
 }
 
 impl CancelToken {
@@ -81,30 +80,25 @@ impl CancelToken {
             return; // already cancelled; waiters were already woken
         }
         let waiters = std::mem::take(&mut *self.inner.waiters.lock().unwrap());
-        for (_, handle) in waiters {
-            handle.wake();
+        for (_, waker) in waiters {
+            waker.wake();
         }
     }
 
-    /// Registers `handle` (an [`Unparker`](crate::Unparker) or a `Waker`)
-    /// to be woken if the token is cancelled while the registration guard
-    /// is alive. If the token is *already* cancelled the handle is woken
-    /// immediately (so the caller's suspension cannot hang).
-    pub fn register(&self, handle: impl Into<WakeHandle>) -> Registration {
-        let handle = handle.into();
+    /// Registers `waker` to be woken if the token is cancelled while the
+    /// registration guard is alive. If the token is *already* cancelled
+    /// the waker is woken immediately (so the caller's suspension cannot
+    /// hang).
+    pub fn register(&self, waker: Waker) -> Registration {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .waiters
-            .lock()
-            .unwrap()
-            .push((id, handle.clone()));
+        self.inner.waiters.lock().unwrap().push((id, waker.clone()));
         if self.is_cancelled() {
-            handle.clone().wake();
+            waker.wake_by_ref();
         }
         Registration {
             inner: Arc::clone(&self.inner),
             id,
-            handle,
+            waker,
         }
     }
 
@@ -112,10 +106,9 @@ impl CancelToken {
     /// kept if it is a registration on this token that wakes the same task
     /// (`Waker::will_wake`), and replaced by a fresh one otherwise.
     pub fn keep_registered(&self, held: &mut Option<Registration>, waker: &Waker) {
-        let current = held.as_ref().is_some_and(|r| {
-            Arc::ptr_eq(&r.inner, &self.inner)
-                && matches!(&r.handle, WakeHandle::Task(w) if w.will_wake(waker))
-        });
+        let current = held
+            .as_ref()
+            .is_some_and(|r| Arc::ptr_eq(&r.inner, &self.inner) && r.waker.will_wake(waker));
         if !current {
             *held = Some(self.register(waker.clone()));
         }
@@ -160,7 +153,7 @@ mod tests {
         let t = CancelToken::new();
         let c = t.clone();
         let p = Parker::new();
-        let _reg = t.register(p.unparker());
+        let _reg = t.register(p.waker());
         let h = thread::spawn(move || {
             thread::sleep(Duration::from_millis(15));
             c.cancel();
@@ -175,7 +168,7 @@ mod tests {
         let t = CancelToken::new();
         t.cancel();
         let p = Parker::new();
-        let _reg = t.register(p.unparker());
+        let _reg = t.register(p.waker());
         assert!(p.park_timeout(Duration::from_secs(5)));
     }
 
@@ -184,7 +177,7 @@ mod tests {
         let t = CancelToken::new();
         let p = Parker::new();
         {
-            let _reg = t.register(p.unparker());
+            let _reg = t.register(p.waker());
         }
         t.cancel();
         // The deregistered parker receives no permit.
@@ -225,10 +218,37 @@ mod tests {
     }
 
     #[test]
+    fn a_thread_parked_through_its_waker_is_woken_exactly_once_by_cancel() {
+        let rounds = if cfg!(miri) { 4 } else { 100 };
+        for _ in 0..rounds {
+            let t = CancelToken::new();
+            let registered = Arc::new(AtomicBool::new(false));
+            let waiter = {
+                let (t, registered) = (t.clone(), Arc::clone(&registered));
+                thread::spawn(move || {
+                    let p = Parker::new();
+                    let _reg = t.register(p.waker());
+                    registered.store(true, Ordering::SeqCst);
+                    assert!(p.park_timeout(Duration::from_secs(10)), "woken");
+                    assert!(t.is_cancelled());
+                    assert!(!p.park_timeout(Duration::from_millis(5)), "only once");
+                })
+            };
+            while !registered.load(Ordering::SeqCst) {
+                thread::yield_now();
+            }
+            t.cancel();
+            t.cancel();
+            assert!(t.inner.waiters.lock().unwrap().is_empty());
+            waiter.join().unwrap();
+        }
+    }
+
+    #[test]
     fn many_waiters_all_woken() {
         let t = CancelToken::new();
         let parkers: Vec<Parker> = (0..8).map(|_| Parker::new()).collect();
-        let regs: Vec<_> = parkers.iter().map(|p| t.register(p.unparker())).collect();
+        let regs: Vec<_> = parkers.iter().map(|p| t.register(p.waker())).collect();
         t.cancel();
         for p in &parkers {
             assert!(p.park_timeout(Duration::from_secs(5)));

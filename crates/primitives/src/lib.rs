@@ -13,12 +13,13 @@
 //!   parking; on uniprocessors spinning is useless and disabled.
 //! * [`Backoff`] — bounded exponential backoff for CAS retry loops.
 //! * [`WaiterCell`] — a lock-free, single-slot mailbox through which a
-//!   waiter publishes its [`WakeHandle`] — a thread [`Unparker`] or an
-//!   async task `Waker` — to whichever thread fulfills it. This is the
-//!   point where the blocking and poll-mode wait loops converge.
+//!   waiter publishes its `Waker` — a parked thread's
+//!   ([`Parker::waker`]) or an async task's — to whichever thread
+//!   fulfills it. This is the point where the blocking and poll-mode wait
+//!   loops converge.
 //! * [`CancelToken`] — cooperative cancellation (the paper's "asynchronous
 //!   interrupt" of waiting threads): cancelling it wakes every registered
-//!   [`WakeHandle`], a parked thread or a pending task.
+//!   `Waker`, a parked thread's or a pending task's.
 //! * [`CachePadded`] — 128-byte alignment wrapper keeping independently
 //!   contended hot words on separate cache lines (the layout discipline
 //!   behind the paper's contention-freedom property).
@@ -55,4 +56,4 @@ pub use parker::{CondvarParker, CondvarUnparker, Parker, Unparker};
 pub use spin::{SpinCalibrator, SpinPolicy};
 pub use wait::{SpinOnly, WaitStrategy};
 pub use wait_slot::{WaitOutcome, WaitSlot, MIN_TOKEN};
-pub use waiter::{WaiterCell, WakeHandle};
+pub use waiter::WaiterCell;

@@ -29,6 +29,7 @@
 //! §4.15 for the full state machine and memory-ordering contract.
 
 use std::sync::Arc;
+use std::task::{Wake, Waker};
 use std::time::{Duration, Instant};
 
 /// Parker state word: no permit, nobody asleep.
@@ -391,6 +392,14 @@ impl Parker {
         }
     }
 
+    /// Returns a [`Waker`] whose wake unparks this parker: how a blocked
+    /// thread registers in a [`WaiterCell`](crate::WaiterCell) or with a
+    /// [`CancelToken`](crate::CancelToken). Like [`Parker::unparker`], it
+    /// costs one `Arc` clone and no allocation.
+    pub fn waker(&self) -> Waker {
+        Waker::from(Arc::clone(&self.inner))
+    }
+
     /// Blocks the current thread until a permit is available, then consumes
     /// it. Returns immediately if a permit was already banked.
     pub fn park(&self) {
@@ -414,6 +423,17 @@ impl Unparker {
     /// Idempotent: multiple unparks bank at most one permit.
     pub fn unpark(&self) {
         self.inner.unpark();
+    }
+}
+
+/// Waking is unparking, on whichever backend is live.
+impl Wake for imp::Inner {
+    fn wake(self: Arc<Self>) {
+        self.unpark();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.unpark();
     }
 }
 

@@ -221,7 +221,7 @@ impl<T> WaitSlot<T> {
     /// swap and its state re-read after the swap are all `SeqCst`, so they
     /// fall in one total order. Either the re-read comes after the CAS and
     /// sees the token (the waiter does not suspend), or the load comes
-    /// after the swap and sees the handle (and wakes it). [`Self::complete`]
+    /// after the swap and sees the waker (and wakes it). [`Self::complete`]
     /// keeps its unconditional take: its `MATCHED` write is a plain release
     /// store, and a check-first there would need that store to be `SeqCst`
     /// (an `xchg` on x86-64) on every two-phase handoff.
@@ -246,7 +246,7 @@ impl<T> WaitSlot<T> {
     }
 
     /// Cancelling side: `WAITING → CANCELLED`. On success the slot's
-    /// registered unparker (if any) is discarded — the one cancelling *is*
+    /// registered waker (if any) is discarded — the one cancelling *is*
     /// the waiter, so there is nobody to wake.
     #[inline]
     pub fn try_cancel(&self) -> bool {
@@ -378,7 +378,7 @@ impl<T> WaitSlot<T> {
     /// waker (and wakes it) or has already published the terminal state our
     /// re-check observes. For [`Self::complete`] the register and take
     /// swaps hit one atomic cell, so whichever runs second synchronizes
-    /// with the first. [`Self::try_fulfill_token`] takes only a handle it
+    /// with the first. [`Self::try_fulfill_token`] takes only a waker it
     /// sees registered, and there the register swap, the re-check, the
     /// token CAS and the fulfiller's mailbox load are all `SeqCst`: one of
     /// the two loads sees the other side's write.
@@ -405,7 +405,7 @@ impl<T> WaitSlot<T> {
             debug_assert_ne!(s, CANCELLED, "polling a slot cancelled by someone else");
             return Poll::Ready(WaitOutcome::Matched(s));
         }
-        self.waiter.register_waker(waker);
+        self.waiter.register(waker.clone());
         if token.is_some_and(|t| t.is_cancelled()) && self.try_cancel() {
             return Poll::Ready(WaitOutcome::Cancelled);
         }
@@ -517,11 +517,11 @@ impl<T> WaitSlot<T> {
             }
 
             let parker = parker.get_or_insert_with(Parker::new);
-            self.waiter.register(parker.unparker());
-            let _registration = token.map(|t| t.register(parker.unparker()));
+            self.waiter.register(parker.waker());
+            let _registration = token.map(|t| t.register(parker.waker()));
             // Re-check after registering: a fulfiller may have taken the
             // slot between our state load and the register, in which case
-            // it may already have consumed (or missed) our unparker. The
+            // it may already have consumed (or missed) our waker. The
             // load is `SeqCst` for the token fulfiller's wake.
             if self.state.load(Ordering::SeqCst) != WAITING {
                 continue;

@@ -1,65 +1,30 @@
-//! A lock-free single-slot mailbox for handing a wake handle to a
-//! fulfilling thread.
+//! A lock-free single-slot mailbox for handing a [`Waker`] to a fulfilling
+//! thread.
 //!
 //! Every node in the synchronous dual queue/stack owns one `WaiterCell`. The
 //! waiting side *registers* how it wants to be woken just before suspending;
-//! the thread that matches (or cancels) the node *takes* the handle and
-//! wakes the waiter. Since PR 3 the registered handle is a [`WakeHandle`]:
-//! either a thread [`Unparker`] (the blocking wait loop) or a
-//! [`core::task::Waker`] (the poll-mode wait loop used by `synq-async`) —
-//! the cell itself is the point where the two wait modes converge, so a
-//! fulfiller never needs to know *what* is waiting on the other side.
+//! the thread that matches (or cancels) the node *takes* the waker and wakes
+//! the waiter. A blocked thread registers its parker's waker
+//! ([`Parker::waker`](crate::Parker::waker), whose wake is an unpark) and a
+//! pending task the waker of its `Context`, so the cell is where the two
+//! wait modes converge: a fulfiller never needs to know *what* is waiting
+//! on the other side.
 //!
 //! Both sides race freely: registration and take are single `AtomicPtr`
 //! swaps, so the cell never blocks and never loses a wakeup — if `take`
 //! runs before `register`, the waiter's post-register re-check of the node
 //! state observes the match and skips suspending (and if it does suspend,
 //! the matcher's subsequent `take`+wake wakes it). A matcher may instead
-//! check [`WaiterCell::is_empty`] first and take only a registered handle,
+//! check [`WaiterCell::is_empty`] first and take only a registered waker,
 //! leaving a spinning waiter's line alone: the registration swap and the
 //! check are `SeqCst` for that, and the matcher's state write and the
 //! waiter's re-check must be too (`WaitSlot::try_fulfill_token`).
 
-use crate::parker::Unparker;
 use core::task::Waker;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
-/// How to wake a waiter: unpark its thread or wake its task.
-///
-/// The two arms are the paper's `LockSupport.unpark` and the async world's
-/// `Waker::wake` — same role, different scheduler.
-#[derive(Debug, Clone)]
-pub enum WakeHandle {
-    /// A blocked thread; waking unparks it.
-    Thread(Unparker),
-    /// A suspended async task; waking schedules it for re-poll.
-    Task(Waker),
-}
-
-impl WakeHandle {
-    /// Wakes the waiter this handle stands for.
-    pub fn wake(self) {
-        match self {
-            WakeHandle::Thread(u) => u.unpark(),
-            WakeHandle::Task(w) => w.wake(),
-        }
-    }
-}
-
-impl From<Unparker> for WakeHandle {
-    fn from(u: Unparker) -> Self {
-        WakeHandle::Thread(u)
-    }
-}
-
-impl From<Waker> for WakeHandle {
-    fn from(w: Waker) -> Self {
-        WakeHandle::Task(w)
-    }
-}
-
-/// Single-slot, lock-free wake-handle mailbox.
+/// Single-slot, lock-free waker mailbox.
 ///
 /// # Examples
 ///
@@ -68,15 +33,15 @@ impl From<Waker> for WakeHandle {
 ///
 /// let cell = WaiterCell::new();
 /// let parker = Parker::new();
-/// cell.register(parker.unparker());
-/// if let Some(handle) = cell.take() {
-///     handle.wake();
+/// cell.register(parker.waker());
+/// if let Some(waker) = cell.take() {
+///     waker.wake();
 /// }
 /// parker.park();
 /// ```
 #[derive(Debug)]
 pub struct WaiterCell {
-    slot: AtomicPtr<WakeHandle>,
+    slot: AtomicPtr<Waker>,
 }
 
 impl Default for WaiterCell {
@@ -93,23 +58,11 @@ impl WaiterCell {
         }
     }
 
-    /// Publishes `unparker` so a matching thread can wake us. If a handle
-    /// was already registered it is replaced (and dropped).
-    pub fn register(&self, unparker: Unparker) {
-        self.register_handle(WakeHandle::Thread(unparker));
-    }
-
-    /// Publishes a clone of `waker` so a matching thread can reschedule our
-    /// task. If a handle was already registered it is replaced (and
-    /// dropped) — the poll contract's "only the most recent waker need be
-    /// woken".
-    pub fn register_waker(&self, waker: &Waker) {
-        self.register_handle(WakeHandle::Task(waker.clone()));
-    }
-
-    /// Publishes an explicit [`WakeHandle`].
-    pub fn register_handle(&self, handle: WakeHandle) {
-        let new = Box::into_raw(Box::new(handle));
+    /// Publishes `waker` so a matching thread can wake us. If a waker was
+    /// already registered it is replaced (and dropped) — the poll
+    /// contract's "only the most recent waker need be woken".
+    pub fn register(&self, waker: Waker) {
+        let new = Box::into_raw(Box::new(waker));
         // `SeqCst` for a matcher that checks `is_empty` before taking.
         let old = self.slot.swap(new, Ordering::SeqCst);
         if !old.is_null() {
@@ -119,28 +72,28 @@ impl WaiterCell {
         }
     }
 
-    /// Removes and returns the registered handle, if any. At most one
+    /// Removes and returns the registered waker, if any. At most one
     /// caller obtains it.
-    pub fn take(&self) -> Option<WakeHandle> {
+    pub fn take(&self) -> Option<Waker> {
         let old = self.slot.swap(ptr::null_mut(), Ordering::AcqRel);
         if old.is_null() {
             None
         } else {
-            // SAFETY: as in `register_handle`, ownership transferred by the
+            // SAFETY: as in `register`, ownership transferred by the
             // swap.
             Some(*unsafe { Box::from_raw(old) })
         }
     }
 
-    /// Takes the handle and wakes the waiter if one was registered.
+    /// Takes the waker and wakes the waiter if one was registered.
     /// Convenience for the matcher/canceller side.
     pub fn wake(&self) {
-        if let Some(h) = self.take() {
-            h.wake();
+        if let Some(w) = self.take() {
+            w.wake();
         }
     }
 
-    /// True if no handle is currently registered. The load is `SeqCst`,
+    /// True if no waker is currently registered. The load is `SeqCst`,
     /// so a matcher whose own state write is `SeqCst` may skip the take
     /// when it finds the cell empty (module docs).
     pub fn is_empty(&self) -> bool {
@@ -158,8 +111,7 @@ impl Drop for WaiterCell {
     }
 }
 
-// SAFETY: the cell hands `WakeHandle`s (Unparker and Waker are both
-// Send + Sync) across threads through an atomic pointer with AcqRel
+// SAFETY: the cell hands `Waker`s (Send + Sync) across threads through an atomic pointer with AcqRel
 // transfer-of-ownership.
 unsafe impl Send for WaiterCell {}
 unsafe impl Sync for WaiterCell {}
@@ -183,7 +135,7 @@ mod tests {
     fn register_then_take() {
         let c = WaiterCell::new();
         let p = Parker::new();
-        c.register(p.unparker());
+        c.register(p.waker());
         assert!(!c.is_empty());
         let h = c.take().expect("registered");
         assert!(c.is_empty());
@@ -195,7 +147,7 @@ mod tests {
     fn second_take_is_none() {
         let c = WaiterCell::new();
         let p = Parker::new();
-        c.register(p.unparker());
+        c.register(p.waker());
         assert!(c.take().is_some());
         assert!(c.take().is_none());
     }
@@ -205,8 +157,8 @@ mod tests {
         let c = WaiterCell::new();
         let p1 = Parker::new();
         let p2 = Parker::new();
-        c.register(p1.unparker());
-        c.register(p2.unparker());
+        c.register(p1.waker());
+        c.register(p2.waker());
         c.wake();
         // p2 got the permit, p1 did not.
         assert!(p2.park_timeout(Duration::from_millis(100)));
@@ -214,10 +166,10 @@ mod tests {
     }
 
     #[test]
-    fn dropping_nonempty_cell_frees_handle() {
+    fn dropping_nonempty_cell_frees_waker() {
         let c = WaiterCell::new();
         let p = Parker::new();
-        c.register(p.unparker());
+        c.register(p.waker());
         drop(c); // must not leak or double-free (asserted by miri/asan runs)
     }
 
@@ -226,7 +178,7 @@ mod tests {
         for _ in 0..200 {
             let c = Arc::new(WaiterCell::new());
             let p = Parker::new();
-            c.register(p.unparker());
+            c.register(p.waker());
             let mut handles = Vec::new();
             let hits = Arc::new(std::sync::atomic::AtomicUsize::new(0));
             for _ in 0..4 {
@@ -260,30 +212,38 @@ mod tests {
     fn waker_registration_wakes_task() {
         let c = WaiterCell::new();
         let hits = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        c.register_waker(&counting_waker(Arc::clone(&hits)));
+        c.register(counting_waker(Arc::clone(&hits)));
         assert!(!c.is_empty());
         c.wake();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
-        // One-shot: the handle is consumed.
+        // One-shot: the waker is consumed.
         c.wake();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
     }
 
     #[test]
-    fn waker_replaces_unparker_and_vice_versa() {
-        let c = WaiterCell::new();
-        let p = Parker::new();
-        let hits = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        c.register(p.unparker());
-        c.register_waker(&counting_waker(Arc::clone(&hits)));
-        c.wake();
-        assert_eq!(hits.load(Ordering::SeqCst), 1, "waker replaced unparker");
-        assert!(!p.park_timeout(Duration::from_millis(10)));
-        // And back: an unparker replaces a registered waker.
-        c.register_waker(&counting_waker(Arc::clone(&hits)));
-        c.register(p.unparker());
-        c.wake();
-        assert_eq!(hits.load(Ordering::SeqCst), 1, "unparker replaced waker");
-        assert!(p.park_timeout(Duration::from_millis(100)));
+    fn a_thread_parked_through_its_waker_is_woken_exactly_once() {
+        let rounds = if cfg!(miri) { 4 } else { 100 };
+        for _ in 0..rounds {
+            let c = Arc::new(WaiterCell::new());
+            let registered = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let waiter = {
+                let (c, registered) = (Arc::clone(&c), Arc::clone(&registered));
+                thread::spawn(move || {
+                    let p = Parker::new();
+                    c.register(p.waker());
+                    registered.store(true, Ordering::SeqCst);
+                    assert!(p.park_timeout(Duration::from_secs(10)), "woken");
+                    assert!(!p.park_timeout(Duration::from_millis(5)), "only once");
+                })
+            };
+            while !registered.load(Ordering::SeqCst) {
+                thread::yield_now();
+            }
+            c.wake();
+            assert!(c.is_empty(), "the waker was consumed");
+            c.wake();
+            waiter.join().unwrap();
+        }
     }
 }

@@ -40,17 +40,12 @@
 //!   counts its own (an owner-only store), and whoever runs a sealed bag
 //!   settles it on the collector's [`GarbageLedger`] once per bag. See
 //!   that type.
-//! * **Pinning** — the outermost pin publishes `(global << 2) | PINNED` in
-//!   the thread's epoch slot, with a `SeqCst` fence that globally orders the
-//!   publication against `try_advance`'s scan (that ordering is what makes
-//!   the two-advance grace period sound). Unpinning is *lazy*: the slot
-//!   keeps the epoch with a [`LAZY`] bit ORed in, so a re-pin that finds the
-//!   global epoch unchanged can clear the bit with one relaxed CAS and skip
-//!   the fence — the word was continuously published since the last fenced
-//!   pin, so every scan in between already treated the thread as pinned.
-//!   `try_advance` neutralizes stale lazy slots (CAS to 0); the CAS
-//!   arbitrates against a concurrent fast-path re-pin, and whichever side
-//!   loses falls back to its slow path.
+//! * **Pinning** — the outermost pin publishes `(global << 1) | PINNED` in
+//!   the thread's epoch slot with one fenced store (an `xchg` on x86), which
+//!   globally orders the publication against `try_advance`'s scan (that
+//!   ordering is what makes the two-advance grace period sound); the last
+//!   unpin stores 0. `try_advance` only reads the slots: one published at
+//!   another epoch blocks the advance. This is crossbeam's and DEBRA's pin.
 
 use crate::bag::{Bag, SealedBag};
 use crate::deferred::Deferred;
@@ -70,12 +65,10 @@ const IN_USE: usize = 1;
 /// A collection falls due every `PINS_BETWEEN_COLLECT` pins.
 const PINS_BETWEEN_COLLECT: usize = 128;
 
-/// `Local::epoch` is `(global_epoch << EPOCH_SHIFT) | flags`, or `0` when
-/// nothing is published.
+/// `Local::epoch` is `(global_epoch << EPOCH_SHIFT) | PINNED` while a
+/// guard is live, or `0` when nothing is published.
 const PINNED: usize = 1;
-/// Set by `unpin`: the epoch is still published but no guard holds it.
-const LAZY: usize = 2;
-const EPOCH_SHIFT: u32 = 2;
+const EPOCH_SHIFT: u32 = 1;
 
 /// Maximum number of dead [`GarbageNode`] skeletons kept for reuse. The
 /// pool starts full: a skeleton holds a whole bag (2 KiB) and lives as long
@@ -226,25 +219,9 @@ impl Global {
         for local in self.locals() {
             if local.state.load(Ordering::Acquire) == IN_USE {
                 let le = local.epoch.load(Ordering::Relaxed);
-                // A slot published at the current epoch never blocks us,
-                // lazy or not.
-                if le & PINNED != 0 && le | LAZY != current | LAZY {
-                    if le & LAZY == 0 {
-                        // Genuinely pinned at a different epoch.
-                        return global_epoch;
-                    }
-                    // Published but not held (lazy unpin at a stale epoch):
-                    // neutralize the slot so it cannot block the advance.
-                    // If the owner's fast-path re-pin races us, exactly one
-                    // of the two CASes on the word succeeds.
-                    if local
-                        .epoch
-                        .compare_exchange(le, 0, Ordering::AcqRel, Ordering::Relaxed)
-                        .is_err()
-                    {
-                        // The owner won and is pinned at the stale epoch.
-                        return global_epoch;
-                    }
+                if le & PINNED != 0 && le != current {
+                    // Pinned at a different epoch.
+                    return global_epoch;
                 }
             }
         }
@@ -357,8 +334,7 @@ impl Global {
 /// `guard_count`/`pin_count` on each pin.
 #[repr(align(128))]
 pub(crate) struct Local {
-    /// `(global_epoch << 2) | PINNED [| LAZY]` while published; `0` when
-    /// not. See the module docs for the lazy-unpin protocol.
+    /// `(global_epoch << 1) | PINNED` while a guard is live; `0` when not.
     epoch: AtomicUsize,
     /// FREE / IN_USE.
     state: AtomicUsize,
@@ -401,30 +377,24 @@ impl Local {
         guard
     }
 
-    /// Publishes the epoch for an outermost guard.
+    /// Publishes the epoch for an outermost guard, with a fence that
+    /// globally orders it against `try_advance`'s scan.
     fn publish(&self) {
         let global = self.global;
-        let ge = global.epoch.load(Ordering::Relaxed);
-        let pinned = (ge << EPOCH_SHIFT) | PINNED;
-        // Fast path: our slot is still published at the current global
-        // epoch from a lazily-unpinned previous guard. Clearing the LAZY
-        // bit with a relaxed CAS suffices: the word has been continuously
-        // published since our last *fenced* publish, so every
-        // `try_advance` scan since then already saw us pinned at `ge`, and
-        // the CAS arbitrates the race with a concurrent neutralization
-        // (exactly one of the two CASes on this word succeeds).
-        let lazy = pinned | LAZY;
-        let fast = self.epoch.load(Ordering::Relaxed) == lazy
-            && self
-                .epoch
-                .compare_exchange(lazy, pinned, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok();
-        synq_obs::probe!(EpochPins);
-        if fast {
-            synq_obs::probe!(EpochFastRepins);
-        } else {
-            Self::publish_slow(&self.epoch, pinned);
+        let pinned = (global.epoch.load(Ordering::Relaxed) << EPOCH_SHIFT) | PINNED;
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        {
+            // A SeqCst swap compiles to a single `xchg`, which is both the
+            // store and the full barrier — one locked instruction instead
+            // of a store followed by `mfence`.
+            self.epoch.swap(pinned, Ordering::SeqCst);
         }
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        {
+            self.epoch.store(pinned, Ordering::Relaxed);
+            fence(Ordering::SeqCst);
+        }
+        synq_obs::probe!(EpochPins);
 
         let pins = self.pin_count.get().wrapping_add(1);
         self.pin_count.set(pins);
@@ -442,35 +412,13 @@ impl Local {
         }
     }
 
-    /// Full fenced publication, globally ordered against `try_advance`.
-    #[cold]
-    fn publish_slow(epoch: &AtomicUsize, pinned: usize) {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        {
-            // A SeqCst swap compiles to a single `xchg`, which is both the
-            // store and the full barrier — one locked instruction instead
-            // of a store followed by `mfence`.
-            epoch.swap(pinned, Ordering::SeqCst);
-        }
-        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        {
-            epoch.store(pinned, Ordering::Relaxed);
-            fence(Ordering::SeqCst);
-        }
-    }
-
     /// Called by `Guard::drop`.
     pub(crate) fn unpin(&self) {
         let count = self.guard_count.get();
         debug_assert!(count > 0, "unpin without pin");
         self.guard_count.set(count - 1);
         if count == 1 {
-            // Lazy unpin: keep the epoch published with the LAZY bit so an
-            // immediate re-pin at the same global epoch can skip the full
-            // fence. While genuinely pinned only we write this word, so
-            // the plain read-modify-write below cannot race.
-            let e = self.epoch.load(Ordering::Relaxed);
-            self.epoch.store(e | LAZY, Ordering::Release);
+            self.epoch.store(0, Ordering::Release);
             if !self.has_handle.get() {
                 self.finalize();
             }
@@ -580,10 +528,6 @@ impl Local {
         self.seal_bag();
         // Expired bags a wait left half run are this thread's to finish.
         while self.run_one() {}
-        // Clear any lazily-published epoch: a recycled record must never
-        // satisfy a later owner's fence-free fast path on the strength of
-        // a publish this thread made.
-        self.epoch.store(0, Ordering::Release);
         self.state.store(FREE, Ordering::Release);
     }
 }
@@ -744,6 +688,35 @@ mod tests {
         while local.reclaim_step() {}
         assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1));
         assert_eq!(global.pending(), 0);
+    }
+
+    #[test]
+    fn a_thread_that_pinned_and_unpinned_never_blocks_an_advance() {
+        const K: usize = 16;
+        let global = isolated();
+        let (idle_tx, idle_rx) = std::sync::mpsc::channel();
+        let (exit_tx, exit_rx) = std::sync::mpsc::channel::<()>();
+        let idle = thread::spawn(move || {
+            let local = global.register();
+            drop(local.pin());
+            idle_tx.send(()).unwrap();
+            exit_rx.recv().unwrap();
+            local.release_handle();
+        });
+        idle_rx.recv().unwrap();
+        let e = global.epoch();
+        for k in 1..=K {
+            assert_eq!(global.try_advance(), e.wrapping_add(k), "advance {k}");
+        }
+        // By contrast a live guard holds the epoch within one advance.
+        let local = global.register();
+        let guard = local.pin();
+        let e = global.try_advance();
+        assert_eq!(global.try_advance(), e, "blocked by the pinned slot");
+        drop(guard);
+        assert_eq!(global.try_advance(), e.wrapping_add(1));
+        exit_tx.send(()).unwrap();
+        idle.join().unwrap();
     }
 
     #[test]
